@@ -11,8 +11,9 @@ and lowered to the arrays the compiled router consumes directly:
 - **wire defects** — a CHANX/CHANY segment is open/shorted; the node
   becomes unroutable (``node_ok`` mask);
 - **switch defects** — one programmable switch (PASS/BUF/PIN edge) is
-  dead; the CSR edge becomes untraversable (``edge_ok`` mask) while the
-  wires it joined stay usable through their other switches;
+  dead; the CSR edge becomes untraversable (lowered to a self-loop in
+  :meth:`DefectMap.live_edge_dst`) while the wires it joined stay
+  usable through their other switches;
 - **logic-site defects** — a tile's LB is broken; its logical
   SOURCE/SINK nodes are masked and the tile lands in :attr:`bad_tiles`,
   which the placer's ``forbidden`` parameter consumes during re-place
@@ -70,7 +71,7 @@ class DefectMap:
         "seed",
         "node_ok",
         "_node_ok_bytes",
-        "_edge_ok_bytes",
+        "_live_edge_dst",
         "wire_defects",
         "switch_defects",
         "bad_tiles",
@@ -113,7 +114,7 @@ class DefectMap:
                         node_ok[nid] = False
         self.node_ok = node_ok
         self._node_ok_bytes: bytes | None = None
-        self._edge_ok_bytes: bytes | None = None
+        self._live_edge_dst: list[int] | None = None
 
         if self.switch_defects:
             eidx = np.asarray(self.switch_defects, dtype=np.int64)
@@ -134,17 +135,26 @@ class DefectMap:
             self._node_ok_bytes = self.node_ok.tobytes()
         return self._node_ok_bytes
 
-    @property
-    def edge_ok_bytes(self) -> bytes | None:
-        """Per-CSR-edge usability mask, ``None`` without switch defects
-        (the router then keeps its leaner no-edge-test loop)."""
+    def live_edge_dst(self, c: CompiledRRG) -> list[int]:
+        """``c.edge_dst`` with every dead switch ``u -> v`` lowered to
+        the self-loop ``u -> u``.
+
+        A self-loop never relaxes in the router's search (a popped node
+        is already at its final distance and every cost is >= 1.0), so
+        searching this array excludes dead switches without a per-edge
+        test.  ``c`` must be the substrate the map was sampled on.
+        Without switch defects this is ``c.edge_dst`` itself; otherwise
+        the copy is built lazily and cached, like :attr:`node_ok_bytes`.
+        """
         if not self.switch_defects:
-            return None
-        if self._edge_ok_bytes is None:
-            edge_ok = np.ones(self.n_edges, dtype=bool)
-            edge_ok[np.asarray(self.switch_defects, dtype=np.int64)] = False
-            self._edge_ok_bytes = edge_ok.tobytes()
-        return self._edge_ok_bytes
+            return c.edge_dst
+        if self._live_edge_dst is None:
+            edst = list(c.edge_dst)
+            src = c.edge_src_ids()
+            for e in self.switch_defects:
+                edst[e] = int(src[e])
+            self._live_edge_dst = edst
+        return self._live_edge_dst
 
     @classmethod
     def from_lowered(
@@ -164,8 +174,8 @@ class DefectMap:
         once (parent-side) and workers attach a read-only view; this
         constructor wraps such a view without re-sampling or re-lowering
         — the published mask already folds wire and logic-site defects.
-        The small derived pieces (``bad_edge_pairs``, lazily the edge
-        byte mask) are rebuilt from the defect id lists, exactly as the
+        The small derived pieces (``bad_edge_pairs``, lazily the lowered
+        edge array) are rebuilt from the defect id lists, exactly as the
         eager constructor would.
         """
         dm = cls.__new__(cls)
@@ -182,7 +192,7 @@ class DefectMap:
         )
         dm.node_ok = node_ok
         dm._node_ok_bytes = None
-        dm._edge_ok_bytes = None
+        dm._live_edge_dst = None
         if dm.switch_defects:
             eidx = np.asarray(dm.switch_defects, dtype=np.int64)
             src = c.edge_src_ids()

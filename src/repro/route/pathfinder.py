@@ -14,19 +14,22 @@ rewards (paper Section 3).
 
 Two implementations share this module:
 
-- the **compiled engine** (default) — Dijkstra over the flat CSR arrays
-  of a :class:`~repro.arch.compiled.CompiledRRG`, with reusable scratch
-  buffers reset by epoch stamping (no per-search allocation), per-net
-  bounding-box pruning (with a full-graph fallback, so routability
-  never regresses), and a bucket-queue priority queue (Dial's
-  algorithm) that visits nodes in exactly the binary heap's order —
-  every effective cost is >= 1.0, so bucketing distances by integer
-  part preserves the pop order bit-for-bit (``REPRO_ROUTER_QUEUE=heap``
-  or :func:`set_router_queue` selects the reference heap);
+- the **compiled engine** (default) — one search kernel,
+  :func:`_dijkstra`, over the flat CSR arrays of a
+  :class:`~repro.arch.compiled.CompiledRRG`.  It is a bucket-queue
+  Dijkstra (Dial's algorithm): every effective cost is >= 1.0, so
+  bucketing distances by integer part and draining each bucket in
+  ``(dist, node)`` order visits nodes in exactly a binary heap's pop
+  order.  Scratch buffers are reused across searches by epoch stamping
+  (no per-search allocation), and each net is pruned to its terminal
+  bounding box, with a full-graph retry so routability never regresses.
+  One initial pass, :func:`_route_initial_waves`, routes the nets in
+  order — in parallel wavefronts of provably independent nets when
+  ``workers > 1``, one net per wave otherwise;
 - the **legacy object-graph router** (``route_context_legacy`` /
   ``route_program_legacy``) — the original dict/set implementation,
-  kept verbatim as the reference for the equivalence tests and the
-  ``bench_engine_scaling`` baseline.
+  kept verbatim as the independent reference for the equivalence
+  tests and the ``bench_engine_scaling`` baseline.
 
 ``route_context`` / ``route_program`` are thin adapters: they accept
 either graph representation, lower object graphs on first use (cached
@@ -41,18 +44,21 @@ asserts equal wirelength at every measured scale, so a divergence
 fails loudly rather than shipping silently.
 
 The compiled engine also accepts a
-:class:`~repro.reliability.defect_map.DefectMap` (``defects=``):
-defective wires/switches are excluded from every search and priced
-unroutable in the congestion state, which is what the defect-tolerant
-mapping and Monte Carlo yield subsystem (:mod:`repro.reliability`)
-rides on.  A clean map is normalised away up front, so defect-free
-routing takes the exact original code path.
+:class:`~repro.reliability.defect_map.DefectMap` (``defects=``).  Dead
+wires are priced unroutable in the congestion state and masked out of
+every search.  Dead switches are lowered once per map into a copy of
+``edge_dst`` in which each dead edge ``u -> v`` is the self-loop
+``u -> u`` (:meth:`~repro.reliability.defect_map.DefectMap.live_edge_dst`);
+a self-loop never relaxes, so the kernel needs no per-edge test and
+its pop order is unchanged.  This is what the defect-tolerant mapping
+and Monte Carlo yield subsystem (:mod:`repro.reliability`) rides on.
+A clean map is normalised away up front, so defect-free routing takes
+the exact original code path.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -100,49 +106,6 @@ WARM_PRES_FAC = 8.0
 #: congestion stay inside the box on realistic fabrics; when a search
 #: still fails inside the box it is retried unpruned.
 BBOX_MARGIN = 3
-
-#: Environment variable selecting the router's priority queue.
-ROUTER_QUEUE_ENV = "REPRO_ROUTER_QUEUE"
-
-#: Valid queue implementations: ``"dial"`` (bucket queue, the default)
-#: and ``"heap"`` (binary heap, the reference).
-ROUTER_QUEUES = ("dial", "heap")
-
-
-def _queue_from_env() -> str:
-    q = os.environ.get(ROUTER_QUEUE_ENV, "dial").strip().lower()
-    return q if q in ROUTER_QUEUES else "dial"
-
-
-#: Active priority-queue implementation.  Every effective node cost is
-#: >= 1.0 (base cost >= 1.0, congestion multiplier >= 1, history >= 0),
-#: so Dijkstra distances can be bucketed by their integer part (Dial's
-#: algorithm): a relaxation from distance ``d`` lands at ``d + cost >=
-#: d + 1.0`` — strictly past bucket ``int(d)`` — so draining each
-#: bucket in sorted ``(dist, node)`` order reproduces the binary heap's
-#: pop order *exactly*, and routes are bit-identical by construction
-#: (the equivalence suite pins this).  Occupied bucket indices are kept
-#: in a small index heap, so sparse distance ranges (late PathFinder
-#: iterations price congested nodes very high) cost nothing to skip.
-#: Defaults on; ``REPRO_ROUTER_QUEUE=heap`` (or
-#: :func:`set_router_queue`) restores the binary heap.
-ROUTER_QUEUE = _queue_from_env()
-
-
-def set_router_queue(queue: str) -> str:
-    """Select the router priority queue (``"dial"`` / ``"heap"``).
-
-    Returns the previous setting so tests can restore it.
-    """
-    global ROUTER_QUEUE
-    if queue not in ROUTER_QUEUES:
-        raise ValueError(
-            f"queue must be one of {ROUTER_QUEUES}, got {queue!r}"
-        )
-    previous = ROUTER_QUEUE
-    ROUTER_QUEUE = queue
-    return previous
-
 
 @dataclass
 class RoutedNet:
@@ -385,38 +348,52 @@ class _FlatCongestion:
         )
         self._refresh_all()
 
+    def _fold(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The node-cost formula at ``idx`` (an index array, or
+        ``slice(None)`` for the whole graph).
+
+        Returns ``(costs, overused, pressured)``, the last two as bool
+        arrays.  This is the one place the formula is written, so every
+        re-price — whole-graph, per-net scatter, batched commit and
+        targeted escalation — runs the same IEEE operations in the same
+        order.
+        """
+        used = self.usage[idx]
+        cap = self.capacity_np[idx]
+        over = np.maximum(used + 1 - cap, 0)
+        costs = self.c.base_cost_np[idx] * (1.0 + self.pres_fac * over) \
+            + self.history[idx]
+        return costs, used > cap, over > 0
+
     def _refresh_all(self) -> None:
         """Vectorised whole-graph re-price of the effective costs."""
-        over = self.usage + 1 - self.capacity_np
-        np.maximum(over, 0, out=over)
-        eff = self.c.base_cost_np * (1.0 + self.pres_fac * over) + self.history
-        self.eff = eff.tolist()
+        self.eff = self._fold(slice(None))[0].tolist()
 
-    def _scatter(self, nodes: set[int], delta: int) -> None:
-        idx = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
-        usage = self.usage
-        usage[idx] += delta
-        cap = self.capacity_np[idx]
-        used = usage[idx]
-        over = np.maximum(used + 1 - cap, 0)
-        vals = self.c.base_cost_np[idx] * (1.0 + self.pres_fac * over) \
-            + self.history[idx]
+    def _refold(self, idx: np.ndarray) -> None:
+        """Re-price nodes ``idx`` (distinct ids) after a usage change
+        and move them in or out of the overused/pressured sets."""
+        costs, congested, pressured = self._fold(idx)
         eff = self.eff
         overused_ids = self.overused_ids
         pressured_ids = self.pressured_ids
-        for nid, v, congested, pressured in zip(
-            idx.tolist(), vals.tolist(), (used > cap).tolist(),
-            (over > 0).tolist(),
+        for nid, v, cong, press in zip(
+            idx.tolist(), costs.tolist(), congested.tolist(),
+            pressured.tolist(),
         ):
             eff[nid] = v
-            if congested:
+            if cong:
                 overused_ids.add(nid)
             else:
                 overused_ids.discard(nid)
-            if pressured:
+            if press:
                 pressured_ids.add(nid)
             else:
                 pressured_ids.discard(nid)
+
+    def _scatter(self, nodes: set[int], delta: int) -> None:
+        idx = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+        self.usage[idx] += delta
+        self._refold(idx)
 
     def add(self, nodes: set[int]) -> None:
         self._scatter(nodes, 1)
@@ -441,28 +418,7 @@ class _FlatCongestion:
             (n for nodes in node_sets for n in nodes), dtype=np.int64
         )
         np.add.at(self.usage, idx, 1)
-        touched = np.unique(idx)
-        cap = self.capacity_np[touched]
-        used = self.usage[touched]
-        over = np.maximum(used + 1 - cap, 0)
-        vals = self.c.base_cost_np[touched] * (1.0 + self.pres_fac * over) \
-            + self.history[touched]
-        eff = self.eff
-        overused_ids = self.overused_ids
-        pressured_ids = self.pressured_ids
-        for nid, v, congested, pressured in zip(
-            touched.tolist(), vals.tolist(), (used > cap).tolist(),
-            (over > 0).tolist(),
-        ):
-            eff[nid] = v
-            if congested:
-                overused_ids.add(nid)
-            else:
-                overused_ids.discard(nid)
-            if pressured:
-                pressured_ids.add(nid)
-            else:
-                pressured_ids.discard(nid)
+        self._refold(np.unique(idx))
 
     def remove(self, nodes: set[int]) -> None:
         self._scatter(nodes, -1)
@@ -489,18 +445,16 @@ class _FlatCongestion:
         stored value is still exactly what :meth:`_refresh_all` would
         write — ``base * 1.0 + history`` with both terms unchanged —
         so re-folding the pressured set reproduces the whole-graph
-        refresh bit-for-bit at a fraction of the cost.
+        refresh bit-for-bit at a fraction of the cost.  Usage is
+        unchanged, so set membership is too.
         """
         ids = self.pressured_ids
         if not ids:
             return
         _tcount("router.repriced_nodes", len(ids))
         idx = np.fromiter(ids, dtype=np.int64, count=len(ids))
-        over = np.maximum(self.usage[idx] + 1 - self.capacity_np[idx], 0)
-        vals = self.c.base_cost_np[idx] * (1.0 + self.pres_fac * over) \
-            + self.history[idx]
         eff = self.eff
-        for nid, v in zip(idx.tolist(), vals.tolist()):
+        for nid, v in zip(idx.tolist(), self._fold(idx)[0].tolist()):
             eff[nid] = v
 
     def next_iteration(self) -> None:
@@ -512,148 +466,6 @@ class _FlatCongestion:
         self._reprice_pressured()
 
 
-def _dijkstra_flat(
-    c: CompiledRRG,
-    state: _FlatCongestion,
-    tree_nodes: set[int],
-    target: int,
-    scratch: RouterScratch,
-    mask: bytes | None,
-) -> list[int] | None:
-    """Shortest path from the route tree to ``target`` over flat arrays.
-
-    ``mask`` is a per-node 0/1 membership mask (the net's expanded
-    bounding box); zero-mask nodes are never relaxed.  Returns ``None``
-    when ``target`` is unreachable inside the mask (the caller retries
-    unmasked); mirrors the legacy router's cost arithmetic and
-    tie-breaking exactly otherwise — the full congestion formula is
-    pre-folded into ``state.eff``, so a relax is one load + one add.
-    """
-    scratch.epoch += 1
-    ep = scratch.epoch
-    dist, prev, stamp = scratch.dist, scratch.prev, scratch.stamp
-    eff = state.eff
-    estart, emid, edst = c.edge_start, c.edge_mid, c.edge_dst
-
-    heap: list[tuple[float, int]] = []
-    push = heapq.heappush
-    pop = heapq.heappop
-    pops = 0
-    for n in tree_nodes:
-        stamp[n] = ep
-        dist[n] = 0.0
-        push(heap, (0.0, n))
-    while heap:
-        d, nid = pop(heap)
-        pops += 1
-        if d > dist[nid] and stamp[nid] == ep:
-            continue
-        if nid == target:
-            path = [nid]
-            tail = nid
-            while tail not in tree_nodes:
-                tail = prev[tail]
-                path.append(tail)
-            path.reverse()
-            _tcount("router.pops", pops, queue="heap")
-            return path
-        lo, mid, hi = estart[nid], emid[nid], estart[nid + 1]
-        # non-SINK destinations (bulk of the fan-out, no kind test needed)
-        for nxt in edst[lo:mid]:
-            if mask is not None and not mask[nxt]:
-                continue
-            nd = d + eff[nxt]
-            if stamp[nxt] != ep or nd < dist[nxt]:
-                stamp[nxt] = ep
-                dist[nxt] = nd
-                prev[nxt] = nid
-                push(heap, (nd, nxt))
-        # SINK destinations: only the net's own target is enterable
-        for nxt in edst[mid:hi]:
-            if nxt != target:
-                continue
-            nd = d + eff[nxt]
-            if stamp[nxt] != ep or nd < dist[nxt]:
-                stamp[nxt] = ep
-                dist[nxt] = nd
-                prev[nxt] = nid
-                push(heap, (nd, nxt))
-    _tcount("router.pops", pops, queue="heap")
-    return None
-
-
-def _dijkstra_flat_edges(
-    c: CompiledRRG,
-    state: _FlatCongestion,
-    tree_nodes: set[int],
-    target: int,
-    scratch: RouterScratch,
-    mask: bytes | None,
-    edge_ok: bytes,
-) -> list[int] | None:
-    """:func:`_dijkstra_flat` with a per-edge usability mask.
-
-    Only used when a defect map contains *switch* (edge) defects — the
-    common healthy/wire-defect paths keep the leaner loop that never
-    materialises edge indexes.  Identical cost arithmetic and
-    tie-breaking otherwise, so an all-ones ``edge_ok`` reproduces
-    :func:`_dijkstra_flat` exactly.
-    """
-    scratch.epoch += 1
-    ep = scratch.epoch
-    dist, prev, stamp = scratch.dist, scratch.prev, scratch.stamp
-    eff = state.eff
-    estart, emid, edst = c.edge_start, c.edge_mid, c.edge_dst
-
-    heap: list[tuple[float, int]] = []
-    push = heapq.heappush
-    pop = heapq.heappop
-    pops = 0
-    for n in tree_nodes:
-        stamp[n] = ep
-        dist[n] = 0.0
-        push(heap, (0.0, n))
-    while heap:
-        d, nid = pop(heap)
-        pops += 1
-        if d > dist[nid] and stamp[nid] == ep:
-            continue
-        if nid == target:
-            path = [nid]
-            tail = nid
-            while tail not in tree_nodes:
-                tail = prev[tail]
-                path.append(tail)
-            path.reverse()
-            _tcount("router.pops", pops, queue="heap")
-            return path
-        lo, mid, hi = estart[nid], emid[nid], estart[nid + 1]
-        for ei in range(lo, mid):
-            if not edge_ok[ei]:
-                continue
-            nxt = edst[ei]
-            if mask is not None and not mask[nxt]:
-                continue
-            nd = d + eff[nxt]
-            if stamp[nxt] != ep or nd < dist[nxt]:
-                stamp[nxt] = ep
-                dist[nxt] = nd
-                prev[nxt] = nid
-                push(heap, (nd, nxt))
-        for ei in range(mid, hi):
-            nxt = edst[ei]
-            if nxt != target or not edge_ok[ei]:
-                continue
-            nd = d + eff[nxt]
-            if stamp[nxt] != ep or nd < dist[nxt]:
-                stamp[nxt] = ep
-                dist[nxt] = nd
-                prev[nxt] = nid
-                push(heap, (nd, nxt))
-    _tcount("router.pops", pops, queue="heap")
-    return None
-
-
 #: Bucket index for infinitely-priced nodes (defect pricing).  Every
 #: real caller mask-excludes such nodes, so this bucket only exists to
 #: keep reachability semantics identical for direct searches; expansion
@@ -661,30 +473,41 @@ def _dijkstra_flat_edges(
 _INF_BUCKET = float("inf")
 
 
-def _dijkstra_flat_dial(
+def _dijkstra(
     c: CompiledRRG,
     state: _FlatCongestion,
     tree_nodes: set[int],
     target: int,
     scratch: RouterScratch,
     mask: bytes | None,
+    edst: list[int],
 ) -> list[int] | None:
-    """:func:`_dijkstra_flat` with a bucket queue (Dial's algorithm).
+    """Shortest path from the route tree to ``target`` over flat arrays.
 
-    Every effective node cost is >= 1.0, so a relaxation from distance
-    ``d`` lands strictly past bucket ``int(d)``; draining buckets in
-    index order, each sorted by ``(dist, node)``, visits nodes in
-    exactly the binary heap's pop order — same routes, bit for bit.
-    Occupied bucket indices live in a small index heap (``order``), so
-    the sparse distance ranges of late PathFinder iterations cost
-    nothing to scan; pushes are an append instead of an O(log n)
-    sift.
+    A bucket-queue Dijkstra (Dial's algorithm).  Every effective node
+    cost is >= 1.0, so a relaxation from distance ``d`` lands strictly
+    past bucket ``int(d)``; draining buckets in index order, each
+    sorted by ``(dist, node)``, visits nodes in exactly a binary heap's
+    pop order.  Occupied bucket indices live in a small index heap
+    (``order``), so the sparse distance ranges of late PathFinder
+    iterations cost nothing to scan.
+
+    ``edst`` is the edge-destination array to search: ``c.edge_dst``,
+    or a defect map's copy in which every dead switch is a self-loop
+    (:meth:`~repro.reliability.defect_map.DefectMap.live_edge_dst`).
+    A self-loop never relaxes — a popped node has ``dist == d`` and a
+    cost >= 1.0 — so dead switches need no test here.  ``mask`` is a
+    per-node 0/1 membership mask (the net's expanded bounding box);
+    zero-mask nodes are never relaxed.  Returns ``None`` when
+    ``target`` is unreachable inside the mask (the caller retries
+    unmasked); the full congestion formula is pre-folded into
+    ``state.eff``, so a relax is one load + one add.
     """
     scratch.epoch += 1
     ep = scratch.epoch
     dist, prev, stamp = scratch.dist, scratch.prev, scratch.stamp
     eff = state.eff
-    estart, emid, edst = c.edge_start, c.edge_mid, c.edge_dst
+    estart, emid = c.edge_start, c.edge_mid
 
     first: list[tuple[float, int]] = []
     buckets: dict[float, list[tuple[float, int]]] = {0: first}
@@ -710,7 +533,7 @@ def _dijkstra_flat_dial(
                     tail = prev[tail]
                     path.append(tail)
                 path.reverse()
-                _tcount("router.pops", pops, queue="dial")
+                _tcount("router.pops", pops)
                 return path
             lo, mid, hi = estart[nid], emid[nid], estart[nid + 1]
             # non-SINK destinations (bulk of the fan-out)
@@ -745,90 +568,7 @@ def _dijkstra_flat_dial(
                         push_order(order, bi)
                     else:
                         b.append((nd, nxt))
-    _tcount("router.pops", pops, queue="dial")
-    return None
-
-
-def _dijkstra_flat_edges_dial(
-    c: CompiledRRG,
-    state: _FlatCongestion,
-    tree_nodes: set[int],
-    target: int,
-    scratch: RouterScratch,
-    mask: bytes | None,
-    edge_ok: bytes,
-) -> list[int] | None:
-    """:func:`_dijkstra_flat_edges` with the bucket queue of
-    :func:`_dijkstra_flat_dial` (same cost arithmetic and visiting
-    order as the heap variant; adds the per-edge usability test)."""
-    scratch.epoch += 1
-    ep = scratch.epoch
-    dist, prev, stamp = scratch.dist, scratch.prev, scratch.stamp
-    eff = state.eff
-    estart, emid, edst = c.edge_start, c.edge_mid, c.edge_dst
-
-    first: list[tuple[float, int]] = []
-    buckets: dict[float, list[tuple[float, int]]] = {0: first}
-    order: list[float] = [0]
-    push_order = heapq.heappush
-    pop_order = heapq.heappop
-    pops = 0
-    for n in tree_nodes:
-        stamp[n] = ep
-        dist[n] = 0.0
-        first.append((0.0, n))
-    while order:
-        bucket = buckets.pop(pop_order(order))
-        bucket.sort()
-        for d, nid in bucket:
-            pops += 1
-            if d > dist[nid] and stamp[nid] == ep:
-                continue
-            if nid == target:
-                path = [nid]
-                tail = nid
-                while tail not in tree_nodes:
-                    tail = prev[tail]
-                    path.append(tail)
-                path.reverse()
-                _tcount("router.pops", pops, queue="dial")
-                return path
-            lo, mid, hi = estart[nid], emid[nid], estart[nid + 1]
-            for ei in range(lo, mid):
-                if not edge_ok[ei]:
-                    continue
-                nxt = edst[ei]
-                if mask is not None and not mask[nxt]:
-                    continue
-                nd = d + eff[nxt]
-                if stamp[nxt] != ep or nd < dist[nxt]:
-                    stamp[nxt] = ep
-                    dist[nxt] = nd
-                    prev[nxt] = nid
-                    bi = int(nd) if nd != _INF_BUCKET else _INF_BUCKET
-                    b = buckets.get(bi)
-                    if b is None:
-                        buckets[bi] = [(nd, nxt)]
-                        push_order(order, bi)
-                    else:
-                        b.append((nd, nxt))
-            for ei in range(mid, hi):
-                nxt = edst[ei]
-                if nxt != target or not edge_ok[ei]:
-                    continue
-                nd = d + eff[nxt]
-                if stamp[nxt] != ep or nd < dist[nxt]:
-                    stamp[nxt] = ep
-                    dist[nxt] = nd
-                    prev[nxt] = nid
-                    bi = int(nd) if nd != _INF_BUCKET else _INF_BUCKET
-                    b = buckets.get(bi)
-                    if b is None:
-                        buckets[bi] = [(nd, nxt)]
-                        push_order(order, bi)
-                    else:
-                        b.append((nd, nxt))
-    _tcount("router.pops", pops, queue="dial")
+    _tcount("router.pops", pops)
     return None
 
 
@@ -875,31 +615,24 @@ def _route_net_flat(
     sinks: list[int],
     scratch: RouterScratch,
     mask: bytes | None,
-    base_mask: bytes | None = None,
-    edge_ok: bytes | None = None,
+    base_mask: bytes | None,
+    edst: list[int],
     retry: bool = True,
     seed_paths: dict[int, list[int]] | None = None,
 ) -> RoutedNet | None:
     """Route one net.  ``mask`` is the net's (defect-combined) prune
     mask; ``base_mask`` is the defect-only floor the full-graph retry
-    must keep honouring (``None`` without defects), and ``edge_ok``
-    switches to the per-edge Dijkstra variant when switch defects
-    exist.  ``retry=False`` (the wavefront path) returns ``None``
-    instead of retrying unmasked/raising — a failed wave net must be
-    re-run sequentially, where the full-graph retry sees every earlier
-    net's congestion.
+    must keep honouring (``None`` without defects), and ``edst`` is the
+    edge-destination array to search (dead switches lowered to
+    self-loops, see :func:`_dijkstra`).  ``retry=False`` (the wavefront
+    path) returns ``None`` instead of retrying unmasked/raising — a
+    failed wave net must be re-run sequentially, where the full-graph
+    retry sees every earlier net's congestion.
 
     ``seed_paths`` (delta-reroute) pre-adopts known-good source→sink
     branches — the healthy portion of a dirty net's golden route —
     so only the broken sinks are searched, and those searches start
     from the salvaged tree instead of the bare source."""
-    dial = ROUTER_QUEUE == "dial"
-    if edge_ok is None:
-        search = _dijkstra_flat_dial if dial else _dijkstra_flat
-    else:
-        edges_search = _dijkstra_flat_edges_dial if dial \
-            else _dijkstra_flat_edges
-        search = lambda *a: edges_search(*a, edge_ok)  # noqa: E731
     net = RoutedNet(name, source, list(sinks))
     net.nodes = {source}
     if seed_paths:
@@ -911,11 +644,13 @@ def _route_net_flat(
     for sink in sinks:
         if sink in net.sink_paths:
             continue
-        path = search(c, state, net.nodes, sink, scratch, mask)
+        path = _dijkstra(c, state, net.nodes, sink, scratch, mask, edst)
         if path is None and retry and mask is not base_mask:
             # the pruned region disconnected this sink — retry without
             # the bounding box (defective resources stay excluded)
-            path = search(c, state, net.nodes, sink, scratch, base_mask)
+            path = _dijkstra(
+                c, state, net.nodes, sink, scratch, base_mask, edst
+            )
         if path is None:
             if not retry:
                 return None
@@ -997,14 +732,14 @@ def _route_initial_waves(
     routes: dict[str, RoutedNet],
     mask_for,
     base_mask: bytes | None,
-    edge_ok: bytes | None,
+    edst: list[int],
     scratch: RouterScratch,
     workers: int,
     seeds: dict[str, dict[int, list[int]]] | None = None,
 ) -> None:
-    """Initial routing pass in bit-identical parallel wavefronts.
+    """The initial routing pass, in bit-identical parallel wavefronts.
 
-    Consecutive nets whose prune masks are provably disjoint (box
+    With ``workers > 1``, consecutive nets whose prune masks are provably disjoint (box
     separation over the widest node extent) form a *wave*: their
     searches run in parallel threads against the frozen congestion
     state, then their usage is applied in net order.  A wave net reads
@@ -1013,7 +748,9 @@ def _route_initial_waves(
     node for node, to the sequential one.  Wave searches never take
     the full-graph retry (it reads beyond the mask): a net that needs
     it aborts the wave from that net on, re-running sequentially with
-    standard semantics.
+    standard semantics.  With ``workers <= 1`` every net is its own
+    wave — routed in order on the caller's scratch, with the full-graph
+    retry — so no thread pool starts and no box is computed.
 
     Usage is committed in *batches*: routed waves and runs of adopted
     (reused) routes accumulate their node sets and flush through one
@@ -1025,10 +762,11 @@ def _route_initial_waves(
     ``routes`` insertion order (which the rip-up loop iterates) must
     be, and is, maintained per net.
     """
-    span = max(2, max(c.node_length))  # widest node extent, in tiles
+    # widest node extent, in tiles (only the independence test needs it)
+    span = max(2, max(c.node_length)) if workers > 1 else 0
     pool: ThreadPoolExecutor | None = None
     wave: list[tuple[str, int, list[int], bytes | None]] = []
-    boxes: list[tuple[int, int, int, int]] = []
+    boxes: list[tuple[int, int, int, int] | None] = []
     pending: list[set[int]] = []  # usage awaiting one batched commit
 
     def route_one(entry) -> RoutedNet | None:
@@ -1036,7 +774,7 @@ def _route_initial_waves(
         with SCRATCH_POOL.lease(c.n_nodes) as sc:
             return _route_net_flat(
                 c, state, name, source, sinks, sc, mask, base_mask,
-                edge_ok, retry=False,
+                edst, retry=False,
             )
 
     def commit_usage() -> None:
@@ -1058,7 +796,7 @@ def _route_initial_waves(
             name, source, sinks, mask = wave[0]
             commit(name, _route_net_flat(
                 c, state, name, source, sinks, scratch, mask, base_mask,
-                edge_ok,
+                edst,
             ))
         else:
             if pool is None:
@@ -1078,7 +816,7 @@ def _route_initial_waves(
                 for name, source, sinks, mask in wave[redo_from:]:
                     net = _route_net_flat(
                         c, state, name, source, sinks, scratch, mask,
-                        base_mask, edge_ok,
+                        base_mask, edst,
                     )
                     routes[name] = net
                     state.add(net.nodes)
@@ -1107,24 +845,26 @@ def _route_initial_waves(
             if seed_paths:
                 # salvaged branches can reach beyond the net's terminal
                 # box (full-graph-retry golden paths), which would void
-                # the wave-disjointness proof: route it sequentially,
-                # in order, against fully committed state — exactly
-                # what the sequential initial pass does
+                # the wave-disjointness proof: route it on its own, in
+                # order, against fully committed state
                 flush()
                 commit_usage()
                 commit(name, _route_net_flat(
                     c, state, name, source, sinks, scratch,
-                    mask_for(name, source, sinks), base_mask, edge_ok,
+                    mask_for(name, source, sinks), base_mask, edst,
                     seed_paths=seed_paths,
                 ))
                 continue
-            box = _net_bbox(c, source, sinks)
             mask = mask_for(name, source, sinks)
-            independent = (
-                mask is not None
-                and not _bbox_covers_fabric(c, box)
-                and all(not _boxes_interact(box, b, span) for b in boxes)
-            )
+            if workers > 1:
+                box = _net_bbox(c, source, sinks)
+                independent = (
+                    mask is not None
+                    and not _bbox_covers_fabric(c, box)
+                    and all(not _boxes_interact(box, b, span) for b in boxes)
+                )
+            else:
+                box, independent = None, False  # every net its own wave
             if not independent:
                 flush()
             wave.append((name, source, sinks, mask))
@@ -1166,16 +906,9 @@ def route_context_compiled(
     unroutable in the congestion state.  A clean map is normalised to
     ``None``, so the defect-free path — and its routes — is untouched.
 
-    ``workers > 1`` routes the *initial* pass in wavefronts: runs of
-    consecutive nets whose prune masks are provably disjoint search in
-    parallel threads against the frozen congestion state, and their
-    usage is applied in net order afterwards — a net only ever reads
-    costs inside its own mask and only ever writes usage on its own
-    route, so disjoint masks make the parallel searches equal to the
-    sequential ones node-for-node.  Any wave net that needs the
-    full-graph retry aborts the wave from that net on and re-runs
-    sequentially.  Routes are bit-identical to ``workers=None`` by
-    construction (pinned by the route-workers equivalence tests).
+    ``workers > 1`` routes the *initial* pass in parallel wavefronts of
+    mask-disjoint nets (see :func:`_route_initial_waves`); routes are
+    bit-identical to ``workers=None`` by construction.
 
     ``warm`` changes the initial-pass *order* (only meaningful with
     ``reuse``): every bank hit is adopted before the first fresh net
@@ -1307,7 +1040,7 @@ def _route_context_compiled(
         # carry an infinite history term that dominates regardless.
         state.pres_fac = WARM_PRES_FAC
     base_mask = defects.node_ok_bytes if defects is not None else None
-    edge_ok = defects.edge_ok_bytes if defects is not None else None
+    edst = defects.live_edge_dst(c) if defects is not None else c.edge_dst
     routes: dict[str, RoutedNet] = {}
     # prune masks are built lazily: a reused net only needs one if it is
     # ripped up later, and mask construction is O(n_nodes) per net
@@ -1327,45 +1060,10 @@ def _route_context_compiled(
             masks[name] = m
         return masks[name]
 
-    if workers is not None and workers > 1 and len(endpoints) > 1:
-        _route_initial_waves(
-            c, state, endpoints, reuse, routes, mask_for, base_mask,
-            edge_ok, scratch, workers, seeds or None,
-        )
-    else:
-        # runs of consecutive adopted (reused) routes commit their
-        # usage in one vectorised batch, flushed right before the next
-        # fresh net's search needs to see it; adopted nets alias the
-        # prior route's sets (routes are only ever replaced wholesale,
-        # never mutated in place).  Both are bit-identical to the
-        # per-net copy/commit they replace — and are what makes a
-        # warm-started repair route (mostly adopted nets) cheap.
-        pending: list[set[int]] = []
-        for name, source, sinks in endpoints:
-            sig = endpoint_signature(source, sinks)
-            prior = reuse.get(sig) if reuse else None
-            if prior is not None:
-                net = RoutedNet(name, source, list(sinks))
-                net.nodes = prior.nodes
-                net.edges = prior.edges
-                net.sink_paths = prior.sink_paths
-                net.reused = True
-                routes[name] = net
-                pending.append(net.nodes)
-                continue
-            if pending:
-                state.add_batch(pending)
-                pending.clear()
-            net = _route_net_flat(
-                c, state, name, source, sinks, scratch,
-                mask_for(name, source, sinks), base_mask, edge_ok,
-                seed_paths=seeds.get(sig) if seeds else None,
-            )
-            routes[name] = net
-            state.add(net.nodes)
-        if pending:
-            state.add_batch(pending)
-            pending.clear()
+    _route_initial_waves(
+        c, state, endpoints, reuse, routes, mask_for, base_mask, edst,
+        scratch, workers or 1, seeds or None,
+    )
 
     overused_ids = state.overused_ids
     iteration = 1
@@ -1385,7 +1083,7 @@ def _route_context_compiled(
             state.remove(net.nodes)
             fresh = _route_net_flat(
                 c, state, name, net.source, net.sinks, scratch,
-                mask_for(name, net.source, net.sinks), base_mask, edge_ok,
+                mask_for(name, net.source, net.sinks), base_mask, edst,
             )
             routes[name] = fresh
             state.add(fresh.nodes)

@@ -96,9 +96,17 @@ class ArtifactStore:
     def _write_json(self, relpath: str, payload: dict) -> str:
         path = self.path_for(relpath)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        os.replace(tmp, path)  # atomic: readers never see partial JSON
+        # one temp file per writer (process and thread): concurrent saves
+        # of one relpath must never rename each other's half-written file
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
+        try:
+            tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
+            os.replace(tmp, path)  # atomic: readers never see partial JSON
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return relpath
 
     def _read_json(self, relpath: str):

@@ -6,7 +6,7 @@ Two cooperating pieces, both stdlib-only:
   histograms with labels, rendered by
   :func:`repro.service.metrics.render_prometheus` for ``GET
   /v1/metrics``.  Series are keyed by their fully rendered name
-  (``router.pops{backend="dial"}``) so merging counter deltas from
+  (``session.cache.hits{cache="circuit"}``) so merging counter deltas from
   worker snapshots is plain string-keyed summation.
 
 - :class:`Telemetry` — a per-run span/counter collector bound
@@ -100,7 +100,7 @@ class MetricsRegistry:
 
     One module-level instance (:data:`GLOBAL`) backs ``/v1/metrics``;
     tests may build private registries.  All mutators accept labels
-    as keyword arguments: ``reg.inc("router.pops", 42, queue="dial")``.
+    as keyword arguments: ``reg.inc("session.cache.hits", cache="circuit")``.
     """
 
     def __init__(self) -> None:

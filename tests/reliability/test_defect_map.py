@@ -66,7 +66,7 @@ class TestUniformModel:
         assert dm.is_clean
         assert dm.n_defects == 0
         assert dm.node_ok.all()
-        assert dm.edge_ok_bytes is None
+        assert dm.live_edge_dst(substrate) is substrate.edge_dst
 
     def test_full_wire_rate_kills_every_wire(self, substrate):
         dm = DefectMap.sample(
@@ -96,10 +96,19 @@ class TestUniformModel:
             assert nid in bad_nodes
         assert dm.node_ok_bytes == dm.node_ok.tobytes()
         if dm.switch_defects:
-            edge_ok = np.frombuffer(dm.edge_ok_bytes, dtype=np.uint8)
-            assert not edge_ok[list(dm.switch_defects)].any()
-            assert edge_ok.sum() == substrate.n_edges - len(dm.switch_defects)
             assert len(dm.bad_edge_pairs) == len(dm.switch_defects)
+
+    def test_dead_switches_lower_to_self_loops(self, substrate):
+        dm = DefectMap.sample(substrate, 0.05, seed=9)
+        assert dm.switch_defects
+        lowered = dm.live_edge_dst(substrate)
+        assert lowered is not substrate.edge_dst
+        assert dm.live_edge_dst(substrate) is lowered  # cached
+        assert len(lowered) == substrate.n_edges
+        dead = set(dm.switch_defects)
+        src = substrate.edge_src_ids()
+        for e, (got, dst) in enumerate(zip(lowered, substrate.edge_dst)):
+            assert got == (int(src[e]) if e in dead else dst), e
 
     def test_logic_defect_masks_lb_endpoints(self, substrate):
         dm = DefectMap.sample(

@@ -164,7 +164,7 @@ class TestLeanTrialItems:
                 assert got.bad_edge_pairs == want.bad_edge_pairs
                 assert (got.node_ok == want.node_ok).all()
                 assert got.node_ok_bytes == want.node_ok_bytes
-                assert got.edge_ok_bytes == want.edge_ok_bytes
+                assert got.live_edge_dst(c) == want.live_edge_dst(c)
                 assert got.to_dict() == want.to_dict()
 
     def test_lean_item_payload_is_much_smaller(self):

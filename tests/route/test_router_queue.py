@@ -1,14 +1,23 @@
-"""Bucket-queue (Dial) router core: bit-identity with the binary heap.
+"""The router's search kernel against an independent binary-heap oracle.
 
-The Dial queue is a pure speedup: every effective node cost is >= 1.0,
-so bucketing Dijkstra distances by integer part and draining each
-bucket in ``(dist, node)`` order visits nodes in exactly the binary
-heap's pop order.  These tests pin that the routes (not just the
-wirelengths) are identical under both queues — including congested
-runs whose escalated costs spread distances across sparse buckets —
-and that the targeted congestion re-price reproduces the whole-graph
-refresh bit-for-bit.
+The compiled engine runs one search, a bucket-queue Dijkstra (Dial's
+algorithm).  Every effective node cost is >= 1.0, so bucketing
+distances by integer part and draining each bucket in ``(dist, node)``
+order visits nodes in exactly a binary heap's pop order.  Dead switches
+reach the kernel as self-loops in a lowered copy of ``edge_dst``.
+
+The oracle below is a plain binary-heap Dijkstra that reads
+``c.edge_dst`` and skips the defect map's ``switch_defects`` itself, so
+it shares no code with the kernel or the self-loop lowering.  These
+tests patch it over ``pathfinder._dijkstra`` and pin that the routes
+(not just the wirelengths) are identical — including congested runs
+whose escalated costs spread distances across sparse buckets, and
+defect maps with dead switches.  They also pin that the targeted
+congestion re-price reproduces the whole-graph refresh bit-for-bit,
+and that the parallel wavefront initial pass equals the sequential one.
 """
+
+import heapq
 
 import numpy as np
 import pytest
@@ -18,12 +27,7 @@ from repro.arch.params import ArchParams
 from repro.netlist.techmap import tech_map
 from repro.place.placer import place
 from repro.route import pathfinder
-from repro.route.pathfinder import (
-    ROUTER_QUEUES,
-    _FlatCongestion,
-    route_context_compiled,
-    set_router_queue,
-)
+from repro.route.pathfinder import _FlatCongestion, route_context_compiled
 from repro.reliability.defect_map import DefectMap
 from repro.workloads.generators import crc_step, random_dag, ripple_adder
 
@@ -41,11 +45,46 @@ CASES = [
 ]
 
 
-@pytest.fixture
-def heap_queue():
-    prev = set_router_queue("heap")
-    yield
-    set_router_queue(prev)
+def heap_search(dead_switches=()):
+    """A binary-heap Dijkstra with the kernel's signature and results.
+
+    Ignores the ``edst`` it is handed: it walks ``c.edge_dst`` and
+    skips the edge ids in ``dead_switches`` on its own.
+    """
+    dead = frozenset(dead_switches)
+
+    def search(c, state, tree_nodes, target, scratch, mask, edst):
+        eff = state.eff
+        dist = {n: 0.0 for n in tree_nodes}
+        prev = {}
+        heap = [(0.0, n) for n in tree_nodes]
+        heapq.heapify(heap)
+        while heap:
+            d, nid = heapq.heappop(heap)
+            if d > dist[nid]:
+                continue
+            if nid == target:
+                path = [nid]
+                while path[-1] not in tree_nodes:
+                    path.append(prev[path[-1]])
+                return path[::-1]
+            for e in range(c.edge_start[nid], c.edge_start[nid + 1]):
+                nxt = c.edge_dst[e]
+                if e in dead:
+                    continue
+                if e >= c.edge_mid[nid]:  # SINK: only the target enters
+                    if nxt != target:
+                        continue
+                elif mask is not None and not mask[nxt]:
+                    continue
+                nd = d + eff[nxt]
+                if nxt not in dist or nd < dist[nxt]:
+                    dist[nxt] = nd
+                    prev[nxt] = nid
+                    heapq.heappush(heap, (nd, nxt))
+        return None
+
+    return search
 
 
 def _route(params, circuit, **kw):
@@ -67,51 +106,32 @@ def _assert_identical(a, b):
 
 class TestQueueEquivalence:
     @pytest.mark.parametrize("name,params,circuit", CASES)
-    def test_dial_routes_bit_identical_to_heap(self, name, params, circuit):
-        prev = set_router_queue("dial")
-        try:
-            dial = _route(params, circuit)
-            set_router_queue("heap")
-            heap = _route(params, circuit)
-        finally:
-            set_router_queue(prev)
+    def test_dial_routes_bit_identical_to_heap(
+        self, name, params, circuit, monkeypatch
+    ):
+        dial = _route(params, circuit)
+        monkeypatch.setattr(pathfinder, "_dijkstra", heap_search())
+        heap = _route(params, circuit)
         _assert_identical(dial, heap)
 
-    def test_dial_with_defects_matches_heap(self):
+    def test_dial_with_defects_matches_heap(self, monkeypatch):
         params = ArchParams(cols=6, rows=6, channel_width=8, io_capacity=4)
         netlist = tech_map(random_dag(5, 12, 4, seed=3), k=4)
         c = flat_rrg_for(params)
         pl = place(netlist, params, seed=2, effort=0.3)
-        dm = DefectMap.sample(c, 0.03, seed=9)
-        prev = set_router_queue("dial")
-        try:
+        kernel = pathfinder._dijkstra
+        for rate in (0.01, 0.03, 0.05):
+            dm = DefectMap.sample(c, rate, seed=9, logic_rate=0.0)
+            assert dm.switch_defects
+            monkeypatch.setattr(pathfinder, "_dijkstra", kernel)
             dial = route_context_compiled(c, netlist, pl, defects=dm)
-            set_router_queue("heap")
+            monkeypatch.setattr(
+                pathfinder, "_dijkstra", heap_search(dm.switch_defects)
+            )
             heap = route_context_compiled(c, netlist, pl, defects=dm)
-        finally:
-            set_router_queue(prev)
-        _assert_identical(dial, heap)
-
-    def test_set_router_queue_returns_previous(self):
-        prev = set_router_queue("heap")
-        try:
-            assert pathfinder.ROUTER_QUEUE == "heap"
-            assert set_router_queue("dial") == "heap"
-        finally:
-            set_router_queue(prev)
-
-    def test_set_router_queue_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_router_queue("fibonacci")
-
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.delenv(pathfinder.ROUTER_QUEUE_ENV, raising=False)
-        assert pathfinder._queue_from_env() == "dial"
-        monkeypatch.setenv(pathfinder.ROUTER_QUEUE_ENV, "heap")
-        assert pathfinder._queue_from_env() == "heap"
-        monkeypatch.setenv(pathfinder.ROUTER_QUEUE_ENV, "bogus")
-        assert pathfinder._queue_from_env() == "dial"
-        assert set(ROUTER_QUEUES) == {"dial", "heap"}
+            _assert_identical(dial, heap)
+            for net in heap.nets.values():
+                assert dm.bad_edge_pairs.isdisjoint(net.edges)
 
 
 class TestTargetedReprice:

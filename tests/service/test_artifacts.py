@@ -1,6 +1,9 @@
 """ArtifactStore: schema-contract persistence, resume keys, corruption."""
 
 import json
+import os
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +83,46 @@ class TestRequestArtifacts:
         store.path_for(relpath).write_text("{not json")
         with pytest.raises(SpecError, match="delete the file"):
             store.load_request_result(request)
+
+    def test_concurrent_saves_of_one_request(self, tmp_path, session,
+                                             monkeypatch):
+        """Two writers saving one request's result never share a temp
+        file.  Every round holds both writers between writing their
+        temp file and renaming it over the result, so with a shared
+        temp name the second rename finds the file already moved."""
+        store = ArtifactStore(tmp_path)
+        request = MapRequest(workload="adder", contexts=2,
+                             execution=ExecutionConfig(effort=0.2))
+        result = session.run(request)
+        target = store.path_for(store.request_relpath(request))
+        both_written = threading.Barrier(2, timeout=30)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst) == target:
+                both_written.wait()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        errors: list[Exception] = []
+
+        def writer():
+            try:
+                for _ in range(50):
+                    store.save_request_result(request, result)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+                both_written.abort()  # release the other writer
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+        assert store.load_request_result(request) == result
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestSpecArtifacts:

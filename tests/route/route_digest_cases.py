@@ -25,7 +25,6 @@ import json
 
 from repro.arch.compiled import flat_rrg_for
 from repro.arch.params import ArchParams
-from repro.errors import RoutingError
 from repro.netlist.techmap import tech_map
 from repro.place.placer import place, place_program
 from repro.reliability import DefectMap, build_golden, dirty_net_names
@@ -91,13 +90,6 @@ def digest(records) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _routed_or_error(fn) -> list:
-    try:
-        return route_record(fn())
-    except RoutingError as exc:
-        return ["RoutingError", str(exc)]
-
-
 def compute_digests() -> dict[str, str]:
     """Route every pinned case on the current engine."""
     out: dict[str, str] = {}
@@ -123,12 +115,10 @@ def compute_digests() -> dict[str, str]:
                     key = f"defects/{label}/rate={rate}/seed={seed}"
                     if workers:
                         key += f"/workers={workers}"
-                    out[key] = digest(_routed_or_error(
-                        lambda: route_context_compiled(
-                            c, netlist, pl, defects=dm, workers=workers,
-                            max_iterations=MAX_ITERS,
-                        )
-                    ))
+                    out[key] = digest(route_record(route_context_compiled(
+                        c, netlist, pl, defects=dm, workers=workers,
+                        max_iterations=MAX_ITERS,
+                    )))
 
     c = flat_rrg_for(WARM_PARAMS)
     netlist = tech_map(
@@ -140,8 +130,8 @@ def compute_digests() -> dict[str, str]:
     for rate, seed in WARM_MAPS:
         dm = DefectMap.sample(c, rate, seed=seed, logic_rate=0.0)
         dirty = dirty_net_names(golden.routes, dm)
-        out[f"warm/rate={rate}/seed={seed}"] = digest(_routed_or_error(
-            lambda: route_context_warm(
+        out[f"warm/rate={rate}/seed={seed}"] = digest(route_record(
+            route_context_warm(
                 c, netlist, pl, golden.routes, dirty,
                 max_iterations=MAX_ITERS, defects=dm,
             )

@@ -225,17 +225,19 @@ def evaluate_point(
     collector than in the router), and extracts the structured outcome.
     An unroutable point is a *result* (``routed=False``), not an error.
     An explicit ``c`` (e.g. a shared-memory attached substrate) skips
-    the engine's build cache entirely.
+    the engine's build cache entirely; otherwise the lookup (and the
+    build, on a cache miss) is traced as ``point.substrate``.
     """
-    if c is None:
-        if engine is None:
-            from repro.analysis.engine import DEFAULT_ENGINE
-            engine = DEFAULT_ENGINE
-        c = engine.flat(job.params)
     prof = PhaseProfiler() if job.profile else None
     tel = Telemetry(job.telemetry) if job.telemetry else None
     with profiling(prof) if prof is not None else _NULL_CTX, \
             collecting(tel) if tel is not None else nullcontext():
+        if c is None:
+            if engine is None:
+                from repro.analysis.engine import DEFAULT_ENGINE
+                engine = DEFAULT_ENGINE
+            with tspan("point.substrate"):
+                c = engine.flat(job.params)
         if placement is None:
             with span("point.place"), tspan("point.place"):
                 placement = place(

@@ -189,16 +189,35 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 # ------------------------------------------------------------------------- #
 # substrate
 # ------------------------------------------------------------------------- #
+#: The :meth:`CompiledRRG._from_arrays` fields a substrate segment
+#: carries, with their segment dtypes (each numpy mirror's own dtype, so
+#: attached mirrors alias the segment).
+_SUBSTRATE_ARRAYS = {
+    "node_kind": np.int64,
+    "node_capacity": np.int64,
+    "node_length": np.int64,
+    "base_cost": np.float64,
+    "xlo": np.int32,
+    "xhi": np.int32,
+    "ylo": np.int32,
+    "yhi": np.int32,
+    "edge_start": np.int64,
+    "edge_mid": np.int64,
+    "edge_dst": np.int64,
+    "edge_kind": np.int64,
+}
+
+
 @dataclass(frozen=True)
 class SharedSubstrate:
     """Constant-size handle to a published :class:`CompiledRRG`.
 
     Carries nothing but the segment name — the array layout table and
-    the scalar metadata (``params``, node/edge counts) ride in the
-    segment's own header, so the handle pickles to ~100 bytes whatever
-    the fabric size.  ``attach()`` reconstructs a read-only
-    :class:`CompiledRRG` view; ``attach_cached()`` memoises it per
-    process (one real attach per worker, however many jobs it runs).
+    the device ``params`` ride in the segment's own header, so the
+    handle pickles to ~100 bytes whatever the fabric size.
+    ``attach()`` reconstructs a read-only :class:`CompiledRRG` view;
+    ``attach_cached()`` memoises it per process (one real attach per
+    worker, however many jobs it runs).
     """
 
     name: str
@@ -208,36 +227,16 @@ class SharedSubstrate:
         numpy mirrors; Python list mirrors materialised once)."""
         shm = _attach_segment(self.name)
         meta, views = _read_segment(shm)
-        c = CompiledRRG.__new__(CompiledRRG)
-        c.source = None
-        c.params = meta["params"]
-        c.n_nodes = meta["n_nodes"]
-        c.n_edges = meta["n_edges"]
-        # hot Python list mirrors (the router's inner loop indexes
-        # plain lists; see CompiledRRG's docstring)
-        c.node_kind = views["node_kind"].tolist()
-        c.node_capacity = views["node_capacity"].tolist()
-        c.node_length = views["node_length"].tolist()
-        c.base_cost = views["base_cost"].tolist()
-        c.xlo = views["xlo"].tolist()
-        c.xhi = views["xhi"].tolist()
-        c.ylo = views["ylo"].tolist()
-        c.yhi = views["yhi"].tolist()
-        c.edge_start = views["edge_start"].tolist()
-        c.edge_mid = views["edge_mid"].tolist()
-        c.edge_dst = views["edge_dst"].tolist()
-        c.edge_kind = views["edge_kind"].tolist()
-        # vectorised mirrors alias the shared buffer directly
-        c.node_capacity_np = views["node_capacity"]
-        c.base_cost_np = views["base_cost"]
-        c.xlo_np = views["xlo"]
-        c.xhi_np = views["xhi"]
-        c.ylo_np = views["ylo"]
-        c.yhi_np = views["yhi"]
-        c.lb_source = _decode_pins(views["lb_source"])
-        c.lb_sink = _decode_pins(views["lb_sink"])
-        c.io_source = _decode_pins(views["io_source"])
-        c.io_sink = _decode_pins(views["io_sink"])
+        # the router's hot Python lists are materialised once; the
+        # numpy mirrors alias the shared buffer directly
+        c = CompiledRRG._from_arrays(
+            meta["params"],
+            **{key: views[key] for key in _SUBSTRATE_ARRAYS},
+            lb_source=_decode_pins(views["lb_source"]),
+            lb_sink=_decode_pins(views["lb_sink"]),
+            io_source=_decode_pins(views["io_source"]),
+            io_sink=_decode_pins(views["io_sink"]),
+        )
         # defect-candidate indexes arrive pre-computed (shared views)
         c._wire_ids = views["wire_ids"]
         c._switch_edge_ids = views["switch_edge_ids"]
@@ -245,7 +244,6 @@ class SharedSubstrate:
         c._logic_tiles = tuple(
             (int(x), int(y)) for x, y in views["logic_tiles"].tolist()
         )
-        c._wire_len = None  # derived lazily per process (small)
         return c
 
     def attach_cached(self) -> CompiledRRG:
@@ -270,18 +268,9 @@ def publish_substrate(c: CompiledRRG) -> tuple[
     so yield workers never recompute them.
     """
     arrays: list[tuple[str, np.ndarray]] = [
-        ("node_kind", np.asarray(c.node_kind, dtype=np.int64)),
-        ("node_capacity", np.asarray(c.node_capacity_np, dtype=np.int64)),
-        ("node_length", np.asarray(c.node_length, dtype=np.int64)),
-        ("base_cost", np.asarray(c.base_cost_np, dtype=np.float64)),
-        ("xlo", np.asarray(c.xlo_np, dtype=np.int32)),
-        ("xhi", np.asarray(c.xhi_np, dtype=np.int32)),
-        ("ylo", np.asarray(c.ylo_np, dtype=np.int32)),
-        ("yhi", np.asarray(c.yhi_np, dtype=np.int32)),
-        ("edge_start", np.asarray(c.edge_start, dtype=np.int64)),
-        ("edge_mid", np.asarray(c.edge_mid, dtype=np.int64)),
-        ("edge_dst", np.asarray(c.edge_dst, dtype=np.int64)),
-        ("edge_kind", np.asarray(c.edge_kind, dtype=np.int64)),
+        (key, np.asarray(getattr(c, key), dtype=dtype))
+        for key, dtype in _SUBSTRATE_ARRAYS.items()
+    ] + [
         ("wire_ids", np.asarray(c.wire_node_ids(), dtype=np.int64)),
         ("switch_edge_ids", np.asarray(c.switch_edge_ids(), dtype=np.int64)),
         ("edge_src", np.asarray(c.edge_src_ids(), dtype=np.int64)),
@@ -292,9 +281,7 @@ def publish_substrate(c: CompiledRRG) -> tuple[
         ("io_source", _encode_pins(c.io_source)),
         ("io_sink", _encode_pins(c.io_sink)),
     ]
-    shm = _pack_segment(arrays, {
-        "params": c.params, "n_nodes": c.n_nodes, "n_edges": c.n_edges,
-    })
+    shm = _pack_segment(arrays, {"params": c.params})
     return shm, SharedSubstrate(name=shm.name)
 
 

@@ -3,6 +3,7 @@
 import os
 
 from repro.api import ExecutionConfig, Session, SweepRequest, YieldRequest
+from repro.arch.compiled import clear_rrg_cache
 from repro.utils.telemetry import GLOBAL, chrome_trace
 
 VALUES = (6, 7)
@@ -23,7 +24,8 @@ class TestSweepTelemetry:
         assert pops and sum(pops) > 0
         assert m["counters"]["router.contexts_routed"] == len(VALUES)
         assert [w["pid"] for w in m["workers"]] == [os.getpid()]
-        assert any(s[0] == "point.route" for s in m["workers"][0]["spans"])
+        spans = {s[0] for s in m["workers"][0]["spans"]}
+        assert {"point.substrate", "point.route"} <= spans
         # with telemetry off the result is byte-identical to pre-PR
         d_on, d_off = on.to_dict(), off.to_dict()
         assert "metrics" not in d_off
@@ -32,6 +34,18 @@ class TestSweepTelemetry:
         for p in d_on["points"]:
             p.pop("metrics", None)
         assert d_on == d_off
+
+    def test_substrate_builds_traced(self):
+        """Each point's substrate lookup is a span, and a cache-miss
+        build bumps ``substrate.builds`` on the point's collector."""
+        clear_rrg_cache()
+        try:
+            m = _sweep(ExecutionConfig(effort=0.2, telemetry=True)).metrics
+        finally:
+            clear_rrg_cache()
+        assert m["counters"]["substrate.builds"] == len(VALUES)
+        names = [s[0] for s in m["workers"][0]["spans"]]
+        assert names.count("point.substrate") == len(VALUES)
 
     def test_worker_counters_absorbed_into_global_registry(self):
         before = GLOBAL.counter("router.contexts_routed")

@@ -1,0 +1,245 @@
+"""The direct CSR builder against an independent lowering of the object
+graph.
+
+``build_flat`` emits the substrate arrays straight from ``ArchParams``;
+``build_rrg`` builds the object graph that statistics, bitstreams and
+verification read.  The two must describe the same fabric byte for
+byte.  :func:`_lower` below is the reference: a plain walk over
+``build_rrg(p).out_edges`` that shares no code with ``build_flat``.
+"""
+
+import ast
+import random
+from pathlib import Path
+
+import numpy as np
+
+from repro.arch import compiled
+from repro.arch.compiled import (
+    build_flat,
+    clear_rrg_cache,
+    compile_rrg,
+    compiled_rrg_for,
+    flat_rrg_for,
+)
+from repro.arch.params import ArchParams, paper_params
+from repro.arch.rrg import EdgeKind, NodeKind, build_rrg
+from repro.errors import ArchitectureError
+
+TESTS = Path(__file__).resolve().parents[1]
+CORPUS = TESTS.parent / "regression_tests"
+
+LISTS = ("node_kind", "node_capacity", "node_length", "base_cost", "xlo",
+         "xhi", "ylo", "yhi", "edge_start", "edge_mid", "edge_dst",
+         "edge_kind")
+#: numpy mirror -> (list field it mirrors, dtype)
+MIRRORS = {
+    "node_capacity_np": ("node_capacity", np.int64),
+    "base_cost_np": ("base_cost", np.float64),
+    "xlo_np": ("xlo", np.int32),
+    "xhi_np": ("xhi", np.int32),
+    "ylo_np": ("ylo", np.int32),
+    "yhi_np": ("yhi", np.int32),
+}
+PINS = ("lb_source", "lb_sink", "io_source", "io_sink")
+
+
+def _lower(g) -> dict:
+    """Reference lowering: per node, non-SINK out-edges then SINK ones,
+    each in ``out_edges`` order; enums encoded by declaration order."""
+    kinds, ekinds = list(NodeKind), list(EdgeKind)
+    to_sink = [node.kind is NodeKind.SINK for node in g.nodes]
+    out = {name: [] for name in LISTS}
+    for node in g.nodes:
+        out["node_kind"].append(kinds.index(node.kind))
+        out["node_capacity"].append(node.capacity)
+        out["node_length"].append(node.length)
+        out["base_cost"].append(1.0 + 0.2 * (node.length - 1))
+        x0 = x1 = node.x
+        y0 = y1 = node.y
+        if node.kind is NodeKind.CHANX:
+            x0, x1, y0 = node.pos, node.pos + node.length - 1, node.y - 1
+        elif node.kind is NodeKind.CHANY:
+            x0, y0, y1 = node.x - 1, node.pos, node.pos + node.length - 1
+        for name, v in zip(("xlo", "xhi", "ylo", "yhi"), (x0, x1, y0, y1)):
+            out[name].append(v)
+    for edges in g.out_edges:
+        out["edge_start"].append(len(out["edge_dst"]))
+        head = [e for e in edges if not to_sink[e[0]]]
+        tail = [e for e in edges if to_sink[e[0]]]
+        out["edge_mid"].append(len(out["edge_dst"]) + len(head))
+        for dst, kind in head + tail:
+            out["edge_dst"].append(dst)
+            out["edge_kind"].append(ekinds.index(kind))
+    out["edge_start"].append(len(out["edge_dst"]))
+    for name in PINS:
+        out[name] = getattr(g, name)
+    return out
+
+
+def assert_matches_object_graph(c, params) -> None:
+    ref = _lower(build_rrg(params))
+    assert c.params == params
+    assert c.n_nodes == len(ref["node_kind"])
+    assert c.n_edges == len(ref["edge_dst"])
+    for name in LISTS + PINS:
+        assert getattr(c, name) == ref[name], name
+    for name, (field, dtype) in MIRRORS.items():
+        mirror = getattr(c, name)
+        want = np.asarray(ref[field], dtype=dtype)
+        assert mirror.dtype == want.dtype, name
+        assert mirror.tobytes() == want.tobytes(), name
+
+
+# -- parameter sets --------------------------------------------------------- #
+def _params_in_tests() -> list:
+    """Every ``ArchParams(...)`` / ``paper_params(...)`` call in ``tests/``
+    whose arguments are literals (the valid ones)."""
+    factories = {"ArchParams": ArchParams, "paper_params": paper_params}
+    found = set()
+    for path in sorted(TESTS.rglob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id in factories):
+                continue
+            try:
+                args = [ast.literal_eval(a) for a in call.args]
+                kwargs = {k.arg: ast.literal_eval(k.value)
+                          for k in call.keywords}
+                found.add(factories[call.func.id](*args, **kwargs))
+            except (ValueError, TypeError, ArchitectureError):
+                continue  # computed or deliberately invalid arguments
+    return sorted(found, key=repr)
+
+
+def _corpus_params() -> list:
+    from repro.netlist.frontend import arch_for, load_program
+    from repro.netlist.frontend.corpus import discover_cases, load_case
+
+    out = []
+    for case in discover_cases(CORPUS):
+        req = load_case(case)
+        program, _ = load_program(req.sources, k=req.k, name=req.name)
+        out.append(arch_for(program, req.grid, width=req.width, k=req.k))
+    return out
+
+
+def _perfbench_params() -> list:
+    """Device parameters of the benchmark's ``sweep`` and ``yield``
+    workloads (``perfbench/worker.py``)."""
+    out = [ArchParams(cols=7, rows=7, channel_width=8, io_capacity=4)]
+    for grid in (5, 7):
+        base = ArchParams(cols=grid, rows=grid, channel_width=8,
+                          io_capacity=4)
+        out += [base.with_(channel_width=w) for w in (4, 6, 10, 12)]
+        out += [base.with_(fc_in=f, fc_out=f) for f in (0.3, 0.5, 0.7, 0.9)]
+        out += [base.with_(double_fraction=f)
+                for f in (0.0, 0.25, 0.75, 1.0)]
+    return out
+
+
+def _random_params(n: int = 300, seed: int = 14) -> list:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        fc_in, fc_out = rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0)
+        out.append(ArchParams(
+            cols=rng.randint(1, 8), rows=rng.randint(1, 8),
+            channel_width=rng.randint(1, 12),
+            double_fraction=rng.choice((0.0, 1.0, rng.random())),
+            fc_in=rng.choice((1.0, fc_in)), fc_out=rng.choice((1.0, fc_out)),
+            io_capacity=rng.randint(0, 4), lut_inputs=rng.choice((4, 6)),
+            lut_outputs=rng.choice((1, 2)), n_contexts=rng.choice((1, 8)),
+        ))
+    return out
+
+
+class TestByteEquality:
+    def test_params_used_in_tests(self):
+        found = _params_in_tests()
+        assert len(found) >= 20  # the harvest itself works
+        for params in found:
+            assert_matches_object_graph(build_flat(params), params)
+
+    def test_regression_corpus_devices(self):
+        found = _corpus_params()
+        assert found
+        for params in found:
+            assert_matches_object_graph(build_flat(params), params)
+
+    def test_benchmark_devices(self):
+        for params in _perfbench_params():
+            assert_matches_object_graph(build_flat(params), params)
+
+    def test_random_grid(self):
+        for params in _random_params():
+            assert_matches_object_graph(build_flat(params), params)
+
+    def test_compile_rrg_attaches_its_graph(self):
+        params = ArchParams(cols=4, rows=3, channel_width=6, io_capacity=2)
+        g = build_rrg(params)
+        c = compile_rrg(g)
+        assert c.source is g
+        assert_matches_object_graph(c, params)
+
+    def test_attached_view(self):
+        from repro.arch.shared import SharedStore, detach_all
+
+        params = ArchParams(cols=5, rows=5, channel_width=7, io_capacity=4)
+        store = SharedStore()
+        try:
+            c = store.substrate_for(flat_rrg_for(params)).attach()
+            assert_matches_object_graph(c, params)
+        finally:
+            detach_all()
+            store.close()
+
+
+class TestSharedNodeIds:
+    """``edge_dst`` holds one int object per node id, not one per edge
+    (a fresh int per edge costs ~28 bytes each, several times the node
+    count on every cached or attached substrate)."""
+
+    PARAMS = ArchParams(cols=5, rows=5, channel_width=8, io_capacity=4)
+
+    @staticmethod
+    def _distinct_ints(c) -> int:
+        return len({id(v) for v in c.edge_dst})
+
+    def test_flat_substrate(self):
+        c = flat_rrg_for(self.PARAMS)
+        assert self._distinct_ints(c) <= c.n_nodes < c.n_edges
+
+    def test_full_substrate(self):
+        c = compiled_rrg_for(self.PARAMS)
+        assert self._distinct_ints(c) <= c.n_nodes
+
+    def test_attached_view(self):
+        from repro.arch.shared import SharedStore, detach_all
+
+        store = SharedStore()
+        try:
+            c = store.substrate_for(flat_rrg_for(self.PARAMS)).attach()
+            assert self._distinct_ints(c) <= c.n_nodes
+        finally:
+            detach_all()
+            store.close()
+
+
+class TestBuildLocks:
+    def test_lock_table_bounded(self):
+        """A long-running server sees unboundedly many devices; the
+        single-flight locks must not grow with them."""
+        clear_rrg_cache()
+        try:
+            locks = set()
+            for i in range(200):
+                params = ArchParams(cols=1 + i % 2, rows=1,
+                                    channel_width=1 + i // 2,
+                                    io_capacity=0)
+                flat_rrg_for(params)
+                locks.add(id(compiled._build_lock_for(params)))
+            assert len(locks) <= len(compiled._BUILD_LOCKS) < 200
+        finally:
+            clear_rrg_cache()

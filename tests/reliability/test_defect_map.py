@@ -6,11 +6,10 @@ import pytest
 from repro.arch.compiled import (
     KIND_CHANX,
     KIND_CHANY,
-    compile_rrg,
+    build_flat,
     flat_rrg_for,
 )
 from repro.arch.params import ArchParams
-from repro.arch.rrg import build_rrg
 from repro.reliability import DefectMap
 
 PARAMS = ArchParams(cols=5, rows=5, channel_width=6, io_capacity=4)
@@ -53,8 +52,8 @@ class TestCandidates:
         assert len(tiles) == PARAMS.cols * PARAMS.rows
 
     def test_candidates_available_on_stripped_substrate(self):
-        c = compile_rrg(build_rrg(PARAMS.with_(channel_width=4)))
-        c.strip_source()
+        c = build_flat(PARAMS.with_(channel_width=4))
+        assert c.source is None
         assert len(c.wire_node_ids()) > 0
         assert len(c.switch_edge_ids()) > 0
         assert len(c.logic_tiles()) == PARAMS.n_tiles

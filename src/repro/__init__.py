@@ -18,11 +18,11 @@ The package splits into:
 - :mod:`repro.netlist` — truth tables, netlists, DFGs, expression
   synthesis, k-LUT technology mapping, cross-context sharing.
 - :mod:`repro.place` / :mod:`repro.route` — simulated-annealing placer
-  (flat coordinate maps, cached net bounding boxes, precomputed
-  per-grid distance tables) and PathFinder router with cross-context
-  route reuse.  Routing runs on the compiled RRG: array Dijkstra with
-  epoch-stamped scratch buffers and per-net bounding-box pruning; the
-  original object-graph router survives as
+  (integer tile ids, cached net bounding boxes, draw-for-draw scalar
+  RNG, precomputed per-grid distance tables) and PathFinder router with
+  cross-context route reuse.  Routing runs on the compiled RRG: array
+  Dijkstra with epoch-stamped scratch buffers and per-net bounding-box
+  pruning; the original object-graph router survives as
   ``route_context_legacy``/``route_program_legacy`` and the public
   entry points are thin adapters, so both paths produce identical
   routes (pinned by the equivalence test suite).

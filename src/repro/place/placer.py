@@ -7,17 +7,33 @@ cells, which is how the multi-context mapper keeps shared cells at the
 same physical location across contexts (the prerequisite for their
 configuration bits to become CONSTANT patterns).
 
-The annealer is a standard VPR-style schedule: swap/move proposals,
-adaptive temperature decay, incremental HPWL via per-net bounding boxes.
+The annealer is a standard VPR-style schedule (Betz & Rose, FPL'97):
+move/swap proposals, adaptive temperature decay, and a per-net cached
+half-perimeter bounding box, so a proposal recomputes only the nets of
+the cells it moves.
 
-Hot-path layout: terminal coordinates live in flat ``name -> int``
-maps and every net's bounding-box cost is cached, so a move proposal
-recomputes only its affected nets' Manhattan terms (the "before" half
-comes from the cache for free).  Perimeter pad assignment uses the
-per-grid precomputed distance tables of :func:`distance_tables`.
-All of this is cost *evaluation* only — the proposal schedule and RNG
-call sequence are untouched, so placements are bit-identical to the
-original implementation for a given seed.
+Anneal state is integer-only.  A tile is ``y * cols + x``; occupancy
+is a list holding a movable cell's index, ``_FREE`` or ``_PINNED``;
+forbidden tiles are a bytearray.  Every terminal (movable cells first,
+then pinned cells, then I/O pads) has an id into two int lists of x
+and y coordinates, and each movable cell carries a frozenset of the
+nets it sits on (a cell reading one net twice counts once).
+``Coord`` objects are written back once, after the last round.
+
+Draw-for-draw contract: the anneal draws through
+:func:`repro.utils.rng.scalar_draws`, which returns exactly what
+``int(rng.integers(n))`` and ``rng.random()`` would and leaves the
+generator in exactly the same state.  The proposal schedule, the
+acceptance test and the RNG call sequence are those of the original
+``Coord``-keyed loop, so placements, costs and the generator's state
+afterwards are bit-identical for a given seed; that matters because
+``place_program`` and the repair/sweep callers keep drawing from a
+shared generator.  Those draws bypass numpy's locking, so ``place``
+holds ``rng.bit_generator.lock`` for the anneal, and only for it:
+``rng.permutation`` takes the same (non-reentrant) lock itself.
+
+Perimeter pad assignment uses the per-grid precomputed distance tables
+of :func:`distance_tables`.
 """
 
 from __future__ import annotations
@@ -33,7 +49,7 @@ from repro.arch.params import ArchParams
 from repro.errors import PlacementError
 from repro.netlist.dfg import MultiContextProgram
 from repro.netlist.netlist import CellKind, Netlist
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import ensure_rng, scalar_draws
 from repro.utils.telemetry import count as _tcount
 
 
@@ -102,6 +118,19 @@ def _net_terminals(netlist: Netlist) -> dict[str, list[str]]:
     return terminals
 
 
+def _hpwl(ids: tuple[int, ...], tx: list[int], ty: list[int]) -> int:
+    """Half-perimeter bounding box of the terminals ``ids`` (0 if none)."""
+    if not ids:
+        return 0
+    xs = [tx[t] for t in ids]
+    ys = [ty[t] for t in ids]
+    return max(xs) - min(xs) + max(ys) - min(ys)
+
+
+_FREE = -1
+_PINNED = -2
+
+
 def place(
     netlist: Netlist,
     params: ArchParams,
@@ -121,214 +150,220 @@ def place(
     """
     rng = ensure_rng(seed)
     grid = Grid(params.cols, params.rows)
+    cols, rows = params.cols, params.rows
     pinned = dict(pinned or {})
     forbidden = frozenset(forbidden or ())
 
-    movable = [c.name for c in netlist.luts() if c.name not in pinned]
-    dffs = [c.name for c in netlist.dffs() if c.name not in pinned]
-    movable += dffs
+    movable = [c.name for c in netlist.luts() + netlist.dffs()
+               if c.name not in pinned]
+    forb = bytearray(grid.n_tiles)
+    for t in forbidden:
+        if grid.contains(t):
+            forb[t.y * cols + t.x] = 1
     n_place = len(movable) + len(pinned)
-    n_usable = grid.n_tiles - sum(1 for t in grid.tiles() if t in forbidden)
+    n_usable = grid.n_tiles - sum(forb)
     if n_place > n_usable:
         raise PlacementError(
             f"{n_place} cells exceed {n_usable} usable tiles "
-            f"({params.cols}x{params.rows}, {len(forbidden)} forbidden)"
+            f"({cols}x{rows}, {len(forbidden)} forbidden)"
         )
 
     # --- initial assignment: pinned first, then row-major scan ---------- #
-    occupied: dict[Coord, str] = {}
+    # occ[tile] is a movable cell's index, _FREE or _PINNED
+    occ = [_FREE] * grid.n_tiles
     location: dict[str, Coord] = {}
     for name, coord in pinned.items():
         grid.check(coord)
-        if coord in forbidden:
+        tile = coord.y * cols + coord.x
+        if forb[tile]:
             raise PlacementError(f"pinned cell {name!r} on forbidden tile {coord}")
-        if coord in occupied:
+        if occ[tile] != _FREE:
             raise PlacementError(f"pinned collision at {coord}")
-        occupied[coord] = name
+        occ[tile] = _PINNED
         location[name] = coord
     free_tiles = [
-        t for t in grid.tiles() if t not in occupied and t not in forbidden
+        t for t in range(grid.n_tiles) if occ[t] == _FREE and not forb[t]
     ]
     order = rng.permutation(len(free_tiles))
-    for name, idx in zip(movable, order):
-        t = free_tiles[int(idx)]
-        occupied[t] = name
-        location[name] = t
+    for ci, (name, idx) in enumerate(zip(movable, order)):
+        tile = free_tiles[int(idx)]
+        occ[tile] = ci
+        location[name] = Coord(tile % cols, tile // cols)
 
     # --- I/O pads: greedy nearest perimeter tile ------------------------- #
-    ios = _assign_ios(netlist, params, grid, location, rng)
+    ios = _assign_ios(netlist, params, location)
 
-    # --- build net terminal lists ---------------------------------------- #
-    terminals = _net_terminals(netlist)
-
-    nets: list[list[str]] = [t for t in terminals.values() if len(t) > 1]
-    cell_nets: dict[str, list[int]] = {}
-    for i, t in enumerate(nets):
-        for cname in t:
-            cell_nets.setdefault(cname, []).append(i)
-
-    # flat terminal coordinate maps: one dict hit per terminal in the
-    # annealing inner loop instead of Coord construction + attr access
-    px: dict[str, int] = {}
-    py: dict[str, int] = {}
-
-    def refresh_xy() -> None:
-        for cname, coord in location.items():
-            px[cname] = coord.x
-            py[cname] = coord.y
-        for cname, (coord, _pad) in ios.items():
-            px[cname] = coord.x
-            py[cname] = coord.y
-
-    refresh_xy()
-
-    def net_cost(i: int) -> int:
-        """Half-perimeter bounding box of net ``i`` over the flat maps."""
-        minx = maxx = miny = maxy = -1
-        for cname in nets[i]:
-            x = px.get(cname)
-            if x is None:
-                continue
-            y = py[cname]
-            if minx < 0:
-                minx = maxx = x
-                miny = maxy = y
-                continue
-            if x < minx:
-                minx = x
-            elif x > maxx:
-                maxx = x
-            if y < miny:
-                miny = y
-            elif y > maxy:
-                maxy = y
-        if minx < 0:
-            return 0
-        return (maxx - minx) + (maxy - miny)
-
-    net_cost_cache: list[int] = [net_cost(i) for i in range(len(nets))]
-    cost = float(sum(net_cost_cache))
+    # --- terminals as integer ids: movable cells first ------------------- #
+    term_id: dict[str, int] = {}
+    tx: list[int] = []
+    ty: list[int] = []
+    placed = [(name, location[name]) for name in movable]
+    placed += [(name, coord) for name, coord in location.items()
+               if name in pinned]
+    placed += [(name, coord) for name, (coord, _pad) in ios.items()]
+    for name, coord in placed:
+        term_id[name] = len(tx)
+        tx.append(coord.x)
+        ty.append(coord.y)
+    net_ids = [
+        tuple(dict.fromkeys(term_id[c] for c in terminals if c in term_id))
+        for terminals in _net_terminals(netlist).values()
+        if len(terminals) > 1
+    ]
+    cost = float(sum(_hpwl(ids, tx, ty) for ids in net_ids))
 
     if not movable:
-        return Placement(dict(location), ios, cost)
+        return Placement(location, ios, cost)
+
+    # nets with one distinct terminal cost 0 whatever moves: leave them out
+    live = [ids for ids in net_ids if len(ids) > 1]
+    net_cost = [_hpwl(ids, tx, ty) for ids in live]
+    n_mov = len(movable)
+    nets_of: list[list[int]] = [[] for _ in range(n_mov)]
+    for k, ids in enumerate(live):
+        for t in ids:
+            if t < n_mov:
+                nets_of[t].append(k)
+    cell_nets = [frozenset(ks) for ks in nets_of]
 
     # --- annealing schedule ----------------------------------------------- #
-    moves_per_t = max(10, int(effort * 10 * (len(movable) ** 1.33)))
-    temperature = max(1.0, 0.05 * cost / max(1, len(nets)) * 20)
+    moves_per_t = max(10, int(effort * 10 * (n_mov ** 1.33)))
+    temperature = max(1.0, 0.05 * cost / max(1, len(net_ids)) * 20)
     min_t = 0.005
-    span = max(params.cols, params.rows)
+    span = max(cols, rows)
+    width = 2 * span + 1
+    xmax, ymax = cols - 1, rows - 1
+    integers, random = scalar_draws(rng)
+    exp = math.exp
 
     rounds = 0
     total_accepted = 0
-    while temperature > min_t:
-        rounds += 1
-        accepted = 0
-        for _ in range(moves_per_t):
-            name = movable[int(rng.integers(len(movable)))]
-            src = location[name]
-            dx = int(rng.integers(-span, span + 1))
-            dy = int(rng.integers(-span, span + 1))
-            dst = Coord(
-                min(max(src.x + dx, 0), params.cols - 1),
-                min(max(src.y + dy, 0), params.rows - 1),
-            )
-            if dst == src or dst in forbidden:
-                continue
-            other = occupied.get(dst)
-            if other is not None and other in pinned:
-                continue
-            affected = set(cell_nets.get(name, []))
-            if other is not None:
-                affected |= set(cell_nets.get(other, []))
-            affected_t = tuple(affected)
-            before = 0
-            for i in affected_t:
-                before += net_cost_cache[i]
-            # tentative swap
-            occupied[dst] = name
-            location[name] = dst
-            px[name] = dst.x
-            py[name] = dst.y
-            if other is not None:
-                occupied[src] = other
-                location[other] = src
-                px[other] = src.x
-                py[other] = src.y
-            else:
-                del occupied[src]
-            after = 0
-            new_costs = []
-            for i in affected_t:
-                nc = net_cost(i)
-                new_costs.append(nc)
-                after += nc
-            delta = after - before
-            if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-                cost += delta
-                accepted += 1
-                for i, nc in zip(affected_t, new_costs):
-                    net_cost_cache[i] = nc
-            else:  # revert
-                occupied[src] = name
-                location[name] = src
-                px[name] = src.x
-                py[name] = src.y
-                if other is not None:
-                    occupied[dst] = other
-                    location[other] = dst
-                    px[other] = dst.x
-                    py[other] = dst.y
+    # the draws bypass numpy's own locking, so hold the generator's lock
+    # for the whole anneal (and only for it: rng.permutation takes it)
+    with rng.bit_generator.lock:
+        while temperature > min_t:
+            rounds += 1
+            accepted = 0
+            for _ in range(moves_per_t):
+                ci = integers(n_mov)
+                sx = tx[ci]
+                sy = ty[ci]
+                x = sx + integers(width) - span
+                y = sy + integers(width) - span
+                if x < 0:
+                    x = 0
+                elif x > xmax:
+                    x = xmax
+                if y < 0:
+                    y = 0
+                elif y > ymax:
+                    y = ymax
+                dst = y * cols + x
+                if (x == sx and y == sy) or forb[dst]:
+                    continue
+                other = occ[dst]
+                if other == _PINNED:
+                    continue
+                if other == _FREE:
+                    affected = cell_nets[ci]
                 else:
-                    del occupied[dst]
-        total_accepted += accepted
-        ratio = accepted / max(1, moves_per_t)
-        if ratio > 0.96:
-            temperature *= 0.5
-        elif ratio > 0.8:
-            temperature *= 0.9
-        elif ratio > 0.15:
-            temperature *= 0.95
-        else:
-            temperature *= 0.8
+                    affected = cell_nets[ci] | cell_nets[other]
+                # tentative move (occupancy is only written on accept)
+                tx[ci] = x
+                ty[ci] = y
+                if other != _FREE:
+                    tx[other] = sx
+                    ty[other] = sy
+                delta = 0
+                new_costs = []
+                for k in affected:
+                    # plain compares: ~4x faster than max()/min() on
+                    # the 2-6 terminal nets of a LUT netlist
+                    ids = live[k]
+                    t = ids[0]
+                    x0 = x1 = tx[t]
+                    y0 = y1 = ty[t]
+                    for t in ids:
+                        v = tx[t]
+                        if v < x0:
+                            x0 = v
+                        elif v > x1:
+                            x1 = v
+                        v = ty[t]
+                        if v < y0:
+                            y0 = v
+                        elif v > y1:
+                            y1 = v
+                    nc = x1 - x0 + y1 - y0
+                    new_costs.append(nc)
+                    delta += nc - net_cost[k]
+                if delta <= 0 or random() < exp(-delta / temperature):
+                    accepted += 1
+                    occ[dst] = ci
+                    occ[sy * cols + sx] = other
+                    for k, nc in zip(affected, new_costs):
+                        net_cost[k] = nc
+                else:  # revert
+                    tx[ci] = sx
+                    ty[ci] = sy
+                    if other != _FREE:
+                        tx[other] = x
+                        ty[other] = y
+            total_accepted += accepted
+            ratio = accepted / max(1, moves_per_t)
+            if ratio > 0.96:
+                temperature *= 0.5
+            elif ratio > 0.8:
+                temperature *= 0.9
+            elif ratio > 0.15:
+                temperature *= 0.95
+            else:
+                temperature *= 0.8
 
     _tcount("placer.rounds", rounds)
     _tcount("placer.moves_proposed", rounds * moves_per_t)
     _tcount("placer.moves_accepted", total_accepted)
 
+    for ci, name in enumerate(movable):
+        location[name] = Coord(tx[ci], ty[ci])
     # refresh IO pads for final cell positions
-    ios = _assign_ios(netlist, params, grid, location, rng)
-    refresh_xy()
-    cost = float(sum(net_cost(i) for i in range(len(nets))))
-    return Placement(dict(location), ios, cost)
+    ios = _assign_ios(netlist, params, location)
+    for name, (coord, _pad) in ios.items():
+        tx[term_id[name]] = coord.x
+        ty[term_id[name]] = coord.y
+    cost = float(sum(_hpwl(ids, tx, ty) for ids in net_ids))
+    return Placement(location, ios, cost)
 
 
 def _assign_ios(
     netlist: Netlist,
     params: ArchParams,
-    grid: Grid,
     location: dict[str, Coord],
-    rng: np.random.Generator,
 ) -> dict[str, tuple[Coord, int]]:
     """Assign each primary input/output to a perimeter pad near its logic.
 
-    Candidate distances come from the grid's precomputed
-    :class:`DistanceTables`: one vectorised Manhattan evaluation per I/O
-    cell, with exhausted tiles masked out.  ``argmin`` returns the first
-    minimum in perimeter order — the same tile the original
-    tile-by-tile scan picked.
+    An input's pad goes near the barycentre of the placed cells reading
+    its net, an output's near its driver.  Candidate distances come
+    from the grid's precomputed :class:`DistanceTables`: one vectorised
+    Manhattan evaluation per I/O cell, with exhausted tiles masked out.
+    ``argmin`` returns the first minimum in perimeter order — the same
+    tile the original tile-by-tile scan picked.
     """
     tables = distance_tables(params.cols, params.rows)
     free = np.full(len(tables.perimeter), params.io_capacity, dtype=np.int64)
+    readers: dict[str, list[str]] = {}
+    for c in netlist.cells.values():
+        for net in dict.fromkeys(c.inputs):
+            readers.setdefault(net, []).append(c.name)
     ios: dict[str, tuple[Coord, int]] = {}
     io_cells = netlist.inputs() + netlist.outputs()
     for cell in io_cells:
-        # barycenter of connected logic
         if cell.kind is CellKind.INPUT:
-            conn = [c for c in netlist.cells.values() if cell.output in c.inputs]
+            conn = readers.get(cell.output, [])
         else:
             drv = netlist.net_driver.get(cell.inputs[0])
-            conn = [netlist.cells[drv]] if drv else []
-        pts = [location[c.name] for c in conn if c.name in location]
+            conn = [drv] if drv else []
+        pts = [location[name] for name in conn if name in location]
         if pts:
             bx = sum(p.x for p in pts) / len(pts)
             by = sum(p.y for p in pts) / len(pts)

@@ -1,9 +1,11 @@
 """Tests for RNG plumbing determinism."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from repro.utils.rng import ensure_rng, spawn
+from repro.utils.rng import ensure_rng, scalar_draws, spawn
 
 
 class TestEnsureRng:
@@ -36,3 +38,67 @@ class TestSpawn:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             spawn(ensure_rng(0), -1)
+
+
+def _plain(state):
+    """``bit_generator.state`` with numpy arrays as lists (MT19937)."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    if isinstance(state, np.ndarray):
+        return state.tolist()
+    return state
+
+
+class TestScalarDraws:
+    """``scalar_draws`` must match numpy draw for draw; this is what
+    catches a numpy release that changes ``Generator.integers``."""
+
+    BOUNDS = (
+        [1, 2, 3, 5, 7, 11, 100, 1000]
+        + [2**k for k in (1, 4, 8, 16, 24, 31, 32)]
+        + [2**k + 1 for k in (1, 4, 8, 16, 24, 31)]
+        # odd bounds near 2**32 reject often, exercising the retry loop
+        + [2**32 - 1, 2**32 - 3, 2**32 - 5, 2**32 - 99, 2**31 + 2**30 + 1]
+    )
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.MT19937, np.random.Philox,
+        np.random.SFC64,
+    ])
+    def test_draw_for_draw_with_numpy(self, bit_generator):
+        ours = np.random.Generator(bit_generator(2024))
+        ref = np.random.Generator(bit_generator(2024))
+        integers, random = scalar_draws(ours)
+        for rep in range(40):
+            for n in self.BOUNDS:
+                assert integers(n) == int(ref.integers(n)), n
+                if n % 3 == 0:
+                    assert random() == ref.random()
+            # numpy's own methods on the same stream stay in step
+            assert (ours.permutation(9 + rep) == ref.permutation(9 + rep)).all()
+            assert random() == ref.random()
+        assert _plain(ours.bit_generator.state) == _plain(ref.bit_generator.state)
+
+    def test_bound_one_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        before = _plain(rng.bit_generator.state)
+        integers, _ = scalar_draws(rng)
+        assert integers(1) == 0
+        assert _plain(rng.bit_generator.state) == before
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+    def test_bound_out_of_range(self, n):
+        integers, _ = scalar_draws(np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            integers(n)
+
+    def test_draws_keep_the_generator_alive(self):
+        integers, random = scalar_draws(np.random.default_rng(9))
+        gc.collect()
+        # new generators would reuse a freed generator's memory
+        others = [np.random.default_rng(i) for i in range(64)]
+        ref = np.random.default_rng(9)
+        for _ in range(200):
+            assert integers(10) == int(ref.integers(10))
+            assert random() == ref.random()
+        del others

@@ -30,7 +30,8 @@ afterwards are bit-identical for a given seed; that matters because
 ``place_program`` and the repair/sweep callers keep drawing from a
 shared generator.  Those draws bypass numpy's locking, so ``place``
 holds ``rng.bit_generator.lock`` for the anneal, and only for it:
-``rng.permutation`` takes the same (non-reentrant) lock itself.
+``rng.permutation`` takes the same lock itself, which is a plain
+(non-reentrant) ``Lock`` on older numpy releases.
 
 Perimeter pad assignment uses the per-grid precomputed distance tables
 of :func:`distance_tables`.
@@ -239,7 +240,8 @@ def place(
     rounds = 0
     total_accepted = 0
     # the draws bypass numpy's own locking, so hold the generator's lock
-    # for the whole anneal (and only for it: rng.permutation takes it)
+    # for the whole anneal, and only for it: Generator methods take it
+    # themselves, and it is not reentrant on older numpy releases
     with rng.bit_generator.lock:
         while temperature > min_t:
             rounds += 1

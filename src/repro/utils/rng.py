@@ -46,9 +46,10 @@ def scalar_draws(
     nothing, as numpy does; ``n`` must lie in ``1 .. 2**32``.
 
     The ctypes calls bypass ``bit_generator.lock``: a caller that may
-    share ``rng`` across threads must hold that lock while it draws (and
+    share ``rng`` across threads must hold that lock while it draws, and
     release it before calling any ``Generator`` method, which takes the
-    lock itself).
+    lock itself (a plain, non-reentrant ``Lock`` on older numpy
+    releases).
     """
     bit_generator = rng.bit_generator
     iface = bit_generator.ctypes

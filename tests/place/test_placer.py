@@ -1,5 +1,9 @@
 """Tests for the simulated-annealing placer."""
 
+import sys
+import threading
+
+import numpy as np
 import pytest
 
 from repro.arch.geometry import Coord
@@ -166,3 +170,51 @@ class TestForbiddenTiles:
         )
         for pl in pls:
             assert forbidden.isdisjoint(pl.cells.values())
+
+
+class TestSharedGenerator:
+    """``place`` draws through the generator's ctypes interface under
+    ``bit_generator.lock``; threads sharing one generator must neither
+    deadlock nor corrupt a placement."""
+
+    def test_threads_share_one_generator(self):
+        nl = tech_map(random_dag(5, 12, 4, seed=3), k=4)
+        p = params()
+        rng = np.random.default_rng(5)
+        results, errors = [], []
+
+        def anneal():
+            try:
+                for _ in range(3):
+                    results.append(place(nl, p, seed=rng, effort=0.2))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        def draw():
+            try:
+                for _ in range(2000):
+                    rng.random()
+                    rng.integers(7)
+            except Exception as exc:
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=anneal, daemon=True)
+                       for _ in range(4)]
+            threads.append(threading.Thread(target=draw, daemon=True))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(results) == 12
+        for pl in results:
+            assert set(pl.cells) == {c.name for c in nl.luts()}
+            assert len(set(pl.cells.values())) == len(pl.cells)
+            assert pl.cost == place(nl, p, seed=0, effort=0.2,
+                                    pinned=dict(pl.cells)).cost

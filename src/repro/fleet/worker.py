@@ -1,13 +1,19 @@
-"""Fleet workers: run a leased job and stream its events home.
+"""Fleet workers: run a job and stream its events home.
 
-Two executors share one engine.  :func:`iter_task_events` turns a
-leased task document into the wire event stream — ``row`` events
-carrying exactly what ``Session.stream`` yields (so fleet rows are
-bit-identical to the blocking result), ``stage`` events carrying each
-folded stage result, and a final ``done`` event with the full typed
-result payload.  The coordinator's process-per-job executor drains it
-over a pipe; :class:`FleetWorker` drains it over HTTP — which is how
-sequential/thread/process/remote all produce the same rows.
+Three executors share one engine.  :func:`iter_job_events` runs a
+typed task — a request or an :class:`~repro.api.ExperimentSpec`,
+plus any resume material — and yields the job's events: ``row``
+events carrying exactly what ``Session.stream`` yields (so every
+executor's rows are bit-identical to the blocking result), ``stage``
+events carrying each folded stage result, and a final ``done`` event
+with the typed result.  The coordinator's thread executor drains it
+in-thread on the submitted task itself.  :func:`iter_task_events` is
+the wire decoder over it — a lease document in, JSON-ready events out
+— which the process executor drains over a pipe and
+:class:`FleetWorker` over HTTP.  :func:`decode_event` turns a wire
+event back into a typed one, and the coordinator commits every
+executor's events through one method, so the event log a client reads
+does not depend on which executor ran the job.
 
 A :class:`FleetWorker` (the ``repro worker`` CLI) is a pull-based
 client: it long-polls ``POST /v1/workers/lease``, runs the granted
@@ -23,6 +29,7 @@ TTL is the crash protocol.
 
 from __future__ import annotations
 
+import builtins
 import json
 import threading
 import time
@@ -30,57 +37,93 @@ import traceback as _tb
 import urllib.error
 import urllib.request
 
+import repro.errors as _errors_mod
 from repro.api import ExperimentSpec, Session, request_from_dict
 from repro.api.results import SpecResult, result_from_dict
 from repro.api.session import stage_rows
-from repro.errors import AuthError, JobError, LeaseExpired
-
-#: Suffix every bare-request TYPE_TAG carries; stripping it yields the
-#: stage kind (``map_request`` -> ``map``) the session folds under.
-_REQUEST_TAG_SUFFIX = "_request"
-
-
-def task_stage_kind(task: dict) -> str:
-    """The fold-stage kind for a bare-request task document."""
-    tag = str(task.get("type", ""))
-    if not tag.endswith(_REQUEST_TAG_SUFFIX):
-        raise JobError(f"task type {tag!r} is not a request payload")
-    return tag[: -len(_REQUEST_TAG_SUFFIX)]
+from repro.errors import (
+    AuthError,
+    JobError,
+    LeaseExpired,
+    ReproError,
+    RequestError,
+)
 
 
-def iter_task_events(session: Session, lease_doc: dict):
-    """Execute a leased task, yielding wire events.
+def request_stage_kind(request) -> str:
+    """The stage kind a bare request folds and reports under
+    (``map_request`` -> ``map``)."""
+    return request.TYPE_TAG[: -len("_request")]
 
-    ``lease_doc`` is what ``POST /v1/workers/lease`` granted: a
-    ``task`` payload (spec or request document) plus optional resume
-    material (``resume_completed`` stage payloads for specs,
-    ``resume_result`` for requests).  Yields::
+
+def task_from_dict(payload: dict):
+    """A spec or request document as its typed task, dispatched on the
+    ``type`` tag or a ``stages`` key."""
+    if payload.get("type") == "experiment_spec" or "stages" in payload:
+        return ExperimentSpec.from_dict(payload)
+    return request_from_dict(payload)
+
+
+def format_traceback(exc: BaseException) -> str:
+    """``exc``'s traceback as text (what ``error`` events carry)."""
+    return "".join(_tb.format_exception(type(exc), exc, exc.__traceback__))
+
+
+def error_event(exc: BaseException) -> dict:
+    """The wire ``error`` event reporting ``exc``."""
+    return {"event": "error", "error": str(exc),
+            "error_type": type(exc).__name__,
+            "traceback": format_traceback(exc)}
+
+
+def restore_error(event: dict) -> BaseException:
+    """A typed exception for a wire ``error`` event.
+
+    Re-raises under the library's own class — or a plain builtin
+    ``Exception`` subclass — when the worker named one, so
+    ``handle.result()`` raises what a thread-executed job would have;
+    anything unrecognized comes back as :class:`JobError`.
+    """
+    message = str(event.get("error") or "worker reported a failure")
+    name = event.get("error_type")
+    cls = getattr(_errors_mod, name, None) if isinstance(name, str) \
+        else None
+    if not (isinstance(cls, type) and issubclass(cls, ReproError)):
+        cls = getattr(builtins, name, None) if isinstance(name, str) \
+            else None
+        if not (isinstance(cls, type) and issubclass(cls, Exception)):
+            cls = JobError
+    return cls(message)
+
+
+def iter_job_events(session: Session, task,
+                    completed: "dict | None" = None, loaded=None):
+    """Execute a typed task, yielding its typed job events::
 
         {"event": "row",   "stage": name, "data": <row payload>}
         {"event": "stage", "stage": name, "index": i, "kind": k,
-         "skipped": bool, "data": <stage result payload>}   (specs)
-        {"event": "done",  "result": <result payload>, "skipped": b}
+         "skipped": bool, "data": <stage result>}            (specs)
+        {"event": "done",  "result": <result>}  (+ "skipped" for requests)
 
-    Rows are ``item.to_dict()`` of exactly what ``Session.stream``
-    yields, in stream order — the fleet's bit-identity contract.
+    ``completed`` (stage index -> result) lets a spec replay finished
+    stages; ``loaded`` is a bare request's stored result, replayed as
+    rows instead of recomputed.  Rows are ``item.to_dict()`` of exactly
+    what ``Session.stream`` yields, in stream order.
     """
-    task = lease_doc.get("task")
-    if not isinstance(task, dict):
-        raise JobError("lease has no task payload")
-    if task.get("type") == "experiment_spec" or "stages" in task:
-        yield from _iter_spec_events(session, task, lease_doc)
+    if isinstance(task, ExperimentSpec):
+        yield from _iter_spec_events(session, task, completed or {})
     else:
-        yield from _iter_request_events(session, task, lease_doc)
+        yield from _iter_request_events(session, task, loaded)
 
 
-def _iter_spec_events(session: Session, task: dict, lease_doc: dict):
-    spec = ExperimentSpec.from_dict(task)
-    completed = {
-        int(index): result_from_dict(payload)
-        for index, payload in
-        (lease_doc.get("resume_completed") or {}).items()
-    }
-    kinds = [stage["stage"] for stage in spec.stages]
+def _close(iterator) -> None:
+    close = getattr(iterator, "close", None)
+    if close is not None:
+        close()
+
+
+def _iter_spec_events(session: Session, spec: ExperimentSpec,
+                      completed: dict):
     stage_results: list = []
     events = session.iter_spec_events(spec, completed=completed)
     try:
@@ -91,28 +134,23 @@ def _iter_spec_events(session: Session, task: dict, lease_doc: dict):
                 continue
             stage_results.append(item)
             yield {"event": "stage", "stage": name, "index": index,
-                   "kind": kinds[index], "skipped": index in completed,
-                   "data": item.to_dict()}
+                   "kind": spec.stages[index]["stage"],
+                   "skipped": index in completed,
+                   "data": item}
     finally:
-        close = getattr(events, "close", None)
-        if close is not None:
-            close()
-    result = SpecResult(name=spec.name, workload=spec.workload,
-                        stages=tuple(stage_results))
-    yield {"event": "done", "result": result.to_dict()}
+        _close(events)
+    yield {"event": "done", "result": SpecResult(
+        name=spec.name, workload=spec.workload,
+        stages=tuple(stage_results))}
 
 
-def _iter_request_events(session: Session, task: dict, lease_doc: dict):
-    request = request_from_dict(task)
-    stage_kind = task_stage_kind(task)
-    resume_payload = lease_doc.get("resume_result")
-    if resume_payload is not None:
-        result = result_from_dict(resume_payload)
-        for item in stage_rows(result):
+def _iter_request_events(session: Session, request, loaded):
+    stage_kind = request_stage_kind(request)
+    if loaded is not None:
+        for item in stage_rows(loaded):
             yield {"event": "row", "stage": stage_kind,
                    "data": item.to_dict()}
-        yield {"event": "done", "result": result.to_dict(),
-               "skipped": True}
+        yield {"event": "done", "result": loaded, "skipped": True}
         return
     rows = []
     stream = session.stream(request)
@@ -122,12 +160,68 @@ def _iter_request_events(session: Session, task: dict, lease_doc: dict):
             yield {"event": "row", "stage": stage_kind,
                    "data": item.to_dict()}
     finally:
-        close = getattr(stream, "close", None)
-        if close is not None:
-            close()
-    result = session.fold_stage(stage_kind, request, rows)
-    yield {"event": "done", "result": result.to_dict(),
+        _close(stream)
+    yield {"event": "done",
+           "result": session.fold_stage(stage_kind, request, rows),
            "skipped": False}
+
+
+def encode_event(event: dict) -> dict:
+    """A typed job event as its JSON-ready wire form."""
+    if event["event"] == "stage":
+        return {**event, "data": event["data"].to_dict()}
+    if event["event"] == "done":
+        return {**event, "result": event["result"].to_dict()}
+    return event
+
+
+def decode_event(event: dict) -> dict:
+    """The typed job event a wire event stands for (the inverse of
+    :func:`encode_event`; an ``error`` event gains its restored
+    ``exception``).  Raises :class:`~repro.errors.RequestError` on a
+    malformed payload — wire events come from outside the process."""
+    kind = event.get("event")
+    if kind == "stage":
+        if not isinstance(event.get("index"), int):
+            raise RequestError(
+                f"stage event needs an int index, got "
+                f"{event.get('index')!r}"
+            )
+        return {**event, "data": result_from_dict(event.get("data"))}
+    if kind == "done":
+        return {**event, "result": result_from_dict(event.get("result"))}
+    if kind == "error":
+        return {**event, "exception": restore_error(event)}
+    return event
+
+
+def iter_task_events(session: Session, lease_doc: dict):
+    """Execute a leased task, yielding wire events.
+
+    ``lease_doc`` is what ``POST /v1/workers/lease`` granted: a
+    ``task`` payload (spec or request document) plus optional resume
+    material (``resume_completed`` stage payloads for specs,
+    ``resume_result`` for requests).  Yields the events of
+    :func:`iter_job_events` in their wire form (:func:`encode_event`).
+    """
+    task = lease_doc.get("task")
+    if not isinstance(task, dict):
+        raise JobError("lease has no task payload")
+    resumed = lease_doc.get("resume_result")
+    events = iter_job_events(
+        session, task_from_dict(task),
+        completed={
+            int(index): result_from_dict(payload)
+            for index, payload in
+            (lease_doc.get("resume_completed") or {}).items()
+        },
+        loaded=None if resumed is None else result_from_dict(resumed),
+    )
+    try:
+        for event in events:
+            yield encode_event(event)
+    finally:
+        events.close()
 
 
 def process_job_main(conn, lease_doc: dict) -> None:
@@ -144,12 +238,7 @@ def process_job_main(conn, lease_doc: dict) -> None:
             conn.send(event)
     except BaseException as exc:  # the parent turns this into FAILED
         try:
-            conn.send({
-                "event": "error", "error": str(exc),
-                "error_type": type(exc).__name__,
-                "traceback": "".join(_tb.format_exception(
-                    type(exc), exc, exc.__traceback__)),
-            })
+            conn.send(error_event(exc))
         except (BrokenPipeError, OSError):
             pass
     finally:
@@ -293,20 +382,13 @@ class FleetWorker:
         except Exception as exc:
             self.jobs_failed += 1
             try:
-                post([{
-                    "event": "error", "error": str(exc),
-                    "error_type": type(exc).__name__,
-                    "traceback": "".join(_tb.format_exception(
-                        type(exc), exc, exc.__traceback__)),
-                }])
+                post([error_event(exc)])
             except (LeaseExpired, urllib.error.URLError, OSError,
                     JobError):
                 pass
         finally:
             stop_heartbeat.set()
-            close = getattr(events, "close", None)
-            if close is not None:
-                close()
+            events.close()
             pump.join(timeout=ttl)
 
     def close(self) -> None:

@@ -27,7 +27,8 @@ Endpoints::
     GET    /v1/artifacts             retention index of the results dir
     GET    /v1/artifacts/{path}      a stored artifact (results dir)
     GET    /v1/metrics               Prometheus text exposition of the
-                                     process-wide metrics registry
+                                     process-wide metrics registry plus
+                                     the manager's live job/lease gauges
 
 Status codes carry the scheduler's policy: ``401`` (missing/bad
 bearer token when ``--auth`` is configured — submit, cancel and
@@ -68,6 +69,7 @@ from repro.errors import (
 from repro.service.jobs import JobManager
 from repro.service.metrics import CONTENT_TYPE as _METRICS_CONTENT_TYPE
 from repro.service.metrics import render_prometheus
+from repro.utils.telemetry import MetricsRegistry
 
 #: Largest accepted request body (a spec is a few KB; 8 MiB is ample).
 MAX_BODY = 8 << 20
@@ -208,8 +210,11 @@ class ReproService:
             elif path == "/v1/jobs" and method == "GET":
                 await self._list_jobs(query, writer)
             elif path == "/v1/metrics" and method == "GET":
-                await self._respond(writer, 200,
-                                    render_prometheus().encode("utf-8"),
+                live = MetricsRegistry()
+                for name, value in self.manager.gauges().items():
+                    live.gauge_set(name, value)
+                text = render_prometheus() + render_prometheus(live)
+                await self._respond(writer, 200, text.encode("utf-8"),
                                     _METRICS_CONTENT_TYPE)
             elif path == "/v1/workers/lease" and method == "POST":
                 self._authenticate(headers)

@@ -25,12 +25,19 @@ hand-off.  Execution is pluggable via ``executor``:
   shared :class:`Session`, so concurrent jobs share every expensive
   cached artifact (compiled substrates, placements, golden mappings);
 - ``"process"``: each job runs in a fresh worker process that streams
-  the same wire events a remote fleet worker would POST, applied by
-  the same commit path — process rows are bit-identical to thread
-  rows by construction;
+  the same wire events a remote fleet worker would POST;
 - ``"external"``: no local execution at all; jobs wait for remote
   ``repro worker`` processes to pull them via :meth:`lease_job` /
   :meth:`apply_worker_events` (the HTTP fleet endpoints).
+
+All three run one engine (:func:`repro.fleet.worker.iter_job_events`)
+and commit its events through one method, :meth:`JobManager._commit`
+— the only place the job layer dispatches on event kind — so a job's
+event log, artifacts and result do not depend on the executor.  The
+job and lease gauges (``jobs.queue_depth``, ``jobs.running``,
+``jobs.retained``, ``fleet.leases.active``) are not bookkept: the
+manager reads them from the scheduler, the job table and the lease
+table when ``/v1/metrics`` is scraped (:meth:`JobManager.gauges`).
 
 Leases make remote execution crash-safe: a worker that stops posting
 events misses its TTL, the lease expires, and the job requeues with a
@@ -47,34 +54,28 @@ results.
 
 from __future__ import annotations
 
-import builtins
 import itertools
 import multiprocessing
 import threading
 import time
-import traceback as _tb
 from dataclasses import dataclass
 
-import repro.errors as _errors_mod
-from repro.api import ExperimentSpec, Session, request_from_dict
-from repro.api.requests import (
-    AreaRequest,
-    BatchRequest,
-    ImportRequest,
-    MapRequest,
-    ReorderRequest,
-    SweepRequest,
-    YieldRequest,
-    request_total_rows,
-)
-from repro.api.results import SpecResult, result_from_dict
+from repro.api import ExperimentSpec, Session
+from repro.api.requests import REQUEST_TYPES, request_total_rows
 from repro.api.serialize import stamp
-from repro.api.session import stage_rows
 from repro.errors import JobCancelled, JobError, JobNotFound, ReproError
 from repro.fleet.journal import JOURNAL_NAME, Journal, pending_submissions
 from repro.fleet.leases import LeaseTable
 from repro.fleet.scheduler import Scheduler
-from repro.fleet.worker import process_job_main
+from repro.fleet.worker import (
+    decode_event,
+    error_event,
+    format_traceback,
+    iter_job_events,
+    process_job_main,
+    request_stage_kind,
+    task_from_dict,
+)
 from repro.utils.telemetry import GLOBAL
 
 #: Job lifecycle states.
@@ -90,45 +91,9 @@ TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 #: Supported execution backends for locally-dispatched jobs.
 EXECUTORS = ("thread", "process", "external")
 
-#: The stage kind each bare request type folds as (mirrors the spec
-#: stage vocabulary, so one fold path serves both job flavours).
-_REQUEST_STAGE_KINDS = {
-    MapRequest: "map",
-    BatchRequest: "batch",
-    SweepRequest: "sweep",
-    YieldRequest: "yield",
-    AreaRequest: "area",
-    ReorderRequest: "reorder",
-    ImportRequest: "import",
-}
-
 
 class _CancelJob(Exception):
     """Internal: the worker noticed the job's cancel flag."""
-
-
-def _format_traceback(exc: BaseException) -> str:
-    return "".join(_tb.format_exception(type(exc), exc, exc.__traceback__))
-
-
-def _restore_error(event: dict) -> BaseException:
-    """A typed exception for a worker-reported ``error`` event.
-
-    Re-raises under the library's own class — or a plain builtin
-    ``Exception`` subclass — when the worker named one, so
-    ``handle.result()`` raises what a thread-executed job would have;
-    anything unrecognized comes back as :class:`JobError`.
-    """
-    message = str(event.get("error") or "worker reported a failure")
-    name = event.get("error_type")
-    cls = getattr(_errors_mod, name, None) if isinstance(name, str) \
-        else None
-    if not (isinstance(cls, type) and issubclass(cls, ReproError)):
-        cls = getattr(builtins, name, None) if isinstance(name, str) \
-            else None
-        if not (isinstance(cls, type) and issubclass(cls, Exception)):
-            cls = JobError
-    return cls(message)
 
 
 @dataclass(frozen=True)
@@ -362,6 +327,19 @@ class JobManager:
     def queue_depth(self) -> int:
         return self._scheduler.depth()
 
+    def gauges(self) -> "dict[str, int]":
+        """The job and lease gauges, read from live state: the
+        scheduler's depth, the job table, the lease table (what
+        ``/v1/metrics`` exposes)."""
+        with self._lock:
+            jobs = list(self._jobs.values())
+        return {
+            "jobs.queue_depth": self.queue_depth(),
+            "jobs.running": sum(job.state == RUNNING for job in jobs),
+            "jobs.retained": len(jobs),
+            "fleet.leases.active": self._leases.active(),
+        }
+
     # -- submission ---------------------------------------------------------- #
     def submit(self, task, *, resume: bool = False, priority: int = 0,
                client: "str | None" = None,
@@ -401,11 +379,7 @@ class JobManager:
 
     @staticmethod
     def _coerce(task):
-        if isinstance(task, dict):
-            if task.get("type") == "experiment_spec" or "stages" in task:
-                return ExperimentSpec.from_dict(task)
-            return request_from_dict(task)
-        return task
+        return task_from_dict(task) if isinstance(task, dict) else task
 
     def _new_id(self, job_id: "str | None" = None) -> str:
         return job_id if job_id is not None else f"job-{next(self._ids)}"
@@ -413,10 +387,7 @@ class JobManager:
     def _register(self, job: _Job) -> None:
         with self._lock:
             self._jobs[job.job_id] = job
-            retained = len(self._jobs)
         GLOBAL.inc("jobs.submitted", kind=job.kind)
-        GLOBAL.gauge_add("jobs.queue_depth", 1)
-        GLOBAL.gauge_set("jobs.retained", retained)
         self._journal_submit(job)
 
     def _create_job(self, task, resume: bool, parent: "_Job | None",
@@ -424,14 +395,11 @@ class JobManager:
                     job_id: "str | None" = None) -> _Job:
         if isinstance(task, ExperimentSpec):
             kind, name, total = "spec", task.name, task.total_rows()
-        else:
-            stage_kind = _REQUEST_STAGE_KINDS.get(type(task))
-            if stage_kind is None:
-                raise JobError(
-                    f"unsupported task type {type(task).__name__}"
-                )
+        elif type(task) in REQUEST_TYPES.values():
             kind, name, total = "request", task.TYPE_TAG, \
                 request_total_rows(task)
+        else:
+            raise JobError(f"unsupported task type {type(task).__name__}")
         job = _Job(self._new_id(job_id), kind, name, task, resume, total,
                    parent=parent, priority=priority, client=client)
         if parent is not None:
@@ -480,8 +448,6 @@ class JobManager:
         self._register(parent)
         with parent.cond:
             parent.state = RUNNING
-        GLOBAL.gauge_add("jobs.queue_depth", -1)
-        GLOBAL.gauge_add("jobs.running", 1)
         self._emit(parent, {"event": "status", "state": RUNNING})
         self._journal_state(parent, RUNNING)
         # every child record joins parent.children *before* any child
@@ -631,7 +597,7 @@ class JobManager:
                 error=str(job.error) if job.error is not None else None,
                 error_type=type(job.error).__name__
                 if job.error is not None else None,
-                traceback=_format_traceback(job.error)
+                traceback=format_traceback(job.error)
                 if job.error is not None else None,
                 children=tuple(c.job_id for c in job.children),
                 priority=job.priority,
@@ -669,48 +635,37 @@ class JobManager:
                     self._leases.release(lease.lease_id) is not None:
                 # leased out: the worker discovers the cancellation on
                 # its next post (410), we finish the record now
-                GLOBAL.gauge_add("fleet.leases.active", -1)
-                with job.cond:
-                    job.lease = None
                 self._finish(job, CANCELLED)
         return True
 
     # -- lifecycle plumbing -------------------------------------------------- #
     def _emit(self, job: _Job, event: dict) -> None:
         with job.cond:
-            event = dict(event)
-            event["job_id"] = job.job_id
-            event["seq"] = len(job.events)
-            job.events.append(event)
-            job.cond.notify_all()
-        parent = job.parent
-        if parent is not None and event.get("event") != "status":
-            forwarded = {k: v for k, v in event.items() if k != "seq"}
-            if event.get("event") == "row":
-                with parent.cond:
-                    parent.rows_done += 1
-                    parent.stage = f"{job.job_id}:{event.get('stage')}"
-            self._emit_flat(parent, forwarded)
-
-    def _emit_flat(self, job: _Job, event: dict) -> None:
-        with job.cond:
             if job.state in TERMINAL_STATES:
-                # the `done` event is contractually last — a sibling
-                # racing in a forwarded event after the grid parent
-                # finished must not extend the log
+                # the `done` event is contractually last — a stale
+                # commit, or a child's event racing in after its grid
+                # finished, must not extend the log
                 return
             event = dict(event)
             event.setdefault("job_id", job.job_id)
             event["seq"] = len(job.events)
             job.events.append(event)
             job.cond.notify_all()
+        parent = job.parent
+        if parent is not None and event.get("event") != "status":
+            if event.get("event") == "row":
+                with parent.cond:
+                    parent.rows_done += 1
+                    parent.stage = f"{job.job_id}:{event.get('stage')}"
+            self._emit(parent, {k: v for k, v in event.items()
+                                if k != "seq"})
 
     def _finish(self, job: _Job, state: str, result=None,
                 error: "BaseException | None" = None) -> None:
         with job.cond:
             if job.state in TERMINAL_STATES:
                 return
-            prev_state = job.state
+            lease, job.lease = job.lease, None
             job.state = state
             job.result = result
             job.error = error
@@ -725,11 +680,11 @@ class JobManager:
             }
             if error is not None:
                 done["error_type"] = type(error).__name__
-                done["traceback"] = _format_traceback(error)
+                done["traceback"] = format_traceback(error)
             job.events.append(done)
             job.cond.notify_all()
-        GLOBAL.gauge_add("jobs.running" if prev_state == RUNNING
-                         else "jobs.queue_depth", -1)
+        if lease is not None:  # no lease outlives its job
+            self._leases.release(lease.lease_id)
         GLOBAL.inc("jobs.finished", state=state)
         GLOBAL.observe("jobs.latency_seconds",
                        time.perf_counter() - job.submitted_at)
@@ -738,8 +693,8 @@ class JobManager:
             self._scheduler.release(job.client)
         parent = job.parent
         if parent is not None:
-            self._emit_flat(parent, {"event": "child", "state": state,
-                                     "job_id": job.job_id})
+            self._emit(parent, {"event": "child", "state": state,
+                                "job_id": job.job_id})
             self._maybe_finish_grid(parent)
         self._prune()
 
@@ -747,8 +702,7 @@ class JobManager:
         """Drop the oldest-*finished* jobs past ``retain`` from the
         table (their event logs go with them; live handles keep
         working, but :meth:`handle` lookups turn into
-        :class:`JobNotFound`).  Exposes the table size as the
-        ``jobs.retained`` gauge."""
+        :class:`JobNotFound`)."""
         with self._lock:
             terminal = [(job.finished_at or 0.0, job_id)
                         for job_id, job in self._jobs.items()
@@ -758,7 +712,6 @@ class JobManager:
                 terminal.sort()
                 for _, job_id in terminal[:excess]:
                     del self._jobs[job_id]
-            GLOBAL.gauge_set("jobs.retained", len(self._jobs))
 
     def _maybe_finish_grid(self, parent: _Job) -> None:
         children = list(parent.children)
@@ -779,53 +732,66 @@ class JobManager:
             self._finish(parent, DONE,
                          result=tuple(c.result for c in children))
 
-    def _row(self, job: _Job, stage: "str | None", item) -> None:
-        self._commit_row(job, stage, item.to_dict())
+    def _commit(self, job: _Job, event: dict) -> bool:
+        """Apply one typed job event
+        (:func:`~repro.fleet.worker.iter_job_events`, or a worker's
+        wire event after :func:`~repro.fleet.worker.decode_event`).
 
-    def _commit_row(self, job: _Job, stage: "str | None", data) -> None:
-        with job.cond:
-            if job.state in TERMINAL_STATES:
-                return  # a stale post must not extend a finished log
-            job.rows_done += 1
-            job.stage = stage
-        self._emit(job, {"event": "row", "stage": stage, "data": data})
+        Thread, process and remote jobs all land here: this persists
+        stage and request artifacts, writes the event log and finishes
+        the job on ``done``/``error``.  ``True`` once the job is
+        finished.
+        """
+        kind = event.get("event")
+        if kind == "row":
+            with job.cond:
+                if job.state in TERMINAL_STATES:
+                    return True  # a stale post must not extend the log
+                job.rows_done += 1
+                job.stage = event.get("stage")
+            self._emit(job, {"event": "row", "stage": event.get("stage"),
+                             "data": event.get("data")})
+        elif kind == "stage":
+            out = {"event": "stage", "stage": event.get("stage"),
+                   "index": event["index"],
+                   "skipped": bool(event.get("skipped"))}
+            if self.store is not None:
+                out["artifact"] = self.store.save_stage(
+                    job.payload, event["index"], str(event.get("stage")),
+                    str(event.get("kind")), event["data"],
+                )
+            self._emit(job, out)
+        elif kind == "done":
+            if job.kind == "request" and self.store is not None:
+                # a replayed result is already stored: point at it
+                request, skipped = job.payload, bool(event.get("skipped"))
+                self._emit(job, {
+                    "event": "stage", "stage": request_stage_kind(request),
+                    "skipped": skipped,
+                    "artifact": self.store.request_relpath(request)
+                    if skipped else
+                    self.store.save_request_result(request, event["result"]),
+                })
+            self._finish(job, DONE, result=event["result"])
+            return True
+        elif kind == "error":
+            self._emit(job, {"event": "error", "error": event.get("error"),
+                             "error_type": event.get("error_type"),
+                             "traceback": event.get("traceback")})
+            self._finish(job, FAILED, error=event["exception"])
+            return True
+        return False
 
-    def _commit_stage(self, job: _Job, event: dict) -> None:
-        """Apply a worker ``stage`` event (spec jobs): persist the
-        stage result and emit the same artifact-bearing event a
-        thread-executed job would have."""
-        index = event.get("index")
-        name = event.get("stage")
-        out = {"event": "stage", "stage": name,
-               "skipped": bool(event.get("skipped"))}
-        if index is not None:
-            out["index"] = index
-        if self.store is not None and job.kind == "spec" and \
-                isinstance(event.get("data"), dict) and index is not None:
-            spec = job.payload
-            kind = event.get("kind") or spec.stages[int(index)]["stage"]
-            out["artifact"] = self.store.save_stage(
-                spec, int(index), str(name), str(kind),
-                result_from_dict(event["data"]),
-            )
-        self._emit(job, out)
-
-    def _commit_done(self, job: _Job, event: dict):
-        """Restore a worker ``done`` event's typed result; persist
-        bare-request artifacts (and emit their stage event) exactly
-        like the thread path."""
-        payload = event.get("result")
-        result = result_from_dict(payload) if isinstance(payload, dict) \
-            else None
-        if job.kind == "request" and result is not None and \
-                self.store is not None:
-            relpath = self.store.save_request_result(job.payload, result)
-            stage_kind = job.name[:-len("_request")] \
-                if job.name.endswith("_request") else job.name
-            self._emit(job, {"event": "stage", "stage": stage_kind,
-                             "skipped": bool(event.get("skipped")),
-                             "artifact": relpath})
-        return result
+    def _resume_material(self, job: _Job) -> "tuple[dict, object]":
+        """``(completed, loaded)`` for
+        :func:`~repro.fleet.worker.iter_job_events`: the stored stage
+        results of a spec, or the stored result of a bare request, that
+        a resumed or retried job replays instead of recomputing."""
+        if self.store is None or not (job.resume or job.retries):
+            return {}, None
+        if job.kind == "spec":
+            return self.store.completed_stages(job.payload), None
+        return {}, self.store.load_request_result(job.payload)
 
     def _check_cancel(self, job: _Job) -> None:
         if job.cancel_event.is_set():
@@ -853,109 +819,51 @@ class JobManager:
             return
         with job.cond:
             job.state = RUNNING
-        GLOBAL.gauge_add("jobs.queue_depth", -1)
-        GLOBAL.gauge_add("jobs.running", 1)
         self._emit(job, {"event": "status", "state": RUNNING})
         self._journal_state(job, RUNNING)
+        run = self._run_process_job if self.executor == "process" \
+            else self._run_thread_job
         try:
-            if self.executor == "process":
-                result = self._run_process_job(job)
-            elif job.kind == "spec":
-                result = self._run_spec_job(job)
-            else:
-                result = self._run_request_job(job)
+            run(job)
         except _CancelJob:
             self._finish(job, CANCELLED)
         except Exception as exc:  # reported via status/result, not lost
-            self._emit(job, {"event": "error", "error": str(exc),
-                             "error_type": type(exc).__name__,
-                             "traceback": _format_traceback(exc)})
-            self._finish(job, FAILED, error=exc)
-        else:
-            self._finish(job, DONE, result=result)
+            self._commit(job, {**error_event(exc), "exception": exc})
 
-    def _run_request_job(self, job: _Job):
-        request = job.payload
-        stage_kind = _REQUEST_STAGE_KINDS[type(request)]
-        if job.resume and self.store is not None:
-            loaded = self.store.load_request_result(request)
-            if loaded is not None:
-                for item in stage_rows(loaded):
-                    self._check_cancel(job)
-                    self._row(job, stage_kind, item)
-                self._emit(job, {"event": "stage", "stage": stage_kind,
-                                 "skipped": True,
-                                 "artifact":
-                                     self.store.request_relpath(request)})
-                return loaded
-        rows = []
-        stream = self.session.stream(request)
-        try:
-            for item in stream:
-                self._check_cancel(job)
-                rows.append(item)
-                self._row(job, stage_kind, item)
-            self._check_cancel(job)
-        finally:
-            close = getattr(stream, "close", None)
-            if close is not None:
-                close()
-        result = self.session.fold_stage(stage_kind, request, rows)
-        if self.store is not None:
-            relpath = self.store.save_request_result(request, result)
-            self._emit(job, {"event": "stage", "stage": stage_kind,
-                             "skipped": False, "artifact": relpath})
-        return result
+    def _run_thread_job(self, job: _Job) -> None:
+        """Drain the engine in this thread, on the submitted task
+        itself, stopping at the first event after a cancel.
 
-    def _run_spec_job(self, job: _Job):
-        spec = job.payload
-        completed: dict = {}
-        if (job.resume or job.retries) and self.store is not None:
-            completed = self.store.completed_stages(spec)
-        names = spec.stage_names()
-        kinds = [s["stage"] for s in spec.stages]
-        stage_results: list = []
-        events = self.session.iter_spec_events(spec, completed=completed)
+        No lease: a lease is the crash protocol for work outside this
+        process, and the monitor would requeue a thread job whose row
+        runs longer than the TTL.
+        """
+        completed, loaded = self._resume_material(job)
+        events = iter_job_events(self.session, job.payload, completed,
+                                 loaded)
         try:
-            for kind_tag, index, name, item in events:
+            for event in events:
                 self._check_cancel(job)
-                if kind_tag == "row":
-                    self._row(job, name, item)
-                    continue
-                stage_results.append(item)
-                skipped = index in completed
-                if self.store is not None:
-                    relpath = self.store.save_stage(
-                        spec, index, name, kinds[index], item
-                    )
-                    self._emit(job, {"event": "stage", "stage": name,
-                                     "index": index, "skipped": skipped,
-                                     "artifact": relpath})
-                else:
-                    self._emit(job, {"event": "stage", "stage": name,
-                                     "index": index, "skipped": skipped})
-            self._check_cancel(job)
+                self._commit(job, event)
         finally:
-            close = getattr(events, "close", None)
-            if close is not None:
-                close()
-        return SpecResult(name=spec.name, workload=spec.workload,
-                          stages=tuple(stage_results))
+            events.close()
 
     # -- process executor ---------------------------------------------------- #
-    def _run_process_job(self, job: _Job):
+    def _run_process_job(self, job: _Job) -> None:
         """Run one job in a fresh worker process over the fleet's wire
         protocol: the child streams the same events a remote worker
-        would POST, the parent commits them through the same path —
-        held under a real lease, renewed while the child is alive."""
+        would POST — held under a real lease, renewed while the child
+        is alive."""
         lease = self._leases.grant(job, worker=f"process:{job.job_id}",
                                    ttl=self.lease_ttl)
         with job.cond:
             job.lease = lease
-        GLOBAL.gauge_add("fleet.leases.active", 1)
         GLOBAL.inc("fleet.leases.granted", executor="process")
         payload = self._lease_payload(job, lease)
-        ctx = multiprocessing.get_context()
+        # spawn, not fork: a child forked while a dispatcher or HTTP
+        # thread holds a lock (a module import, the metrics registry)
+        # would wait on it forever
+        ctx = multiprocessing.get_context("spawn")
         recv, send = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=process_job_main, args=(send, payload),
                            name=f"repro-fleet-{job.job_id}", daemon=True)
@@ -979,18 +887,11 @@ class JobManager:
                             f"worker process for {job.job_id} closed its "
                             f"pipe without a result"
                         ) from exc
-                    kind = event.get("event")
-                    if kind == "row":
-                        self._commit_row(job, event.get("stage"),
-                                         event.get("data"))
-                    elif kind == "stage":
-                        self._commit_stage(job, event)
-                    elif kind == "done":
-                        GLOBAL.inc("fleet.leases.completed",
-                                   executor="process")
-                        return self._commit_done(job, event)
-                    elif kind == "error":
-                        raise _restore_error(event)
+                    if self._commit(job, decode_event(event)):
+                        if job.state == DONE:
+                            GLOBAL.inc("fleet.leases.completed",
+                                       executor="process")
+                        return
                 elif not proc.is_alive():
                     raise JobError(
                         f"worker process for {job.job_id} died "
@@ -1001,8 +902,7 @@ class JobManager:
                 except JobError:
                     pass  # collected by a racing cancel; loop notices
         finally:
-            if self._leases.release(lease.lease_id) is not None:
-                GLOBAL.gauge_add("fleet.leases.active", -1)
+            self._leases.release(lease.lease_id)
             with job.cond:
                 if job.lease is lease:  # a requeue may hold a new one
                     job.lease = None
@@ -1039,9 +939,6 @@ class JobManager:
             with job.cond:
                 job.state = RUNNING
                 job.lease = lease
-            GLOBAL.gauge_add("jobs.queue_depth", -1)
-            GLOBAL.gauge_add("jobs.running", 1)
-            GLOBAL.gauge_add("fleet.leases.active", 1)
             GLOBAL.inc("fleet.leases.granted", executor="remote")
             self._emit(job, {"event": "status", "state": RUNNING})
             self._journal_state(job, RUNNING)
@@ -1052,14 +949,7 @@ class JobManager:
             try:
                 return self._lease_payload(job, lease)
             except Exception as exc:  # corrupted resume artifact etc.
-                if self._leases.release(lease.lease_id) is not None:
-                    GLOBAL.gauge_add("fleet.leases.active", -1)
-                with job.cond:
-                    job.lease = None
-                self._emit(job, {"event": "error", "error": str(exc),
-                                 "error_type": type(exc).__name__,
-                                 "traceback": _format_traceback(exc)})
-                self._finish(job, FAILED, error=exc)
+                self._commit(job, {**error_event(exc), "exception": exc})
                 return None
 
     def _lease_payload(self, job: _Job, lease) -> dict:
@@ -1072,19 +962,14 @@ class JobManager:
             "attempt": job.retries,
             "task": job.payload.to_dict(),
         }
-        if self.store is None or not (job.resume or job.retries):
-            return doc
-        if job.kind == "spec":
-            completed = self.store.completed_stages(job.payload)
-            if completed:
-                doc["resume_completed"] = {
-                    str(index): result.to_dict()
-                    for index, result in completed.items()
-                }
-        elif job.kind == "request":
-            loaded = self.store.load_request_result(job.payload)
-            if loaded is not None:
-                doc["resume_result"] = loaded.to_dict()
+        completed, loaded = self._resume_material(job)
+        if completed:
+            doc["resume_completed"] = {
+                str(index): result.to_dict()
+                for index, result in completed.items()
+            }
+        if loaded is not None:
+            doc["resume_result"] = loaded.to_dict()
         return doc
 
     def apply_worker_events(self, lease_id: str, events,
@@ -1092,10 +977,10 @@ class JobManager:
         """Commit a worker's posted event batch against its lease.
 
         Every post renews the lease (heartbeats are just empty
-        renewals).  Row/stage events land through the same commit path
-        the process executor uses; ``done`` finishes the job with the
-        restored typed result; ``error`` fails it under the worker's
-        reported exception type.  Raises
+        renewals).  Each event goes through :meth:`_commit`, the path
+        thread and process jobs take; ``done`` finishes the job with
+        the restored typed result, ``error`` fails it under the
+        worker's reported exception type.  Raises
         :class:`~repro.errors.LeaseExpired` for an unknown/expired
         lease (the HTTP 410) — a late worker's stale events must not
         corrupt a requeued job.  The response tells the worker whether
@@ -1103,49 +988,21 @@ class JobManager:
         """
         lease = self._leases.renew(lease_id)
         job = lease.job
+        if job.cancel_event.is_set():
+            self._finish(job, CANCELLED)
         with job.cond:
-            terminal = job.state in TERMINAL_STATES
-        if terminal or job.cancel_event.is_set():
+            state = job.state
+        if state in TERMINAL_STATES:
             # nothing more to commit; release so expiry never requeues
-            if self._leases.release(lease_id) is not None:
-                GLOBAL.gauge_add("fleet.leases.active", -1)
-            with job.cond:
-                job.lease = None
-                state = job.state
+            self._leases.release(lease_id)
             return {"ok": True, "cancelled": True, "state": state}
         if not isinstance(events, (list, tuple)):
             raise JobError("worker events payload must be a list")
         for event in events:
-            if not isinstance(event, dict):
-                continue
-            kind = event.get("event")
-            if kind == "heartbeat":
-                continue
-            if kind == "row":
-                self._commit_row(job, event.get("stage"),
-                                 event.get("data"))
-            elif kind == "stage":
-                self._commit_stage(job, event)
-            elif kind == "done":
-                result = self._commit_done(job, event)
-                if self._leases.release(lease_id) is not None:
-                    GLOBAL.gauge_add("fleet.leases.active", -1)
-                GLOBAL.inc("fleet.leases.completed", executor="remote")
-                with job.cond:
-                    job.lease = None
-                self._finish(job, DONE, result=result)
-                break
-            elif kind == "error":
-                self._emit(job, {
-                    "event": "error", "error": event.get("error"),
-                    "error_type": event.get("error_type"),
-                    "traceback": event.get("traceback"),
-                })
-                if self._leases.release(lease_id) is not None:
-                    GLOBAL.gauge_add("fleet.leases.active", -1)
-                with job.cond:
-                    job.lease = None
-                self._finish(job, FAILED, error=_restore_error(event))
+            if isinstance(event, dict) and \
+                    self._commit(job, decode_event(event)):
+                if job.state == DONE:
+                    GLOBAL.inc("fleet.leases.completed", executor="remote")
                 break
         with job.cond:
             state = job.state
@@ -1170,7 +1027,6 @@ class JobManager:
     def _on_lease_expired(self, lease) -> None:
         """Requeue (or fail) a job whose worker went quiet."""
         job = lease.job
-        GLOBAL.gauge_add("fleet.leases.active", -1)
         GLOBAL.inc("fleet.leases.expired")
         with job.cond:
             if job.state in TERMINAL_STATES:
@@ -1189,8 +1045,6 @@ class JobManager:
             job.state = QUEUED
             job.rows_done = 0
             job.stage = None
-        GLOBAL.gauge_add("jobs.running", -1)
-        GLOBAL.gauge_add("jobs.queue_depth", 1)
         GLOBAL.inc("fleet.jobs.requeued")
         self._emit(job, {"event": "requeued", "attempt": retries,
                          "reason": f"lease {lease.lease_id} expired"})

@@ -129,11 +129,6 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[series_key(name, labels)] = value
 
-    def gauge_add(self, name: str, delta, **labels) -> None:
-        key = series_key(name, labels)
-        with self._lock:
-            self._gauges[key] = self._gauges.get(key, 0) + delta
-
     # -- histograms ----------------------------------------------------- #
     def observe(self, name: str, value, buckets=None, **labels) -> None:
         key = series_key(name, labels)

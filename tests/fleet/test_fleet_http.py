@@ -403,6 +403,65 @@ class TestProcessExecutor:
             proc_mgr.shutdown(wait=False, cancel=True)
 
 
+    def test_resumed_request_is_not_saved_again(self, session, tmp_path):
+        store = ArtifactStore(tmp_path / "results")
+        with JobManager(session=session, workers=1, store=store) as m:
+            m.submit(SWEEP).result(timeout=120)
+        saves = []
+        real_save = store.save_request_result
+
+        def counting_save(request, result):
+            saves.append(request)
+            return real_save(request, result)
+
+        store.save_request_result = counting_save
+        proc_mgr = JobManager(session=session, workers=1, store=store,
+                              executor="process")
+        try:
+            handle = proc_mgr.submit(SWEEP, resume=True)
+            handle.result(timeout=300)
+            stages = [ev for ev in handle.events() if ev["event"] == "stage"]
+        finally:
+            proc_mgr.shutdown(wait=False, cancel=True)
+        # the replayed result is already stored: no artifact or
+        # manifest rewrite, just a pointer to it
+        assert saves == []
+        assert [(ev["skipped"], ev["artifact"]) for ev in stages] == \
+            [(True, store.request_relpath(SWEEP))]
+
+    def test_event_logs_identical_across_executors(self, session,
+                                                   tmp_path):
+        """Every executor commits through one path: each event of a
+        request, a spec and a resumed request serializes to the same
+        JSON (job id aside, key order included)."""
+        logs = {}
+        for executor in ("thread", "process", "external"):
+            manager = JobManager(session=session, workers=1,
+                                 store=ArtifactStore(tmp_path / executor),
+                                 executor=executor)
+            svc = ReproService(manager, port=0)
+            svc.start()
+            worker = FleetWorker(_url(svc), session=session)
+            logs[executor] = []
+            try:
+                for task, resume in ((SWEEP, False), (SPEC, False),
+                                     (SWEEP, True)):
+                    handle = manager.submit(task, resume=resume)
+                    if executor == "external":
+                        assert worker.run_once(wait=5.0) is True
+                    assert handle.wait(timeout=300).state == "done"
+                    logs[executor].append([
+                        json.dumps({k: v for k, v in ev.items()
+                                    if k != "job_id"})
+                        for ev in handle.events()
+                    ])
+            finally:
+                svc.stop()
+                manager.shutdown(wait=False, cancel=True)
+        assert logs["process"] == logs["thread"]
+        assert logs["external"] == logs["thread"]
+
+
 class TestTwoWorkers:
     def test_two_workers_split_the_queue(self, fleet, session):
         svc, _manager = fleet

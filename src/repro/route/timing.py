@@ -93,10 +93,10 @@ def _edge_kind(
     g: RoutingResourceGraph | CompiledRRG, a: int, b: int
 ) -> EdgeKind:
     if isinstance(g, CompiledRRG):
-        dst = g.edge_dst
-        for i in range(g.edge_start[a], g.edge_start[a + 1]):
-            if dst[i] == b:
-                return EDGE_KINDS[g.edge_kind[i]]
+        lo, hi = g.edge_start[a:a + 2].tolist()
+        row = g.edge_dst[lo:hi].tolist()
+        if b in row:
+            return EDGE_KINDS[g.edge_kind[lo + row.index(b)]]
         raise SimulationError(f"no RRG edge {a}->{b}")
     for nxt, kind in g.out_edges[a]:
         if nxt == b:

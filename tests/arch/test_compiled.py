@@ -1,5 +1,6 @@
 """Tests for the compiled flat-array RRG."""
 
+import numpy as np
 import pytest
 
 from repro.arch.compiled import (
@@ -132,9 +133,10 @@ class TestFlatSubstrate:
         full = compiled_rrg_for(params)
         assert flat.source is None and full.source is not None
         assert flat.n_nodes == full.n_nodes
-        assert flat.edge_start == full.edge_start
-        assert flat.edge_mid == full.edge_mid
-        assert flat.edge_dst == full.edge_dst
+        for row in ("edge_start", "edge_mid", "edge_dst"):
+            a, b = getattr(flat, row), getattr(full, row)
+            assert a.dtype == b.dtype == np.int32, row
+            assert a.tobytes() == b.tobytes(), row
         assert flat.edge_kind == full.edge_kind
         assert flat.node_kind == full.node_kind
         assert flat.base_cost == full.base_cost

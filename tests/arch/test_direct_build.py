@@ -30,8 +30,9 @@ TESTS = Path(__file__).resolve().parents[1]
 CORPUS = TESTS.parent / "regression_tests"
 
 LISTS = ("node_kind", "node_capacity", "node_length", "base_cost", "xlo",
-         "xhi", "ylo", "yhi", "edge_start", "edge_mid", "edge_dst",
-         "edge_kind")
+         "xhi", "ylo", "yhi", "edge_kind")
+#: CSR rows, stored as contiguous int32 arrays
+ROWS = ("edge_start", "edge_mid", "edge_dst")
 #: numpy mirror -> (list field it mirrors, dtype)
 MIRRORS = {
     "node_capacity_np": ("node_capacity", np.int64),
@@ -49,7 +50,7 @@ def _lower(g) -> dict:
     each in ``out_edges`` order; enums encoded by declaration order."""
     kinds, ekinds = list(NodeKind), list(EdgeKind)
     to_sink = [node.kind is NodeKind.SINK for node in g.nodes]
-    out = {name: [] for name in LISTS}
+    out = {name: [] for name in LISTS + ROWS}
     for node in g.nodes:
         out["node_kind"].append(kinds.index(node.kind))
         out["node_capacity"].append(node.capacity)
@@ -84,6 +85,10 @@ def assert_matches_object_graph(c, params) -> None:
     assert c.n_edges == len(ref["edge_dst"])
     for name in LISTS + PINS:
         assert getattr(c, name) == ref[name], name
+    for name in ROWS:
+        row = getattr(c, name)
+        assert row.dtype == np.int32, name
+        assert row.tobytes() == np.asarray(ref[name], np.int32).tobytes(), name
     for name, (field, dtype) in MIRRORS.items():
         mirror = getattr(c, name)
         want = np.asarray(ref[field], dtype=dtype)
@@ -196,35 +201,55 @@ class TestByteEquality:
             store.close()
 
 
-class TestSharedNodeIds:
-    """``edge_dst`` holds one int object per node id, not one per edge
-    (a fresh int per edge costs ~28 bytes each, several times the node
-    count on every cached or attached substrate)."""
+class TestInt32Rows:
+    """The CSR rows are stored once, as contiguous int32 arrays that the
+    native search kernel reads in place; an attached view aliases the
+    shared segment instead of copying it."""
 
     PARAMS = ArchParams(cols=5, rows=5, channel_width=8, io_capacity=4)
 
     @staticmethod
-    def _distinct_ints(c) -> int:
-        return len({id(v) for v in c.edge_dst})
+    def _assert_rows(c) -> None:
+        for name in ROWS:
+            row = getattr(c, name)
+            assert isinstance(row, np.ndarray), name
+            assert row.dtype == np.int32, name
+            assert row.flags.c_contiguous, name
 
     def test_flat_substrate(self):
-        c = flat_rrg_for(self.PARAMS)
-        assert self._distinct_ints(c) <= c.n_nodes < c.n_edges
+        self._assert_rows(flat_rrg_for(self.PARAMS))
 
     def test_full_substrate(self):
-        c = compiled_rrg_for(self.PARAMS)
-        assert self._distinct_ints(c) <= c.n_nodes
+        self._assert_rows(compiled_rrg_for(self.PARAMS))
 
     def test_attached_view(self):
+        from repro.arch import shared
         from repro.arch.shared import SharedStore, detach_all
 
         store = SharedStore()
         try:
-            c = store.substrate_for(flat_rrg_for(self.PARAMS)).attach()
-            assert self._distinct_ints(c) <= c.n_nodes
+            handle = store.substrate_for(flat_rrg_for(self.PARAMS))
+            c = handle.attach()
+            self._assert_rows(c)
+            segment = np.frombuffer(shared._SEGMENTS[handle.name].buf,
+                                    dtype=np.uint8)
+            for name in ROWS:
+                assert np.shares_memory(getattr(c, name), segment), name
+            del segment
         finally:
             detach_all()
             store.close()
+
+    def test_fallback_lists_share_node_ids(self):
+        """The Python kernel's list forms hold one int object per node
+        id, not a fresh int per edge, and are built once."""
+        c = flat_rrg_for(self.PARAMS)
+        estart, emid, edst = c.row_lists()
+        assert c.row_lists()[2] is edst
+        assert estart == c.edge_start.tolist()
+        assert emid == c.edge_mid.tolist()
+        assert edst == c.edge_dst.tolist()
+        assert len({id(v) for v in edst}) <= c.n_nodes < c.n_edges
 
 
 class TestBuildLocks:

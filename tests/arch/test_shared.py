@@ -72,9 +72,10 @@ class TestSubstrateRoundTrip:
             assert view.node_kind == c.node_kind
             assert view.node_capacity == c.node_capacity
             assert view.base_cost == c.base_cost
-            assert view.edge_start == c.edge_start
-            assert view.edge_mid == c.edge_mid
-            assert view.edge_dst == c.edge_dst
+            for row in ("edge_start", "edge_mid", "edge_dst"):
+                a, b = getattr(view, row), getattr(c, row)
+                assert a.dtype == b.dtype == np.int32, row
+                assert a.tobytes() == b.tobytes(), row
             assert view.edge_kind == c.edge_kind
             np.testing.assert_array_equal(view.node_capacity_np,
                                           c.node_capacity_np)

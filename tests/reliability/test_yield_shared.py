@@ -11,6 +11,7 @@ releases its publications on close.
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.analysis.sweep import SweepRunner
@@ -164,7 +165,9 @@ class TestLeanTrialItems:
                 assert got.bad_edge_pairs == want.bad_edge_pairs
                 assert (got.node_ok == want.node_ok).all()
                 assert got.node_ok_bytes == want.node_ok_bytes
-                assert got.live_edge_dst(c) == want.live_edge_dst(c)
+                lowered, ref = got.live_edge_dst(c), want.live_edge_dst(c)
+                assert lowered.dtype == ref.dtype == np.int32
+                assert lowered.tobytes() == ref.tobytes()
                 assert got.to_dict() == want.to_dict()
 
     def test_lean_item_payload_is_much_smaller(self):

@@ -1,6 +1,7 @@
-"""The router's search kernel against an independent binary-heap oracle.
+"""The router's search kernels against an independent binary-heap oracle.
 
-The compiled engine runs one search, a bucket-queue Dijkstra (Dial's
+The compiled engine runs one search: a native binary-heap kernel, or
+without a C compiler the Python bucket-queue Dijkstra (Dial's
 algorithm).  Every effective node cost is >= 1.0, so bucketing
 distances by integer part and draining each bucket in ``(dist, node)``
 order visits nodes in exactly a binary heap's pop order.  Dead switches
@@ -8,13 +9,14 @@ reach the kernel as self-loops in a lowered copy of ``edge_dst``.
 
 The oracle below is a plain binary-heap Dijkstra that reads
 ``c.edge_dst`` and skips the defect map's ``switch_defects`` itself, so
-it shares no code with the kernel or the self-loop lowering.  These
-tests patch it over ``pathfinder._dijkstra`` and pin that the routes
-(not just the wirelengths) are identical — including congested runs
-whose escalated costs spread distances across sparse buckets, and
-defect maps with dead switches.  They also pin that the targeted
-congestion re-price reproduces the whole-graph refresh bit-for-bit,
-and that the parallel wavefront initial pass equals the sequential one.
+it shares no code with the kernels or the self-loop lowering.  These
+tests patch it over ``pathfinder._search``, the entry point that picks
+the kernel, and pin that the routes (not just the wirelengths) are
+identical — including congested runs whose escalated costs spread
+distances across sparse buckets, and defect maps with dead switches.
+They also pin that the targeted congestion re-price reproduces the
+whole-graph refresh bit-for-bit, and that the parallel wavefront
+initial pass equals the sequential one.
 """
 
 import heapq
@@ -110,7 +112,7 @@ class TestQueueEquivalence:
         self, name, params, circuit, monkeypatch
     ):
         dial = _route(params, circuit)
-        monkeypatch.setattr(pathfinder, "_dijkstra", heap_search())
+        monkeypatch.setattr(pathfinder, "_search", heap_search())
         heap = _route(params, circuit)
         _assert_identical(dial, heap)
 
@@ -119,14 +121,14 @@ class TestQueueEquivalence:
         netlist = tech_map(random_dag(5, 12, 4, seed=3), k=4)
         c = flat_rrg_for(params)
         pl = place(netlist, params, seed=2, effort=0.3)
-        kernel = pathfinder._dijkstra
+        kernel = pathfinder._search
         for rate in (0.01, 0.03, 0.05):
             dm = DefectMap.sample(c, rate, seed=9, logic_rate=0.0)
             assert dm.switch_defects
-            monkeypatch.setattr(pathfinder, "_dijkstra", kernel)
+            monkeypatch.setattr(pathfinder, "_search", kernel)
             dial = route_context_compiled(c, netlist, pl, defects=dm)
             monkeypatch.setattr(
-                pathfinder, "_dijkstra", heap_search(dm.switch_defects)
+                pathfinder, "_search", heap_search(dm.switch_defects)
             )
             heap = route_context_compiled(c, netlist, pl, defects=dm)
             _assert_identical(dial, heap)
@@ -160,7 +162,8 @@ class TestTargetedReprice:
             b.bump_history()
             b.pres_fac *= pathfinder.PRES_FAC_MULT
             b._refresh_all()
-            assert a.eff == b.eff
+            assert a.eff.dtype == b.eff.dtype == np.float64
+            assert np.array_equal(a.eff, b.eff)
             assert a.overused_ids == b.overused_ids
             assert a.pressured_ids >= a.overused_ids
 

@@ -12,26 +12,52 @@ move/swap proposals, adaptive temperature decay, and a per-net cached
 half-perimeter bounding box, so a proposal recomputes only the nets of
 the cells it moves.
 
-Anneal state is integer-only.  A tile is ``y * cols + x``; occupancy
-is a list holding a movable cell's index, ``_FREE`` or ``_PINNED``;
-forbidden tiles are a bytearray.  Every terminal (movable cells first,
-then pinned cells, then I/O pads) has an id into two int lists of x
-and y coordinates, and each movable cell carries a frozenset of the
-nets it sits on (a cell reading one net twice counts once).
-``Coord`` objects are written back once, after the last round.
+Anneal state is integer-only and built once per call as contiguous
+numpy arrays (:class:`_AnnealState`).  A tile is ``y * cols + x``;
+``occ`` holds a movable cell's index, ``_FREE`` or ``_PINNED``;
+forbidden tiles are uint8 bytes.  Every terminal (movable cells first,
+then pinned cells, then I/O pads) has an id into the int32 x and y
+coordinate arrays.  The live nets (two or more distinct terminals) and
+each movable cell's nets (a cell reading one net twice counts once)
+are CSR rows.  ``Coord`` objects are written back once, after the last
+round.
 
-Draw-for-draw contract: the anneal draws through
-:func:`repro.utils.rng.scalar_draws`, which returns exactly what
-``int(rng.integers(n))`` and ``rng.random()`` would and leaves the
-generator in exactly the same state.  The proposal schedule, the
-acceptance test and the RNG call sequence are those of the original
-``Coord``-keyed loop, so placements, costs and the generator's state
-afterwards are bit-identical for a given seed; that matters because
-``place_program`` and the repair/sweep callers keep drawing from a
-shared generator.  Those draws bypass numpy's locking, so ``place``
-holds ``rng.bit_generator.lock`` for the anneal, and only for it:
+Two kernels run the move loop on that state.  The native one,
+``_anneal.c``, runs the whole schedule in one C call; it is compiled by
+:mod:`repro.utils.native` at the first anneal (never at import) and
+:func:`anneal_kernel` says whether it runs.  Without a C compiler, or
+when the build fails, the Python kernel :func:`_anneal_python` runs
+instead; it is also the native kernel's test oracle.
+
+Draw-for-draw contract: the proposal schedule, the acceptance test and
+the RNG call sequence are those of the original ``Coord``-keyed loop,
+so placements, costs and the generator's state afterwards are
+bit-identical for a given seed, whichever kernel runs; that matters
+because ``place_program`` and the repair/sweep callers keep drawing
+from a shared generator.
+
+- The Python kernel draws through :func:`repro.utils.rng.scalar_draws`,
+  which returns exactly what ``int(rng.integers(n))`` and
+  ``rng.random()`` would and leaves the generator in the same state.
+- The native kernel draws through the generator's own ``bitgen_t``
+  (``rng.bit_generator.ctypes.bit_generator``): ``integers(n)`` is the
+  same 32-bit Lemire rejection on ``next_uint32`` (``n == 1`` draws
+  nothing), ``random()`` is ``next_double``, and the uphill test draws
+  only when the cost rises, as in Python.  Costs are integers, so the
+  order in which a move's nets are summed cannot matter.  The one
+  floating-point path is the same operation for operation:
+  ``exp(-delta / T)`` calls the libm ``exp`` that ``math.exp`` calls,
+  the accept ratio is one division of two exactly representable
+  integers, and every temperature step is one multiply; no expression
+  has the form ``a*b+c``, so floating-point contraction cannot change
+  a result.
+
+Both kernels draw past numpy's own locking, so ``place`` holds
+``rng.bit_generator.lock`` for the anneal, and only for it:
 ``rng.permutation`` takes the same lock itself, which is a plain
-(non-reentrant) ``Lock`` on older numpy releases.
+(non-reentrant) ``Lock`` on older numpy releases.  The native call
+releases the interpreter lock, so threads placing on different
+generators anneal in parallel.
 
 Perimeter pad assignment uses the per-grid precomputed distance tables
 of :func:`distance_tables`.
@@ -39,9 +65,12 @@ of :func:`distance_tables`.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +79,7 @@ from repro.arch.params import ArchParams
 from repro.errors import PlacementError
 from repro.netlist.dfg import MultiContextProgram
 from repro.netlist.netlist import CellKind, Netlist
+from repro.utils.native import NativeLibrary
 from repro.utils.rng import ensure_rng, scalar_draws
 from repro.utils.telemetry import count as _tcount
 
@@ -77,10 +107,10 @@ class Placement:
 class DistanceTables:
     """Precomputed per-grid geometry tables for placement hot paths.
 
-    ``perimeter`` fixes the pad-candidate iteration order; ``perim_x`` /
-    ``perim_y`` are its coordinates as numpy arrays so nearest-pad
-    selection is one vectorised Manhattan expression instead of a
-    Python loop over tiles.
+    ``perimeter`` fixes the pad-candidate order; ``perim_x`` /
+    ``perim_y`` are its coordinates as numpy arrays, so the distances
+    from every I/O cell to every pad tile are one vectorised Manhattan
+    expression.
     """
 
     __slots__ = ("cols", "rows", "perimeter", "perim_x", "perim_y")
@@ -119,13 +149,40 @@ def _net_terminals(netlist: Netlist) -> dict[str, list[str]]:
     return terminals
 
 
-def _hpwl(ids: tuple[int, ...], tx: list[int], ty: list[int]) -> int:
-    """Half-perimeter bounding box of the terminals ``ids`` (0 if none)."""
-    if not ids:
-        return 0
-    xs = [tx[t] for t in ids]
-    ys = [ty[t] for t in ids]
-    return max(xs) - min(xs) + max(ys) - min(ys)
+def _csr(rows: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` as int32 CSR arrays ``(start, items)``."""
+    start = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(np.fromiter(map(len, rows), np.int32, count=len(rows)),
+              out=start[1:])
+    items = np.fromiter(chain.from_iterable(rows), np.int32,
+                        count=int(start[-1]))
+    return start, items
+
+
+def _net_hpwl(net_start: np.ndarray, net_terms: np.ndarray, tx: np.ndarray,
+              ty: np.ndarray) -> np.ndarray:
+    """Half-perimeter bounding box of every CSR net (none may be empty)."""
+    if not len(net_terms):
+        return np.zeros(len(net_start) - 1, dtype=np.int32)
+    lo = net_start[:-1]
+    xs = tx[net_terms]
+    ys = ty[net_terms]
+    return (np.maximum.reduceat(xs, lo) - np.minimum.reduceat(xs, lo)
+            + np.maximum.reduceat(ys, lo) - np.minimum.reduceat(ys, lo))
+
+
+def _cell_nets(net_start: np.ndarray, net_terms: np.ndarray,
+               n_mov: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each movable cell's nets as CSR rows, ascending and without
+    repeats: a net lists a terminal once, so grouping the (net,
+    terminal) pairs by terminal, stably, is enough."""
+    net_of = np.repeat(np.arange(len(net_start) - 1, dtype=np.int32),
+                       np.diff(net_start))
+    moving = net_terms < n_mov
+    cells = net_terms[moving]
+    start = np.zeros(n_mov + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cells, minlength=n_mov), out=start[1:])
+    return start, net_of[moving][np.argsort(cells, kind="stable")]
 
 
 _FREE = -1
@@ -169,9 +226,9 @@ def place(
             f"({cols}x{rows}, {len(forbidden)} forbidden)"
         )
 
-    # --- initial assignment: pinned first, then row-major scan ---------- #
+    # --- initial assignment: pinned, then a random order of free tiles - #
     # occ[tile] is a movable cell's index, _FREE or _PINNED
-    occ = [_FREE] * grid.n_tiles
+    occ = np.full(grid.n_tiles, _FREE, dtype=np.int32)
     location: dict[str, Coord] = {}
     for name, coord in pinned.items():
         grid.check(coord)
@@ -182,206 +239,314 @@ def place(
             raise PlacementError(f"pinned collision at {coord}")
         occ[tile] = _PINNED
         location[name] = coord
-    free_tiles = [
-        t for t in range(grid.n_tiles) if occ[t] == _FREE and not forb[t]
-    ]
-    order = rng.permutation(len(free_tiles))
-    for ci, (name, idx) in enumerate(zip(movable, order)):
-        tile = free_tiles[int(idx)]
-        occ[tile] = ci
-        location[name] = Coord(tile % cols, tile // cols)
+    forb_np = np.frombuffer(forb, dtype=np.uint8)
+    free_tiles = np.flatnonzero((occ == _FREE) & (forb_np == 0))
+    n_mov = len(movable)
+    order = rng.permutation(len(free_tiles))[:n_mov]
+    tiles = free_tiles[order].astype(np.int32)
+    occ[tiles] = np.arange(n_mov, dtype=np.int32)
+    mx, my = tiles % cols, tiles // cols
+    for name, x, y in zip(movable, mx.tolist(), my.tolist()):
+        location[name] = Coord(x, y)
 
     # --- I/O pads: greedy nearest perimeter tile ------------------------- #
-    ios = _assign_ios(netlist, params, location)
+    links = _io_links(netlist)
+    ios = _assign_ios(links, params, location)
 
-    # --- terminals as integer ids: movable cells first ------------------- #
-    term_id: dict[str, int] = {}
-    tx: list[int] = []
-    ty: list[int] = []
-    placed = [(name, location[name]) for name in movable]
-    placed += [(name, coord) for name, coord in location.items()
-               if name in pinned]
-    placed += [(name, coord) for name, (coord, _pad) in ios.items()]
-    for name, coord in placed:
-        term_id[name] = len(tx)
-        tx.append(coord.x)
-        ty.append(coord.y)
+    # --- terminals as integer ids: movable, then pinned cells, then pads - #
+    n_fixed = n_mov + len(pinned)
+    term_id = {name: t for t, name in enumerate(chain(movable, pinned, ios))}
+    fixed = [*pinned.values(), *(coord for coord, _pad in ios.values())]
+    tx = np.concatenate((mx, np.array([c.x for c in fixed], dtype=np.int32)))
+    ty = np.concatenate((my, np.array([c.y for c in fixed], dtype=np.int32)))
     net_ids = [
         tuple(dict.fromkeys(term_id[c] for c in terminals if c in term_id))
         for terminals in _net_terminals(netlist).values()
         if len(terminals) > 1
     ]
-    cost = float(sum(_hpwl(ids, tx, ty) for ids in net_ids))
+    # nets with one distinct terminal cost 0 whatever moves: leave them out
+    net_start, net_terms = _csr([ids for ids in net_ids if len(ids) > 1])
+    net_cost = _net_hpwl(net_start, net_terms, tx, ty)
+    cost = float(net_cost.sum())
 
     if not movable:
         return Placement(location, ios, cost)
 
-    # nets with one distinct terminal cost 0 whatever moves: leave them out
-    live = [ids for ids in net_ids if len(ids) > 1]
-    net_cost = [_hpwl(ids, tx, ty) for ids in live]
-    n_mov = len(movable)
-    nets_of: list[list[int]] = [[] for _ in range(n_mov)]
-    for k, ids in enumerate(live):
-        for t in ids:
-            if t < n_mov:
-                nets_of[t].append(k)
-    cell_nets = [frozenset(ks) for ks in nets_of]
+    st = _AnnealState(
+        occ, forb_np, tx, ty, net_cost, net_start, net_terms,
+        *_cell_nets(net_start, net_terms, n_mov), n_mov, cols, rows,
+        moves_per_t=max(10, int(effort * 10 * (n_mov ** 1.33))),
+        temperature=max(1.0, 0.05 * cost / max(1, len(net_ids)) * 20),
+    )
+    kernel = _anneal_python if _NATIVE.function() is None else _anneal_native
+    # both kernels draw past numpy's own locking, so hold the generator's
+    # lock for the whole anneal, and only for it: Generator methods take
+    # it themselves, and it is not reentrant on older numpy releases
+    with rng.bit_generator.lock:
+        rounds, accepted = kernel(st, rng)
+    _tcount("placer.rounds", rounds)
+    _tcount("placer.moves_proposed", rounds * st.moves_per_t)
+    _tcount("placer.moves_accepted", accepted)
 
-    # --- annealing schedule ----------------------------------------------- #
-    moves_per_t = max(10, int(effort * 10 * (n_mov ** 1.33)))
-    temperature = max(1.0, 0.05 * cost / max(1, len(net_ids)) * 20)
-    min_t = 0.005
-    span = max(cols, rows)
+    for name, x, y in zip(movable, tx[:n_mov].tolist(), ty[:n_mov].tolist()):
+        location[name] = Coord(x, y)
+    # refresh IO pads for final cell positions
+    ios = _assign_ios(links, params, location)
+    tx[n_fixed:] = [coord.x for coord, _pad in ios.values()]
+    ty[n_fixed:] = [coord.y for coord, _pad in ios.values()]
+    cost = float(_net_hpwl(net_start, net_terms, tx, ty).sum())
+    return Placement(location, ios, cost)
+
+
+class _AnnealState(NamedTuple):
+    """Everything the move loop reads or writes, as contiguous arrays.
+
+    ``occ``, ``tx``, ``ty`` and ``net_cost`` are int32 and annealed in
+    place; ``forb`` is uint8.  The live nets (two or more distinct
+    terminals) are CSR rows ``net_start``/``net_terms``; each movable
+    cell's nets, ascending and without repeats, are ``cell_start``/
+    ``cell_nets``.  The rest is the schedule.
+    """
+
+    occ: np.ndarray
+    forb: np.ndarray
+    tx: np.ndarray
+    ty: np.ndarray
+    net_cost: np.ndarray
+    net_start: np.ndarray
+    net_terms: np.ndarray
+    cell_start: np.ndarray
+    cell_nets: np.ndarray
+    n_mov: int
+    cols: int
+    rows: int
+    moves_per_t: int
+    temperature: float
+    min_t: float = 0.005
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The nine arrays, in the C kernel's argument order."""
+        return self[:9]
+
+
+#: The native twin of :func:`_anneal_python`, built at the first anneal.
+_NATIVE = NativeLibrary(
+    "repro.place", "_anneal.c", "place_anneal",
+    (ctypes.c_void_p,) * 10 + (ctypes.c_int32,) * 4
+    + (ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_void_p),
+    ctypes.c_int64,
+)
+
+
+def anneal_kernel() -> str:
+    """The anneal kernel: ``"native"`` or ``"python"`` (builds it)."""
+    return _NATIVE.kernel
+
+
+def _anneal_native(st: _AnnealState, rng: np.random.Generator
+                   ) -> tuple[int, int]:
+    """The whole schedule in one C call (``_anneal.c``); the caller holds
+    ``rng.bit_generator.lock``.  Returns ``(rounds, accepted)``."""
+    _check_state(st)
+    accepted = ctypes.c_int64()
+    rounds = _NATIVE.function()(
+        rng.bit_generator.ctypes.bit_generator,
+        *(a.ctypes.data for a in st.arrays), st.n_mov, len(st.net_cost),
+        st.cols, st.rows, st.moves_per_t, st.temperature, st.min_t,
+        ctypes.byref(accepted),
+    )
+    if rounds < 0:
+        raise MemoryError("anneal: scratch allocation failed")
+    return rounds, accepted.value
+
+
+def _check_state(st: _AnnealState) -> None:
+    """The dtypes and lengths the C kernel relies on (``place`` builds
+    the values, which are sound by construction)."""
+    if not all(a.flags.c_contiguous
+               and a.dtype == (np.uint8 if a is st.forb else np.int32)
+               for a in st.arrays):
+        raise ValueError("anneal state: arrays must be contiguous int32 "
+                         "(forb uint8)")
+    tiles = st.cols * st.rows
+    if (len(st.occ) != tiles or len(st.forb) != tiles
+            or len(st.ty) != len(st.tx) or len(st.tx) < st.n_mov
+            or len(st.net_start) != len(st.net_cost) + 1
+            or len(st.cell_start) != st.n_mov + 1
+            or st.net_start[-1] != len(st.net_terms)
+            or st.cell_start[-1] != len(st.cell_nets)):
+        raise ValueError("anneal state: array lengths disagree")
+
+
+def _anneal_python(st: _AnnealState, rng: np.random.Generator
+                   ) -> tuple[int, int]:
+    """The Python kernel: the fallback, and the oracle of
+    :func:`_anneal_native`.  Same state, same result, same draws."""
+    occ = st.occ.tolist()
+    forb = st.forb.tolist()
+    tx = st.tx.tolist()
+    ty = st.ty.tolist()
+    net_cost = st.net_cost.tolist()
+    ns = st.net_start.tolist()
+    nt = st.net_terms.tolist()
+    live = [nt[ns[k]:ns[k + 1]] for k in range(len(net_cost))]
+    cs = st.cell_start.tolist()
+    cn = st.cell_nets.tolist()
+    n_mov, cols, temperature = st.n_mov, st.cols, st.temperature
+    cell_nets = [frozenset(cn[cs[i]:cs[i + 1]]) for i in range(n_mov)]
+    moves_per_t, min_t = st.moves_per_t, st.min_t
+    span = max(cols, st.rows)
     width = 2 * span + 1
-    xmax, ymax = cols - 1, rows - 1
+    xmax, ymax = cols - 1, st.rows - 1
     integers, random = scalar_draws(rng)
     exp = math.exp
 
     rounds = 0
     total_accepted = 0
-    # the draws bypass numpy's own locking, so hold the generator's lock
-    # for the whole anneal, and only for it: Generator methods take it
-    # themselves, and it is not reentrant on older numpy releases
-    with rng.bit_generator.lock:
-        while temperature > min_t:
-            rounds += 1
-            accepted = 0
-            for _ in range(moves_per_t):
-                ci = integers(n_mov)
-                sx = tx[ci]
-                sy = ty[ci]
-                x = sx + integers(width) - span
-                y = sy + integers(width) - span
-                if x < 0:
-                    x = 0
-                elif x > xmax:
-                    x = xmax
-                if y < 0:
-                    y = 0
-                elif y > ymax:
-                    y = ymax
-                dst = y * cols + x
-                if (x == sx and y == sy) or forb[dst]:
-                    continue
-                other = occ[dst]
-                if other == _PINNED:
-                    continue
-                if other == _FREE:
-                    affected = cell_nets[ci]
-                else:
-                    affected = cell_nets[ci] | cell_nets[other]
-                # tentative move (occupancy is only written on accept)
-                tx[ci] = x
-                ty[ci] = y
-                if other != _FREE:
-                    tx[other] = sx
-                    ty[other] = sy
-                delta = 0
-                new_costs = []
-                for k in affected:
-                    # plain compares: ~4x faster than max()/min() on
-                    # the 2-6 terminal nets of a LUT netlist
-                    ids = live[k]
-                    t = ids[0]
-                    x0 = x1 = tx[t]
-                    y0 = y1 = ty[t]
-                    for t in ids:
-                        v = tx[t]
-                        if v < x0:
-                            x0 = v
-                        elif v > x1:
-                            x1 = v
-                        v = ty[t]
-                        if v < y0:
-                            y0 = v
-                        elif v > y1:
-                            y1 = v
-                    nc = x1 - x0 + y1 - y0
-                    new_costs.append(nc)
-                    delta += nc - net_cost[k]
-                if delta <= 0 or random() < exp(-delta / temperature):
-                    accepted += 1
-                    occ[dst] = ci
-                    occ[sy * cols + sx] = other
-                    for k, nc in zip(affected, new_costs):
-                        net_cost[k] = nc
-                else:  # revert
-                    tx[ci] = sx
-                    ty[ci] = sy
-                    if other != _FREE:
-                        tx[other] = x
-                        ty[other] = y
-            total_accepted += accepted
-            ratio = accepted / max(1, moves_per_t)
-            if ratio > 0.96:
-                temperature *= 0.5
-            elif ratio > 0.8:
-                temperature *= 0.9
-            elif ratio > 0.15:
-                temperature *= 0.95
+    while temperature > min_t:
+        rounds += 1
+        accepted = 0
+        for _ in range(moves_per_t):
+            ci = integers(n_mov)
+            sx = tx[ci]
+            sy = ty[ci]
+            x = sx + integers(width) - span
+            y = sy + integers(width) - span
+            if x < 0:
+                x = 0
+            elif x > xmax:
+                x = xmax
+            if y < 0:
+                y = 0
+            elif y > ymax:
+                y = ymax
+            dst = y * cols + x
+            if (x == sx and y == sy) or forb[dst]:
+                continue
+            other = occ[dst]
+            if other == _PINNED:
+                continue
+            if other == _FREE:
+                affected = cell_nets[ci]
             else:
-                temperature *= 0.8
+                affected = cell_nets[ci] | cell_nets[other]
+            # tentative move (occupancy is only written on accept)
+            tx[ci] = x
+            ty[ci] = y
+            if other != _FREE:
+                tx[other] = sx
+                ty[other] = sy
+            delta = 0
+            new_costs = []
+            for k in affected:
+                # plain compares: ~4x faster than max()/min() on
+                # the 2-6 terminal nets of a LUT netlist
+                ids = live[k]
+                t = ids[0]
+                x0 = x1 = tx[t]
+                y0 = y1 = ty[t]
+                for t in ids:
+                    v = tx[t]
+                    if v < x0:
+                        x0 = v
+                    elif v > x1:
+                        x1 = v
+                    v = ty[t]
+                    if v < y0:
+                        y0 = v
+                    elif v > y1:
+                        y1 = v
+                nc = x1 - x0 + y1 - y0
+                new_costs.append(nc)
+                delta += nc - net_cost[k]
+            if delta <= 0 or random() < exp(-delta / temperature):
+                accepted += 1
+                occ[dst] = ci
+                occ[sy * cols + sx] = other
+                for k, nc in zip(affected, new_costs):
+                    net_cost[k] = nc
+            else:  # revert
+                tx[ci] = sx
+                ty[ci] = sy
+                if other != _FREE:
+                    tx[other] = x
+                    ty[other] = y
+        total_accepted += accepted
+        ratio = accepted / max(1, moves_per_t)
+        if ratio > 0.96:
+            temperature *= 0.5
+        elif ratio > 0.8:
+            temperature *= 0.9
+        elif ratio > 0.15:
+            temperature *= 0.95
+        else:
+            temperature *= 0.8
 
-    _tcount("placer.rounds", rounds)
-    _tcount("placer.moves_proposed", rounds * moves_per_t)
-    _tcount("placer.moves_accepted", total_accepted)
-
-    for ci, name in enumerate(movable):
-        location[name] = Coord(tx[ci], ty[ci])
-    # refresh IO pads for final cell positions
-    ios = _assign_ios(netlist, params, location)
-    for name, (coord, _pad) in ios.items():
-        tx[term_id[name]] = coord.x
-        ty[term_id[name]] = coord.y
-    cost = float(sum(_hpwl(ids, tx, ty) for ids in net_ids))
-    return Placement(location, ios, cost)
+    st.occ[:] = occ
+    st.tx[:] = tx
+    st.ty[:] = ty
+    st.net_cost[:] = net_cost
+    return rounds, total_accepted
 
 
-def _assign_ios(
-    netlist: Netlist,
-    params: ArchParams,
-    location: dict[str, Coord],
-) -> dict[str, tuple[Coord, int]]:
-    """Assign each primary input/output to a perimeter pad near its logic.
-
-    An input's pad goes near the barycentre of the placed cells reading
-    its net, an output's near its driver.  Candidate distances come
-    from the grid's precomputed :class:`DistanceTables`: one vectorised
-    Manhattan evaluation per I/O cell, with exhausted tiles masked out.
-    ``argmin`` returns the first minimum in perimeter order — the same
-    tile the original tile-by-tile scan picked.
-    """
-    tables = distance_tables(params.cols, params.rows)
-    free = np.full(len(tables.perimeter), params.io_capacity, dtype=np.int64)
+def _io_links(netlist: Netlist) -> list[tuple[str, list[str]]]:
+    """Each primary input/output with the cells its pad goes near: an
+    input's readers, an output's driver."""
     readers: dict[str, list[str]] = {}
     for c in netlist.cells.values():
         for net in dict.fromkeys(c.inputs):
             readers.setdefault(net, []).append(c.name)
-    ios: dict[str, tuple[Coord, int]] = {}
-    io_cells = netlist.inputs() + netlist.outputs()
-    for cell in io_cells:
+    links = []
+    for cell in netlist.inputs() + netlist.outputs():
         if cell.kind is CellKind.INPUT:
             conn = readers.get(cell.output, [])
         else:
             drv = netlist.net_driver.get(cell.inputs[0])
             conn = [drv] if drv else []
+        links.append((cell.name, conn))
+    return links
+
+
+def _assign_ios(
+    links: list[tuple[str, list[str]]],
+    params: ArchParams,
+    location: dict[str, Coord],
+) -> dict[str, tuple[Coord, int]]:
+    """Assign each primary input/output to a perimeter pad near its logic.
+
+    A pad goes near the barycentre of the placed cells in its
+    :func:`_io_links` entry (the grid centre when none is placed), on
+    the nearest perimeter tile with a pad left; ties go to the first
+    tile in perimeter order.  The Manhattan distances from every
+    barycentre to every tile are one vectorised expression over the
+    grid's :class:`DistanceTables`, ranked once with a stable sort, so
+    the greedy pass, in I/O order, only skips exhausted tiles.
+    """
+    tables = distance_tables(params.cols, params.rows)
+    bx, by = [], []
+    for _name, conn in links:
         pts = [location[name] for name in conn if name in location]
         if pts:
-            bx = sum(p.x for p in pts) / len(pts)
-            by = sum(p.y for p in pts) / len(pts)
+            bx.append(sum(p.x for p in pts) / len(pts))
+            by.append(sum(p.y for p in pts) / len(pts))
         else:
-            bx, by = params.cols / 2, params.rows / 2
-        d = np.abs(tables.perim_x - bx) + np.abs(tables.perim_y - by)
-        d[free == 0] = np.inf
-        idx = int(np.argmin(d))
-        if free[idx] == 0:
+            bx.append(params.cols / 2)
+            by.append(params.rows / 2)
+    d = (np.abs(tables.perim_x - np.array(bx)[:, None])
+         + np.abs(tables.perim_y - np.array(by)[:, None]))
+    ranked = np.argsort(d, axis=1, kind="stable").tolist()
+    free = [params.io_capacity] * len(tables.perimeter)
+    ios: dict[str, tuple[Coord, int]] = {}
+    for (name, _conn), candidates in zip(links, ranked):
+        idx = next((i for i in candidates if free[i]), None)
+        if idx is None:
             raise PlacementError(
-                f"out of I/O pads for {cell.name!r} "
+                f"out of I/O pads for {name!r} "
                 f"(capacity {params.io_capacity}/perimeter tile)"
             )
-        pad = params.io_capacity - int(free[idx])
+        ios[name] = (tables.perimeter[idx], params.io_capacity - free[idx])
         free[idx] -= 1
-        ios[cell.name] = (tables.perimeter[idx], pad)
     return ios
 
 

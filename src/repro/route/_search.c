@@ -8,7 +8,7 @@
  * entries, is documented in pathfinder.py).  Stale pops are counted
  * like the Python kernel counts them.
  *
- * Build: gcc -O2 -shared -fPIC (see repro.utils.native).
+ * Build: gcc -O2 -shared -fPIC -lm (see repro.utils.native).
  */
 #include <stdint.h>
 #include <stdlib.h>

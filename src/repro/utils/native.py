@@ -2,7 +2,7 @@
 
 A kernel ships as C source package data, read through
 :mod:`importlib.resources`.  The first :meth:`NativeLibrary.function`
-call compiles it with ``gcc -O2 -shared -fPIC`` into a per-user cache
+call compiles it with ``gcc -O2 -shared -fPIC -lm`` into a per-user cache
 directory and loads it with :mod:`ctypes`; later processes find the
 file already built.  Nothing happens at import, so start-up time does
 not depend on the compiler.
@@ -40,7 +40,8 @@ from importlib import resources
 log = logging.getLogger(__name__)
 
 COMPILER = "gcc"
-FLAGS = ("-O2", "-shared", "-fPIC")
+#: Placed after the source, so that ``-lm`` records libm as a dependency.
+FLAGS = ("-O2", "-shared", "-fPIC", "-lm")
 #: Seconds one compile may take before the build counts as failed.
 BUILD_TIMEOUT_S = 120
 
@@ -159,7 +160,7 @@ def _build(compiler: str, code: bytes, directory: str, path: str) -> None:
         raise _Unavailable(f"cache {directory} not writable: {exc}") from exc
     try:
         proc = subprocess.run(
-            [compiler, *FLAGS, "-x", "c", "-", "-o", tmp], input=code,
+            [compiler, "-x", "c", "-", *FLAGS, "-o", tmp], input=code,
             capture_output=True, timeout=BUILD_TIMEOUT_S,
         )
         if proc.returncode != 0:

@@ -92,6 +92,7 @@ class RoutingResourceGraph:
         self.io_sink: dict[tuple[int, int, int], int] = {}
         self.chanx: dict[tuple[int, int, int], int] = {}  # (xpos, ychan, track)->node covering xpos
         self.chany: dict[tuple[int, int, int], int] = {}
+        self._n_switches: int | None = None
 
     # -- construction ----------------------------------------------------- #
     def add_node(self, node: RRGNode) -> int:
@@ -132,6 +133,21 @@ class RoutingResourceGraph:
         return sum(
             1 for edges in self.out_edges for (_, k) in edges if k is EdgeKind.PASS
         ) // 2
+
+    def n_switches(self) -> int:
+        """Programmable switches: undirected PASS/BUF pairs plus PIN
+        edges.  Counted on the first call, once the graph is built."""
+        if self._n_switches is None:
+            pairs: set[tuple[int, int]] = set()
+            pins = 0
+            for a, edges in enumerate(self.out_edges):
+                for b, kind in edges:
+                    if kind is EdgeKind.PASS or kind is EdgeKind.BUF:
+                        pairs.add((a, b) if a <= b else (b, a))
+                    elif kind is EdgeKind.PIN:
+                        pins += 1
+            self._n_switches = len(pairs) + pins
+        return self._n_switches
 
     def describe(self) -> str:
         kinds = {}

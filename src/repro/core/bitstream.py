@@ -31,6 +31,7 @@ from repro.netlist.dfg import MultiContextProgram
 from repro.netlist.netlist import CellKind
 from repro.place.placer import Placement
 from repro.route.pathfinder import RouteResult
+from repro.utils.bitops import mask as ones, popcount
 
 
 @dataclass
@@ -54,20 +55,24 @@ class SwitchPatternSet:
         return masks
 
     def census(self, include_unused: bool = True) -> dict[PatternClass, int]:
-        return classify_many(self.all_masks(include_unused), self.n_contexts)
+        census = classify_many(self.used.values(), self.n_contexts)
+        if include_unused:
+            census[PatternClass.CONSTANT] += self.n_total_switches - len(self.used)
+        return census
 
     def change_fraction(self) -> float:
         """Average fraction of switch bits differing between consecutive
         contexts (cyclic schedule) — the paper's ~5% statistic."""
         if self.n_total_switches == 0 or self.n_contexts == 1:
             return 0.0
-        diffs = 0
-        for mask in self.used.values():
-            for c in range(self.n_contexts):
-                prev = (c - 1) % self.n_contexts
-                if ((mask >> c) & 1) != ((mask >> prev) & 1):
-                    diffs += 1
-        return diffs / (self.n_total_switches * self.n_contexts)
+        n = self.n_contexts
+        full = ones(n)
+        # bit c of the rotated mask is bit c-1 (cyclically) of the mask
+        diffs = sum(
+            popcount(mask ^ (((mask << 1) | (mask >> (n - 1))) & full))
+            for mask in self.used.values()
+        )
+        return diffs / (self.n_total_switches * n)
 
 
 def _canonical_edge(a: int, b: int) -> tuple[int, int]:
@@ -85,20 +90,7 @@ def extract_switch_patterns(
         raise ConfigurationError(
             f"{len(routes)} routed contexts exceed n_contexts={n}"
         )
-    out = SwitchPatternSet(n_contexts=n)
-    # total programmable switches: undirected PASS/BUF pairs + PIN edges
-    seen: set[tuple[int, int]] = set()
-    total = 0
-    for a, edges in enumerate(g.out_edges):
-        for b, kind in edges:
-            if kind in (EdgeKind.PASS, EdgeKind.BUF):
-                key = _canonical_edge(a, b)
-                if key not in seen:
-                    seen.add(key)
-                    total += 1
-            elif kind is EdgeKind.PIN:
-                total += 1
-    out.n_total_switches = total
+    out = SwitchPatternSet(n_contexts=n, n_total_switches=g.n_switches())
 
     for c, rr in enumerate(routes):
         for net in rr.nets.values():
@@ -138,7 +130,11 @@ class LutPatternSet:
         return masks
 
     def census(self, include_unused: bool = True) -> dict[PatternClass, int]:
-        return classify_many(self.all_masks(include_unused), self.n_contexts)
+        census = classify_many(self.all_masks(False), self.n_contexts)
+        if include_unused:
+            unused_tiles = self.n_total_tiles - len(self.tiles)
+            census[PatternClass.CONSTANT] += unused_tiles * self.lut_bits_per_tile
+        return census
 
     def distinct_planes_per_tile(self) -> dict[Coord, int]:
         """Distinct configuration planes each used tile must store."""

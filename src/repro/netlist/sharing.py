@@ -6,6 +6,17 @@ each LUT cell gets a canonical signature — its truth table rewritten
 over the transitive primary-input support — so structurally different
 but functionally identical cones in different contexts still match.
 
+Truth tables are computed bit-parallel, as Python ints (the ABC style
+of Brayton & Mishchenko, CAV'10).  For a cell whose sorted support
+has ``k`` inputs, input ``j`` is the ``2**k``-bit *projection mask*
+whose bit ``w`` is bit ``j`` of ``w``; each LUT in the cone is a mux
+tree over its table bits selecting on its inputs' masks.  Bit ``w`` of
+the cell's result is then its output under input word ``w``, which is
+exactly the table the ``2**k`` enumeration builds.  The form is
+canonical because it depends only on the function and the sorted
+support: two cones computing the same function of the same inputs
+yield the same ``Signature``, whatever their structure.
+
 Outputs feed three consumers:
 
 - the multi-context mapper (pin shared cells to one LB → one plane),
@@ -16,11 +27,16 @@ Outputs feed three consumers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from repro.errors import MappingError
+from repro.errors import MappingError, SynthesisError
 from repro.netlist.logic import TruthTable
-from repro.netlist.netlist import CellKind, Netlist
+from repro.netlist.netlist import Cell, CellKind, Netlist
 from repro.netlist.dfg import MultiContextProgram
+
+
+#: Largest support a signature is computed over (a ``2**12``-bit table).
+MAX_SUPPORT = 12
 
 
 @dataclass(frozen=True)
@@ -34,63 +50,125 @@ class Signature:
         return f"{','.join(self.support)}:{self.bits:#x}"
 
 
-def cell_signature(netlist: Netlist, cell_name: str, max_support: int = 12) -> Signature | None:
+def cell_signature(
+    netlist: Netlist, cell_name: str, max_support: int = MAX_SUPPORT
+) -> Signature | None:
     """Signature of a LUT cell as a function of primary inputs.
 
     Returns None when the transitive support exceeds ``max_support``
-    (signature computation is exponential in support size) or crosses a
-    DFF boundary (state-dependent cones never share planes safely).
+    (the truth table has ``2**support`` bits) or crosses a DFF boundary
+    (state-dependent cones never share planes safely).
     """
     cell = netlist.cells[cell_name]
     if cell.kind is not CellKind.LUT:
         raise MappingError(f"{cell_name!r} is not a LUT cell")
+    return _signatures(netlist, [cell], max_support)[cell_name]
 
-    # transitive support over primary inputs
-    support: list[str] = []
-    seen: set[str] = set()
 
-    def collect(net: str) -> bool:
+def _signatures(
+    netlist: Netlist, cells: list[Cell], max_support: int
+) -> dict[str, Signature | None]:
+    """Signatures of ``cells`` (LUTs of ``netlist``), keyed by cell name.
+
+    Supports are memoised per net across all cells, so reconvergent
+    fan-in is walked once; truth tables are memoised per net within one
+    support, so cells over the same inputs share their cones' tables.
+    """
+    supports: dict[str, frozenset[str] | None] = {}
+    tables: dict[tuple[str, ...], dict[str, int]] = {}
+    out: dict[str, Signature | None] = {}
+    for cell in cells:
+        for driver in _cone(netlist, cell.output, supports):
+            supports[driver.output] = _support(driver, supports)
+        support = supports[cell.output]
+        if support is None or len(support) > max_support:
+            out[cell.name] = None
+            continue
+        names = tuple(sorted(support))
+        full, projections = _projections(len(names))
+        values = tables.get(names)
+        if values is None:
+            values = tables[names] = dict(zip(names, projections))
+        for driver in _cone(netlist, cell.output, values):
+            values[driver.output] = _lut_value(
+                driver.table.bits, [values[net] for net in driver.inputs], full
+            )
+        out[cell.name] = Signature(names, values[cell.output])
+    return out
+
+
+def _cone(netlist: Netlist, root: str, known: dict[str, object]) -> list[Cell]:
+    """Drivers of the nets in ``root``'s fan-in cone missing from
+    ``known``, fan-in first.  Only LUTs are walked through: a primary
+    input or a DFF ends its path."""
+    order: list[Cell] = []
+    finished: dict[str, bool] = {}  # net -> False while on the walk's path
+    stack: list[tuple[str, Cell | None]] = [(root, None)]
+    while stack:
+        net, driver = stack.pop()
+        if driver is not None:
+            finished[net] = True
+            order.append(driver)
+            continue
+        if net in known:
+            continue
+        state = finished.get(net)
+        if state is False:
+            raise SynthesisError(f"combinational cycle through net {net!r}")
+        if state:
+            continue
         driver = netlist.driver_cell(net)
-        if driver.kind is CellKind.INPUT:
-            if net not in seen:
-                seen.add(net)
-                support.append(net)
-            return True
-        if driver.kind is CellKind.DFF:
-            return False
-        for in_net in driver.inputs:
-            if not collect(in_net):
-                return False
-        return True
-
-    for net in cell.inputs:
-        if not collect(net):
-            return None
-    support.sort()
-    if len(support) > max_support:
-        return None
-
-    index = {name: j for j, name in enumerate(support)}
-    bits = 0
-    for word in range(1 << len(support)):
-        values = {name: (word >> index[name]) & 1 for name in support}
-        if _eval(netlist, cell.output, dict(values)):
-            bits |= 1 << word
-    return Signature(tuple(support), bits)
+        stack.append((net, driver))
+        if driver.kind is CellKind.LUT:
+            finished[net] = False
+            stack.extend((in_net, None) for in_net in reversed(driver.inputs))
+    return order
 
 
-def _eval(netlist: Netlist, net: str, values: dict[str, int]) -> int:
-    if net in values:
-        return values[net]
-    driver = netlist.driver_cell(net)
+def _support(
+    driver: Cell, supports: dict[str, frozenset[str] | None]
+) -> frozenset[str] | None:
+    """Primary-input support of ``driver``'s output; None past a DFF."""
     if driver.kind is CellKind.INPUT:
-        return values[net]
-    word = 0
-    for j, in_net in enumerate(driver.inputs):
-        word |= _eval(netlist, in_net, values) << j
-    v = driver.table.evaluate(word)
-    values[net] = v
-    return v
+        return frozenset((driver.output,))
+    if driver.kind is CellKind.DFF:
+        return None
+    support: frozenset[str] = frozenset()
+    for net in driver.inputs:
+        inner = supports[net]
+        if inner is None:
+            return None
+        support |= inner
+    return support
+
+
+@lru_cache(maxsize=32)
+def _projections(k: int) -> tuple[int, tuple[int, ...]]:
+    """All-ones mask and the ``k`` projection masks over ``2**k`` bits.
+
+    Bit ``w`` of projection ``j`` is bit ``j`` of ``w``: runs of
+    ``2**j`` zeros then ``2**j`` ones, repeated."""
+    full = (1 << (1 << k)) - 1
+    masks = []
+    for j in range(k):
+        run = 1 << j
+        # one set bit at the start of every 2*run-bit period
+        starts = full // ((1 << (2 * run)) - 1)
+        masks.append(starts * (((1 << run) - 1) << run))
+    return full, tuple(masks)
+
+
+def _lut_value(bits: int, inputs: list[int], full: int) -> int:
+    """A LUT's output truth table, given its inputs' truth tables: a mux
+    tree over the table bits, input ``j`` selecting at level ``j``."""
+    level = [full if (bits >> w) & 1 else 0 for w in range(1 << len(inputs))]
+    for sel in inputs:
+        low = full ^ sel
+        level = [
+            a if a == b else (a & low) | (b & sel)
+            for a, b in zip(level[::2], level[1::2])
+        ]
+    return level[0]
 
 
 @dataclass
@@ -139,8 +217,9 @@ def analyze_sharing(program: MultiContextProgram) -> SharingReport:
     for c, netlist in enumerate(program.contexts):
         luts = netlist.luts()
         per_context[c] = len(luts)
+        signatures = _signatures(netlist, luts, MAX_SUPPORT)
         for cell in luts:
-            sig = cell_signature(netlist, cell.name)
+            sig = signatures[cell.name]
             if sig is None:
                 unsignable += 1
                 continue

@@ -1,0 +1,71 @@
+"""Pattern censuses over used masks equal the census over every mask.
+
+``census()`` classifies only the used switches and LUT bits and books
+every unused one as CONSTANT; here it is checked against classifying
+the full ``all_masks`` list, and the switch count against a fresh walk
+of the object graph.
+"""
+
+import pytest
+
+from repro.analysis.experiments import map_program
+from repro.api.workloads import build_program
+from repro.arch.rrg import EdgeKind
+from repro.core.patterns import classify_many
+from repro.netlist.dfg import paper_example_program
+
+
+@pytest.fixture(scope="module", params=["paper_example", "adder8"])
+def mapped(request):
+    if request.param == "paper_example":
+        prog = paper_example_program()
+    else:
+        prog = build_program("adder", 8, 0.05, seed=1)
+    return map_program(prog, share_aware=True, seed=1, effort=0.3)
+
+
+@pytest.fixture(scope="module")
+def stats(mapped):
+    return mapped.stats()
+
+
+def _walked_switches(g) -> int:
+    pairs, pins = set(), 0
+    for a, edges in enumerate(g.out_edges):
+        for b, kind in edges:
+            if kind in (EdgeKind.PASS, EdgeKind.BUF):
+                pairs.add((min(a, b), max(a, b)))
+            elif kind is EdgeKind.PIN:
+                pins += 1
+    return len(pairs) + pins
+
+
+def _cyclic_change_fraction(switch) -> float:
+    n = switch.n_contexts
+    diffs = sum(
+        ((mask >> c) & 1) != ((mask >> ((c - 1) % n)) & 1)
+        for mask in switch.used.values() for c in range(n)
+    )
+    return diffs / (switch.n_total_switches * n)
+
+
+@pytest.mark.parametrize("include_unused", [True, False])
+def test_census_equals_classifying_all_masks(stats, include_unused):
+    for patterns in (stats.switch, stats.luts):
+        assert patterns.census(include_unused) == classify_many(
+            patterns.all_masks(include_unused), patterns.n_contexts
+        )
+
+
+def test_switch_count_matches_object_graph(mapped, stats):
+    assert stats.switch.n_total_switches == _walked_switches(mapped.rrg)
+    assert mapped.stats().switch.n_total_switches == _walked_switches(mapped.rrg)
+
+
+def test_fractions_unchanged(stats):
+    census = classify_many(
+        stats.switch.all_masks() + stats.luts.all_masks(), stats.switch.n_contexts
+    )
+    total = sum(census.values())
+    assert stats.class_fractions() == {k: v / total for k, v in census.items()}
+    assert stats.switch.change_fraction() == _cyclic_change_fraction(stats.switch)

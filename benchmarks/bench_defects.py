@@ -74,7 +74,7 @@ class TestSoftErrors:
     def test_upset_visibility(self, benchmark, suite):
         prog = suite["adder_mut"]
         mapped = map_program(prog, seed=3, effort=0.4)
-        device = MultiContextFPGA(mapped.params, build_graph=False)
+        device = MultiContextFPGA(mapped.params)
         device.configure_program(prog, mapped.placements, mapped.routes)
 
         report = benchmark.pedantic(

@@ -53,7 +53,7 @@ class TestFullFlow:
         """Configure a device and run the DPGA schedule on it."""
         prog = suite["crc_tp"]
         mapped = map_program(prog, share_aware=True, seed=3)
-        device = MultiContextFPGA(mapped.params, build_graph=False)
+        device = MultiContextFPGA(mapped.params)
         device.configure_program(prog, mapped.placements, mapped.routes)
         ex = MultiContextExecutor(prog, device=device)
         schedule = ContextSchedule.round_robin(prog.n_contexts, rounds=2)

@@ -79,8 +79,7 @@ def step3_map_program() -> MultiContextFPGA:
           f"LUTs per context: {[len(nl.luts()) for nl in program.contexts]}")
     print(f"route reuse across contexts: {mapped.reuse_fraction():.0%}")
 
-    device = MultiContextFPGA(mapped.params, build_graph=False)
-    device.rrg = mapped.rrg
+    device = MultiContextFPGA(mapped.params, rrg=mapped.rrg)
     device.configure_program(program, mapped.placements, mapped.routes)
     for ctx in range(program.n_contexts):
         device.verify_against_source(ctx, n_vectors=16)

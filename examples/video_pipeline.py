@@ -71,8 +71,7 @@ def main() -> None:
     ))
 
     # execute on the behavioral device
-    device = MultiContextFPGA(mapped.params, build_graph=False)
-    device.rrg = mapped.rrg
+    device = MultiContextFPGA(mapped.params, rrg=mapped.rrg)
     device.configure_program(program, mapped.placements, mapped.routes)
 
     executor = MultiContextExecutor(program, device=device)

@@ -44,12 +44,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from collections.abc import Sequence
 
-from repro.arch.compiled import (
-    CompiledRRG,
-    compile_rrg,
-    compiled_rrg_for,
-    flat_rrg_for,
-)
+from repro.arch.compiled import CompiledRRG, compile_rrg, compiled_rrg_for
 from repro.arch.params import ArchParams
 from repro.arch.rrg import RoutingResourceGraph
 from repro.place.placer import place_program
@@ -65,9 +60,9 @@ def _process_map_job(
     """Top-level worker for the process backend (must be picklable).
 
     Returns ``(params, placements, routes)`` — deliberately *not* the
-    :class:`MappedProgram`, so the worker never ships its RRG object
-    graph back over the pipe; the parent re-binds the (small) mapping
-    artifacts to its own cached substrate.
+    :class:`MappedProgram`, so the worker never ships its substrate back
+    over the pipe; the parent re-binds the (small) mapping artifacts to
+    its own cached substrate.
     """
     from repro.analysis.experiments import _fit_params
 
@@ -91,17 +86,6 @@ class MappingEngine:
     def compiled(self, params: ArchParams) -> CompiledRRG:
         """The (cached) compiled routing substrate for ``params``."""
         return compiled_rrg_for(params)
-
-    def flat(self, params: ArchParams) -> CompiledRRG:
-        """The (cached) route-only substrate for ``params``.
-
-        Source-stripped flat arrays: enough to place, route and time a
-        sweep point, at a fraction of the resident-object cost of the
-        full substrate (see :func:`repro.arch.compiled.flat_rrg_for`).
-        Not usable for statistics extraction or verification — those
-        flows go through :meth:`compiled`.
-        """
-        return flat_rrg_for(params)
 
     # -- single job --------------------------------------------------------- #
     def map(
@@ -139,7 +123,7 @@ class MappingEngine:
             share_aware=share_aware, workers=route_workers,
         )
         return MappedProgram(
-            program, params, placements, routes, compiled.source, share_aware
+            program, params, placements, routes, compiled, share_aware
         )
 
     # -- batch -------------------------------------------------------------- #
@@ -255,8 +239,8 @@ class MappingEngine:
                 fitted, placements, routes = fut.result()
                 compiled = self.compiled(fitted)
                 yield MappedProgram(
-                    program, fitted, placements, routes,
-                    compiled.source, share_aware,
+                    program, fitted, placements, routes, compiled,
+                    share_aware,
                 )
         finally:
             # don't block an abandoned generator on the rest of the batch

@@ -39,13 +39,17 @@ from repro.route.pathfinder import RouteResult
 
 @dataclass
 class MappedProgram:
-    """A program fully mapped onto a device."""
+    """A program fully mapped onto a device.
+
+    ``rrg`` is the flat substrate the program was routed on; statistics
+    extraction and verification read it, never an object graph.
+    """
 
     program: MultiContextProgram
     params: ArchParams
     placements: list[Placement]
     routes: list[RouteResult]
-    rrg: RoutingResourceGraph
+    rrg: CompiledRRG
     share_aware: bool
 
     def stats(self) -> BitstreamStats:
@@ -138,8 +142,7 @@ def verify_mapped(mapped: MappedProgram, seed: int = 0, n_vectors: int = 16) -> 
     otherwise.  Shared by :func:`run_full_flow` and the CLI flows so
     verification policy lives in one place.
     """
-    device = MultiContextFPGA(mapped.params, build_graph=False)
-    device.rrg = mapped.rrg
+    device = MultiContextFPGA(mapped.params, rrg=mapped.rrg)
     device.configure_program(mapped.program, mapped.placements, mapped.routes)
     for c in range(mapped.program.n_contexts):
         device.verify_against_source(c, n_vectors=n_vectors, seed=seed)

@@ -218,11 +218,9 @@ def evaluate_point(
     """Evaluate one sweep point on the compiled engine.
 
     Places (unless a cached ``placement`` is supplied), routes over the
-    cached *route-only* substrate for ``job.params`` (flat arrays, no
-    object graph resident — see
-    :func:`repro.arch.compiled.flat_rrg_for`; sweeping dozens of
-    configurations on full substrates spends more time in the garbage
-    collector than in the router), and extracts the structured outcome.
+    cached substrate for ``job.params`` (flat arrays, no object graph
+    resident — see :func:`repro.arch.compiled.compiled_rrg_for`), and
+    extracts the structured outcome.
     An unroutable point is a *result* (``routed=False``), not an error.
     An explicit ``c`` (e.g. a shared-memory attached substrate) skips
     the engine's build cache entirely; otherwise the lookup (and the
@@ -237,7 +235,7 @@ def evaluate_point(
                 from repro.analysis.engine import DEFAULT_ENGINE
                 engine = DEFAULT_ENGINE
             with tspan("point.substrate"):
-                c = engine.flat(job.params)
+                c = engine.compiled(job.params)
         if placement is None:
             with span("point.place"), tspan("point.place"):
                 placement = place(
@@ -282,7 +280,7 @@ def _evaluate_shipped_shared(item) -> SweepPoint:
     ``item`` is ``(job, placement, handle)`` — ``handle`` a
     :class:`~repro.arch.shared.SharedSubstrate` (attached zero-copy,
     cached per process) or ``None`` for params unique in the grid,
-    which fall back to the worker-side ``flat_rrg_for`` build.
+    which fall back to the worker-side ``compiled_rrg_for`` build.
     """
     job, placement, handle = item
     c = handle.attach_cached() if handle is not None else None
@@ -468,7 +466,7 @@ class SweepRunner:
             counts[job.params] = counts.get(job.params, 0) + 1
         store = self.store()
         handles = {
-            params: store.substrate_for(self.engine.flat(params))
+            params: store.substrate_for(self.engine.compiled(params))
             for params, n in counts.items() if n > 1
         }
         items = [

@@ -2,16 +2,15 @@
 
 :class:`~repro.arch.rrg.RoutingResourceGraph` is the *inspection*
 representation: dataclass nodes, per-node adjacency lists, name
-strings.  Statistics extraction, bitstream generation and functional
-verification read it, but it is a terrible shape for the router's
-inner loop, which touches every edge of the graph many times per
-iteration.  :class:`CompiledRRG` holds the same fabric as flat arrays,
-so the hot paths index plain Python lists and numpy buffers instead of
-chasing objects.  :func:`build_flat` emits those arrays directly from
-the device parameters — the object graph is never built on the way,
-and is optional: it rides along as :attr:`CompiledRRG.source` only on
-substrates that need it (:func:`compiled_rrg_for`), and it is the
-independent oracle the tests lower and compare the arrays against.
+strings.  It is a terrible shape for the router's inner loop, which
+touches every edge of the graph many times per iteration.
+:class:`CompiledRRG` holds the same fabric as flat arrays, so the hot
+paths index plain Python lists and numpy buffers instead of chasing
+objects.  :func:`build_flat` emits those arrays directly from the
+device parameters — the object graph is never built on the way.  The
+object graph is the independent oracle the tests lower and compare the
+arrays against; it rides along as :attr:`CompiledRRG.source` only on a
+substrate compiled from a graph a caller hands in (:func:`compile_rrg`).
 
 - **CSR adjacency** — ``edge_start[n] .. edge_start[n+1]`` indexes into
   ``edge_dst`` / ``edge_kind``.  Within each node's range, edges whose
@@ -34,12 +33,16 @@ independent oracle the tests lower and compare the arrays against.
 - **pin indexes** — the per-tile SOURCE/SINK lookup dicts (read-only
   after construction).
 
-Substrates are cached three ways: :func:`compile_rrg` memoises on a
-graph instance, :func:`compiled_rrg_for` (full substrates, object graph
-attached) and :func:`flat_rrg_for` (route-only, no object graph) are
-``lru_cache`` caches keyed by the *frozen*
-:class:`~repro.arch.params.ArchParams`, which is what lets a batch of
-mapping jobs or sweep points on the same device share one substrate.
+Substrates are cached two ways: :func:`compile_rrg` memoises on a
+graph instance a caller hands in, and one ``lru_cache`` keyed by the
+*frozen* :class:`~repro.arch.params.ArchParams` serves every other
+flow — mapping, statistics, verification, sweeps and yield campaigns —
+under two names, :func:`compiled_rrg_for` and :func:`flat_rrg_for`.
+That cache is what lets a batch of mapping jobs or sweep points on the
+same device share one substrate.  Nothing on it carries an object
+graph: statistics extraction looks edge kinds up with
+:meth:`CompiledRRG.edge_kinds` and counts switches with
+:meth:`CompiledRRG.n_switches`, both over the CSR arrays.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from repro.arch.rrg import (
     NodeKind,
     RoutingResourceGraph,
     _pin_wires,
-    build_rrg,
 )
 from repro.arch.wires import SegmentKind
 from repro.utils.telemetry import count as _tcount
@@ -102,10 +104,9 @@ class CompiledRRG:
 
     Built by :func:`build_flat` (or attached from shared memory by
     :meth:`SharedSubstrate.attach <repro.arch.shared.SharedSubstrate.attach>`),
-    both through :meth:`_from_arrays`.  On a full substrate the object
-    graph stays reachable as :attr:`source` — everything that is *not*
-    hot (stats extraction, verification, node names) keeps using the
-    object representation; route-only substrates have ``source=None``.
+    both through :meth:`_from_arrays`.  :attr:`source` is the object
+    graph a substrate was compiled from by :func:`compile_rrg`, used
+    only for node names; cached substrates have ``source=None``.
     """
 
     __slots__ = (
@@ -138,6 +139,8 @@ class CompiledRRG:
         "_wire_ids",
         "_switch_edge_ids",
         "_edge_src",
+        "_edge_keys",
+        "_n_switches",
         "_logic_tiles",
         "_wire_len",
         "_row_lists",
@@ -216,6 +219,8 @@ class CompiledRRG:
         c._wire_ids = None
         c._switch_edge_ids = None
         c._edge_src = None
+        c._edge_keys = None
+        c._n_switches = None
         c._logic_tiles = None
         c._wire_len = None
         c._row_lists = None
@@ -277,6 +282,39 @@ class CompiledRRG:
                 np.arange(self.n_nodes, dtype=np.int64), np.diff(starts)
             )
         return self._edge_src
+
+    # -- switch lookups (bitstream statistics) ----------------------------- #
+    def edge_kinds(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Kind index (into :data:`EDGE_KINDS`) of each edge
+        ``src[i] -> dst[i]``, or -1 where the fabric has no such edge.
+
+        Binary search over the sorted ``src * n_nodes + dst`` keys,
+        built once per substrate and cached.  The sort is stable, so a
+        repeated edge answers with its first copy in CSR order, which
+        is the first copy in the object graph's ``out_edges``.
+        """
+        if self._edge_keys is None:
+            keys = self.edge_src_ids() * self.n_nodes + self.edge_dst
+            order = np.argsort(keys, kind="stable")
+            kinds = np.asarray(self.edge_kind, dtype=np.int8)
+            self._edge_keys = (keys[order], kinds[order])
+        keys, kinds = self._edge_keys
+        want = np.asarray(src, dtype=np.int64) * self.n_nodes + dst
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(keys[pos] == want, kinds[pos], -1)
+
+    def n_switches(self) -> int:
+        """Programmable switches: undirected PASS/BUF pairs plus PIN
+        edges, counted once per substrate and cached."""
+        if self._n_switches is None:
+            kinds = np.asarray(self.edge_kind, dtype=np.int8)
+            pair = (kinds == _PASS) | (kinds == _BUF)
+            a = self.edge_src_ids()[pair]
+            b = self.edge_dst[pair].astype(np.int64)
+            keys = np.minimum(a, b) * self.n_nodes + np.maximum(a, b)
+            self._n_switches = (int(np.unique(keys).size)
+                                + int(np.count_nonzero(kinds == _PIN)))
+        return self._n_switches
 
     def logic_tiles(self) -> tuple[tuple[int, int], ...]:
         """Tile coordinates hosting a logic block, cached.
@@ -523,7 +561,7 @@ def build_flat(params: ArchParams) -> CompiledRRG:
 
     n = len(kind)
     # int32/int8 copies, and the lists dropped at once, keep the build's
-    # transient peak small beside a resident object graph
+    # transient peak small
     src_np = np.array(src, dtype=np.int32)
     dst_np = np.array(dst, dtype=np.int32)
     ekind_np = np.array(ekind, dtype=np.int8)
@@ -593,68 +631,50 @@ def _build_lock_for(params: ArchParams) -> threading.Lock:
     return _BUILD_LOCKS[hash(params) % len(_BUILD_LOCKS)]
 
 
-@lru_cache(maxsize=16)
-def _compiled_rrg_cached(params: ArchParams) -> CompiledRRG:
-    _tcount("substrate.builds")
-    return compile_rrg(build_rrg(params))
-
-
-def compiled_rrg_for(params: ArchParams) -> CompiledRRG:
-    """Build cache of full substrates, keyed by the frozen ``ArchParams``.
-
-    A full substrate is the flat arrays plus the object graph
-    (:attr:`CompiledRRG.source`), which statistics extraction and
-    functional verification read.  Two mapping jobs on the same device
-    parameters share one substrate — including concurrent jobs, which
-    single-flight through the build lock.  The cache holds the 16 most
-    recent device configurations, which comfortably covers a batch
-    sweep; use :func:`clear_rrg_cache` between memory-sensitive
-    experiments.
-    """
-    with _build_lock_for(params):
-        return _compiled_rrg_cached(params)
-
-
-compiled_rrg_for.cache_info = _compiled_rrg_cached.cache_info
-compiled_rrg_for.cache_clear = _compiled_rrg_cached.cache_clear
-
-
 @lru_cache(maxsize=32)
-def _flat_rrg_cached(params: ArchParams) -> CompiledRRG:
+def _substrate_cached(params: ArchParams) -> CompiledRRG:
     _tcount("substrate.builds")
     return build_flat(params)
 
 
-def flat_rrg_for(params: ArchParams) -> CompiledRRG:
-    """Route-only substrate cache: flat arrays, no object graph.
+def compiled_rrg_for(params: ArchParams) -> CompiledRRG:
+    """The substrate cache, keyed by the frozen ``ArchParams``.
 
-    Sweep grids touch many device configurations but only ever route
-    and time them — they never extract bitstream statistics or run
-    functional verification, which are the only consumers of the
-    object graph.  So the arrays are emitted straight from ``params``
-    (:func:`build_flat`) and no object graph is ever built: the build
-    is several times faster, and the resident object count (and thus
-    every gen-2 GC pass) stays small even with dozens of
-    configurations cached.
-
-    Distinct from :func:`compiled_rrg_for` on purpose: a substrate
-    cached here cannot serve :meth:`MappedProgram.stats` or
-    verification, so mapping flows keep their own full cache.
-    Concurrent misses single-flight through the striped build lock.
+    Every flow on a device — mapping, statistics extraction,
+    verification, sweeps, yield campaigns — shares one substrate per
+    device parameters, including concurrent jobs, which single-flight
+    through the build lock.  The cache holds the 32 most recent device
+    configurations, which comfortably covers a batch sweep; use
+    :func:`clear_rrg_cache` between memory-sensitive experiments.
     """
     with _build_lock_for(params):
-        return _flat_rrg_cached(params)
+        return _substrate_cached(params)
 
 
-flat_rrg_for.cache_info = _flat_rrg_cached.cache_info
-flat_rrg_for.cache_clear = _flat_rrg_cached.cache_clear
+compiled_rrg_for.cache_info = _substrate_cached.cache_info
+compiled_rrg_for.cache_clear = _substrate_cached.cache_clear
+
+
+def flat_rrg_for(params: ArchParams) -> CompiledRRG:
+    """The same cache as :func:`compiled_rrg_for`, under the name the
+    route-only flows (sweeps, yield campaigns) call.
+
+    A separate function, not an alias, so that instrumentation which
+    wraps each name by identity (``perfbench/tracer.py``) sees both
+    call sites.
+    """
+    with _build_lock_for(params):
+        return _substrate_cached(params)
+
+
+flat_rrg_for.cache_info = _substrate_cached.cache_info
+flat_rrg_for.cache_clear = _substrate_cached.cache_clear
 
 
 def clear_rrg_cache() -> None:
-    """Drop all cached compiled graphs and their pooled router scratch
+    """Drop all cached substrates and their pooled router scratch
     buffers (mainly for tests / memory)."""
-    compiled_rrg_for.cache_clear()
-    flat_rrg_for.cache_clear()
+    _substrate_cached.cache_clear()
     from repro.route.pathfinder import SCRATCH_POOL
 
     SCRATCH_POOL.clear()

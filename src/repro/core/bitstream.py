@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.arch.compiled import EDGE_KIND_INDEX, CompiledRRG, compile_rrg
 from repro.arch.geometry import Coord
 from repro.arch.params import ArchParams
 from repro.arch.rrg import EdgeKind, RoutingResourceGraph
@@ -75,38 +76,46 @@ class SwitchPatternSet:
         return diffs / (self.n_total_switches * n)
 
 
-def _canonical_edge(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a <= b else (b, a)
+_PASS, _BUF, _PIN = (
+    EDGE_KIND_INDEX[k] for k in (EdgeKind.PASS, EdgeKind.BUF, EdgeKind.PIN)
+)
 
 
 def extract_switch_patterns(
-    g: RoutingResourceGraph,
+    g: CompiledRRG | RoutingResourceGraph,
     routes: list[RouteResult],
     n_contexts: int | None = None,
 ) -> SwitchPatternSet:
-    """Per-switch context patterns from one routing per context."""
+    """Per-switch context patterns from one routing per context.
+
+    Edge kinds come from the substrate's CSR arrays
+    (:meth:`CompiledRRG.edge_kinds`, one lookup per context); an object
+    graph is lowered once by :func:`~repro.arch.compiled.compile_rrg`.
+    """
+    c = g if isinstance(g, CompiledRRG) else compile_rrg(g)
     n = n_contexts if n_contexts is not None else len(routes)
     if len(routes) > n:
         raise ConfigurationError(
             f"{len(routes)} routed contexts exceed n_contexts={n}"
         )
-    out = SwitchPatternSet(n_contexts=n, n_total_switches=g.n_switches())
-
-    for c, rr in enumerate(routes):
-        for net in rr.nets.values():
-            for a, b in net.edges:
-                kind = None
-                for nxt, k in g.out_edges[a]:
-                    if nxt == b:
-                        kind = k
-                        break
-                if kind in (EdgeKind.PASS, EdgeKind.BUF):
-                    key = _canonical_edge(a, b)
-                elif kind is EdgeKind.PIN:
-                    key = (a, b)
-                else:
-                    continue
-                out.used[key] = out.used.get(key, 0) | (1 << c)
+    out = SwitchPatternSet(n_contexts=n, n_total_switches=c.n_switches())
+    used = out.used
+    for ctx, rr in enumerate(routes):
+        edges = [e for net in rr.nets.values() for e in net.edges]
+        if not edges:
+            continue
+        ends = np.array(edges, dtype=np.int64)
+        bit = 1 << ctx
+        for (a, b), kind in zip(
+            edges, c.edge_kinds(ends[:, 0], ends[:, 1]).tolist()
+        ):
+            if kind == _PASS or kind == _BUF:
+                key = (a, b) if a <= b else (b, a)
+            elif kind == _PIN:
+                key = (a, b)
+            else:
+                continue
+            used[key] = used.get(key, 0) | bit
     return out
 
 
@@ -224,7 +233,7 @@ class BitstreamStats:
 
 
 def extract_bitstream_stats(
-    g: RoutingResourceGraph,
+    g: CompiledRRG | RoutingResourceGraph,
     program: MultiContextProgram,
     placements: list[Placement],
     routes: list[RouteResult],

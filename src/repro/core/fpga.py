@@ -6,13 +6,18 @@ single-cycle context switching.  A configured device can
 
 - evaluate any context like hardware would (LUT lookups over routed
   connectivity — *not* by re-running the source netlist, so bitstream
-  and routing bugs are caught),
+  and routing bugs are caught), one vector at a time
+  (:meth:`MultiContextFPGA.evaluate`) or a whole stimulus batch at once
+  (:meth:`MultiContextFPGA.evaluate_batch`, one topological walk whose
+  every LUT reads its tile's stored plane for all vectors together —
+  what :meth:`MultiContextFPGA.verify_against_source` runs),
 - switch contexts and report how many configuration bits flip,
 - report the measured pattern statistics and feed the area model.
 
 The configuration source is a mapped program: one placement + routing
 per context (see :mod:`repro.analysis.experiments` for the one-call
-flow).
+flow), on the flat routing substrate it was routed on; the device
+never builds an object graph.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.arch.compiled import CompiledRRG
 from repro.arch.geometry import Coord
 from repro.arch.params import ArchParams
-from repro.arch.rrg import RoutingResourceGraph, build_rrg
 from repro.core.bitstream import BitstreamStats, extract_bitstream_stats
 from repro.core.logic_block import AdaptiveLogicBlock, SizeControl
 from repro.core.mcmg_lut import MCMGGeometry
@@ -48,7 +53,9 @@ class ConfiguredContext:
 class MultiContextFPGA:
     """A behavioral MC-FPGA instance."""
 
-    def __init__(self, params: ArchParams, build_graph: bool = True) -> None:
+    def __init__(self, params: ArchParams, rrg: CompiledRRG | None = None) -> None:
+        """``rrg`` is the routing substrate the program was routed on;
+        only :meth:`bitstream_stats` reads it."""
         self.params = params
         self.geometry: MCMGGeometry = params.lut_geometry()
         control = (
@@ -61,7 +68,7 @@ class MultiContextFPGA:
                 self.logic_blocks[c] = AdaptiveLogicBlock(
                     self.geometry, control, name=f"LB{c}"
                 )
-        self.rrg: RoutingResourceGraph | None = build_rrg(params) if build_graph else None
+        self.rrg = rrg
         self.contexts: dict[int, ConfiguredContext] = {}
         self.active_context = 0
         self._program: MultiContextProgram | None = None
@@ -106,18 +113,19 @@ class MultiContextFPGA:
                     cell.table.to_array(),
                     cell.table.n_inputs,
                 )
-            # connectivity: net -> driver + sinks, resolved to tiles
+            # connectivity: net -> driver + sinks (cell order, then
+            # slot order), gathered in one pass over the input pins
+            sinks_of: dict[str, list] = {}
+            for s in netlist.cells.values():
+                for slot, in_net in enumerate(s.inputs):
+                    sinks_of.setdefault(in_net, []).append(
+                        (s.name, s.kind.value, slot)
+                    )
             for net, driver_name in netlist.net_driver.items():
-                driver = netlist.cells[driver_name]
-                sinks = []
-                for s in netlist.cells.values():
-                    for slot, in_net in enumerate(s.inputs):
-                        if in_net == net:
-                            sinks.append((s.name, s.kind.value, slot))
                 ctx.connectivity[net] = {
                     "driver": driver_name,
-                    "driver_kind": driver.kind.value,
-                    "sinks": sinks,
+                    "driver_kind": netlist.cells[driver_name].kind.value,
+                    "sinks": sinks_of.get(net, []),
                 }
             self.contexts[c] = ctx
 
@@ -187,22 +195,77 @@ class MultiContextFPGA:
             c.name: values[c.inputs[0]] for c in netlist.outputs()
         }
 
+    def evaluate_batch(
+        self, ctx: int, stimulus: dict[str, np.ndarray]
+    ) -> dict[str, np.ndarray]:
+        """:meth:`evaluate` over arrays of stimuli, one walk for all.
+
+        Each input maps to a 0/1 array; all arrays share a length (an
+        input-less context evaluates once, to length-1 arrays, as
+        :meth:`Netlist.evaluate_batch
+        <repro.netlist.netlist.Netlist.evaluate_batch>` does).  Like
+        :meth:`evaluate`, every LUT reads its tile's *stored plane*,
+        never the cell's truth table.
+        """
+        if ctx not in self.contexts:
+            raise SimulationError(f"context {ctx} is not configured")
+        if self._program is None:
+            raise SimulationError("device is not configured")
+        netlist = self._program.contexts[ctx]
+        placement = self._placements[ctx]
+        values: dict[str, np.ndarray] = {}
+        length = None
+        for cell in netlist.inputs():
+            arr = stimulus.get(cell.output, stimulus.get(cell.name))
+            if arr is None:
+                raise SimulationError(f"missing value for input {cell.name!r}")
+            values[cell.output] = arr = np.asarray(arr, dtype=np.int64)
+            if length is None:
+                length = arr.size
+            elif arr.size != length:
+                raise SimulationError("stimulus arrays must share a length")
+        length = 1 if length is None else length
+        for cell in netlist.dffs():
+            values[cell.output] = np.zeros(length, dtype=np.int64)
+        for name in netlist.topo_order():
+            cell = netlist.cells[name]
+            if cell.kind is not CellKind.LUT:
+                continue
+            word = np.zeros(length, dtype=np.int64)
+            for j, net in enumerate(cell.inputs):
+                word |= values[net] << j
+            lut = self.logic_blocks[placement.cells[cell.name]].lut
+            values[cell.output] = lut.evaluate_vector(ctx, word).astype(np.int64)
+        return {c.name: values[c.inputs[0]] for c in netlist.outputs()}
+
     def verify_against_source(self, ctx: int, n_vectors: int = 32, seed: int = 0) -> None:
-        """Random-vector equivalence: fabric evaluation vs source netlist."""
+        """Random-vector equivalence: fabric evaluation vs source netlist.
+
+        All ``n_vectors`` vectors are drawn in one call (the same values,
+        and the same generator state after, as one scalar draw per input
+        per vector) and run through both sides batched; a mismatch is
+        reported on the first bad vector, re-evaluated one at a time.
+        """
         if self._program is None:
             raise SimulationError("device is not configured")
         rng = np.random.default_rng(seed)
         netlist = self._program.contexts[ctx]
         in_names = [c.name for c in netlist.inputs()]
-        for _ in range(n_vectors):
-            vec = {n: int(rng.integers(2)) for n in in_names}
-            want = netlist.evaluate_outputs(vec)
-            got = self.evaluate(ctx, vec)
-            if want != got:
-                raise SimulationError(
-                    f"context {ctx} fabric mismatch on {vec}: "
-                    f"fabric={got} netlist={want}"
-                )
+        draws = rng.integers(2, size=(n_vectors, len(in_names)))
+        stimulus = {n: draws[:, i] for i, n in enumerate(in_names)}
+        want = netlist.evaluate_batch(stimulus)
+        got = self.evaluate_batch(ctx, stimulus)
+        bad = np.zeros(n_vectors, dtype=bool)
+        for c in netlist.outputs():
+            bad |= got[c.name] != want[c.inputs[0]]
+        if bad.any():
+            row = draws[int(np.argmax(bad))]
+            vec = {n: int(v) for n, v in zip(in_names, row)}
+            raise SimulationError(
+                f"context {ctx} fabric mismatch on {vec}: "
+                f"fabric={self.evaluate(ctx, vec)} "
+                f"netlist={netlist.evaluate_outputs(vec)}"
+            )
 
     # ------------------------------------------------------------------ #
     # analysis hooks

@@ -90,7 +90,7 @@ def load_configuration(
 
     params = ArchParams(**body["params"])
     if device is None:
-        device = MultiContextFPGA(params, build_graph=False)
+        device = MultiContextFPGA(params)
     elif device.params != params:
         raise ConfigurationError("device parameters do not match bitstream")
 

@@ -242,7 +242,9 @@ class Netlist:
         """Vectorized combinational evaluation over arrays of stimuli.
 
         Each input maps to a uint8 array; all arrays share a length.  DFFs
-        are held at 0 (combinational analysis only).
+        are held at 0 (combinational analysis only).  A netlist with no
+        primary inputs is evaluated once: its nets come back as length-1
+        arrays, which broadcast against a batch of any length.
         """
         arrays: dict[str, np.ndarray] = {}
         length = None
@@ -256,7 +258,8 @@ class Netlist:
             elif arr.size != length:
                 raise SynthesisError("stimulus arrays must share a length")
             arrays[c.output] = arr
-        assert length is not None
+        if length is None:
+            length = 1
         for c in self.dffs():
             arrays[c.output] = np.zeros(length, dtype=np.uint8)
         for name in self.topo_order():

@@ -46,18 +46,17 @@ class TestSingleJob:
         engine = MappingEngine()
         a = engine.map(prog, params, seed=1, effort=0.3)
         b = engine.map(prog, params, seed=2, effort=0.3)
-        assert a.rrg is b.rrg  # one legacy graph behind one compiled RRG
-        assert engine.compiled(params).source is a.rrg
+        assert a.rrg is b.rrg is engine.compiled(params)
 
     def test_explicit_object_graph_respected(self, prog, params):
         g = build_rrg(params)
         mapped = MappingEngine().map(prog, params, seed=1, effort=0.3, rrg=g)
-        assert mapped.rrg is g
+        assert mapped.rrg.source is g
 
     def test_explicit_compiled_graph_respected(self, prog, params):
         c = compiled_rrg_for(params)
         mapped = MappingEngine().map(prog, params, seed=1, effort=0.3, rrg=c)
-        assert mapped.rrg is c.source
+        assert mapped.rrg is c
 
     def test_auto_fit_params(self, prog):
         mapped = MappingEngine().map(prog, seed=1, effort=0.3)
@@ -138,7 +137,7 @@ class TestProcessBackend:
         assert [m.program.name for m in out] == [p.name for p in progs]
         # results are re-bound to the parent's cached substrate
         engine_view = MappingEngine().compiled(params)
-        assert all(m.rrg is engine_view.source for m in out)
+        assert all(m.rrg is engine_view for m in out)
 
     def test_auto_fit_params(self):
         out = MappingEngine().map_batch(

@@ -85,6 +85,6 @@ class TestVerifyDevice:
         base = tech_map(synthesize(["a", "b"], {"o": "a ^ b"}), k=4)
         prog = mutated_program(base, n_contexts=2, fraction=0.5, seed=2)
         mapped = map_program(prog, seed=1, effort=0.3)
-        device = MultiContextFPGA(mapped.params, build_graph=False)
+        device = MultiContextFPGA(mapped.params)
         device.configure_program(prog, mapped.placements, mapped.routes)
         assert verify_device(device, prog, n_vectors=16) == 32

@@ -126,11 +126,14 @@ class TestCaching:
 
 class TestFlatSubstrate:
     def test_flat_matches_full_arrays(self):
+        """Both cache names serve one graph-free substrate, whose arrays
+        equal those of a substrate compiled from an object graph."""
         from repro.arch.compiled import flat_rrg_for
 
         params = ArchParams(cols=4, rows=4, channel_width=6, io_capacity=2)
         flat = flat_rrg_for(params)
-        full = compiled_rrg_for(params)
+        assert flat is compiled_rrg_for(params)
+        full = compile_rrg(build_rrg(params))
         assert flat.source is None and full.source is not None
         assert flat.n_nodes == full.n_nodes
         for row in ("edge_start", "edge_mid", "edge_dst"):
@@ -154,8 +157,8 @@ class TestFlatSubstrate:
 
         params = ArchParams(cols=3, rows=3, channel_width=4)
         flat = flat_rrg_for(params)
-        full = compiled_rrg_for(params)
-        assert full.node_name(0) == full.source.nodes[0].name
+        g = build_rrg(params)
+        assert compile_rrg(g).node_name(0) == g.nodes[0].name
         assert "node 0" in flat.node_name(0)
 
     def test_flat_routes_and_times_like_full(self):
@@ -171,7 +174,7 @@ class TestFlatSubstrate:
         net = tech_map(ripple_adder(3), k=4)
         pl = place(net, params, seed=0, effort=0.2)
         flat = flat_rrg_for(params)
-        full = compiled_rrg_for(params)
+        full = compile_rrg(build_rrg(params))
         rr_flat = route_context_compiled(flat, net, pl)
         rr_full = route_context_compiled(full, net, pl)
         for name in rr_full.nets:

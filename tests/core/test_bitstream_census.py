@@ -2,15 +2,20 @@
 
 ``census()`` classifies only the used switches and LUT bits and books
 every unused one as CONSTANT; here it is checked against classifying
-the full ``all_masks`` list, and the switch count against a fresh walk
-of the object graph.
+the full ``all_masks`` list, and the switch count against a walk of a
+freshly built object graph.  The per-switch patterns, which are read
+off the CSR arrays, are checked against a walk of the object graph's
+``out_edges``.
 """
+
+from functools import lru_cache
 
 import pytest
 
 from repro.analysis.experiments import map_program
 from repro.api.workloads import build_program
-from repro.arch.rrg import EdgeKind
+from repro.arch.rrg import EdgeKind, build_rrg
+from repro.core.bitstream import extract_switch_patterns
 from repro.core.patterns import classify_many
 from repro.netlist.dfg import paper_example_program
 
@@ -58,8 +63,9 @@ def test_census_equals_classifying_all_masks(stats, include_unused):
 
 
 def test_switch_count_matches_object_graph(mapped, stats):
-    assert stats.switch.n_total_switches == _walked_switches(mapped.rrg)
-    assert mapped.stats().switch.n_total_switches == _walked_switches(mapped.rrg)
+    walked = _walked_switches(build_rrg(mapped.params))
+    assert stats.switch.n_total_switches == walked
+    assert mapped.stats().switch.n_total_switches == walked
 
 
 def test_fractions_unchanged(stats):
@@ -69,3 +75,43 @@ def test_fractions_unchanged(stats):
     total = sum(census.values())
     assert stats.class_fractions() == {k: v / total for k, v in census.items()}
     assert stats.switch.change_fraction() == _cyclic_change_fraction(stats.switch)
+
+
+@lru_cache(maxsize=None)
+def _object_graph(params):
+    return build_rrg(params)
+
+
+def _walked_patterns(g, routes) -> dict:
+    """Switch patterns by looking every routed edge up in ``out_edges``."""
+    used: dict = {}
+    for c, rr in enumerate(routes):
+        for net in rr.nets.values():
+            for a, b in net.edges:
+                kind = next((k for nxt, k in g.out_edges[a] if nxt == b), None)
+                if kind in (EdgeKind.PASS, EdgeKind.BUF):
+                    key = (a, b) if a <= b else (b, a)
+                elif kind is EdgeKind.PIN:
+                    key = (a, b)
+                else:
+                    continue
+                used[key] = used.get(key, 0) | (1 << c)
+    return used
+
+
+@pytest.mark.parametrize("share_aware", [True, False], ids=["share", "naive"])
+@pytest.mark.parametrize("contexts", [2, 8])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("workload", ["adder", "cmp", "random", "crc"])
+def test_csr_patterns_match_object_graph_walk(workload, seed, contexts,
+                                              share_aware):
+    prog = build_program(workload, contexts, 0.05, seed)
+    mapped = map_program(prog, share_aware=share_aware, seed=seed,
+                         effort=0.3)
+    g = _object_graph(mapped.params)
+    for patterns in (mapped.stats().switch,
+                     extract_switch_patterns(g, mapped.routes, contexts)):
+        assert list(patterns.used.items()) == list(
+            _walked_patterns(g, mapped.routes).items()
+        )
+        assert patterns.n_total_switches == _walked_switches(g)

@@ -71,7 +71,7 @@ class TestSoftErrors:
         )
         prog = mutated_program(base, n_contexts=2, fraction=0.3, seed=2)
         mapped = map_program(prog, seed=1, effort=0.3)
-        dev = MultiContextFPGA(mapped.params, build_graph=False)
+        dev = MultiContextFPGA(mapped.params)
         dev.configure_program(prog, mapped.placements, mapped.routes)
         return dev, prog
 
@@ -95,7 +95,7 @@ class TestSoftErrors:
     def test_unconfigured_rejected(self):
         from repro.arch.params import ArchParams
 
-        dev = MultiContextFPGA(ArchParams(cols=3, rows=3), build_graph=False)
+        dev = MultiContextFPGA(ArchParams(cols=3, rows=3))
         with pytest.raises(SimulationError):
             inject_soft_errors(dev)
 

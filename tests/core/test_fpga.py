@@ -30,7 +30,7 @@ class TestConfiguration:
         params = small_params()
         prog = make_program()
         placements = place_program(prog, params, seed=1, effort=0.3)
-        device = MultiContextFPGA(params, build_graph=False)
+        device = MultiContextFPGA(params)
         device.configure_program(prog, placements)
         for ctx in range(prog.n_contexts):
             device.verify_against_source(ctx, n_vectors=8)
@@ -38,18 +38,18 @@ class TestConfiguration:
     def test_too_many_contexts_rejected(self):
         params = small_params().with_(n_contexts=2)
         prog = make_program(n_contexts=4)
-        device = MultiContextFPGA(params, build_graph=False)
+        device = MultiContextFPGA(params)
         with pytest.raises(ConfigurationError):
             device.configure_program(prog, [None] * 4)
 
     def test_placement_count_mismatch(self):
-        device = MultiContextFPGA(small_params(), build_graph=False)
+        device = MultiContextFPGA(small_params())
         prog = make_program()
         with pytest.raises(ConfigurationError):
             device.configure_program(prog, [])
 
     def test_unconfigured_evaluate_rejected(self):
-        device = MultiContextFPGA(small_params(), build_graph=False)
+        device = MultiContextFPGA(small_params())
         with pytest.raises(SimulationError):
             device.evaluate(0, {})
 
@@ -59,7 +59,7 @@ class TestContextSwitching:
         params = small_params()
         prog = make_program()
         placements = place_program(prog, params, seed=1, effort=0.3)
-        device = MultiContextFPGA(params, build_graph=False)
+        device = MultiContextFPGA(params)
         device.configure_program(prog, placements)
         device.switch_context(0)
         flips = device.switch_context(1)
@@ -70,13 +70,13 @@ class TestContextSwitching:
         params = small_params()
         prog = make_program()
         placements = place_program(prog, params, seed=1, effort=0.3)
-        device = MultiContextFPGA(params, build_graph=False)
+        device = MultiContextFPGA(params)
         device.configure_program(prog, placements)
         device.switch_context(2)
         assert device.switch_context(2) == 0
 
     def test_out_of_range(self):
-        device = MultiContextFPGA(small_params(), build_graph=False)
+        device = MultiContextFPGA(small_params())
         with pytest.raises(ConfigurationError):
             device.switch_context(7)
 
@@ -86,7 +86,7 @@ class TestAnalysisHooks:
         params = small_params()
         prog = make_program()
         placements = place_program(prog, params, seed=1, effort=0.3)
-        device = MultiContextFPGA(params, build_graph=False)
+        device = MultiContextFPGA(params)
         device.configure_program(prog, placements)
         u = device.utilization()
         assert 0 < u["utilization"] <= 1.0
@@ -96,7 +96,7 @@ class TestAnalysisHooks:
         params = small_params()
         prog = paper_example_program()
         placements = place_program(prog, params, seed=1, effort=0.3)
-        device = MultiContextFPGA(params, build_graph=False)
+        device = MultiContextFPGA(params)
         device.configure_program(prog, placements)
         hist = device.distinct_planes_histogram()
         assert sum(hist.values()) == params.n_tiles
@@ -108,7 +108,7 @@ class TestAnalysisHooks:
         prog = paper_example_program()
         placements = place_program(prog, params, seed=1, share_aware=True,
                                    effort=0.3)
-        device = MultiContextFPGA(params, build_graph=False)
+        device = MultiContextFPGA(params)
         device.configure_program(prog, placements)
         # locate O2 in context 0 and 1: same tile
         o2_0 = placements[0].cells["O2"]
@@ -120,6 +120,6 @@ class TestAnalysisHooks:
         assert (t0 == t1).all()
 
     def test_stats_requires_routes(self):
-        device = MultiContextFPGA(small_params(), build_graph=False)
+        device = MultiContextFPGA(small_params())
         with pytest.raises(SimulationError):
             device.bitstream_stats()

@@ -15,7 +15,7 @@ def eight_ctx():
     base = tech_map(synthesize(["a", "b", "c"], {"o": "(a ^ b) & c"}), k=4)
     prog = mutated_program(base, n_contexts=8, fraction=0.4, seed=9)
     mapped = map_program(prog, seed=2, effort=0.3)
-    device = MultiContextFPGA(mapped.params, build_graph=False)
+    device = MultiContextFPGA(mapped.params)
     device.configure_program(prog, mapped.placements, mapped.routes)
     return prog, mapped, device
 
@@ -49,7 +49,7 @@ class TestGranularityOnDevice:
         from repro.arch.params import ArchParams
 
         params = ArchParams(cols=2, rows=2, n_contexts=4, lut_inputs=4)
-        device = MultiContextFPGA(params, build_graph=False)
+        device = MultiContextFPGA(params)
         from repro.arch.geometry import Coord
 
         lb = device.logic_blocks[Coord(0, 0)]
@@ -63,7 +63,7 @@ class TestGranularityOnDevice:
         from repro.arch.params import ArchParams
 
         params = ArchParams(cols=3, rows=2, n_contexts=4)
-        device = MultiContextFPGA(params, build_graph=False)
+        device = MultiContextFPGA(params)
         hist = device.distinct_planes_histogram()
         assert sum(hist.values()) == 6
         assert hist.get(1) == 6  # untouched tiles hold one (zero) plane

@@ -24,7 +24,7 @@ def configured():
     )
     prog = mutated_program(base, n_contexts=2, fraction=0.3, seed=4)
     mapped = map_program(prog, seed=1, effort=0.3)
-    device = MultiContextFPGA(mapped.params, build_graph=False)
+    device = MultiContextFPGA(mapped.params)
     device.configure_program(prog, mapped.placements, mapped.routes)
     return device
 
@@ -72,15 +72,13 @@ class TestIntegrity:
         from repro.arch.params import ArchParams
 
         text = dump_configuration(configured)
-        other = MultiContextFPGA(
-            ArchParams(cols=3, rows=3, n_contexts=2), build_graph=False
-        )
+        other = MultiContextFPGA(ArchParams(cols=3, rows=3, n_contexts=2))
         with pytest.raises(ConfigurationError, match="parameters"):
             load_configuration(text, device=other)
 
     def test_empty_device_rejected(self):
         from repro.arch.params import ArchParams
 
-        device = MultiContextFPGA(ArchParams(cols=3, rows=3), build_graph=False)
+        device = MultiContextFPGA(ArchParams(cols=3, rows=3))
         with pytest.raises(ConfigurationError):
             dump_configuration(device)

@@ -97,7 +97,7 @@ class TestRoutedEquivalence:
             if prog.n_contexts > params.n_contexts:
                 continue
             for routes in (legacy, compiled):
-                device = MultiContextFPGA(params, build_graph=False)
+                device = MultiContextFPGA(params)
                 device.configure_program(prog, pls, routes)
                 for c in range(prog.n_contexts):
                     device.verify_against_source(c, n_vectors=8, seed=9)

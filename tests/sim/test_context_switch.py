@@ -57,7 +57,7 @@ class TestDeviceExecution:
     def configured(self):
         prog = paper_example_program()
         mapped = map_program(prog, share_aware=True, seed=2, effort=0.3)
-        device = MultiContextFPGA(mapped.params, build_graph=False)
+        device = MultiContextFPGA(mapped.params)
         device.configure_program(prog, mapped.placements, mapped.routes)
         return prog, device
 
@@ -80,6 +80,6 @@ class TestDeviceExecution:
     def test_unconfigured_device_rejected(self):
         from repro.arch.params import ArchParams
 
-        device = MultiContextFPGA(ArchParams(cols=3, rows=3), build_graph=False)
+        device = MultiContextFPGA(ArchParams(cols=3, rows=3))
         with pytest.raises(SimulationError):
             MultiContextExecutor(paper_example_program(), device=device)

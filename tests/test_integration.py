@@ -62,7 +62,7 @@ class TestMappingPipeline:
         )
         prog = mutated_program(base, n_contexts=2, fraction=0.3, seed=seed)
         mapped = map_program(prog, seed=seed % 7, effort=0.25)
-        device = MultiContextFPGA(mapped.params, build_graph=False)
+        device = MultiContextFPGA(mapped.params)
         device.configure_program(prog, mapped.placements, mapped.routes)
         verify_device(device, prog, n_vectors=8, seed=seed)
 
@@ -83,7 +83,7 @@ class TestMappingPipeline:
             usage: dict[int, str] = {}
             for net in rr.nets.values():
                 for node in net.nodes:
-                    kind = mapped.rrg.nodes[node].kind
+                    kind = mapped.rrg.kind_of(node)
                     if kind in (NodeKind.CHANX, NodeKind.CHANY):
                         assert node not in usage, (
                             f"wire shared by {usage[node]} and {net.name}"
@@ -98,7 +98,7 @@ class TestDeviceLifecycle:
         flat = tech_map(iscas_c17(), k=4)
         prog = temporal_partition(flat, n_contexts=2)
         mapped = map_program(prog, seed=2, effort=0.3)
-        device = MultiContextFPGA(mapped.params, build_graph=False)
+        device = MultiContextFPGA(mapped.params)
         device.configure_program(prog, mapped.placements, mapped.routes)
 
         # serialize + reload: plane contents identical
@@ -118,7 +118,7 @@ class TestDeviceLifecycle:
         base = tech_map(ripple_adder(2), k=4)
         prog = mutated_program(base, n_contexts=4, fraction=0.3, seed=5)
         mapped = map_program(prog, seed=1, effort=0.3)
-        device = MultiContextFPGA(mapped.params, build_graph=False)
+        device = MultiContextFPGA(mapped.params)
         device.configure_program(prog, mapped.placements, mapped.routes)
         total_bits = mapped.params.n_tiles * (1 << mapped.params.lut_inputs)
         for ctx in (1, 2, 3, 0):

@@ -7,7 +7,11 @@ touches every edge of the graph many times per iteration.
 :class:`CompiledRRG` holds the same fabric as flat arrays, so the hot
 paths index plain Python lists and numpy buffers instead of chasing
 objects.  :func:`build_flat` emits those arrays directly from the
-device parameters — the object graph is never built on the way.  The
+device parameters — the object graph is never built on the way.  Each
+node class (wires, logic-block pins, I/O pads) and each edge group
+(switch points, pins, I/O) is numpy index arithmetic over channels,
+tracks, tiles and pins; every source's edges come out in the object
+graph's order, so one stable sort by source forms the CSR rows.  The
 object graph is the independent oracle the tests lower and compare the
 arrays against; it rides along as :attr:`CompiledRRG.source` only on a
 substrate compiled from a graph a caller hands in (:func:`compile_rrg`).
@@ -47,18 +51,14 @@ graph: statistics extraction looks edge kinds up with
 
 from __future__ import annotations
 
+import math
 import threading
 from functools import lru_cache
 
 import numpy as np
 
 from repro.arch.params import ArchParams
-from repro.arch.rrg import (
-    EdgeKind,
-    NodeKind,
-    RoutingResourceGraph,
-    _pin_wires,
-)
+from repro.arch.rrg import EdgeKind, NodeKind, RoutingResourceGraph
 from repro.arch.wires import SegmentKind
 from repro.utils.telemetry import count as _tcount
 
@@ -382,214 +382,234 @@ class CompiledRRG:
         )
 
 
+#: Switch-point pairs among a track's four sides at an intersection
+#: (0 west, 1 east, 2 south, 3 north): ``(a, b)`` then ``(b, a)`` for
+#: each pair of sides ``a < b``, in lexicographic order.
+_PAIR_FROM = np.array([0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3], dtype=np.intp)
+_PAIR_TO = np.array([1, 0, 2, 0, 3, 0, 2, 1, 3, 1, 3, 2], dtype=np.intp)
+
+
+def _segments(double: np.ndarray, phase: np.ndarray, extent: int):
+    """Every track's segments along a channel of ``extent`` positions.
+
+    A single begins a segment at every position, a double at each
+    position of its phase and at 0 (a phase-1 double opens with a
+    length-1 stub).  Returns the ``(W, extent)`` begin and end masks,
+    each segment's start, end and length in node order (track-major),
+    and ``local[pos, t]``, the index of track ``t``'s segment covering
+    ``pos`` (one running count: every track begins at 0).
+    """
+    pos = np.arange(extent, dtype=np.int32)
+    begins = ~(double[:, None] & (pos > 0) & ((pos + phase[:, None]) % 2 == 1))
+    ends = np.ones_like(begins)
+    ends[:, :-1] = begins[:, 1:]
+    first = np.flatnonzero(begins).astype(np.int32)
+    last = np.flatnonzero(ends).astype(np.int32)
+    local = np.cumsum(begins.ravel(), dtype=np.int32).reshape(begins.shape).T
+    return (begins, ends, first % extent, last % extent, last - first + 1,
+            local - 1)
+
+
+def _fc_rows(fc: float, n_pins: int, n_wires: int) -> np.ndarray:
+    """``(n_pins, k)`` columns of a tile's sorted wire row that each pin
+    reaches: all of them at ``fc >= 1``, else ``ceil(fc * n_wires)``
+    consecutive ones from a pin-staggered start, wrapping around (the
+    standard Fc population pattern)."""
+    if fc >= 1.0:
+        return np.arange(n_wires, dtype=np.intp)[None, :].repeat(n_pins, 0)
+    k = max(1, math.ceil(fc * n_wires))
+    start = np.arange(n_pins, dtype=np.intp) * max(1, n_wires // k)
+    return (start[:, None] + np.arange(k, dtype=np.intp)) % n_wires
+
+
+def _fill(arrays, first: int, shape: tuple, values) -> int:
+    """Write each value, broadcast to ``shape``, over its array's run
+    from ``first``; returns the end of the run."""
+    end = first + math.prod(shape)
+    for a, v in zip(arrays, values):
+        a[first:end].reshape(shape)[...] = v
+    return end
+
+
+def _pin_dict(tiles: list, ids: np.ndarray) -> dict:
+    """``{(x, y, pin): node}`` from ``(x, y)`` tiles and their
+    ``(tiles, pins)`` node ids, tile by tile."""
+    pins = range(ids.shape[1])
+    return dict(zip([(x, y, i) for x, y in tiles for i in pins],
+                    ids.ravel().tolist()))
+
+
 def build_flat(params: ArchParams) -> CompiledRRG:
     """Emit the flat substrate for ``params`` straight as arrays.
 
-    Walks the fabric in :func:`~repro.arch.rrg.build_rrg`'s exact order
-    — CHANX and CHANY wires, switch points, logic pins per tile
-    (row-major), then perimeter I/O — appending plain ints: node
-    attributes, and one global ``(src, dst, kind)`` edge sequence in
-    the order ``build_rrg`` appends each node's out-edges.  One stable
-    sort on ``src * 2 + dst_is_sink`` then forms the CSR rows: per
-    node, non-SINK destinations first and SINK destinations after
-    ``edge_mid``, insertion order kept within each.  No node object,
-    name string or edge tuple is created; the object graph's lowering
-    is the test oracle for these arrays (``tests/arch``).
+    Node ids follow :func:`~repro.arch.rrg.build_rrg`: CHANX then CHANY
+    wires (channel, track, segment), logic-block pins per tile
+    (row-major), then perimeter I/O.  Each node class is one run of
+    index arithmetic over its channels, tiles and pins; a track's
+    segmentation has a closed form.  Each edge group — switch points,
+    logic-block pins and outputs, I/O — is one broadcast over
+    ``build_rrg``'s loop nest, flattened in that loop order, and the
+    groups with wire sources come first, in ``build_rrg``'s order.  So
+    every source's out-edges keep ``build_rrg``'s order, and a stable
+    sort by source forms the CSR rows.  Only IPINs drive SINKs, and
+    they drive nothing else, so ``edge_mid`` is a per-kind choice.  No
+    node object, name string or per-edge Python value is created; the
+    object graph's lowering is the test oracle for these arrays
+    (``tests/arch``).
     """
     cols, rows, width = params.cols, params.rows, params.channel_width
+    i32 = np.int32
     specs = params.track_specs()
-    kind: list[int] = []
-    length: list[int] = []
-    xlo: list[int] = []
-    xhi: list[int] = []
-    ylo: list[int] = []
-    yhi: list[int] = []
-    src: list[int] = []
-    dst: list[int] = []
-    ekind: list[int] = []
-
-    def nodes(kinds, lengths, x0, x1, y0, y1) -> int:
-        """Append a run of nodes; returns the id of the first."""
-        first = len(kind)
-        kind.extend(kinds)
-        length.extend(lengths)
-        xlo.extend(x0)
-        xhi.extend(x1)
-        ylo.extend(y0)
-        yhi.extend(y1)
-        return first
-
-    def segments(spec, extent: int):
-        """One track's segments along a channel: start, end and length
-        of each, and the segment covering each position."""
-        starts, ends, lengths, owner = [], [], [], []
-        pos = 0
-        while pos < extent:
-            n = 1
-            if (spec.kind is SegmentKind.DOUBLE
-                    and spec.starts_segment_at(pos) and pos + 1 < extent):
-                n = 2
-            owner += [len(starts)] * n
-            starts.append(pos)
-            ends.append(pos + n - 1)
-            lengths.append(n)
-            pos += n
-        return starts, ends, lengths, owner
+    double = np.array([s.kind is SegmentKind.DOUBLE for s in specs])
+    phase = np.array([s.phase for s in specs], dtype=i32)
+    track_edge = np.where(double, _BUF, _PASS).astype(np.int8)
 
     # channel wires.  A horizontal segment of channel y spans tile
     # columns start..end between tile rows y-1 and y (vertical: rows
-    # start..end between columns x-1 and x).  chanx[(y * cols + x) *
-    # width + t] is the segment of track t of horizontal channel y
-    # covering column x; chany[(x * rows + y) * width + t] likewise for
-    # vertical channel x (int-indexed lists: no key tuples for the
-    # collector to track)
-    chanx = [0] * ((rows + 1) * cols * width)
-    chany = [0] * ((cols + 1) * rows * width)
-    along_x = [segments(spec, cols) for spec in specs]
-    for ychan in range(rows + 1):
-        for t, (starts, ends, lengths, owner) in enumerate(along_x):
-            m = len(starts)
-            first = nodes([KIND_CHANX] * m, lengths, starts, ends,
-                          [ychan - 1] * m, [ychan] * m)
-            for x, j in enumerate(owner):
-                chanx[(ychan * cols + x) * width + t] = first + j
-    along_y = [segments(spec, rows) for spec in specs]
-    for xchan in range(cols + 1):
-        for t, (starts, ends, lengths, owner) in enumerate(along_y):
-            m = len(starts)
-            first = nodes([KIND_CHANY] * m, lengths, [xchan - 1] * m,
-                          [xchan] * m, starts, ends)
-            for y, j in enumerate(owner):
-                chany[(xchan * rows + y) * width + t] = first + j
+    # start..end between columns x-1 and x).  chanx[y, x, t] is the
+    # segment of track t of horizontal channel y covering column x;
+    # chany[x, y, t] likewise for vertical channel x
+    begins_x, ends_x, sx, ex, lx, local_x = _segments(double, phase, cols)
+    begins_y, ends_y, sy, ey, ly, local_y = _segments(double, phase, rows)
+    mx, my = len(sx), len(sy)
+    n_x = (rows + 1) * mx
+    chanx = (np.arange(rows + 1, dtype=i32) * i32(mx))[:, None, None] + local_x
+    chany = (np.arange(cols + 1, dtype=i32) * i32(my)
+             + i32(n_x))[:, None, None] + local_y
 
-    # switch points: every pair of segments ending or starting at an
-    # intersection, both directions (a double's interior is bypassed)
-    for xi in range(cols + 1):
-        for yi in range(rows + 1):
-            west = (yi * cols + xi - 1) * width
-            south = (xi * rows + yi - 1) * width
-            for spec in specs:
-                t = spec.index
-                incident: list[int] = []
-                if xi >= 1 and xhi[nid := chanx[west + t]] + 1 == xi:
-                    incident.append(nid)
-                if xi < cols and xlo[nid := chanx[west + width + t]] == xi:
-                    incident.append(nid)
-                if yi >= 1 and yhi[nid := chany[south + t]] + 1 == yi:
-                    incident.append(nid)
-                if yi < rows and ylo[nid := chany[south + width + t]] == yi:
-                    incident.append(nid)
-                k = _BUF if spec.kind is SegmentKind.DOUBLE else _PASS
-                for i, a in enumerate(incident):
-                    for b in incident[i + 1:]:
-                        src += (a, b)
-                        dst += (b, a)
-                        ekind += (k, k)
-
-    def tile_wires(x: int, y: int) -> list[int]:
-        """Every track of the four channels bordering tile (x, y)."""
-        below = (y * cols + x) * width
-        above = below + cols * width
-        left = (x * rows + y) * width
-        right = left + rows * width
-        return sorted({
-            *chanx[below:below + width], *chanx[above:above + width],
-            *chany[left:left + width], *chany[right:right + width],
-        })
-
-    # logic-block pins, tiles row-major: the IPINs, the SINKs, then an
-    # (OPIN, SOURCE) pair per output
+    # logic blocks: per tile, the IPINs, the SINKs, then an (OPIN,
+    # SOURCE) pair per output.  The 4W wires of the four channels
+    # bordering a tile are distinct, and their ids already ascend in
+    # the order below, above, left, right: each row of tile_wires is
+    # sorted
     geom = params.lut_geometry()
     n_in = geom.base_inputs + geom.max_extra_inputs
     n_out = params.lut_outputs
-    lb_kinds = ([KIND_IPIN] * n_in + [KIND_SINK] * n_in
-                + [KIND_OPIN, KIND_SOURCE] * n_out)
-    lb_ones = [1] * len(lb_kinds)
-    lb_source: dict[tuple[int, int, int], int] = {}
-    lb_sink: dict[tuple[int, int, int], int] = {}
-    adjacent: dict[tuple[int, int], list[int]] = {}
-    for y in range(rows):
-        ys = [y] * len(lb_kinds)
-        for x in range(cols):
-            wires = adjacent[x, y] = tile_wires(x, y)
-            xs = [x] * len(lb_kinds)
-            first = nodes(lb_kinds, lb_ones, xs, xs, ys, ys)
-            ipins = list(range(first, first + n_in))
-            for i, ipin in enumerate(ipins):
-                ws = _pin_wires(wires, i, params.fc_in)
-                src += ws
-                dst += [ipin] * len(ws)
-                ekind += [_PIN] * len(ws)
-            for i in range(n_in):
-                sink = lb_sink[x, y, i] = first + n_in + i
-                # input-pin equivalence: any IPIN can feed any input slot
-                src += ipins
-                dst += [sink] * n_in
-                ekind += [_INTERNAL] * n_in
-            for o in range(n_out):
-                opin = first + 2 * n_in + 2 * o
-                source = lb_source[x, y, o] = opin + 1
-                ws = _pin_wires(wires, o, params.fc_out)
-                src += (source, *[opin] * len(ws))
-                dst += (opin, *ws)
-                ekind += (_INTERNAL, *[_PIN] * len(ws))
+    lb_kinds = np.array([KIND_IPIN] * n_in + [KIND_SINK] * n_in
+                        + [KIND_OPIN, KIND_SOURCE] * n_out, dtype=np.int8)
+    n_tiles, per_lb = rows * cols, len(lb_kinds)
+    lb_first = n_x + (cols + 1) * my
+    first = np.arange(n_tiles, dtype=i32) * i32(per_lb) + i32(lb_first)
+    ipin = first[:, None] + np.arange(n_in, dtype=i32)
+    sink = ipin + i32(n_in)
+    opin = first[:, None] + (np.arange(n_out, dtype=i32) * i32(2)
+                             + i32(2 * n_in))
+    source = opin + i32(1)
+    tile_y, tile_x = np.divmod(np.arange(n_tiles, dtype=i32), i32(cols))
+    n_wires = 4 * width
+    tile_wires = np.concatenate(
+        (chanx[:-1], chanx[1:], chany[:-1].transpose(1, 0, 2),
+         chany[1:].transpose(1, 0, 2)), axis=2).reshape(n_tiles, n_wires)
 
     # perimeter I/O: a (SOURCE, OPIN, IPIN, SINK) run per pad, every pad
     # pin reaching every adjacent wire
     n_pads = params.io_capacity
-    io_kinds = [KIND_SOURCE, KIND_OPIN, KIND_IPIN, KIND_SINK] * n_pads
-    io_ones = [1] * len(io_kinds)
-    io_source: dict[tuple[int, int, int], int] = {}
-    io_sink: dict[tuple[int, int, int], int] = {}
-    for y in range(rows):
-        ys = [y] * len(io_kinds)
-        for x in range(cols):
-            if x not in (0, cols - 1) and y not in (0, rows - 1):
-                continue
-            wires = adjacent[x, y]
-            nw = len(wires)
-            pad_kinds = (_INTERNAL, *[_PIN] * (2 * nw), _INTERNAL)
-            xs = [x] * len(io_kinds)
-            first = nodes(io_kinds, io_ones, xs, xs, ys, ys)
-            for pad in range(n_pads):
-                source = io_source[x, y, pad] = first + 4 * pad
-                opin, ipin = source + 1, source + 2
-                sink = io_sink[x, y, pad] = source + 3
-                src += (source, *[opin] * nw, *wires, ipin)
-                dst += (opin, *wires, *[ipin] * nw, sink)
-                ekind += pad_kinds
+    perimeter = np.flatnonzero((tile_x == 0) | (tile_x == cols - 1)
+                               | (tile_y == 0) | (tile_y == rows - 1))
+    n_perim = len(perimeter)
+    io_first = lb_first + n_tiles * per_lb
+    io_source = (np.arange(n_perim * n_pads, dtype=i32) * i32(4)
+                 + i32(io_first)).reshape(n_perim, n_pads)
+    io_opin, io_ipin, io_sink = (io_source + i32(k) for k in (1, 2, 3))
+    io_wires = tile_wires[perimeter][:, None, :]
+    io_x, io_y = tile_x[perimeter][:, None], tile_y[perimeter][:, None]
+    io_kinds = np.array([KIND_SOURCE, KIND_OPIN, KIND_IPIN, KIND_SINK] * n_pads,
+                        dtype=np.int8)
 
-    n = len(kind)
-    # int32/int8 copies, and the lists dropped at once, keep the build's
-    # transient peak small
-    src_np = np.array(src, dtype=np.int32)
-    dst_np = np.array(dst, dtype=np.int32)
-    ekind_np = np.array(ekind, dtype=np.int8)
-    del src, dst, ekind
-    to_sink = np.array(kind, dtype=np.int8)[dst_np] == KIND_SINK
-    order = np.argsort(src_np * 2 + to_sink, kind="stable")
-    edge_start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src_np, minlength=n), out=edge_start[1:])
-    edge_mid = edge_start[:-1] + np.bincount(src_np[~to_sink], minlength=n)
-    cost = [1.0 + LENGTH_COST_FACTOR * (k - 1) for k in range(3)]
+    # node attributes, run by run: kind, length, xlo, xhi, ylo, yhi.
+    # Channel c lies between tile rows (columns) c-1 and c
+    n = io_first + 4 * n_perim * n_pads
+    kind = np.empty(n, dtype=np.int8)
+    length = np.empty(n, dtype=np.int8)
+    xlo, xhi, ylo, yhi = np.empty((4, n), dtype=i32)
+    attrs = (kind, length, xlo, xhi, ylo, yhi)
+    lo = np.arange(-1, max(rows, cols) + 1, dtype=i32)[:, None]
+    at = _fill(attrs, 0, (rows + 1, mx),
+               (KIND_CHANX, lx, sx, ex, lo[:rows + 1], lo[1:rows + 2]))
+    at = _fill(attrs, at, (cols + 1, my),
+               (KIND_CHANY, ly, lo[:cols + 1], lo[1:cols + 2], sy, ey))
+    tx, ty = tile_x[:, None], tile_y[:, None]
+    at = _fill(attrs, at, (n_tiles, per_lb), (lb_kinds, 1, tx, tx, ty, ty))
+    _fill(attrs, at, (n_perim, 4 * n_pads),
+          (io_kinds, 1, io_x, io_x, io_y, io_y))
+
+    # switch points: at intersection (xi, yi), track t's west, east,
+    # south and north segments that end or start there (a double's
+    # interior is bypassed), every pair of them both ways
+    side = np.zeros((cols + 1, rows + 1, width, 4), dtype=i32)
+    touch = np.zeros((cols + 1, rows + 1, width, 4), dtype=bool)
+    along_x = chanx.transpose(1, 0, 2)
+    side[1:, :, :, 0], touch[1:, :, :, 0] = along_x, ends_x.T[:, None]
+    side[:-1, :, :, 1], touch[:-1, :, :, 1] = along_x, begins_x.T[:, None]
+    side[:, 1:, :, 2], touch[:, 1:, :, 2] = chany, ends_y.T
+    side[:, :-1, :, 3], touch[:, :-1, :, 3] = chany, begins_y.T
+    pair = touch[..., _PAIR_FROM] & touch[..., _PAIR_TO]
+
+    # the edge groups: (shape of the loop nest, src, dst, kind).  Switch
+    # points loop (xi, yi, t, pair, direction); per tile, wire -> IPIN
+    # (pin, wire), IPIN -> SINK (sink, ipin: input-pin equivalence, any
+    # IPIN feeds any input slot), SOURCE -> OPIN and OPIN -> wire
+    # (output, wire); per perimeter tile, the pads
+    in_wires = tile_wires[:, _fc_rows(params.fc_in, n_in, n_wires)]
+    out_wires = tile_wires[:, _fc_rows(params.fc_out, n_out, n_wires)]
+    pads_wide = (n_perim, n_pads, n_wires)
+    groups = (
+        ((int(np.count_nonzero(pair)),), side[..., _PAIR_FROM][pair],
+         side[..., _PAIR_TO][pair],
+         np.broadcast_to(track_edge[:, None], pair.shape)[pair]),
+        (in_wires.shape, in_wires, ipin[..., None], _PIN),
+        (pads_wide, io_wires, io_ipin[..., None], _PIN),
+        ((n_tiles, n_in, n_in), ipin[:, None, :], sink[..., None], _INTERNAL),
+        (source.shape, source, opin, _INTERNAL),
+        (out_wires.shape, opin[..., None], out_wires, _PIN),
+        (io_source.shape, io_source, io_opin, _INTERNAL),
+        (pads_wide, io_opin[..., None], io_wires, _PIN),
+        (io_ipin.shape, io_ipin, io_sink, _INTERNAL),
+    )
+    n_edges = sum(math.prod(shape) for shape, *_ in groups)
+    src = np.empty(n_edges, dtype=i32)
+    dst = np.empty(n_edges, dtype=i32)
+    ekind = np.empty(n_edges, dtype=np.int8)
+    at = 0
+    for shape, *values in groups:
+        at = _fill((src, dst, ekind), at, shape, values)
+
+    # uint16 keys take numpy's radix sort; either sort is stable.  The
+    # sort's working arrays go before the list fields are made, which
+    # keeps the build's transient peak down
+    order = np.argsort(src.astype(np.uint16) if n <= 1 << 16 else src,
+                       kind="stable")
+    counts = np.bincount(src, minlength=n).astype(i32)
+    del src
+    edge_start = np.zeros(n + 1, dtype=i32)
+    np.cumsum(counts, out=edge_start[1:])
+    edge_mid = edge_start[1:] - np.where(kind == KIND_IPIN, counts, i32(0))
+    dst, ekind = dst[order], ekind[order]
+    del order
+
+    # base costs share one float object per wire length
+    cost = np.array([1.0 + LENGTH_COST_FACTOR * (k - 1) for k in range(3)],
+                    dtype=object)
+    lb_tiles = list(zip(tile_x.tolist(), tile_y.tolist()))
+    io_tiles = [lb_tiles[t] for t in perimeter.tolist()]
     return CompiledRRG._from_arrays(
         params,
         node_kind=kind,
-        node_capacity=[1] * n,
+        node_capacity=np.ones(n, dtype=np.int64),
         node_length=length,
-        base_cost=[cost[k] for k in length],
+        base_cost=cost[length].tolist(),
         xlo=xlo,
         xhi=xhi,
         ylo=ylo,
         yhi=yhi,
         edge_start=edge_start,
         edge_mid=edge_mid,
-        edge_dst=dst_np[order],
-        edge_kind=ekind_np[order],
-        lb_source=lb_source,
-        lb_sink=lb_sink,
-        io_source=io_source,
-        io_sink=io_sink,
+        edge_dst=dst,
+        edge_kind=ekind,
+        lb_source=_pin_dict(lb_tiles, source),
+        lb_sink=_pin_dict(lb_tiles, sink),
+        io_source=_pin_dict(io_tiles, io_source),
+        io_sink=_pin_dict(io_tiles, io_sink),
     )
 
 

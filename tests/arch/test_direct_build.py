@@ -268,3 +268,123 @@ class TestBuildLocks:
             assert len(locks) <= len(compiled._BUILD_LOCKS) < 200
         finally:
             clear_rrg_cache()
+
+
+class TestPastBenchmarkSizes:
+    """Byte equality on devices larger or thinner than the benchmark's:
+    the CSR sort takes 16-bit keys up to 65,536 nodes and 32-bit keys
+    past that, and strips put every tile on the perimeter."""
+
+    def test_wide_channels(self):
+        params = ArchParams(cols=16, rows=16, channel_width=16)
+        c = build_flat(params)
+        assert (c.n_nodes, c.n_edges) == (11208, 188624)
+        assert_matches_object_graph(c, params)
+
+    def test_node_ids_past_int16(self):
+        params = ArchParams(cols=32, rows=32, channel_width=12)
+        c = build_flat(params)
+        assert 1 << 15 < c.n_nodes <= 1 << 16
+        assert_matches_object_graph(c, params)
+
+    def test_node_ids_past_uint16(self):
+        params = ArchParams(cols=44, rows=44, channel_width=2, lut_inputs=8,
+                            lut_outputs=8, n_contexts=1, fc_in=0.25,
+                            fc_out=0.25, io_capacity=1)
+        c = build_flat(params)
+        assert c.n_nodes > 1 << 16
+        assert_matches_object_graph(c, params)
+
+    def test_strips(self):
+        for cols, rows in ((1, 9), (9, 1), (1, 1), (1, 2), (2, 1)):
+            for io_capacity in (0, 1):
+                params = ArchParams(cols=cols, rows=rows, channel_width=5,
+                                    fc_in=0.6, fc_out=0.3,
+                                    io_capacity=io_capacity)
+                assert_matches_object_graph(build_flat(params), params)
+
+
+class TestFcPopulation:
+    """Which wires each pin reaches, derived by hand from the channel
+    geometry rather than from either builder's connection-block code.
+
+    Device: 2x2 tiles, W=2 (track 0 single-length, track 1 a phase-0
+    double), so every channel holds three segments: track 0 at
+    positions 0 and 1, then track 1 spanning both.  CHANX channel y
+    takes ids 3y..3y+2 and CHANY channel x ids 9+3x..9+3x+2.  Tile
+    (1, 0) borders CHANX channels 0 (ids 1, 2) and 1 (ids 4, 5) and
+    CHANY channels 1 (ids 12, 14) and 2 (ids 15, 17): its sorted wire
+    row is [1, 2, 4, 5, 12, 14, 15, 17].
+
+    Logic blocks start at id 18 and hold 6 IPINs (4 LUT inputs plus 2
+    context bits), 6 SINKs and 4 (OPIN, SOURCE) pairs: 20 ids a tile,
+    so tile (1, 0) has IPINs 38..43 and OPINs 50, 52, 54, 56.
+    ``fc_in=0.5`` gives each IPIN 4 of the 8 wires from column
+    ``2 * pin mod 8``; ``fc_out=0.375`` gives each OPIN 3 wires from
+    column ``2 * pin``.  IPIN 3 (column 6) and OPIN 3 (column 6) wrap
+    around the row.  I/O starts at id 98 with one pad per perimeter
+    tile (all four, row-major): tile (1, 0)'s pad OPIN is 103 and its
+    IPIN 104.
+    """
+
+    PARAMS = ArchParams(cols=2, rows=2, channel_width=2, lut_inputs=4,
+                        lut_outputs=4, n_contexts=4, fc_in=0.5,
+                        fc_out=0.375, io_capacity=1)
+    WIRES = [1, 2, 4, 5, 12, 14, 15, 17]
+    IPIN_FROM = {38: [1, 2, 4, 5], 39: [4, 5, 12, 14], 40: [12, 14, 15, 17],
+                 41: [1, 2, 15, 17], 42: [1, 2, 4, 5], 43: [4, 5, 12, 14]}
+    OPIN_TO = {50: [1, 2, 4], 52: [4, 5, 12], 54: [12, 14, 15],
+               56: [15, 17, 1]}
+
+    @staticmethod
+    def _row(c, nid) -> list:
+        return c.edge_dst[c.edge_start[nid]:c.edge_start[nid + 1]].tolist()
+
+    @staticmethod
+    def _drivers(c, nid) -> list:
+        return c.edge_src_ids()[c.edge_dst == nid].tolist()
+
+    def test_wire_row_is_the_tile_border(self):
+        c = build_flat(self.PARAMS)
+        border = [n for n in range(c.n_nodes) if c.is_wire(n)
+                  and c.xlo[n] <= 1 <= c.xhi[n] and c.ylo[n] <= 0 <= c.yhi[n]]
+        assert border == self.WIRES
+        assert c.lb_source[1, 0, 0] == 51 and c.lb_sink[1, 0, 0] == 44
+        assert c.io_source[1, 0, 0] == 102 and c.io_sink[1, 0, 0] == 105
+
+    def test_ipins(self):
+        c = build_flat(self.PARAMS)
+        for ipin, wires in self.IPIN_FROM.items():
+            assert c.kind_of(ipin) is NodeKind.IPIN
+            assert self._drivers(c, ipin) == wires, ipin
+            assert self._row(c, ipin) == list(range(44, 50)), ipin
+
+    def test_opins(self):
+        c = build_flat(self.PARAMS)
+        for opin, wires in self.OPIN_TO.items():
+            assert c.kind_of(opin) is NodeKind.OPIN
+            assert self._row(c, opin) == wires, opin  # staggered order kept
+            assert self._drivers(c, opin) == [opin + 1], opin
+
+    def test_io_pad_reaches_every_wire(self):
+        c = build_flat(self.PARAMS)
+        assert self._row(c, 103) == self.WIRES
+        assert self._drivers(c, 104) == self.WIRES
+
+
+class TestBuildMemory:
+    def test_transient_peak(self):
+        """The build's working arrays stay int32/int8, and the sort's
+        are dropped before the list fields are made: about 1.0 MiB on
+        this device, 1.3 MiB with int64 intermediates."""
+        import tracemalloc
+
+        params = ArchParams(cols=7, rows=7, channel_width=12, io_capacity=4)
+        build_flat(params)
+        tracemalloc.start()
+        try:
+            build_flat(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2**20

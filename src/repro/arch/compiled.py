@@ -136,6 +136,10 @@ class CompiledRRG:
         "lb_sink",
         "io_source",
         "io_sink",
+        "lb_source_ids",
+        "lb_sink_ids",
+        "io_source_ids",
+        "io_sink_ids",
         "_wire_ids",
         "_switch_edge_ids",
         "_edge_src",
@@ -163,27 +167,37 @@ class CompiledRRG:
         edge_mid,
         edge_dst,
         edge_kind,
-        lb_source: dict,
-        lb_sink: dict,
-        io_source: dict,
-        io_sink: dict,
+        lb_source_ids,
+        lb_sink_ids,
+        io_source_ids,
+        io_sink_ids,
     ) -> "CompiledRRG":
         """Assemble a substrate from its arrays — the one constructor.
 
         Array fields take Python lists or numpy arrays.  The hot Python
         lists are kept (lists) or materialised (arrays).  The CSR rows
-        ``edge_start``/``edge_mid``/``edge_dst`` are stored only as
-        contiguous int32 arrays; those and each numpy mirror alias their
-        input when the dtype already matches, so a shared-memory view
-        stays zero-copy.
+        ``edge_start``/``edge_mid``/``edge_dst`` and the pin-node
+        tables are stored only as contiguous int32 arrays; those and
+        each numpy mirror alias their input when the dtype already
+        matches, so a shared-memory view stays zero-copy.
+
+        The pin-node tables are indexed by row-major tile ``y * cols +
+        x``: ``lb_source_ids[tile, output]``, ``lb_sink_ids[tile,
+        input]``, and ``io_source_ids[tile, pad]`` /
+        ``io_sink_ids[tile, pad]``, which hold -1 on tiles without pads.
+        The tuple-keyed ``lb_source``/``lb_sink``/``io_source``/
+        ``io_sink`` dicts are derived from them.
         """
         c = cls.__new__(cls)
         c.source = None
         c.params = params
-        c.lb_source = lb_source
-        c.lb_sink = lb_sink
-        c.io_source = io_source
-        c.io_sink = io_sink
+        for name, ids in (("lb_source", lb_source_ids),
+                          ("lb_sink", lb_sink_ids),
+                          ("io_source", io_source_ids),
+                          ("io_sink", io_sink_ids)):
+            ids = np.ascontiguousarray(ids, dtype=np.int32)
+            setattr(c, f"{name}_ids", ids)
+            setattr(c, name, _pin_dict(ids, params.cols))
         n = len(node_kind)
         c.n_nodes = n
         c.node_kind = _as_list(node_kind)
@@ -431,12 +445,13 @@ def _fill(arrays, first: int, shape: tuple, values) -> int:
     return end
 
 
-def _pin_dict(tiles: list, ids: np.ndarray) -> dict:
-    """``{(x, y, pin): node}`` from ``(x, y)`` tiles and their
-    ``(tiles, pins)`` node ids, tile by tile."""
+def _pin_dict(ids: np.ndarray, cols: int) -> dict:
+    """``{(x, y, pin): node}`` from a ``(tiles, pins)`` pin-node table,
+    tile by tile, leaving out tiles without pins (rows of -1)."""
+    tiles = np.flatnonzero((ids >= 0).any(axis=1)).tolist()
     pins = range(ids.shape[1])
-    return dict(zip([(x, y, i) for x, y in tiles for i in pins],
-                    ids.ravel().tolist()))
+    return dict(zip([(t % cols, t // cols, i) for t in tiles for i in pins],
+                    ids[tiles].ravel().tolist()))
 
 
 def build_flat(params: ArchParams) -> CompiledRRG:
@@ -587,11 +602,12 @@ def build_flat(params: ArchParams) -> CompiledRRG:
     dst, ekind = dst[order], ekind[order]
     del order
 
-    # base costs share one float object per wire length
+    # base costs share one float object per wire length; pad pin nodes
+    # spread from perimeter rows to tile rows
     cost = np.array([1.0 + LENGTH_COST_FACTOR * (k - 1) for k in range(3)],
                     dtype=object)
-    lb_tiles = list(zip(tile_x.tolist(), tile_y.tolist()))
-    io_tiles = [lb_tiles[t] for t in perimeter.tolist()]
+    io_ids = np.full((2, n_tiles, n_pads), -1, dtype=i32)
+    io_ids[:, perimeter] = io_source, io_sink
     return CompiledRRG._from_arrays(
         params,
         node_kind=kind,
@@ -606,10 +622,10 @@ def build_flat(params: ArchParams) -> CompiledRRG:
         edge_mid=edge_mid,
         edge_dst=dst,
         edge_kind=ekind,
-        lb_source=_pin_dict(lb_tiles, source),
-        lb_sink=_pin_dict(lb_tiles, sink),
-        io_source=_pin_dict(io_tiles, io_source),
-        io_sink=_pin_dict(io_tiles, io_sink),
+        lb_source_ids=source,
+        lb_sink_ids=sink,
+        io_source_ids=io_ids[0],
+        io_sink_ids=io_ids[1],
     )
 
 

@@ -121,24 +121,6 @@ def _read_segment(shm: shared_memory.SharedMemory) -> tuple[
     return meta, views
 
 
-def _encode_pins(pins: dict[tuple[int, int, int], int]) -> np.ndarray:
-    """Lower a ``(x, y, pin) -> node`` dict to an ``(n, 4)`` array."""
-    out = np.empty((len(pins), 4), dtype=np.int64)
-    for i, ((x, y, p), nid) in enumerate(pins.items()):
-        out[i, 0] = x
-        out[i, 1] = y
-        out[i, 2] = p
-        out[i, 3] = nid
-    return out
-
-
-def _decode_pins(arr: np.ndarray) -> dict[tuple[int, int, int], int]:
-    return {
-        (int(x), int(y), int(p)): int(nid)
-        for x, y, p, nid in arr.tolist()
-    }
-
-
 # ------------------------------------------------------------------------- #
 # attach-side cache (one per process)
 # ------------------------------------------------------------------------- #
@@ -205,6 +187,10 @@ _SUBSTRATE_ARRAYS = {
     "edge_mid": np.int32,
     "edge_dst": np.int32,
     "edge_kind": np.int64,
+    "lb_source_ids": np.int32,
+    "lb_sink_ids": np.int32,
+    "io_source_ids": np.int32,
+    "io_sink_ids": np.int32,
 }
 
 
@@ -232,10 +218,6 @@ class SharedSubstrate:
         c = CompiledRRG._from_arrays(
             meta["params"],
             **{key: views[key] for key in _SUBSTRATE_ARRAYS},
-            lb_source=_decode_pins(views["lb_source"]),
-            lb_sink=_decode_pins(views["lb_sink"]),
-            io_source=_decode_pins(views["io_source"]),
-            io_sink=_decode_pins(views["io_sink"]),
         )
         # defect-candidate indexes arrive pre-computed (shared views)
         c._wire_ids = views["wire_ids"]
@@ -276,10 +258,6 @@ def publish_substrate(c: CompiledRRG) -> tuple[
         ("edge_src", np.asarray(c.edge_src_ids(), dtype=np.int64)),
         ("logic_tiles",
          np.asarray(c.logic_tiles(), dtype=np.int64).reshape(-1, 2)),
-        ("lb_source", _encode_pins(c.lb_source)),
-        ("lb_sink", _encode_pins(c.lb_sink)),
-        ("io_source", _encode_pins(c.io_source)),
-        ("io_sink", _encode_pins(c.io_sink)),
     ]
     shm = _pack_segment(arrays, {"params": c.params})
     return shm, SharedSubstrate(name=shm.name)

@@ -26,10 +26,9 @@ from repro.arch.compiled import EDGE_KIND_INDEX, CompiledRRG, compile_rrg
 from repro.arch.geometry import Coord
 from repro.arch.params import ArchParams
 from repro.arch.rrg import EdgeKind, RoutingResourceGraph
-from repro.core.patterns import PatternClass, classify_many
+from repro.core.patterns import PatternClass, classify_many, classify_mask
 from repro.errors import ConfigurationError
 from repro.netlist.dfg import MultiContextProgram
-from repro.netlist.netlist import CellKind
 from repro.place.placer import Placement
 from repro.route.pathfinder import RouteResult
 from repro.utils.bitops import mask as ones, popcount
@@ -139,7 +138,13 @@ class LutPatternSet:
         return masks
 
     def census(self, include_unused: bool = True) -> dict[PatternClass, int]:
-        census = classify_many(self.all_masks(False), self.n_contexts)
+        # a tile's bits repeat few masks: classify each distinct mask once
+        census = {c: 0 for c in PatternClass}
+        if self.tiles:
+            masks, counts = np.unique(np.concatenate(list(self.tiles.values())),
+                                      return_counts=True)
+            for m, n in zip(masks.tolist(), counts.tolist()):
+                census[classify_mask(m, self.n_contexts)] += n
         if include_unused:
             unused_tiles = self.n_total_tiles - len(self.tiles)
             census[PatternClass.CONSTANT] += unused_tiles * self.lut_bits_per_tile
@@ -165,50 +170,56 @@ def extract_lut_patterns(
     """Per-LUT-bit context patterns from the mapped program.
 
     Each tile's LUT stores, per context, the truth table of the cell
-    placed there (zero-padded to the physical LUT size); bits are
+    placed there (replicated to the physical LUT size: the upper inputs
+    are don't-cares; the other outputs' bits stay 0); bits are
     compared across contexts to form patterns.  Unoccupied contexts
     repeat the tile's previous plane (hardware keeps old contents),
     which is the favourable-and-realistic assumption for redundancy.
+    The tables are the rows of each netlist index's padded LUT matrix
+    (:meth:`~repro.netlist.index.NetlistIndex.padded`); the masks of
+    all tiles are formed together, one array operation per context.
     """
     k = params.lut_inputs
-    bits_per_output = 1 << k
-    lut_bits = params.lut_outputs * bits_per_output
+    width = 1 << k
+    n = params.n_contexts
     result = LutPatternSet(
-        n_contexts=params.n_contexts,
-        lut_bits_per_tile=lut_bits,
+        n_contexts=n,
+        lut_bits_per_tile=params.lut_outputs * width,
         n_total_tiles=params.n_tiles,
     )
-    # tile -> per-context table (uint8 array of lut_bits)
-    staged: dict[Coord, dict[int, np.ndarray]] = {}
-    for c, (netlist, placement) in enumerate(zip(program.contexts, placements)):
-        for cell in netlist.cells.values():
-            if cell.kind is not CellKind.LUT:
-                continue
-            coord = placement.cells[cell.name]
-            table = cell.table
-            if table.n_inputs > k:
+    # tile -> row of ``planes``; per context, tile row -> the padded
+    # table (the index's ``padded(k)`` row) of the last LUT placed there
+    tiles: dict[Coord, int] = {}
+    staged: list[tuple[list[int], np.ndarray]] = []
+    for netlist, placement in zip(program.contexts, placements):
+        ix = netlist.index()
+        names = ix.cell_names
+        rows: dict[int, int] = {}
+        for pos, (cell, n_in) in enumerate(zip(ix.luts, ix.lut_n.tolist())):
+            coord = placement.cells[names[cell]]
+            if n_in > k:
                 raise ConfigurationError(
-                    f"cell {cell.name!r} needs {table.n_inputs} inputs, "
+                    f"cell {names[cell]!r} needs {n_in} inputs, "
                     f"physical LUT has {k}"
                 )
-            padded = np.zeros(lut_bits, dtype=np.uint8)
-            src = table.to_array()
-            # replicate the k'-input table into the 2**k space (don't-care
-            # upper inputs), matching how hardware would be programmed
-            reps = bits_per_output // src.size
-            padded[:bits_per_output] = np.tile(src, reps)
-            staged.setdefault(coord, {})[c] = padded
+            rows[tiles.setdefault(coord, len(tiles))] = pos
+        staged.append((list(rows), ix.padded(k)[list(rows.values())]))
 
-    for coord, per_ctx in staged.items():
-        masks = np.zeros(lut_bits, dtype=np.int64)
-        last = None
-        for c in range(params.n_contexts):
-            plane = per_ctx.get(c)
-            if plane is None:
-                plane = last if last is not None else np.zeros(lut_bits, dtype=np.uint8)
-            masks |= plane.astype(np.int64) << c
-            last = plane
-        result.tiles[coord] = masks
+    # planes[tile, c] is the tile's plane in context c; a context that
+    # leaves a tile empty repeats its previous plane (zeros before the
+    # first), as hardware keeps old contents
+    planes = np.zeros((len(tiles), n, width), dtype=np.int64)
+    loaded = np.zeros((len(tiles), n), dtype=bool)
+    for c, (rows, tables) in zip(range(n), staged):
+        planes[rows, c] = tables
+        loaded[rows, c] = True
+    for c in range(1, n):
+        keep = ~loaded[:, c]
+        planes[keep, c] = planes[keep, c - 1]
+    masks = np.zeros((len(tiles), result.lut_bits_per_tile), dtype=np.int64)
+    masks[:, :width] = np.bitwise_or.reduce(
+        planes << np.arange(n, dtype=np.int64)[:, None], axis=1)
+    result.tiles = dict(zip(tiles, masks))
     return result
 
 

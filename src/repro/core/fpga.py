@@ -8,9 +8,10 @@ single-cycle context switching.  A configured device can
   connectivity — *not* by re-running the source netlist, so bitstream
   and routing bugs are caught), one vector at a time
   (:meth:`MultiContextFPGA.evaluate`) or a whole stimulus batch at once
-  (:meth:`MultiContextFPGA.evaluate_batch`, one topological walk whose
-  every LUT reads its tile's stored plane for all vectors together —
-  what :meth:`MultiContextFPGA.verify_against_source` runs),
+  (:meth:`MultiContextFPGA.evaluate_batch`, one topological walk over
+  the netlist's id index in which every LUT reads its tile's stored
+  plane for all vectors together — what
+  :meth:`MultiContextFPGA.verify_against_source` runs),
 - switch contexts and report how many configuration bits flip,
 - report the measured pattern statistics and feed the area model.
 
@@ -34,9 +35,16 @@ from repro.core.logic_block import AdaptiveLogicBlock, SizeControl
 from repro.core.mcmg_lut import MCMGGeometry
 from repro.errors import ConfigurationError, SimulationError
 from repro.netlist.dfg import MultiContextProgram
+from repro.netlist.index import KIND_CODE, LUT
 from repro.netlist.netlist import CellKind
 from repro.place.placer import Placement
 from repro.route.pathfinder import RouteResult
+
+#: ``CellKind`` values by :mod:`repro.netlist.index` kind code.
+_KIND_VALUE = {code: kind.value for kind, code in KIND_CODE.items()}
+
+#: Input ``j``'s place in a LUT's packed input word (up to 16 inputs).
+_SHIFT = np.arange(16, dtype=np.int64)[:, None]
 
 
 @dataclass
@@ -97,50 +105,53 @@ class MultiContextFPGA:
         self._routes = routes
         self.contexts.clear()
         k = self.params.lut_inputs
+        width = 1 << k
+        # (context, tile, plane row): each tile's last LUT of a context
+        loads: list[tuple[int, Coord, np.ndarray]] = []
         for c, (netlist, placement) in enumerate(zip(program.contexts, placements)):
+            ix = netlist.index()
+            names = ix.cell_names
             ctx = ConfiguredContext(netlist.name)
-            for cell in netlist.cells.values():
-                if cell.kind is not CellKind.LUT:
-                    continue
-                coord = placement.cells[cell.name]
-                if cell.table.n_inputs > k:
+            rows: dict[Coord, int] = {}
+            for pos, (cell, n_in) in enumerate(zip(ix.luts, ix.lut_n.tolist())):
+                coord = placement.cells[names[cell]]
+                if n_in > k:
                     raise ConfigurationError(
-                        f"cell {cell.name!r}: {cell.table.n_inputs} inputs "
+                        f"cell {names[cell]!r}: {n_in} inputs "
                         f"exceed physical LUT size {k}"
                     )
-                ctx.lut_config[coord] = (
-                    cell.name,
-                    cell.table.to_array(),
-                    cell.table.n_inputs,
-                )
-            # connectivity: net -> driver + sinks (cell order, then
-            # slot order), gathered in one pass over the input pins
-            sinks_of: dict[str, list] = {}
-            for s in netlist.cells.values():
-                for slot, in_net in enumerate(s.inputs):
-                    sinks_of.setdefault(in_net, []).append(
-                        (s.name, s.kind.value, slot)
-                    )
-            for net, driver_name in netlist.net_driver.items():
+                ctx.lut_config[coord] = (names[cell], ix.table(pos), n_in)
+                rows[coord] = pos
+            planes = ix.padded(k)
+            loads += [(c, coord, planes[pos]) for coord, pos in rows.items()]
+            # connectivity: net -> driver + sinks (cell order, then slot
+            # order), straight from the index's reader rows
+            kind = [_KIND_VALUE[v] for v in ix.kind.tolist()]
+            sinks = [(names[cell], kind[cell], slot) for cell, slot in
+                     zip(ix.pin_cell.tolist(), ix.pin_slot.tolist())]
+            start = ix.pin_start.tolist()
+            for n, (net, d) in enumerate(zip(ix.net_names[:ix.n_driven],
+                                             ix.driver.tolist())):
                 ctx.connectivity[net] = {
-                    "driver": driver_name,
-                    "driver_kind": netlist.cells[driver_name].kind.value,
-                    "sinks": sinks_of.get(net, []),
+                    "driver": names[d],
+                    "driver_kind": kind[d],
+                    "sinks": sinks[start[n]:start[n + 1]],
                 }
             self.contexts[c] = ctx
 
-        # program the logic blocks (planes per context)
-        for coord, lb in self.logic_blocks.items():
+        # program the logic blocks: each tile's plane of each context,
+        # written straight from the index's padded tables
+        for lb in self.logic_blocks.values():
             lb.lut.memory[:] = 0
-        for c, ctx in self.contexts.items():
-            for coord, (cell_name, table, n_in) in ctx.lut_config.items():
-                lb = self.logic_blocks[coord]
-                plane_bits = 1 << self.params.lut_inputs
-                padded = np.zeros(plane_bits, dtype=np.uint8)
-                reps = plane_bits // table.size
-                padded[:] = np.tile(table, reps)
-                plane = lb.lut.plane_for_context(c)
-                lb.lut.load_plane(plane, padded, output=0)
+        for c, coord, plane in loads:
+            lut = self.logic_blocks[coord].lut
+            if lut.plane_bits != width:
+                raise ConfigurationError(
+                    f"plane needs {lut.plane_bits} bits at granularity "
+                    f"{lut.granularity}, got {width}"
+                )
+            base = lut.plane_for_context(c) * width
+            lut.memory[0, base:base + width] = plane
 
     # ------------------------------------------------------------------ #
     # context switching
@@ -205,7 +216,13 @@ class MultiContextFPGA:
         :meth:`Netlist.evaluate_batch
         <repro.netlist.netlist.Netlist.evaluate_batch>` does).  Like
         :meth:`evaluate`, every LUT reads its tile's *stored plane*,
-        never the cell's truth table.
+        never the cell's truth table.  The walk runs on the ids of the
+        netlist's :class:`~repro.netlist.index.NetlistIndex`: the net
+        values are one array row per net, and each LUT, in topological
+        order, forms its input words from its input-net row and reads
+        its stored plane in one gather.  The source side of
+        :meth:`verify_against_source` reads the cells by name, so a
+        wrong index row shows up as a mismatch.
         """
         if ctx not in self.contexts:
             raise SimulationError(f"context {ctx} is not configured")
@@ -213,30 +230,37 @@ class MultiContextFPGA:
             raise SimulationError("device is not configured")
         netlist = self._program.contexts[ctx]
         placement = self._placements[ctx]
-        values: dict[str, np.ndarray] = {}
-        length = None
-        for cell in netlist.inputs():
-            arr = stimulus.get(cell.output, stimulus.get(cell.name))
+        ix = netlist.index()
+        names = ix.cell_names
+        out, start, ins = (ix.out_net.tolist(), ix.in_start.tolist(),
+                           ix.in_net.tolist())
+        arrays = []
+        for cell in ix.inputs:
+            arr = stimulus.get(ix.net_names[out[cell]], stimulus.get(names[cell]))
             if arr is None:
-                raise SimulationError(f"missing value for input {cell.name!r}")
-            values[cell.output] = arr = np.asarray(arr, dtype=np.int64)
-            if length is None:
-                length = arr.size
-            elif arr.size != length:
+                raise SimulationError(f"missing value for input {names[cell]!r}")
+            arrays.append(np.asarray(arr, dtype=np.int64))
+            if arrays[-1].size != arrays[0].size:
                 raise SimulationError("stimulus arrays must share a length")
-        length = 1 if length is None else length
-        for cell in netlist.dffs():
-            values[cell.output] = np.zeros(length, dtype=np.int64)
-        for name in netlist.topo_order():
-            cell = netlist.cells[name]
-            if cell.kind is not CellKind.LUT:
+        # one row per net (DFF outputs stay 0)
+        values = np.zeros((ix.n_nets, arrays[0].size if arrays else 1),
+                          dtype=np.int64)
+        values[[out[c] for c in ix.inputs]] = arrays or 0
+        # stored planes are 0/1, so only a primary input outside 0/1 can
+        # form an input word past its LUT's plane
+        checked = values.min() >= 0 and values.max() <= 1
+        kinds = ix.kind.tolist()
+        for c in ix.topo:
+            if kinds[c] != LUT:
                 continue
-            word = np.zeros(length, dtype=np.int64)
-            for j, net in enumerate(cell.inputs):
-                word |= values[net] << j
-            lut = self.logic_blocks[placement.cells[cell.name]].lut
-            values[cell.output] = lut.evaluate_vector(ctx, word).astype(np.int64)
-        return {c.name: values[c.inputs[0]] for c in netlist.outputs()}
+            lut = self.logic_blocks[placement.cells[names[c]]].lut
+            row = ins[start[c]:start[c + 1]]
+            word = np.bitwise_or.reduce(values[row] << _SHIFT[:len(row)], axis=0)
+            if not checked and (word.min() < 0 or word.max() >= lut.plane_bits):
+                raise ConfigurationError("input word out of range")
+            values[out[c]] = lut.memory[
+                0, lut.plane_for_context(ctx) * lut.plane_bits + word]
+        return {names[c]: values[ins[start[c]]] for c in ix.outputs}
 
     def verify_against_source(self, ctx: int, n_vectors: int = 32, seed: int = 0) -> None:
         """Random-vector equivalence: fabric evaluation vs source netlist.

@@ -84,30 +84,29 @@ class MCMGLut:
 
     def __init__(self, geometry: MCMGGeometry, granularity: int = 0) -> None:
         self.geometry = geometry
-        geometry._check_gran(granularity)
-        self.granularity = granularity
+        self.set_granularity(granularity)
         self.memory = np.zeros(
             (geometry.n_outputs, geometry.memory_bits_per_output), dtype=np.uint8
         )
 
     # -- geometry under the current granularity ------------------------- #
     @property
-    def n_inputs(self) -> int:
-        return self.geometry.inputs_at(self.granularity)
-
-    @property
-    def n_planes(self) -> int:
-        return self.geometry.planes_at(self.granularity)
-
-    @property
-    def plane_bits(self) -> int:
-        """Memory bits per configuration plane per output."""
-        return 1 << self.n_inputs
+    def granularity(self) -> int:
+        return self._granularity
 
     def set_granularity(self, granularity: int) -> None:
-        """Reprogram the size controller (paper Fig. 14's per-LB control)."""
-        self.geometry._check_gran(granularity)
-        self.granularity = granularity
+        """Reprogram the size controller (paper Fig. 14's per-LB control).
+
+        The granularity is checked here, once; ``n_inputs``,
+        ``n_planes`` and ``plane_bits`` (memory bits per configuration
+        plane per output) are plain attributes derived from it.
+        """
+        geometry = self.geometry
+        geometry._check_gran(granularity)
+        self.n_inputs = geometry.base_inputs + granularity
+        self.n_planes = geometry.n_contexts >> granularity
+        self.plane_bits = 1 << self.n_inputs
+        self._granularity = granularity
 
     # -- programming ----------------------------------------------------- #
     def load_plane(self, plane: int, truth_bits: np.ndarray, output: int = 0) -> None:

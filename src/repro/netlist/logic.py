@@ -110,7 +110,11 @@ class TruthTable:
     def to_array(self) -> np.ndarray:
         """Truth bits as a uint8 array of length ``2**n_inputs``."""
         size = 1 << self.n_inputs
-        return np.array([(self.bits >> i) & 1 for i in range(size)], dtype=np.uint8)
+        return np.unpackbits(
+            np.frombuffer(self.bits.to_bytes((size + 7) // 8, "little"),
+                          dtype=np.uint8),
+            count=size, bitorder="little",
+        )
 
     # -- structure ----------------------------------------------------------#
     def is_constant(self) -> bool:

@@ -68,6 +68,7 @@ class Netlist:
         self.cells: dict[str, Cell] = {}
         self.net_driver: dict[str, str] = {}
         self._topo_cache: list[str] | None = None
+        self._index = None
 
     # -- construction ------------------------------------------------------ #
     def add_cell(self, cell: Cell) -> Cell:
@@ -83,8 +84,30 @@ class Netlist:
                 )
             self.net_driver[cell.output] = cell.name
         self.cells[cell.name] = cell
-        self._topo_cache = None
+        self.invalidate()
         return cell
+
+    def invalidate(self) -> None:
+        """Drop the cached topological order and :meth:`index`.
+
+        ``add_cell`` calls it; a pass that edits cells in place (their
+        inputs, tables or the cell dict) must call it when done.
+        """
+        self._topo_cache = None
+        self._index = None
+
+    def index(self):
+        """The :class:`~repro.netlist.index.NetlistIndex` of this
+        netlist, built on first use and cached until :meth:`invalidate`."""
+        if self._index is None:
+            from repro.netlist.index import NetlistIndex
+
+            self._index = NetlistIndex(self)
+        return self._index
+
+    def __getstate__(self) -> dict:
+        # the index is a cache: a pickled netlist rebuilds it on demand
+        return {**self.__dict__, "_index": None}
 
     def add_input(self, name: str, net: str | None = None) -> Cell:
         return self.add_cell(Cell(name, CellKind.INPUT, [], net or name))
@@ -340,6 +363,9 @@ class Netlist:
         out = Netlist(name or self.name)
         for c in self.cells.values():
             out.add_cell(Cell(c.name, c.kind, list(c.inputs), c.output, c.table))
+        if self._topo_cache is not None:
+            # the same cells in the same order: the same topological order
+            out._topo_cache = list(self._topo_cache)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

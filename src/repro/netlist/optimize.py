@@ -57,7 +57,7 @@ def propagate_constants(netlist: Netlist) -> int:
                 cell.table = TruthTable.constant(
                     1 if cell.table.bits else 0, cell.table.n_inputs
                 )
-    netlist._topo_cache = None
+    netlist.invalidate()
     return changed
 
 
@@ -88,7 +88,7 @@ def collapse_buffers(netlist: Netlist) -> int:
             del netlist.cells[cell.name]
             del netlist.net_driver[out]
             removed += 1
-    netlist._topo_cache = None
+    netlist.invalidate()
     return removed
 
 
@@ -115,7 +115,7 @@ def sweep_dead(netlist: Netlist) -> int:
             del netlist.cells[cell.name]
             del netlist.net_driver[cell.output]
             removed += 1
-    netlist._topo_cache = None
+    netlist.invalidate()
     return removed
 
 

@@ -19,8 +19,10 @@ forbidden tiles are uint8 bytes.  Every terminal (movable cells first,
 then pinned cells, then I/O pads) has an id into the int32 x and y
 coordinate arrays.  The live nets (two or more distinct terminals) and
 each movable cell's nets (a cell reading one net twice counts once)
-are CSR rows.  ``Coord`` objects are written back once, after the last
-round.
+are CSR rows.  The set-up reads the netlist's connectivity from its
+:class:`~repro.netlist.index.NetlistIndex` (terminal rows, I/O pad
+rows), never from the cells.  ``Coord`` objects are written back once,
+after the last round.
 
 Two kernels run the move loop on that state.  The native one,
 ``_anneal.c``, runs the whole schedule in one C call; it is compiled by
@@ -78,7 +80,7 @@ from repro.arch.geometry import Coord, Grid
 from repro.arch.params import ArchParams
 from repro.errors import PlacementError
 from repro.netlist.dfg import MultiContextProgram
-from repro.netlist.netlist import CellKind, Netlist
+from repro.netlist.netlist import Netlist
 from repro.utils.native import NativeLibrary
 from repro.utils.rng import ensure_rng, scalar_draws
 from repro.utils.telemetry import count as _tcount
@@ -128,35 +130,6 @@ class DistanceTables:
 def distance_tables(cols: int, rows: int) -> DistanceTables:
     """Cached :class:`DistanceTables` for a grid size."""
     return DistanceTables(cols, rows)
-
-
-def _net_terminals(netlist: Netlist) -> dict[str, list[str]]:
-    """Net -> cell names touching it (driver + fanout), LUT/IO only."""
-    terminals: dict[str, list[str]] = {}
-    for cell in netlist.cells.values():
-        if cell.kind is CellKind.LUT or cell.kind is CellKind.INPUT:
-            if cell.output:
-                terminals.setdefault(cell.output, []).append(cell.name)
-        if cell.kind in (CellKind.LUT, CellKind.OUTPUT):
-            for net in cell.inputs:
-                terminals.setdefault(net, []).append(cell.name)
-        if cell.kind is CellKind.DFF:
-            # DFFs live inside the driver/sink LBs in this model; tie the
-            # net endpoints to the cells around them.
-            for net in cell.inputs:
-                terminals.setdefault(net, []).append(cell.name)
-            terminals.setdefault(cell.output, []).append(cell.name)
-    return terminals
-
-
-def _csr(rows: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` as int32 CSR arrays ``(start, items)``."""
-    start = np.zeros(len(rows) + 1, dtype=np.int32)
-    np.cumsum(np.fromiter(map(len, rows), np.int32, count=len(rows)),
-              out=start[1:])
-    items = np.fromiter(chain.from_iterable(rows), np.int32,
-                        count=int(start[-1]))
-    return start, items
 
 
 def _net_hpwl(net_start: np.ndarray, net_terms: np.ndarray, tx: np.ndarray,
@@ -212,8 +185,11 @@ def place(
     pinned = dict(pinned or {})
     forbidden = frozenset(forbidden or ())
 
-    movable = [c.name for c in netlist.luts() + netlist.dffs()
-               if c.name not in pinned]
+    ix = netlist.index()
+    names = ix.cell_names
+    movable_ids = [c for c in chain(ix.luts, ix.dffs)
+                   if names[c] not in pinned]
+    movable = [names[c] for c in movable_ids]
     forb = bytearray(grid.n_tiles)
     for t in forbidden:
         if grid.contains(t):
@@ -246,26 +222,36 @@ def place(
     tiles = free_tiles[order].astype(np.int32)
     occ[tiles] = np.arange(n_mov, dtype=np.int32)
     mx, my = tiles % cols, tiles // cols
-    for name, x, y in zip(movable, mx.tolist(), my.tolist()):
-        location[name] = Coord(x, y)
 
     # --- I/O pads: greedy nearest perimeter tile ------------------------- #
-    links = _io_links(netlist)
-    ios = _assign_ios(links, params, location)
+    # cx/cy: each cell's tile where ``placed`` (the pads' barycentres)
+    n_cells = ix.n_cells
+    cx = np.zeros(n_cells, dtype=np.int32)
+    cy = np.zeros(n_cells, dtype=np.int32)
+    placed = np.zeros(n_cells, dtype=bool)
+    cx[movable_ids], cy[movable_ids], placed[movable_ids] = mx, my, True
+    pinned_ids = [ix.cell_id.get(name) for name in pinned]
+    for c, coord in zip(pinned_ids, pinned.values()):
+        if c is not None:
+            cx[c], cy[c], placed[c] = coord.x, coord.y, True
+    io_ids, io_owner, io_cells = ix.io_rows
+    io_names = [names[c] for c in io_ids]
+    ios = _assign_ios(io_names, io_owner, io_cells, params, cx, cy, placed)
 
     # --- terminals as integer ids: movable, then pinned cells, then pads - #
+    # every cell has one (a pinned I/O cell takes its pad's)
     n_fixed = n_mov + len(pinned)
-    term_id = {name: t for t, name in enumerate(chain(movable, pinned, ios))}
+    term = [0] * n_cells
+    for t, c in enumerate(chain(movable_ids, pinned_ids)):
+        if c is not None:
+            term[c] = t
+    for t, c in enumerate(io_ids, n_fixed):
+        term[c] = t
     fixed = [*pinned.values(), *(coord for coord, _pad in ios.values())]
     tx = np.concatenate((mx, np.array([c.x for c in fixed], dtype=np.int32)))
     ty = np.concatenate((my, np.array([c.y for c in fixed], dtype=np.int32)))
-    net_ids = [
-        tuple(dict.fromkeys(term_id[c] for c in terminals if c in term_id))
-        for terminals in _net_terminals(netlist).values()
-        if len(terminals) > 1
-    ]
-    # nets with one distinct terminal cost 0 whatever moves: leave them out
-    net_start, net_terms = _csr([ids for ids in net_ids if len(ids) > 1])
+    net_start, term_cells, n_multi = ix.terminals
+    net_terms = np.array(term, dtype=np.int32)[term_cells]
     net_cost = _net_hpwl(net_start, net_terms, tx, ty)
     cost = float(net_cost.sum())
 
@@ -276,7 +262,7 @@ def place(
         occ, forb_np, tx, ty, net_cost, net_start, net_terms,
         *_cell_nets(net_start, net_terms, n_mov), n_mov, cols, rows,
         moves_per_t=max(10, int(effort * 10 * (n_mov ** 1.33))),
-        temperature=max(1.0, 0.05 * cost / max(1, len(net_ids)) * 20),
+        temperature=max(1.0, 0.05 * cost / max(1, n_multi) * 20),
     )
     kernel = _anneal_python if _NATIVE.function() is None else _anneal_native
     # both kernels draw past numpy's own locking, so hold the generator's
@@ -291,7 +277,8 @@ def place(
     for name, x, y in zip(movable, tx[:n_mov].tolist(), ty[:n_mov].tolist()):
         location[name] = Coord(x, y)
     # refresh IO pads for final cell positions
-    ios = _assign_ios(links, params, location)
+    cx[movable_ids], cy[movable_ids] = tx[:n_mov], ty[:n_mov]
+    ios = _assign_ios(io_names, io_owner, io_cells, params, cx, cy, placed)
     tx[n_fixed:] = [coord.x for coord, _pad in ios.values()]
     ty[n_fixed:] = [coord.y for coord, _pad in ios.values()]
     cost = float(_net_hpwl(net_start, net_terms, tx, ty).sum())
@@ -490,57 +477,48 @@ def _anneal_python(st: _AnnealState, rng: np.random.Generator
     return rounds, total_accepted
 
 
-def _io_links(netlist: Netlist) -> list[tuple[str, list[str]]]:
-    """Each primary input/output with the cells its pad goes near: an
-    input's readers, an output's driver."""
-    readers: dict[str, list[str]] = {}
-    for c in netlist.cells.values():
-        for net in dict.fromkeys(c.inputs):
-            readers.setdefault(net, []).append(c.name)
-    links = []
-    for cell in netlist.inputs() + netlist.outputs():
-        if cell.kind is CellKind.INPUT:
-            conn = readers.get(cell.output, [])
-        else:
-            drv = netlist.net_driver.get(cell.inputs[0])
-            conn = [drv] if drv else []
-        links.append((cell.name, conn))
-    return links
-
-
 def _assign_ios(
-    links: list[tuple[str, list[str]]],
+    names: list[str],
+    owner: np.ndarray,
+    near: np.ndarray,
     params: ArchParams,
-    location: dict[str, Coord],
+    cx: np.ndarray,
+    cy: np.ndarray,
+    placed: np.ndarray,
 ) -> dict[str, tuple[Coord, int]]:
     """Assign each primary input/output to a perimeter pad near its logic.
 
-    A pad goes near the barycentre of the placed cells in its
-    :func:`_io_links` entry (the grid centre when none is placed), on
-    the nearest perimeter tile with a pad left; ties go to the first
-    tile in perimeter order.  The Manhattan distances from every
-    barycentre to every tile are one vectorised expression over the
-    grid's :class:`DistanceTables`, ranked once with a stable sort, so
-    the greedy pass, in I/O order, only skips exhausted tiles.
+    I/O ``i`` (named ``names[i]``) goes near the barycentre of the
+    ``placed`` cells ``near[j]`` with ``owner[j] == i`` (an input's
+    readers, an output's driver: :class:`NetlistIndex.io_rows
+    <repro.netlist.index.NetlistIndex>`), or the grid centre
+    when none is placed, on the nearest perimeter tile with a pad left;
+    ties go to the first tile in perimeter order.  A barycentre is an
+    integer sum of the cells' ``cx``/``cy``, then one division.  The
+    Manhattan distances from every barycentre to every tile are one
+    vectorised expression over the grid's :class:`DistanceTables`,
+    ranked once with a stable sort, so the greedy pass, in I/O order,
+    only skips exhausted tiles.
     """
     tables = distance_tables(params.cols, params.rows)
-    bx, by = [], []
-    for _name, conn in links:
-        pts = [location[name] for name in conn if name in location]
-        if pts:
-            bx.append(sum(p.x for p in pts) / len(pts))
-            by.append(sum(p.y for p in pts) / len(pts))
-        else:
-            bx.append(params.cols / 2)
-            by.append(params.rows / 2)
-    d = (np.abs(tables.perim_x - np.array(bx)[:, None])
-         + np.abs(tables.perim_y - np.array(by)[:, None]))
+    n_io = len(names)
+    hit = placed[near]
+    owner, near = owner[hit], near[hit]
+    n = np.bincount(owner, minlength=n_io)
+    bx = np.full(n_io, params.cols / 2)
+    by = np.full(n_io, params.rows / 2)
+    np.divide(np.bincount(owner, cx[near], n_io), n, out=bx, where=n > 0)
+    np.divide(np.bincount(owner, cy[near], n_io), n, out=by, where=n > 0)
+    d = (np.abs(tables.perim_x - bx[:, None])
+         + np.abs(tables.perim_y - by[:, None]))
     ranked = np.argsort(d, axis=1, kind="stable").tolist()
     free = [params.io_capacity] * len(tables.perimeter)
     ios: dict[str, tuple[Coord, int]] = {}
-    for (name, _conn), candidates in zip(links, ranked):
-        idx = next((i for i in candidates if free[i]), None)
-        if idx is None:
+    for name, candidates in zip(names, ranked):
+        for idx in candidates:
+            if free[idx]:
+                break
+        else:
             raise PlacementError(
                 f"out of I/O pads for {name!r} "
                 f"(capacity {params.io_capacity}/perimeter tile)"

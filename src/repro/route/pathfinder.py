@@ -66,6 +66,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -81,9 +82,10 @@ from repro.arch.compiled import (
     compile_rrg,
 )
 from repro.arch.rrg import NodeKind, RoutingResourceGraph
-from repro.errors import RoutingError
+from repro.errors import PlacementError, RoutingError
 from repro.netlist.dfg import MultiContextProgram
-from repro.netlist.netlist import CellKind, Netlist
+from repro.netlist.index import DFF, LUT, NetlistIndex
+from repro.netlist.netlist import Netlist
 from repro.place.placer import Placement
 from repro.utils.native import NativeLibrary
 from repro.utils.telemetry import count as _tcount
@@ -159,36 +161,80 @@ class RouteResult:
         return total
 
 
+def _cell_sites(ix: NetlistIndex, placement: Placement) -> list:
+    """Each cell's ``(x, y, pad)`` by id: a LUT or DFF at its
+    :meth:`Placement.location` (pad 0), a primary input or output at
+    its pad; None where the cell is not placed."""
+    cells, ios = placement.cells, placement.ios
+    sites = []
+    for name, kind in zip(ix.cell_names, ix.kind.tolist()):
+        site = ios.get(name)
+        if kind == LUT or kind == DFF:
+            loc = cells.get(name) or (site[0] if site else None)
+            sites.append(None if loc is None else (loc.x, loc.y, 0))
+        else:
+            sites.append(None if site is None
+                         else (site[0].x, site[0].y, site[1]))
+    return sites
+
+
+def _pin_nodes(g: RoutingResourceGraph | CompiledRRG, role: str,
+               kinds: list[int], sites: list, pins) -> list[int]:
+    """The ``role`` (``"source"`` or ``"sink"``) node of each ``(cell,
+    pin)``: pin ``pin`` of the cell's logic block, or its pad's pin for
+    an I/O cell.  A flat substrate takes them in one gather from its
+    int32 pin-node tables (the ``(tile, pin)`` table, then the ``(tile,
+    pad)`` one, raveled); an object graph looks up its ``(x, y, pin)``
+    dicts."""
+    if isinstance(g, CompiledRRG):
+        lb, pads = getattr(g, f"lb_{role}_ids"), getattr(g, f"io_{role}_ids")
+        cols, width, pad_width = g.params.cols, lb.shape[1], pads.shape[1]
+        at = []
+        for c, pin in pins:
+            x, y, pad = sites[c]
+            at.append((y * cols + x) * width + pin if kinds[c] in (LUT, DFF)
+                      else lb.size + (y * cols + x) * pad_width + pad)
+        nodes = np.concatenate((lb.ravel(), pads.ravel()))[at].tolist()
+    else:
+        lb, pads = getattr(g, f"lb_{role}"), getattr(g, f"io_{role}")
+        nodes = []
+        for c, pin in pins:
+            x, y, pad = sites[c]
+            nodes.append(lb[(x, y, pin)] if kinds[c] in (LUT, DFF)
+                         else pads[(x, y, pad)])
+    if min(nodes, default=0) < 0:
+        raise PlacementError("an I/O cell sits on a tile without pads")
+    return nodes
+
+
 def _net_endpoints(
     netlist: Netlist, placement: Placement, g: RoutingResourceGraph | CompiledRRG
 ) -> list[tuple[str, int, list[int]]]:
-    """Extract (net name, source node, sink nodes) for every routable net."""
-    out: list[tuple[str, int, list[int]]] = []
-    for net_name, driver_name in netlist.net_driver.items():
-        driver = netlist.cells[driver_name]
-        sinks: list[int] = []
-        for cell in netlist.cells.values():
-            for slot, in_net in enumerate(cell.inputs):
-                if in_net != net_name:
-                    continue
-                if cell.kind in (CellKind.LUT, CellKind.DFF):
-                    loc = placement.location(cell.name)
-                    sinks.append(g.lb_sink[(loc.x, loc.y, slot if cell.kind is CellKind.LUT else 0)])
-                elif cell.kind is CellKind.OUTPUT:
-                    coord, pad = placement.ios[cell.name]
-                    sinks.append(g.io_sink[(coord.x, coord.y, pad)])
-        if not sinks:
-            continue
-        if driver.kind is CellKind.INPUT:
-            coord, pad = placement.ios[driver.name]
-            source = g.io_source[(coord.x, coord.y, pad)]
-        elif driver.kind in (CellKind.LUT, CellKind.DFF):
-            loc = placement.location(driver.name)
-            source = g.lb_source[(loc.x, loc.y, 0)]
-        else:
-            continue
-        out.append((net_name, source, sorted(set(sinks))))
-    return out
+    """Extract (net name, source node, sink nodes) for every routable net.
+
+    One pass over the reader rows of :meth:`Netlist.index`: a LUT's
+    input slot ``s`` sinks at its tile's SINK ``s``, a DFF at SINK 0 and
+    a primary output at its pad's SINK; an input sources at its pad's
+    SOURCE, a LUT or DFF at its tile's SOURCE 0.  Nets come in
+    ``net_driver`` order, each sink list sorted and without repeats;
+    nets nobody reads are left out.
+    """
+    ix = netlist.index()
+    sites = _cell_sites(ix, placement)
+    kinds = ix.kind.tolist()
+    start = ix.pin_start.tolist()
+    read = [n for n in range(ix.n_driven) if start[n] < start[n + 1]]
+    stop = start[ix.n_driven]
+    pins = list(zip(ix.pin_cell[:stop].tolist(), ix.pin_slot[:stop].tolist()))
+    drivers = ix.driver[read].tolist()
+    for c in chain(drivers, (c for c, _slot in pins)):
+        if sites[c] is None:
+            raise PlacementError(f"cell {ix.cell_names[c]!r} not placed")
+    sinks = _pin_nodes(g, "sink", kinds, sites, pins)
+    sources = _pin_nodes(g, "source", kinds, sites, [(c, 0) for c in drivers])
+    names = ix.net_names
+    return [(names[n], src, sorted(set(sinks[start[n]:start[n + 1]])))
+            for n, src in zip(read, sources)]
 
 
 # ========================================================================= #

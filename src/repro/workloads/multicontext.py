@@ -82,7 +82,7 @@ def mutate_netlist(
             ]
             if candidates:
                 cell.inputs[slot] = candidates[int(rng.integers(len(candidates)))]
-    out._topo_cache = None
+    out.invalidate()
     out.validate()
     return out
 

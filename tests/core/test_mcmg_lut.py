@@ -135,3 +135,31 @@ class TestGranularityTrade:
         for p in range(4):
             lut.load_function(p, lambda a, b, c, d: a ^ b)
         assert lut.distinct_planes() == 1
+
+
+class TestGranularityChecks:
+    def test_checked_once_per_setting(self, monkeypatch):
+        calls = []
+        check = MCMGGeometry._check_gran
+        monkeypatch.setattr(MCMGGeometry, "_check_gran",
+                            lambda self, g: calls.append(g) or check(self, g))
+        lut = MCMGLut(fig12_geometry())
+        assert calls == [0]
+        for _ in range(10):
+            assert (lut.n_inputs, lut.n_planes, lut.plane_bits) == (4, 4, 16)
+            lut.plane_for_context(3)
+            lut.evaluate(3, 5)
+        assert calls == [0]
+        lut.set_granularity(2)
+        assert calls == [0, 2]
+        assert (lut.n_inputs, lut.n_planes, lut.plane_bits) == (6, 1, 64)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_bad_granularity_still_raises(self, bad):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            MCMGLut(fig12_geometry(), granularity=bad)
+        lut = MCMGLut(fig12_geometry(), granularity=1)
+        with pytest.raises(ConfigurationError, match="out of range"):
+            lut.set_granularity(bad)
+        # a rejected setting leaves the LUT as it was
+        assert (lut.granularity, lut.n_inputs, lut.n_planes) == (1, 5, 2)

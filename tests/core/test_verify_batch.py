@@ -173,3 +173,43 @@ def test_verify_on_constant_only_context():
     assert outcome(device.verify_against_source, 0, 8, 0) == outcome(
         scalar_verify, device, 0, 8, 0
     ) == "context 0 fabric mismatch on {}: fabric={'o': 0} netlist={'o': 1}"
+
+
+def test_a_wrong_index_row_is_caught():
+    """The fabric walks the netlist index; the source side reads the
+    cells by name, so an index row that reads the wrong net fails
+    verification instead of agreeing with itself."""
+    nl = Netlist("andnot")
+    nl.add_input("a")
+    nl.add_input("b")
+    nl.add_lut("y", ["a", "b"], "y", TruthTable(2, 0b0010))  # a & ~b
+    nl.add_output("o", "y")
+    prog = MultiContextProgram([nl, nl.copy("again")])
+    params = ArchParams(cols=3, rows=3, n_contexts=2, lut_inputs=4,
+                        channel_width=6, io_capacity=2)
+    device = MultiContextFPGA(params)
+    device.configure_program(prog, place_program(prog, params, seed=0,
+                                                 effort=0.2))
+    device.verify_against_source(0, n_vectors=32)
+    ix = nl.index()
+    y = ix.cell_id["y"]
+    wrong = ix.in_net.copy()
+    wrong[ix.in_start[y] + 1] = ix.net_id["a"]  # slot 1 reads "a", not "b"
+    ix.in_net = wrong
+    with pytest.raises(SimulationError, match="context 0 fabric mismatch"):
+        device.verify_against_source(0, n_vectors=32)
+
+
+def test_source_side_never_reads_the_index(monkeypatch):
+    nl = build_program("adder", 2, 0.05, 0).contexts[0]
+    want = nl.evaluate_batch({c.name: np.ones(4, dtype=np.uint8)
+                              for c in nl.inputs()})
+
+    def refuse(self):
+        raise AssertionError("Netlist.evaluate_batch read the index")
+
+    monkeypatch.setattr(Netlist, "index", refuse)
+    got = nl.evaluate_batch({c.name: np.ones(4, dtype=np.uint8)
+                             for c in nl.inputs()})
+    assert {k: v.tolist() for k, v in got.items()} == {
+        k: v.tolist() for k, v in want.items()}

@@ -119,3 +119,27 @@ class TestOperators:
     def test_mismatched_inputs_rejected(self):
         with pytest.raises(SynthesisError):
             TruthTable.identity() & TruthTable.constant(0, 2)
+
+
+def _to_array_by_bit(t: TruthTable) -> np.ndarray:
+    """``to_array`` as one list item per bit (the original form)."""
+    return np.array([(t.bits >> i) & 1 for i in range(1 << t.n_inputs)],
+                    dtype=np.uint8)
+
+
+class TestToArray:
+    def test_every_table_up_to_four_inputs(self):
+        for n in range(5):
+            for bits in range(1 << (1 << n)):
+                t = TruthTable(n, bits)
+                got = t.to_array()
+                assert got.dtype == np.uint8 and got.flags.writeable
+                assert got.tobytes() == _to_array_by_bit(t).tobytes()
+
+    def test_random_tables_up_to_sixteen_inputs(self):
+        rng = np.random.default_rng(7)
+        for n in range(5, 17):
+            for _ in range(3):
+                bits = int.from_bytes(rng.bytes(1 << max(0, n - 3)), "little")
+                t = TruthTable(n, bits & ((1 << (1 << n)) - 1))
+                assert t.to_array().tobytes() == _to_array_by_bit(t).tobytes()

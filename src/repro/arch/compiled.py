@@ -143,6 +143,7 @@ class CompiledRRG:
         "_wire_ids",
         "_switch_edge_ids",
         "_edge_src",
+        "_edge_codes",
         "_edge_keys",
         "_n_switches",
         "_logic_tiles",
@@ -233,6 +234,7 @@ class CompiledRRG:
         c._wire_ids = None
         c._switch_edge_ids = None
         c._edge_src = None
+        c._edge_codes = None
         c._edge_keys = None
         c._n_switches = None
         c._logic_tiles = None
@@ -297,6 +299,15 @@ class CompiledRRG:
             )
         return self._edge_src
 
+    def edge_codes(self) -> np.ndarray:
+        """``src * n_nodes + dst`` of every CSR edge as int64, cached:
+        the key dead switches (``DefectMap.bad_edge_codes``) and
+        :meth:`edge_kinds` share."""
+        if self._edge_codes is None:
+            self._edge_codes = self.edge_src_ids() * self.n_nodes \
+                + self.edge_dst
+        return self._edge_codes
+
     # -- switch lookups (bitstream statistics) ----------------------------- #
     def edge_kinds(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Kind index (into :data:`EDGE_KINDS`) of each edge
@@ -308,7 +319,7 @@ class CompiledRRG:
         is the first copy in the object graph's ``out_edges``.
         """
         if self._edge_keys is None:
-            keys = self.edge_src_ids() * self.n_nodes + self.edge_dst
+            keys = self.edge_codes()
             order = np.argsort(keys, kind="stable")
             kinds = np.asarray(self.edge_kind, dtype=np.int8)
             self._edge_keys = (keys[order], kinds[order])

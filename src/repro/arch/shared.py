@@ -413,9 +413,9 @@ class DefectBatchView:
         return DefectMap.from_lowered(
             c,
             self.node_ok[i],
-            self.wires_flat[ws:we].tolist(),
-            self.switch_flat[ss:se].tolist(),
-            [(int(x), int(y)) for x, y in self.tiles_flat[ts:te].tolist()],
+            self.wires_flat[ws:we],
+            self.switch_flat[ss:se],
+            self.tiles_flat[ts:te].tolist(),
             model=self.model, rate=rate, seed=seed,
         )
 
@@ -449,6 +449,13 @@ class SharedDefectBatch:
             return _ATTACHED.setdefault(self.name, view)  # type: ignore
 
 
+def _offsets(rows: list[np.ndarray]) -> np.ndarray:
+    """Start offsets of ``rows`` concatenated, plus the total."""
+    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=out[1:])
+    return out
+
+
 def publish_defect_batch(maps) -> tuple[
     shared_memory.SharedMemory, SharedDefectBatch
 ]:
@@ -464,28 +471,19 @@ def publish_defect_batch(maps) -> tuple[
     if not maps:
         raise ValueError("cannot publish an empty defect batch")
     node_ok = np.stack([dm.node_ok for dm in maps])
-    wire_start = [0]
-    wires_flat: list[int] = []
-    switch_start = [0]
-    switch_flat: list[int] = []
-    tile_start = [0]
-    tiles_flat: list[tuple[int, int]] = []
-    for dm in maps:
-        wires_flat.extend(dm.wire_defects)
-        wire_start.append(len(wires_flat))
-        switch_flat.extend(dm.switch_defects)
-        switch_start.append(len(switch_flat))
-        tiles_flat.extend(sorted((t.x, t.y) for t in dm.bad_tiles))
-        tile_start.append(len(tiles_flat))
+    wires = [dm.wire_defects for dm in maps]
+    switches = [dm.switch_defects for dm in maps]
+    tiles = [np.asarray(sorted((t.x, t.y) for t in dm.bad_tiles),
+                        dtype=np.int64).reshape(-1, 2)
+             for dm in maps]
     arrays: list[tuple[str, np.ndarray]] = [
         ("node_ok", node_ok),
-        ("wire_start", np.asarray(wire_start, dtype=np.int64)),
-        ("wires_flat", np.asarray(wires_flat, dtype=np.int64)),
-        ("switch_start", np.asarray(switch_start, dtype=np.int64)),
-        ("switch_flat", np.asarray(switch_flat, dtype=np.int64)),
-        ("tile_start", np.asarray(tile_start, dtype=np.int64)),
-        ("tiles_flat",
-         np.asarray(tiles_flat, dtype=np.int64).reshape(-1, 2)),
+        ("wire_start", _offsets(wires)),
+        ("wires_flat", np.concatenate(wires)),
+        ("switch_start", _offsets(switches)),
+        ("switch_flat", np.concatenate(switches)),
+        ("tile_start", _offsets(tiles)),
+        ("tiles_flat", np.concatenate(tiles)),
     ]
     shm = _pack_segment(arrays, {
         "n_trials": len(maps), "model": maps[0].model,

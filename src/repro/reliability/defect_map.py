@@ -60,6 +60,14 @@ class DefectMap:
     :meth:`from_defects` (explicit resources, for tests and targeted
     what-if experiments).  Instances are immutable in spirit: the
     router and repair ladder only ever read them.
+
+    The defects are arrays end to end: ``wire_defects`` (node ids) and
+    ``switch_defects`` (CSR edge indexes) are sorted, unique, read-only
+    int64 arrays, and ``bad_edge_codes`` holds each dead switch as its
+    ``src * n_nodes + dst`` code (:meth:`CompiledRRG.edge_codes`),
+    sorted, so consumers test membership with one binary search
+    (:meth:`edges_dead`).  ``bad_tiles`` is a set of tile coordinates,
+    the form the placer's ``forbidden`` takes.
     """
 
     __slots__ = (
@@ -75,56 +83,50 @@ class DefectMap:
         "wire_defects",
         "switch_defects",
         "bad_tiles",
-        "bad_edge_pairs",
+        "bad_edge_codes",
     )
 
     def __init__(
         self,
         c: CompiledRRG,
-        wire_defects: Sequence[int],
-        switch_defects: Sequence[int],
+        wire_defects: np.ndarray,
+        switch_defects: np.ndarray,
         bad_tiles: Iterable[tuple[int, int]],
         model: str = "explicit",
         rate: float = 0.0,
         seed: int = 0,
+        node_ok: np.ndarray | None = None,
     ) -> None:
+        """Wrap already-normalised defect arrays (sorted, unique int64
+        ids; see :meth:`from_defects` for arbitrary input).  Without
+        ``node_ok`` the node mask is lowered from the wire and
+        logic-site defects."""
         self.params = c.params
         self.n_nodes = c.n_nodes
         self.n_edges = c.n_edges
         self.model = model
         self.rate = rate
         self.seed = seed
-        self.wire_defects = tuple(sorted(int(n) for n in wire_defects))
-        self.switch_defects = tuple(sorted(int(e) for e in switch_defects))
+        self.wire_defects = _frozen(wire_defects)
+        self.switch_defects = _frozen(switch_defects)
         self.bad_tiles = frozenset(
             Coord(int(x), int(y)) for x, y in bad_tiles
         )
-
-        node_ok = np.ones(c.n_nodes, dtype=bool)
-        if self.wire_defects:
-            node_ok[np.asarray(self.wire_defects, dtype=np.int64)] = False
-        if self.bad_tiles:
-            # a dead LB loses its logical endpoints; routes never pass
-            # *through* SOURCE/SINK nodes, so this only bites nets that
-            # terminate at the dead site (i.e. a blocked placement)
-            dead = {(t.x, t.y) for t in self.bad_tiles}
-            for index in (c.lb_source, c.lb_sink):
-                for (x, y, _pin), nid in index.items():
-                    if (x, y) in dead:
-                        node_ok[nid] = False
+        if node_ok is None:
+            node_ok = np.ones(c.n_nodes, dtype=bool)
+            node_ok[self.wire_defects] = False
+            if self.bad_tiles:
+                # a dead LB loses its logical endpoints; routes never
+                # pass *through* SOURCE/SINK nodes, so this only bites
+                # nets that terminate at the dead site (i.e. a blocked
+                # placement)
+                node_ok[_tile_pin_nodes(c, self.bad_tiles)] = False
         self.node_ok = node_ok
         self._node_ok_bytes: bytes | None = None
         self._live_edge_dst: np.ndarray | None = None
-
-        if self.switch_defects:
-            eidx = np.asarray(self.switch_defects, dtype=np.int64)
-            src = c.edge_src_ids()
-            dst = c.edge_dst
-            self.bad_edge_pairs = frozenset(
-                (int(src[e]), int(dst[e])) for e in eidx.tolist()
-            )
-        else:
-            self.bad_edge_pairs = frozenset()
+        self.bad_edge_codes = _frozen(
+            np.sort(c.edge_codes()[self.switch_defects])
+        )
 
     @property
     def node_ok_bytes(self) -> bytes:
@@ -134,6 +136,15 @@ class DefectMap:
         if self._node_ok_bytes is None:
             self._node_ok_bytes = self.node_ok.tobytes()
         return self._node_ok_bytes
+
+    def edges_dead(self, codes: np.ndarray) -> np.ndarray:
+        """Whether each edge code ``src * n_nodes + dst`` is a dead
+        switch: one binary search over :attr:`bad_edge_codes`."""
+        bad = self.bad_edge_codes
+        if bad.size == 0:
+            return np.zeros(len(codes), dtype=bool)
+        pos = np.minimum(np.searchsorted(bad, codes), bad.size - 1)
+        return bad[pos] == codes
 
     def live_edge_dst(self, c: CompiledRRG) -> np.ndarray:
         """``c.edge_dst`` with every dead switch ``u -> v`` lowered to
@@ -147,11 +158,11 @@ class DefectMap:
         an int32 copy, written with one vectorised store, built lazily
         and cached like :attr:`node_ok_bytes`.
         """
-        if not self.switch_defects:
+        dead = self.switch_defects
+        if dead.size == 0:
             return c.edge_dst
         if self._live_edge_dst is None:
             edst = c.edge_dst.copy()
-            dead = np.asarray(self.switch_defects, dtype=np.int64)
             edst[dead] = c.edge_src_ids()[dead]
             self._live_edge_dst = edst
         return self._live_edge_dst
@@ -174,35 +185,14 @@ class DefectMap:
         once (parent-side) and workers attach a read-only view; this
         constructor wraps such a view without re-sampling or re-lowering
         — the published mask already folds wire and logic-site defects.
-        The small derived pieces (``bad_edge_pairs``, lazily the lowered
-        edge array) are rebuilt from the defect id lists, exactly as the
-        eager constructor would.
+        The defect ids are normalised like :meth:`from_defects`, and
+        ``bad_edge_codes`` (and lazily the lowered edge array) is
+        rebuilt from them, exactly as the eager constructor would.
         """
-        dm = cls.__new__(cls)
-        dm.params = c.params
-        dm.n_nodes = c.n_nodes
-        dm.n_edges = c.n_edges
-        dm.model = model
-        dm.rate = rate
-        dm.seed = seed
-        dm.wire_defects = tuple(sorted(int(n) for n in wire_defects))
-        dm.switch_defects = tuple(sorted(int(e) for e in switch_defects))
-        dm.bad_tiles = frozenset(
-            Coord(int(x), int(y)) for x, y in bad_tiles
+        return cls(
+            c, _id_array(wire_defects), _id_array(switch_defects),
+            bad_tiles, model=model, rate=rate, seed=seed, node_ok=node_ok,
         )
-        dm.node_ok = node_ok
-        dm._node_ok_bytes = None
-        dm._live_edge_dst = None
-        if dm.switch_defects:
-            eidx = np.asarray(dm.switch_defects, dtype=np.int64)
-            src = c.edge_src_ids()
-            dst = c.edge_dst
-            dm.bad_edge_pairs = frozenset(
-                (int(src[e]), int(dst[e])) for e in eidx.tolist()
-            )
-        else:
-            dm.bad_edge_pairs = frozenset()
-        return dm
 
     # -- construction ------------------------------------------------------- #
     @classmethod
@@ -242,11 +232,12 @@ class DefectMap:
         wires = c.wire_node_ids()
         switches = c.switch_edge_ids()
         tiles = c.logic_tiles()
+        # the candidate arrays are ascending and both draws keep their
+        # order, so the hits are already sorted and unique
         if model == "uniform":
             wire_hit = wires[rng.random(len(wires)) < w_rate]
             switch_hit = switches[rng.random(len(switches)) < s_rate]
-            tile_draw = rng.random(len(tiles))
-            tile_hit = [t for t, u in zip(tiles, tile_draw) if u < l_rate]
+            tile_hit = np.flatnonzero(rng.random(len(tiles)) < l_rate)
         else:
             xlo, ylo = c.xlo_np, c.ylo_np
             wire_hit = _clustered_pick(
@@ -258,16 +249,14 @@ class DefectMap:
                 rng, switches, xlo[esrc], ylo[esrc], s_rate,
                 c.params, cluster_radius, cluster_size,
             )
-            tile_ids = np.arange(len(tiles), dtype=np.int64)
-            tx = np.array([t[0] for t in tiles], dtype=np.int64)
-            ty = np.array([t[1] for t in tiles], dtype=np.int64)
-            tile_hit_ids = _clustered_pick(
-                rng, tile_ids, tx, ty, l_rate,
+            txy = np.asarray(tiles, dtype=np.int64).reshape(-1, 2)
+            tile_hit = _clustered_pick(
+                rng, np.arange(len(tiles), dtype=np.int64),
+                txy[:, 0], txy[:, 1], l_rate,
                 c.params, cluster_radius, cluster_size,
             )
-            tile_hit = [tiles[i] for i in tile_hit_ids.tolist()]
         return cls(
-            c, wire_hit.tolist(), switch_hit.tolist(), tile_hit,
+            c, wire_hit, switch_hit, [tiles[i] for i in tile_hit.tolist()],
             model=model, rate=rate, seed=int(seed_val),
         )
 
@@ -279,18 +268,18 @@ class DefectMap:
         switch_edges: Sequence[int] = (),
         logic_tiles: Iterable[tuple[int, int]] = (),
     ) -> "DefectMap":
-        """Explicit defect list (tests, targeted what-if experiments)."""
-        return cls(c, wire_nodes, switch_edges, logic_tiles)
+        """Explicit defect list (tests, targeted what-if experiments).
+
+        Ids may come in any order and repeat: a resource is dead or it
+        is not, so each one counts once."""
+        return cls(c, _id_array(wire_nodes), _id_array(switch_edges),
+                   logic_tiles)
 
     # -- queries ------------------------------------------------------------ #
     @property
     def is_clean(self) -> bool:
         """True when the die carries no defect at all."""
-        return (
-            not self.wire_defects
-            and not self.switch_defects
-            and not self.bad_tiles
-        )
+        return self.n_defects == 0
 
     @property
     def n_defects(self) -> int:
@@ -347,32 +336,60 @@ def _clustered_pick(
     k = int(rng.binomial(n, min(rate, 1.0)))
     if k == 0:
         return candidates[:0]
-    chosen: set[int] = set()  # positions into ``candidates``
+    taken = np.zeros(n, dtype=bool)  # positions into ``candidates``
+    n_taken = 0
+    # each center's neighbourhood, found once per center
+    around: dict[tuple[int, int], np.ndarray] = {}
     attempts = 0
-    while len(chosen) < k and attempts < 64 * (1 + k // max(1, cluster_size)):
+    while n_taken < k and attempts < 64 * (1 + k // max(1, cluster_size)):
         attempts += 1
         cx = int(rng.integers(0, params.cols + 1))
         cy = int(rng.integers(0, params.rows + 1))
-        near = np.flatnonzero(
-            (np.abs(cand_x - cx) + np.abs(cand_y - cy)) <= cluster_radius
-        )
-        near = near[~np.isin(near, np.fromiter(chosen, dtype=np.int64,
-                                               count=len(chosen)))] \
-            if chosen else near
+        near = around.get((cx, cy))
+        if near is None:
+            near = around[cx, cy] = np.flatnonzero(
+                (np.abs(cand_x - cx) + np.abs(cand_y - cy)) <= cluster_radius
+            )
+        near = near[~taken[near]]
         if len(near) == 0:
             continue
-        take = min(int(rng.integers(1, cluster_size + 1)), k - len(chosen),
+        take = min(int(rng.integers(1, cluster_size + 1)), k - n_taken,
                    len(near))
-        picked = rng.choice(near, size=take, replace=False)
-        chosen.update(int(p) for p in picked)
-    if len(chosen) < k:  # degenerate geometry: top up uniformly
-        rest = np.setdiff1d(
-            np.arange(n), np.fromiter(chosen, dtype=np.int64,
-                                      count=len(chosen)),
-        )
-        extra = rng.choice(rest, size=min(k - len(chosen), len(rest)),
-                           replace=False)
-        chosen.update(int(p) for p in extra)
-    idx = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
-    idx.sort()
-    return candidates[idx]
+        taken[rng.choice(near, size=take, replace=False)] = True
+        n_taken += take
+    if n_taken < k:  # degenerate geometry: top up uniformly
+        rest = np.flatnonzero(~taken)
+        taken[rng.choice(rest, size=min(k - n_taken, len(rest)),
+                         replace=False)] = True
+    return candidates[taken]
+
+
+def _id_array(ids: Sequence[int]) -> np.ndarray:
+    """Ids in any order, possibly repeated, as a sorted unique int64
+    array (a sort and a neighbour test: several times cheaper than
+    ``np.unique`` on the few thousand ids of one map)."""
+    ids = np.sort(np.asarray(ids, dtype=np.int64))
+    keep = np.ones(ids.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
+def _frozen(ids: np.ndarray) -> np.ndarray:
+    """``ids`` as a read-only int64 array (the caller's own array when
+    it is int64 already: sampled hits are fresh copies)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    ids.flags.writeable = False
+    return ids
+
+
+def _tile_pin_nodes(c: CompiledRRG, tiles: frozenset[Coord]) -> np.ndarray:
+    """The SOURCE/SINK nodes of the logic blocks on ``tiles``: the
+    tiles' rows of the substrate's ``(tile, pin)`` tables, without -1
+    entries.  Tiles off the grid have no logic block."""
+    cols, rows = c.params.cols, c.params.rows
+    at = [t.y * cols + t.x for t in tiles
+          if 0 <= t.x < cols and 0 <= t.y < rows]
+    ids = np.concatenate(
+        (c.lb_source_ids[at].ravel(), c.lb_sink_ids[at].ravel())
+    )
+    return ids[ids >= 0]

@@ -56,11 +56,6 @@ from repro.route.pathfinder import (
 from repro.route.timing import critical_path, route_net_delays
 from repro.utils.profile import span
 
-#: Tile coordinates are encoded as ``x * _COORD_BASE + y`` for the
-#: vectorised membership tests; fabric dimensions are far below this.
-_COORD_BASE = 1 << 20
-
-
 class RepairLevel(enum.IntEnum):
     """Rungs of the escalation ladder, cheapest first."""
 
@@ -79,14 +74,14 @@ class RouteFlat:
     arrays with per-net offsets — the same flat layout the shared-memory
     golden segments use for per-sink paths — so a trial's dirty-net
     census is a fancy-index gather plus a segmented reduction instead of
-    a Python loop over every node of every net.  Also carries the
-    placement's logic-cell coordinates (encoded) and the per-net
-    endpoint signatures the warm-start reuse bank needs.
+    a Python loop over every node of every net.  Also carries the set
+    of tiles the placement's cells occupy and the per-net endpoint
+    signatures the warm-start reuse bank needs.
     """
 
     __slots__ = (
         "names", "nodes_flat", "node_start", "edge_codes", "edge_start",
-        "n_nodes", "cells_xy", "signatures",
+        "cells", "signatures",
     )
 
     def __init__(
@@ -108,19 +103,14 @@ class RouteFlat:
             edge_start.append(len(edges))
             signatures[name] = endpoint_signature(net.source, net.sinks)
         self.names = names
-        self.n_nodes = n_nodes
         self.nodes_flat = np.asarray(nodes, dtype=np.int64)
         self.node_start = np.asarray(node_start, dtype=np.int64)
         self.edge_codes = np.asarray(edges, dtype=np.int64)
         self.edge_start = np.asarray(edge_start, dtype=np.int64)
         self.signatures = signatures
-        if placement is None:
-            self.cells_xy = np.empty(0, dtype=np.int64)
-        else:
-            self.cells_xy = np.asarray(
-                [c.x * _COORD_BASE + c.y for c in placement.cells.values()],
-                dtype=np.int64,
-            )
+        self.cells = frozenset(
+            () if placement is None else placement.cells.values()
+        )
 
     def dirty_net_names(self, dm: DefectMap) -> set[str]:
         """Vectorised: nets whose route crosses a dead wire/switch."""
@@ -130,26 +120,11 @@ class RouteFlat:
         # reductions see no empty segments
         bad = ~dm.node_ok[self.nodes_flat]
         net_bad = np.logical_or.reduceat(bad, self.node_start[:-1])
-        bad_pairs = dm.bad_edge_pairs
-        if bad_pairs:
-            bad_codes = np.fromiter(
-                (a * self.n_nodes + b for a, b in bad_pairs),
-                dtype=np.int64, count=len(bad_pairs),
-            )
-            hit = np.isin(self.edge_codes, bad_codes)
+        if dm.bad_edge_codes.size:
+            hit = dm.edges_dead(self.edge_codes)
             net_bad |= np.logical_or.reduceat(hit, self.edge_start[:-1])
         names = self.names
         return {names[i] for i in np.flatnonzero(net_bad)}
-
-    def placement_blocked(self, dm: DefectMap) -> bool:
-        """Vectorised: any placed logic cell on a dead tile."""
-        if not dm.bad_tiles or self.cells_xy.size == 0:
-            return False
-        bad = np.fromiter(
-            (t.x * _COORD_BASE + t.y for t in dm.bad_tiles),
-            dtype=np.int64, count=len(dm.bad_tiles),
-        )
-        return bool(np.isin(self.cells_xy, bad).any())
 
 
 @dataclass
@@ -285,11 +260,9 @@ def placement_blocked(
     placement: Placement, dm: DefectMap, flat: RouteFlat | None = None
 ) -> bool:
     """True when any placed cell sits on a dead logic site."""
-    if not dm.bad_tiles:
-        return False
-    if flat is not None and flat.cells_xy.size:
-        return flat.placement_blocked(dm)
-    return any(coord in dm.bad_tiles for coord in placement.cells.values())
+    if flat is not None and flat.cells:
+        return not dm.bad_tiles.isdisjoint(flat.cells)
+    return not dm.bad_tiles.isdisjoint(placement.cells.values())
 
 
 def repair_mapping(

@@ -730,36 +730,49 @@ def _healthy_sink_paths(
     branches (each starts at a node of an earlier branch), so the chain
     is reconstructed through parent pointers — a branch that merely
     *hangs off* a broken branch is correctly rejected.  A chain is
-    healthy when every node on it is alive and, with switch defects
-    present, no consecutive pair is a dead edge.
+    healthy when every node on it is alive and no consecutive pair is a
+    dead edge.  The net's chains are tested together: one gather of the
+    node mask, one binary search of every consecutive pair's edge code
+    (pairs straddling two chains masked out) and one segmented
+    reduction over the chains.
     """
     parent: dict[int, int] = {}
     for branch in prior.sink_paths.values():
         for a, b in zip(branch, branch[1:]):
             parent.setdefault(b, a)
-    node_ok = defects.node_ok
-    bad_edges = defects.bad_edge_pairs
     limit = len(parent) + 1
-    keep: dict[int, list[int]] = {}
+    sinks: list[int] = []
+    chains: list[list[int]] = []
     for sink in prior.sink_paths:
-        chain = [sink]
+        path = [sink]
         node = sink
         while node != prior.source:
             node = parent.get(node, -1)
-            if node < 0 or len(chain) > limit:
+            if node < 0 or len(path) > limit:
                 break
-            chain.append(node)
-        if chain[-1] != prior.source:
+            path.append(node)
+        if path[-1] != prior.source:
             continue  # malformed tree record: don't salvage this sink
-        chain.reverse()
-        if not bool(node_ok[chain].all()):
-            continue
-        if bad_edges and any(
-            (a, b) in bad_edges for a, b in zip(chain, chain[1:])
-        ):
-            continue
-        keep[sink] = chain
-    return keep
+        path.reverse()
+        sinks.append(sink)
+        chains.append(path)
+    if not chains:
+        return {}
+    lengths = np.fromiter(map(len, chains), dtype=np.int64,
+                          count=len(chains))
+    starts = np.zeros(len(chains), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    flat = np.fromiter(chain.from_iterable(chains),
+                       dtype=np.int64, count=int(lengths.sum()))
+    bad = ~defects.node_ok[flat]
+    if defects.bad_edge_codes.size:
+        # pair i joins flat[i] -> flat[i + 1] and is charged to flat[i];
+        # the pair ending at the next chain's start crosses a boundary
+        dead = defects.edges_dead(flat[:-1] * defects.n_nodes + flat[1:])
+        dead[starts[1:] - 1] = False
+        bad[:-1] |= dead
+    healthy = ~np.logical_or.reduceat(bad, starts)
+    return {sinks[i]: chains[i] for i in np.flatnonzero(healthy).tolist()}
 
 
 def _boxes_interact(

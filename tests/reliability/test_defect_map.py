@@ -74,18 +74,18 @@ class TestUniformModel:
         wires = substrate.wire_node_ids()
         assert len(dm.wire_defects) == len(wires)
         assert not dm.node_ok[wires].any()
-        assert not dm.switch_defects and not dm.bad_tiles
+        assert dm.switch_defects.size == 0 and not dm.bad_tiles
 
     def test_seeded_determinism(self, substrate):
         a = DefectMap.sample(substrate, 0.05, seed=42)
         b = DefectMap.sample(substrate, 0.05, seed=42)
-        assert a.wire_defects == b.wire_defects
-        assert a.switch_defects == b.switch_defects
+        assert np.array_equal(a.wire_defects, b.wire_defects)
+        assert np.array_equal(a.switch_defects, b.switch_defects)
         assert a.bad_tiles == b.bad_tiles
         c = DefectMap.sample(substrate, 0.05, seed=43)
         assert (
-            a.wire_defects != c.wire_defects
-            or a.switch_defects != c.switch_defects
+            not np.array_equal(a.wire_defects, c.wire_defects)
+            or not np.array_equal(a.switch_defects, c.switch_defects)
         )
 
     def test_masks_align_with_defect_lists(self, substrate):
@@ -94,17 +94,17 @@ class TestUniformModel:
         for nid in dm.wire_defects:
             assert nid in bad_nodes
         assert dm.node_ok_bytes == dm.node_ok.tobytes()
-        if dm.switch_defects:
-            assert len(dm.bad_edge_pairs) == len(dm.switch_defects)
+        assert dm.switch_defects.size
+        assert dm.bad_edge_codes.size == dm.switch_defects.size
 
     def test_dead_switches_lower_to_self_loops(self, substrate):
         dm = DefectMap.sample(substrate, 0.05, seed=9)
-        assert dm.switch_defects
+        assert dm.switch_defects.size
         lowered = dm.live_edge_dst(substrate)
         assert lowered is not substrate.edge_dst
         assert dm.live_edge_dst(substrate) is lowered  # cached
         assert len(lowered) == substrate.n_edges
-        dead = set(dm.switch_defects)
+        dead = set(dm.switch_defects.tolist())
         src = substrate.edge_src_ids()
         for e, (got, dst) in enumerate(zip(lowered, substrate.edge_dst)):
             assert got == (int(src[e]) if e in dead else dst), e
@@ -128,8 +128,8 @@ class TestClusteredModel:
     def test_seeded_determinism(self, substrate):
         a = DefectMap.sample(substrate, 0.05, seed=5, model="clustered")
         b = DefectMap.sample(substrate, 0.05, seed=5, model="clustered")
-        assert a.wire_defects == b.wire_defects
-        assert a.switch_defects == b.switch_defects
+        assert np.array_equal(a.wire_defects, b.wire_defects)
+        assert np.array_equal(a.switch_defects, b.switch_defects)
         assert a.bad_tiles == b.bad_tiles
 
     def test_nonempty_at_meaningful_rate(self, substrate):
@@ -167,11 +167,88 @@ class TestExplicitMap:
             logic_tiles=[(1, 1)],
         )
         assert not dm.is_clean
-        assert dm.wire_defects == (wire,)
-        assert dm.switch_defects == (edge,)
+        assert dm.wire_defects.tolist() == [wire]
+        assert dm.switch_defects.tolist() == [edge]
         assert not dm.node_ok[wire]
         d = dm.to_dict()
         assert d["wire_defects"] == 1
         assert d["switch_defects"] == 1
         assert d["logic_defects"] == 1
         assert d["total_defects"] == 3
+
+    def test_repeated_ids_count_once(self, substrate):
+        """A resource is dead or it is not: repeats in an explicit list
+        are one defect each, like repeated tiles always were."""
+        wire = int(substrate.wire_node_ids()[3])
+        edge = int(substrate.switch_edge_ids()[9])
+        dm = DefectMap.from_defects(
+            substrate, wire_nodes=[wire, wire], switch_edges=[edge, edge],
+            logic_tiles=[(1, 1), (1, 1)],
+        )
+        assert dm.n_defects == 3
+        assert dm.to_dict() == {
+            "model": "explicit", "rate": 0.0, "seed": 0,
+            "wire_defects": 1, "switch_defects": 1, "logic_defects": 1,
+            "total_defects": 3,
+        }
+        assert dm.describe() == (
+            "DefectMap[explicit] rate=0.0: 1 wires, 1 switches, "
+            "1 logic sites"
+        )
+        assert dm.bad_edge_codes.size == 1
+
+
+class TestArrayFields:
+    """The defect fields are sorted, unique, read-only int64 arrays."""
+
+    MAPS = [("uniform", 0.05, 3), ("clustered", 0.05, 3),
+            ("clustered", 0.10, 4), ("uniform", 0.0, 1)]
+
+    @pytest.mark.parametrize("model,rate,seed", MAPS)
+    def test_fields_are_sorted_unique_read_only(self, substrate, model,
+                                                rate, seed):
+        dm = DefectMap.sample(substrate, rate, seed=seed, model=model)
+        for ids in (dm.wire_defects, dm.switch_defects, dm.bad_edge_codes):
+            assert ids.dtype == np.int64
+            assert not ids.flags.writeable
+            assert np.array_equal(ids, np.unique(ids))
+        with pytest.raises(ValueError):
+            dm.wire_defects[:1] = 0
+
+    @pytest.mark.parametrize("model,rate,seed", MAPS)
+    def test_edge_codes_are_the_dead_switch_pairs(self, substrate, model,
+                                                  rate, seed):
+        dm = DefectMap.sample(substrate, rate, seed=seed, model=model)
+        src = substrate.edge_src_ids()
+        pairs = {(int(src[e]), int(substrate.edge_dst[e]))
+                 for e in dm.switch_defects.tolist()}
+        n = substrate.n_nodes
+        assert dm.bad_edge_codes.tolist() == sorted(
+            int(src[e]) * n + int(substrate.edge_dst[e])
+            for e in dm.switch_defects.tolist()
+        )
+        every = src * n + substrate.edge_dst
+        dead = dm.edges_dead(every)
+        assert {(int(src[e]), int(substrate.edge_dst[e]))
+                for e in np.flatnonzero(dead).tolist()} == pairs
+
+    @pytest.mark.parametrize("model,rate,seed", MAPS)
+    def test_tile_lowering_matches_pin_dict_walk(self, substrate, model,
+                                                 rate, seed):
+        dm = DefectMap.sample(substrate, rate, seed=seed, model=model,
+                              logic_rate=0.3)
+        assert dm.bad_tiles or rate == 0.0
+        want = np.ones(substrate.n_nodes, dtype=bool)
+        want[dm.wire_defects] = False
+        dead = {(t.x, t.y) for t in dm.bad_tiles}
+        for index in (substrate.lb_source, substrate.lb_sink):
+            for (x, y, _pin), nid in index.items():
+                if (x, y) in dead:
+                    want[nid] = False
+        assert np.array_equal(dm.node_ok, want)
+
+    def test_off_grid_tiles_mask_nothing(self, substrate):
+        dm = DefectMap.from_defects(
+            substrate, logic_tiles=[(PARAMS.cols, 0), (-1, 2)])
+        assert dm.node_ok.all()
+        assert len(dm.bad_tiles) == 2

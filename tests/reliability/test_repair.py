@@ -1,5 +1,6 @@
 """Tests for the repair escalation ladder and defect-aware routing."""
 
+import numpy as np
 import pytest
 
 from repro.arch.compiled import flat_rrg_for
@@ -69,7 +70,8 @@ class TestDefectAwareRouting:
             c, netlist, placement, max_iterations=MAX_ITERS, defects=dm
         )
         for net in rr.nets.values():
-            assert dm.bad_edge_pairs.isdisjoint(net.edges)
+            codes = [a * c.n_nodes + b for a, b in net.edges]
+            assert np.intersect1d(codes, dm.bad_edge_codes).size == 0
 
     def test_dirty_net_detection(self, mapping):
         c, netlist, placement, golden = mapping
@@ -218,12 +220,15 @@ class TestVectorisedDetection:
         c, netlist, placement, golden = mapping
         for seed in range(12):
             dm = DefectMap.sample(c, 0.04, seed=seed)
+            src = c.edge_src_ids()
+            bad_pairs = {
+                (int(src[e]), int(c.edge_dst[e]))
+                for e in dm.switch_defects.tolist()
+            }
             brute = set()
             for name, net in golden.routes.nets.items():
                 bad_nodes = any(not dm.node_ok[n] for n in net.nodes)
-                bad_edges = any(
-                    e in dm.bad_edge_pairs for e in net.edges
-                )
+                bad_edges = any(e in bad_pairs for e in net.edges)
                 if bad_nodes or bad_edges:
                     brute.add(name)
             assert dirty_net_names(golden.routes, dm) == brute, seed

@@ -159,10 +159,12 @@ class TestLeanTrialItems:
             assert batch.n_trials == len(maps)
             for i, want in enumerate(maps):
                 got = batch.map_for(c, i, want.rate, want.seed)
-                assert got.wire_defects == want.wire_defects
-                assert got.switch_defects == want.switch_defects
+                assert np.array_equal(got.wire_defects, want.wire_defects)
+                assert np.array_equal(got.switch_defects,
+                                      want.switch_defects)
                 assert got.bad_tiles == want.bad_tiles
-                assert got.bad_edge_pairs == want.bad_edge_pairs
+                assert np.array_equal(got.bad_edge_codes,
+                                      want.bad_edge_codes)
                 assert (got.node_ok == want.node_ok).all()
                 assert got.node_ok_bytes == want.node_ok_bytes
                 lowered, ref = got.live_edge_dst(c), want.live_edge_dst(c)

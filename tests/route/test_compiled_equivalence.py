@@ -7,6 +7,7 @@ engines share cost arithmetic and tie-breaking by construction; these
 tests pin that property across 3 workloads x 2 grid sizes.
 """
 
+import numpy as np
 import pytest
 
 from repro.arch.compiled import compile_rrg
@@ -143,7 +144,10 @@ class TestDefectMaskNeutrality:
         for rr in results:
             for net in rr.nets.values():
                 assert all(dm.node_ok[n] for n in net.nodes), name
-                assert dm.bad_edge_pairs.isdisjoint(net.edges), name
+                codes = [a * c.n_nodes + b for a, b in net.edges]
+                assert np.intersect1d(codes, dm.bad_edge_codes).size == 0, (
+                    name
+                )
 
 
 class TestAdapters:

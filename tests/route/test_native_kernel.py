@@ -115,7 +115,7 @@ class TestSearchBySearch:
         c = flat_rrg_for(params)
         pl = place(netlist, params, seed=2, effort=0.3)
         dm = DefectMap.sample(c, rate, seed=9, logic_rate=0.0)
-        assert dm.switch_defects and dm.wire_defects
+        assert dm.switch_defects.size and dm.wire_defects.size
         route_context_compiled(c, netlist, pl, defects=dm)
         route_context_compiled(c, netlist, pl, defects=dm, workers=4)
 

@@ -124,16 +124,17 @@ class TestQueueEquivalence:
         kernel = pathfinder._search
         for rate in (0.01, 0.03, 0.05):
             dm = DefectMap.sample(c, rate, seed=9, logic_rate=0.0)
-            assert dm.switch_defects
+            assert dm.switch_defects.size
             monkeypatch.setattr(pathfinder, "_search", kernel)
             dial = route_context_compiled(c, netlist, pl, defects=dm)
             monkeypatch.setattr(
-                pathfinder, "_search", heap_search(dm.switch_defects)
+                pathfinder, "_search", heap_search(dm.switch_defects.tolist())
             )
             heap = route_context_compiled(c, netlist, pl, defects=dm)
             _assert_identical(dial, heap)
             for net in heap.nets.values():
-                assert dm.bad_edge_pairs.isdisjoint(net.edges)
+                codes = [a * c.n_nodes + b for a, b in net.edges]
+                assert np.intersect1d(codes, dm.bad_edge_codes).size == 0
 
 
 class TestTargetedReprice:

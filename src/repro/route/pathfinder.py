@@ -743,6 +743,8 @@ def _healthy_sink_paths(
     limit = len(parent) + 1
     sinks: list[int] = []
     chains: list[list[int]] = []
+    starts: list[int] = []
+    size = 0
     for sink in prior.sink_paths:
         path = [sink]
         node = sink
@@ -756,23 +758,21 @@ def _healthy_sink_paths(
         path.reverse()
         sinks.append(sink)
         chains.append(path)
+        starts.append(size)
+        size += len(path)
     if not chains:
         return {}
-    lengths = np.fromiter(map(len, chains), dtype=np.int64,
-                          count=len(chains))
-    starts = np.zeros(len(chains), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    flat = np.fromiter(chain.from_iterable(chains),
-                       dtype=np.int64, count=int(lengths.sum()))
+    flat = np.fromiter(chain.from_iterable(chains), dtype=np.int64,
+                       count=size)
     bad = ~defects.node_ok[flat]
     if defects.bad_edge_codes.size:
         # pair i joins flat[i] -> flat[i + 1] and is charged to flat[i];
-        # the pair ending at the next chain's start crosses a boundary
+        # the pair ending at a chain's start crosses a boundary
         dead = defects.edges_dead(flat[:-1] * defects.n_nodes + flat[1:])
-        dead[starts[1:] - 1] = False
+        dead[[s - 1 for s in starts[1:]]] = False
         bad[:-1] |= dead
-    healthy = ~np.logical_or.reduceat(bad, starts)
-    return {sinks[i]: chains[i] for i in np.flatnonzero(healthy).tolist()}
+    broken = np.logical_or.reduceat(bad, starts).tolist()
+    return {s: p for s, p, b in zip(sinks, chains, broken) if not b}
 
 
 def _boxes_interact(

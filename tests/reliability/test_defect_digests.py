@@ -74,7 +74,6 @@ def test_shared_batch_round_trips_every_case():
                                       want.live_edge_dst(c))
                 assert got.n_defects == want.n_defects
                 assert got.to_dict() == want.to_dict()
-            del view
         finally:
             shm.close()
             shm.unlink()

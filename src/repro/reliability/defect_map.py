@@ -190,7 +190,9 @@ class DefectMap:
         rebuilt from them, exactly as the eager constructor would.
         """
         return cls(
-            c, _id_array(wire_defects), _id_array(switch_defects),
+            c,
+            np.unique(np.asarray(wire_defects, dtype=np.int64)),
+            np.unique(np.asarray(switch_defects, dtype=np.int64)),
             bad_tiles, model=model, rate=rate, seed=seed, node_ok=node_ok,
         )
 
@@ -272,7 +274,8 @@ class DefectMap:
 
         Ids may come in any order and repeat: a resource is dead or it
         is not, so each one counts once."""
-        return cls(c, _id_array(wire_nodes), _id_array(switch_edges),
+        return cls(c, np.unique(np.asarray(wire_nodes, dtype=np.int64)),
+                   np.unique(np.asarray(switch_edges, dtype=np.int64)),
                    logic_tiles)
 
     # -- queries ------------------------------------------------------------ #
@@ -338,18 +341,14 @@ def _clustered_pick(
         return candidates[:0]
     taken = np.zeros(n, dtype=bool)  # positions into ``candidates``
     n_taken = 0
-    # each center's neighbourhood, found once per center
-    around: dict[tuple[int, int], np.ndarray] = {}
     attempts = 0
     while n_taken < k and attempts < 64 * (1 + k // max(1, cluster_size)):
         attempts += 1
         cx = int(rng.integers(0, params.cols + 1))
         cy = int(rng.integers(0, params.rows + 1))
-        near = around.get((cx, cy))
-        if near is None:
-            near = around[cx, cy] = np.flatnonzero(
-                (np.abs(cand_x - cx) + np.abs(cand_y - cy)) <= cluster_radius
-            )
+        near = np.flatnonzero(
+            (np.abs(cand_x - cx) + np.abs(cand_y - cy)) <= cluster_radius
+        )
         near = near[~taken[near]]
         if len(near) == 0:
             continue
@@ -362,16 +361,6 @@ def _clustered_pick(
         taken[rng.choice(rest, size=min(k - n_taken, len(rest)),
                          replace=False)] = True
     return candidates[taken]
-
-
-def _id_array(ids: Sequence[int]) -> np.ndarray:
-    """Ids in any order, possibly repeated, as a sorted unique int64
-    array (a sort and a neighbour test: several times cheaper than
-    ``np.unique`` on the few thousand ids of one map)."""
-    ids = np.sort(np.asarray(ids, dtype=np.int64))
-    keep = np.ones(ids.size, dtype=bool)
-    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-    return ids[keep]
 
 
 def _frozen(ids: np.ndarray) -> np.ndarray:

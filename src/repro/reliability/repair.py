@@ -67,27 +67,23 @@ class RepairLevel(enum.IntEnum):
 
 
 class RouteFlat:
-    """Flat per-net views of one routing (plus its placement) for
-    vectorised defect detection.
+    """Flat per-net views of one routing for vectorised defect
+    detection.
 
     Concatenates every net's node set and edge set into single numpy
     arrays with per-net offsets — the same flat layout the shared-memory
     golden segments use for per-sink paths — so a trial's dirty-net
     census is a fancy-index gather plus a segmented reduction instead of
-    a Python loop over every node of every net.  Also carries the set
-    of tiles the placement's cells occupy and the per-net endpoint
-    signatures the warm-start reuse bank needs.
+    a Python loop over every node of every net.  Also carries the
+    per-net endpoint signatures the warm-start reuse bank needs.
     """
 
     __slots__ = (
         "names", "nodes_flat", "node_start", "edge_codes", "edge_start",
-        "cells", "signatures",
+        "signatures",
     )
 
-    def __init__(
-        self, routes: RouteResult, n_nodes: int,
-        placement: Placement | None = None,
-    ) -> None:
+    def __init__(self, routes: RouteResult, n_nodes: int) -> None:
         names: list[str] = []
         nodes: list[int] = []
         node_start = [0]
@@ -108,9 +104,6 @@ class RouteFlat:
         self.edge_codes = np.asarray(edges, dtype=np.int64)
         self.edge_start = np.asarray(edge_start, dtype=np.int64)
         self.signatures = signatures
-        self.cells = frozenset(
-            () if placement is None else placement.cells.values()
-        )
 
     def dirty_net_names(self, dm: DefectMap) -> set[str]:
         """Vectorised: nets whose route crosses a dead wire/switch."""
@@ -159,7 +152,7 @@ class GoldenMapping:
     def flat(self, c: CompiledRRG) -> RouteFlat:
         """Flat defect-detection views of the golden routes, cached."""
         if self._flat is None:
-            self._flat = RouteFlat(self.routes, c.n_nodes, self.placement)
+            self._flat = RouteFlat(self.routes, c.n_nodes)
         return self._flat
 
     def net_delays(self, c: CompiledRRG) -> dict:
@@ -256,12 +249,8 @@ def dirty_net_names(
     return flat.dirty_net_names(dm)
 
 
-def placement_blocked(
-    placement: Placement, dm: DefectMap, flat: RouteFlat | None = None
-) -> bool:
+def placement_blocked(placement: Placement, dm: DefectMap) -> bool:
     """True when any placed cell sits on a dead logic site."""
-    if flat is not None and flat.cells:
-        return not dm.bad_tiles.isdisjoint(flat.cells)
     return not dm.bad_tiles.isdisjoint(placement.cells.values())
 
 
@@ -300,7 +289,7 @@ def repair_mapping(
     """
     flat = golden.flat(c) if incremental else None
     with span("repair.detect"):
-        blocked = placement_blocked(golden.placement, dm, flat)
+        blocked = placement_blocked(golden.placement, dm)
         if blocked:
             dirty: set[str] = set()
         else:

@@ -245,6 +245,3 @@ class TestVectorisedDetection:
                 for coord in placement.cells.values()
             )
             assert placement_blocked(placement, dm) == brute, seed
-            assert placement_blocked(
-                placement, dm, flat=golden.flat(c)
-            ) == brute, seed

@@ -18,18 +18,24 @@ Runs two ways:
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
-from repro.arch.compiled import compile_rrg
-from repro.arch.params import ArchParams
-from repro.arch.rrg import build_rrg
-from repro.netlist.techmap import tech_map
-from repro.place.placer import place_program
-from repro.route.pathfinder import route_program_compiled, route_program_legacy
-from repro.utils.tables import TextTable
-from repro.workloads.generators import random_dag
-from repro.workloads.multicontext import mutated_program
+# the legacy router and its object graph are test oracles
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "tests", "oracles"))
+
+from legacy_router import route_program_legacy, wirelength  # noqa: E402
+from repro.arch.compiled import build_flat  # noqa: E402
+from repro.arch.params import ArchParams  # noqa: E402
+from repro.netlist.techmap import tech_map  # noqa: E402
+from repro.place.placer import place_program  # noqa: E402
+from repro.route.pathfinder import route_program_compiled  # noqa: E402
+from repro.utils.tables import TextTable  # noqa: E402
+from repro.workloads.generators import random_dag  # noqa: E402
+from repro.workloads.multicontext import mutated_program  # noqa: E402
+from rrg_oracle import build_rrg  # noqa: E402
 
 #: (grid side, contexts, gates) — the last row is the acceptance point.
 SCALES = [
@@ -57,7 +63,7 @@ def _case(side: int, n_contexts: int, n_gates: int):
 def _measure(side: int, n_contexts: int, n_gates: int, repeats: int = 1):
     """One scaling row: identical placements, both routing engines."""
     params, prog, g, placements = _case(side, n_contexts, n_gates)
-    compiled = compile_rrg(g)
+    compiled = build_flat(params)
 
     t0 = time.perf_counter()
     for _ in range(repeats):
@@ -70,8 +76,8 @@ def _measure(side: int, n_contexts: int, n_gates: int, repeats: int = 1):
                                       share_aware=True)
     t_compiled = (time.perf_counter() - t0) / repeats
 
-    wl_legacy = sum(r.wirelength(g) for r in legacy)
-    wl_compiled = sum(r.wirelength(g) for r in fast)
+    wl_legacy = sum(wirelength(g, r) for r in legacy)
+    wl_compiled = sum(wirelength(g, r) for r in fast)
     assert wl_legacy == wl_compiled, (
         f"engines disagree on wirelength: {wl_legacy} vs {wl_compiled}"
     )

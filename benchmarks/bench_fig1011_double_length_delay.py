@@ -9,7 +9,7 @@ delay-vs-distance series for RCM-only vs mixed fabrics.
 import pytest
 
 from repro.arch.params import ArchParams
-from repro.arch.rrg import build_rrg
+from repro.arch.compiled import compiled_rrg_for
 from repro.core.diamond import DiamondSwitch, Direction
 from repro.netlist.techmap import tech_map
 from repro.place.placer import place
@@ -66,7 +66,7 @@ class TestFabricDelay:
                     cols=7, rows=7, channel_width=10,
                     double_fraction=frac, io_capacity=4,
                 )
-                g = build_rrg(params)
+                g = compiled_rrg_for(params)
                 pl = place(n, params, seed=0, effort=0.4)
                 rr = route_context(g, n, pl)
                 out[frac] = critical_path(g, n, rr, pl)

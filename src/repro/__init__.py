@@ -10,8 +10,8 @@ The package splits into:
   adaptive logic blocks (Figs. 13-14), FePGs (Fig. 15), the full device
   and the Section-5 area model.
 - :mod:`repro.arch` — island-style fabric: parameters, wire segmentation
-  (double-length lines, Fig. 10), routing-resource graph, and its
-  *compiled* flat-array form (:mod:`repro.arch.compiled`): CSR
+  (double-length lines, Fig. 10) and the routing substrate
+  (:mod:`repro.arch.compiled`): the routing-resource graph as CSR
   adjacency plus node-attribute arrays, built once per
   :class:`ArchParams` through an LRU build cache and shared by every
   mapping job on the same device.
@@ -22,10 +22,8 @@ The package splits into:
   RNG, precomputed per-grid distance tables) and PathFinder router with
   cross-context route reuse.  Routing runs on the compiled RRG: array
   Dijkstra with epoch-stamped scratch buffers and per-net bounding-box
-  pruning; the original object-graph router survives as
-  ``route_context_legacy``/``route_program_legacy`` and the public
-  entry points are thin adapters, so both paths produce identical
-  routes (pinned by the equivalence test suite).
+  pruning.  The original object-graph router is kept in the test suite
+  as the reference the equivalence tests compare routes against.
 - :mod:`repro.sim` — levelized, event-driven and multi-context
   (DPGA-schedule) simulators.
 - :mod:`repro.workloads` — circuit generators and multi-context

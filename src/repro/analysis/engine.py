@@ -44,9 +44,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from collections.abc import Sequence
 
-from repro.arch.compiled import CompiledRRG, compile_rrg, compiled_rrg_for
+from repro.arch.compiled import CompiledRRG, compiled_rrg_for
 from repro.arch.params import ArchParams
-from repro.arch.rrg import RoutingResourceGraph
 from repro.place.placer import place_program
 from repro.route.pathfinder import route_program_compiled
 
@@ -95,26 +94,20 @@ class MappingEngine:
         share_aware: bool = True,
         seed: int = 0,
         effort: float = 0.5,
-        rrg: RoutingResourceGraph | CompiledRRG | None = None,
+        rrg: CompiledRRG | None = None,
         route_workers: int | None = None,
     ):
         """Place and route every context of ``program``.
 
         Returns a :class:`~repro.analysis.experiments.MappedProgram`.
-        ``rrg`` overrides the cached substrate (object graphs are
-        lowered on first use); ``route_workers`` parallelises context
-        routing in share-unaware mode.
+        ``rrg`` overrides the cached substrate; ``route_workers``
+        parallelises context routing in share-unaware mode.
         """
         from repro.analysis.experiments import MappedProgram, _fit_params
 
         if params is None:
             params = _fit_params(program)
-        if rrg is None:
-            compiled = self.compiled(params)
-        elif isinstance(rrg, CompiledRRG):
-            compiled = rrg
-        else:
-            compiled = compile_rrg(rrg)
+        compiled = self.compiled(params) if rrg is None else rrg
         placements = place_program(
             program, params, seed=seed, share_aware=share_aware, effort=effort
         )

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from repro.arch.compiled import CompiledRRG
 from repro.arch.params import ArchParams
-from repro.arch.rrg import RoutingResourceGraph
 from repro.core.area_model import (
     AreaComparison,
     AreaModel,
@@ -80,7 +79,7 @@ def map_program(
     share_aware: bool = True,
     seed: int = 0,
     effort: float = 0.5,
-    rrg: RoutingResourceGraph | CompiledRRG | None = None,
+    rrg: CompiledRRG | None = None,
 ) -> MappedProgram:
     """Place and route every context of ``program``.
 
@@ -89,7 +88,7 @@ def map_program(
     process-wide default session — new code should hold a
     :class:`~repro.api.Session` and call that directly.  Repeated calls
     with equal ``params`` share one compiled routing substrate; an
-    explicit ``rrg`` (object graph or compiled) bypasses the cache.
+    explicit ``rrg`` bypasses the cache.
     """
     from repro.api.session import default_session
 

@@ -1,11 +1,9 @@
 """Island-style MC-FPGA fabric description: parameters, geometry, wiring,
-the routing-resource graph the placer/router operate on, and its
-compiled flat-array lowering (the routing hot-path substrate)."""
+and the flat-array routing substrate the placer and router operate on."""
 
-from repro.arch.compiled import CompiledRRG, compile_rrg, compiled_rrg_for
+from repro.arch.compiled import CompiledRRG, NodeKind, compiled_rrg_for
 from repro.arch.geometry import Coord, Side
 from repro.arch.params import ArchParams
-from repro.arch.rrg import NodeKind, RoutingResourceGraph, build_rrg
 from repro.arch.wires import SegmentKind, TrackSpec, make_track_specs
 
 __all__ = [
@@ -13,12 +11,9 @@ __all__ = [
     "CompiledRRG",
     "Coord",
     "NodeKind",
-    "RoutingResourceGraph",
     "SegmentKind",
     "Side",
     "TrackSpec",
-    "build_rrg",
-    "compile_rrg",
     "compiled_rrg_for",
     "make_track_specs",
 ]

@@ -1,20 +1,19 @@
-"""Flat-array routing substrate, emitted straight from ``ArchParams``.
+"""The routing substrate: the island fabric as flat arrays.
 
-:class:`~repro.arch.rrg.RoutingResourceGraph` is the *inspection*
-representation: dataclass nodes, per-node adjacency lists, name
-strings.  It is a terrible shape for the router's inner loop, which
-touches every edge of the graph many times per iteration.
-:class:`CompiledRRG` holds the same fabric as flat arrays, so the hot
+:class:`CompiledRRG` is the one representation of the routing-resource
+graph the placer, router, timing, statistics and defect models use.
+Nodes are physical resources (wire segments, pins, logical
+sources/sinks, :class:`NodeKind`); edges are programmable switches
+(:class:`EdgeKind`).  The fabric is held as flat arrays, so the hot
 paths index plain Python lists and numpy buffers instead of chasing
 objects.  :func:`build_flat` emits those arrays directly from the
-device parameters — the object graph is never built on the way.  Each
-node class (wires, logic-block pins, I/O pads) and each edge group
-(switch points, pins, I/O) is numpy index arithmetic over channels,
-tracks, tiles and pins; every source's edges come out in the object
-graph's order, so one stable sort by source forms the CSR rows.  The
-object graph is the independent oracle the tests lower and compare the
-arrays against; it rides along as :attr:`CompiledRRG.source` only on a
-substrate compiled from a graph a caller hands in (:func:`compile_rrg`).
+device parameters.  Each node class (wires, logic-block pins, I/O pads)
+and each edge group (switch points, pins, I/O) is numpy index
+arithmetic over channels, tracks, tiles and pins; every source's edges
+come out in one fixed loop order, so one stable sort by source forms
+the CSR rows.  An object-graph build of the same fabric lives in the
+test suite (``tests/oracles/rrg_oracle.py``) as the independent oracle
+the arrays are compared against.
 
 - **CSR adjacency** — ``edge_start[n] .. edge_start[n+1]`` indexes into
   ``edge_dst`` / ``edge_kind``.  Within each node's range, edges whose
@@ -34,23 +33,22 @@ substrate compiled from a graph a caller hands in (:func:`compile_rrg`).
   (``xlo``/``xhi``/``ylo``/``yhi``, mirrored as numpy arrays) from
   which the router builds per-net bounding-box prune masks in one
   vectorised expression.
-- **pin indexes** — the per-tile SOURCE/SINK lookup dicts (read-only
-  after construction).
+- **pin indexes** — int32 ``(tile, pin)`` tables of each tile's
+  SOURCE and SINK nodes (``-1`` where a tile has no such pin).
 
-Substrates are cached two ways: :func:`compile_rrg` memoises on a
-graph instance a caller hands in, and one ``lru_cache`` keyed by the
-*frozen* :class:`~repro.arch.params.ArchParams` serves every other
-flow — mapping, statistics, verification, sweeps and yield campaigns —
-under two names, :func:`compiled_rrg_for` and :func:`flat_rrg_for`.
-That cache is what lets a batch of mapping jobs or sweep points on the
-same device share one substrate.  Nothing on it carries an object
-graph: statistics extraction looks edge kinds up with
+One ``lru_cache`` keyed by the *frozen*
+:class:`~repro.arch.params.ArchParams` serves every flow — mapping,
+statistics, verification, sweeps and yield campaigns — under two
+names, :func:`compiled_rrg_for` and :func:`flat_rrg_for`.  That cache
+is what lets a batch of mapping jobs or sweep points on the same device
+share one substrate.  Statistics extraction looks edge kinds up with
 :meth:`CompiledRRG.edge_kinds` and counts switches with
 :meth:`CompiledRRG.n_switches`, both over the CSR arrays.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 import threading
 from functools import lru_cache
@@ -58,9 +56,25 @@ from functools import lru_cache
 import numpy as np
 
 from repro.arch.params import ArchParams
-from repro.arch.rrg import EdgeKind, NodeKind, RoutingResourceGraph
 from repro.arch.wires import SegmentKind
 from repro.utils.telemetry import count as _tcount
+
+
+class NodeKind(enum.Enum):
+    SOURCE = "source"   # logical driver of a placeable output
+    SINK = "sink"       # logical target of a placeable input
+    OPIN = "opin"       # physical output pin
+    IPIN = "ipin"       # physical input pin
+    CHANX = "chanx"     # horizontal wire segment
+    CHANY = "chany"     # vertical wire segment
+
+
+class EdgeKind(enum.Enum):
+    PASS = "pass"       # SE pass-gate (RCM routing switch / diamond)
+    BUF = "buf"         # buffered driver (double-length line start)
+    PIN = "pin"         # pin <-> wire connection-block switch
+    INTERNAL = "int"    # source->opin / ipin->sink bookkeeping
+
 
 #: Edge kinds that are physical programmable switches — defect-injection
 #: candidates for the reliability subsystem.  INTERNAL edges are logical
@@ -89,8 +103,8 @@ _PASS, _BUF, _PIN, _INTERNAL = (
     for k in (EdgeKind.PASS, EdgeKind.BUF, EdgeKind.PIN, EdgeKind.INTERNAL)
 )
 
-#: Extra wire-length cost factor, mirrored from the legacy router's
-#: ``_CongestionState.node_cost`` so both paths price nodes identically.
+#: Extra wire-length cost factor of a node's congestion base cost
+#: ``1.0 + LENGTH_COST_FACTOR * (length - 1)``.
 LENGTH_COST_FACTOR = 0.2
 
 
@@ -104,13 +118,10 @@ class CompiledRRG:
 
     Built by :func:`build_flat` (or attached from shared memory by
     :meth:`SharedSubstrate.attach <repro.arch.shared.SharedSubstrate.attach>`),
-    both through :meth:`_from_arrays`.  :attr:`source` is the object
-    graph a substrate was compiled from by :func:`compile_rrg`, used
-    only for node names; cached substrates have ``source=None``.
+    both through :meth:`_from_arrays`.
     """
 
     __slots__ = (
-        "source",
         "params",
         "n_nodes",
         "n_edges",
@@ -132,10 +143,6 @@ class CompiledRRG:
         "edge_mid",
         "edge_dst",
         "edge_kind",
-        "lb_source",
-        "lb_sink",
-        "io_source",
-        "io_sink",
         "lb_source_ids",
         "lb_sink_ids",
         "io_source_ids",
@@ -186,19 +193,14 @@ class CompiledRRG:
         x``: ``lb_source_ids[tile, output]``, ``lb_sink_ids[tile,
         input]``, and ``io_source_ids[tile, pad]`` /
         ``io_sink_ids[tile, pad]``, which hold -1 on tiles without pads.
-        The tuple-keyed ``lb_source``/``lb_sink``/``io_source``/
-        ``io_sink`` dicts are derived from them.
+        They are the substrate's only pin index: a ``-1`` entry, or an
+        index past a table's bounds, is a pin the fabric does not have.
         """
         c = cls.__new__(cls)
-        c.source = None
         c.params = params
-        for name, ids in (("lb_source", lb_source_ids),
-                          ("lb_sink", lb_sink_ids),
-                          ("io_source", io_source_ids),
-                          ("io_sink", io_sink_ids)):
-            ids = np.ascontiguousarray(ids, dtype=np.int32)
-            setattr(c, f"{name}_ids", ids)
-            setattr(c, name, _pin_dict(ids, params.cols))
+        c.lb_source_ids, c.lb_sink_ids, c.io_source_ids, c.io_sink_ids = (
+            np.ascontiguousarray(ids, dtype=np.int32) for ids in (
+                lb_source_ids, lb_sink_ids, io_source_ids, io_sink_ids))
         n = len(node_kind)
         c.n_nodes = n
         c.node_kind = _as_list(node_kind)
@@ -212,9 +214,8 @@ class CompiledRRG:
         c.edge_start = np.ascontiguousarray(edge_start, dtype=np.int32)
         c.edge_mid = np.ascontiguousarray(edge_mid, dtype=np.int32)
         c.edge_dst = np.ascontiguousarray(edge_dst, dtype=np.int32)
-        # not read by the router; retained so structural checks (and any
-        # future compiled timing model) can see switch kinds without the
-        # object graph (small ints: CPython shares them)
+        # not read by the router; switch kinds for timing, statistics
+        # and defect sampling (small ints: CPython shares them)
         c.edge_kind = _as_list(edge_kind)
         c.n_edges = len(c.edge_dst)
 
@@ -316,7 +317,7 @@ class CompiledRRG:
         Binary search over the sorted ``src * n_nodes + dst`` keys,
         built once per substrate and cached.  The sort is stable, so a
         repeated edge answers with its first copy in CSR order, which
-        is the first copy in the object graph's ``out_edges``.
+        is the first copy in :func:`build_flat`'s edge order.
         """
         if self._edge_keys is None:
             keys = self.edge_codes()
@@ -349,8 +350,10 @@ class CompiledRRG:
         escalate to re-placement.
         """
         if self._logic_tiles is None:
+            cols = self.params.cols
+            tiles = np.flatnonzero((self.lb_source_ids >= 0).any(axis=1))
             self._logic_tiles = tuple(
-                sorted({(x, y) for (x, y, _pin) in self.lb_source})
+                sorted((t % cols, t // cols) for t in tiles.tolist())
             )
         return self._logic_tiles
 
@@ -388,8 +391,6 @@ class CompiledRRG:
     # -- convenience -------------------------------------------------------- #
     def node_name(self, nid: int) -> str:
         """Best-effort node description (error paths, diagnostics)."""
-        if self.source is not None:
-            return self.source.nodes[nid].name
         return f"node {nid} ({NODE_KINDS[self.node_kind[nid]].value})"
 
     def kind_of(self, nid: int) -> NodeKind:
@@ -456,32 +457,23 @@ def _fill(arrays, first: int, shape: tuple, values) -> int:
     return end
 
 
-def _pin_dict(ids: np.ndarray, cols: int) -> dict:
-    """``{(x, y, pin): node}`` from a ``(tiles, pins)`` pin-node table,
-    tile by tile, leaving out tiles without pins (rows of -1)."""
-    tiles = np.flatnonzero((ids >= 0).any(axis=1)).tolist()
-    pins = range(ids.shape[1])
-    return dict(zip([(t % cols, t // cols, i) for t in tiles for i in pins],
-                    ids[tiles].ravel().tolist()))
-
-
 def build_flat(params: ArchParams) -> CompiledRRG:
     """Emit the flat substrate for ``params`` straight as arrays.
 
-    Node ids follow :func:`~repro.arch.rrg.build_rrg`: CHANX then CHANY
-    wires (channel, track, segment), logic-block pins per tile
-    (row-major), then perimeter I/O.  Each node class is one run of
-    index arithmetic over its channels, tiles and pins; a track's
-    segmentation has a closed form.  Each edge group — switch points,
-    logic-block pins and outputs, I/O — is one broadcast over
-    ``build_rrg``'s loop nest, flattened in that loop order, and the
-    groups with wire sources come first, in ``build_rrg``'s order.  So
-    every source's out-edges keep ``build_rrg``'s order, and a stable
-    sort by source forms the CSR rows.  Only IPINs drive SINKs, and
-    they drive nothing else, so ``edge_mid`` is a per-kind choice.  No
-    node object, name string or per-edge Python value is created; the
-    object graph's lowering is the test oracle for these arrays
-    (``tests/arch``).
+    Node ids run CHANX then CHANY wires (channel, track, segment),
+    logic-block pins per tile (row-major), then perimeter I/O.  Each
+    node class is one run of index arithmetic over its channels, tiles
+    and pins; a track's segmentation has a closed form.  Each edge
+    group — switch points, logic-block pins and outputs, I/O — is one
+    broadcast over a fixed loop nest, flattened in that loop order, and
+    the groups with wire sources come first.  So every source's
+    out-edges keep one fixed order, and a stable sort by source forms
+    the CSR rows.  Only IPINs drive SINKs, and they drive nothing else,
+    so ``edge_mid`` is a per-kind choice.  No node object, name string
+    or per-edge Python value is created.  The object-graph oracle
+    (``tests/oracles/rrg_oracle.py``) builds the same fabric loop by
+    loop in this order; the tests lower it and compare it with these
+    arrays.
     """
     cols, rows, width = params.cols, params.rows, params.channel_width
     i32 = np.int32
@@ -638,28 +630,6 @@ def build_flat(params: ArchParams) -> CompiledRRG:
         io_source_ids=io_ids[0],
         io_sink_ids=io_ids[1],
     )
-
-
-def compile_rrg(g: RoutingResourceGraph) -> CompiledRRG:
-    """The flat substrate of ``g``, memoised on the graph instance.
-
-    Every object graph comes from :func:`~repro.arch.rrg.build_rrg`, so
-    the arrays are emitted from ``g.params`` by :func:`build_flat`
-    (not lowered from ``g``'s edges); ``g`` is attached as
-    :attr:`CompiledRRG.source` and lends its equal pin dicts.  The
-    result is attached to the graph as ``_compiled``, so the adapter
-    entry points (``route_context`` on an object graph) pay the build
-    once per graph, not once per call.
-    """
-    cached = getattr(g, "_compiled", None)
-    if cached is not None:
-        return cached
-    compiled = build_flat(g.params)
-    compiled.source = g
-    compiled.lb_source, compiled.lb_sink = g.lb_source, g.lb_sink
-    compiled.io_source, compiled.io_sink = g.io_source, g.io_sink
-    g._compiled = compiled  # type: ignore[attr-defined]
-    return compiled
 
 
 #: Striped build locks.  ``lru_cache`` is thread-safe but not

@@ -207,29 +207,19 @@ def average_general_decoder_ses(n_contexts: int) -> float:
 
 @dataclass
 class TileCounts:
-    """Configuration-bit counts per tile (from the RRG and LUT geometry)."""
+    """Configuration-bit counts per tile (from the channel width and LUT
+    geometry)."""
 
     switch_bits: int
     lut_bits: int
 
     @classmethod
-    def from_arch(cls, params, rrg=None) -> "TileCounts":
-        """Per-tile counts; uses the real RRG when given."""
-        if rrg is not None:
-            n_switch = rrg.pass_switch_count()
-            n_pin = sum(
-                1
-                for edges in rrg.out_edges
-                for (_, k) in edges
-                if k.value == "pin"
-            )
-            switch_bits = (n_switch + n_pin) / max(1, params.n_tiles)
-        else:
-            geom = params.lut_geometry()
-            pins = geom.base_inputs + geom.max_extra_inputs + params.lut_outputs
-            switch_bits = params.channel_width * 6 + pins * params.channel_width
+    def from_arch(cls, params) -> "TileCounts":
+        """Per-tile counts from the channel width and LUT geometry."""
+        geom = params.lut_geometry()
+        pins = geom.base_inputs + geom.max_extra_inputs + params.lut_outputs
         return cls(
-            switch_bits=int(round(switch_bits)),
+            switch_bits=params.channel_width * 6 + pins * params.channel_width,
             lut_bits=params.lut_config_bits_per_tile(),
         )
 

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.arch.compiled import EDGE_KIND_INDEX, CompiledRRG, compile_rrg
+from repro.arch.compiled import EDGE_KIND_INDEX, CompiledRRG, EdgeKind
 from repro.arch.geometry import Coord
 from repro.arch.params import ArchParams
-from repro.arch.rrg import EdgeKind, RoutingResourceGraph
 from repro.core.patterns import PatternClass, classify_many, classify_mask
 from repro.errors import ConfigurationError
 from repro.netlist.dfg import MultiContextProgram
@@ -81,23 +80,21 @@ _PASS, _BUF, _PIN = (
 
 
 def extract_switch_patterns(
-    g: CompiledRRG | RoutingResourceGraph,
+    g: CompiledRRG,
     routes: list[RouteResult],
     n_contexts: int | None = None,
 ) -> SwitchPatternSet:
     """Per-switch context patterns from one routing per context.
 
     Edge kinds come from the substrate's CSR arrays
-    (:meth:`CompiledRRG.edge_kinds`, one lookup per context); an object
-    graph is lowered once by :func:`~repro.arch.compiled.compile_rrg`.
+    (:meth:`CompiledRRG.edge_kinds`, one lookup per context).
     """
-    c = g if isinstance(g, CompiledRRG) else compile_rrg(g)
     n = n_contexts if n_contexts is not None else len(routes)
     if len(routes) > n:
         raise ConfigurationError(
             f"{len(routes)} routed contexts exceed n_contexts={n}"
         )
-    out = SwitchPatternSet(n_contexts=n, n_total_switches=c.n_switches())
+    out = SwitchPatternSet(n_contexts=n, n_total_switches=g.n_switches())
     used = out.used
     for ctx, rr in enumerate(routes):
         edges = [e for net in rr.nets.values() for e in net.edges]
@@ -106,7 +103,7 @@ def extract_switch_patterns(
         ends = np.array(edges, dtype=np.int64)
         bit = 1 << ctx
         for (a, b), kind in zip(
-            edges, c.edge_kinds(ends[:, 0], ends[:, 1]).tolist()
+            edges, g.edge_kinds(ends[:, 0], ends[:, 1]).tolist()
         ):
             if kind == _PASS or kind == _BUF:
                 key = (a, b) if a <= b else (b, a)
@@ -244,7 +241,7 @@ class BitstreamStats:
 
 
 def extract_bitstream_stats(
-    g: CompiledRRG | RoutingResourceGraph,
+    g: CompiledRRG,
     program: MultiContextProgram,
     placements: list[Placement],
     routes: list[RouteResult],

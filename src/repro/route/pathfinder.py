@@ -1,4 +1,4 @@
-"""PathFinder negotiated-congestion routing on the RRG.
+"""PathFinder negotiated-congestion routing on the flat substrate.
 
 Classic iterative rip-up-and-reroute: every net is routed by Dijkstra
 over the routing-resource graph; node costs grow with present overuse
@@ -12,40 +12,37 @@ identical across contexts (same source and sink nodes) — reused routes
 make the corresponding switch patterns CONSTANT, which is what the RCM
 rewards (paper Section 3).
 
-Two implementations share this module:
+The router runs over the flat CSR arrays of a
+:class:`~repro.arch.compiled.CompiledRRG`.  :func:`_search` runs a
+native binary heap on ``(dist, node)`` (``_search.c``, built at first
+use by :mod:`repro.utils.native`), or without a C compiler the Python
+bucket queue (Dial's algorithm) :func:`_dijkstra`, also the native
+kernel's oracle.  Both return the same path and pops: every cost is
+>= 1.0, so a relaxation from ``d`` lands past bucket ``int(d)``, and
+buckets drained in order, each sorted by ``(dist, node)``, pop the
+heap's order; a node's pushed distances strictly decrease, so heap
+keys never tie.  The one exception, the order among infinite-distance
+entries, is never reached: ``mask_for`` folds the defect floor into
+every mask, and the only unmasked relaxation enters the net's own
+target.  Scratch buffers are reused by epoch stamping; each net is
+pruned to its terminal bounding box, with a full-graph retry.  One
+initial pass, :func:`_route_initial_waves`, routes the nets in order —
+in wavefronts of provably independent nets when ``workers > 1``.
 
-- the **compiled engine** (default) over the flat CSR arrays of a
-  :class:`~repro.arch.compiled.CompiledRRG`.  :func:`_search` runs a
-  native binary heap on ``(dist, node)`` (``_search.c``, built at first
-  use by :mod:`repro.utils.native`), or without a C compiler the Python
-  bucket queue (Dial's algorithm) :func:`_dijkstra`, also the native
-  kernel's oracle.  Both return the same path and pops: every cost is
-  >= 1.0, so a relaxation from ``d`` lands past bucket ``int(d)``, and
-  buckets drained in order, each sorted by ``(dist, node)``, pop the
-  heap's order; a node's pushed distances strictly decrease, so heap
-  keys never tie.  The one exception, the order among infinite-distance
-  entries, is never reached: ``mask_for`` folds the defect floor into
-  every mask, and the only unmasked relaxation enters the net's own
-  target.  Scratch buffers are reused by epoch stamping; each net is
-  pruned to its terminal bounding box, with a full-graph retry.  One
-  initial pass, :func:`_route_initial_waves`, routes the nets in order
-  — in wavefronts of provably independent nets when ``workers > 1``;
-- the **legacy object-graph router** (``route_context_legacy`` /
-  ``route_program_legacy``) — the original dict/set implementation,
-  kept verbatim as the independent reference for the equivalence
-  tests and the ``bench_engine_scaling`` baseline.
+``route_context`` / ``route_program`` are the public entry points;
+``route_context_compiled`` / ``route_program_compiled`` are the same
+engine under the names instrumentation wraps.  The original dict/set
+router over an object graph lives in the test suite
+(``tests/oracles/legacy_router.py``) as the independent reference: it
+shares cost arithmetic and tie-breaking with this engine, and
+bounding-box pruning *can* in principle divert a net whose
+oracle-optimal detour leaves the terminal box by more than
+``BBOX_MARGIN`` tiles while a costlier in-box path exists.  The
+equivalence suite (``tests/route/test_compiled_equivalence.py``) pins
+bit-identical routes and the scaling bench equal wirelength, so a
+divergence fails loudly rather than shipping silently.
 
-``route_context`` / ``route_program`` are thin adapters: they accept
-either graph representation, lower object graphs on first use (cached
-on the graph), and run the compiled engine.  Both engines share cost
-arithmetic and tie-breaking; bounding-box pruning *can* in principle
-divert a net whose legacy-optimal detour leaves the terminal box by
-more than ``BBOX_MARGIN`` tiles while a costlier in-box path exists.
-The equivalence suite (``tests/route/test_compiled_equivalence.py``)
-pins bit-identical routes and the scaling bench equal wirelength, so
-a divergence fails loudly rather than shipping silently.
-
-The compiled engine also accepts a
+The router also accepts a
 :class:`~repro.reliability.defect_map.DefectMap` (``defects=``).  Dead
 wires are priced unroutable in the congestion state and masked out of
 every search.  Dead switches are lowered once per map into a copy of
@@ -74,14 +71,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.reliability.defect_map import DefectMap
 
-from repro.arch.compiled import (
-    KIND_CHANX,
-    KIND_CHANY,
-    LENGTH_COST_FACTOR,
-    CompiledRRG,
-    compile_rrg,
-)
-from repro.arch.rrg import NodeKind, RoutingResourceGraph
+from repro.arch.compiled import CompiledRRG
 from repro.errors import PlacementError, RoutingError
 from repro.netlist.dfg import MultiContextProgram
 from repro.netlist.index import DFF, LUT, NetlistIndex
@@ -140,25 +130,17 @@ class RouteResult:
             out |= net.edges
         return out
 
-    def wirelength(self, g: RoutingResourceGraph | CompiledRRG) -> int:
-        if isinstance(g, CompiledRRG):
-            # one gather over the concatenated node sets; weights are 0
-            # for non-wire nodes, so this is the same exact integer sum
-            # as the per-node loop (nodes shared by several nets count
-            # once per net, as before)
-            ids = np.fromiter(
-                (nid for net in self.nets.values() for nid in net.nodes),
-                dtype=np.int64,
-            )
-            if ids.size == 0:
-                return 0
-            return int(g.wire_length_weights()[ids].sum())
-        total = 0
-        for net in self.nets.values():
-            for nid in net.nodes:
-                if g.nodes[nid].kind in (NodeKind.CHANX, NodeKind.CHANY):
-                    total += g.nodes[nid].length
-        return total
+    def wirelength(self, g: CompiledRRG) -> int:
+        """Wire segments used, one gather over the concatenated node
+        sets (weights are 0 for non-wire nodes; a node shared by several
+        nets counts once per net)."""
+        ids = np.fromiter(
+            (nid for net in self.nets.values() for nid in net.nodes),
+            dtype=np.int64,
+        )
+        if ids.size == 0:
+            return 0
+        return int(g.wire_length_weights()[ids].sum())
 
 
 def _cell_sites(ix: NetlistIndex, placement: Placement) -> list:
@@ -178,37 +160,28 @@ def _cell_sites(ix: NetlistIndex, placement: Placement) -> list:
     return sites
 
 
-def _pin_nodes(g: RoutingResourceGraph | CompiledRRG, role: str,
-               kinds: list[int], sites: list, pins) -> list[int]:
+def _pin_nodes(g: CompiledRRG, role: str, kinds: list[int], sites: list,
+               pins) -> list[int]:
     """The ``role`` (``"source"`` or ``"sink"``) node of each ``(cell,
     pin)``: pin ``pin`` of the cell's logic block, or its pad's pin for
-    an I/O cell.  A flat substrate takes them in one gather from its
-    int32 pin-node tables (the ``(tile, pin)`` table, then the ``(tile,
-    pad)`` one, raveled); an object graph looks up its ``(x, y, pin)``
-    dicts."""
-    if isinstance(g, CompiledRRG):
-        lb, pads = getattr(g, f"lb_{role}_ids"), getattr(g, f"io_{role}_ids")
-        cols, width, pad_width = g.params.cols, lb.shape[1], pads.shape[1]
-        at = []
-        for c, pin in pins:
-            x, y, pad = sites[c]
-            at.append((y * cols + x) * width + pin if kinds[c] in (LUT, DFF)
-                      else lb.size + (y * cols + x) * pad_width + pad)
-        nodes = np.concatenate((lb.ravel(), pads.ravel()))[at].tolist()
-    else:
-        lb, pads = getattr(g, f"lb_{role}"), getattr(g, f"io_{role}")
-        nodes = []
-        for c, pin in pins:
-            x, y, pad = sites[c]
-            nodes.append(lb[(x, y, pin)] if kinds[c] in (LUT, DFF)
-                         else pads[(x, y, pad)])
+    an I/O cell, in one gather from the substrate's int32 pin-node
+    tables (the ``(tile, pin)`` table, then the ``(tile, pad)`` one,
+    raveled)."""
+    lb, pads = getattr(g, f"lb_{role}_ids"), getattr(g, f"io_{role}_ids")
+    cols, width, pad_width = g.params.cols, lb.shape[1], pads.shape[1]
+    at = []
+    for c, pin in pins:
+        x, y, pad = sites[c]
+        at.append((y * cols + x) * width + pin if kinds[c] in (LUT, DFF)
+                  else lb.size + (y * cols + x) * pad_width + pad)
+    nodes = np.concatenate((lb.ravel(), pads.ravel()))[at].tolist()
     if min(nodes, default=0) < 0:
         raise PlacementError("an I/O cell sits on a tile without pads")
     return nodes
 
 
 def _net_endpoints(
-    netlist: Netlist, placement: Placement, g: RoutingResourceGraph | CompiledRRG
+    netlist: Netlist, placement: Placement, g: CompiledRRG
 ) -> list[tuple[str, int, list[int]]]:
     """Extract (net name, source node, sink nodes) for every routable net.
 
@@ -955,11 +928,12 @@ def route_context_compiled(
 ) -> RouteResult:
     """Route one context's placed netlist over the compiled RRG.
 
-    Mirrors :func:`route_context_legacy` decision-for-decision (same net
-    order, same congestion schedule, same rip-up criterion), but runs
-    Dijkstra over CSR arrays with epoch-stamped scratch buffers and
-    per-net bounding boxes (see the module docstring for the one case
-    where pruning may pick a different route than the legacy engine).
+    Mirrors the legacy router (``tests/oracles/legacy_router.py``)
+    decision-for-decision (same net order, same congestion schedule,
+    same rip-up criterion), but runs Dijkstra over CSR arrays with
+    epoch-stamped scratch buffers and per-net bounding boxes (see the
+    module docstring for the one case where pruning may pick a
+    different route than the legacy engine).
 
     ``scratch`` buffers are leased from :data:`SCRATCH_POOL` when not
     supplied, so repeated calls reuse one allocation per worker.
@@ -1208,184 +1182,10 @@ def route_program_compiled(
 
 
 # ========================================================================= #
-# legacy object-graph engine (reference implementation)
+# public entry points
 # ========================================================================= #
-class _CongestionState:
-    """Per-context PathFinder bookkeeping (legacy object-graph router)."""
-
-    def __init__(self, n_nodes: int) -> None:
-        self.usage = [0] * n_nodes
-        self.history = [0.0] * n_nodes
-        self.pres_fac = PRES_FAC_FIRST
-
-    def node_cost(self, g: RoutingResourceGraph, nid: int) -> float:
-        node = g.nodes[nid]
-        base = 1.0 + LENGTH_COST_FACTOR * (node.length - 1)
-        over = max(0, self.usage[nid] + 1 - node.capacity)
-        return base * (1.0 + self.pres_fac * over) + self.history[nid]
-
-    def add(self, nodes: set[int]) -> None:
-        for n in nodes:
-            self.usage[n] += 1
-
-    def remove(self, nodes: set[int]) -> None:
-        for n in nodes:
-            self.usage[n] -= 1
-
-    def overused(self, g: RoutingResourceGraph) -> int:
-        return sum(
-            1 for nid, u in enumerate(self.usage) if u > g.nodes[nid].capacity
-        )
-
-    def bump_history(self, g: RoutingResourceGraph) -> None:
-        for nid, u in enumerate(self.usage):
-            if u > g.nodes[nid].capacity:
-                self.history[nid] += HIST_FAC * (u - g.nodes[nid].capacity)
-
-
-def _dijkstra_to_sink(
-    g: RoutingResourceGraph,
-    state: _CongestionState,
-    tree_nodes: set[int],
-    target: int,
-) -> list[int]:
-    """Shortest path from the current route tree to ``target``."""
-    dist: dict[int, float] = {}
-    prev: dict[int, int] = {}
-    heap: list[tuple[float, int]] = []
-    for n in tree_nodes:
-        dist[n] = 0.0
-        heapq.heappush(heap, (0.0, n))
-    while heap:
-        d, nid = heapq.heappop(heap)
-        if d > dist.get(nid, float("inf")):
-            continue
-        if nid == target:
-            path = [nid]
-            while path[-1] not in tree_nodes:
-                path.append(prev[path[-1]])
-            path.reverse()
-            return path
-        for nxt, _kind in g.out_edges[nid]:
-            if g.nodes[nxt].kind is NodeKind.SINK and nxt != target:
-                continue
-            nd = d + state.node_cost(g, nxt)
-            if nd < dist.get(nxt, float("inf")):
-                dist[nxt] = nd
-                prev[nxt] = nid
-                heapq.heappush(heap, (nd, nxt))
-    raise RoutingError(f"no path to sink node {target} ({g.nodes[target].name})")
-
-
-def _route_net(
-    g: RoutingResourceGraph,
-    state: _CongestionState,
-    name: str,
-    source: int,
-    sinks: list[int],
-) -> RoutedNet:
-    net = RoutedNet(name, source, list(sinks))
-    net.nodes = {source}
-    for sink in sinks:
-        path = _dijkstra_to_sink(g, state, net.nodes, sink)
-        # record full root->sink path for timing: splice at the join point
-        net.sink_paths[sink] = list(path)
-        for a, b in zip(path, path[1:]):
-            net.edges.add((a, b))
-        net.nodes.update(path)
-    return net
-
-
-def route_context_legacy(
-    g: RoutingResourceGraph,
-    netlist: Netlist,
-    placement: Placement,
-    context: int = 0,
-    reuse: dict[str, RoutedNet] | None = None,
-    max_iterations: int = MAX_ITERATIONS,
-) -> RouteResult:
-    """Route one context with the original dict/set PathFinder.
-
-    Kept as the reference implementation: the equivalence tests assert
-    the compiled engine reproduces its routes, and the scaling bench
-    measures the speedup against it.
-    """
-    endpoints = _net_endpoints(netlist, placement, g)
-    state = _CongestionState(g.n_nodes)
-    routes: dict[str, RoutedNet] = {}
-
-    # initial routing (reuse first, then fresh)
-    for name, source, sinks in endpoints:
-        sig = endpoint_signature(source, sinks)
-        prior = reuse.get(sig) if reuse else None
-        if prior is not None:
-            net = RoutedNet(name, source, list(sinks))
-            net.nodes = set(prior.nodes)
-            net.edges = set(prior.edges)
-            net.sink_paths = {k: list(v) for k, v in prior.sink_paths.items()}
-            net.reused = True
-            routes[name] = net
-            state.add(net.nodes)
-        else:
-            net = _route_net(g, state, name, source, sinks)
-            routes[name] = net
-            state.add(net.nodes)
-
-    iteration = 1
-    while iteration < max_iterations:
-        over = state.overused(g)
-        if over == 0:
-            break
-        state.bump_history(g)
-        state.pres_fac *= PRES_FAC_MULT
-        # rip up and reroute congested nets only
-        for name, net in routes.items():
-            if all(state.usage[n] <= g.nodes[n].capacity for n in net.nodes):
-                continue
-            state.remove(net.nodes)
-            fresh = _route_net(g, state, name, net.source, net.sinks)
-            routes[name] = fresh
-            state.add(fresh.nodes)
-        iteration += 1
-    else:
-        raise RoutingError(
-            f"context {context}: congestion unresolved after {max_iterations} "
-            f"iterations ({state.overused(g)} overused nodes)"
-        )
-    return RouteResult(routes, iteration, context)
-
-
-def route_program_legacy(
-    g: RoutingResourceGraph,
-    program: MultiContextProgram,
-    placements: list[Placement],
-    share_aware: bool = True,
-) -> list[RouteResult]:
-    """Route all contexts with the legacy object-graph router."""
-    if len(placements) != program.n_contexts:
-        raise RoutingError("one placement per context required")
-    results: list[RouteResult] = []
-    bank: dict[str, RoutedNet] = {}
-    for ci, (netlist, placement) in enumerate(zip(program.contexts, placements)):
-        res = route_context_legacy(
-            g, netlist, placement, context=ci, reuse=bank if share_aware else None
-        )
-        results.append(res)
-        if share_aware:
-            for net in res.nets.values():
-                bank.setdefault(endpoint_signature(net.source, net.sinks), net)
-    return results
-
-
-# ========================================================================= #
-# public adapters
-# ========================================================================= #
-def _as_compiled(g: RoutingResourceGraph | CompiledRRG) -> CompiledRRG:
-    return g if isinstance(g, CompiledRRG) else compile_rrg(g)
-
-
 def route_context(
-    g: RoutingResourceGraph | CompiledRRG,
+    g: CompiledRRG,
     netlist: Netlist,
     placement: Placement,
     context: int = 0,
@@ -1403,19 +1203,16 @@ def route_context(
     losing its reuse mark).  ``defects`` excludes a defect map's dead
     resources from every search.  ``workers > 1`` routes the initial
     pass in bit-identical wavefronts of mask-disjoint nets.
-
-    Accepts either graph representation; object graphs are lowered to a
-    :class:`CompiledRRG` on first use (cached on the graph instance).
     """
     return route_context_compiled(
-        _as_compiled(g), netlist, placement, context=context,
+        g, netlist, placement, context=context,
         reuse=reuse, max_iterations=max_iterations, defects=defects,
         workers=workers,
     )
 
 
 def route_program(
-    g: RoutingResourceGraph | CompiledRRG,
+    g: CompiledRRG,
     program: MultiContextProgram,
     placements: list[Placement],
     share_aware: bool = True,
@@ -1427,7 +1224,7 @@ def route_program(
     ``workers`` parallelises share-unaware (independent) contexts;
     ``defects`` applies one die's defect map to every context."""
     return route_program_compiled(
-        _as_compiled(g), program, placements,
+        g, program, placements,
         share_aware=share_aware, workers=workers, defects=defects,
     )
 

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.compiled import EDGE_KINDS, CompiledRRG
-from repro.arch.rrg import EdgeKind, NodeKind, RoutingResourceGraph
+from repro.arch.compiled import EDGE_KINDS, CompiledRRG, EdgeKind
 from repro.errors import SimulationError
 from repro.netlist.netlist import CellKind, Netlist
 from repro.route.pathfinder import RouteResult, RoutedNet
@@ -65,7 +64,7 @@ def chain_delay(n_series_ses: int, model: DelayModel | None = None) -> float:
 
 
 def path_delay(
-    g: RoutingResourceGraph | CompiledRRG,
+    g: CompiledRRG,
     path: list[int],
     model: DelayModel | None = None,
 ) -> float:
@@ -89,23 +88,27 @@ def path_delay(
     return total
 
 
-def _edge_kind(
-    g: RoutingResourceGraph | CompiledRRG, a: int, b: int
-) -> EdgeKind:
-    if isinstance(g, CompiledRRG):
-        lo, hi = g.edge_start[a:a + 2].tolist()
-        row = g.edge_dst[lo:hi].tolist()
-        if b in row:
-            return EDGE_KINDS[g.edge_kind[lo + row.index(b)]]
-        raise SimulationError(f"no RRG edge {a}->{b}")
-    for nxt, kind in g.out_edges[a]:
-        if nxt == b:
-            return kind
+def _edge_kind(g: CompiledRRG, a: int, b: int) -> EdgeKind:
+    lo, hi = g.edge_start[a:a + 2].tolist()
+    row = g.edge_dst[lo:hi].tolist()
+    if b in row:
+        return EDGE_KINDS[g.edge_kind[lo + row.index(b)]]
     raise SimulationError(f"no RRG edge {a}->{b}")
 
 
+def _pin_node(ids, params, x: int, y: int, pin: int) -> int | None:
+    """Node ``ids[tile (x, y), pin]`` of a ``(tile, pin)`` table, or
+    None where the fabric has no such pin (off the grid, past the
+    table's width, or a ``-1`` entry)."""
+    if not (0 <= x < params.cols and 0 <= y < params.rows
+            and 0 <= pin < ids.shape[1]):
+        return None
+    node = int(ids[y * params.cols + x, pin])
+    return node if node >= 0 else None
+
+
 def route_tree_delays(
-    g: RoutingResourceGraph | CompiledRRG,
+    g: CompiledRRG,
     net: RoutedNet,
     model: DelayModel | None = None,
 ) -> dict[int, float]:
@@ -147,7 +150,7 @@ def route_tree_delays(
 
 
 def route_net_delays(
-    g: RoutingResourceGraph | CompiledRRG,
+    g: CompiledRRG,
     route: RouteResult,
     model: DelayModel | None = None,
 ) -> dict[str, dict[int, float]]:
@@ -165,7 +168,7 @@ def route_net_delays(
 
 
 def critical_path(
-    g: RoutingResourceGraph | CompiledRRG,
+    g: CompiledRRG,
     netlist: Netlist,
     route: RouteResult,
     placement,
@@ -178,10 +181,8 @@ def critical_path(
     to the LUT's sink) + t_lut.  Returns the worst primary-output /
     DFF-input arrival.
 
-    Accepts either graph representation; a (possibly source-stripped)
-    :class:`CompiledRRG` resolves edge kinds from its CSR arrays and
-    produces bit-identical delays, which is what lets sweep grids run
-    without any object graph resident.
+    Edge kinds come from the substrate's CSR arrays and sink nodes
+    from its ``(tile, pin)`` tables.
 
     ``reuse_delays`` (from :func:`route_net_delays` on a previous
     routing) supplies ready-made sink-delay tables for nets whose
@@ -213,11 +214,11 @@ def critical_path(
     def sink_node_for(cell, slot: int) -> int | None:
         if cell.kind in (CellKind.LUT, CellKind.DFF):
             loc = placement.location(cell.name)
-            key = (loc.x, loc.y, slot if cell.kind is CellKind.LUT else 0)
-            return g.lb_sink.get(key)
+            pin = slot if cell.kind is CellKind.LUT else 0
+            return _pin_node(g.lb_sink_ids, g.params, loc.x, loc.y, pin)
         if cell.kind is CellKind.OUTPUT:
             coord, pad = placement.ios[cell.name]
-            return g.io_sink.get((coord.x, coord.y, pad))
+            return _pin_node(g.io_sink_ids, g.params, coord.x, coord.y, pad)
         return None
 
     worst = 0.0

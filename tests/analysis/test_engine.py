@@ -6,7 +6,6 @@ from repro.analysis.engine import DEFAULT_ENGINE, MappingEngine
 from repro.analysis.experiments import map_program
 from repro.arch.compiled import CompiledRRG, compiled_rrg_for
 from repro.arch.params import ArchParams
-from repro.arch.rrg import build_rrg
 from repro.netlist.synth import synthesize
 from repro.netlist.techmap import tech_map
 from repro.workloads.generators import ripple_adder
@@ -47,11 +46,6 @@ class TestSingleJob:
         a = engine.map(prog, params, seed=1, effort=0.3)
         b = engine.map(prog, params, seed=2, effort=0.3)
         assert a.rrg is b.rrg is engine.compiled(params)
-
-    def test_explicit_object_graph_respected(self, prog, params):
-        g = build_rrg(params)
-        mapped = MappingEngine().map(prog, params, seed=1, effort=0.3, rrg=g)
-        assert mapped.rrg.source is g
 
     def test_explicit_compiled_graph_respected(self, prog, params):
         c = compiled_rrg_for(params)

@@ -27,13 +27,14 @@ from repro.analysis.sweep import (
     sweep_change_rate_points,
     sweep_contexts_points,
 )
+from legacy_router import route_context_legacy, wirelength
+from repro.arch.compiled import compiled_rrg_for
 from repro.arch.params import ArchParams
-from repro.arch.rrg import build_rrg
 from repro.errors import RoutingError
 from repro.netlist.techmap import tech_map
 from repro.place.placer import place
-from repro.route.pathfinder import route_context_legacy
 from repro.route.timing import critical_path
+from rrg_oracle import build_rrg
 from repro.workloads.generators import random_dag, ripple_adder
 
 BASE = ArchParams(cols=5, rows=5, channel_width=8, io_capacity=4)
@@ -48,14 +49,16 @@ def _workloads():
 
 
 def _legacy_point(netlist, params, seed=0, effort=EFFORT):
-    """The seed repo's per-point flow, reconstructed verbatim."""
+    """The seed repo's per-point flow: the legacy router on the object
+    graph, timed on the same device's substrate."""
     g = build_rrg(params)
     pl = place(netlist, params, seed=seed, effort=effort)
     try:
         rr = route_context_legacy(g, netlist, pl, max_iterations=25)
     except RoutingError:
         return (False, 0, 0.0)
-    return (True, rr.wirelength(g), critical_path(g, netlist, rr, pl))
+    return (True, wirelength(g, rr),
+            critical_path(compiled_rrg_for(params), netlist, rr, pl))
 
 
 def _legacy_minimum_width(netlist, base, lo, hi, effort=EFFORT):

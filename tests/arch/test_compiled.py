@@ -1,4 +1,5 @@
-"""Tests for the compiled flat-array RRG."""
+"""Tests for the compiled flat-array RRG, against the object-graph
+oracle (``tests/oracles/rrg_oracle.py``)."""
 
 import numpy as np
 import pytest
@@ -8,19 +9,21 @@ from repro.arch.compiled import (
     NODE_KIND_INDEX,
     NODE_KINDS,
     CompiledRRG,
+    NodeKind,
+    build_flat,
     clear_rrg_cache,
-    compile_rrg,
     compiled_rrg_for,
 )
 from repro.arch.params import ArchParams
-from repro.arch.rrg import NodeKind, build_rrg
+from rrg_oracle import build_rrg, pin_table
+
+PIN_TABLES = ("lb_source", "lb_sink", "io_source", "io_sink")
 
 
 @pytest.fixture(scope="module")
 def graphs():
     params = ArchParams(cols=4, rows=3, channel_width=6, io_capacity=2)
-    g = build_rrg(params)
-    return params, g, compile_rrg(g)
+    return params, build_rrg(params), build_flat(params)
 
 
 class TestStructuralEquivalence:
@@ -75,11 +78,13 @@ class TestStructuralEquivalence:
                 assert (c.xlo[node.id], c.ylo[node.id]) == (node.x, node.y)
 
     def test_pin_lookups_shared(self, graphs):
-        _, g, c = graphs
-        assert c.lb_sink is g.lb_sink
-        assert c.lb_source is g.lb_source
-        assert c.io_sink is g.io_sink
-        assert c.io_source is g.io_source
+        """Each ``(tile, pin)`` table holds the oracle's pin dict, with
+        -1 exactly where the dict has no key."""
+        p, g, c = graphs
+        for name in PIN_TABLES:
+            ids = getattr(c, f"{name}_ids")
+            assert ids.dtype == np.int32, name
+            assert np.array_equal(ids, pin_table(getattr(g, name), p)), name
 
 
 class TestBBoxMask:
@@ -99,10 +104,6 @@ class TestBBoxMask:
 
 
 class TestCaching:
-    def test_compile_memoised_on_graph(self, graphs):
-        _, g, c = graphs
-        assert compile_rrg(g) is c
-
     def test_params_cache_shares_instance(self):
         clear_rrg_cache()
         params = ArchParams(cols=3, rows=3, channel_width=4, io_capacity=2)
@@ -126,15 +127,16 @@ class TestCaching:
 
 class TestFlatSubstrate:
     def test_flat_matches_full_arrays(self):
-        """Both cache names serve one graph-free substrate, whose arrays
-        equal those of a substrate compiled from an object graph."""
+        """Both cache names serve one substrate, whose arrays equal
+        those of a fresh build, and whose pin tables hold the object
+        graph's pin dicts."""
         from repro.arch.compiled import flat_rrg_for
 
         params = ArchParams(cols=4, rows=4, channel_width=6, io_capacity=2)
         flat = flat_rrg_for(params)
         assert flat is compiled_rrg_for(params)
-        full = compile_rrg(build_rrg(params))
-        assert flat.source is None and full.source is not None
+        full = build_flat(params)
+        assert flat is not full
         assert flat.n_nodes == full.n_nodes
         for row in ("edge_start", "edge_mid", "edge_dst"):
             a, b = getattr(flat, row), getattr(full, row)
@@ -143,8 +145,10 @@ class TestFlatSubstrate:
         assert flat.edge_kind == full.edge_kind
         assert flat.node_kind == full.node_kind
         assert flat.base_cost == full.base_cost
-        assert flat.lb_sink == full.lb_sink
-        assert flat.io_source == full.io_source
+        g = build_rrg(params)
+        for name in ("lb_sink", "io_source"):
+            ids = getattr(flat, f"{name}_ids")
+            assert np.array_equal(ids, pin_table(getattr(g, name), params))
 
     def test_flat_cache_hits(self):
         from repro.arch.compiled import flat_rrg_for
@@ -157,12 +161,12 @@ class TestFlatSubstrate:
 
         params = ArchParams(cols=3, rows=3, channel_width=4)
         flat = flat_rrg_for(params)
-        g = build_rrg(params)
-        assert compile_rrg(g).node_name(0) == g.nodes[0].name
-        assert "node 0" in flat.node_name(0)
+        assert flat.node_name(0) == "node 0 (chanx)"
 
     def test_flat_routes_and_times_like_full(self):
-        """Routing + STA on a stripped substrate == the full substrate."""
+        """Routing + STA on the substrate == the legacy router on the
+        object graph."""
+        from legacy_router import route_context_legacy, wirelength
         from repro.arch.compiled import flat_rrg_for
         from repro.netlist.techmap import tech_map
         from repro.place.placer import place
@@ -174,13 +178,13 @@ class TestFlatSubstrate:
         net = tech_map(ripple_adder(3), k=4)
         pl = place(net, params, seed=0, effort=0.2)
         flat = flat_rrg_for(params)
-        full = compile_rrg(build_rrg(params))
+        g = build_rrg(params)
         rr_flat = route_context_compiled(flat, net, pl)
-        rr_full = route_context_compiled(full, net, pl)
+        rr_full = route_context_legacy(g, net, pl)
         for name in rr_full.nets:
             assert rr_flat.nets[name].nodes == rr_full.nets[name].nodes
-        assert rr_flat.wirelength(flat) == rr_full.wirelength(full)
-        # compiled STA == object-graph STA, bit for bit
+        assert rr_flat.wirelength(flat) == wirelength(g, rr_full)
+        # identical routes time identically, bit for bit
         assert critical_path(flat, net, rr_flat, pl) == critical_path(
-            full.source, net, rr_full, pl
+            flat, net, rr_full, pl
         )

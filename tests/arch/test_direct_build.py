@@ -2,10 +2,11 @@
 graph.
 
 ``build_flat`` emits the substrate arrays straight from ``ArchParams``;
-``build_rrg`` builds the object graph that statistics, bitstreams and
-verification read.  The two must describe the same fabric byte for
-byte.  :func:`_lower` below is the reference: a plain walk over
-``build_rrg(p).out_edges`` that shares no code with ``build_flat``.
+``build_rrg`` (``tests/oracles/rrg_oracle.py``) builds the same fabric
+as an object graph, loop by loop.  The two must describe the same
+fabric byte for byte.  :func:`_lower` below is the reference: a plain
+walk over ``build_rrg(p).out_edges`` that shares no code with
+``build_flat``.
 """
 
 import ast
@@ -16,15 +17,16 @@ import numpy as np
 
 from repro.arch import compiled
 from repro.arch.compiled import (
+    EdgeKind,
+    NodeKind,
     build_flat,
     clear_rrg_cache,
-    compile_rrg,
     compiled_rrg_for,
     flat_rrg_for,
 )
 from repro.arch.params import ArchParams, paper_params
-from repro.arch.rrg import EdgeKind, NodeKind, build_rrg
 from repro.errors import ArchitectureError
+from rrg_oracle import build_rrg, pin_table
 
 TESTS = Path(__file__).resolve().parents[1]
 CORPUS = TESTS.parent / "regression_tests"
@@ -74,7 +76,7 @@ def _lower(g) -> dict:
             out["edge_kind"].append(ekinds.index(kind))
     out["edge_start"].append(len(out["edge_dst"]))
     for name in PINS:
-        out[name] = getattr(g, name)
+        out[name] = pin_table(getattr(g, name), g.params)
     return out
 
 
@@ -83,8 +85,12 @@ def assert_matches_object_graph(c, params) -> None:
     assert c.params == params
     assert c.n_nodes == len(ref["node_kind"])
     assert c.n_edges == len(ref["edge_dst"])
-    for name in LISTS + PINS:
+    for name in LISTS:
         assert getattr(c, name) == ref[name], name
+    for name in PINS:
+        table = getattr(c, f"{name}_ids")
+        assert table.dtype == np.int32, name
+        assert np.array_equal(table, ref[name]), name
     for name in ROWS:
         row = getattr(c, name)
         assert row.dtype == np.int32, name
@@ -180,13 +186,6 @@ class TestByteEquality:
     def test_random_grid(self):
         for params in _random_params():
             assert_matches_object_graph(build_flat(params), params)
-
-    def test_compile_rrg_attaches_its_graph(self):
-        params = ArchParams(cols=4, rows=3, channel_width=6, io_capacity=2)
-        g = build_rrg(params)
-        c = compile_rrg(g)
-        assert c.source is g
-        assert_matches_object_graph(c, params)
 
     def test_attached_view(self):
         from repro.arch.shared import SharedStore, detach_all
@@ -349,8 +348,9 @@ class TestFcPopulation:
         border = [n for n in range(c.n_nodes) if c.is_wire(n)
                   and c.xlo[n] <= 1 <= c.xhi[n] and c.ylo[n] <= 0 <= c.yhi[n]]
         assert border == self.WIRES
-        assert c.lb_source[1, 0, 0] == 51 and c.lb_sink[1, 0, 0] == 44
-        assert c.io_source[1, 0, 0] == 102 and c.io_sink[1, 0, 0] == 105
+        # tile (1, 0) is row-major tile 1
+        assert c.lb_source_ids[1, 0] == 51 and c.lb_sink_ids[1, 0] == 44
+        assert c.io_source_ids[1, 0] == 102 and c.io_sink_ids[1, 0] == 105
 
     def test_ipins(self):
         c = build_flat(self.PARAMS)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.arch.params import ArchParams
-from repro.arch.rrg import EdgeKind, NodeKind, build_rrg
+from repro.arch.compiled import EdgeKind, NodeKind
+from rrg_oracle import build_rrg
 from repro.arch.wires import SegmentKind
 
 

@@ -80,10 +80,11 @@ class TestSubstrateRoundTrip:
             np.testing.assert_array_equal(view.node_capacity_np,
                                           c.node_capacity_np)
             np.testing.assert_array_equal(view.base_cost_np, c.base_cost_np)
-            assert view.lb_source == c.lb_source
-            assert view.lb_sink == c.lb_sink
-            assert view.io_source == c.io_source
-            assert view.io_sink == c.io_sink
+            for name in ("lb_source_ids", "lb_sink_ids", "io_source_ids",
+                         "io_sink_ids"):
+                a, b = getattr(view, name), getattr(c, name)
+                assert a.dtype == b.dtype == np.int32, name
+                np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(view.wire_node_ids(),
                                           c.wire_node_ids())
             np.testing.assert_array_equal(view.switch_edge_ids(),

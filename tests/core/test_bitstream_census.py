@@ -14,10 +14,11 @@ import pytest
 
 from repro.analysis.experiments import map_program
 from repro.api.workloads import build_program
-from repro.arch.rrg import EdgeKind, build_rrg
+from repro.arch.compiled import EdgeKind, build_flat
 from repro.core.bitstream import extract_switch_patterns
 from repro.core.patterns import classify_many
 from repro.netlist.dfg import paper_example_program
+from rrg_oracle import build_rrg
 
 
 @pytest.fixture(scope="module", params=["paper_example", "adder8"])
@@ -109,8 +110,9 @@ def test_csr_patterns_match_object_graph_walk(workload, seed, contexts,
     mapped = map_program(prog, share_aware=share_aware, seed=seed,
                          effort=0.3)
     g = _object_graph(mapped.params)
+    fresh = build_flat(mapped.params)
     for patterns in (mapped.stats().switch,
-                     extract_switch_patterns(g, mapped.routes, contexts)):
+                     extract_switch_patterns(fresh, mapped.routes, contexts)):
         assert list(patterns.used.items()) == list(
             _walked_patterns(g, mapped.routes).items()
         )

@@ -1,9 +1,14 @@
-"""Routing-resource graph (RRG) for the island-style MC-FPGA.
+"""Object-graph routing-resource graph: the test oracle for the fabric.
 
-The RRG is the substrate the PathFinder router negotiates over.  Nodes
-are physical resources (wire segments, pins, logical sources/sinks);
-edges are programmable switches.  Per the paper's switch-block structure
-(Fig. 10):
+:func:`build_rrg` builds the island-style fabric as Python objects
+(dataclass nodes, per-node adjacency lists, name strings and
+``(x, y, pin)`` lookup dicts), one loop per node class and switch group,
+in the order :func:`repro.arch.compiled.build_flat` numbers its nodes
+and edges.  It shares no construction code with ``build_flat``: the
+tests lower this graph and compare it against the flat substrate array
+by array, and the legacy router (``legacy_router.py``) searches it.
+
+Per the paper's switch-block structure (Fig. 10):
 
 - **single-length tracks** connect through the RCM at *every* switch
   point with SE pass-gates (edge kind PASS);
@@ -20,29 +25,15 @@ Every CHAN node has capacity 1; LB input pins are interchangeable
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.arch.geometry import Coord, Grid, Side
+import numpy as np
+
+from repro.arch.compiled import EdgeKind, NodeKind
+from repro.arch.geometry import Coord, Grid
 from repro.arch.params import ArchParams
 from repro.arch.wires import SegmentKind, TrackSpec
 from repro.errors import ArchitectureError
-
-
-class NodeKind(enum.Enum):
-    SOURCE = "source"   # logical driver of a placeable output
-    SINK = "sink"       # logical target of a placeable input
-    OPIN = "opin"       # physical output pin
-    IPIN = "ipin"       # physical input pin
-    CHANX = "chanx"     # horizontal wire segment
-    CHANY = "chany"     # vertical wire segment
-
-
-class EdgeKind(enum.Enum):
-    PASS = "pass"       # SE pass-gate (RCM routing switch / diamond)
-    BUF = "buf"         # buffered driver (double-length line start)
-    PIN = "pin"         # pin <-> wire connection-block switch
-    INTERNAL = "int"    # source->opin / ipin->sink bookkeeping
 
 
 @dataclass
@@ -390,3 +381,19 @@ def _build_io(g: RoutingResourceGraph) -> None:
                 ipin_in.append((w, pin))
             g.add_edge(ipin, sink, EdgeKind.INTERNAL)
             g.io_sink[(tile.x, tile.y, pad)] = sink
+
+
+# ------------------------------------------------------------------------- #
+# comparison helpers
+# ------------------------------------------------------------------------- #
+def pin_table(lookup: dict[tuple[int, int, int], int],
+              params: ArchParams) -> np.ndarray:
+    """The ``(tile, pin)`` int32 node table of an ``(x, y, pin)`` lookup
+    dict: tiles row-major, one column per pin up to the dict's largest,
+    -1 where the dict has no key.  This is the layout of
+    :class:`~repro.arch.compiled.CompiledRRG`'s ``*_ids`` tables."""
+    width = 1 + max((pin for _x, _y, pin in lookup), default=-1)
+    table = np.full((params.cols * params.rows, width), -1, dtype=np.int32)
+    for (x, y, pin), node in lookup.items():
+        table[y * params.cols + x, pin] = node
+    return table

@@ -11,6 +11,7 @@ from repro.arch.compiled import (
 )
 from repro.arch.params import ArchParams
 from repro.reliability import DefectMap
+from rrg_oracle import build_rrg
 
 PARAMS = ArchParams(cols=5, rows=5, channel_width=6, io_capacity=4)
 
@@ -18,6 +19,13 @@ PARAMS = ArchParams(cols=5, rows=5, channel_width=6, io_capacity=4)
 @pytest.fixture(scope="module")
 def substrate():
     return flat_rrg_for(PARAMS)
+
+
+@pytest.fixture(scope="module")
+def graph():
+    """The object-graph oracle of the same device: its pin dicts are
+    built independently of the substrate's ``(tile, pin)`` tables."""
+    return build_rrg(PARAMS)
 
 
 class TestCandidates:
@@ -31,8 +39,7 @@ class TestCandidates:
         assert len(wires) == expected
 
     def test_switch_candidates_exclude_internal_edges(self, substrate):
-        from repro.arch.compiled import EDGE_KIND_INDEX
-        from repro.arch.rrg import EdgeKind
+        from repro.arch.compiled import EDGE_KIND_INDEX, EdgeKind
 
         internal = EDGE_KIND_INDEX[EdgeKind.INTERNAL]
         switches = substrate.switch_edge_ids()
@@ -53,7 +60,6 @@ class TestCandidates:
 
     def test_candidates_available_on_stripped_substrate(self):
         c = build_flat(PARAMS.with_(channel_width=4))
-        assert c.source is None
         assert len(c.wire_node_ids()) > 0
         assert len(c.switch_edge_ids()) > 0
         assert len(c.logic_tiles()) == PARAMS.n_tiles
@@ -115,8 +121,9 @@ class TestUniformModel:
         )
         assert dm.bad_tiles
         tile = next(iter(dm.bad_tiles))
-        sid = substrate.lb_source[(tile.x, tile.y, 0)]
-        kid = substrate.lb_sink[(tile.x, tile.y, 0)]
+        at = tile.y * PARAMS.cols + tile.x
+        sid = substrate.lb_source_ids[at, 0]
+        kid = substrate.lb_sink_ids[at, 0]
         assert not dm.node_ok[sid] and not dm.node_ok[kid]
 
     def test_rejects_unknown_model(self, substrate):
@@ -233,15 +240,15 @@ class TestArrayFields:
                 for e in np.flatnonzero(dead).tolist()} == pairs
 
     @pytest.mark.parametrize("model,rate,seed", MAPS)
-    def test_tile_lowering_matches_pin_dict_walk(self, substrate, model,
-                                                 rate, seed):
+    def test_tile_lowering_matches_pin_dict_walk(self, substrate, graph,
+                                                 model, rate, seed):
         dm = DefectMap.sample(substrate, rate, seed=seed, model=model,
                               logic_rate=0.3)
         assert dm.bad_tiles or rate == 0.0
         want = np.ones(substrate.n_nodes, dtype=bool)
         want[dm.wire_defects] = False
         dead = {(t.x, t.y) for t in dm.bad_tiles}
-        for index in (substrate.lb_source, substrate.lb_sink):
+        for index in (graph.lb_source, graph.lb_sink):
             for (x, y, _pin), nid in index.items():
                 if (x, y) in dead:
                     want[nid] = False

@@ -1,26 +1,25 @@
 """Legacy-vs-compiled router equivalence.
 
 The compiled engine must be a pure speedup: on every workload it has to
-produce the *same routes* as the legacy object-graph PathFinder — same
-wirelength, same node sets, same functional-verification outcome.  Both
-engines share cost arithmetic and tie-breaking by construction; these
-tests pin that property across 3 workloads x 2 grid sizes.
+produce the *same routes* as the legacy object-graph PathFinder
+(``tests/oracles/legacy_router.py``, with its own endpoint extraction)
+— same wirelength, same node sets, same functional-verification
+outcome.  Both engines share cost arithmetic and tie-breaking by
+construction; these tests pin that property across 3 workloads x 2
+grid sizes.
 """
 
 import numpy as np
 import pytest
 
-from repro.arch.compiled import compile_rrg
+from legacy_router import route_program_legacy, wirelength
+from repro.arch.compiled import compiled_rrg_for
 from repro.arch.params import ArchParams
-from repro.arch.rrg import build_rrg
 from repro.core.fpga import MultiContextFPGA
 from repro.netlist.techmap import tech_map
 from repro.place.placer import place_program
-from repro.route.pathfinder import (
-    route_program,
-    route_program_compiled,
-    route_program_legacy,
-)
+from repro.route.pathfinder import route_program, route_program_compiled
+from rrg_oracle import build_rrg
 from repro.workloads.generators import crc_step, random_dag, ripple_adder
 from repro.workloads.multicontext import mutated_program, temporal_partition
 
@@ -46,7 +45,7 @@ def cases():
     out = []
     for params in GRIDS:
         g = build_rrg(params)
-        c = compile_rrg(g)
+        c = compiled_rrg_for(params)
         for name, prog in _workloads().items():
             pls = place_program(prog, params, seed=3, share_aware=True, effort=0.3)
             legacy = route_program_legacy(g, prog, pls, share_aware=True)
@@ -62,8 +61,8 @@ class TestRoutedEquivalence:
 
     def test_identical_wirelength(self, cases):
         for name, _, _, _, g, legacy, compiled in cases:
-            wl_legacy = [rr.wirelength(g) for rr in legacy]
-            wl_compiled = [rr.wirelength(g) for rr in compiled]
+            wl_legacy = [wirelength(g, rr) for rr in legacy]
+            wl_compiled = [wirelength(g, rr) for rr in compiled]
             assert wl_legacy == wl_compiled, name
 
     def test_identical_route_trees(self, cases):
@@ -109,11 +108,10 @@ class TestDefectMaskNeutrality:
     routing — bit-identical routes on the same pinned suite."""
 
     def test_empty_mask_routes_bit_identical(self, cases):
-        from repro.arch.compiled import compile_rrg as _compile
         from repro.reliability import DefectMap
 
         for name, params, prog, pls, g, _legacy, compiled in cases:
-            c = _compile(g)
+            c = compiled_rrg_for(params)
             dm = DefectMap.sample(c, 0.0, seed=0)
             assert dm.is_clean
             with_mask = route_program_compiled(
@@ -131,11 +129,10 @@ class TestDefectMaskNeutrality:
                 assert a.iterations == b.iterations, name
 
     def test_defective_resources_never_used(self, cases):
-        from repro.arch.compiled import compile_rrg as _compile
         from repro.reliability import DefectMap
 
         name, params, prog, pls, g, _legacy, _compiled = cases[0]
-        c = _compile(g)
+        c = compiled_rrg_for(params)
         dm = DefectMap.sample(c, 0.02, seed=12, logic_rate=0.0)
         assert not dm.is_clean
         results = route_program_compiled(
@@ -152,20 +149,22 @@ class TestDefectMaskNeutrality:
 
 class TestAdapters:
     def test_route_program_accepts_object_graph(self):
-        """Public adapter lowers object graphs and matches the legacy path."""
+        """The public entry point, handed the substrate of an object
+        graph's device, matches the legacy router on that graph."""
         params = GRIDS[0]
         g = build_rrg(params)
         prog = _workloads()["adder"]
         pls = place_program(prog, params, seed=1, share_aware=True, effort=0.2)
-        via_adapter = route_program(g, prog, pls, share_aware=True)
+        via_adapter = route_program(
+            compiled_rrg_for(params), prog, pls, share_aware=True)
         legacy = route_program_legacy(g, prog, pls, share_aware=True)
-        assert [r.wirelength(g) for r in via_adapter] == [
-            r.wirelength(g) for r in legacy
+        assert [wirelength(g, r) for r in via_adapter] == [
+            wirelength(g, r) for r in legacy
         ]
 
     def test_parallel_independent_contexts_match_sequential(self):
         params = GRIDS[0]
-        c = compile_rrg(build_rrg(params))
+        c = compiled_rrg_for(params)
         prog = _workloads()["random"]
         pls = place_program(prog, params, seed=2, share_aware=False, effort=0.2)
         seq = route_program_compiled(c, prog, pls, share_aware=False)

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.arch.compiled import NodeKind, compiled_rrg_for
 from repro.arch.params import ArchParams
-from repro.arch.rrg import NodeKind, build_rrg
 from repro.errors import RoutingError
 from repro.netlist.dfg import paper_example_program
 from repro.netlist.synth import synthesize
@@ -21,7 +21,7 @@ from repro.workloads.multicontext import mutated_program
 @pytest.fixture(scope="module")
 def setup():
     params = ArchParams(cols=5, rows=5, channel_width=8, io_capacity=4)
-    g = build_rrg(params)
+    g = compiled_rrg_for(params)
     n = tech_map(ripple_adder(3), k=4)
     pl = place(n, params, seed=0, effort=0.3)
     return params, g, n, pl
@@ -43,8 +43,8 @@ class TestSingleContext:
         usage: dict[int, int] = {}
         for net in rr.nets.values():
             for node in net.nodes:
-                if g.nodes[node].kind in (NodeKind.CHANX, NodeKind.CHANY,
-                                          NodeKind.IPIN, NodeKind.OPIN):
+                if g.kind_of(node) in (NodeKind.CHANX, NodeKind.CHANY,
+                                       NodeKind.IPIN, NodeKind.OPIN):
                     usage[node] = usage.get(node, 0) + 1
         assert all(v <= 1 for v in usage.values())
 
@@ -56,11 +56,15 @@ class TestSingleContext:
                 assert sink in net.nodes
 
     def test_edges_exist_in_rrg(self, setup):
-        _, g, n, pl = setup
+        """Every routed edge is a switch of the object-graph oracle."""
+        from rrg_oracle import build_rrg
+
+        params, g, n, pl = setup
         rr = route_context(g, n, pl)
+        oracle = build_rrg(params)
         for net in rr.nets.values():
             for a, b in net.edges:
-                assert any(dst == b for dst, _ in g.out_edges[a])
+                assert any(dst == b for dst, _ in oracle.out_edges[a])
 
     def test_wirelength_positive(self, setup):
         _, g, n, pl = setup
@@ -71,7 +75,7 @@ class TestSingleContext:
         """A width-1 channel cannot carry a dense design."""
         params = ArchParams(cols=3, rows=3, channel_width=1,
                             double_fraction=0.0, io_capacity=4)
-        g = build_rrg(params)
+        g = compiled_rrg_for(params)
         n = tech_map(random_dag(n_inputs=4, n_gates=8, n_outputs=3, seed=2), k=4)
         pl = place(n, params, seed=0, effort=0.2)
         with pytest.raises(RoutingError):
@@ -83,7 +87,7 @@ class TestMultiContext:
         """Identical contexts, share-aware: every net in context 1 reuses
         context 0's route -> all switch patterns CONSTANT."""
         params = ArchParams(cols=5, rows=5, channel_width=8, io_capacity=4)
-        g = build_rrg(params)
+        g = compiled_rrg_for(params)
         base = tech_map(synthesize(["a", "b", "c"], {"o": "(a & b) ^ c"}), k=4)
         prog = mutated_program(base, n_contexts=2, fraction=0.0)
         pls = place_program(prog, params, seed=1, share_aware=True, effort=0.3)
@@ -92,7 +96,7 @@ class TestMultiContext:
 
     def test_naive_mode_no_reuse_flag(self):
         params = ArchParams(cols=5, rows=5, channel_width=8, io_capacity=4)
-        g = build_rrg(params)
+        g = compiled_rrg_for(params)
         prog = paper_example_program()
         pls = place_program(prog, params, seed=1, share_aware=False, effort=0.3)
         rrs = route_program(g, prog, pls, share_aware=False)
@@ -100,7 +104,7 @@ class TestMultiContext:
 
     def test_placement_count_checked(self):
         params = ArchParams(cols=4, rows=4, channel_width=8)
-        g = build_rrg(params)
+        g = compiled_rrg_for(params)
         prog = paper_example_program()
         with pytest.raises(RoutingError):
             route_program(g, prog, [], share_aware=True)
@@ -117,7 +121,7 @@ class TestScratchPool:
 
     def _case(self):
         params = ArchParams(cols=5, rows=5, channel_width=8, io_capacity=4)
-        g = build_rrg(params)
+        g = compiled_rrg_for(params)
         n = tech_map(ripple_adder(3), k=4)
         pl = place(n, params, seed=0, effort=0.2)
         return g, n, pl
@@ -125,14 +129,12 @@ class TestScratchPool:
     def test_pooled_scratch_routes_unchanged(self):
         """Regression: a pool-reused (dirty) scratch routes identically
         to a fresh per-call buffer."""
-        from repro.arch.compiled import compile_rrg
         from repro.route.pathfinder import (
             RouterScratch,
             route_context_compiled,
         )
 
-        g, n, pl = self._case()
-        c = compile_rrg(g)
+        c, n, pl = self._case()
         fresh = route_context_compiled(c, n, pl, scratch=RouterScratch(c.n_nodes))
         # two pooled calls: the second leases the first call's buffer
         route_context_compiled(c, n, pl)
@@ -144,11 +146,9 @@ class TestScratchPool:
         assert fresh.iterations == pooled.iterations
 
     def test_pool_reuses_buffers(self):
-        from repro.arch.compiled import compile_rrg
         from repro.route.pathfinder import SCRATCH_POOL, route_context_compiled
 
-        g, n, pl = self._case()
-        c = compile_rrg(g)
+        c, n, pl = self._case()
         route_context_compiled(c, n, pl)  # seeds the pool
         before = SCRATCH_POOL.size()
         first = SCRATCH_POOL.acquire(c.n_nodes)

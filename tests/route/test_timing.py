@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.arch.compiled import compiled_rrg_for
 from repro.arch.params import ArchParams
-from repro.arch.rrg import build_rrg
 from repro.netlist.techmap import tech_map
 from repro.place.placer import place
 from repro.route.pathfinder import route_context
@@ -40,7 +40,7 @@ class TestRoutedDelays:
     @pytest.fixture(scope="class")
     def routed(self):
         params = ArchParams(cols=5, rows=5, channel_width=8, io_capacity=4)
-        g = build_rrg(params)
+        g = compiled_rrg_for(params)
         n = tech_map(ripple_adder(3), k=4)
         pl = place(n, params, seed=0, effort=0.3)
         rr = route_context(g, n, pl)
@@ -68,7 +68,7 @@ class TestRoutedDelays:
         for frac in (0.0, 0.5):
             params = ArchParams(cols=6, rows=6, channel_width=10,
                                 double_fraction=frac, io_capacity=4)
-            g = build_rrg(params)
+            g = compiled_rrg_for(params)
             pl = place(n, params, seed=0, effort=0.3)
             rr = route_context(g, n, pl)
             results[frac] = critical_path(g, n, rr, pl)
@@ -78,7 +78,7 @@ class TestRoutedDelays:
 class TestPathDelay:
     def test_path_delay_matches_tree(self):
         params = ArchParams(cols=4, rows=4, channel_width=8, io_capacity=4)
-        g = build_rrg(params)
+        g = compiled_rrg_for(params)
         n = tech_map(ripple_adder(2), k=4)
         pl = place(n, params, seed=0, effort=0.3)
         rr = route_context(g, n, pl)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.experiments import map_program, run_full_flow
 from repro.analysis.verification import assert_equivalent, verify_device
-from repro.arch.rrg import NodeKind
+from repro.arch.compiled import NodeKind
 from repro.core.fpga import MultiContextFPGA
 from repro.core.serialize import dump_configuration, load_configuration, roundtrip_equal
 from repro.netlist.optimize import optimize

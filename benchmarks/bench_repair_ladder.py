@@ -25,8 +25,9 @@ Four properties are asserted:
   incremental ladder) produces identical :class:`YieldPoint` rows on
   the sequential, thread and process backends, with shared memory on
   and off;
-- **profiler overhead** — with no profiler bound, the instrumentation
-  spans left in the hot path cost < 2% of a trial's repair time.
+- **span overhead** — with no telemetry collector bound, the
+  instrumentation spans left in the hot path cost < 2% of a trial's
+  repair time.
 
 Results are written to ``BENCH_repair.json`` in the working directory.
 
@@ -53,7 +54,7 @@ from repro.analysis.sweep import SweepRunner
 from repro.reliability import YieldRunner
 from repro.reliability.defect_map import DefectMap
 from repro.reliability.repair import build_golden, repair_mapping
-from repro.utils.profile import PhaseProfiler, profiling, span
+from repro.utils.telemetry import Telemetry, collecting, span
 from repro.utils.tables import TextTable
 from repro.workloads.generators import random_dag
 
@@ -66,7 +67,7 @@ MAX_ITERS = 25
 FLOOR_SPEEDUP = 2.0
 MULTICORE_AT = 4
 
-#: Disabled-profiler overhead ceiling (fraction of per-trial time).
+#: Disabled-span overhead ceiling (fraction of per-trial time).
 PROFILE_OVERHEAD_CEILING = 0.02
 
 #: The acceptance campaign: 120 wire-only dies (40 per rate) on a 7x7
@@ -188,8 +189,8 @@ def _check_row_identity(rates, trials) -> int:
 def _measure_profile_overhead(n: int = 200_000) -> dict:
     """Cost of the unbound ``span()`` no-op vs a repair trial.
 
-    With no profiler bound (the default), every span left in the hot
-    path short-circuits; the ceiling asserts that all of a trial's
+    With no telemetry collector bound (the default), every span left in
+    the hot path short-circuits; the ceiling asserts that all of a trial's
     spans together stay under 2% of the trial's repair time.
     """
     t0 = time.perf_counter()
@@ -201,12 +202,12 @@ def _measure_profile_overhead(n: int = 200_000) -> dict:
     c, netlist, golden = _mapping()
     dm = _wire_only_maps(c, 0.05, 1)[0]
     repair_mapping(c, netlist, golden, dm)  # warm caches
-    prof = PhaseProfiler()
-    with profiling(prof):
+    tel = Telemetry("bench")
+    with collecting(tel):
         t0 = time.perf_counter()
         repair_mapping(c, netlist, golden, dm)
         t_trial = time.perf_counter() - t0
-    spans_per_trial = sum(prof.calls.values())
+    spans_per_trial = len(tel.spans)
     overhead = per_span * spans_per_trial / t_trial
     return {
         "span_ns": per_span * 1e9,
@@ -243,7 +244,7 @@ def _render(r: dict) -> str:
     lines = [t.render()]
     p = r["profile"]
     lines.append(
-        f"disabled-profiler overhead: {p['spans_per_trial']} spans/trial "
+        f"disabled-span overhead: {p['spans_per_trial']} spans/trial "
         f"x {p['span_ns']:.0f}ns = "
         f"{p['disabled_overhead']:.2%} of a {p['trial_s'] * 1e3:.1f}ms trial"
     )
@@ -264,7 +265,7 @@ def _gate(r: dict) -> list[str]:
         )
     if r["profile"]["disabled_overhead"] >= PROFILE_OVERHEAD_CEILING:
         failures.append(
-            f"disabled-profiler overhead "
+            f"disabled-span overhead "
             f"{r['profile']['disabled_overhead']:.2%} >= "
             f"{PROFILE_OVERHEAD_CEILING:.0%} ceiling"
         )

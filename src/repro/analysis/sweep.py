@@ -66,7 +66,6 @@ import os
 import threading
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.arch.params import ArchParams
@@ -76,9 +75,7 @@ from repro.place.placer import Placement, place
 from repro.route.pathfinder import route_context_compiled
 from repro.route.timing import critical_path
 from repro.utils.iters import SizedIterator
-from repro.utils.profile import PhaseProfiler, profiling, span
-from repro.utils.telemetry import Telemetry, collecting
-from repro.utils.telemetry import span as tspan
+from repro.utils.telemetry import Telemetry, collecting, span
 
 #: PathFinder iteration budget per sweep point.  Matches the legacy
 #: per-point flow (``route_context(..., max_iterations=25)``), so sweep
@@ -86,10 +83,6 @@ from repro.utils.telemetry import span as tspan
 POINT_MAX_ITERATIONS = 25
 
 _BACKENDS = ("sequential", "thread", "process")
-
-#: stateless, reusable — spares an allocation on every unprofiled point
-_NULL_CTX = nullcontext()
-
 
 @dataclass(frozen=True)
 class SweepJob:
@@ -112,13 +105,11 @@ class SweepJob:
     #: (``None`` = sequential).  Verdicts are bit-identical either way
     #: — the wavefront only parallelises provably independent nets.
     route_workers: int | None = None
-    #: collect a per-point phase profile (wall-clock — never part of
-    #: the row bit-identity contract; see :mod:`repro.utils.profile`)
-    profile: bool = False
-    #: run/trace id when telemetry is on (``None`` = off).  Workers
-    #: bind a :class:`~repro.utils.telemetry.Telemetry` collector per
-    #: point and ship its snapshot back inside the row — the channel
-    #: that makes spans/counters survive the process backend.
+    #: run/trace id when telemetry or a profile is on (``None`` =
+    #: off) — the job's only instrumentation field.  Workers bind a
+    #: :class:`~repro.utils.telemetry.Telemetry` collector per point
+    #: and ship its snapshot back inside the row — the channel that
+    #: makes spans/counters survive the process backend.
     telemetry: str | None = None
 
 
@@ -132,9 +123,9 @@ class SweepPoint:
     wirelength: int = 0
     critical_path: float = 0.0
     iterations: int = 0
-    #: per-phase timings; ``None`` unless profiling was requested
-    #: (wall-clock — omitted from serialization so profiled and
-    #: unprofiled rows stay comparable)
+    #: per-phase timings (:func:`~repro.utils.telemetry.phase_totals`
+    #: of ``metrics``); ``None`` unless the request asked for a
+    #: profile — wall-clock, so omitted from serialization when off
     profile: dict | None = None
     #: telemetry snapshot (spans + counter deltas); ``None`` unless
     #: the job carried a run id — omitted from serialization so
@@ -226,23 +217,21 @@ def evaluate_point(
     the engine's build cache entirely; otherwise the lookup (and the
     build, on a cache miss) is traced as ``point.substrate``.
     """
-    prof = PhaseProfiler() if job.profile else None
     tel = Telemetry(job.telemetry) if job.telemetry else None
-    with profiling(prof) if prof is not None else _NULL_CTX, \
-            collecting(tel) if tel is not None else nullcontext():
+    with collecting(tel):
         if c is None:
             if engine is None:
                 from repro.analysis.engine import DEFAULT_ENGINE
                 engine = DEFAULT_ENGINE
-            with tspan("point.substrate"):
+            with span("point.substrate"):
                 c = engine.compiled(job.params)
         if placement is None:
-            with span("point.place"), tspan("point.place"):
+            with span("point.place"):
                 placement = place(
                     job.netlist, job.params, seed=job.seed, effort=job.effort
                 )
         try:
-            with span("point.route"), tspan("point.route"):
+            with span("point.route"):
                 rr = route_context_compiled(
                     c, job.netlist, placement,
                     max_iterations=job.max_iterations,
@@ -251,10 +240,9 @@ def evaluate_point(
         except RoutingError:
             return SweepPoint(
                 job.axis, job.value, False,
-                profile=prof.to_dict() if prof is not None else None,
                 metrics=tel.snapshot() if tel is not None else None,
             )
-        with span("point.timing"), tspan("point.timing"):
+        with span("point.timing"):
             cp = critical_path(c, job.netlist, rr, placement)
     return SweepPoint(
         job.axis,
@@ -263,7 +251,6 @@ def evaluate_point(
         wirelength=rr.wirelength(c),
         critical_path=cp,
         iterations=rr.iterations,
-        profile=prof.to_dict() if prof is not None else None,
         metrics=tel.snapshot() if tel is not None else None,
     )
 

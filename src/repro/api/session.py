@@ -64,7 +64,12 @@ from repro.api.workloads import build_circuit, build_program
 from repro.arch.params import ArchParams
 from repro.errors import RequestError
 from repro.reliability.yield_runner import YieldRunner
-from repro.utils.telemetry import GLOBAL, merge_metrics, new_run_id
+from repro.utils.telemetry import (
+    GLOBAL,
+    merge_metrics,
+    new_run_id,
+    phase_totals,
+)
 
 #: Historical per-flow effort defaults (``ExecutionConfig.effort=None``).
 MAP_EFFORT = 0.5
@@ -79,6 +84,22 @@ _JOB_BUILDERS = {
 
 def _noop_progress(done: int, total: int, item) -> None:
     return None
+
+
+def _fold_metrics(pt, profile: bool, telemetry: bool) -> None:
+    """Turn a streamed row's telemetry snapshot into what the request
+    asked for: a ``profile`` table of its spans when profiling, and
+    the raw ``metrics`` block (its counters merged into
+    :data:`GLOBAL`, so ``/v1/metrics`` sums across workers) only when
+    telemetry is on."""
+    if pt.metrics is None:
+        return
+    if profile:
+        pt.profile = phase_totals(pt.metrics)
+    if telemetry:
+        GLOBAL.merge_counters(pt.metrics.get("counters"))
+    else:
+        pt.metrics = None
 
 
 class Session:
@@ -340,17 +361,12 @@ class Session:
             # so the placement cache key is untouched)
             jobs = [replace(job, route_workers=cfg.route_workers)
                     for job in jobs]
-        if req.profile:
-            jobs = [replace(job, profile=True) for job in jobs]
-        if cfg.telemetry:
+        if cfg.telemetry or req.profile:
             run_id = new_run_id()
             jobs = [replace(job, telemetry=run_id) for job in jobs]
         runner = self.sweep_runner(cfg)
         for i, pt in enumerate(runner.iter_run(jobs)):
-            if cfg.telemetry and pt.metrics is not None:
-                # worker counter deltas feed the process-global
-                # registry, so /v1/metrics sums across workers
-                GLOBAL.merge_counters(pt.metrics.get("counters"))
+            _fold_metrics(pt, req.profile, cfg.telemetry)
             progress(i + 1, len(jobs), pt)
             yield pt
 
@@ -382,26 +398,23 @@ class Session:
         )
         runner = self.yield_runner(cfg)
         effort = cfg.effort_or(POINT_EFFORT)
-        run_id = new_run_id() if cfg.telemetry else None
+        run_id = new_run_id() if cfg.telemetry or req.profile else None
         if req.spares is not None:
             total = len(req.spares)
             points = runner.iter_spare_width_curve(
                 netlist, req.workload, base, list(req.spares), req.rates[0],
                 req.trials, model=req.model, seed=cfg.seed, effort=effort,
-                route_workers=cfg.route_workers, profile=req.profile,
-                telemetry=run_id,
+                route_workers=cfg.route_workers, telemetry=run_id,
             )
         else:
             total = len(req.rates)
             points = runner.iter_campaign(
                 netlist, req.workload, base, list(req.rates), req.trials,
                 model=req.model, seed=cfg.seed, effort=effort,
-                route_workers=cfg.route_workers, profile=req.profile,
-                telemetry=run_id,
+                route_workers=cfg.route_workers, telemetry=run_id,
             )
         for i, pt in enumerate(points):
-            if run_id is not None and pt.metrics is not None:
-                GLOBAL.merge_counters(pt.metrics.get("counters"))
+            _fold_metrics(pt, req.profile, cfg.telemetry)
             progress(i + 1, total, pt)
             yield pt
 

@@ -54,7 +54,7 @@ from repro.route.pathfinder import (
     route_context_warm,
 )
 from repro.route.timing import critical_path, route_net_delays
-from repro.utils.profile import span
+from repro.utils.telemetry import span
 
 class RepairLevel(enum.IntEnum):
     """Rungs of the escalation ladder, cheapest first."""

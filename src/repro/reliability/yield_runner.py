@@ -36,15 +36,12 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.utils.iters import SizedIterator
-from repro.utils.profile import PhaseProfiler, merge_profiles, profiling, span
-from repro.utils.telemetry import Telemetry, collecting, merge_metrics
-from repro.utils.telemetry import span as tspan
+from repro.utils.telemetry import Telemetry, collecting, merge_metrics, span
 
 from repro.arch.params import ArchParams
 from repro.netlist.netlist import Netlist
@@ -65,10 +62,6 @@ from repro.reliability.repair import (
 #: PathFinder budget per trial — matches the sweep subsystem's
 #: per-point budget so yield and routability verdicts are comparable.
 from repro.analysis.sweep import POINT_MAX_ITERATIONS, SweepJob, SweepRunner
-
-
-#: stateless, reusable — spares an allocation on every unprofiled trial
-_NULL_CTX = nullcontext()
 
 
 def trial_seed(campaign_seed: int, point_index: int, trial_index: int) -> int:
@@ -102,11 +95,9 @@ class YieldTrialJob:
     #: (``None`` = sequential).  Outcomes are bit-identical either way
     #: — the wavefront only parallelises provably independent nets.
     route_workers: int | None = None
-    #: collect a per-trial phase profile (wall-clock — never part of
-    #: the row bit-identity contract; see :mod:`repro.utils.profile`)
-    profile: bool = False
-    #: run/trace id when telemetry is on (``None`` = off); the trial's
-    #: span buffer and counter deltas ride back in the result
+    #: run/trace id when telemetry or a profile is on (``None`` =
+    #: off) — the job's only instrumentation field; the trial's span
+    #: buffer and counter deltas ride back in the result
     telemetry: str | None = None
 
 
@@ -118,7 +109,6 @@ class TrialResult:
     outcome: RepairOutcome
     wirelength_overhead: float = 0.0
     critical_path_overhead: float = 0.0
-    profile: dict | None = None
     metrics: dict | None = None
 
     def to_dict(self) -> dict:
@@ -126,8 +116,6 @@ class TrialResult:
         d["trial"] = self.trial
         d["wirelength_overhead"] = self.wirelength_overhead
         d["critical_path_overhead"] = self.critical_path_overhead
-        if self.profile is not None:
-            d["profile"] = self.profile
         if self.metrics is not None:
             d["metrics"] = self.metrics
         return d
@@ -150,18 +138,16 @@ def evaluate_trial(
         from repro.arch.compiled import flat_rrg_for
 
         c = flat_rrg_for(job.params)
-    prof = PhaseProfiler() if job.profile else None
     tel = Telemetry(job.telemetry) if job.telemetry else None
-    with profiling(prof) if prof is not None else _NULL_CTX, \
-            collecting(tel) if tel is not None else nullcontext():
+    with collecting(tel):
         if dm is None:
-            with span("trial.sample"), tspan("trial.sample"):
+            with span("trial.sample"):
                 dm = DefectMap.sample(
                     c, job.defect_rate, seed=job.defect_seed, model=job.model,
                     cluster_radius=job.cluster_radius,
                     cluster_size=job.cluster_size,
                 )
-        with tspan("trial.repair"):
+        with span("trial.repair"):
             outcome = repair_mapping(
                 c, job.netlist, golden, dm,
                 seed=job.seed, effort=job.effort,
@@ -171,7 +157,6 @@ def evaluate_trial(
         wl, cp = outcome.overheads(golden)
     return TrialResult(
         job.trial, outcome, wl, cp,
-        profile=prof.to_dict() if prof is not None else None,
         metrics=tel.snapshot() if tel is not None else None,
     )
 
@@ -230,9 +215,10 @@ class YieldPoint:
     mean_critical_path_overhead: float = 0.0
     spare_tracks: int = 0
     golden_routed: bool = True
-    #: merged per-phase timings across the cell's trials; ``None``
-    #: unless profiling was requested (wall-clock — omitted from
-    #: serialization so profiled and unprofiled rows stay comparable)
+    #: per-phase timings across the cell's trials
+    #: (:func:`~repro.utils.telemetry.phase_totals` of ``metrics``);
+    #: ``None`` unless the request asked for a profile — wall-clock,
+    #: so omitted from serialization when off
     profile: dict | None = None
     #: merged telemetry (spans per worker pid + counter sums) across
     #: the cell's trials; ``None`` unless telemetry was on — omitted
@@ -315,7 +301,6 @@ def _aggregate(
         mean_critical_path_overhead=cp / routed if routed else 0.0,
         spare_tracks=spare_tracks,
         golden_routed=True,
-        profile=merge_profiles(tr.profile for tr in results),
         metrics=merge_metrics(tr.metrics for tr in results),
     )
 
@@ -435,7 +420,6 @@ class YieldRunner:
         cluster_size: int = CLUSTER_SIZE,
         spare_tracks: int = 0,
         route_workers: int | None = None,
-        profile: bool = False,
         telemetry: str | None = None,
     ) -> SizedIterator:
         """Streaming form of :meth:`run_campaign`: yield each
@@ -452,31 +436,34 @@ class YieldRunner:
             raise ValueError(
                 f"model must be one of {DEFECT_MODELS}, got {model!r}"
             )
+        # every campaign-level field; each trial only replaces its
+        # rate, index and defect seed
+        template = YieldTrialJob(
+            workload=workload, params=base, netlist=netlist,
+            defect_rate=0.0, model=model, trial=0, defect_seed=0,
+            seed=seed, effort=effort, max_iterations=max_iterations,
+            cluster_radius=cluster_radius, cluster_size=cluster_size,
+            route_workers=route_workers, telemetry=telemetry,
+        )
         return SizedIterator(
-            self._iter_campaign(
-                netlist, workload, base, rates, trials, model, seed, effort,
-                max_iterations, cluster_radius, cluster_size, spare_tracks,
-                route_workers, profile, telemetry,
-            ),
+            self._iter_campaign(template, rates, trials, spare_tracks),
             len(rates),
         )
 
-    def _iter_campaign(
-        self, netlist, workload, base, rates, trials, model, seed, effort,
-        max_iterations, cluster_radius, cluster_size, spare_tracks,
-        route_workers=None, profile=False, telemetry=None,
-    ):
-        golden = self.golden_for(netlist, base, seed, effort, max_iterations,
-                                 route_workers=route_workers)
+    def _iter_campaign(self, template, rates, trials, spare_tracks):
+        t = template
+        golden = self.golden_for(t.netlist, t.params, t.seed, t.effort,
+                                 t.max_iterations,
+                                 route_workers=t.route_workers)
         if golden is None:
             for r in rates:
-                yield _unroutable_point(workload, model, r, base, trials,
-                                        spare_tracks)
+                yield _unroutable_point(t.workload, t.model, r, t.params,
+                                        trials, spare_tracks)
             return
         if trials <= 0:
             for rate in rates:
-                yield _aggregate(workload, model, float(rate), base, [],
-                                 spare_tracks)
+                yield _aggregate(t.workload, t.model, float(rate), t.params,
+                                 [], spare_tracks)
             return
         n_items = len(rates) * trials
         shared = (
@@ -484,69 +471,39 @@ class YieldRunner:
             and self._runner.shared_memory
             and self._runner.pool_width(n_items) > 1
         )
-        results = (
-            self._iter_trials_shared(
-                netlist, workload, base, rates, trials, model, seed, effort,
-                max_iterations, cluster_radius, cluster_size, route_workers,
-                golden, profile, telemetry,
-            )
-            if shared else
-            self._iter_trials_pickled(
-                netlist, workload, base, rates, trials, model, seed, effort,
-                max_iterations, cluster_radius, cluster_size, route_workers,
-                golden, profile, telemetry,
-            )
+        fan_out = (
+            self._iter_trials_shared if shared else self._iter_trials_pickled
         )
         cell: list[TrialResult] = []
         pi = 0
-        for tr in results:
+        for tr in fan_out(template, rates, trials, golden):
             cell.append(tr)
             if len(cell) == trials:
-                yield _aggregate(workload, model, float(rates[pi]), base,
-                                 cell, spare_tracks)
+                yield _aggregate(t.workload, t.model, float(rates[pi]),
+                                 t.params, cell, spare_tracks)
                 cell = []
                 pi += 1
 
-    def _trial_jobs(
-        self, netlist, workload, base, rates, trials, model, seed, effort,
-        max_iterations, cluster_radius, cluster_size, route_workers,
-        profile=False, telemetry=None,
-    ) -> list[YieldTrialJob]:
+    @staticmethod
+    def _trial_jobs(template, rates, trials) -> list[YieldTrialJob]:
         """The campaign's trial grid, in submission (= aggregation)
-        order.  ``netlist=None`` builds the lean shared-memory form."""
-        jobs: list[YieldTrialJob] = []
-        for pi, rate in enumerate(rates):
-            for t in range(trials):
-                jobs.append(YieldTrialJob(
-                    workload=workload, params=base, netlist=netlist,
-                    defect_rate=float(rate), model=model, trial=t,
-                    defect_seed=trial_seed(seed, pi, t),
-                    seed=seed, effort=effort, max_iterations=max_iterations,
-                    cluster_radius=cluster_radius, cluster_size=cluster_size,
-                    route_workers=route_workers, profile=profile,
-                    telemetry=telemetry,
-                ))
-        return jobs
+        order."""
+        return [
+            replace(template, defect_rate=float(rate), trial=t,
+                    defect_seed=trial_seed(template.seed, pi, t))
+            for pi, rate in enumerate(rates)
+            for t in range(trials)
+        ]
 
-    def _iter_trials_pickled(
-        self, netlist, workload, base, rates, trials, model, seed, effort,
-        max_iterations, cluster_radius, cluster_size, route_workers, golden,
-        profile=False, telemetry=None,
-    ):
+    def _iter_trials_pickled(self, template, rates, trials, golden):
         """Classic fan-out: every item pickles the golden + netlist."""
-        jobs = self._trial_jobs(
-            netlist, workload, base, rates, trials, model, seed, effort,
-            max_iterations, cluster_radius, cluster_size, route_workers,
-            profile, telemetry,
-        )
-        items = [(job, golden) for job in jobs]
+        items = [
+            (job, golden)
+            for job in self._trial_jobs(template, rates, trials)
+        ]
         return self._runner.iter_items(_evaluate_trial_item, items)
 
-    def _iter_trials_shared(
-        self, netlist, workload, base, rates, trials, model, seed, effort,
-        max_iterations, cluster_radius, cluster_size, route_workers, golden,
-        profile=False, telemetry=None,
-    ):
+    def _iter_trials_shared(self, template, rates, trials, golden):
         """Process fan-out with the golden mapping, the substrate and
         the campaign's defect masks published over shared memory.
 
@@ -567,35 +524,33 @@ class YieldRunner:
         from repro.arch.compiled import flat_rrg_for
         from repro.arch.shared import warm_worker
 
+        t = template
         store = self._runner.store()
         golden_handle = store.golden_for(
-            self._golden_cache_key(netlist, base, seed, effort,
-                                   max_iterations),
-            golden, netlist,
+            self._golden_cache_key(t.netlist, t.params, t.seed, t.effort,
+                                   t.max_iterations),
+            golden, t.netlist,
         )
-        c = flat_rrg_for(base)
+        c = flat_rrg_for(t.params)
         substrate_handle = store.substrate_for(c)
 
         def _sample_batch():
             return [
                 DefectMap.sample(
-                    c, float(rate), seed=trial_seed(seed, pi, t), model=model,
-                    cluster_radius=cluster_radius, cluster_size=cluster_size,
+                    c, float(rate), seed=trial_seed(t.seed, pi, i),
+                    model=t.model, cluster_radius=t.cluster_radius,
+                    cluster_size=t.cluster_size,
                 )
                 for pi, rate in enumerate(rates)
-                for t in range(trials)
+                for i in range(trials)
             ]
 
         defect_handle = store.defects_for(
-            (base, model, tuple(float(r) for r in rates), trials, seed,
-             cluster_radius, cluster_size),
+            (t.params, t.model, tuple(float(r) for r in rates), trials,
+             t.seed, t.cluster_radius, t.cluster_size),
             _sample_batch,
         )
-        jobs = self._trial_jobs(
-            None, workload, base, rates, trials, model, seed, effort,
-            max_iterations, cluster_radius, cluster_size, route_workers,
-            profile, telemetry,
-        )
+        jobs = self._trial_jobs(replace(t, netlist=None), rates, trials)
         items = [
             (job, golden_handle, substrate_handle, defect_handle, i)
             for i, job in enumerate(jobs)
@@ -621,7 +576,6 @@ class YieldRunner:
         cluster_size: int = CLUSTER_SIZE,
         spare_tracks: int = 0,
         route_workers: int | None = None,
-        profile: bool = False,
         telemetry: str | None = None,
     ) -> list[YieldPoint]:
         """N trials per defect rate; one :class:`YieldPoint` per rate.
@@ -635,7 +589,7 @@ class YieldRunner:
             seed=seed, effort=effort, max_iterations=max_iterations,
             cluster_radius=cluster_radius, cluster_size=cluster_size,
             spare_tracks=spare_tracks, route_workers=route_workers,
-            profile=profile, telemetry=telemetry,
+            telemetry=telemetry,
         ))
 
     def iter_spare_width_curve(
@@ -651,7 +605,6 @@ class YieldRunner:
         effort: float = 0.3,
         max_iterations: int = POINT_MAX_ITERATIONS,
         route_workers: int | None = None,
-        profile: bool = False,
         telemetry: str | None = None,
     ) -> SizedIterator:
         """Streaming form of :meth:`spare_width_curve` (one
@@ -661,15 +614,14 @@ class YieldRunner:
         return SizedIterator(
             self._iter_spare_width_curve(
                 netlist, workload, base, spares, rate, trials, model, seed,
-                effort, max_iterations, route_workers, profile, telemetry,
+                effort, max_iterations, route_workers, telemetry,
             ),
             len(spares),
         )
 
     def _iter_spare_width_curve(
         self, netlist, workload, base, spares, rate, trials, model, seed,
-        effort, max_iterations, route_workers=None, profile=False,
-        telemetry=None,
+        effort, max_iterations, route_workers, telemetry,
     ):
         for spare in spares:
             params = base.with_(channel_width=base.channel_width + int(spare))
@@ -677,7 +629,7 @@ class YieldRunner:
                 netlist, workload, params, [rate], trials, model=model,
                 seed=seed, effort=effort, max_iterations=max_iterations,
                 spare_tracks=int(spare), route_workers=route_workers,
-                profile=profile, telemetry=telemetry,
+                telemetry=telemetry,
             )
 
     def spare_width_curve(
@@ -693,7 +645,6 @@ class YieldRunner:
         effort: float = 0.3,
         max_iterations: int = POINT_MAX_ITERATIONS,
         route_workers: int | None = None,
-        profile: bool = False,
         telemetry: str | None = None,
     ) -> list[YieldPoint]:
         """Yield vs spare channel width at one defect rate.
@@ -707,8 +658,7 @@ class YieldRunner:
         return list(self.iter_spare_width_curve(
             netlist, workload, base, spares, rate, trials, model=model,
             seed=seed, effort=effort, max_iterations=max_iterations,
-            route_workers=route_workers, profile=profile,
-            telemetry=telemetry,
+            route_workers=route_workers, telemetry=telemetry,
         ))
 
 

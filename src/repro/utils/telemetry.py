@@ -10,15 +10,14 @@ Two cooperating pieces, both stdlib-only:
   worker snapshots is plain string-keyed summation.
 
 - :class:`Telemetry` — a per-run span/counter collector bound
-  ambiently (thread-local) around one unit of work, mirroring
-  :mod:`repro.utils.profile`.  Worker processes cannot share the
-  parent's registry, so each sweep point / yield trial binds a fresh
-  collector, and its :meth:`~Telemetry.snapshot` (span buffer +
-  counter deltas) rides back to the parent *inside* the result row —
-  the same channel ``profile`` blocks use — where
-  :func:`merge_metrics` folds them together and the parent registry
-  absorbs the counters.  This also fixes the PR 7 gap where
-  process-backend ``--profile`` spans never left the worker.
+  ambiently (thread-local) around one unit of work.  Worker processes
+  cannot share the parent's registry, so each sweep point / yield
+  trial binds a fresh collector, and its :meth:`~Telemetry.snapshot`
+  (span buffer + counter deltas) rides back to the parent *inside*
+  the result row, where :func:`merge_metrics` folds them together and
+  the parent registry absorbs the counters.  :func:`phase_totals`
+  folds a block's spans into the per-phase ``profile`` table that
+  ``--profile`` prints.
 
 The ambient helpers (:func:`count`, :func:`span`, ...) short-circuit
 on a single thread-local read when no collector is bound, so
@@ -50,6 +49,7 @@ __all__ = [
     "current_collector",
     "merge_metrics",
     "new_run_id",
+    "phase_totals",
     "span",
 ]
 
@@ -240,7 +240,7 @@ class Telemetry:
         }
 
 
-# -- ambient binding (mirrors repro.utils.profile) ---------------------- #
+# -- ambient binding -------------------------------------------------- #
 _TLS = threading.local()
 
 
@@ -253,9 +253,13 @@ def current_collector():
 def collecting(tel):
     """Bind ``tel`` as this thread's ambient collector.
 
-    ``collecting(None)`` is a no-op binding, so call sites can write
+    ``collecting(None)`` leaves the ambient binding alone (an outer
+    collector keeps receiving), so call sites can write
     ``with collecting(tel):`` unconditionally.
     """
+    if tel is None:
+        yield None
+        return
     prev = getattr(_TLS, "collector", None)
     _TLS.collector = tel
     try:
@@ -290,8 +294,7 @@ def merge_metrics(blocks):
     leaf ``{"run_id", "pid", "counters", "spans"}`` snapshots and
     merged ``{"run_id", "counters", "workers": [...]}`` blocks (so
     per-point merges compose into per-campaign merges).  ``None``
-    entries are skipped; returns ``None`` when nothing was collected,
-    matching :func:`repro.utils.profile.merge_profiles`.
+    entries are skipped; returns ``None`` when nothing was collected.
     """
     counters: dict = {}
     workers: dict = {}
@@ -320,6 +323,30 @@ def merge_metrics(blocks):
             {"pid": pid, "spans": spans}
             for pid, spans in sorted(workers.items())
         ],
+    }
+
+
+def phase_totals(block):
+    """Per-phase wall-clock totals of one metrics block.
+
+    ``block`` is a leaf snapshot or a merged block; spans are summed
+    by name across every worker track into ``{name: {"seconds": s,
+    "calls": n}}`` (names sorted, microsecond resolution).  Returns
+    ``None`` when the block holds no spans.
+    """
+    if not block:
+        return None
+    totals: dict = {}
+    for track in block.get("workers", (block,)):
+        for name, _start_us, dur_us, _tid in track.get("spans") or ():
+            entry = totals.setdefault(name, [0, 0])
+            entry[0] += dur_us
+            entry[1] += 1
+    if not totals:
+        return None
+    return {
+        name: {"seconds": us / 1e6, "calls": calls}
+        for name, (us, calls) in sorted(totals.items())
     }
 
 

@@ -248,22 +248,30 @@ class TestAnalyticSweeps:
 
 
 class TestProfilePlumbing:
-    def test_profiled_point_carries_phase_blocks(self):
-        from dataclasses import replace
+    @staticmethod
+    def _points(profile=False, **execution):
+        from repro.api import ExecutionConfig, Session, SweepRequest
 
-        nl = tech_map(ripple_adder(3), k=4)
-        jobs = [replace(j, profile=True)
-                for j in channel_width_jobs(nl, BASE, [8], seed=0,
-                                            effort=EFFORT)]
+        req = SweepRequest(
+            what="channel-width", workload="adder", grid=5, values=(8,),
+            profile=profile,
+            execution=ExecutionConfig(effort=EFFORT, **execution),
+        )
+        with Session() as session:
+            return session.run(req).points
+
+    def test_profiled_point_carries_phase_blocks(self):
         # through the runner the placement rides the cross-point cache,
         # so the profile covers the phases the point actually ran
-        (pt,) = SweepRunner().run(jobs)
+        (pt,) = self._points(profile=True)
         d = pt.to_dict()
         assert "profile" in d
+        assert "metrics" not in d  # telemetry stayed off
         assert "point.place" not in d["profile"]
         assert "point.route" in d["profile"]
         assert "point.timing" in d["profile"]
         for block in d["profile"].values():
+            assert set(block) == {"seconds", "calls"}
             assert block["seconds"] >= 0.0
             assert block["calls"] >= 1
 
@@ -271,25 +279,28 @@ class TestProfilePlumbing:
         from dataclasses import replace
 
         from repro.analysis.sweep import evaluate_point
+        from repro.utils.telemetry import phase_totals
 
         nl = tech_map(ripple_adder(3), k=4)
         (job,) = channel_width_jobs(nl, BASE, [8], seed=0, effort=EFFORT)
-        pt = evaluate_point(replace(job, profile=True))
-        assert pt.profile is not None
-        assert "point.place" in pt.profile
-        assert "point.route" in pt.profile
+        pt = evaluate_point(replace(job, telemetry="run-test"))
+        profile = phase_totals(pt.metrics)
+        assert profile is not None
+        assert "point.place" in profile
+        assert "point.route" in profile
 
     def test_profile_never_perturbs_the_point(self):
-        from dataclasses import replace
-
-        nl = tech_map(ripple_adder(3), k=4)
-        jobs = channel_width_jobs(nl, BASE, [8], seed=0, effort=EFFORT)
-        (plain,) = SweepRunner().run(jobs)
-        (profiled,) = SweepRunner().run(
-            [replace(j, profile=True) for j in jobs]
-        )
+        (plain,) = self._points()
+        (profiled,) = self._points(profile=True)
         assert plain.profile is None
         assert "profile" not in plain.to_dict()
         d = profiled.to_dict()
         d.pop("profile")
         assert d == plain.to_dict()
+
+    def test_profile_beside_telemetry_keeps_the_metrics(self):
+        from repro.utils.telemetry import phase_totals
+
+        (pt,) = self._points(profile=True, telemetry=True)
+        assert pt.metrics is not None
+        assert pt.profile == phase_totals(pt.metrics)

@@ -152,48 +152,67 @@ class TestSerialization:
 
 
 class TestProfilePlumbing:
-    """``profile=True`` attaches phase breakdowns; off leaves rows
-    byte-identical to the unprofiled contract."""
+    """``profile=True`` on the request folds each row's telemetry spans
+    into a phase table; off leaves rows byte-identical to the
+    unprofiled contract."""
 
-    def test_profiled_campaign_carries_phase_blocks(self, netlist):
-        runner = YieldRunner()
-        (pt,) = runner.run_campaign(
-            netlist, "adder", PARAMS, [0.08], TRIALS, seed=3, profile=True
+    @staticmethod
+    def _points(rates=(0.08,), trials=TRIALS, profile=False, **execution):
+        from repro.api import ExecutionConfig, Session, YieldRequest
+
+        req = YieldRequest(
+            workload="adder", grid=5, width=7, rates=rates, trials=trials,
+            profile=profile, execution=ExecutionConfig(seed=3, **execution),
         )
+        with Session() as session:
+            return session.run(req).points
+
+    def test_profiled_campaign_carries_phase_blocks(self):
+        (pt,) = self._points(profile=True)
         assert pt.profile is not None
+        assert pt.metrics is None  # telemetry stayed off
         d = pt.to_dict()
         assert "profile" in d
         # defect sampling happens on every trial; repair phases appear
         # whenever some die needed the ladder
         assert "trial.sample" in d["profile"]
         for entry in d["profile"].values():
+            assert set(entry) == {"seconds", "calls"}
             assert entry["seconds"] >= 0.0
             assert entry["calls"] >= 0
 
-    def test_unprofiled_rows_omit_the_block(self, netlist):
-        runner = YieldRunner()
-        (pt,) = runner.run_campaign(
-            netlist, "adder", PARAMS, [0.08], TRIALS, seed=3
-        )
+    def test_unprofiled_rows_omit_the_block(self):
+        (pt,) = self._points()
         assert pt.profile is None
         assert "profile" not in pt.to_dict()
 
-    def test_profile_never_perturbs_the_row(self, netlist):
-        runner = YieldRunner()
-        (plain,) = runner.run_campaign(
-            netlist, "adder", PARAMS, [0.08], TRIALS, seed=3
-        )
-        (profiled,) = runner.run_campaign(
-            netlist, "adder", PARAMS, [0.08], TRIALS, seed=3, profile=True
-        )
+    def test_profile_never_perturbs_the_row(self):
+        (plain,) = self._points()
+        (profiled,) = self._points(profile=True)
         d = profiled.to_dict()
         d.pop("profile")
         assert d == plain.to_dict()
 
-    def test_profiled_rows_round_trip(self, netlist):
-        runner = YieldRunner()
-        (pt,) = runner.run_campaign(
-            netlist, "adder", PARAMS, [0.05], 3, seed=3, profile=True
-        )
+    def test_profiled_rows_round_trip(self):
+        (pt,) = self._points(rates=(0.05,), trials=3, profile=True)
         again = YieldPoint.from_dict(pt.to_dict())
         assert again.to_dict() == pt.to_dict()
+
+    def test_process_backend_profiles_every_trial(self):
+        points = self._points(rates=(0.0, 0.08), profile=True,
+                              backend="process", workers=2)
+        for pt in points:
+            assert pt.metrics is None
+            assert pt.profile["repair.detect"]["calls"] == TRIALS
+
+    def test_run_id_ships_spans_back_in_the_row(self, netlist):
+        from repro.utils.telemetry import phase_totals
+
+        (pt,) = YieldRunner().run_campaign(
+            netlist, "adder", PARAMS, [0.08], TRIALS, seed=3,
+            telemetry="run-test",
+        )
+        assert pt.profile is None  # only the Session folds the spans
+        totals = phase_totals(pt.metrics)
+        assert totals["trial.sample"]["calls"] == TRIALS
+        assert totals["repair.detect"]["calls"] == TRIALS

@@ -3,6 +3,8 @@
 import os
 import threading
 
+import pytest
+
 from repro.utils.telemetry import (
     GLOBAL,
     MetricsRegistry,
@@ -13,6 +15,7 @@ from repro.utils.telemetry import (
     current_collector,
     merge_metrics,
     new_run_id,
+    phase_totals,
     series_key,
     span,
     split_series,
@@ -131,6 +134,14 @@ class TestTelemetryCollector:
         assert tids[0] == tids[1] == 1
         assert tids[2] == 2
 
+    def test_span_records_on_exception(self):
+        tel = Telemetry("run-1")
+        with collecting(tel):
+            with pytest.raises(ValueError):
+                with span("boom"):
+                    raise ValueError("x")
+        assert [s[0] for s in tel.spans] == ["boom"]
+
 
 class TestAmbientBinding:
     def test_unbound_helpers_are_noops(self):
@@ -158,6 +169,37 @@ class TestAmbientBinding:
             count("n")
         assert inner.counters == {"n": 1}
         assert outer.counters == {"n": 1}
+
+    def test_collecting_none_keeps_outer_collector(self):
+        outer = Telemetry("o")
+        with collecting(outer):
+            with collecting(None) as bound:
+                assert bound is None
+                assert current_collector() is outer
+                count("n")
+                with span("step"):
+                    pass
+            assert current_collector() is outer
+        assert current_collector() is None
+        assert outer.counters == {"n": 1}
+        assert [s[0] for s in outer.spans] == ["step"]
+
+    def test_binding_is_thread_local(self):
+        tel = Telemetry("run-1")
+        seen: list = []
+
+        def worker():
+            seen.append(current_collector())
+            count("other-thread")
+            with span("other-thread"):
+                pass
+
+        with collecting(tel):
+            t = threading.Thread(target=worker)
+            t.start()
+            t.join()
+        assert seen == [None]  # the worker thread never saw our binding
+        assert tel.counters == {} and tel.spans == []
 
 
 class TestMergeMetrics:
@@ -187,6 +229,37 @@ class TestMergeMetrics:
         total = merge_metrics([first, second])
         assert total["counters"] == {"pops": 7}
         assert [w["pid"] for w in total["workers"]] == [11, 22]
+
+
+class TestPhaseTotals:
+    def _leaf(self, pid, spans):
+        return {"run_id": "run-1", "pid": pid, "counters": {"pops": 3},
+                "spans": spans}
+
+    def test_leaf_snapshot_folds_seconds_and_calls(self):
+        totals = phase_totals(self._leaf(11, [
+            ["z", 0, 1_500_000, 1], ["a", 5, 250, 1], ["z", 9, 500_000, 2],
+        ]))
+        assert list(totals) == ["a", "z"]  # sorted by name
+        assert totals == {"a": {"seconds": 0.00025, "calls": 1},
+                          "z": {"seconds": 2.0, "calls": 2}}
+
+    def test_sums_per_name_across_worker_tracks(self):
+        merged = merge_metrics([
+            self._leaf(11, [["route", 1, 1_000_000, 1]]),
+            self._leaf(22, [["route", 2, 500_000, 1],
+                            ["place", 3, 2_000_000, 1]]),
+        ])
+        assert phase_totals(merged) == {
+            "place": {"seconds": 2.0, "calls": 1},
+            "route": {"seconds": 1.5, "calls": 2},
+        }
+
+    def test_empty_input_folds_to_none(self):
+        assert phase_totals(None) is None
+        assert phase_totals({}) is None
+        assert phase_totals(self._leaf(11, [])) is None
+        assert phase_totals(merge_metrics([self._leaf(11, [])])) is None
 
 
 class TestChromeTrace:

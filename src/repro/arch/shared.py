@@ -283,7 +283,7 @@ class SharedGolden:
     def attach(self):
         """Decode ``(netlist, GoldenMapping)`` from the segment."""
         from repro.reliability.repair import GoldenMapping
-        from repro.route.pathfinder import RoutedNet, RouteResult
+        from repro.route.pathfinder import RouteResult, net_from_paths
 
         shm = _attach_segment(self.name)
         meta, views = _read_segment(shm)
@@ -295,20 +295,14 @@ class SharedGolden:
         sinks_flat = views["sinks_flat"].tolist()
         path_start = views["path_start"].tolist()
         paths_flat = views["paths_flat"].tolist()
-        nets: dict[str, RoutedNet] = {}
-        gsi = 0
+        nets = {}
         for i, name in enumerate(net_names):
-            sinks = sinks_flat[sink_start[i]:sink_start[i + 1]]
-            net = RoutedNet(name, net_source[i], list(sinks))
+            lo, hi = sink_start[i], sink_start[i + 1]
+            sinks = sinks_flat[lo:hi]
+            net = net_from_paths(name, net_source[i], sinks, (
+                (sink, paths_flat[path_start[g]:path_start[g + 1]])
+                for g, sink in enumerate(sinks, lo)))
             net.reused = bool(net_reused[i])
-            net.nodes = {net_source[i]}
-            for sink in sinks:
-                path = paths_flat[path_start[gsi]:path_start[gsi + 1]]
-                gsi += 1
-                net.sink_paths[sink] = path
-                for a, b in zip(path, path[1:]):
-                    net.edges.add((a, b))
-                net.nodes.update(path)
             nets[name] = net
         routes = RouteResult(nets, meta["iterations"], meta["context"])
         placement = pickle.loads(bytes(views["placement"]))

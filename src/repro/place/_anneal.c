@@ -14,7 +14,8 @@
  * and every temperature step is one multiply.  No expression has the
  * form a*b+c, so floating-point contraction cannot change a result.
  *
- * Build: gcc -O2 -shared -fPIC -lm (see repro.utils.native).
+ * Build: gcc -O2 -shared -fPIC -ffp-contract=off -lm
+ * (see repro.utils.native).
  */
 #include <math.h>
 #include <stdint.h>

@@ -168,6 +168,24 @@ def _evaluate_trial_item(item: tuple[YieldTrialJob, GoldenMapping]) -> TrialResu
     return evaluate_trial(job, golden)
 
 
+def _charged_to_first(results, block: dict):
+    """``results`` with the parent's telemetry ``block`` charged to the
+    first result: its counters added to that trial's and its spans put
+    on that trial's track.  A row's tracks are its trial workers' (the
+    process backend's telemetry contract), so the parent's work rides
+    on the first trial's rather than on a track of its own."""
+    it = iter(results)
+    for first in it:
+        metrics = first.metrics
+        counters = metrics["counters"]
+        for key, value in block["counters"].items():
+            counters[key] = counters.get(key, 0) + value
+        metrics["spans"] = block["spans"] + metrics["spans"]
+        yield first
+        break
+    yield from it
+
+
 def _evaluate_trial_shared(item) -> TrialResult:
     """Process-pool entry point for the shared-memory backend.
 
@@ -519,7 +537,9 @@ class YieldRunner:
         (seed, substrate) pair — and published as one node-mask matrix
         plus ragged defect id lists; workers rebuild each trial's map
         around a zero-copy row view instead of re-sampling and
-        re-lowering it.
+        re-lowering it.  With a run id, that sampling is one
+        ``campaign.sample`` span charged to the first trial, so a
+        profile or trace of row 0 shows it.
         """
         from repro.arch.compiled import flat_rrg_for
         from repro.arch.shared import warm_worker
@@ -534,7 +554,12 @@ class YieldRunner:
         c = flat_rrg_for(t.params)
         substrate_handle = store.substrate_for(c)
 
-        def _sample_batch():
+        # with a run id, the parent's sampling is a telemetry block of
+        # its own (no trial's collector sees it), charged to the first
+        # trial so that row 0 carries its span
+        sampled: list[dict] = []
+
+        def _sample():
             return [
                 DefectMap.sample(
                     c, float(rate), seed=trial_seed(t.seed, pi, i),
@@ -544,6 +569,15 @@ class YieldRunner:
                 for pi, rate in enumerate(rates)
                 for i in range(trials)
             ]
+
+        def _sample_batch():
+            if not t.telemetry:
+                return _sample()
+            tel = Telemetry(t.telemetry)
+            with collecting(tel), span("campaign.sample"):
+                batch = _sample()
+            sampled.append(tel.snapshot())
+            return batch
 
         defect_handle = store.defects_for(
             (t.params, t.model, tuple(float(r) for r in rates), trials,
@@ -555,11 +589,13 @@ class YieldRunner:
             (job, golden_handle, substrate_handle, defect_handle, i)
             for i, job in enumerate(jobs)
         ]
-        return self._runner.iter_items(
+        results = self._runner.iter_items(
             _evaluate_trial_shared, items,
             initializer=warm_worker,
             initargs=((golden_handle, substrate_handle, defect_handle),),
         )
+        return _charged_to_first(results, sampled[0]) if sampled \
+            else results
 
     def run_campaign(
         self,

@@ -1,6 +1,8 @@
-/* Native route search: the C twin of repro.route.pathfinder._dijkstra.
+/* Native routing: the C twins of repro.route.pathfinder's search and
+ * sequential context route.
  *
- * Shortest path from a route tree to one target over the CSR rows of a
+ * One static search (`search`) serves both exports.  It finds the
+ * shortest path from a route tree to one target over the CSR rows of a
  * compiled routing-resource graph.  A binary heap on (dist, node) pops
  * entries in exactly the order of the Python kernel's Dial buckets: a
  * node's pushed distances strictly decrease, so no two heap keys are
@@ -8,18 +10,32 @@
  * entries, is documented in pathfinder.py).  Stale pops are counted
  * like the Python kernel counts them.
  *
- * Build: gcc -O2 -shared -fPIC -lm (see repro.utils.native).
+ * - `route_search` runs one search (the Python loop's kernel).
+ * - `route_context` runs one context's whole sequential PathFinder
+ *   route: the initial pass over the nets (adopted, seeded, searched),
+ *   the usage commits and every rip-up iteration, with the congestion
+ *   arithmetic of pathfinder._FlatCongestion operation for operation
+ *   (built with -ffp-contract=off, so no multiply-add is fused).
+ *
+ * Neither keeps static state; every buffer is the caller's or is
+ * allocated and freed within the call.
+ *
+ * Build: gcc -O2 -shared -fPIC -ffp-contract=off -lm (repro.utils.native).
  */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef struct {
     double d;
     int32_t n;
 } entry;
 
+/* Strict (dist, node) order, evaluated without branches.  Keys never
+ * tie, so the pop order depends on the keys alone, not on the layout
+ * of the heap. */
 static int before(entry a, entry b) {
-    return a.d < b.d || (a.d == b.d && a.n < b.n);
+    return (a.d < b.d) | ((a.d == b.d) & (a.n < b.n));
 }
 
 static int push(entry **heap, int64_t *len, int64_t *cap, double d, int32_t n) {
@@ -48,46 +64,68 @@ static entry pop(entry *heap, int64_t *len) {
     entry top = heap[0];
     entry last = heap[--(*len)];
     int64_t i = 0, n = *len;
+    if (n == 0)
+        return top;
+    /* move the hole down along the smaller children to a leaf, then
+     * sift `last` up from there (Floyd): one comparison per level on
+     * the way down instead of two */
     for (;;) {
         int64_t kid = 2 * i + 1;
         if (kid >= n)
             break;
-        if (kid + 1 < n && before(heap[kid + 1], heap[kid]))
-            kid++;
-        if (!before(heap[kid], last))
-            break;
+        if (kid + 1 < n)
+            kid += before(heap[kid + 1], heap[kid]);
         heap[i] = heap[kid];
         i = kid;
     }
-    if (n > 0)
-        heap[i] = last;
+    while (i > 0) {
+        int64_t up = (i - 1) / 2;
+        if (!before(last, heap[up]))
+            break;
+        heap[i] = heap[up];
+        i = up;
+    }
+    heap[i] = last;
     return top;
 }
 
-/* On entry `path` holds the `n_tree` route-tree nodes.  Returns the
- * length of the path then written to `path` (tree node first, target
- * last), 0 when `target` is unreachable inside `mask`, or -1 when the
- * heap could not be allocated.  `*pops` receives the pop count.  A NULL
- * `mask` admits every node; SINK edges (from `emid`) admit only `target`. */
-int64_t route_search(
-    const int32_t *estart, const int32_t *emid, const int32_t *edst,
-    const double *eff, const uint8_t *mask, int64_t n_tree, int32_t target,
-    double *dist, int32_t *prev, uint32_t *stamp, int32_t *path,
-    int64_t *pops, uint32_t epoch)
+/* The search's graph, costs and scratch; the heap persists across
+ * searches and grows on demand. */
+typedef struct {
+    const int32_t *estart, *emid, *edst;
+    const double *eff;
+    double *dist;
+    int32_t *prev;
+    uint32_t *stamp;
+    entry *heap;
+    int64_t heap_cap;
+} searcher;
+
+/* Pushes the `n_tree` nodes of `tree` at distance 0 and searches.
+ * Returns the length of the path written to `path` (tree node first,
+ * target last), 0 when `target` is unreachable, or -1 when the heap
+ * cannot grow.  `path` may alias `tree`: the tree is read first.  A
+ * non-SINK edge (before `emid`) enters a node only where `mask` (NULL:
+ * everywhere) admits it; SINK edges admit only `target`.  `*pops`
+ * receives the pop count. */
+static int64_t search(searcher *s, const uint8_t *mask, const int32_t *tree,
+                      int64_t n_tree, int32_t target, uint32_t epoch,
+                      int32_t *path, int64_t *pops)
 {
-    int64_t len = 0, cap = n_tree > 64 ? 2 * n_tree : 128, k = 0, count = 0;
-    entry *heap = malloc((size_t)cap * sizeof(entry));
-    *pops = 0;
-    if (heap == NULL)
-        return -1;
+    const int32_t *estart = s->estart, *emid = s->emid, *edst = s->edst;
+    const double *eff = s->eff;
+    double *dist = s->dist;
+    int32_t *prev = s->prev;
+    uint32_t *stamp = s->stamp;
+    int64_t len = 0, k = 0, count = 0;
     for (int64_t i = 0; i < n_tree; i++) {
-        stamp[path[i]] = epoch;
-        dist[path[i]] = 0.0;
-        if (push(&heap, &len, &cap, 0.0, path[i]) < 0)
+        stamp[tree[i]] = epoch;
+        dist[tree[i]] = 0.0;
+        if (push(&s->heap, &len, &s->heap_cap, 0.0, tree[i]) < 0)
             k = -1;
     }
     while (len > 0 && k == 0) {
-        entry top = pop(heap, &len);
+        entry top = pop(s->heap, &len);
         double d = top.d;
         int32_t nid = top.n;
         count++;
@@ -108,21 +146,427 @@ int64_t route_search(
             break;
         }
         int32_t lo = estart[nid], mid = emid[nid], hi = estart[nid + 1];
-        for (int32_t e = lo; e < hi && k == 0; e++) {
+        for (int32_t e = lo; e < hi; e++) {
             int32_t nxt = edst[e];
-            if (e < mid ? (mask != NULL && !mask[nxt]) : nxt != target)
-                continue; /* outside the mask, or a foreign SINK */
+            if (e < mid) {
+                if (mask != NULL && !mask[nxt])
+                    continue; /* outside the mask */
+            } else if (nxt != target) {
+                continue; /* a foreign SINK */
+            }
             double nd = d + eff[nxt];
-            if (stamp[nxt] != epoch || nd < dist[nxt]) {
+            /* unvisited, or reached cheaper (one branch, not two) */
+            if ((stamp[nxt] != epoch) | (nd < dist[nxt])) {
                 stamp[nxt] = epoch;
                 dist[nxt] = nd;
                 prev[nxt] = nid;
-                if (push(&heap, &len, &cap, nd, nxt) < 0)
+                if (push(&s->heap, &len, &s->heap_cap, nd, nxt) < 0) {
                     k = -1;
+                    break;
+                }
             }
         }
     }
-    free(heap);
     *pops = count;
     return k;
+}
+
+/* On entry `path` holds the `n_tree` route-tree nodes.  Returns the
+ * length of the path then written to `path` (tree node first, target
+ * last), 0 when `target` is unreachable inside `mask`, or -1 when the
+ * heap could not be allocated.  `*pops` receives the pop count.  A NULL
+ * `mask` admits every node; SINK edges (from `emid`) admit only `target`. */
+int64_t route_search(
+    const int32_t *estart, const int32_t *emid, const int32_t *edst,
+    const double *eff, const uint8_t *mask, int64_t n_tree, int32_t target,
+    double *dist, int32_t *prev, uint32_t *stamp, int32_t *path,
+    int64_t *pops, uint32_t epoch)
+{
+    searcher s = {estart, emid, edst, eff, dist, prev, stamp, NULL,
+                  n_tree > 64 ? 2 * n_tree : 128};
+    *pops = 0;
+    s.heap = malloc((size_t)s.heap_cap * sizeof(entry));
+    if (s.heap == NULL)
+        return -1;
+    int64_t k = search(&s, mask, path, n_tree, target, epoch, path, pops);
+    free(s.heap);
+    return k;
+}
+
+/* ---------------------------------------------------------------------- */
+/* one context's sequential route                                          */
+/* ---------------------------------------------------------------------- */
+
+/* `stats` slots; pathfinder.py mirrors these names. */
+enum {
+    ST_EPOCH,           /* in/out: RouterScratch.epoch */
+    ST_STATUS,          /* out: one of the RC_* codes */
+    ST_DETAIL,          /* out: the sink (RC_NO_PATH) or the overused
+                           nodes (RC_CONGESTED) */
+    ST_ITERATIONS,      /* out: RouteResult.iterations */
+    ST_POPS,            /* out: router.pops */
+    ST_FIRST_POPS,      /* out: router.pops of the initial pass */
+    ST_RIPUPS,          /* out: router.ripup_iterations */
+    ST_CENSUS,          /* out: router.overused_census */
+    ST_REPRICED,        /* out: router.repriced_nodes */
+    ST_RIPPED,          /* out: router.ripped_nets */
+    ST_OUT_NODES,       /* out: nodes written to out_nodes */
+    ST_OUT_PATHS,       /* out: paths written */
+    N_STATS
+};
+
+enum { RC_OK, RC_NO_PATH, RC_CONGESTED, RC_NOMEM, RC_SPACE };
+
+/* Everything one route_context call reads and writes (ctypes mirror:
+ * pathfinder._RouteJob). */
+typedef struct {
+    /* graph */
+    int64_t n_nodes;
+    const int32_t *estart, *emid, *edst;
+    const int32_t *xlo, *xhi, *ylo, *yhi;
+    int64_t cols, rows, margin;
+    const uint8_t *node_ok; /* the defect floor; NULL without defects */
+    /* congestion state, in place */
+    const double *base;
+    const int64_t *cap;
+    double *hist, *eff;
+    int64_t *usage;
+    double pres_fac, pres_fac_mult, hist_fac;
+    int64_t max_iterations;
+    /* nets, in routing order */
+    int64_t n_nets;
+    const int32_t *source;
+    const int64_t *sink_start;   /* n_nets + 1 */
+    const int32_t *sinks;
+    const int64_t *adopt_start;  /* n_nets + 1; empty: not adopted */
+    const int32_t *adopt;        /* an adopted route's node set */
+    const int64_t *seed_start;   /* n_nets + 1, into the seed paths */
+    const int64_t *seed_path_start;
+    const int32_t *seed_sink;
+    const int32_t *seed_nodes;
+    /* RouterScratch */
+    double *dist;
+    int32_t *prev;
+    uint32_t *stamp;
+    int32_t *path;
+    /* out: each routed net's sink paths in insertion order */
+    int64_t out_nodes_cap, out_paths_cap;
+    int32_t *out_nodes;
+    int64_t *out_path_start;     /* out_paths + 1 */
+    int32_t *out_path_sink;
+    int64_t *out_net_path;       /* n_nets + 1, into the paths */
+    int32_t *out_survived;       /* adopted and never ripped up */
+    int64_t stats[N_STATS];
+} route_job;
+
+/* A growable int32 array. */
+typedef struct {
+    int32_t *v;
+    int64_t len, cap;
+} vec;
+
+static int reserve(vec *a, int64_t more) {
+    if (a->len + more <= a->cap)
+        return 0;
+    int64_t cap = a->cap ? a->cap : 1024;
+    while (cap < a->len + more)
+        cap *= 2;
+    int32_t *v = realloc(a->v, (size_t)cap * sizeof(int32_t));
+    if (v == NULL)
+        return -1;
+    a->v = v;
+    a->cap = cap;
+    return 0;
+}
+
+/* A net's current route: its distinct nodes in `tree`, and its sink
+ * paths in `paths` as (sink, length, nodes...) records. */
+typedef struct {
+    int64_t tree_off, tree_len, paths_off, n_paths;
+} route_rec;
+
+typedef struct {
+    route_job *j;
+    searcher s;
+    vec tree, paths;
+    route_rec *rec;
+    uint8_t *mask;  /* the net's prune mask */
+    uint32_t *mark; /* route serial that last put a node in its tree */
+    uint32_t serial;
+    int64_t n_over; /* nodes with usage > capacity */
+} router;
+
+/* _FlatCongestion._fold: separately rounded, as numpy evaluates it. */
+static double fold(const route_job *j, int32_t n) {
+    int64_t over = j->usage[n] + 1 - j->cap[n];
+    if (over < 0)
+        over = 0;
+    return j->base[n] * (1.0 + j->pres_fac * (double)over) + j->hist[n];
+}
+
+/* Add `delta` usage on route `i`'s nodes and re-price them. */
+static void commit(router *r, int64_t i, int delta) {
+    route_job *j = r->j;
+    const int32_t *t = r->tree.v + r->rec[i].tree_off;
+    for (int64_t k = 0; k < r->rec[i].tree_len; k++) {
+        int32_t n = t[k];
+        int64_t was = j->usage[n] > j->cap[n];
+        j->usage[n] += delta;
+        r->n_over += (j->usage[n] > j->cap[n]) - was;
+        j->eff[n] = fold(j, n);
+    }
+}
+
+static int overused(const router *r, int64_t i) {
+    const route_job *j = r->j;
+    const int32_t *t = r->tree.v + r->rec[i].tree_off;
+    for (int64_t k = 0; k < r->rec[i].tree_len; k++)
+        if (j->usage[t[k]] > j->cap[t[k]])
+            return 1;
+    return 0;
+}
+
+/* Add the nodes of `p` not yet in the current route's tree (each node
+ * at most once: the tree is a set). */
+static int add_nodes(router *r, route_rec *rec, const int32_t *p,
+                     int64_t len) {
+    if (reserve(&r->tree, len) < 0)
+        return -1;
+    for (int64_t k = 0; k < len; k++)
+        if (r->mark[p[k]] != r->serial) {
+            r->mark[p[k]] = r->serial;
+            r->tree.v[r->tree.len++] = p[k];
+            rec->tree_len++;
+        }
+    return 0;
+}
+
+/* Append a sink path to the current route, and its nodes to the tree. */
+static int add_path(router *r, route_rec *rec, int32_t sink,
+                    const int32_t *p, int64_t len) {
+    if (reserve(&r->paths, len + 2) < 0)
+        return -1;
+    int32_t *out = r->paths.v + r->paths.len;
+    out[0] = sink;
+    out[1] = (int32_t)len;
+    memcpy(out + 2, p, (size_t)len * sizeof(int32_t));
+    r->paths.len += len + 2;
+    rec->n_paths++;
+    return add_nodes(r, rec, p, len);
+}
+
+static uint32_t next_epoch(router *r) {
+    route_job *j = r->j;
+    uint32_t epoch = (uint32_t)j->stats[ST_EPOCH];
+    if (epoch == 0xFFFFFFFFu) {
+        memset(j->stamp, 0, (size_t)j->n_nodes * sizeof(uint32_t));
+        epoch = 0;
+    }
+    j->stats[ST_EPOCH] = ++epoch;
+    return epoch;
+}
+
+/* pathfinder._route_net_flat: route net `i` afresh (seeded with its
+ * salvaged branches when `seeded`), replacing its route record.
+ * Returns an RC_* code. */
+static int route_net(router *r, int64_t i, int seeded) {
+    route_job *j = r->j;
+    route_rec rec = {r->tree.len, 0, r->paths.len, 0};
+    int32_t src = j->source[i];
+    const int32_t *sinks = j->sinks + j->sink_start[i];
+    int64_t n_sinks = j->sink_start[i + 1] - j->sink_start[i];
+    int64_t s0 = seeded ? j->seed_start[i] : 0;
+    int64_t s1 = seeded ? j->seed_start[i + 1] : 0;
+    r->serial++;
+    if (add_nodes(r, &rec, &src, 1) < 0)
+        return RC_NOMEM;
+    for (int64_t p = s0; p < s1; p++) {
+        int64_t a = j->seed_path_start[p], b = j->seed_path_start[p + 1];
+        if (add_path(r, &rec, j->seed_sink[p], j->seed_nodes + a, b - a) < 0)
+            return RC_NOMEM;
+    }
+    /* _net_mask: the margin-expanded terminal box ANDed with the defect
+     * floor, unless the box covers the fabric (built at the first search) */
+    int32_t bxlo = j->xlo[src], bxhi = j->xhi[src];
+    int32_t bylo = j->ylo[src], byhi = j->yhi[src];
+    for (int64_t k = 0; k < n_sinks; k++) {
+        int32_t n = sinks[k];
+        if (j->xlo[n] < bxlo) bxlo = j->xlo[n];
+        if (j->xhi[n] > bxhi) bxhi = j->xhi[n];
+        if (j->ylo[n] < bylo) bylo = j->ylo[n];
+        if (j->yhi[n] > byhi) byhi = j->yhi[n];
+    }
+    bxlo -= (int32_t)j->margin;
+    bxhi += (int32_t)j->margin;
+    bylo -= (int32_t)j->margin;
+    byhi += (int32_t)j->margin;
+    int covers = bxlo <= -1 && bylo <= -1 && bxhi >= j->cols
+        && byhi >= j->rows;
+    const uint8_t *mask = NULL;
+    for (int64_t k = 0; k < n_sinks; k++) {
+        int32_t sink = sinks[k];
+        int done = 0;
+        for (int64_t p = s0; p < s1 && !done; p++)
+            done = j->seed_sink[p] == sink;
+        if (done)
+            continue;
+        if (mask == NULL) {
+            mask = covers ? j->node_ok : r->mask;
+            if (!covers) /* CompiledRRG.bbox_mask's inequalities */
+                for (int64_t n = 0; n < j->n_nodes; n++)
+                    r->mask[n] = j->xhi[n] >= bxlo && j->xlo[n] <= bxhi
+                        && j->yhi[n] >= bylo && j->ylo[n] <= byhi
+                        && (j->node_ok == NULL || j->node_ok[n]);
+        }
+        int64_t pops, len;
+        len = search(&r->s, mask, r->tree.v + rec.tree_off, rec.tree_len,
+                     sink, next_epoch(r), j->path, &pops);
+        j->stats[ST_POPS] += pops;
+        if (len == 0 && !covers) {
+            /* the box disconnected this sink: retry without it */
+            len = search(&r->s, j->node_ok, r->tree.v + rec.tree_off,
+                         rec.tree_len, sink, next_epoch(r), j->path, &pops);
+            j->stats[ST_POPS] += pops;
+        }
+        if (len < 0)
+            return RC_NOMEM;
+        if (len == 0) {
+            j->stats[ST_DETAIL] = sink;
+            return RC_NO_PATH;
+        }
+        if (add_path(r, &rec, sink, j->path, len) < 0)
+            return RC_NOMEM;
+    }
+    r->rec[i] = rec;
+    return RC_OK;
+}
+
+/* One PathFinder escalation (_FlatCongestion.next_iteration): bump the
+ * history of overused nodes, grow the pressure factor, re-price the
+ * pressured nodes.  Every other node's cost does not involve either. */
+static void escalate(router *r) {
+    route_job *j = r->j;
+    j->pres_fac *= j->pres_fac_mult;
+    for (int64_t n = 0; n < j->n_nodes; n++) {
+        int64_t u = j->usage[n], c = j->cap[n];
+        if (u > c)
+            j->hist[n] += j->hist_fac * (double)(u - c);
+        if (u + 1 - c > 0) {
+            j->eff[n] = fold(j, (int32_t)n);
+            j->stats[ST_REPRICED]++;
+        }
+    }
+}
+
+static int route_all(router *r) {
+    route_job *j = r->j;
+    int rc;
+    for (int64_t i = 0; i < j->n_nets; i++) {
+        int64_t a = j->adopt_start[i], b = j->adopt_start[i + 1];
+        if (b > a) {
+            /* an adopted route: its (distinct) nodes, no paths */
+            route_rec rec = {r->tree.len, b - a, r->paths.len, 0};
+            if (reserve(&r->tree, b - a) < 0)
+                return RC_NOMEM;
+            memcpy(r->tree.v + r->tree.len, j->adopt + a,
+                   (size_t)(b - a) * sizeof(int32_t));
+            r->tree.len += b - a;
+            r->rec[i] = rec;
+            j->out_survived[i] = 1;
+        } else if ((rc = route_net(r, i, 1)) != RC_OK) {
+            return rc;
+        }
+        commit(r, i, 1);
+    }
+    j->stats[ST_FIRST_POPS] = j->stats[ST_POPS];
+    int64_t iteration = 1;
+    for (;; iteration++) {
+        j->stats[ST_ITERATIONS] = iteration;
+        if (iteration >= j->max_iterations) {
+            j->stats[ST_DETAIL] = r->n_over;
+            return RC_CONGESTED;
+        }
+        if (r->n_over == 0)
+            return RC_OK;
+        j->stats[ST_CENSUS] += r->n_over;
+        j->stats[ST_RIPUPS]++;
+        escalate(r);
+        /* the overuse test sees reroutes made earlier in this sweep */
+        for (int64_t i = 0; i < j->n_nets; i++) {
+            if (!overused(r, i))
+                continue;
+            commit(r, i, -1);
+            if ((rc = route_net(r, i, 0)) != RC_OK)
+                return rc;
+            commit(r, i, 1);
+            j->out_survived[i] = 0;
+            j->stats[ST_RIPPED]++;
+        }
+    }
+}
+
+/* Copy every net's paths out; adopted survivors have none. */
+static int write_out(router *r) {
+    route_job *j = r->j;
+    int64_t n_out = 0, p_out = 0;
+    for (int64_t i = 0; i < j->n_nets; i++) {
+        j->out_net_path[i] = p_out;
+        if (j->out_survived[i])
+            continue;
+        const int32_t *rec = r->paths.v + r->rec[i].paths_off;
+        if (p_out + r->rec[i].n_paths > j->out_paths_cap)
+            return RC_SPACE;
+        for (int64_t p = 0; p < r->rec[i].n_paths; p++) {
+            int32_t len = rec[1];
+            if (n_out + len > j->out_nodes_cap)
+                return RC_SPACE;
+            j->out_path_sink[p_out] = rec[0];
+            j->out_path_start[p_out++] = n_out;
+            memcpy(j->out_nodes + n_out, rec + 2,
+                   (size_t)len * sizeof(int32_t));
+            n_out += len;
+            rec += len + 2;
+        }
+    }
+    j->out_net_path[j->n_nets] = p_out;
+    j->out_path_start[p_out] = n_out;
+    j->stats[ST_OUT_NODES] = n_out;
+    j->stats[ST_OUT_PATHS] = p_out;
+    return RC_OK;
+}
+
+/* pathfinder._route_context_compiled's sequential loop in one call.
+ * Returns (and stores in stats[ST_STATUS]) an RC_* code. */
+int64_t route_context(route_job *j)
+{
+    router r;
+    memset(&r, 0, sizeof r);
+    r.j = j;
+    searcher s = {j->estart, j->emid, j->edst, j->eff, j->dist, j->prev,
+                  j->stamp, NULL, 1024};
+    r.s = s;
+    for (int k = ST_STATUS; k < N_STATS; k++)
+        j->stats[k] = 0;
+    memset(j->out_survived, 0, (size_t)j->n_nets * sizeof(int32_t));
+    for (int64_t n = 0; n < j->n_nodes; n++)
+        r.n_over += j->usage[n] > j->cap[n];
+    r.s.heap = malloc((size_t)r.s.heap_cap * sizeof(entry));
+    r.rec = calloc((size_t)(j->n_nets ? j->n_nets : 1), sizeof(route_rec));
+    r.mark = calloc((size_t)(j->n_nodes ? j->n_nodes : 1), sizeof(uint32_t));
+    r.mask = malloc((size_t)(j->n_nodes ? j->n_nodes : 1));
+    int rc = RC_NOMEM;
+    if (r.s.heap != NULL && r.rec != NULL && r.mark != NULL
+            && r.mask != NULL) {
+        rc = route_all(&r);
+        if (rc == RC_OK)
+            rc = write_out(&r);
+    }
+    free(r.s.heap);
+    free(r.rec);
+    free(r.mark);
+    free(r.mask);
+    free(r.tree.v);
+    free(r.paths.v);
+    j->stats[ST_STATUS] = rc;
+    return rc;
 }

@@ -29,6 +29,20 @@ pruned to its terminal bounding box, with a full-graph retry.  One
 initial pass, :func:`_route_initial_waves`, routes the nets in order —
 in wavefronts of provably independent nets when ``workers > 1``.
 
+A sequential context route (``workers <= 1``) is one native call when
+the C build is there (:func:`route_kernel`): ``route_context`` in
+``_search.c`` runs the whole loop — adopting bank routes, seeding
+salvaged branches, each net's sink searches with the prune mask built
+from ``CompiledRRG.bbox_mask``'s inequalities and the unpruned retry,
+the usage commits and every rip-up iteration (overuse test, history
+bump, pressure growth, re-price) — over this module's arrays, with
+:class:`_FlatCongestion`'s arithmetic operation for operation, and
+hands back each net's sink paths, which :func:`net_from_paths`
+decodes.  The Python loop (:func:`_route_initial_waves` and the rip-up
+loop of :func:`_route_context_compiled`) stays as the fallback, the
+wavefront path and the oracle; ``tests/route/test_native_context.py``
+holds the two equal net for net, counters included.
+
 ``route_context`` / ``route_program`` are the public entry points;
 ``route_context_compiled`` / ``route_program_compiled`` are the same
 engine under the names instrumentation wraps.  The original dict/set
@@ -530,6 +544,11 @@ def _search(c: CompiledRRG, state: _FlatCongestion, tree_nodes: set[int],
     return scratch.path[:k].tolist() if k else None
 
 
+#: ``_search`` as defined here: the native context route stands in for
+#: the Python loop only while this is the search in effect.
+_SEARCH = _search
+
+
 def _dijkstra(c: CompiledRRG, state: _FlatCongestion, tree_nodes: set[int],
               target: int, scratch: RouterScratch, mask: bytes | None,
               edst: np.ndarray) -> list[int] | None:
@@ -606,6 +625,210 @@ def _dijkstra(c: CompiledRRG, state: _FlatCongestion, tree_nodes: set[int],
                         b.append((nd, nxt))
     _tcount("router.pops", pops)
     return None
+
+
+class _RouteJob(ctypes.Structure):
+    """``route_job`` of ``_search.c``: one native context route's
+    graph, congestion state, nets, scratch and outputs (pointers are
+    buffer addresses)."""
+
+    _fields_ = [(name, kind) for names, kind in (
+        ("n_nodes", ctypes.c_int64),
+        ("estart emid edst xlo xhi ylo yhi", ctypes.c_void_p),
+        ("cols rows margin", ctypes.c_int64),
+        ("node_ok base cap hist eff usage", ctypes.c_void_p),
+        ("pres_fac pres_fac_mult hist_fac", ctypes.c_double),
+        ("max_iterations n_nets", ctypes.c_int64),
+        ("source sink_start sinks adopt_start adopt seed_start "
+         "seed_path_start seed_sink seed_nodes dist prev stamp path",
+         ctypes.c_void_p),
+        ("out_nodes_cap out_paths_cap", ctypes.c_int64),
+        ("out_nodes out_path_start out_path_sink out_net_path "
+         "out_survived", ctypes.c_void_p),
+    ) for name in names.split()] + [("stats", ctypes.c_int64 * 12)]
+
+
+#: ``route_job.stats`` slots and ``route_context`` status codes.
+(_ST_EPOCH, _ST_STATUS, _ST_DETAIL, _ST_ITERATIONS, _ST_POPS, _ST_FIRST_POPS,
+ _ST_RIPUPS, _ST_CENSUS, _ST_REPRICED, _ST_RIPPED, _ST_OUT_NODES,
+ _ST_OUT_PATHS) = range(12)
+_RC_OK, _RC_NO_PATH, _RC_CONGESTED, _RC_NOMEM = range(4)
+
+#: The native sequential context route, from the same source as
+#: :data:`_NATIVE`.
+_ROUTE = NativeLibrary(
+    "repro.route", "_search.c", "route_context",
+    (ctypes.POINTER(_RouteJob),), ctypes.c_int64,
+)
+
+
+def _route_function():
+    """The bound ``route_context``, or ``None`` to run the Python loop.
+
+    The C route runs the native search inline, so it stands in for the
+    loop only while :func:`_search` is this module's own and resolves
+    to the native kernel: a substituted ``_search`` (the test suite
+    patches its oracles in there) is honoured through the Python loop.
+    """
+    if _search is not _SEARCH or _NATIVE.function() is None:
+        return None
+    return _ROUTE.function()
+
+
+def route_kernel() -> str:
+    """The sequential context route: ``"native"`` (one C call per
+    context) or ``"python"`` (the loop around :func:`_search`)."""
+    return "python" if _route_function() is None else "native"
+
+
+def _addr(a: np.ndarray) -> int:
+    return a.ctypes.data
+
+
+def _segments(buf: np.ndarray, sizes) -> list[int]:
+    """The addresses of back-to-back segments of ``buf``, ``sizes``
+    items each."""
+    at, out = _addr(buf), []
+    for size in sizes:
+        out.append(at)
+        at += size * buf.itemsize
+    return out
+
+
+def _route_native(
+    fn,
+    c: CompiledRRG,
+    state: _FlatCongestion,
+    endpoints: list[tuple[str, int, list[int]]],
+    reuse: dict[str, RoutedNet] | None,
+    seeds: dict[str, dict[int, list[int]]],
+    node_ok: np.ndarray | None,
+    edst: np.ndarray,
+    scratch: RouterScratch,
+    max_iterations: int,
+    context: int,
+) -> RouteResult:
+    """The sequential loop of :func:`_route_context_compiled` in one
+    native call (``route_context`` in ``_search.c``).
+
+    The nets go in as flat arrays in routing order: sources, sinks,
+    each adopted bank route's node set and each salvaged net's seed
+    branches.  The C route runs the initial pass and the rip-up
+    iterations over ``state``'s arrays and ``scratch``, and hands back
+    every routed net's sink paths in insertion order, which
+    :func:`net_from_paths` turns into the :class:`RoutedNet` the Python
+    loop builds; an adopted net that was never ripped up keeps aliasing
+    its bank route.  Counters, ``scratch.epoch`` and the errors are the
+    loop's.
+    """
+    if (edst.dtype != np.int32 or not edst.flags.c_contiguous
+            or edst.size != c.n_edges):
+        raise ValueError("edst must be a contiguous int32 edge row")
+    if scratch.n != c.n_nodes:
+        raise ValueError("scratch sized for another graph")
+    priors: list[RoutedNet | None] = []
+    sources: list[int] = []
+    sinks_flat: list[int] = []
+    adopt: list[int] = []
+    seed_sink: list[int] = []
+    seed_nodes: list[int] = []
+    sink_start, adopt_start, seed_start, seed_path_start = [0], [0], [0], [0]
+    keyed = bool(reuse or seeds)
+    for _name, source, sinks in endpoints:
+        sig = endpoint_signature(source, sinks) if keyed else ""
+        prior = reuse.get(sig) if reuse else None
+        priors.append(prior)
+        sources.append(source)
+        sinks_flat += sinks
+        sink_start.append(len(sinks_flat))
+        if prior is not None:
+            adopt += prior.nodes
+        elif seeds and (kept := seeds.get(sig)):
+            for sink, path in kept.items():
+                seed_sink.append(sink)
+                seed_nodes += path
+                seed_path_start.append(len(seed_nodes))
+        adopt_start.append(len(adopt))
+        seed_start.append(len(seed_sink))
+    n = len(endpoints)
+    ints = (sources, sinks_flat, adopt, seed_sink, seed_nodes)
+    longs = (sink_start, adopt_start, seed_start, seed_path_start)
+    ints_buf = np.array(list(chain.from_iterable(ints)), dtype=np.int32)
+    longs_buf = np.array(list(chain.from_iterable(longs)), dtype=np.int64)
+    (source_at, sinks_at, adopt_at, seed_sink_at, seed_nodes_at) = _segments(
+        ints_buf, map(len, ints))
+    (sink_start_at, adopt_start_at, seed_start_at,
+     seed_path_start_at) = _segments(longs_buf, map(len, longs))
+    # a routed net's paths hold at most its nodes, one junction node
+    # per searched sink and its seed branches; without overuse the nodes
+    # of all nets fit in the summed capacity
+    paths_cap = len(sinks_flat) + len(seed_sink)
+    nodes_cap = int(c.node_capacity_np.sum()) + paths_cap + len(seed_nodes)
+    # out32: nodes | path sinks | survived flags; out64: path starts |
+    # each net's first path
+    out32 = np.empty(nodes_cap + paths_cap + n, dtype=np.int32)
+    out64 = np.empty(paths_cap + n + 2, dtype=np.int64)
+    job = _RouteJob(
+        c.n_nodes, *map(_addr, (c.edge_start, c.edge_mid, edst, c.xlo_np,
+                                c.xhi_np, c.ylo_np, c.yhi_np)),
+        c.params.cols, c.params.rows, BBOX_MARGIN,
+        None if node_ok is None else _addr(node_ok),
+        *map(_addr, (c.base_cost_np, state.capacity_np, state.history,
+                     state.eff, state.usage)),
+        state.pres_fac, PRES_FAC_MULT, HIST_FAC, max_iterations, n,
+        source_at, sink_start_at, sinks_at, adopt_start_at, adopt_at,
+        seed_start_at, seed_path_start_at, seed_sink_at, seed_nodes_at,
+        *scratch.ptrs[:4], nodes_cap, paths_cap,
+    )
+    job.out_nodes, job.out_path_sink, job.out_survived = _segments(
+        out32, (nodes_cap, paths_cap, n))
+    job.out_path_start, job.out_net_path = _segments(out64, (paths_cap + 1,
+                                                             n + 1))
+    job.stats[_ST_EPOCH] = scratch.epoch
+    fn(ctypes.byref(job))
+    stats = list(job.stats)
+    scratch.epoch = stats[_ST_EPOCH]
+    state.pres_fac = job.pres_fac
+    # the Python loop's counters, first seen in the same order
+    ripups = stats[_ST_RIPUPS]
+    if stats[_ST_FIRST_POPS]:
+        _tcount("router.pops", stats[_ST_POPS])
+    if ripups:
+        _tcount("router.overused_census", stats[_ST_CENSUS])
+        _tcount("router.ripup_iterations", ripups)
+        _tcount("router.pressure_rounds", ripups)
+        _tcount("router.repriced_nodes", stats[_ST_REPRICED])
+    if stats[_ST_POPS] and not stats[_ST_FIRST_POPS]:
+        _tcount("router.pops", stats[_ST_POPS])
+    status = stats[_ST_STATUS]
+    if status == _RC_NO_PATH:
+        sink = stats[_ST_DETAIL]
+        raise RoutingError(
+            f"no path to sink node {sink} ({c.node_name(sink)})")
+    if status == _RC_CONGESTED:
+        raise RoutingError(
+            f"context {context}: congestion unresolved after {max_iterations} "
+            f"iterations ({stats[_ST_DETAIL]} overused nodes)"
+        )
+    if status == _RC_NOMEM:
+        raise MemoryError("context route: allocation failed")
+    if status != _RC_OK:
+        raise RuntimeError(f"context route: output overflow (status {status})")
+    _tcount("router.contexts_routed")
+    _tcount("router.ripped_nets", stats[_ST_RIPPED])
+    n_paths = stats[_ST_OUT_PATHS]
+    flat = out32[:stats[_ST_OUT_NODES]].tolist()
+    ends = out32[nodes_cap:nodes_cap + n_paths].tolist()
+    survived = out32[nodes_cap + paths_cap:].tolist()
+    starts = out64[:n_paths + 1].tolist()
+    first = out64[paths_cap + 1:].tolist()
+    routes: dict[str, RoutedNet] = {}
+    for i, (name, source, sinks) in enumerate(endpoints):
+        routes[name] = _adopt(name, source, sinks, priors[i]) \
+            if survived[i] else net_from_paths(name, source, sinks, (
+                (ends[p], flat[starts[p]:starts[p + 1]])
+                for p in range(first[i], first[i + 1])))
+    return RouteResult(routes, stats[_ST_ITERATIONS], context)
 
 
 def _net_bbox(
@@ -689,6 +912,37 @@ def _route_net_flat(
         for a, b in zip(path, path[1:]):
             net.edges.add((a, b))
         net.nodes.update(path)
+    return net
+
+
+def net_from_paths(name: str, source: int, sinks: list[int],
+                   paths) -> RoutedNet:
+    """A :class:`RoutedNet` from its ``(sink, path)`` branches, in
+    ``sink_paths`` order: the node set is the source plus every path's
+    nodes and the edges are each path's consecutive pairs, added in the
+    order the router adds them (so even the sets' iteration order
+    matches).  The native route's output and the shared-memory golden
+    both decode through here."""
+    net = RoutedNet(name, source, list(sinks))
+    nodes = net.nodes = {source}
+    edges, sink_paths = net.edges, net.sink_paths
+    for sink, path in paths:
+        sink_paths[sink] = path
+        edges.update(zip(path, path[1:]))
+        nodes.update(path)
+    return net
+
+
+def _adopt(name: str, source: int, sinks: list[int],
+           prior: RoutedNet) -> RoutedNet:
+    """A bank route adopted for net ``name``: it aliases the prior
+    net's sets (routes are only ever replaced wholesale, never mutated
+    in place)."""
+    net = RoutedNet(name, source, list(sinks))
+    net.nodes = prior.nodes
+    net.edges = prior.edges
+    net.sink_paths = prior.sink_paths
+    net.reused = True
     return net
 
 
@@ -867,16 +1121,9 @@ def _route_initial_waves(
             if prior is not None:
                 # a reused route can sit anywhere on the fabric: drain
                 # the wave *before* adopting, so the wave's searches
-                # never see this later net's usage; the adopted route
-                # aliases the prior net's sets (routes are only ever
-                # replaced wholesale, never mutated in place)
+                # never see this later net's usage
                 flush()
-                net = RoutedNet(name, source, list(sinks))
-                net.nodes = prior.nodes
-                net.edges = prior.edges
-                net.sink_paths = prior.sink_paths
-                net.reused = True
-                commit(name, net)
+                commit(name, _adopt(name, source, sinks, prior))
                 continue
             seed_paths = seeds.get(sig) if seeds else None
             if seed_paths:
@@ -1072,8 +1319,14 @@ def _route_context_compiled(
         # pressured nodes, and the only born-pressured nodes (defects)
         # carry an infinite history term that dominates regardless.
         state.pres_fac = WARM_PRES_FAC
-    base_mask = defects.node_ok_bytes if defects is not None else None
     edst = defects.live_edge_dst(c) if defects is not None else c.edge_dst
+    fn = None if workers and workers > 1 else _route_function()
+    if fn is not None:
+        node_ok = None if defects is None else \
+            np.ascontiguousarray(defects.node_ok).view(np.uint8)
+        return _route_native(fn, c, state, endpoints, reuse, seeds, node_ok,
+                             edst, scratch, max_iterations, context)
+    base_mask = defects.node_ok_bytes if defects is not None else None
     routes: dict[str, RoutedNet] = {}
     # prune masks are built lazily: a reused net only needs one if it is
     # ripped up later, and mask construction is O(n_nodes) per net

@@ -2,10 +2,10 @@
 
 A kernel ships as C source package data, read through
 :mod:`importlib.resources`.  The first :meth:`NativeLibrary.function`
-call compiles it with ``gcc -O2 -shared -fPIC -lm`` into a per-user cache
-directory and loads it with :mod:`ctypes`; later processes find the
-file already built.  Nothing happens at import, so start-up time does
-not depend on the compiler.
+call compiles it with ``gcc -O2 -shared -fPIC -ffp-contract=off -lm``
+into a per-user cache directory and loads it with :mod:`ctypes`; later
+processes find the file already built.  Nothing happens at import, so
+start-up time does not depend on the compiler.
 
 - **Cache.** ``$XDG_CACHE_HOME/repro`` (``~/.cache/repro`` when the
   variable is unset or relative), created with mode 0700.  A directory
@@ -41,7 +41,10 @@ log = logging.getLogger(__name__)
 
 COMPILER = "gcc"
 #: Placed after the source, so that ``-lm`` records libm as a dependency.
-FLAGS = ("-O2", "-shared", "-fPIC", "-lm")
+#: ``-ffp-contract=off`` keeps ``a * b + c`` two rounded operations, as
+#: numpy evaluates it (gcc fuses it into one FMA where the target has
+#: one, aarch64 say), so native and numpy arithmetic agree bit for bit.
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-lm")
 #: Seconds one compile may take before the build counts as failed.
 BUILD_TIMEOUT_S = 120
 

@@ -205,6 +205,21 @@ class TestProfilePlumbing:
             assert pt.metrics is None
             assert pt.profile["repair.detect"]["calls"] == TRIALS
 
+    def test_parent_side_sampling_lands_in_the_first_row(self):
+        """The shared-memory process backend samples every die in the
+        parent: one ``campaign.sample`` span, folded into row 0 only,
+        and the rows are otherwise the unprofiled ones."""
+        kw = dict(rates=(0.0, 0.08), trials=6, backend="process", workers=2)
+        first, *rest = profiled = self._points(profile=True, **kw)
+        assert first.profile["campaign.sample"]["calls"] == 1
+        assert rest and all("campaign.sample" not in pt.profile
+                            for pt in rest)
+        plain = self._points(**kw)
+        rows = [pt.to_dict() for pt in profiled]
+        for row in rows:
+            row.pop("profile")
+        assert rows == [pt.to_dict() for pt in plain]
+
     def test_run_id_ships_spans_back_in_the_row(self, netlist):
         from repro.utils.telemetry import phase_totals
 

@@ -82,6 +82,39 @@ class TestSingleContext:
             route_context(g, n, pl, max_iterations=6)
 
 
+class TestIterationLimit:
+    """Pins today's ``while iteration < max_iterations ... else: raise``
+    limit, on the native route and on the Python loop alike: a routing
+    that clears on its last permitted rip-up pass is still rejected.
+    Here the route clears in two iterations, so ``max_iterations=2``
+    raises with 0 overused nodes while 3 succeeds.  Fixing it may move
+    sweep rows at ``max_iterations=25``, so it waits for a deliberate
+    re-pin."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        params = ArchParams(6, 6, channel_width=4, io_capacity=4)
+        n = tech_map(random_dag(6, 18, 6, seed=2), 4)
+        return compiled_rrg_for(params), n, place(n, params, seed=2)
+
+    @pytest.mark.parametrize("loop", ["native", "python"])
+    def test_last_pass_rejected(self, case, loop, monkeypatch):
+        from repro.route import pathfinder
+
+        if loop == "python":
+            monkeypatch.setattr(pathfinder, "_route_function", lambda: None)
+        elif pathfinder.route_kernel() != "native":
+            pytest.skip("no C compiler: Python loop only")
+        assert pathfinder.route_kernel() == loop
+        g, n, pl = case
+        assert route_context(g, n, pl).iterations == 2
+        with pytest.raises(RoutingError) as info:
+            route_context(g, n, pl, max_iterations=2)
+        assert str(info.value) == ("context 0: congestion unresolved after 2 "
+                                   "iterations (0 overused nodes)")
+        assert route_context(g, n, pl, max_iterations=3).iterations == 2
+
+
 class TestMultiContext:
     def test_route_reuse_for_shared_nets(self):
         """Identical contexts, share-aware: every net in context 1 reuses

@@ -14,8 +14,11 @@ retention half:
 
 Units, not files: a spec run's stage artifacts and manifest live or
 die together (deleting one stage of a run would poison resume with a
-half-run that key-matches).  The journal is never touched — it is the
-coordinator's crash log, not an artifact.
+half-run that key-matches).  The request log
+(``requests/manifest.ndjson``) is not a unit: a pass that removes
+request artifacts rewrites it once without their records.  The
+journal is never touched — it is the coordinator's crash log, not an
+artifact.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from __future__ import annotations
 import shutil
 import time
 from dataclasses import dataclass, field
+
+from repro.errors import SpecError
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,8 @@ def artifact_index(store) -> "list[ArtifactEntry]":
                 ))
     requests_root = store.root / "requests"
     if requests_root.is_dir():
+        # ``*.json`` leaves out the request log (``manifest.ndjson``);
+        # a legacy ``manifest.json`` is an index, not a unit either
         for artifact in sorted(requests_root.glob("*.json")):
             if artifact.name == "manifest.json":
                 continue
@@ -135,6 +142,12 @@ def gc_artifacts(store, max_age_days: "float | None" = None,
         report.bytes_freed += entry.bytes
         report.removed.append(entry.relpath)
     report.kept = len(survivors)
+    if not dry_run:
+        try:
+            store.drop_request_records(
+                e.relpath for e in doomed if e.kind == "request")
+        except SpecError:
+            pass  # a damaged legacy manifest is resume's problem, not GC's
     return report
 
 
@@ -144,22 +157,6 @@ def _remove(store, entry: ArtifactEntry) -> None:
         shutil.rmtree(path, ignore_errors=True)
     else:
         path.unlink(missing_ok=True)
-        _drop_request_manifest_entry(store, entry.relpath)
-
-
-def _drop_request_manifest_entry(store, relpath: str) -> None:
-    manifest_rel = "requests/manifest.json"
-    with store._lock:
-        if not store.exists(manifest_rel):
-            return
-        try:
-            manifest = store._read_json(manifest_rel)
-        except Exception:
-            return  # a damaged manifest is resume's problem, not GC's
-        requests = manifest.get("requests")
-        if isinstance(requests, dict) and relpath in requests:
-            del requests[relpath]
-            store._write_json(manifest_rel, manifest)
 
 
 __all__ = ["ArtifactEntry", "GCReport", "artifact_index", "gc_artifacts"]

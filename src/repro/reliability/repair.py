@@ -49,6 +49,7 @@ from repro.place.placer import Placement, place
 from repro.reliability.defect_map import DefectMap
 from repro.route.pathfinder import (
     RouteResult,
+    _net_endpoints,
     endpoint_signature,
     route_context_compiled,
     route_context_warm,
@@ -124,10 +125,12 @@ class RouteFlat:
 class GoldenMapping:
     """Defect-free reference mapping of one workload on one device.
 
-    ``_flat`` / ``_delays`` are derived caches (flat detection views,
-    per-net delay tables) built lazily by the incremental repair ladder;
-    they never pickle — trial payloads ship the lean mapping and each
-    worker rebuilds the caches once.
+    ``_flat`` / ``_delays`` / ``_endpoints`` are derived caches (flat
+    detection views, per-net delay tables, the router's net endpoints on
+    the golden placement) built lazily by the incremental repair ladder.
+    They rely on the golden's placement and routes never being mutated
+    after :func:`build_golden`.  They never pickle — trial payloads ship
+    the lean mapping and each worker rebuilds the caches once.
     """
 
     placement: Placement
@@ -137,6 +140,8 @@ class GoldenMapping:
     _flat: RouteFlat | None = field(
         default=None, repr=False, compare=False)
     _delays: dict | None = field(
+        default=None, repr=False, compare=False)
+    _endpoints: tuple | None = field(
         default=None, repr=False, compare=False)
 
     def __getstate__(self):
@@ -148,6 +153,7 @@ class GoldenMapping:
          self.critical_path) = state
         self._flat = None
         self._delays = None
+        self._endpoints = None
 
     def flat(self, c: CompiledRRG) -> RouteFlat:
         """Flat defect-detection views of the golden routes, cached."""
@@ -160,6 +166,16 @@ class GoldenMapping:
         if self._delays is None:
             self._delays = route_net_delays(c, self.routes)
         return self._delays
+
+    def endpoints(self, c: CompiledRRG, netlist: Netlist) -> list:
+        """The router's ``(net, source, sinks)`` endpoints of
+        ``netlist`` on the golden placement, cached for one ``c`` and
+        ``netlist`` (another object of either rebuilds them)."""
+        cached = self._endpoints
+        if cached is None or cached[0] is not c or cached[1] is not netlist:
+            cached = self._endpoints = (
+                c, netlist, _net_endpoints(netlist, self.placement, c))
+        return cached[2]
 
 
 @dataclass
@@ -310,6 +326,7 @@ def repair_mapping(
                         c, netlist, golden.placement, golden.routes, dirty,
                         defects=dm, max_iterations=max_iterations,
                         workers=route_workers, signatures=flat.signatures,
+                        endpoints=golden.endpoints(c, netlist),
                     )
                 else:
                     bank = {
@@ -339,6 +356,8 @@ def repair_mapping(
                 rr = route_context_compiled(
                     c, netlist, golden.placement, defects=dm,
                     max_iterations=max_iterations, workers=route_workers,
+                    endpoints=(golden.endpoints(c, netlist)
+                               if incremental else None),
                 )
                 return RepairOutcome(
                     RepairLevel.REROUTE, True, rr.wirelength(c),

@@ -700,6 +700,7 @@ def _route_native(
     c: CompiledRRG,
     state: _FlatCongestion,
     endpoints: list[tuple[str, int, list[int]]],
+    sigs: list[str] | None,
     reuse: dict[str, RoutedNet] | None,
     seeds: dict[str, dict[int, list[int]]],
     node_ok: np.ndarray | None,
@@ -713,13 +714,14 @@ def _route_native(
 
     The nets go in as flat arrays in routing order: sources, sinks,
     each adopted bank route's node set and each salvaged net's seed
-    branches.  The C route runs the initial pass and the rip-up
-    iterations over ``state``'s arrays and ``scratch``, and hands back
-    every routed net's sink paths in insertion order, which
-    :func:`net_from_paths` turns into the :class:`RoutedNet` the Python
-    loop builds; an adopted net that was never ripped up keeps aliasing
-    its bank route.  Counters, ``scratch.epoch`` and the errors are the
-    loop's.
+    branches (``sigs`` holds each net's endpoint signature, ``None``
+    when there is neither a bank nor a salvage).  The C route runs the
+    initial pass and the rip-up iterations over ``state``'s arrays and
+    ``scratch``, and hands back every routed net's sink paths in
+    insertion order, which :func:`net_from_paths` turns into the
+    :class:`RoutedNet` the Python loop builds; an adopted net that was
+    never ripped up keeps aliasing its bank route.  Counters,
+    ``scratch.epoch`` and the errors are the loop's.
     """
     if (edst.dtype != np.int32 or not edst.flags.c_contiguous
             or edst.size != c.n_edges):
@@ -733,9 +735,8 @@ def _route_native(
     seed_sink: list[int] = []
     seed_nodes: list[int] = []
     sink_start, adopt_start, seed_start, seed_path_start = [0], [0], [0], [0]
-    keyed = bool(reuse or seeds)
-    for _name, source, sinks in endpoints:
-        sig = endpoint_signature(source, sinks) if keyed else ""
+    for i, (_name, source, sinks) in enumerate(endpoints):
+        sig = sigs[i] if sigs else ""
         prior = reuse.get(sig) if reuse else None
         priors.append(prior)
         sources.append(source)
@@ -1023,6 +1024,7 @@ def _route_initial_waves(
     c: CompiledRRG,
     state: _FlatCongestion,
     endpoints: list[tuple[str, int, list[int]]],
+    sigs: list[str] | None,
     reuse: dict[str, RoutedNet] | None,
     routes: dict[str, RoutedNet],
     mask_for,
@@ -1115,8 +1117,8 @@ def _route_initial_waves(
         boxes.clear()
 
     try:
-        for name, source, sinks in endpoints:
-            sig = endpoint_signature(source, sinks)
+        for i, (name, source, sinks) in enumerate(endpoints):
+            sig = sigs[i] if sigs else ""
             prior = reuse.get(sig) if reuse else None
             if prior is not None:
                 # a reused route can sit anywhere on the fabric: drain
@@ -1172,6 +1174,7 @@ def route_context_compiled(
     workers: int | None = None,
     warm: bool = False,
     salvage: dict[str, RoutedNet] | None = None,
+    endpoints: list[tuple[str, int, list[int]]] | None = None,
 ) -> RouteResult:
     """Route one context's placed netlist over the compiled RRG.
 
@@ -1201,6 +1204,10 @@ def route_context_compiled(
     *not* in the bank to their prior (golden) routes: the healthy sink
     branches of a salvaged net are adopted verbatim and only the broken
     sinks are re-searched.  See :func:`route_context_warm`.
+
+    ``endpoints`` may supply ``_net_endpoints(netlist, placement, c)``
+    when the caller already holds it (the repair ladder caches the
+    golden's on the golden mapping); it is only read.
     """
     pooled = scratch is None or scratch.n != c.n_nodes
     if pooled:
@@ -1208,7 +1215,7 @@ def route_context_compiled(
     try:
         return _route_context_compiled(
             c, netlist, placement, context, reuse, max_iterations, scratch,
-            defects, workers, warm, salvage,
+            defects, workers, warm, salvage, endpoints,
         )
     finally:
         if pooled:
@@ -1227,6 +1234,7 @@ def route_context_warm(
     defects: "DefectMap | None" = None,
     workers: int | None = None,
     signatures: dict[str, str] | None = None,
+    endpoints: list[tuple[str, int, list[int]]] | None = None,
 ) -> RouteResult:
     """Delta-reroute: warm-start from a golden routing, re-routing only
     the ``dirty`` nets.
@@ -1249,7 +1257,8 @@ def route_context_warm(
     a cold :func:`route_context_compiled` call with the same bank,
     which discovers the bank hits in netlist order.  ``signatures``
     optionally supplies precomputed ``endpoint_signature`` strings per
-    golden net name (the repair ladder caches them on the golden
+    golden net name, and ``endpoints`` the netlist's endpoints on
+    ``placement`` (the repair ladder caches both on the golden
     mapping).
     """
     bank: dict[str, RoutedNet] = {}
@@ -1266,6 +1275,7 @@ def route_context_warm(
         c, netlist, placement, context=context, reuse=bank,
         max_iterations=max_iterations, scratch=scratch, defects=defects,
         workers=workers, warm=True, salvage=salvage or None,
+        endpoints=endpoints,
     )
 
 
@@ -1281,10 +1291,12 @@ def _route_context_compiled(
     workers: int | None = None,
     warm: bool = False,
     salvage: dict[str, RoutedNet] | None = None,
+    endpoints: list[tuple[str, int, list[int]]] | None = None,
 ) -> RouteResult:
     if defects is not None and defects.is_clean:
         defects = None  # all-healthy map: take the defect-free path verbatim
-    endpoints = _net_endpoints(netlist, placement, c)
+    if endpoints is None:
+        endpoints = _net_endpoints(netlist, placement, c)
     # delta-reroute salvage: the healthy branches of each dirty net's
     # golden route are adopted verbatim, so only broken sinks are
     # searched (and from the salvaged tree, not the bare source)
@@ -1297,6 +1309,9 @@ def _route_context_compiled(
             _tcount("router.warm.salvaged_sinks", len(kept))
             _tcount("router.warm.researched_sinks",
                     len(prior.sink_paths) - len(kept))
+    # one endpoint signature per net keys the bank and the salvage
+    sigs = [endpoint_signature(source, sinks)
+            for _name, source, sinks in endpoints] if reuse or seeds else None
     if warm and reuse:
         # delta-reroute order: adopt every bank hit before the first
         # fresh search, so fresh (dirty) nets route against the full
@@ -1305,10 +1320,10 @@ def _route_context_compiled(
         # iteration at a time
         hits: list = []
         misses: list = []
-        for e in endpoints:
-            (hits if endpoint_signature(e[1], e[2]) in reuse
-             else misses).append(e)
-        endpoints = hits + misses
+        for pair in zip(endpoints, sigs):
+            (hits if pair[1] in reuse else misses).append(pair)
+        endpoints = [e for e, _sig in hits + misses]
+        sigs = [sig for _e, sig in hits + misses]
         _tcount("router.warm.adopted_nets", len(hits))
         _tcount("router.warm.fresh_nets", len(misses))
     state = _FlatCongestion(c, defects)
@@ -1324,8 +1339,8 @@ def _route_context_compiled(
     if fn is not None:
         node_ok = None if defects is None else \
             np.ascontiguousarray(defects.node_ok).view(np.uint8)
-        return _route_native(fn, c, state, endpoints, reuse, seeds, node_ok,
-                             edst, scratch, max_iterations, context)
+        return _route_native(fn, c, state, endpoints, sigs, reuse, seeds,
+                             node_ok, edst, scratch, max_iterations, context)
     base_mask = defects.node_ok_bytes if defects is not None else None
     routes: dict[str, RoutedNet] = {}
     # prune masks are built lazily: a reused net only needs one if it is
@@ -1347,7 +1362,7 @@ def _route_context_compiled(
         return masks[name]
 
     _route_initial_waves(
-        c, state, endpoints, reuse, routes, mask_for, base_mask, edst,
+        c, state, endpoints, sigs, reuse, routes, mask_for, base_mask, edst,
         scratch, workers or 1, seeds or None,
     )
 

@@ -14,8 +14,20 @@ Layout (everything addressable through ``GET /v1/artifacts/...``)::
         00-map.json            # one file per completed stage, by name
         01-sweep.json
       requests/
-        manifest.json          # request payload index
+        manifest.ndjson        # append-only request log, one line a save
         map_request-1a2b3c4d.json
+
+Every file is compact JSON (sorted keys, no whitespace), written to a
+per-writer temp file and renamed into place, so readers never see a
+partial document.  The request manifest is a
+:class:`~repro.fleet.journal.Journal`: a save appends one
+``{"request", "path", "status"}`` record instead of rewriting an index
+of every earlier request, so a save costs the same at any history.
+:meth:`ArtifactStore.request_manifest` replays it (the last record for
+a path wins); ``repro artifacts gc`` rewrites it once a pass without
+the records of the artifacts it removed.  A ``requests/manifest.json``
+left by an older store is folded into the log on first use, then
+deleted.
 
 Resume contract: a stage artifact is reused only when its recorded
 *stage key* — a hash of the stage's fully-resolved request payload
@@ -41,8 +53,14 @@ from pathlib import Path
 from repro.api.results import result_from_dict
 from repro.api.serialize import SCHEMA_VERSION, check, stamp
 from repro.errors import JobError, JobNotFound, RequestError, SpecError
+from repro.fleet.journal import Journal
 
 _SAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
+
+#: The bare-request manifest: an append-only NDJSON log.
+REQUEST_LOG = "requests/manifest.ndjson"
+#: The whole-index manifest older stores rewrote on every save.
+LEGACY_REQUEST_MANIFEST = "requests/manifest.json"
 
 
 def _safe_name(name: str) -> str:
@@ -59,10 +77,14 @@ def _safe_name(name: str) -> str:
     return safe
 
 
+def _dumps(payload) -> str:
+    """Compact canonical JSON (json's C encoder; ``indent`` is not)."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _payload_key(payload) -> str:
     """Stable content hash of a JSON-serializable payload."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return hashlib.sha256(_dumps(payload).encode()).hexdigest()[:16]
 
 
 class ArtifactStore:
@@ -71,16 +93,18 @@ class ArtifactStore:
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        # manifests are read-modify-write; concurrent job workers
-        # serialize through the store lock
+        self._resolved = self.root.resolve()
+        # spec manifests are read-modify-write and the request log is
+        # rewritten by GC; concurrent job workers serialize through the
+        # store lock
         self._lock = threading.RLock()
+        self._request_journal: "Journal | None" = None
 
     # -- paths -------------------------------------------------------------- #
     def path_for(self, relpath: str) -> Path:
         """The absolute path for a store-relative one; rejects escapes."""
-        path = (self.root / relpath).resolve()
-        root = self.root.resolve()
-        if root != path and root not in path.parents:
+        path = (self._resolved / relpath).resolve()
+        if not path.is_relative_to(self._resolved):
             raise JobError(f"artifact path {relpath!r} escapes the results dir")
         return path
 
@@ -93,7 +117,7 @@ class ArtifactStore:
             raise JobNotFound(f"no artifact at {relpath!r}")
         return path.read_bytes()
 
-    def _write_json(self, relpath: str, payload: dict) -> str:
+    def _write_text(self, relpath: str, text: str) -> str:
         path = self.path_for(relpath)
         path.parent.mkdir(parents=True, exist_ok=True)
         # one temp file per writer (process and thread): concurrent saves
@@ -102,12 +126,15 @@ class ArtifactStore:
             f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
         )
         try:
-            tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
+            tmp.write_text(text, encoding="utf-8")
             os.replace(tmp, path)  # atomic: readers never see partial JSON
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
         return relpath
+
+    def _write_json(self, relpath: str, payload: dict) -> str:
+        return self._write_text(relpath, _dumps(payload))
 
     def _read_json(self, relpath: str):
         return json.loads(self.read_bytes(relpath))
@@ -217,28 +244,82 @@ class ArtifactStore:
         return completed
 
     # -- bare request jobs --------------------------------------------------- #
-    def request_relpath(self, request) -> str:
-        payload = request.to_dict()
+    @staticmethod
+    def _request_relpath(payload: dict) -> str:
         return f"requests/{payload['type']}-{_payload_key(payload)}.json"
 
+    def request_relpath(self, request) -> str:
+        return self._request_relpath(request.to_dict())
+
     def save_request_result(self, request, result) -> str:
-        """Persist a bare request job's result; returns the relpath."""
-        relpath = self.request_relpath(request)
+        """Persist a bare request job's result; returns the relpath.
+
+        The result file is rewritten atomically and the request log
+        gains one record, so the cost does not grow with history.
+        """
+        payload = request.to_dict()
+        relpath = self._request_relpath(payload)
         self._write_json(relpath, result.to_dict())
         with self._lock:
-            manifest_rel = "requests/manifest.json"
-            if self.exists(manifest_rel):
-                manifest = self._read_json(manifest_rel)
-            else:
-                manifest = stamp("artifact_manifest",
-                                 {"spec_name": None, "requests": {}})
-            manifest.setdefault("requests", {})[relpath] = {
-                "request": request.to_dict(),
-                "path": relpath,
-                "status": "done",
-            }
-            self._write_json(manifest_rel, manifest)
+            self._request_log().append(
+                {"request": payload, "path": relpath, "status": "done"})
         return relpath
+
+    def _request_log(self) -> Journal:
+        """The request log, opened on first use (under the store lock).
+
+        Opening it migrates a legacy ``requests/manifest.json``: its
+        entries are appended in their stored order, then the file is
+        deleted.  An unreadable legacy manifest raises
+        :class:`SpecError` and stays where it is.
+        """
+        if self._request_journal is not None:
+            return self._request_journal
+        log = Journal(self.path_for(REQUEST_LOG))
+        legacy = self.path_for(LEGACY_REQUEST_MANIFEST)
+        if legacy.is_file():
+            try:
+                entries = json.loads(legacy.read_bytes())["requests"]
+                records = [dict(entry, path=relpath)
+                           for relpath, entry in entries.items()]
+            except (ValueError, OSError, KeyError, TypeError,
+                    AttributeError) as exc:
+                raise SpecError(
+                    f"corrupted manifest {legacy}: {exc} — delete it to "
+                    f"start a fresh request log"
+                ) from exc
+            for record in records:
+                log.append(record)
+            legacy.unlink(missing_ok=True)
+        self._request_journal = log
+        return log
+
+    def request_manifest(self) -> dict:
+        """Relpath -> latest log record of every saved bare request.
+
+        Replays ``requests/manifest.ndjson`` (a crash-truncated last
+        line is skipped); when a relpath was saved more than once, its
+        last record wins.
+        """
+        with self._lock:
+            records = self._request_log().replay()
+        return {record["path"]: record for record in records
+                if isinstance(record.get("path"), str)}
+
+    def drop_request_records(self, relpaths) -> None:
+        """Rewrite the request log without the records of ``relpaths``,
+        one record per surviving relpath, atomically."""
+        drop = set(relpaths)
+        if not drop:
+            return
+        with self._lock:
+            manifest = self.request_manifest()
+            if drop.isdisjoint(manifest):
+                return
+            self._write_text(REQUEST_LOG, "".join(
+                _dumps(record) + "\n"
+                for relpath, record in manifest.items()
+                if relpath not in drop))
 
     def load_request_result(self, request):
         """The stored result for ``request``, or ``None``; corrupted

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from repro.fleet import artifact_index, gc_artifacts
+from repro.fleet import Journal, artifact_index, gc_artifacts
 from repro.service import ArtifactStore
+from repro.service.artifacts import REQUEST_LOG
 
 DAY = 86400.0
 NOW = 1_700_000_000.0  # a fixed "current time" for age math
@@ -35,6 +36,14 @@ def _request_unit(store, stem, age_days, payload=b"y" * 50):
     return f"requests/{stem}.json"
 
 
+def _log_requests(store, *relpaths):
+    """Append one request-log record per relpath."""
+    log = Journal(store.path_for(REQUEST_LOG))
+    for relpath in relpaths:
+        log.append({"request": {"type": relpath}, "path": relpath,
+                    "status": "done"})
+
+
 @pytest.fixture
 def store(tmp_path):
     return ArtifactStore(tmp_path / "results")
@@ -60,6 +69,10 @@ class TestIndex:
 
     def test_request_manifest_is_not_a_unit(self, store):
         _request_unit(store, "manifest", age_days=1)
+        assert artifact_index(store) == []
+
+    def test_request_log_is_not_a_unit(self, store):
+        _log_requests(store, "requests/sweep_request-abc.json")
         assert artifact_index(store) == []
 
     def test_journal_is_never_indexed(self, store):
@@ -125,19 +138,58 @@ class TestSafety:
     def test_removed_request_leaves_the_manifest(self, store):
         relpath = _request_unit(store, "sweep_request-abc", age_days=30)
         _request_unit(store, "sweep_request-def", age_days=1)
-        store._write_json("requests/manifest.json", {
-            "schema_version": 1, "type": "artifact_manifest",
-            "spec_name": None, "requests": {
-                relpath: {"path": relpath, "status": "done"},
-                "requests/sweep_request-def.json": {
-                    "path": "requests/sweep_request-def.json",
-                    "status": "done"},
-            },
-        })
+        _log_requests(store, relpath, "requests/sweep_request-def.json")
         gc_artifacts(store, max_age_days=7, now=NOW)
-        manifest = json.loads(store.read_bytes("requests/manifest.json"))
-        assert relpath not in manifest["requests"]
-        assert "requests/sweep_request-def.json" in manifest["requests"]
+        manifest = store.request_manifest()
+        assert relpath not in manifest
+        assert "requests/sweep_request-def.json" in manifest
+
+    def test_one_pass_rewrites_the_log_once(self, store, monkeypatch):
+        doomed = [_request_unit(store, f"map_request-{i}", age_days=30)
+                  for i in range(3)]
+        fresh = _request_unit(store, "map_request-new", age_days=1)
+        _log_requests(store, *doomed, fresh, fresh)
+        writes = []
+        real_write = store._write_text
+
+        def write_text(relpath, text):
+            writes.append(relpath)
+            return real_write(relpath, text)
+
+        monkeypatch.setattr(store, "_write_text", write_text)
+        report = gc_artifacts(store, max_age_days=7, now=NOW)
+        assert sorted(report.removed) == sorted(doomed)
+        assert writes == [REQUEST_LOG]
+        lines = store.read_bytes(REQUEST_LOG).decode().splitlines()
+        assert [json.loads(line)["path"] for line in lines] == [fresh]
+
+    def test_dry_run_leaves_the_log(self, store):
+        relpath = _request_unit(store, "map_request-old", age_days=30)
+        _log_requests(store, relpath)
+        before = store.read_bytes(REQUEST_LOG)
+        gc_artifacts(store, max_age_days=7, dry_run=True, now=NOW)
+        assert store.read_bytes(REQUEST_LOG) == before
+
+    def test_legacy_manifest_is_folded_then_pruned(self, store):
+        old = _request_unit(store, "map_request-old", age_days=30)
+        new = _request_unit(store, "map_request-new", age_days=1)
+        legacy = store.root / "requests" / "manifest.json"
+        legacy.write_text(json.dumps({"requests": {
+            relpath: {"path": relpath, "status": "done"}
+            for relpath in (old, new)}}))
+        assert [e.relpath for e in artifact_index(store)] == [new, old]
+        gc_artifacts(store, max_age_days=7, now=NOW)
+        assert not legacy.exists()
+        assert list(store.request_manifest()) == [new]
+
+    def test_damaged_legacy_manifest_does_not_stop_gc(self, store):
+        old = _request_unit(store, "map_request-old", age_days=30)
+        legacy = store.root / "requests" / "manifest.json"
+        legacy.write_text("]]")
+        report = gc_artifacts(store, max_age_days=7, now=NOW)
+        assert report.removed == [old]
+        assert not store.exists(old)
+        assert legacy.read_text() == "]]"
 
     def test_report_to_dict(self, store):
         _spec_unit(store, "ancient", age_days=30)

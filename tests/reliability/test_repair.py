@@ -1,9 +1,12 @@
 """Tests for the repair escalation ladder and defect-aware routing."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.arch.compiled import flat_rrg_for
+from repro.arch.compiled import build_flat, flat_rrg_for
 from repro.arch.geometry import Coord
 from repro.arch.params import ArchParams
 from repro.netlist.techmap import tech_map
@@ -16,8 +19,11 @@ from repro.reliability import (
     placement_blocked,
     repair_mapping,
 )
+from repro.reliability import repair as repair_mod
 from repro.reliability.repair import GoldenMapping, RepairOutcome
-from repro.route.pathfinder import route_context_compiled
+from repro.route import pathfinder
+from repro.route.pathfinder import route_context_compiled, route_context_warm
+from repro.utils.telemetry import Telemetry, collecting
 from repro.workloads.generators import ripple_adder
 
 PARAMS = ArchParams(cols=6, rows=6, channel_width=8, io_capacity=4)
@@ -211,6 +217,88 @@ class TestIncrementalRepair:
         a = repair_mapping(c, netlist, golden, dm, max_iterations=MAX_ITERS)
         b = repair_mapping(c, netlist, golden, dm, max_iterations=MAX_ITERS)
         assert a.to_dict() == b.to_dict()
+
+
+class TestGoldenEndpoints:
+    """The incremental ladder reuses the golden's cached net endpoints
+    instead of extracting them again on every warm reroute."""
+
+    RATES = (0.02, 0.04, 0.06)
+
+    def _dies(self, c):
+        return [DefectMap.sample(c, rate, seed=seed, logic_rate=0.0)
+                for rate in self.RATES for seed in range(6)]
+
+    def test_route_around_trials_skip_endpoint_extraction(self, mapping,
+                                                          monkeypatch):
+        c, netlist, placement, _ = mapping
+        dies = self._dies(c)
+        fresh = build_golden(c, netlist, placement, MAX_ITERS)
+        want = []
+        for dm in dies:
+            tel = Telemetry("uncached")
+            with collecting(tel):
+                out = repair_mapping(c, netlist, fresh, dm,
+                                     max_iterations=MAX_ITERS)
+            fresh._endpoints = None  # every trial extracts anew
+            want.append((out.to_dict(), tel.counters))
+        golden = build_golden(c, netlist, placement, MAX_ITERS)
+        golden.endpoints(c, netlist)
+        calls = []
+        real = pathfinder._net_endpoints
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pathfinder, "_net_endpoints", counting)
+        monkeypatch.setattr(repair_mod, "_net_endpoints", counting)
+        got = []
+        for dm in dies:
+            tel = Telemetry("cached")
+            with collecting(tel):
+                out = repair_mapping(c, netlist, golden, dm,
+                                     max_iterations=MAX_ITERS)
+            got.append((out.to_dict(), tel.counters))
+        levels = [out["level"] for out, _ in got]
+        assert "route_around" in levels
+        assert set(levels) <= {"none", "route_around"}
+        assert calls == []
+        assert got == want
+
+    def test_warm_reroute_routes_unchanged(self, mapping):
+        c, netlist, placement, golden = mapping
+        dm = DefectMap.from_defects(c, wire_nodes=[wire_on_route(c, golden)])
+        dirty = dirty_net_names(golden.routes, dm)
+        runs = [
+            route_context_warm(c, netlist, placement, golden.routes, dirty,
+                               defects=dm, max_iterations=MAX_ITERS,
+                               endpoints=endpoints)
+            for endpoints in (None, golden.endpoints(c, netlist))
+        ]
+        a, b = runs
+        assert a.iterations == b.iterations
+        assert list(a.nets) == list(b.nets)
+        for name, net in a.nets.items():
+            other = b.nets[name]
+            assert (net.source, net.sinks, net.reused) == \
+                (other.source, other.sinks, other.reused), name
+            assert list(net.sink_paths.items()) == \
+                list(other.sink_paths.items()), name
+
+    def test_cache_follows_the_substrate_and_netlist(self, mapping):
+        c, netlist, placement, _ = mapping
+        golden = build_golden(c, netlist, placement, MAX_ITERS)
+        first = golden.endpoints(c, netlist)
+        assert golden.endpoints(c, netlist) is first
+        assert first == pathfinder._net_endpoints(netlist, placement, c)
+        twin = copy.deepcopy(netlist)
+        again = golden.endpoints(c, twin)
+        assert again is not first and again == first
+        assert golden.endpoints(c, twin) is again
+        rebuilt = golden.endpoints(build_flat(PARAMS), twin)
+        assert rebuilt is not again and rebuilt == first
+        assert pickle.loads(pickle.dumps(golden))._endpoints is None
 
 
 class TestVectorisedDetection:

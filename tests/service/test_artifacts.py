@@ -2,7 +2,10 @@
 
 import json
 import os
+import statistics
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,11 @@ import pytest
 from repro.api import ExecutionConfig, ExperimentSpec, MapRequest, Session
 from repro.errors import JobError, SpecError
 from repro.service import ArtifactStore
-from repro.service.artifacts import _safe_name
+from repro.service.artifacts import (
+    LEGACY_REQUEST_MANIFEST,
+    REQUEST_LOG,
+    _safe_name,
+)
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +130,135 @@ class TestRequestArtifacts:
         assert not errors, errors[0]
         assert store.load_request_result(request) == result
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _small_request(seed: int = 0) -> MapRequest:
+    return MapRequest(workload="adder", contexts=2,
+                      execution=ExecutionConfig(effort=0.2, seed=seed))
+
+
+@pytest.fixture(scope="module")
+def small_result(session):
+    return session.run(_small_request())
+
+
+class TestRequestLog:
+    """The bare-request manifest: an append-only log, replayed by
+    ``request_manifest`` with the last record per path winning."""
+
+    def test_every_save_appends_one_record(self, tmp_path, small_result):
+        store = ArtifactStore(tmp_path)
+        paths = [store.save_request_result(_small_request(seed), small_result)
+                 for seed in (1, 2, 1)]
+        lines = store.read_bytes(REQUEST_LOG).decode().splitlines()
+        assert [json.loads(line)["path"] for line in lines] == paths
+        manifest = store.request_manifest()
+        assert list(manifest) == paths[:2]
+        entry = manifest[paths[0]]
+        assert entry["status"] == "done"
+        assert entry["request"] == _small_request(1).to_dict()
+        assert store.exists(entry["path"])
+
+    def test_artifacts_are_compact_json(self, tmp_path, small_result):
+        store = ArtifactStore(tmp_path)
+        relpath = store.save_request_result(_small_request(), small_result)
+        text = store.read_bytes(relpath).decode()
+        assert text == json.dumps(small_result.to_dict(), sort_keys=True,
+                                  separators=(",", ":"))
+
+    def test_crash_truncated_last_line_is_ignored(self, tmp_path,
+                                                  small_result):
+        store = ArtifactStore(tmp_path)
+        kept = store.save_request_result(_small_request(1), small_result)
+        store.save_request_result(_small_request(2), small_result)
+        log = store.path_for(REQUEST_LOG)
+        text = log.read_text()
+        # a crash mid-append leaves the last record cut short
+        log.write_text(text[:len(text) - len(text.splitlines()[-1]) // 2 - 1])
+        assert list(ArtifactStore(tmp_path).request_manifest()) == [kept]
+
+    def test_legacy_manifest_is_migrated_once(self, tmp_path, small_result):
+        store = ArtifactStore(tmp_path)
+        old = [store.request_relpath(_small_request(seed)) for seed in (1, 2)]
+        legacy = {
+            "schema_version": 1, "type": "artifact_manifest",
+            "spec_name": None,
+            "requests": {
+                relpath: {"request": {"seed": seed}, "path": relpath,
+                          "status": "done"}
+                for seed, relpath in enumerate(old)
+            },
+        }
+        (tmp_path / "requests").mkdir()
+        (tmp_path / LEGACY_REQUEST_MANIFEST).write_text(json.dumps(legacy))
+        new = store.save_request_result(_small_request(3), small_result)
+        assert not (tmp_path / LEGACY_REQUEST_MANIFEST).exists()
+        manifest = store.request_manifest()
+        assert list(manifest) == old + [new]
+        for relpath in old:
+            assert manifest[relpath] == legacy["requests"][relpath]
+        # a second store over the same dir finds nothing left to migrate
+        log_bytes = store.read_bytes(REQUEST_LOG)
+        assert ArtifactStore(tmp_path).request_manifest() == manifest
+        assert store.read_bytes(REQUEST_LOG) == log_bytes
+
+    def test_corrupted_legacy_manifest_raises_and_stays(self, tmp_path):
+        (tmp_path / "requests").mkdir()
+        legacy = tmp_path / LEGACY_REQUEST_MANIFEST
+        legacy.write_text("{not json")
+        with pytest.raises(SpecError, match="corrupted manifest"):
+            ArtifactStore(tmp_path).request_manifest()
+        assert legacy.read_text() == "{not json"
+
+    def test_concurrent_saves_of_one_request_log_one_entry(
+            self, tmp_path, small_result):
+        store = ArtifactStore(tmp_path)
+        request = _small_request()
+        writers, saves = 4, 20  # more writers than a small host's cores
+        start = threading.Barrier(writers, timeout=30)
+        errors: list[Exception] = []
+
+        def writer():
+            try:
+                start.wait()
+                for _ in range(saves):
+                    store.save_request_result(request, small_result)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer)
+                       for _ in range(writers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+        lines = store.read_bytes(REQUEST_LOG).decode().splitlines()
+        # whole records, none interleaved or lost
+        assert len(lines) == writers * saves
+        assert all(json.loads(line)["status"] == "done" for line in lines)
+        assert list(store.request_manifest()) == \
+            [store.request_relpath(request)]
+        assert store.load_request_result(request) == small_result
+
+    def test_save_cost_is_flat_in_history(self, tmp_path, small_result):
+        store = ArtifactStore(tmp_path)
+        costs = []
+        for seed in range(2000):
+            request = _small_request(seed)
+            t0 = time.perf_counter()
+            store.save_request_result(request, small_result)
+            costs.append(time.perf_counter() - t0)
+        first, last = statistics.median(costs[:50]), \
+            statistics.median(costs[-50:])
+        assert last <= 2 * first, (first, last)
+        assert len(store.request_manifest()) == 2000
 
 
 class TestSpecArtifacts:

@@ -101,10 +101,6 @@ class SweepJob:
     seed: int = 0
     effort: float = 0.3
     max_iterations: int = POINT_MAX_ITERATIONS
-    #: wavefront width for the router's *initial* routing pass
-    #: (``None`` = sequential).  Verdicts are bit-identical either way
-    #: — the wavefront only parallelises provably independent nets.
-    route_workers: int | None = None
     #: run/trace id when telemetry or a profile is on (``None`` =
     #: off) — the job's only instrumentation field.  Workers bind a
     #: :class:`~repro.utils.telemetry.Telemetry` collector per point
@@ -235,7 +231,6 @@ def evaluate_point(
                 rr = route_context_compiled(
                     c, job.netlist, placement,
                     max_iterations=job.max_iterations,
-                    workers=job.route_workers,
                 )
         except RoutingError:
             return SweepPoint(

@@ -50,10 +50,11 @@ class ExecutionConfig:
     ``effort=None`` means "the flow's historical default" (0.5 for
     mapping flows, 0.3 for sweep/yield points), so requests that don't
     care inherit exactly the behavior the subsystems always had.
-    ``route_workers`` parallelises per-context routing *inside* one
-    mapping job (share-unaware mode only — share-aware routing reuses
-    earlier contexts' routes, a sequential dependency by construction);
-    it is independent of ``workers``, which sizes the across-jobs pool.
+    ``route_workers`` fans the independent contexts of one share-unaware
+    mapping job out over threads (share-aware routing reuses earlier
+    contexts' routes, a sequential dependency by construction); it is
+    independent of ``workers``, which sizes the across-jobs pool.
+    Sweep and yield requests route one context per point and ignore it.
     """
 
     backend: str = "sequential"

@@ -355,12 +355,6 @@ class Session:
             netlist, base, values, seed=cfg.seed,
             effort=cfg.effort_or(POINT_EFFORT),
         )
-        if cfg.route_workers is not None:
-            # per-point wavefront routing (bit-identical to sequential
-            # by construction; route_workers is placement-invisible,
-            # so the placement cache key is untouched)
-            jobs = [replace(job, route_workers=cfg.route_workers)
-                    for job in jobs]
         if cfg.telemetry or req.profile:
             run_id = new_run_id()
             jobs = [replace(job, telemetry=run_id) for job in jobs]
@@ -404,14 +398,14 @@ class Session:
             points = runner.iter_spare_width_curve(
                 netlist, req.workload, base, list(req.spares), req.rates[0],
                 req.trials, model=req.model, seed=cfg.seed, effort=effort,
-                route_workers=cfg.route_workers, telemetry=run_id,
+                telemetry=run_id,
             )
         else:
             total = len(req.rates)
             points = runner.iter_campaign(
                 netlist, req.workload, base, list(req.rates), req.trials,
                 model=req.model, seed=cfg.seed, effort=effort,
-                route_workers=cfg.route_workers, telemetry=run_id,
+                telemetry=run_id,
             )
         for i, pt in enumerate(points):
             _fold_metrics(pt, req.profile, cfg.telemetry)

@@ -126,9 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="pool size for thread/process backends "
                         "(default: all cores)")
-    p.add_argument("--route-workers", type=int, default=None,
-                   help="wavefront width for each point's initial "
-                        "routing pass (bit-identical to sequential)")
     p.add_argument("--profile", action="store_true",
                    help="attach per-phase wall-clock timings to each "
                         "point (visible in --json output)")
@@ -170,9 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="pool size for thread/process backends "
                         "(default: all cores)")
-    p.add_argument("--route-workers", type=int, default=None,
-                   help="wavefront width for golden/repair routing "
-                        "passes (bit-identical to sequential)")
     p.add_argument("--profile", action="store_true",
                    help="attach per-phase wall-clock timings to each "
                         "campaign point (visible in --json output)")
@@ -478,8 +472,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values=_sweep_values(args), profile=args.profile,
         execution=ExecutionConfig(
             backend=args.backend, workers=args.workers, seed=args.seed,
-            effort=args.effort, route_workers=args.route_workers,
-            telemetry=args.telemetry,
+            effort=args.effort, telemetry=args.telemetry,
         ),
     )
     if request.analytic and (
@@ -544,8 +537,7 @@ def cmd_yield(args: argparse.Namespace) -> int:
         spares=spares, profile=args.profile,
         execution=ExecutionConfig(
             backend=args.backend, workers=args.workers, seed=args.seed,
-            effort=args.effort, route_workers=args.route_workers,
-            telemetry=args.telemetry,
+            effort=args.effort, telemetry=args.telemetry,
         ),
     )
     result = _session().run(request)

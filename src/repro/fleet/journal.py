@@ -21,16 +21,20 @@ Records are one JSON object per line::
 
 Appends are fsync-free by design (the artifact store is the source of
 truth for *results*; the journal only needs to survive process death,
-not power loss) but each line is written atomically under a lock.
+not power loss) but each line goes out in one ``O_APPEND`` write under
+a lock, so lines from concurrent writers never interleave.
 Replay tolerates a truncated final line — exactly what a crash
 mid-append leaves behind — silently, and skips corrupt *mid-file*
-lines with a warning plus a ``fleet.journal.skipped`` counter bump
-(those indicate damage beyond a normal crash).
+lines with a warning plus a ``fleet.journal.skipped`` counter bump.
+A journal's first append after such a crash terminates the truncated
+tail first, so the new record starts a line of its own (later replays
+count the sealed tail as one corrupt mid-file line).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import warnings
 from pathlib import Path
@@ -52,13 +56,29 @@ class Journal:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        self._sealed = False  # tail checked by this object's first append
 
     def append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True,
-                          separators=(",", ":")) + "\n"
+        line = (json.dumps(record, sort_keys=True, separators=(",", ":"))
+                + "\n").encode()
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line)
+            fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT,
+                         0o644)
+            try:
+                if not self._sealed:
+                    # a crash mid-append leaves an unterminated tail:
+                    # end it, or this record would fuse onto it (another
+                    # process's write still landing costs a blank line,
+                    # which replay skips)
+                    size = os.fstat(fd).st_size
+                    if size and os.pread(fd, 1, size - 1) != b"\n":
+                        line = b"\n" + line
+                    self._sealed = True
+                view = memoryview(line)
+                while view:
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
 
     def replay(self) -> "list[dict]":
         """Every parseable record, in append order.

@@ -227,21 +227,18 @@ def build_golden(
     netlist: Netlist,
     placement: Placement,
     max_iterations: int,
-    route_workers: int | None = None,
 ) -> GoldenMapping | None:
     """Route the defect-free reference mapping (``None`` if unroutable).
 
     The placement is supplied by the caller so campaigns can share one
     anneal across defect rates and spare-width points (placement does
     not see routing resources — the same invariant the sweep runner's
-    placement cache exploits).  ``route_workers > 1`` routes the
-    initial pass in bit-identical parallel wavefronts.
+    placement cache exploits).
     """
     try:
         with span("golden.route"):
             rr = route_context_compiled(
                 c, netlist, placement, max_iterations=max_iterations,
-                workers=route_workers,
             )
     except RoutingError:
         return None
@@ -278,17 +275,13 @@ def repair_mapping(
     seed: int = 0,
     effort: float = 0.3,
     max_iterations: int = 25,
-    route_workers: int | None = None,
     incremental: bool = True,
 ) -> RepairOutcome:
     """Climb the repair ladder until the die maps the workload (or not).
 
     ``seed``/``effort`` parameterise the re-place rung; routing rungs
     inherit ``max_iterations`` so repair verdicts stay comparable with
-    sweep verdicts.  ``route_workers > 1`` runs each rung's initial
-    routing pass in bit-identical parallel wavefronts (outcomes are
-    identical either way — the wavefront only overlaps provably
-    independent nets).
+    sweep verdicts.
 
     ``incremental`` (default) runs the delta-reroute ladder: cached
     flat views for detection, a ROUTE_AROUND rung warm-started from
@@ -325,7 +318,7 @@ def repair_mapping(
                     rr = route_context_warm(
                         c, netlist, golden.placement, golden.routes, dirty,
                         defects=dm, max_iterations=max_iterations,
-                        workers=route_workers, signatures=flat.signatures,
+                        signatures=flat.signatures,
                         endpoints=golden.endpoints(c, netlist),
                     )
                 else:
@@ -336,7 +329,7 @@ def repair_mapping(
                     }
                     rr = route_context_compiled(
                         c, netlist, golden.placement, reuse=bank, defects=dm,
-                        max_iterations=max_iterations, workers=route_workers,
+                        max_iterations=max_iterations,
                     )
                 return RepairOutcome(
                     RepairLevel.ROUTE_AROUND, True, rr.wirelength(c),
@@ -355,7 +348,7 @@ def repair_mapping(
             with span("repair.reroute"):
                 rr = route_context_compiled(
                     c, netlist, golden.placement, defects=dm,
-                    max_iterations=max_iterations, workers=route_workers,
+                    max_iterations=max_iterations,
                     endpoints=(golden.endpoints(c, netlist)
                                if incremental else None),
                 )
@@ -376,7 +369,6 @@ def repair_mapping(
             )
             rr = route_context_compiled(
                 c, netlist, pl, defects=dm, max_iterations=max_iterations,
-                workers=route_workers,
             )
             return RepairOutcome(
                 RepairLevel.REPLACE, True, rr.wirelength(c),

@@ -91,10 +91,6 @@ class YieldTrialJob:
     max_iterations: int = POINT_MAX_ITERATIONS
     cluster_radius: int = CLUSTER_RADIUS
     cluster_size: int = CLUSTER_SIZE
-    #: wavefront width for each repair rung's *initial* routing pass
-    #: (``None`` = sequential).  Outcomes are bit-identical either way
-    #: — the wavefront only parallelises provably independent nets.
-    route_workers: int | None = None
     #: run/trace id when telemetry or a profile is on (``None`` =
     #: off) — the job's only instrumentation field; the trial's span
     #: buffer and counter deltas ride back in the result
@@ -152,7 +148,6 @@ def evaluate_trial(
                 c, job.netlist, golden, dm,
                 seed=job.seed, effort=job.effort,
                 max_iterations=job.max_iterations,
-                route_workers=job.route_workers,
             )
         wl, cp = outcome.overheads(golden)
     return TrialResult(
@@ -390,16 +385,13 @@ class YieldRunner:
         seed: int = 0,
         effort: float = 0.3,
         max_iterations: int = POINT_MAX_ITERATIONS,
-        route_workers: int | None = None,
     ) -> GoldenMapping | None:
         """The cached defect-free mapping for one device configuration.
 
         Placement comes through the sweep runner's placement cache
         (channel width is invisible to the placer, so spare-width
         curves share one anneal); routing is cached here per
-        ``ArchParams``.  ``route_workers`` does not enter the cache key
-        — the wavefront router is bit-identical to the sequential one,
-        so equal configurations yield equal goldens regardless.
+        ``ArchParams``.
         """
         key = (netlist, params, seed, effort, max_iterations)
         with self._golden_lock:
@@ -411,7 +403,6 @@ class YieldRunner:
                 placement = self._runner.placement_for(job)
                 self._golden[key] = build_golden(
                     flat_rrg_for(params), netlist, placement, max_iterations,
-                    route_workers=route_workers,
                 )
             return self._golden[key]
 
@@ -437,7 +428,6 @@ class YieldRunner:
         cluster_radius: int = CLUSTER_RADIUS,
         cluster_size: int = CLUSTER_SIZE,
         spare_tracks: int = 0,
-        route_workers: int | None = None,
         telemetry: str | None = None,
     ) -> SizedIterator:
         """Streaming form of :meth:`run_campaign`: yield each
@@ -461,7 +451,7 @@ class YieldRunner:
             defect_rate=0.0, model=model, trial=0, defect_seed=0,
             seed=seed, effort=effort, max_iterations=max_iterations,
             cluster_radius=cluster_radius, cluster_size=cluster_size,
-            route_workers=route_workers, telemetry=telemetry,
+            telemetry=telemetry,
         )
         return SizedIterator(
             self._iter_campaign(template, rates, trials, spare_tracks),
@@ -471,8 +461,7 @@ class YieldRunner:
     def _iter_campaign(self, template, rates, trials, spare_tracks):
         t = template
         golden = self.golden_for(t.netlist, t.params, t.seed, t.effort,
-                                 t.max_iterations,
-                                 route_workers=t.route_workers)
+                                 t.max_iterations)
         if golden is None:
             for r in rates:
                 yield _unroutable_point(t.workload, t.model, r, t.params,
@@ -611,7 +600,6 @@ class YieldRunner:
         cluster_radius: int = CLUSTER_RADIUS,
         cluster_size: int = CLUSTER_SIZE,
         spare_tracks: int = 0,
-        route_workers: int | None = None,
         telemetry: str | None = None,
     ) -> list[YieldPoint]:
         """N trials per defect rate; one :class:`YieldPoint` per rate.
@@ -624,8 +612,7 @@ class YieldRunner:
             netlist, workload, base, rates, trials, model=model,
             seed=seed, effort=effort, max_iterations=max_iterations,
             cluster_radius=cluster_radius, cluster_size=cluster_size,
-            spare_tracks=spare_tracks, route_workers=route_workers,
-            telemetry=telemetry,
+            spare_tracks=spare_tracks, telemetry=telemetry,
         ))
 
     def iter_spare_width_curve(
@@ -640,7 +627,6 @@ class YieldRunner:
         seed: int = 0,
         effort: float = 0.3,
         max_iterations: int = POINT_MAX_ITERATIONS,
-        route_workers: int | None = None,
         telemetry: str | None = None,
     ) -> SizedIterator:
         """Streaming form of :meth:`spare_width_curve` (one
@@ -650,22 +636,21 @@ class YieldRunner:
         return SizedIterator(
             self._iter_spare_width_curve(
                 netlist, workload, base, spares, rate, trials, model, seed,
-                effort, max_iterations, route_workers, telemetry,
+                effort, max_iterations, telemetry,
             ),
             len(spares),
         )
 
     def _iter_spare_width_curve(
         self, netlist, workload, base, spares, rate, trials, model, seed,
-        effort, max_iterations, route_workers, telemetry,
+        effort, max_iterations, telemetry,
     ):
         for spare in spares:
             params = base.with_(channel_width=base.channel_width + int(spare))
             yield from self.iter_campaign(
                 netlist, workload, params, [rate], trials, model=model,
                 seed=seed, effort=effort, max_iterations=max_iterations,
-                spare_tracks=int(spare), route_workers=route_workers,
-                telemetry=telemetry,
+                spare_tracks=int(spare), telemetry=telemetry,
             )
 
     def spare_width_curve(
@@ -680,7 +665,6 @@ class YieldRunner:
         seed: int = 0,
         effort: float = 0.3,
         max_iterations: int = POINT_MAX_ITERATIONS,
-        route_workers: int | None = None,
         telemetry: str | None = None,
     ) -> list[YieldPoint]:
         """Yield vs spare channel width at one defect rate.
@@ -694,7 +678,7 @@ class YieldRunner:
         return list(self.iter_spare_width_curve(
             netlist, workload, base, spares, rate, trials, model=model,
             seed=seed, effort=effort, max_iterations=max_iterations,
-            route_workers=route_workers, telemetry=telemetry,
+            telemetry=telemetry,
         ))
 
 

@@ -25,12 +25,10 @@ keys never tie.  The one exception, the order among infinite-distance
 entries, is never reached: ``mask_for`` folds the defect floor into
 every mask, and the only unmasked relaxation enters the net's own
 target.  Scratch buffers are reused by epoch stamping; each net is
-pruned to its terminal bounding box, with a full-graph retry.  One
-initial pass, :func:`_route_initial_waves`, routes the nets in order —
-in wavefronts of provably independent nets when ``workers > 1``.
+pruned to its terminal bounding box, with a full-graph retry.
 
-A sequential context route (``workers <= 1``) is one native call when
-the C build is there (:func:`route_kernel`): ``route_context`` in
+A context route is one native call when the C build is there
+(:func:`route_kernel`): ``route_context`` in
 ``_search.c`` runs the whole loop — adopting bank routes, seeding
 salvaged branches, each net's sink searches with the prune mask built
 from ``CompiledRRG.bbox_mask``'s inequalities and the unpruned retry,
@@ -38,10 +36,10 @@ the usage commits and every rip-up iteration (overuse test, history
 bump, pressure growth, re-price) — over this module's arrays, with
 :class:`_FlatCongestion`'s arithmetic operation for operation, and
 hands back each net's sink paths, which :func:`net_from_paths`
-decodes.  The Python loop (:func:`_route_initial_waves` and the rip-up
-loop of :func:`_route_context_compiled`) stays as the fallback, the
-wavefront path and the oracle; ``tests/route/test_native_context.py``
-holds the two equal net for net, counters included.
+decodes.  The Python loop (:func:`_route_initial` and the rip-up loop
+of :func:`_route_context_compiled`) stays as the fallback and the
+oracle; ``tests/route/test_native_context.py`` holds the two equal net
+for net, counters included.
 
 ``route_context`` / ``route_program`` are the public entry points;
 ``route_context_compiled`` / ``route_program_compiled`` are the same
@@ -832,31 +830,20 @@ def _route_native(
     return RouteResult(routes, stats[_ST_ITERATIONS], context)
 
 
-def _net_bbox(
-    c: CompiledRRG, source: int, sinks: list[int], margin: int = BBOX_MARGIN
-) -> tuple[int, int, int, int]:
-    """Margin-expanded terminal bounding box ``(xlo, xhi, ylo, yhi)``."""
-    ends = (source, *sinks)
-    return (min(c.xlo[n] for n in ends) - margin,
-            max(c.xhi[n] for n in ends) + margin,
-            min(c.ylo[n] for n in ends) - margin,
-            max(c.yhi[n] for n in ends) + margin)
-
-
-def _bbox_covers_fabric(c: CompiledRRG, box: tuple[int, int, int, int]) -> bool:
-    bxlo, bxhi, bylo, byhi = box
-    p = c.params
-    return bxlo <= -1 and bylo <= -1 and bxhi >= p.cols and byhi >= p.rows
-
-
 def _net_mask(
     c: CompiledRRG, source: int, sinks: list[int], margin: int = BBOX_MARGIN
 ) -> bytes | None:
-    """Bounding-box prune mask for a net, ``None`` when it cannot prune."""
-    box = _net_bbox(c, source, sinks, margin)
-    if _bbox_covers_fabric(c, box):
+    """Prune mask of a net's margin-expanded terminal bounding box,
+    ``None`` when it cannot prune."""
+    ends = (source, *sinks)
+    xlo = min(c.xlo[n] for n in ends) - margin
+    xhi = max(c.xhi[n] for n in ends) + margin
+    ylo = min(c.ylo[n] for n in ends) - margin
+    yhi = max(c.yhi[n] for n in ends) + margin
+    p = c.params
+    if xlo <= -1 and ylo <= -1 and xhi >= p.cols and yhi >= p.rows:
         return None  # box covers the whole fabric; masking is pure overhead
-    return c.bbox_mask(*box)
+    return c.bbox_mask(xlo, xhi, ylo, yhi)
 
 
 def _route_net_flat(
@@ -869,17 +856,13 @@ def _route_net_flat(
     mask: bytes | None,
     base_mask: bytes | None,
     edst: np.ndarray,
-    retry: bool = True,
     seed_paths: dict[int, list[int]] | None = None,
-) -> RoutedNet | None:
+) -> RoutedNet:
     """Route one net.  ``mask`` is the net's (defect-combined) prune
     mask; ``base_mask`` is the defect-only floor the full-graph retry
     must keep honouring (``None`` without defects), and ``edst`` is the
     edge-destination array to search (dead switches lowered to
-    self-loops, see :func:`_dijkstra`).  ``retry=False`` (the wavefront
-    path) returns ``None`` instead of retrying unmasked/raising — a
-    failed wave net must be re-run sequentially, where the full-graph
-    retry sees every earlier net's congestion.
+    self-loops, see :func:`_dijkstra`).
 
     ``seed_paths`` (delta-reroute) pre-adopts known-good source→sink
     branches — the healthy portion of a dirty net's golden route —
@@ -897,15 +880,13 @@ def _route_net_flat(
         if sink in net.sink_paths:
             continue
         path = _search(c, state, net.nodes, sink, scratch, mask, edst)
-        if path is None and retry and mask is not base_mask:
+        if path is None and mask is not base_mask:
             # the pruned region disconnected this sink — retry without
             # the bounding box (defective resources stay excluded)
             path = _search(
                 c, state, net.nodes, sink, scratch, base_mask, edst
             )
         if path is None:
-            if not retry:
-                return None
             raise RoutingError(
                 f"no path to sink node {sink} ({c.node_name(sink)})"
             )
@@ -1003,24 +984,7 @@ def _healthy_sink_paths(
     return {s: p for s, p, b in zip(sinks, chains, broken) if not b}
 
 
-def _boxes_interact(
-    a: tuple[int, int, int, int], b: tuple[int, int, int, int], span: int
-) -> bool:
-    """Whether two nets' prune masks can share a node.
-
-    A node's spatial extent covers at most ``span`` tiles per axis, so
-    two terminal boxes can only admit a common node when they are
-    within ``span - 1`` tiles of each other in *both* axes — a gap of
-    ``span`` or more in either axis proves the masks disjoint.
-    """
-    if b[0] - a[1] >= span or a[0] - b[1] >= span:
-        return False
-    if b[2] - a[3] >= span or a[2] - b[3] >= span:
-        return False
-    return True
-
-
-def _route_initial_waves(
+def _route_initial(
     c: CompiledRRG,
     state: _FlatCongestion,
     endpoints: list[tuple[str, int, list[int]]],
@@ -1031,135 +995,37 @@ def _route_initial_waves(
     base_mask: bytes | None,
     edst: np.ndarray,
     scratch: RouterScratch,
-    workers: int,
     seeds: dict[str, dict[int, list[int]]] | None = None,
 ) -> None:
-    """The initial routing pass, in bit-identical parallel wavefronts.
+    """The initial routing pass: every net in order, on the caller's
+    scratch, with the full-graph retry.
 
-    With ``workers > 1``, consecutive nets whose prune masks are
-    provably disjoint (box separation over the widest node extent) form
-    a *wave*: their searches run in threads against the frozen
-    congestion state, then their usage is applied in net order.  A wave
-    net reads costs only inside its own mask and adds usage only on its
-    own route, so every wave search equals the sequential one.  Wave
-    searches never take the full-graph retry (it reads beyond the
-    mask): a net that needs it aborts the wave from that net on,
-    re-running sequentially.  With ``workers <= 1`` every net is its
-    own wave, routed in order on the caller's scratch with the retry.
-
-    Usage is committed in *batches*: routed waves and runs of adopted
-    (reused) routes flush their node sets through one
-    :meth:`_FlatCongestion.add_batch` right before the next search
-    needs them.  Costs are re-folded from final usage and nothing reads
-    the state in between, so this is bit-identical to per-net commits;
-    the ``routes`` insertion order (which the rip-up loop iterates) is
-    kept per net.
+    Usage is committed in *batches*: runs of adopted (reused) routes
+    flush their node sets through one :meth:`_FlatCongestion.add_batch`
+    right before the next search needs them.  Costs are re-folded from
+    final usage and nothing reads the state in between, so this is
+    bit-identical to per-net commits; the ``routes`` insertion order
+    (which the rip-up loop iterates) is kept per net.
     """
-    # widest node extent, in tiles (only the independence test needs it)
-    span = max(2, max(c.node_length)) if workers > 1 else 0
-    pool: ThreadPoolExecutor | None = None
-    wave: list[tuple[str, int, list[int], bytes | None]] = []
-    boxes: list[tuple[int, int, int, int] | None] = []
     pending: list[set[int]] = []  # usage awaiting one batched commit
-
-    def route_one(entry) -> RoutedNet | None:
-        name, source, sinks, mask = entry
-        with SCRATCH_POOL.lease(c.n_nodes) as sc:
-            return _route_net_flat(
-                c, state, name, source, sinks, sc, mask, base_mask,
-                edst, retry=False,
+    for i, (name, source, sinks) in enumerate(endpoints):
+        sig = sigs[i] if sigs else ""
+        prior = reuse.get(sig) if reuse else None
+        if prior is not None:
+            net = _adopt(name, source, sinks, prior)
+        else:
+            if pending:  # the search must see every earlier net
+                state.add_batch(pending)
+                pending.clear()
+            net = _route_net_flat(
+                c, state, name, source, sinks, scratch,
+                mask_for(name, source, sinks), base_mask, edst,
+                seed_paths=seeds.get(sig) if seeds else None,
             )
-
-    def commit_usage() -> None:
-        """Make every pending net's usage visible (before any search)."""
-        if pending:
-            state.add_batch(pending)
-            pending.clear()
-
-    def commit(name: str, net: RoutedNet) -> None:
         routes[name] = net
         pending.append(net.nodes)
-
-    def flush() -> None:
-        nonlocal pool
-        if not wave:
-            return
-        commit_usage()  # wave searches must see all earlier nets
-        if len(wave) == 1:
-            name, source, sinks, mask = wave[0]
-            commit(name, _route_net_flat(
-                c, state, name, source, sinks, scratch, mask, base_mask,
-                edst,
-            ))
-        else:
-            if pool is None:
-                pool = ThreadPoolExecutor(max_workers=workers)
-            results = list(pool.map(route_one, wave))
-            redo_from = len(wave)
-            for i, (entry, net) in enumerate(zip(wave, results)):
-                if net is None:
-                    # this net needs the full-graph retry, which reads
-                    # beyond its mask: it and everything after it re-run
-                    # sequentially against the committed state
-                    redo_from = i
-                    break
-                commit(entry[0], net)
-            if redo_from < len(wave):
-                commit_usage()  # sequential redo searches read state
-                for name, source, sinks, mask in wave[redo_from:]:
-                    net = _route_net_flat(
-                        c, state, name, source, sinks, scratch, mask,
-                        base_mask, edst,
-                    )
-                    routes[name] = net
-                    state.add(net.nodes)
-        wave.clear()
-        boxes.clear()
-
-    try:
-        for i, (name, source, sinks) in enumerate(endpoints):
-            sig = sigs[i] if sigs else ""
-            prior = reuse.get(sig) if reuse else None
-            if prior is not None:
-                # a reused route can sit anywhere on the fabric: drain
-                # the wave *before* adopting, so the wave's searches
-                # never see this later net's usage
-                flush()
-                commit(name, _adopt(name, source, sinks, prior))
-                continue
-            seed_paths = seeds.get(sig) if seeds else None
-            if seed_paths:
-                # salvaged branches can reach beyond the net's terminal
-                # box (full-graph-retry golden paths), which would void
-                # the wave-disjointness proof: route it on its own, in
-                # order, against fully committed state
-                flush()
-                commit_usage()
-                commit(name, _route_net_flat(
-                    c, state, name, source, sinks, scratch,
-                    mask_for(name, source, sinks), base_mask, edst,
-                    seed_paths=seed_paths,
-                ))
-                continue
-            mask = mask_for(name, source, sinks)
-            if workers > 1:
-                box = _net_bbox(c, source, sinks)
-                independent = (
-                    mask is not None
-                    and not _bbox_covers_fabric(c, box)
-                    and all(not _boxes_interact(box, b, span) for b in boxes)
-                )
-            else:
-                box, independent = None, False  # every net its own wave
-            if not independent:
-                flush()
-            wave.append((name, source, sinks, mask))
-            boxes.append(box)
-        flush()
-        commit_usage()  # the rip-up loop reads the final state
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+    if pending:  # the rip-up loop reads the final state
+        state.add_batch(pending)
 
 
 def route_context_compiled(
@@ -1171,7 +1037,6 @@ def route_context_compiled(
     max_iterations: int = MAX_ITERATIONS,
     scratch: RouterScratch | None = None,
     defects: "DefectMap | None" = None,
-    workers: int | None = None,
     warm: bool = False,
     salvage: dict[str, RoutedNet] | None = None,
     endpoints: list[tuple[str, int, list[int]]] | None = None,
@@ -1189,9 +1054,7 @@ def route_context_compiled(
     supplied, so repeated calls reuse one allocation per worker.
     ``defects`` (a :class:`~repro.reliability.defect_map.DefectMap`)
     excludes dead wires/switches from every search and prices them
-    unroutable; a clean map is normalised to ``None``.  ``workers > 1``
-    routes the *initial* pass in wavefronts of mask-disjoint nets (see
-    :func:`_route_initial_waves`), bit-identical to ``workers=None``.
+    unroutable; a clean map is normalised to ``None``.
 
     ``warm`` changes the initial-pass *order* (only meaningful with
     ``reuse``): every bank hit is adopted before the first fresh net
@@ -1215,7 +1078,7 @@ def route_context_compiled(
     try:
         return _route_context_compiled(
             c, netlist, placement, context, reuse, max_iterations, scratch,
-            defects, workers, warm, salvage, endpoints,
+            defects, warm, salvage, endpoints,
         )
     finally:
         if pooled:
@@ -1232,7 +1095,6 @@ def route_context_warm(
     max_iterations: int = MAX_ITERATIONS,
     scratch: RouterScratch | None = None,
     defects: "DefectMap | None" = None,
-    workers: int | None = None,
     signatures: dict[str, str] | None = None,
     endpoints: list[tuple[str, int, list[int]]] | None = None,
 ) -> RouteResult:
@@ -1252,9 +1114,7 @@ def route_context_warm(
     the golden route untouched by the defect map are adopted verbatim,
     and only the broken sinks are re-searched (from the salvaged tree).
     The result is a valid conflict-free routing, deterministic
-    per input, and bit-identical across the sequential and wavefront
-    (``workers``) paths — but the routes may legitimately differ from
-    a cold :func:`route_context_compiled` call with the same bank,
+    per input — but the routes may legitimately differ from a cold :func:`route_context_compiled` call with the same bank,
     which discovers the bank hits in netlist order.  ``signatures``
     optionally supplies precomputed ``endpoint_signature`` strings per
     golden net name, and ``endpoints`` the netlist's endpoints on
@@ -1274,7 +1134,7 @@ def route_context_warm(
     return route_context_compiled(
         c, netlist, placement, context=context, reuse=bank,
         max_iterations=max_iterations, scratch=scratch, defects=defects,
-        workers=workers, warm=True, salvage=salvage or None,
+        warm=True, salvage=salvage or None,
         endpoints=endpoints,
     )
 
@@ -1288,7 +1148,6 @@ def _route_context_compiled(
     max_iterations: int,
     scratch: RouterScratch,
     defects: "DefectMap | None" = None,
-    workers: int | None = None,
     warm: bool = False,
     salvage: dict[str, RoutedNet] | None = None,
     endpoints: list[tuple[str, int, list[int]]] | None = None,
@@ -1335,7 +1194,7 @@ def _route_context_compiled(
         # carry an infinite history term that dominates regardless.
         state.pres_fac = WARM_PRES_FAC
     edst = defects.live_edge_dst(c) if defects is not None else c.edge_dst
-    fn = None if workers and workers > 1 else _route_function()
+    fn = _route_function()
     if fn is not None:
         node_ok = None if defects is None else \
             np.ascontiguousarray(defects.node_ok).view(np.uint8)
@@ -1361,9 +1220,9 @@ def _route_context_compiled(
             masks[name] = m
         return masks[name]
 
-    _route_initial_waves(
+    _route_initial(
         c, state, endpoints, sigs, reuse, routes, mask_for, base_mask, edst,
-        scratch, workers or 1, seeds or None,
+        scratch, seeds or None,
     )
 
     overused_ids = state.overused_ids
@@ -1460,7 +1319,6 @@ def route_context(
     reuse: dict[str, RoutedNet] | None = None,
     max_iterations: int = MAX_ITERATIONS,
     defects: "DefectMap | None" = None,
-    workers: int | None = None,
 ) -> RouteResult:
     """Route one context's placed netlist to congestion-freedom.
 
@@ -1469,13 +1327,11 @@ def route_context(
     route up front (they still participate in congestion resolution —
     a reused route that conflicts within this context gets ripped up,
     losing its reuse mark).  ``defects`` excludes a defect map's dead
-    resources from every search.  ``workers > 1`` routes the initial
-    pass in bit-identical wavefronts of mask-disjoint nets.
+    resources from every search.
     """
     return route_context_compiled(
         g, netlist, placement, context=context,
         reuse=reuse, max_iterations=max_iterations, defects=defects,
-        workers=workers,
     )
 
 

@@ -14,7 +14,6 @@ from repro.analysis.sweep import (
     SweepJob,
     SweepRunner,
     channel_width_jobs,
-    evaluate_point,
 )
 from repro.arch import shared
 from repro.arch.params import ArchParams
@@ -118,24 +117,3 @@ class TestPublishPolicy:
         monkeypatch.setenv(shared.SHARED_MEMORY_ENV, "0")
         assert SweepRunner(backend="process",
                            shared_memory=True).shared_memory is True
-
-
-class TestRouteWorkersPoint:
-    def test_point_rows_identical_with_route_workers(self):
-        netlist = _netlist()
-        plain = SweepJob("channel_width", 8.0, BASE, netlist, seed=0,
-                         effort=0.2)
-        waved = SweepJob("channel_width", 8.0, BASE, netlist, seed=0,
-                         effort=0.2, route_workers=4)
-        assert evaluate_point(plain).to_dict() == \
-            evaluate_point(waved).to_dict()
-
-    def test_sweep_rows_identical_with_route_workers(self):
-        netlist = _netlist()
-        widths = [6, 8]
-        plain = channel_width_jobs(netlist, BASE, widths, seed=0, effort=0.2)
-        from dataclasses import replace
-
-        waved = [replace(j, route_workers=4) for j in plain]
-        runner = SweepRunner(backend="sequential")
-        assert _rows(runner, plain) == _rows(runner, waved)

@@ -52,6 +52,31 @@ class TestAppendReplay:
         assert records[-1] == _state("job-1", "running")
         assert _skipped() == before  # tail truncation is not "corruption"
 
+    def test_append_after_crash_tail_starts_a_new_line(self, tmp_path):
+        path = tmp_path / "journal.ndjson"
+        journal = Journal(path)
+        journal.append(_submit("job-1"))
+        journal.append(_submit("job-2"))
+        crashed = path.read_bytes()[:-10]  # job-2 cut short mid-append
+        path.write_bytes(crashed)
+        restarted = Journal(path)
+        restarted.append(_submit("job-3"))
+        restarted.append(_submit("job-4"))
+        data = path.read_bytes()
+        assert data.startswith(crashed)  # nothing cut or rewritten
+        assert data.count(b"\n\n") == 0  # the tail is sealed only once
+        with pytest.warns(RuntimeWarning, match=r":2: .*mid-file"):
+            records = restarted.replay()
+        assert [r["job_id"] for r in records] == ["job-1", "job-3", "job-4"]
+
+    def test_terminated_tail_is_not_sealed_again(self, tmp_path):
+        path = tmp_path / "journal.ndjson"
+        Journal(path).append(_submit("job-1"))
+        Journal(path).append(_submit("job-2"))
+        assert path.read_text().splitlines() == [
+            json.dumps(_submit(j), sort_keys=True, separators=(",", ":"))
+            for j in ("job-1", "job-2")]
+
     def test_blank_and_non_object_lines_are_skipped(self, tmp_path):
         path = tmp_path / "journal.ndjson"
         journal = Journal(path)

@@ -82,16 +82,6 @@ class TestCampaignRows:
             runner.close()
         assert shared.registry_size() == 0
 
-    def test_route_workers_rows_identical(self):
-        netlist = _netlist()
-        runner = YieldRunner(backend="sequential")
-        plain = _campaign_rows(runner, netlist)
-        waved = [pt.to_dict() for pt in runner.run_campaign(
-            netlist, "dag", BASE, RATES, TRIALS, seed=1, effort=0.2,
-            route_workers=4,
-        )]
-        assert plain == waved
-
 
 class TestLeanTrialItems:
     def _golden(self, netlist):

@@ -9,8 +9,7 @@ the digest.  The cases cover:
 - the legacy-equivalence workloads (3 programs x 2 grids, share-aware
   multi-context routing);
 - a defect suite: uniform defect maps at 0/1/3/5/10% over two fabrics
-  and four seeds, wire *and* switch defects, sequential and wavefront
-  (``workers=2``) initial passes;
+  and four seeds, wire *and* switch defects;
 - warm-started delta-reroutes (``route_context_warm``) of a golden
   routing under sampled defects.
 
@@ -111,14 +110,10 @@ def compute_digests() -> dict[str, str]:
         for rate in DEFECT_RATES:
             for seed in DEFECT_SEEDS:
                 dm = DefectMap.sample(c, rate, seed=seed, logic_rate=0.0)
-                for workers in (None, 2):
-                    key = f"defects/{label}/rate={rate}/seed={seed}"
-                    if workers:
-                        key += f"/workers={workers}"
-                    out[key] = digest(route_record(route_context_compiled(
-                        c, netlist, pl, defects=dm, workers=workers,
-                        max_iterations=MAX_ITERS,
-                    )))
+                key = f"defects/{label}/rate={rate}/seed={seed}"
+                out[key] = digest(route_record(route_context_compiled(
+                    c, netlist, pl, defects=dm, max_iterations=MAX_ITERS,
+                )))
 
     c = flat_rrg_for(WARM_PARAMS)
     netlist = tech_map(

@@ -4,8 +4,8 @@ Every search the router makes runs twice here: once through the native
 kernel (``_search.c``, the production path) and once through the Python
 kernel :func:`pathfinder._dijkstra` on its own scratch, over the same
 congestion state.  Both must return the same path and count the same
-pops.  Covered: the queue-test workloads, defect maps at 1, 3 and 5%,
-``workers=4`` wavefronts and ``route_context_warm``.  The loader's
+pops.  Covered: the queue-test workloads, defect maps at 1, 3 and 5%
+and ``route_context_warm``.  The loader's
 fallbacks (no compiler, a damaged cache entry, concurrent builds, an
 unsafe cache directory) and the uint32 epoch wrap are pinned too.
 
@@ -25,18 +25,20 @@ import pytest
 from repro.arch.compiled import flat_rrg_for
 from repro.arch.params import ArchParams
 from repro.netlist.techmap import tech_map
-from repro.place.placer import place
+from repro.place.placer import place, place_program
 from repro.reliability import DefectMap, build_golden, dirty_net_names
 from repro.route import pathfinder
 from repro.route.pathfinder import (
     RouterScratch,
     route_context_compiled,
     route_context_warm,
+    route_program_compiled,
     search_kernel,
 )
 from repro.utils import native
 from repro.utils.telemetry import collecting
 from repro.workloads.generators import random_dag
+from route_digest_cases import EQUIV_GRIDS, _equiv_programs
 from test_router_queue import CASES, _assert_identical, _route, heap_search
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -104,10 +106,6 @@ class TestSearchBySearch:
     def test_queue_workloads(self, name, params, circuit, twin):
         _route(params, circuit)
 
-    @pytest.mark.parametrize("name,params,circuit", CASES)
-    def test_wavefronts(self, name, params, circuit, twin):
-        _route(params, circuit, workers=4)
-
     @pytest.mark.parametrize("rate", [0.01, 0.03, 0.05])
     def test_defect_maps(self, rate, twin):
         params = ArchParams(cols=6, rows=6, channel_width=8, io_capacity=4)
@@ -117,7 +115,6 @@ class TestSearchBySearch:
         dm = DefectMap.sample(c, rate, seed=9, logic_rate=0.0)
         assert dm.switch_defects.size and dm.wire_defects.size
         route_context_compiled(c, netlist, pl, defects=dm)
-        route_context_compiled(c, netlist, pl, defects=dm, workers=4)
 
     def test_route_context_warm(self, twin):
         params = ArchParams(cols=6, rows=6, channel_width=8, io_capacity=4)
@@ -180,8 +177,9 @@ class TestEpochWrap:
 
 
 class TestThreads:
-    """Wavefront threads search concurrently (the native call releases
-    the interpreter lock) and may all resolve the kernel at once."""
+    """Context routes run concurrently on threads (the native call
+    releases the interpreter lock) and may all resolve the kernel at
+    once."""
 
     def test_first_use_from_many_threads_resolves_once(self, monkeypatch):
         lib = native.NativeLibrary(
@@ -211,16 +209,50 @@ class TestThreads:
         assert len(got) == 8 and all(fn is got[0] for fn in got)
         assert len(loads) == 1
 
-    def test_wavefront_stress(self):
+    def test_context_route_stress(self):
+        """Eight threads each route whole contexts at a tiny switch
+        interval — one context alone, then a share-unaware program
+        fanned out on eight more — and every route equals the
+        sequential one."""
         name, params, circuit = CASES[2]
-        seq = _route(params, circuit)
+        netlist = tech_map(circuit(), k=4)
+        c = flat_rrg_for(params)
+        pl = place(netlist, params, seed=2, effort=0.3)
+        prog = _equiv_programs()["random"]
+        grid = EQUIV_GRIDS[0]
+        pc = flat_rrg_for(grid)
+        pls = place_program(prog, grid, seed=3, share_aware=False,
+                            effort=0.3)
+        want = route_context_compiled(c, netlist, pl)
+        want_prog = route_program_compiled(pc, prog, pls, share_aware=False)
+        barrier = threading.Barrier(8)
+        errors = []
+
+        def hammer():
+            try:
+                barrier.wait(timeout=TIMEOUT_S)
+                for _ in range(3):
+                    _assert_identical(
+                        want, route_context_compiled(c, netlist, pl))
+                got = route_program_compiled(pc, prog, pls,
+                                             share_aware=False, workers=8)
+                for a, b in zip(got, want_prog, strict=True):
+                    _assert_identical(b, a)
+            except Exception as exc:  # surfaced in the main thread
+                errors.append(exc)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for _ in range(3):
-                _assert_identical(seq, _route(params, circuit, workers=8))
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=TIMEOUT_S)
+                assert not t.is_alive()
         finally:
             sys.setswitchinterval(interval)
+        assert errors == []
 
 
 def _run(code: str, env: dict) -> subprocess.CompletedProcess:

@@ -2,9 +2,8 @@
 
 Every case in ``route_digest_cases`` is routed again and its sha256
 compared with ``golden/route_digests.json``.  Unlike the legacy
-equivalence suite this covers defect routing (wire and switch defects,
-sequential and wavefront initial passes) and warm-started
-delta-reroutes, which the legacy router cannot check.  Regenerate
+equivalence suite this covers defect routing (wire and switch defects)
+and warm-started delta-reroutes, which the legacy router cannot check.  Regenerate
 deliberately with ``PYTHONPATH=src python tests/route/regen_route_digests.py``.
 """
 
@@ -34,5 +33,5 @@ def test_every_pinned_route_reproduces(digests):
 
 def test_suite_covers_defects_and_warm_reroutes(digests):
     assert sum(k.startswith("equiv/") for k in digests) == 6
-    assert sum(k.startswith("defects/") for k in digests) == 2 * 5 * 4 * 2
+    assert sum(k.startswith("defects/") for k in digests) == 2 * 5 * 4
     assert sum(k.startswith("warm/") for k in digests) >= 1

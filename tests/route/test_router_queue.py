@@ -15,8 +15,7 @@ the kernel, and pin that the routes (not just the wirelengths) are
 identical — including congested runs whose escalated costs spread
 distances across sparse buckets, and defect maps with dead switches.
 They also pin that the targeted congestion re-price reproduces the
-whole-graph refresh bit-for-bit, and that the parallel wavefront
-initial pass equals the sequential one.
+whole-graph refresh bit-for-bit.
 """
 
 import heapq
@@ -178,38 +177,3 @@ class TestTargetedReprice:
         for _ in range(3):
             state.next_iteration()
             assert all(state.eff[n] == float("inf") for n in dead)
-
-
-class TestWavefrontEquivalence:
-    """``workers > 1`` routes the initial pass in parallel wavefronts
-    of provably mask-disjoint nets — and must be bit-identical."""
-
-    @pytest.mark.parametrize("name,params,circuit", CASES)
-    def test_wavefront_matches_sequential(self, name, params, circuit):
-        seq = _route(params, circuit)
-        par = _route(params, circuit, workers=4)
-        _assert_identical(seq, par)
-
-    def test_wavefront_with_reuse_matches_sequential(self):
-        params = ArchParams(cols=6, rows=6, channel_width=8, io_capacity=4)
-        netlist = tech_map(random_dag(5, 12, 4, seed=3), k=4)
-        c = flat_rrg_for(params)
-        pl = place(netlist, params, seed=2, effort=0.3)
-        first = route_context_compiled(c, netlist, pl)
-        bank = {
-            pathfinder.endpoint_signature(net.source, net.sinks): net
-            for net in first.nets.values()
-        }
-        seq = route_context_compiled(c, netlist, pl, reuse=bank)
-        par = route_context_compiled(c, netlist, pl, reuse=bank, workers=4)
-        _assert_identical(seq, par)
-
-    def test_wavefront_with_defects_matches_sequential(self):
-        params = ArchParams(cols=6, rows=6, channel_width=8, io_capacity=4)
-        netlist = tech_map(random_dag(5, 12, 4, seed=3), k=4)
-        c = flat_rrg_for(params)
-        pl = place(netlist, params, seed=2, effort=0.3)
-        dm = DefectMap.sample(c, 0.03, seed=9)
-        seq = route_context_compiled(c, netlist, pl, defects=dm)
-        par = route_context_compiled(c, netlist, pl, defects=dm, workers=4)
-        _assert_identical(seq, par)

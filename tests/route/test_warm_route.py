@@ -123,25 +123,3 @@ class TestWarmRoute:
             assert net.nodes == other.nodes, name
             assert net.edges == other.edges, name
             assert net.sink_paths == other.sink_paths, name
-
-    def test_warm_route_worker_equivalence(self, mapping):
-        """The wavefront path must reproduce the sequential warm route
-        node-for-node (salvaged nets run sequentially inside it)."""
-        c, netlist, placement, golden = mapping
-        _, nid = _wire_on_multisink_route(c, golden)
-        dm = DefectMap.from_defects(c, wire_nodes=[nid])
-        dirty = dirty_net_names(golden.routes, dm)
-        seq = route_context_warm(
-            c, netlist, placement, golden.routes, dirty,
-            max_iterations=MAX_ITERS, defects=dm,
-        )
-        par = route_context_warm(
-            c, netlist, placement, golden.routes, dirty,
-            max_iterations=MAX_ITERS, defects=dm, workers=2,
-        )
-        for name, net in seq.nets.items():
-            other = par.nets[name]
-            assert net.nodes == other.nodes, name
-            assert net.edges == other.edges, name
-            assert net.sink_paths == other.sink_paths, name
-            assert net.reused == other.reused, name

@@ -23,8 +23,7 @@ Four properties are asserted:
   from-scratch one end-to-end by >= 2x;
 - **row bit-identity** — a standard yield campaign (which rides the
   incremental ladder) produces identical :class:`YieldPoint` rows on
-  the sequential, thread and process backends, with shared memory on
-  and off;
+  the sequential, thread and process backends;
 - **span overhead** — with no telemetry collector bound, the
   instrumentation spans left in the hot path cost < 2% of a trial's
   repair time.
@@ -50,7 +49,6 @@ from collections import Counter
 
 from repro.arch.compiled import flat_rrg_for
 from repro.arch.params import ArchParams
-from repro.analysis.sweep import SweepRunner
 from repro.reliability import YieldRunner
 from repro.reliability.defect_map import DefectMap
 from repro.reliability.repair import build_golden, repair_mapping
@@ -156,32 +154,24 @@ def _measure_speedup(rates, trials) -> dict:
     }
 
 
-def _campaign_rows(backend: str, shared_memory: bool | None,
-                   rates, trials) -> list[dict]:
+def _campaign_rows(backend: str, rates, trials) -> list[dict]:
     netlist = random_dag(n_gates=20, seed=7)
     base = ArchParams(cols=6, rows=6, channel_width=8, io_capacity=6)
     workers = 2 if backend != "sequential" else None
-    with SweepRunner(backend=backend, workers=workers,
-                     shared_memory=shared_memory) as runner:
-        points = YieldRunner(runner=runner).run_campaign(
-            netlist, "dag", base, rates, trials, seed=1, effort=0.2,
-        )
+    points = YieldRunner(backend=backend, workers=workers).run_campaign(
+        netlist, "dag", base, rates, trials, seed=1, effort=0.2,
+    )
     return [pt.to_dict() for pt in points]
 
 
 def _check_row_identity(rates, trials) -> int:
     """YieldPoint rows must be bit-identical across every execution
     plan — the incremental ladder is deterministic per input."""
-    reference = _campaign_rows("sequential", None, rates, trials)
-    for backend, shm in (
-        ("thread", None),
-        ("process", True),
-        ("process", False),
-    ):
-        rows = _campaign_rows(backend, shm, rates, trials)
+    reference = _campaign_rows("sequential", rates, trials)
+    for backend in ("thread", "process"):
+        rows = _campaign_rows(backend, rates, trials)
         assert rows == reference, (
-            f"{backend} backend (shared_memory={shm}) diverged from "
-            f"sequential rows"
+            f"{backend} backend diverged from sequential rows"
         )
     return len(reference)
 
@@ -250,7 +240,7 @@ def _render(r: dict) -> str:
     )
     lines.append(
         f"row identity: {r['identity_points']} yield points bit-identical "
-        f"across sequential/thread/process x shared-memory on/off"
+        f"across sequential/thread/process"
     )
     return "\n".join(lines)
 

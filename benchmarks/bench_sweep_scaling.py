@@ -16,8 +16,8 @@ minimum-channel-width-style grid (channel widths 4..19) three ways —
 
 The acceptance bar is >= 3x end-to-end for compiled-sequential on the
 16-point sweep — and, on machines with >= 4 cores, >= 5x for the best
-compiled run (the zero-copy shared-memory process backend supplies the
-margin: workers map published substrates instead of rebuilding them).
+compiled run (the process backend supplies the margin: points are
+independent, and each worker builds the substrates its points need).
 Verdicts and wirelengths must be identical between the legacy loop and
 both compiled runs.
 
@@ -57,7 +57,7 @@ EFFORT = 0.3
 
 #: Full-mode speedup floor vs the seed legacy loop: the compiled
 #: engine must win >= 3x sequentially everywhere; with >= 4 cores the
-#: best backend (shared-memory process fan-out) must win >= 5x.
+#: best backend (process fan-out) must win >= 5x.
 FLOOR_SEQ = 3.0
 FLOOR_MULTICORE = 5.0
 MULTICORE_AT = 4

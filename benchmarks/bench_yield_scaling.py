@@ -14,10 +14,8 @@ Three properties are asserted:
   per-trial cost is defect sampling + repair, never a graph rebuild;
 - **scaling** (full mode, >= 2 cores) — the process backend beats the
   sequential one end-to-end: trials are embarrassingly parallel, and
-  with the shared-memory fan-out (default on) the golden mapping and
-  substrate are published once instead of pickled per trial, so
-  per-trial overhead is a few hundred bytes of job.  On >= 4 cores
-  the floor rises to >= 2x.
+  each ships as one pickled ``(job, golden)`` item through the sweep
+  runner's pool loop.  On >= 4 cores the floor rises to >= 2x.
 
 Runs two ways:
 
@@ -47,8 +45,7 @@ EFFORT = 0.3
 WORKERS = max(2, os.cpu_count() or 2)
 
 #: Full-mode process-backend speedup floors vs sequential: any win on
-#: 2-3 cores, >= 2x on >= 4 cores (the shared-memory fan-out removes
-#: the per-trial golden/netlist pickling that used to cap scaling).
+#: 2-3 cores, >= 2x on >= 4 cores.
 FLOOR_MULTICORE = 2.0
 MULTICORE_AT = 4
 

@@ -29,10 +29,11 @@ The package splits into:
 - :mod:`repro.workloads` — circuit generators and multi-context
   workloads with controllable redundancy.
 - :mod:`repro.analysis` — redundancy statistics, pattern censuses, the
-  unified :class:`~repro.analysis.engine.MappingEngine`
-  (``map_batch(programs, params, workers=N)`` shares one compiled RRG
-  across jobs and routes independent contexts in parallel), and the
-  experiment drivers behind every benchmark.
+  unified :class:`~repro.analysis.engine.MappingEngine` (one compiled
+  RRG shared across jobs; share-unaware contexts route in parallel),
+  the :class:`~repro.analysis.sweep.SweepRunner` pool loop that batch,
+  sweep and yield requests fan out through, and the experiment drivers
+  behind every benchmark.
 - :mod:`repro.api` — the public facade: typed requests/results with a
   versioned JSON contract, the :class:`~repro.api.Session`
   (``run``/``stream``/``run_spec``) and declarative
@@ -41,9 +42,10 @@ The package splits into:
 
 Picking ``workers``: share-aware routing is sequential across contexts
 by construction (later contexts adopt earlier routes), so parallelism
-applies to share-unaware contexts and to independent batch jobs.  Under
-the GIL, ``workers=1`` is the safe default; raise it for batch sweeps
-on free-threaded builds or when jobs are I/O-bound.
+applies to share-unaware contexts and to independent batch jobs, sweep
+points and yield trials.  The native route and anneal kernels release
+the GIL inside their ``ctypes`` calls, so threads overlap only those;
+the ``process`` backend runs whole jobs in parallel.
 """
 
 from repro.core import (

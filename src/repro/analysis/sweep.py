@@ -25,29 +25,20 @@ Backend and pool selection
 one leased :class:`~repro.route.pathfinder.RouterScratch` per substrate
 through the shared scratch pool — the right choice for small grids and
 for bisection, where points depend on earlier outcomes.
-``backend="thread"`` overlaps points with a thread pool; routing is
-pure-Python CPU work, so under the GIL this only helps when jobs block
-(it exists for API uniformity with
-:meth:`~repro.analysis.engine.MappingEngine.map_batch`).
+``backend="thread"`` overlaps points with a thread pool; the native
+route and anneal kernels release the GIL inside their ``ctypes``
+calls, so threads overlap those, while the Python around them stays
+serialized.
 ``backend="process"`` fans points out to a ``ProcessPoolExecutor`` —
-jobs and results are picklable by construction, so this is the one
-that beats the GIL for big grids; each worker process warms its own
-compiled-RRG cache and scratch pool.  ``workers=None`` sizes parallel
-backends to ``os.cpu_count()``.
+jobs and results are picklable by construction, so each point ships
+as a pickled ``(job, placement)`` pair and each worker process warms
+its own compiled-RRG cache and scratch pool.  ``workers=None`` sizes
+parallel backends to ``os.cpu_count()``.
 
-With ``shared_memory`` enabled (the default; see
-:func:`repro.arch.shared.shared_memory_default`), the process backend
-publishes compiled substrates through POSIX shared memory whenever a
-grid shares one ``ArchParams`` across several points: workers map the
-arrays zero-copy (one attach per worker process, done in the pool
-initializer) instead of rebuilding the substrate per process.  Points
-whose params are unique in the grid still build worker-side — the
-parent publishing them first would serialize work the pool could do in
-parallel.  Segments are refcounted by the runner's
-:class:`~repro.arch.shared.SharedStore` and unlinked on
-:meth:`SweepRunner.close` (also wired to a finalizer, so dropping the
-runner cleans up).  Rows are bit-identical either way: attached
-substrates hold the same arrays the parent built.
+:meth:`SweepRunner.iter_items` is the one pool loop: sweep points,
+the reliability layer's yield trials and the api ``Session``'s batch
+maps all fan out through it, so every backend keeps one set of
+ordering and cancellation semantics.
 
 Two sweep-level optimisations keep grids cheap without changing any
 verdict: the runner caches *placements* across points that share a
@@ -200,7 +191,7 @@ def _placement_key(job: SweepJob) -> tuple:
 
 
 def evaluate_point(
-    job: SweepJob, placement: Placement | None = None, engine=None, c=None
+    job: SweepJob, placement: Placement | None = None, engine=None
 ) -> SweepPoint:
     """Evaluate one sweep point on the compiled engine.
 
@@ -209,18 +200,16 @@ def evaluate_point(
     resident — see :func:`repro.arch.compiled.compiled_rrg_for`), and
     extracts the structured outcome.
     An unroutable point is a *result* (``routed=False``), not an error.
-    An explicit ``c`` (e.g. a shared-memory attached substrate) skips
-    the engine's build cache entirely; otherwise the lookup (and the
-    build, on a cache miss) is traced as ``point.substrate``.
+    The substrate lookup (and the build, on a cache miss) is traced as
+    ``point.substrate``.
     """
     tel = Telemetry(job.telemetry) if job.telemetry else None
     with collecting(tel):
-        if c is None:
-            if engine is None:
-                from repro.analysis.engine import DEFAULT_ENGINE
-                engine = DEFAULT_ENGINE
-            with span("point.substrate"):
-                c = engine.compiled(job.params)
+        if engine is None:
+            from repro.analysis.engine import DEFAULT_ENGINE
+            engine = DEFAULT_ENGINE
+        with span("point.substrate"):
+            c = engine.compiled(job.params)
         if placement is None:
             with span("point.place"):
                 placement = place(
@@ -256,19 +245,6 @@ def _evaluate_shipped(pair: tuple[SweepJob, Placement]) -> SweepPoint:
     return evaluate_point(job, placement)
 
 
-def _evaluate_shipped_shared(item) -> SweepPoint:
-    """Process-pool entry point for the shared-memory backend.
-
-    ``item`` is ``(job, placement, handle)`` — ``handle`` a
-    :class:`~repro.arch.shared.SharedSubstrate` (attached zero-copy,
-    cached per process) or ``None`` for params unique in the grid,
-    which fall back to the worker-side ``compiled_rrg_for`` build.
-    """
-    job, placement, handle = item
-    c = handle.attach_cached() if handle is not None else None
-    return evaluate_point(job, placement, c=c)
-
-
 class SweepRunner:
     """Executes sweep grids on the shared mapping engine.
 
@@ -283,7 +259,6 @@ class SweepRunner:
         engine=None,
         backend: str = "sequential",
         workers: int | None = None,
-        shared_memory: bool | None = None,
     ) -> None:
         if backend not in _BACKENDS:
             raise ValueError(
@@ -292,43 +267,14 @@ class SweepRunner:
         if engine is None:
             from repro.analysis.engine import DEFAULT_ENGINE
             engine = DEFAULT_ENGINE
-        if shared_memory is None:
-            from repro.arch.shared import shared_memory_default
-            shared_memory = shared_memory_default()
         self.engine = engine
         self.backend = backend
         self.workers = workers
-        #: publish substrates (and the yield runner's golden mappings)
-        #: over POSIX shared memory on the process backend
-        self.shared_memory = shared_memory
-        self._store = None
         self._placements: dict[tuple, Placement] = {}
         # concurrent jobs (the service layer's worker pool) share one
         # runner; the lock keeps get-or-create single-flight so equal
         # configurations always receive the *same* Placement object
         self._placements_lock = threading.Lock()
-
-    def store(self):
-        """The runner's (lazily created) shared-memory publication
-        store; segments it owns are unlinked on :meth:`close`."""
-        if self._store is None:
-            from repro.arch.shared import SharedStore
-            with self._placements_lock:
-                if self._store is None:
-                    self._store = SharedStore()
-        return self._store
-
-    def close(self) -> None:
-        """Release the runner's shared-memory publications (idempotent;
-        also runs from a finalizer when the runner is dropped)."""
-        if self._store is not None:
-            self._store.close()
-
-    def __enter__(self) -> "SweepRunner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def placement_for(self, job: SweepJob) -> Placement:
         """The (cached) placement for a job's placement-relevant config."""
@@ -349,29 +295,25 @@ class SweepRunner:
         n = self.workers if self.workers is not None else (os.cpu_count() or 1)
         return 1 if self.backend == "sequential" else min(n, n_items)
 
-    def iter_items(self, fn, items: Sequence, initializer=None,
-                   initargs=()) -> SizedIterator:
+    def iter_items(self, fn, items: Sequence) -> SizedIterator:
         """Execute ``fn`` over ``items``, yielding results incrementally.
 
-        Results keep the order of ``items`` on every backend: parallel
-        backends submit the whole grid up front and yield each result as
-        soon as it (and everything before it) is done, so streaming
-        consumers see exactly the rows :meth:`map_items` would collect —
-        bit-identical, just earlier.  A failing item raises its error
-        when its slot is reached.  ``fn`` must be a picklable top-level
-        callable for the process backend.  ``initializer``/``initargs``
-        warm each pool worker once at start (the shared-memory paths
-        attach their segments there); ignored when the grid runs
-        sequentially.  The returned iterator is a
-        :class:`~repro.utils.iters.SizedIterator` — ``len()`` is the
-        total row count, available before any work runs.
+        The one pool loop: sweep points, yield trials and batch maps
+        all run through it.  Results keep the order of ``items`` on
+        every backend: parallel backends submit the whole grid up front
+        and yield each result as soon as it (and everything before it)
+        is done, so streaming consumers see the same rows as a
+        sequential run — bit-identical, just earlier.  A failing item
+        raises its error when its slot is reached.  ``fn`` must be a
+        picklable top-level callable for the process backend.  The
+        returned iterator is a :class:`~repro.utils.iters.SizedIterator`
+        — ``len()`` is the total row count, available before any work
+        runs.
         """
         items = list(items)
-        return SizedIterator(
-            self._iter_items(fn, items, initializer, initargs), len(items)
-        )
+        return SizedIterator(self._iter_items(fn, items), len(items))
 
-    def _iter_items(self, fn, items: list, initializer=None, initargs=()):
+    def _iter_items(self, fn, items: list):
         if not items:
             return
         n = self.pool_width(len(items))
@@ -383,8 +325,7 @@ class SweepRunner:
             ThreadPoolExecutor if self.backend == "thread"
             else ProcessPoolExecutor
         )
-        pool = pool_cls(max_workers=n, initializer=initializer,
-                        initargs=initargs)
+        pool = pool_cls(max_workers=n)
         try:
             futures = [pool.submit(fn, it) for it in items]
             for f in futures:
@@ -394,18 +335,6 @@ class SweepRunner:
             # block on the rest of the grid: drop pending work instead
             # of the `with` block's shutdown(wait=True)
             pool.shutdown(wait=False, cancel_futures=True)
-
-    def map_items(self, fn, items: Sequence) -> list:
-        """Execute ``fn`` over ``items`` on the configured backend.
-
-        The generic executor under :meth:`run`, exposed so other grid
-        subsystems (the reliability layer's Monte Carlo yield campaigns
-        ride it) inherit the backend/pool semantics without reinventing
-        them.  Results keep the order of ``items``; a failing item
-        raises its error at collection.  ``fn`` must be a picklable
-        top-level callable for the process backend.
-        """
-        return list(self.iter_items(fn, items))
 
     def iter_run(self, jobs: Sequence[SweepJob]) -> SizedIterator:
         """Evaluate every job, yielding each :class:`SweepPoint` as it
@@ -422,44 +351,13 @@ class SweepRunner:
         # anneal, and worker processes receive ready placements
         pairs = [(job, self.placement_for(job)) for job in jobs]
         if self.backend == "process" and self.pool_width(len(pairs)) > 1:
-            if self.shared_memory:
-                yield from self._iter_run_shared(pairs)
-                return
             yield from self.iter_items(_evaluate_shipped, pairs)
             return
         # sequential/thread (and the process single-worker fallback)
-        # evaluate through the runner's own engine, as before map_items
+        # evaluate through the runner's own engine
         engine = self.engine
         yield from self.iter_items(
             lambda pair: evaluate_point(pair[0], pair[1], engine), pairs
-        )
-
-    def _iter_run_shared(self, pairs: list):
-        """Process fan-out with substrates published over shared memory.
-
-        Only params that serve more than one point are published — the
-        parent would otherwise serialize substrate builds the workers
-        could do in parallel.  Published substrates are attached in the
-        pool initializer, so each worker maps each segment exactly once
-        (``repro.arch.shared.attach_count`` pins this in the bench).
-        """
-        counts: dict = {}
-        for job, _ in pairs:
-            counts[job.params] = counts.get(job.params, 0) + 1
-        store = self.store()
-        handles = {
-            params: store.substrate_for(self.engine.compiled(params))
-            for params, n in counts.items() if n > 1
-        }
-        items = [
-            (job, pl, handles.get(job.params)) for job, pl in pairs
-        ]
-        from repro.arch.shared import warm_worker
-
-        warm = tuple(handles.values())
-        yield from self.iter_items(
-            _evaluate_shipped_shared, items,
-            initializer=warm_worker, initargs=(warm,),
         )
 
     def run(self, jobs: Sequence[SweepJob]) -> list[SweepPoint]:

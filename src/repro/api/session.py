@@ -25,11 +25,10 @@ target it directly (requests and results all have versioned
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import replace
 
-from repro.analysis.engine import DEFAULT_ENGINE, MappingEngine
+from repro.analysis.engine import DEFAULT_ENGINE, MappingEngine, map_job
 from repro.analysis.sweep import (
     SweepRunner,
     channel_width_jobs,
@@ -61,6 +60,7 @@ from repro.api.results import (
 )
 from repro.api.spec import ExperimentSpec
 from repro.api.workloads import build_circuit, build_program
+from repro.arch.compiled import compiled_rrg_for
 from repro.arch.params import ArchParams
 from repro.errors import RequestError
 from repro.reliability.yield_runner import YieldRunner
@@ -186,27 +186,6 @@ class Session:
                 GLOBAL.inc("session.cache.hits", cache="yield_runner")
             return runner
 
-    def close(self) -> None:
-        """Release the session's shared-memory publications.
-
-        Every cached sweep runner (yield runners ride them) may hold a
-        :class:`~repro.arch.shared.SharedStore` of published substrate
-        and golden-mapping segments; closing unlinks whatever the
-        session still owns.  Idempotent, and safe mid-life: stores are
-        lazily recreated, so a closed session keeps working — it just
-        re-publishes on the next process-backend request.
-        """
-        with self._cache_lock:
-            runners = list(self._sweep_runners.values())
-        for runner in runners:
-            runner.close()
-
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def map_program(self, program, params=None, share_aware: bool = True,
                     seed: int = 0, effort: float = MAP_EFFORT, rrg=None,
                     route_workers: int | None = None):
@@ -276,39 +255,40 @@ class Session:
         )))
 
     def _stream_batch(self, req: BatchRequest, progress):
-        from repro.analysis.experiments import ExperimentResult, verify_mapped
+        from repro.analysis.experiments import (
+            ExperimentResult,
+            MappedProgram,
+            verify_mapped,
+        )
 
+        # every backend rides the sweep runner's pool loop: the whole
+        # batch is submitted up front and rows are yielded as they
+        # complete, in request order; each (params, placements, routes)
+        # result is re-bound to this process's cached substrate
         cfg = req.execution
-        total = len(req.workloads)
-        if cfg.backend == "sequential":
-            for i, w in enumerate(req.workloads):
-                result = self._map_one(w, req.contexts, req.mutation,
-                                       req.share_aware, req.verify, cfg)
-                progress(i + 1, total, result)
-                yield result
-            return
-        # parallel backends ride the engine's streaming batch path (one
-        # compiled substrate, whole batch submitted up front, rows
-        # yielded as they complete in request order; pool semantics
-        # normalized: workers=None = all cores)
         programs = [
             self.program(w, req.contexts, req.mutation, cfg.seed)
             for w in req.workloads
         ]
-        workers = cfg.workers if cfg.workers is not None \
-            else (os.cpu_count() or 1)
-        mapped = self.engine.iter_map_batch(
-            programs, share_aware=req.share_aware, seed=cfg.seed,
-            effort=cfg.effort_or(MAP_EFFORT), workers=workers,
-            backend=cfg.backend, route_workers=cfg.route_workers,
-        )
-        for i, (w, m) in enumerate(zip(req.workloads, mapped)):
+        items = [
+            (program, req.share_aware, cfg.seed, cfg.effort_or(MAP_EFFORT),
+             cfg.route_workers)
+            for program in programs
+        ]
+        mapped = self.sweep_runner(cfg).iter_items(map_job, items)
+        total = len(items)
+        for i, (w, program, (params, placements, routes)) in enumerate(
+            zip(req.workloads, programs, mapped), 1
+        ):
+            m = MappedProgram(program, params, placements, routes,
+                              compiled_rrg_for(params), req.share_aware)
             verified = (
                 verify_mapped(m, seed=cfg.seed) if req.verify else False
             )
-            experiment = ExperimentResult(w, m, m.stats(), verified)
+            experiment = ExperimentResult(program.name, m, m.stats(),
+                                          verified)
             result = MapResult.from_experiment(w, experiment)
-            progress(i + 1, total, result)
+            progress(i, total, result)
             yield result
 
     # -- sweep -------------------------------------------------------------- #

@@ -116,9 +116,7 @@ class CompiledRRG:
     """Flat arrays of one fabric: what the router and placer inner loops
     need, and nothing else.
 
-    Built by :func:`build_flat` (or attached from shared memory by
-    :meth:`SharedSubstrate.attach <repro.arch.shared.SharedSubstrate.attach>`),
-    both through :meth:`_from_arrays`.
+    Built by :func:`build_flat` through :meth:`_from_arrays`.
     """
 
     __slots__ = (
@@ -187,7 +185,7 @@ class CompiledRRG:
         ``edge_start``/``edge_mid``/``edge_dst`` and the pin-node
         tables are stored only as contiguous int32 arrays; those and
         each numpy mirror alias their input when the dtype already
-        matches, so a shared-memory view stays zero-copy.
+        matches.
 
         The pin-node tables are indexed by row-major tile ``y * cols +
         x``: ``lb_source_ids[tile, output]``, ``lb_sink_ids[tile,

@@ -242,10 +242,7 @@ def process_job_main(conn, lease_doc: dict) -> None:
         except (BrokenPipeError, OSError):
             pass
     finally:
-        try:
-            session.close()
-        finally:
-            conn.close()
+        conn.close()
 
 
 class FleetWorker:
@@ -259,7 +256,6 @@ class FleetWorker:
         self.token = token
         self.name = name or f"worker-{id(self) & 0xffff:04x}"
         self.session = session if session is not None else Session()
-        self._owns_session = session is None
         self.poll = max(0.05, float(poll))
         self.jobs_done = 0
         self.jobs_failed = 0
@@ -391,10 +387,6 @@ class FleetWorker:
             events.close()
             pump.join(timeout=ttl)
 
-    def close(self) -> None:
-        if self._owns_session:
-            self.session.close()
-
 
 def worker_main(url: str, token: "str | None" = None,
                 name: "str | None" = None, poll: float = 1.0,
@@ -406,8 +398,6 @@ def worker_main(url: str, token: "str | None" = None,
         done = worker.run_forever(max_jobs=max_jobs)
     except KeyboardInterrupt:
         done = worker.jobs_done
-    finally:
-        worker.close()
     out(f"repro worker {worker.name}: {done} job(s) completed, "
         f"{worker.jobs_failed} failed")
     return 0 if worker.jobs_failed == 0 else 1

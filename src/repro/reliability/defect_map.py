@@ -95,12 +95,10 @@ class DefectMap:
         model: str = "explicit",
         rate: float = 0.0,
         seed: int = 0,
-        node_ok: np.ndarray | None = None,
     ) -> None:
         """Wrap already-normalised defect arrays (sorted, unique int64
-        ids; see :meth:`from_defects` for arbitrary input).  Without
-        ``node_ok`` the node mask is lowered from the wire and
-        logic-site defects."""
+        ids; see :meth:`from_defects` for arbitrary input).  The node
+        mask is lowered from the wire and logic-site defects."""
         self.params = c.params
         self.n_nodes = c.n_nodes
         self.n_edges = c.n_edges
@@ -112,15 +110,13 @@ class DefectMap:
         self.bad_tiles = frozenset(
             Coord(int(x), int(y)) for x, y in bad_tiles
         )
-        if node_ok is None:
-            node_ok = np.ones(c.n_nodes, dtype=bool)
-            node_ok[self.wire_defects] = False
-            if self.bad_tiles:
-                # a dead LB loses its logical endpoints; routes never
-                # pass *through* SOURCE/SINK nodes, so this only bites
-                # nets that terminate at the dead site (i.e. a blocked
-                # placement)
-                node_ok[_tile_pin_nodes(c, self.bad_tiles)] = False
+        node_ok = np.ones(c.n_nodes, dtype=bool)
+        node_ok[self.wire_defects] = False
+        if self.bad_tiles:
+            # a dead LB loses its logical endpoints; routes never pass
+            # *through* SOURCE/SINK nodes, so this only bites nets that
+            # terminate at the dead site (i.e. a blocked placement)
+            node_ok[_tile_pin_nodes(c, self.bad_tiles)] = False
         self.node_ok = node_ok
         self._node_ok_bytes: bytes | None = None
         self._live_edge_dst: np.ndarray | None = None
@@ -166,35 +162,6 @@ class DefectMap:
             edst[dead] = c.edge_src_ids()[dead]
             self._live_edge_dst = edst
         return self._live_edge_dst
-
-    @classmethod
-    def from_lowered(
-        cls,
-        c: CompiledRRG,
-        node_ok: np.ndarray,
-        wire_defects: Sequence[int],
-        switch_defects: Sequence[int],
-        bad_tiles: Iterable[tuple[int, int]],
-        model: str = "uniform",
-        rate: float = 0.0,
-        seed: int = 0,
-    ) -> "DefectMap":
-        """Rebuild a map from an already-lowered ``node_ok`` mask.
-
-        The shared-memory trial path publishes each trial's node mask
-        once (parent-side) and workers attach a read-only view; this
-        constructor wraps such a view without re-sampling or re-lowering
-        — the published mask already folds wire and logic-site defects.
-        The defect ids are normalised like :meth:`from_defects`, and
-        ``bad_edge_codes`` (and lazily the lowered edge array) is
-        rebuilt from them, exactly as the eager constructor would.
-        """
-        return cls(
-            c,
-            np.unique(np.asarray(wire_defects, dtype=np.int64)),
-            np.unique(np.asarray(switch_defects, dtype=np.int64)),
-            bad_tiles, model=model, rate=rate, seed=seed, node_ok=node_ok,
-        )
 
     # -- construction ------------------------------------------------------- #
     @classmethod

@@ -72,11 +72,10 @@ class RouteFlat:
     detection.
 
     Concatenates every net's node set and edge set into single numpy
-    arrays with per-net offsets — the same flat layout the shared-memory
-    golden segments use for per-sink paths — so a trial's dirty-net
-    census is a fancy-index gather plus a segmented reduction instead of
-    a Python loop over every node of every net.  Also carries the
-    per-net endpoint signatures the warm-start reuse bank needs.
+    arrays with per-net offsets, so a trial's dirty-net census is a
+    fancy-index gather plus a segmented reduction instead of a Python
+    loop over every node of every net.  Also carries the per-net
+    endpoint signatures the warm-start reuse bank needs.
     """
 
     __slots__ = (

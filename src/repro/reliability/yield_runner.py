@@ -6,30 +6,18 @@ report what fraction of dies still maps the workload — plus what the
 survivors paid in wirelength/critical path, and how much yield a spare
 routing track buys.
 
-Execution rides the sweep subsystem's backends
-(:meth:`repro.analysis.sweep.SweepRunner.map_items`): trials are
-picklable :class:`YieldTrialJob` rows fanned out sequentially, over a
-thread pool, or over a ``ProcessPoolExecutor``.  Determinism is by
-construction identical across backends: every trial's defect seed is
-derived in the parent from ``(campaign seed, point index, trial
-index)`` via ``numpy``'s ``SeedSequence``, the golden mapping is
-computed once in the parent and shipped with each job, and worker-side
-substrates are pure functions of ``ArchParams`` through the
-``flat_rrg_for`` cache — so a campaign's :class:`YieldPoint` rows are
-bit-identical whichever backend ran them.
-
-On the process backend with shared memory enabled (the default; see
-:func:`repro.arch.shared.shared_memory_default`), the golden mapping
-and the compiled substrate are *published once* through POSIX shared
-memory instead of being pickled into every trial job: each trial ships
-an O(1)-pickling :class:`~repro.arch.shared.SharedGolden` /
-:class:`~repro.arch.shared.SharedSubstrate` handle pair, workers
-attach both zero-copy in the pool initializer (one attach per worker
-process however many trials it runs), and the segments are refcounted
-by the sweep runner's :class:`~repro.arch.shared.SharedStore` and
-unlinked on :meth:`YieldRunner.close`.  Rows stay bit-identical: the
-attached golden reconstructs the exact routes the parent computed, and
-the attached substrate holds the same arrays ``flat_rrg_for`` builds.
+Execution rides the sweep subsystem's one pool loop
+(:meth:`repro.analysis.sweep.SweepRunner.iter_items`): trials are
+picklable ``(YieldTrialJob, GoldenMapping)`` items fanned out
+sequentially, over a thread pool, or over a ``ProcessPoolExecutor``.
+Determinism is by construction identical across backends: every
+trial's defect seed is derived in the parent from ``(campaign seed,
+point index, trial index)`` via ``numpy``'s ``SeedSequence``, the
+golden mapping is computed once in the parent and shipped with each
+job, each die is sampled inside the trial that repairs it, and
+worker-side substrates are pure functions of ``ArchParams`` through
+the ``flat_rrg_for`` cache — so a campaign's :class:`YieldPoint` rows
+are bit-identical whichever backend ran them.
 """
 
 from __future__ import annotations
@@ -43,6 +31,7 @@ import numpy as np
 from repro.utils.iters import SizedIterator
 from repro.utils.telemetry import Telemetry, collecting, merge_metrics, span
 
+from repro.arch.compiled import flat_rrg_for
 from repro.arch.params import ArchParams
 from repro.netlist.netlist import Netlist
 from repro.reliability.defect_map import (
@@ -117,32 +106,22 @@ class TrialResult:
         return d
 
 
-def evaluate_trial(
-    job: YieldTrialJob, golden: GoldenMapping, c=None, dm=None
-) -> TrialResult:
+def evaluate_trial(job: YieldTrialJob, golden: GoldenMapping) -> TrialResult:
     """Sample the die, run the repair ladder, measure the cost.
 
     Runs in whichever worker the backend chose: the substrate comes
     from the per-process ``flat_rrg_for`` cache (no per-trial RRG
-    build), and the defect sample depends only on the job's seed.  An
-    explicit ``c`` (e.g. a shared-memory attached substrate) skips the
-    cache entirely; an explicit ``dm`` (e.g. rebuilt from a published
-    defect batch) skips sampling — sampling is a pure function of
-    ``(seed, substrate)``, so the outcome is identical either way.
+    build), and the defect sample depends only on the job's seed.
     """
-    if c is None:
-        from repro.arch.compiled import flat_rrg_for
-
-        c = flat_rrg_for(job.params)
+    c = flat_rrg_for(job.params)
     tel = Telemetry(job.telemetry) if job.telemetry else None
     with collecting(tel):
-        if dm is None:
-            with span("trial.sample"):
-                dm = DefectMap.sample(
-                    c, job.defect_rate, seed=job.defect_seed, model=job.model,
-                    cluster_radius=job.cluster_radius,
-                    cluster_size=job.cluster_size,
-                )
+        with span("trial.sample"):
+            dm = DefectMap.sample(
+                c, job.defect_rate, seed=job.defect_seed, model=job.model,
+                cluster_radius=job.cluster_radius,
+                cluster_size=job.cluster_size,
+            )
         with span("trial.repair"):
             outcome = repair_mapping(
                 c, job.netlist, golden, dm,
@@ -158,58 +137,9 @@ def evaluate_trial(
 
 def _evaluate_trial_item(item: tuple[YieldTrialJob, GoldenMapping]) -> TrialResult:
     """Top-level single-argument adapter (process pools need picklable
-    callables; ``map_items`` feeds one item per call)."""
+    callables; ``iter_items`` feeds one item per call)."""
     job, golden = item
     return evaluate_trial(job, golden)
-
-
-def _charged_to_first(results, block: dict):
-    """``results`` with the parent's telemetry ``block`` charged to the
-    first result: its counters added to that trial's and its spans put
-    on that trial's track.  A row's tracks are its trial workers' (the
-    process backend's telemetry contract), so the parent's work rides
-    on the first trial's rather than on a track of its own."""
-    it = iter(results)
-    for first in it:
-        metrics = first.metrics
-        counters = metrics["counters"]
-        for key, value in block["counters"].items():
-            counters[key] = counters.get(key, 0) + value
-        metrics["spans"] = block["spans"] + metrics["spans"]
-        yield first
-        break
-    yield from it
-
-
-def _evaluate_trial_shared(item) -> TrialResult:
-    """Process-pool entry point for the shared-memory backend.
-
-    ``item`` is ``(job, golden_handle, substrate_handle,
-    defect_handle, batch_index)`` — the handles are
-    :class:`~repro.arch.shared.SharedGolden` /
-    :class:`~repro.arch.shared.SharedSubstrate` /
-    :class:`~repro.arch.shared.SharedDefectBatch`, attached zero-copy
-    and cached per worker process (the pool initializer already warmed
-    them, so these are dictionary hits).  Shared jobs ship
-    ``netlist=None`` (the netlist rides the golden segment, not every
-    trial pickle); the worker re-binds the published one, so golden
-    routes are interpreted against the exact netlist they were
-    computed with.  The defect map is rebuilt around row
-    ``batch_index`` of the published mask batch instead of re-sampled
-    — the parent drew it with this trial's seed, so the map is equal
-    field for field.  ``defect_handle`` may be ``None`` (campaigns
-    that opt out of batch publication fall back to local sampling).
-    """
-    job, golden_handle, substrate_handle, defect_handle, batch_index = item
-    netlist, golden = golden_handle.attach_cached()
-    c = substrate_handle.attach_cached()
-    if job.netlist is None:
-        job = replace(job, netlist=netlist)
-    dm = None
-    if defect_handle is not None:
-        batch = defect_handle.attach_cached()
-        dm = batch.map_for(c, batch_index, job.defect_rate, job.defect_seed)
-    return evaluate_trial(job, golden, c=c, dm=dm)
 
 
 @dataclass
@@ -366,18 +296,6 @@ class YieldRunner:
     def backend(self) -> str:
         return self._runner.backend
 
-    def close(self) -> None:
-        """Release the shared-memory publications (substrates *and*
-        golden mappings) held by the underlying sweep runner's store.
-        Idempotent; the store is lazily recreated on next use."""
-        self._runner.close()
-
-    def __enter__(self) -> "YieldRunner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def golden_for(
         self,
         netlist: Netlist,
@@ -396,8 +314,6 @@ class YieldRunner:
         key = (netlist, params, seed, effort, max_iterations)
         with self._golden_lock:
             if key not in self._golden:
-                from repro.arch.compiled import flat_rrg_for
-
                 job = SweepJob("yield", 0.0, params, netlist, seed, effort,
                                max_iterations)
                 placement = self._runner.placement_for(job)
@@ -405,14 +321,6 @@ class YieldRunner:
                     flat_rrg_for(params), netlist, placement, max_iterations,
                 )
             return self._golden[key]
-
-    def _golden_cache_key(
-        self, netlist, params, seed, effort, max_iterations
-    ) -> tuple:
-        """The shared-memory publication key for one golden mapping —
-        the same identity :meth:`golden_for` caches under, so campaigns
-        re-running one configuration reuse the published segment."""
-        return (netlist, params, seed, effort, max_iterations)
 
     def iter_campaign(
         self,
@@ -472,119 +380,22 @@ class YieldRunner:
                 yield _aggregate(t.workload, t.model, float(rate), t.params,
                                  [], spare_tracks)
             return
-        n_items = len(rates) * trials
-        shared = (
-            self._runner.backend == "process"
-            and self._runner.shared_memory
-            and self._runner.pool_width(n_items) > 1
-        )
-        fan_out = (
-            self._iter_trials_shared if shared else self._iter_trials_pickled
-        )
+        # the campaign's trial grid, in submission (= aggregation) order
+        items = [
+            (replace(t, defect_rate=float(rate), trial=i,
+                     defect_seed=trial_seed(t.seed, pi, i)), golden)
+            for pi, rate in enumerate(rates)
+            for i in range(trials)
+        ]
         cell: list[TrialResult] = []
         pi = 0
-        for tr in fan_out(template, rates, trials, golden):
+        for tr in self._runner.iter_items(_evaluate_trial_item, items):
             cell.append(tr)
             if len(cell) == trials:
                 yield _aggregate(t.workload, t.model, float(rates[pi]),
                                  t.params, cell, spare_tracks)
                 cell = []
                 pi += 1
-
-    @staticmethod
-    def _trial_jobs(template, rates, trials) -> list[YieldTrialJob]:
-        """The campaign's trial grid, in submission (= aggregation)
-        order."""
-        return [
-            replace(template, defect_rate=float(rate), trial=t,
-                    defect_seed=trial_seed(template.seed, pi, t))
-            for pi, rate in enumerate(rates)
-            for t in range(trials)
-        ]
-
-    def _iter_trials_pickled(self, template, rates, trials, golden):
-        """Classic fan-out: every item pickles the golden + netlist."""
-        items = [
-            (job, golden)
-            for job in self._trial_jobs(template, rates, trials)
-        ]
-        return self._runner.iter_items(_evaluate_trial_item, items)
-
-    def _iter_trials_shared(self, template, rates, trials, golden):
-        """Process fan-out with the golden mapping, the substrate and
-        the campaign's defect masks published over shared memory.
-
-        Each trial item is ``(lean job, golden handle, substrate
-        handle, defect handle, batch index)`` — the handles pickle in
-        O(1), so per-job payload is a few hundred bytes however large
-        the fabric or the golden routes are.  All three segments are
-        attached in the pool initializer: one real attach per worker
-        process (``repro.arch.shared.attach_count`` pins this in the
-        bench).  The defect masks are sampled once, parent-side, in
-        submission order — bit-identical to worker-side sampling
-        because :meth:`DefectMap.sample` is a pure function of the
-        (seed, substrate) pair — and published as one node-mask matrix
-        plus ragged defect id lists; workers rebuild each trial's map
-        around a zero-copy row view instead of re-sampling and
-        re-lowering it.  With a run id, that sampling is one
-        ``campaign.sample`` span charged to the first trial, so a
-        profile or trace of row 0 shows it.
-        """
-        from repro.arch.compiled import flat_rrg_for
-        from repro.arch.shared import warm_worker
-
-        t = template
-        store = self._runner.store()
-        golden_handle = store.golden_for(
-            self._golden_cache_key(t.netlist, t.params, t.seed, t.effort,
-                                   t.max_iterations),
-            golden, t.netlist,
-        )
-        c = flat_rrg_for(t.params)
-        substrate_handle = store.substrate_for(c)
-
-        # with a run id, the parent's sampling is a telemetry block of
-        # its own (no trial's collector sees it), charged to the first
-        # trial so that row 0 carries its span
-        sampled: list[dict] = []
-
-        def _sample():
-            return [
-                DefectMap.sample(
-                    c, float(rate), seed=trial_seed(t.seed, pi, i),
-                    model=t.model, cluster_radius=t.cluster_radius,
-                    cluster_size=t.cluster_size,
-                )
-                for pi, rate in enumerate(rates)
-                for i in range(trials)
-            ]
-
-        def _sample_batch():
-            if not t.telemetry:
-                return _sample()
-            tel = Telemetry(t.telemetry)
-            with collecting(tel), span("campaign.sample"):
-                batch = _sample()
-            sampled.append(tel.snapshot())
-            return batch
-
-        defect_handle = store.defects_for(
-            (t.params, t.model, tuple(float(r) for r in rates), trials,
-             t.seed, t.cluster_radius, t.cluster_size),
-            _sample_batch,
-        )
-        jobs = self._trial_jobs(replace(t, netlist=None), rates, trials)
-        items = [
-            (job, golden_handle, substrate_handle, defect_handle, i)
-            for i, job in enumerate(jobs)
-        ]
-        results = self._runner.iter_items(
-            _evaluate_trial_shared, items,
-            initializer=warm_worker,
-            initargs=((golden_handle, substrate_handle, defect_handle),),
-        )
-        return _charged_to_first(results, sampled[0]) if sampled \
-            else results
 
     def run_campaign(
         self,

@@ -903,8 +903,7 @@ def net_from_paths(name: str, source: int, sinks: list[int],
     ``sink_paths`` order: the node set is the source plus every path's
     nodes and the edges are each path's consecutive pairs, added in the
     order the router adds them (so even the sets' iteration order
-    matches).  The native route's output and the shared-memory golden
-    both decode through here."""
+    matches).  The native route's output decodes through here."""
     net = RoutedNet(name, source, list(sinks))
     nodes = net.nodes = {source}
     edges, sink_paths = net.edges, net.sink_paths

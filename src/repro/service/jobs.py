@@ -1092,10 +1092,7 @@ class JobManager:
 
         ``wait=True`` lets dispatchers drain the already-admitted
         queue first (the thread-pool contract submissions were
-        accepted under).  Also releases the session's shared-memory
-        publications — the coordinator is the segments' owner, so a
-        clean server exit must unlink them (workers that are still
-        draining keep their own mappings alive until they exit).
+        accepted under).
         """
         with self._lock:
             self._closed = True
@@ -1110,7 +1107,6 @@ class JobManager:
                 thread.join()
             if self._monitor is not None:
                 self._monitor.join(timeout=5.0)
-        self.session.close()
 
     def __enter__(self) -> "JobManager":
         return self

@@ -21,8 +21,8 @@ Two cooperating pieces, both stdlib-only:
 
 The ambient helpers (:func:`count`, :func:`span`, ...) short-circuit
 on a single thread-local read when no collector is bound, so
-instrumented hot paths (PathFinder pops, placer moves, shared-memory
-publishes) cost nothing measurable with telemetry off.
+instrumented hot paths (PathFinder pops, placer moves) cost nothing
+measurable with telemetry off.
 
 Trace IDs: a :class:`Telemetry` carries the campaign-level ``run_id``
 (one per request execution) and optionally a ``job_id`` when running

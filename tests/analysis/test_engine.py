@@ -1,14 +1,20 @@
-"""Tests for the unified mapping engine."""
+"""Tests for the unified mapping engine and batch mapping.
+
+Batches run through ``Session.run(BatchRequest(...))``: every backend
+fans :func:`~repro.analysis.engine.map_job` out over the sweep runner's
+one pool loop and re-binds each result to the parent's cached
+substrate."""
 
 import pytest
 
-from repro.analysis.engine import DEFAULT_ENGINE, MappingEngine
+from repro.analysis.engine import DEFAULT_ENGINE, MappingEngine, map_job
 from repro.analysis.experiments import map_program
+from repro.api import BatchRequest, ExecutionConfig, Session
 from repro.arch.compiled import CompiledRRG, compiled_rrg_for
 from repro.arch.params import ArchParams
+from repro.errors import RequestError
 from repro.netlist.synth import synthesize
 from repro.netlist.techmap import tech_map
-from repro.workloads.generators import ripple_adder
 from repro.workloads.multicontext import mutated_program
 
 
@@ -63,84 +69,94 @@ class TestSingleJob:
         ), CompiledRRG)
 
 
-class TestBatch:
-    def _programs(self):
-        adder = tech_map(ripple_adder(2), k=4)
-        return [
-            mutated_program(adder, 2, 0.0, seed=1),
-            mutated_program(adder, 2, 0.3, seed=2),
-            mutated_program(adder, 2, 0.6, seed=3),
+def _batch(workloads=("crc", "parity", "adder"), **execution):
+    """Map a batch through the one fan-out path: ``Session.run`` over
+    ``SweepRunner.iter_items(map_job, ...)``."""
+    req = BatchRequest(
+        workloads=workloads, contexts=2, mutation=0.3,
+        execution=ExecutionConfig(seed=5, effort=0.3, **execution),
+    )
+    return Session().run(req).results
+
+
+def _mapped(results):
+    return [r.experiment.mapped for r in results]
+
+
+def _assert_same_mappings(a, b):
+    assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+    for x, y in zip(_mapped(a), _mapped(b)):
+        assert x.params == y.params
+        assert _placement_key(x) == _placement_key(y)
+        assert [r.wirelength(x.rrg) for r in x.routes] == [
+            r.wirelength(y.rrg) for r in y.routes
         ]
 
-    def test_batch_matches_sequential(self, params):
-        progs = self._programs()
-        engine = MappingEngine()
-        seq = engine.map_batch(progs, params, seed=5, effort=0.3, workers=1)
-        par = engine.map_batch(progs, params, seed=5, effort=0.3, workers=3)
+
+class TestBatch:
+    def test_batch_matches_sequential(self):
+        seq = _batch()
+        par = _batch(backend="thread", workers=3)
         assert len(seq) == len(par) == 3
-        for a, b in zip(seq, par):
-            assert _placement_key(a) == _placement_key(b)
-            assert [r.wirelength(a.rrg) for r in a.routes] == [
-                r.wirelength(b.rrg) for r in b.routes
-            ]
+        _assert_same_mappings(seq, par)
 
-    def test_batch_preserves_order(self, params):
-        progs = self._programs()
-        out = MappingEngine(workers=2).map_batch(progs, params, effort=0.3)
-        assert [m.program.name for m in out] == [p.name for p in progs]
+    def test_batch_preserves_order(self):
+        workloads = ("adder", "parity", "crc")
+        out = _batch(workloads, backend="thread", workers=2)
+        assert [r.workload for r in out] == list(workloads)
+        assert [m.program.name for m in _mapped(out)] == [
+            m.program.name for m in _mapped(_batch(workloads))
+        ]
 
-    def test_batch_shares_substrate_across_jobs(self, params):
-        progs = self._programs()
-        out = MappingEngine(workers=2).map_batch(progs, params, effort=0.3)
-        assert all(m.rrg is out[0].rrg for m in out)
+    def test_batch_shares_substrate_across_jobs(self):
+        # crc and parity auto-fit to the same device
+        crc, parity, _ = _mapped(_batch(backend="thread", workers=2))
+        assert crc.params == parity.params
+        assert crc.rrg is parity.rrg is compiled_rrg_for(crc.params)
 
     def test_batch_auto_params_per_program(self):
-        progs = self._programs()
-        out = MappingEngine().map_batch(progs, effort=0.3)
-        assert all(m.params.n_tiles >= 1 for m in out)
+        for m in _mapped(_batch()):
+            assert m.params.n_tiles >= max(
+                len(nl.luts()) for nl in m.program.contexts
+            )
 
-    def test_empty_batch(self, params):
-        assert MappingEngine().map_batch([], params) == []
+    def test_empty_batch(self):
+        with pytest.raises(RequestError):
+            BatchRequest(workloads=())
+        rows = Session().sweep_runner().iter_items(map_job, [])
+        assert len(rows) == 0 and list(rows) == []
 
 
 class TestProcessBackend:
-    def _programs(self):
-        adder = tech_map(ripple_adder(2), k=4)
-        return [
-            mutated_program(adder, 2, 0.0, seed=1),
-            mutated_program(adder, 2, 0.3, seed=2),
-        ]
+    def test_matches_sequential(self):
+        _assert_same_mappings(_batch(),
+                              _batch(backend="process", workers=2))
 
-    def test_matches_sequential(self, params):
-        progs = self._programs()
-        engine = MappingEngine()
-        seq = engine.map_batch(progs, params, seed=5, effort=0.3, workers=1)
-        proc = engine.map_batch(progs, params, seed=5, effort=0.3,
-                                workers=2, backend="process")
-        for a, b in zip(seq, proc):
-            assert _placement_key(a) == _placement_key(b)
-            assert [r.wirelength(a.rrg) for r in a.routes] == [
-                r.wirelength(b.rrg) for r in b.routes
-            ]
-
-    def test_preserves_order_and_substrate(self, params):
-        progs = self._programs()
-        out = MappingEngine().map_batch(
-            progs, params, effort=0.3, workers=2, backend="process"
-        )
-        assert [m.program.name for m in out] == [p.name for p in progs]
+    def test_preserves_order_and_substrate(self):
+        workloads = ("parity", "adder")
+        out = _batch(workloads, backend="process", workers=2)
+        assert [r.workload for r in out] == list(workloads)
         # results are re-bound to the parent's cached substrate
-        engine_view = MappingEngine().compiled(params)
-        assert all(m.rrg is engine_view for m in out)
+        for m in _mapped(out):
+            assert m.rrg is compiled_rrg_for(m.params)
 
     def test_auto_fit_params(self):
-        out = MappingEngine().map_batch(
-            self._programs(), effort=0.3, workers=2, backend="process"
-        )
+        out = _mapped(_batch(backend="process", workers=2))
         assert all(m.params.n_tiles >= 1 for m in out)
 
-    def test_unknown_backend_rejected(self, params):
-        with pytest.raises(ValueError):
-            MappingEngine().map_batch(
-                self._programs(), params, workers=2, backend="rayon"
-            )
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(RequestError):
+            ExecutionConfig(backend="rayon", workers=2)
+
+    def test_item_function_returns_rebindable_artifacts(self, prog):
+        params, placements, routes = map_job((prog, True, 1, 0.3, None))
+        mapped = MappingEngine().map(prog, seed=1, effort=0.3)
+        assert params == mapped.params
+        assert _placement_key(mapped) == [
+            (sorted(pl.cells.items()), sorted(pl.ios.items()))
+            for pl in placements
+        ]
+        c = compiled_rrg_for(params)
+        assert [r.wirelength(c) for r in routes] == [
+            r.wirelength(mapped.rrg) for r in mapped.routes
+        ]

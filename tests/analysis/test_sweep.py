@@ -158,6 +158,35 @@ class TestSweepRunner:
         thr = SweepRunner(backend="thread", workers=2).run(jobs)
         assert [pt.to_dict() for pt in thr] == [pt.to_dict() for pt in seq]
 
+    @staticmethod
+    def _rows_per_backend(jobs) -> list:
+        return [
+            [pt.to_dict() for pt in SweepRunner(backend=backend,
+                                                workers=2).run(jobs)]
+            for backend in ("sequential", "thread", "process")
+        ]
+
+    def test_rows_identical_across_all_backends(self):
+        """Several points on one ``ArchParams`` (seeds 0-3) plus one
+        point on params unique in the grid."""
+        netlist = tech_map(random_dag(5, 12, 4, seed=3), k=4)
+        jobs = [
+            SweepJob("seed", float(seed), BASE, netlist, seed=seed,
+                     effort=EFFORT)
+            for seed in range(4)
+        ]
+        jobs.append(SweepJob("seed", 99.0, BASE.with_(channel_width=9),
+                             netlist, effort=EFFORT))
+        seq, thread, proc = self._rows_per_backend(jobs)
+        assert seq == thread == proc
+
+    def test_channel_width_rows_identical(self):
+        netlist = tech_map(random_dag(5, 12, 4, seed=3), k=4)
+        jobs = channel_width_jobs(netlist, BASE, [6, 7, 8, 9],
+                                  effort=EFFORT)
+        seq, thread, proc = self._rows_per_backend(jobs)
+        assert seq == thread == proc
+
 
 class TestSweepPointSerialization:
     def test_round_trip(self):
@@ -257,8 +286,7 @@ class TestProfilePlumbing:
             profile=profile,
             execution=ExecutionConfig(effort=EFFORT, **execution),
         )
-        with Session() as session:
-            return session.run(req).points
+        return Session().run(req).points
 
     def test_profiled_point_carries_phase_blocks(self):
         # through the runner the placement rides the cross-point cache,

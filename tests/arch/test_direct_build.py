@@ -187,23 +187,10 @@ class TestByteEquality:
         for params in _random_params():
             assert_matches_object_graph(build_flat(params), params)
 
-    def test_attached_view(self):
-        from repro.arch.shared import SharedStore, detach_all
-
-        params = ArchParams(cols=5, rows=5, channel_width=7, io_capacity=4)
-        store = SharedStore()
-        try:
-            c = store.substrate_for(flat_rrg_for(params)).attach()
-            assert_matches_object_graph(c, params)
-        finally:
-            detach_all()
-            store.close()
-
 
 class TestInt32Rows:
     """The CSR rows are stored once, as contiguous int32 arrays that the
-    native search kernel reads in place; an attached view aliases the
-    shared segment instead of copying it."""
+    native search kernel reads in place."""
 
     PARAMS = ArchParams(cols=5, rows=5, channel_width=8, io_capacity=4)
 
@@ -220,24 +207,6 @@ class TestInt32Rows:
 
     def test_full_substrate(self):
         self._assert_rows(compiled_rrg_for(self.PARAMS))
-
-    def test_attached_view(self):
-        from repro.arch import shared
-        from repro.arch.shared import SharedStore, detach_all
-
-        store = SharedStore()
-        try:
-            handle = store.substrate_for(flat_rrg_for(self.PARAMS))
-            c = handle.attach()
-            self._assert_rows(c)
-            segment = np.frombuffer(shared._SEGMENTS[handle.name].buf,
-                                    dtype=np.uint8)
-            for name in ROWS:
-                assert np.shares_memory(getattr(c, name), segment), name
-            del segment
-        finally:
-            detach_all()
-            store.close()
 
     def test_fallback_lists_share_node_ids(self):
         """The Python kernel's list forms hold one int object per node

@@ -117,6 +117,16 @@ class TestSpareWidthCurve:
         # spare routing can only help (deterministic for pinned seeds)
         assert points[1].yield_fraction >= points[0].yield_fraction
 
+    def test_curve_identical_across_backends(self, netlist):
+        curves = [
+            [pt.to_dict() for pt in YieldRunner(
+                backend=backend, workers=2).spare_width_curve(
+                    netlist, "adder", PARAMS, [0, 2], rate=0.03,
+                    trials=3, seed=1)]
+            for backend in ("sequential", "thread", "process")
+        ]
+        assert curves[0] == curves[1] == curves[2]
+
     def test_placements_shared_across_widths(self, netlist):
         runner = YieldRunner()
         runner.spare_width_curve(
@@ -164,8 +174,7 @@ class TestProfilePlumbing:
             workload="adder", grid=5, width=7, rates=rates, trials=trials,
             profile=profile, execution=ExecutionConfig(seed=3, **execution),
         )
-        with Session() as session:
-            return session.run(req).points
+        return Session().run(req).points
 
     def test_profiled_campaign_carries_phase_blocks(self):
         (pt,) = self._points(profile=True)
@@ -205,15 +214,17 @@ class TestProfilePlumbing:
             assert pt.metrics is None
             assert pt.profile["repair.detect"]["calls"] == TRIALS
 
-    def test_parent_side_sampling_lands_in_the_first_row(self):
-        """The shared-memory process backend samples every die in the
-        parent: one ``campaign.sample`` span, folded into row 0 only,
-        and the rows are otherwise the unprofiled ones."""
+    def test_process_rows_sample_inside_every_trial(self):
+        """Each die is sampled inside the trial that repairs it, so
+        every process-backend row carries its own ``trial.sample``
+        calls, no row carries a campaign-level sampling span, and the
+        rows are otherwise the unprofiled ones."""
         kw = dict(rates=(0.0, 0.08), trials=6, backend="process", workers=2)
-        first, *rest = profiled = self._points(profile=True, **kw)
-        assert first.profile["campaign.sample"]["calls"] == 1
-        assert rest and all("campaign.sample" not in pt.profile
-                            for pt in rest)
+        profiled = self._points(profile=True, **kw)
+        assert len(profiled) == 2
+        for pt in profiled:
+            assert pt.profile["trial.sample"]["calls"] == 6
+            assert "campaign.sample" not in pt.profile
         plain = self._points(**kw)
         rows = [pt.to_dict() for pt in profiled]
         for row in rows:

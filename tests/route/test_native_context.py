@@ -17,6 +17,7 @@ share-aware ``map8`` programs with their reuse banks, both
 contexts routed on four threads.
 """
 
+import inspect
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -25,7 +26,6 @@ import pytest
 
 from repro.api import Session
 from repro.arch.compiled import CompiledRRG, flat_rrg_for
-from repro.arch.shared import _SUBSTRATE_ARRAYS
 from repro.arch.params import ArchParams
 from repro.errors import RoutingError
 from repro.netlist.techmap import tech_map
@@ -227,7 +227,12 @@ class TestWorkloads:
         numpy does, operation for operation."""
         params = ArchParams(cols=6, rows=6, channel_width=4, io_capacity=4)
         c = flat_rrg_for(params)
-        arrays = {key: getattr(c, key) for key in _SUBSTRATE_ARRAYS}
+        arrays = {
+            name: getattr(c, name)
+            for name, p in inspect.signature(
+                CompiledRRG._from_arrays).parameters.items()
+            if p.kind is p.KEYWORD_ONLY
+        }
         rng = np.random.default_rng(5)
         arrays["base_cost"] = 1.0 + rng.random(c.n_nodes) / 3.0
         skewed = CompiledRRG._from_arrays(params, **arrays)

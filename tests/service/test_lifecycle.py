@@ -68,7 +68,6 @@ class Walk:
 
     def close(self) -> None:
         self.manager.shutdown(wait=False, cancel=True)
-        self.session.close()
 
     # -- steps ------------------------------------------------------------ #
     def submit(self) -> None:

@@ -10,9 +10,9 @@ where the delta path earns its keep — is repaired twice per die:
   branches and re-search only the broken sinks at escalated pressure
   (:data:`repro.route.pathfinder.WARM_PRES_FAC`), and unrouted nets'
   delay tables ride the golden cache;
-- **from-scratch** (``incremental=False``): every rung re-routes the
-  full context against the defect map, the pre-PR-7 reference
-  behaviour.
+- **from-scratch** (``repair_from_scratch`` in
+  ``tests/oracles/repair_oracle.py``): every rung re-routes the full
+  context against the defect map, the pre-PR-7 reference behaviour.
 
 Four properties are asserted:
 
@@ -47,14 +47,19 @@ import sys
 import time
 from collections import Counter
 
-from repro.arch.compiled import flat_rrg_for
-from repro.arch.params import ArchParams
-from repro.reliability import YieldRunner
-from repro.reliability.defect_map import DefectMap
-from repro.reliability.repair import build_golden, repair_mapping
-from repro.utils.telemetry import Telemetry, collecting, span
-from repro.utils.tables import TextTable
-from repro.workloads.generators import random_dag
+# the from-scratch ladder is a test oracle
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "tests", "oracles"))
+
+from repair_oracle import repair_from_scratch  # noqa: E402
+from repro.arch.compiled import flat_rrg_for  # noqa: E402
+from repro.arch.params import ArchParams  # noqa: E402
+from repro.reliability import YieldRunner  # noqa: E402
+from repro.reliability.defect_map import DefectMap  # noqa: E402
+from repro.reliability.repair import build_golden, repair_mapping  # noqa: E402
+from repro.utils.telemetry import Telemetry, collecting, span  # noqa: E402
+from repro.utils.tables import TextTable  # noqa: E402
+from repro.workloads.generators import random_dag  # noqa: E402
 
 SEED = 0
 EFFORT = 0.3
@@ -103,12 +108,10 @@ def _wire_only_maps(c, rate: float, trials: int) -> list[DefectMap]:
 
 
 def _run_ladder(c, netlist, golden, maps, incremental: bool):
+    repair = repair_mapping if incremental else repair_from_scratch
     t0 = time.perf_counter()
     levels = [
-        repair_mapping(
-            c, netlist, golden, dm, max_iterations=MAX_ITERS,
-            incremental=incremental,
-        ).level.name
+        repair(c, netlist, golden, dm, max_iterations=MAX_ITERS).level.name
         for dm in maps
     ]
     return time.perf_counter() - t0, levels
@@ -122,8 +125,8 @@ def _measure_speedup(rates, trials) -> dict:
         maps = _wire_only_maps(c, rate, trials)
         # warm both paths' lazy caches off the clock (flat views, delay
         # tables, scratch buffers), then measure
-        repair_mapping(c, netlist, golden, maps[0], incremental=True)
-        repair_mapping(c, netlist, golden, maps[0], incremental=False)
+        repair_mapping(c, netlist, golden, maps[0])
+        repair_from_scratch(c, netlist, golden, maps[0])
         t_inc, lv_inc = _run_ladder(c, netlist, golden, maps, True)
         t_full, lv_full = _run_ladder(c, netlist, golden, maps, False)
         assert lv_inc == lv_full, (

@@ -154,6 +154,7 @@ class CompiledRRG:
         "_logic_tiles",
         "_wire_len",
         "_row_lists",
+        "_sink_lists",
     )
 
     @classmethod
@@ -183,9 +184,9 @@ class CompiledRRG:
         Array fields take Python lists or numpy arrays.  The hot Python
         lists are kept (lists) or materialised (arrays).  The CSR rows
         ``edge_start``/``edge_mid``/``edge_dst`` and the pin-node
-        tables are stored only as contiguous int32 arrays; those and
-        each numpy mirror alias their input when the dtype already
-        matches.
+        tables are stored only as contiguous int32 arrays and
+        ``edge_kind`` only as an int8 array; those and each numpy
+        mirror alias their input when the dtype already matches.
 
         The pin-node tables are indexed by row-major tile ``y * cols +
         x``: ``lb_source_ids[tile, output]``, ``lb_sink_ids[tile,
@@ -213,8 +214,8 @@ class CompiledRRG:
         c.edge_mid = np.ascontiguousarray(edge_mid, dtype=np.int32)
         c.edge_dst = np.ascontiguousarray(edge_dst, dtype=np.int32)
         # not read by the router; switch kinds for timing, statistics
-        # and defect sampling (small ints: CPython shares them)
-        c.edge_kind = _as_list(edge_kind)
+        # and defect sampling, as the int8 array ``build_flat`` makes
+        c.edge_kind = np.asarray(edge_kind, dtype=np.int8)
         c.n_edges = len(c.edge_dst)
 
         # vectorised mirrors: capacity/base-cost feed the congestion
@@ -239,6 +240,7 @@ class CompiledRRG:
         c._logic_tiles = None
         c._wire_len = None
         c._row_lists = None
+        c._sink_lists = None
         return c
 
     def row_lists(self) -> tuple[list[int], list[int], list[int]]:
@@ -253,6 +255,15 @@ class CompiledRRG:
                                self.edge_mid.tolist(),
                                ids[self.edge_dst].tolist())
         return self._row_lists
+
+    def sink_lists(self) -> tuple[list[list[int]], list[list[int]]]:
+        """``lb_sink_ids`` and ``io_sink_ids`` as nested Python lists
+        (one row per tile), built on first use and cached: static
+        timing looks a few sinks up per call."""
+        if self._sink_lists is None:
+            self._sink_lists = (self.lb_sink_ids.tolist(),
+                                self.io_sink_ids.tolist())
+        return self._sink_lists
 
     # -- defect-candidate indexes (reliability subsystem) ------------------- #
     def wire_node_ids(self) -> np.ndarray:
@@ -277,7 +288,7 @@ class CompiledRRG:
         defect candidates; INTERNAL edges are logical bookkeeping.
         """
         if self._switch_edge_ids is None:
-            kinds = np.asarray(self.edge_kind, dtype=np.int64)
+            kinds = self.edge_kind
             want = np.array(
                 [EDGE_KIND_INDEX[k] for k in SWITCH_EDGE_KINDS], dtype=np.int64
             )
@@ -308,9 +319,9 @@ class CompiledRRG:
         return self._edge_codes
 
     # -- switch lookups (bitstream statistics) ----------------------------- #
-    def edge_kinds(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Kind index (into :data:`EDGE_KINDS`) of each edge
-        ``src[i] -> dst[i]``, or -1 where the fabric has no such edge.
+    def edge_index(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """CSR index of each edge ``src[i] -> dst[i]``, or -1 where the
+        fabric has no such edge.
 
         Binary search over the sorted ``src * n_nodes + dst`` keys,
         built once per substrate and cached.  The sort is stable, so a
@@ -320,18 +331,24 @@ class CompiledRRG:
         if self._edge_keys is None:
             keys = self.edge_codes()
             order = np.argsort(keys, kind="stable")
-            kinds = np.asarray(self.edge_kind, dtype=np.int8)
-            self._edge_keys = (keys[order], kinds[order])
-        keys, kinds = self._edge_keys
+            self._edge_keys = (keys[order], order)
+        keys, order = self._edge_keys
         want = np.asarray(src, dtype=np.int64) * self.n_nodes + dst
         pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        return np.where(keys[pos] == want, kinds[pos], -1)
+        return np.where(keys[pos] == want, order[pos], -1)
+
+    def edge_kinds(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Kind index (into :data:`EDGE_KINDS`) of each edge
+        ``src[i] -> dst[i]`` (its first copy, see :meth:`edge_index`),
+        or -1 where the fabric has no such edge."""
+        at = self.edge_index(src, dst)
+        return np.where(at >= 0, self.edge_kind[at], -1)
 
     def n_switches(self) -> int:
         """Programmable switches: undirected PASS/BUF pairs plus PIN
         edges, counted once per substrate and cached."""
         if self._n_switches is None:
-            kinds = np.asarray(self.edge_kind, dtype=np.int8)
+            kinds = self.edge_kind
             pair = (kinds == _PASS) | (kinds == _BUF)
             a = self.edge_src_ids()[pair]
             b = self.edge_dst[pair].astype(np.int64)

@@ -23,8 +23,9 @@ Reader pins are int32 CSR rows: net ``n``'s pins are
 ``pin_cell[pin_start[n]:pin_start[n + 1]]`` (with their input slots in
 ``pin_slot``), in cell-then-slot order, and cell ``i``'s input nets
 are ``in_net[in_start[i]:in_start[i + 1]]`` in slot order.  The parts
-only some stages read (the topological order and the tables padded to
-a LUT size) are derived on first use and cached here.
+only some stages read (the topological order, the cells timing walks
+in it and the tables padded to a LUT size) are derived on first use and
+cached here.
 The arrays are read-only: the index is shared by every stage.
 """
 
@@ -81,7 +82,7 @@ class NetlistIndex:
         "n_driven", "driver", "out_net", "in_start", "in_net",
         "pin_start", "pin_cell", "pin_slot", "inputs", "outputs",
         "luts", "dffs", "lut_n", "tables", "terminals", "io_rows",
-        "_netlist", "_topo", "_padded",
+        "_netlist", "_topo", "_readers", "_padded",
     )
 
     def __init__(self, netlist) -> None:
@@ -161,6 +162,7 @@ class NetlistIndex:
         self.tables = self._table_matrix(tables)
         self.tables.setflags(write=False)
         self._topo = None
+        self._readers = None
         self._padded: dict[int, np.ndarray] = {}
 
     @staticmethod
@@ -219,3 +221,20 @@ class NetlistIndex:
             cell_id = self.cell_id
             self._topo = [cell_id[n] for n in self._netlist.topo_order()]
         return self._topo
+
+    @property
+    def readers(self) -> list[tuple[int, int, list[int], int]]:
+        """Every cell with inputs (LUT, DFF, output) in :attr:`topo`
+        order, as ``(cell, kind, input nets in slot order, output
+        net)`` (output net -1 for an output) — the walk static timing
+        makes."""
+        if self._readers is None:
+            kinds = self.kind.tolist()
+            start = self.in_start.tolist()
+            nets = self.in_net.tolist()
+            out = self.out_net.tolist()
+            self._readers = [
+                (c, kinds[c], nets[start[c]:start[c + 1]], out[c])
+                for c in self.topo if kinds[c] != INPUT
+            ]
+        return self._readers

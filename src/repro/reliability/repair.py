@@ -24,15 +24,16 @@ yield with, so :class:`RepairOutcome` records which rung succeeded plus
 the quality cost (wirelength / critical-path overhead vs the golden
 mapping) of surviving.
 
-The ladder is *incremental* by default: defect detection is a
-vectorised mask lookup over flat per-net node/edge arrays (built once
-per golden mapping and cached on it), the ROUTE_AROUND rung warm-starts
+The ladder is *incremental*: defect detection is a vectorised mask
+lookup over flat per-net node/edge arrays (built once per golden
+mapping and cached on it), the ROUTE_AROUND rung warm-starts
 PathFinder from the golden congestion state
 (:func:`~repro.route.pathfinder.route_context_warm` — adopted routes
-alias the golden sets and commit usage in batches), and timing analysis
-reuses the golden per-net delay tables for every net that kept its
-route.  All of it is bit-identical to the from-scratch ladder
-(``incremental=False``, kept as the reference and benchmark baseline).
+share the golden route trees), and timing analysis reuses the delay
+table memoised on every golden tree a repaired net kept.  The
+from-scratch ladder, which reaches the same verdicts, lives in the test
+suite (``tests/oracles/repair_oracle.py``) as the reference and the
+benchmark baseline.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from repro.route.pathfinder import (
     route_context_compiled,
     route_context_warm,
 )
-from repro.route.timing import critical_path, route_net_delays
+from repro.route.timing import critical_path
 from repro.utils.telemetry import span
 
 class RepairLevel(enum.IntEnum):
@@ -71,9 +72,9 @@ class RouteFlat:
     """Flat per-net views of one routing for vectorised defect
     detection.
 
-    Concatenates every net's node set and edge set into single numpy
-    arrays with per-net offsets, so a trial's dirty-net census is a
-    fancy-index gather plus a segmented reduction instead of a Python
+    Concatenates every net's tree nodes and edge codes into single
+    numpy arrays with per-net offsets, so a trial's dirty-net census is
+    a fancy-index gather plus a segmented reduction instead of a Python
     loop over every node of every net.  Also carries the per-net
     endpoint signatures the warm-start reuse bank needs.
     """
@@ -84,26 +85,21 @@ class RouteFlat:
     )
 
     def __init__(self, routes: RouteResult, n_nodes: int) -> None:
-        names: list[str] = []
-        nodes: list[int] = []
-        node_start = [0]
-        edges: list[int] = []
-        edge_start = [0]
-        signatures: dict[str, str] = {}
-        for name, net in routes.nets.items():
-            names.append(name)
-            nodes.extend(net.nodes)
-            node_start.append(len(nodes))
-            for a, b in net.edges:
-                edges.append(a * n_nodes + b)
-            edge_start.append(len(edges))
-            signatures[name] = endpoint_signature(net.source, net.sinks)
-        self.names = names
-        self.nodes_flat = np.asarray(nodes, dtype=np.int64)
-        self.node_start = np.asarray(node_start, dtype=np.int64)
-        self.edge_codes = np.asarray(edges, dtype=np.int64)
-        self.edge_start = np.asarray(edge_start, dtype=np.int64)
-        self.signatures = signatures
+        nets = routes.nets
+        self.names = list(nets)
+        trees = [net.tree for net in nets.values()]
+        sizes = np.array([tree.node.size for tree in trees], dtype=np.int64)
+        self.nodes_flat = np.concatenate(
+            [tree.node for tree in trees] or [np.empty(0, np.int32)])
+        self.node_start = np.concatenate(([0], np.cumsum(sizes)))
+        self.edge_codes = np.concatenate(
+            [tree.edge_codes(n_nodes) for tree in trees]
+            or [np.empty(0, np.int64)])
+        self.edge_start = np.concatenate(([0], np.cumsum(sizes - 1)))
+        self.signatures = {
+            name: endpoint_signature(net.source, net.sinks)
+            for name, net in nets.items()
+        }
 
     def dirty_net_names(self, dm: DefectMap) -> set[str]:
         """Vectorised: nets whose route crosses a dead wire/switch."""
@@ -124,12 +120,13 @@ class RouteFlat:
 class GoldenMapping:
     """Defect-free reference mapping of one workload on one device.
 
-    ``_flat`` / ``_delays`` / ``_endpoints`` are derived caches (flat
-    detection views, per-net delay tables, the router's net endpoints on
-    the golden placement) built lazily by the incremental repair ladder.
-    They rely on the golden's placement and routes never being mutated
-    after :func:`build_golden`.  They never pickle — trial payloads ship
-    the lean mapping and each worker rebuilds the caches once.
+    ``_flat`` / ``_endpoints`` are derived caches (flat detection
+    views, the router's net endpoints on the golden placement) built
+    lazily by the repair ladder; the golden's delay tables are memoised
+    on its route trees.  They rely on the golden's placement and routes
+    never being mutated after :func:`build_golden`.  They never pickle
+    — trial payloads ship the lean mapping and each worker rebuilds the
+    caches once.
     """
 
     placement: Placement
@@ -137,8 +134,6 @@ class GoldenMapping:
     wirelength: int
     critical_path: float
     _flat: RouteFlat | None = field(
-        default=None, repr=False, compare=False)
-    _delays: dict | None = field(
         default=None, repr=False, compare=False)
     _endpoints: tuple | None = field(
         default=None, repr=False, compare=False)
@@ -151,7 +146,6 @@ class GoldenMapping:
         (self.placement, self.routes, self.wirelength,
          self.critical_path) = state
         self._flat = None
-        self._delays = None
         self._endpoints = None
 
     def flat(self, c: CompiledRRG) -> RouteFlat:
@@ -159,12 +153,6 @@ class GoldenMapping:
         if self._flat is None:
             self._flat = RouteFlat(self.routes, c.n_nodes)
         return self._flat
-
-    def net_delays(self, c: CompiledRRG) -> dict:
-        """Per-net sink-delay tables of the golden routes, cached."""
-        if self._delays is None:
-            self._delays = route_net_delays(c, self.routes)
-        return self._delays
 
     def endpoints(self, c: CompiledRRG, netlist: Netlist) -> list:
         """The router's ``(net, source, sinks)`` endpoints of
@@ -274,7 +262,6 @@ def repair_mapping(
     seed: int = 0,
     effort: float = 0.3,
     max_iterations: int = 25,
-    incremental: bool = True,
 ) -> RepairOutcome:
     """Climb the repair ladder until the die maps the workload (or not).
 
@@ -282,20 +269,13 @@ def repair_mapping(
     inherit ``max_iterations`` so repair verdicts stay comparable with
     sweep verdicts.
 
-    ``incremental`` (default) runs the delta-reroute ladder: cached
-    flat views for detection, a ROUTE_AROUND rung warm-started from
-    the golden congestion state (healthy routes adopted before any
-    dirty net searches — see
-    :func:`~repro.route.pathfinder.route_context_warm`), and golden
-    delay-table reuse in timing.  ``incremental=False`` is the
-    from-scratch reference ladder (the benchmark baseline): it reaches
-    the same repair verdicts on the same detection results, but its
-    ROUTE_AROUND rung discovers the reuse bank in netlist order, so
-    the exact repaired routes — and with them the reported overheads —
-    may legitimately differ.  Both ladders are deterministic per input
-    and identical across execution backends.
+    Detection reads the golden's cached flat views, and the
+    ROUTE_AROUND rung is warm-started from the golden congestion state
+    (healthy routes adopted before any dirty net searches — see
+    :func:`~repro.route.pathfinder.route_context_warm`).  The ladder is
+    deterministic per input and identical across execution backends.
     """
-    flat = golden.flat(c) if incremental else None
+    flat = golden.flat(c)
     with span("repair.detect"):
         blocked = placement_blocked(golden.placement, dm)
         if blocked:
@@ -313,31 +293,15 @@ def repair_mapping(
         # reuse bank and are adopted verbatim (rip-up only on congestion)
         try:
             with span("repair.route_around"):
-                if incremental:
-                    rr = route_context_warm(
-                        c, netlist, golden.placement, golden.routes, dirty,
-                        defects=dm, max_iterations=max_iterations,
-                        signatures=flat.signatures,
-                        endpoints=golden.endpoints(c, netlist),
-                    )
-                else:
-                    bank = {
-                        endpoint_signature(net.source, net.sinks): net
-                        for name, net in golden.routes.nets.items()
-                        if name not in dirty
-                    }
-                    rr = route_context_compiled(
-                        c, netlist, golden.placement, reuse=bank, defects=dm,
-                        max_iterations=max_iterations,
-                    )
+                rr = route_context_warm(
+                    c, netlist, golden.placement, golden.routes, dirty,
+                    defects=dm, max_iterations=max_iterations,
+                    signatures=flat.signatures,
+                    endpoints=golden.endpoints(c, netlist),
+                )
                 return RepairOutcome(
                     RepairLevel.ROUTE_AROUND, True, rr.wirelength(c),
-                    critical_path(
-                        c, netlist, rr, golden.placement,
-                        reuse_delays=(
-                            golden.net_delays(c) if incremental else None
-                        ),
-                    ),
+                    critical_path(c, netlist, rr, golden.placement),
                     len(dirty), dm.n_defects,
                 )
         except RoutingError:
@@ -348,8 +312,7 @@ def repair_mapping(
                 rr = route_context_compiled(
                     c, netlist, golden.placement, defects=dm,
                     max_iterations=max_iterations,
-                    endpoints=(golden.endpoints(c, netlist)
-                               if incremental else None),
+                    endpoints=golden.endpoints(c, netlist),
                 )
                 return RepairOutcome(
                     RepairLevel.REROUTE, True, rr.wirelength(c),

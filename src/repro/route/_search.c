@@ -210,7 +210,7 @@ enum {
     ST_CENSUS,          /* out: router.overused_census */
     ST_REPRICED,        /* out: router.repriced_nodes */
     ST_RIPPED,          /* out: router.ripped_nets */
-    ST_OUT_NODES,       /* out: nodes written to out_nodes */
+    ST_OUT_NODES,       /* out: tree nodes written to out_nodes */
     ST_OUT_PATHS,       /* out: paths written */
     N_STATS
 };
@@ -222,7 +222,9 @@ enum { RC_OK, RC_NO_PATH, RC_CONGESTED, RC_NOMEM, RC_SPACE };
 typedef struct {
     /* graph */
     int64_t n_nodes;
-    const int32_t *estart, *emid, *edst;
+    /* edst: the searched rows (dead switches lowered to self-loops);
+     * edge_dst: the fabric's, which names each tree edge */
+    const int32_t *estart, *emid, *edst, *edge_dst;
     const int32_t *xlo, *xhi, *ylo, *yhi;
     int64_t cols, rows, margin;
     const uint8_t *node_ok; /* the defect floor; NULL without defects */
@@ -249,11 +251,17 @@ typedef struct {
     int32_t *prev;
     uint32_t *stamp;
     int32_t *path;
-    /* out: each routed net's sink paths in insertion order */
+    /* out: each routed net's tree (its distinct nodes in insertion
+     * order, each with its parent's position in the net's tree and the
+     * CSR index of the edge from its parent, -1 at the source) and its
+     * sink paths in insertion order, each as the tree position of its
+     * last node and its length */
     int64_t out_nodes_cap, out_paths_cap;
     int32_t *out_nodes;
-    int64_t *out_path_start;     /* out_paths + 1 */
-    int32_t *out_path_sink;
+    int32_t *out_parent;
+    int32_t *out_edge;
+    int64_t *out_net_node;       /* n_nets + 1, into the nodes */
+    int32_t *out_branch;         /* (position, length) per path */
     int64_t *out_net_path;       /* n_nets + 1, into the paths */
     int32_t *out_survived;       /* adopted and never ripped up */
     int64_t stats[N_STATS];
@@ -279,8 +287,9 @@ static int reserve(vec *a, int64_t more) {
     return 0;
 }
 
-/* A net's current route: its distinct nodes in `tree`, and its sink
- * paths in `paths` as (sink, length, nodes...) records. */
+/* A net's current route: its distinct nodes in `tree`, their parents'
+ * positions in `parent` (same offsets), and its sink paths in `paths`
+ * as (position of the path's last node, length) pairs. */
 typedef struct {
     int64_t tree_off, tree_len, paths_off, n_paths;
 } route_rec;
@@ -288,10 +297,11 @@ typedef struct {
 typedef struct {
     route_job *j;
     searcher s;
-    vec tree, paths;
+    vec tree, parent, paths;
     route_rec *rec;
     uint8_t *mask;  /* the net's prune mask */
     uint32_t *mark; /* route serial that last put a node in its tree */
+    int32_t *pos;   /* a marked node's position in its route's tree */
     uint32_t serial;
     int64_t n_over; /* nodes with usage > capacity */
 } router;
@@ -326,33 +336,42 @@ static int overused(const router *r, int64_t i) {
     return 0;
 }
 
+/* Room for `more` tree nodes and their parents. */
+static int reserve_tree(router *r, int64_t more) {
+    return reserve(&r->tree, more) < 0 || reserve(&r->parent, more) < 0
+        ? -1 : 0;
+}
+
 /* Add the nodes of `p` not yet in the current route's tree (each node
- * at most once: the tree is a set). */
+ * at most once: the tree is a set), each with its predecessor on `p`
+ * as its parent (the first node of `p` is the source or already in the
+ * tree). */
 static int add_nodes(router *r, route_rec *rec, const int32_t *p,
                      int64_t len) {
-    if (reserve(&r->tree, len) < 0)
+    if (reserve_tree(r, len) < 0)
         return -1;
     for (int64_t k = 0; k < len; k++)
         if (r->mark[p[k]] != r->serial) {
             r->mark[p[k]] = r->serial;
+            r->pos[p[k]] = (int32_t)rec->tree_len++;
+            r->parent.v[r->parent.len++] = k ? r->pos[p[k - 1]] : -1;
             r->tree.v[r->tree.len++] = p[k];
-            rec->tree_len++;
         }
     return 0;
 }
 
-/* Append a sink path to the current route, and its nodes to the tree. */
-static int add_path(router *r, route_rec *rec, int32_t sink,
-                    const int32_t *p, int64_t len) {
-    if (reserve(&r->paths, len + 2) < 0)
+/* Add a sink path's nodes to the current route's tree, and the path to
+ * its paths. */
+static int add_path(router *r, route_rec *rec, const int32_t *p,
+                    int64_t len) {
+    if (reserve(&r->paths, 2) < 0 || add_nodes(r, rec, p, len) < 0)
         return -1;
     int32_t *out = r->paths.v + r->paths.len;
-    out[0] = sink;
+    out[0] = r->pos[p[len - 1]];
     out[1] = (int32_t)len;
-    memcpy(out + 2, p, (size_t)len * sizeof(int32_t));
-    r->paths.len += len + 2;
+    r->paths.len += 2;
     rec->n_paths++;
-    return add_nodes(r, rec, p, len);
+    return 0;
 }
 
 static uint32_t next_epoch(router *r) {
@@ -382,7 +401,7 @@ static int route_net(router *r, int64_t i, int seeded) {
         return RC_NOMEM;
     for (int64_t p = s0; p < s1; p++) {
         int64_t a = j->seed_path_start[p], b = j->seed_path_start[p + 1];
-        if (add_path(r, &rec, j->seed_sink[p], j->seed_nodes + a, b - a) < 0)
+        if (add_path(r, &rec, j->seed_nodes + a, b - a) < 0)
             return RC_NOMEM;
     }
     /* _net_mask: the margin-expanded terminal box ANDed with the defect
@@ -434,7 +453,7 @@ static int route_net(router *r, int64_t i, int seeded) {
             j->stats[ST_DETAIL] = sink;
             return RC_NO_PATH;
         }
-        if (add_path(r, &rec, sink, j->path, len) < 0)
+        if (add_path(r, &rec, j->path, len) < 0)
             return RC_NOMEM;
     }
     r->rec[i] = rec;
@@ -466,11 +485,12 @@ static int route_all(router *r) {
         if (b > a) {
             /* an adopted route: its (distinct) nodes, no paths */
             route_rec rec = {r->tree.len, b - a, r->paths.len, 0};
-            if (reserve(&r->tree, b - a) < 0)
+            if (reserve_tree(r, b - a) < 0)
                 return RC_NOMEM;
             memcpy(r->tree.v + r->tree.len, j->adopt + a,
                    (size_t)(b - a) * sizeof(int32_t));
             r->tree.len += b - a;
+            r->parent.len += b - a; /* never written out */
             r->rec[i] = rec;
             j->out_survived[i] = 1;
         } else if ((rc = route_net(r, i, 1)) != RC_OK) {
@@ -505,31 +525,49 @@ static int route_all(router *r) {
     }
 }
 
-/* Copy every net's paths out; adopted survivors have none. */
+/* The CSR index of each tree edge (parent -> node): the first such
+ * edge in the parent's row, as CompiledRRG.edge_index finds it. */
+static void write_edges(const route_job *j, const int32_t *node,
+                        const int32_t *parent, int32_t *edge, int64_t len) {
+    for (int64_t k = 0; k < len; k++) {
+        edge[k] = -1;
+        if (parent[k] < 0)
+            continue;
+        int32_t a = node[parent[k]];
+        for (int32_t e = j->estart[a]; e < j->estart[a + 1]; e++)
+            if (j->edge_dst[e] == node[k]) {
+                edge[k] = e;
+                break;
+            }
+    }
+}
+
+/* Copy every net's tree and paths out; adopted survivors have none. */
 static int write_out(router *r) {
     route_job *j = r->j;
     int64_t n_out = 0, p_out = 0;
     for (int64_t i = 0; i < j->n_nets; i++) {
+        j->out_net_node[i] = n_out;
         j->out_net_path[i] = p_out;
         if (j->out_survived[i])
             continue;
-        const int32_t *rec = r->paths.v + r->rec[i].paths_off;
-        if (p_out + r->rec[i].n_paths > j->out_paths_cap)
+        const route_rec *rec = &r->rec[i];
+        if (n_out + rec->tree_len > j->out_nodes_cap
+                || p_out + rec->n_paths > j->out_paths_cap)
             return RC_SPACE;
-        for (int64_t p = 0; p < r->rec[i].n_paths; p++) {
-            int32_t len = rec[1];
-            if (n_out + len > j->out_nodes_cap)
-                return RC_SPACE;
-            j->out_path_sink[p_out] = rec[0];
-            j->out_path_start[p_out++] = n_out;
-            memcpy(j->out_nodes + n_out, rec + 2,
-                   (size_t)len * sizeof(int32_t));
-            n_out += len;
-            rec += len + 2;
-        }
+        memcpy(j->out_nodes + n_out, r->tree.v + rec->tree_off,
+               (size_t)rec->tree_len * sizeof(int32_t));
+        memcpy(j->out_parent + n_out, r->parent.v + rec->tree_off,
+               (size_t)rec->tree_len * sizeof(int32_t));
+        write_edges(j, j->out_nodes + n_out, j->out_parent + n_out,
+                    j->out_edge + n_out, rec->tree_len);
+        memcpy(j->out_branch + 2 * p_out, r->paths.v + rec->paths_off,
+               (size_t)(2 * rec->n_paths) * sizeof(int32_t));
+        n_out += rec->tree_len;
+        p_out += rec->n_paths;
     }
+    j->out_net_node[j->n_nets] = n_out;
     j->out_net_path[j->n_nets] = p_out;
-    j->out_path_start[p_out] = n_out;
     j->stats[ST_OUT_NODES] = n_out;
     j->stats[ST_OUT_PATHS] = p_out;
     return RC_OK;
@@ -554,9 +592,10 @@ int64_t route_context(route_job *j)
     r.rec = calloc((size_t)(j->n_nets ? j->n_nets : 1), sizeof(route_rec));
     r.mark = calloc((size_t)(j->n_nodes ? j->n_nodes : 1), sizeof(uint32_t));
     r.mask = malloc((size_t)(j->n_nodes ? j->n_nodes : 1));
+    r.pos = malloc((size_t)(j->n_nodes ? j->n_nodes : 1) * sizeof(int32_t));
     int rc = RC_NOMEM;
     if (r.s.heap != NULL && r.rec != NULL && r.mark != NULL
-            && r.mask != NULL) {
+            && r.mask != NULL && r.pos != NULL) {
         rc = route_all(&r);
         if (rc == RC_OK)
             rc = write_out(&r);
@@ -565,7 +604,9 @@ int64_t route_context(route_job *j)
     free(r.rec);
     free(r.mark);
     free(r.mask);
+    free(r.pos);
     free(r.tree.v);
+    free(r.parent.v);
     free(r.paths.v);
     j->stats[ST_STATUS] = rc;
     return rc;

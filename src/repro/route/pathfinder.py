@@ -35,11 +35,19 @@ from ``CompiledRRG.bbox_mask``'s inequalities and the unpruned retry,
 the usage commits and every rip-up iteration (overuse test, history
 bump, pressure growth, re-price) — over this module's arrays, with
 :class:`_FlatCongestion`'s arithmetic operation for operation, and
-hands back each net's sink paths, which :func:`net_from_paths`
-decodes.  The Python loop (:func:`_route_initial` and the rip-up loop
-of :func:`_route_context_compiled`) stays as the fallback and the
-oracle; ``tests/route/test_native_context.py`` holds the two equal net
-for net, counters included.
+hands back each net's route tree as arrays (:class:`RouteTree`).  The
+Python loop (:func:`_route_initial` and the rip-up loop of
+:func:`_route_context_compiled`) stays as the fallback and the oracle;
+it builds the same trees from its sink paths
+(:meth:`RouteTree.from_paths`), and
+``tests/route/test_native_context.py`` holds the two equal net for
+net, counters included.
+
+A routed net keeps its route as one :class:`RouteTree`: int32 arrays
+in tree order that timing, repair and the statistics read directly.
+The set and dict views (``nodes``, ``edges``, ``sink_paths``) are
+built only when something asks for them, so a yield trial's routes
+never build one on the native path.
 
 ``route_context`` / ``route_program`` are the public entry points;
 ``route_context_compiled`` / ``route_program_compiled`` are the same
@@ -74,7 +82,7 @@ import heapq
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -115,17 +123,195 @@ WARM_PRES_FAC = 8.0
 #: still fails inside the box it is retried unpruned.
 BBOX_MARGIN = 3
 
+
+class RouteTree:
+    """One routed net's tree as read-only int32 arrays in tree order.
+
+    ``node[i]`` is the ``i``-th distinct node the route added
+    (``node[0]`` is the source), ``parent[i]`` the position of the node
+    it was reached from and ``edge[i]`` the CSR index of that edge (the
+    first ``node[parent[i]] -> node[i]`` edge of the parent's row; -1
+    at the source), so a parent always comes before its children.
+    ``branch[k]`` is the ``k``-th sink path, in the order the router
+    added them, as ``(position of the path's last node, length)``: the
+    path is the last ``length`` nodes of that node's chain to the
+    source (a searched path starts at the tree node it grew from, a
+    salvaged one at the source).  :meth:`edge_codes` keys the edges
+    as ``src * n_nodes + dst``.
+
+    The set and dict views of the route (:attr:`nodes`, :attr:`edges`,
+    :attr:`sink_paths`) are built on first access and cached, each
+    filled in the order the router adds nodes, edges and paths, so
+    even their iteration order is the router's.  An adopted route
+    shares its bank route's tree, caches included.  ``delay_memo`` is
+    :mod:`repro.route.timing`'s per-tree sink-delay table.  No cache
+    pickles.
+    """
+
+    __slots__ = ("node", "parent", "edge", "branch", "delay_memo",
+                 "_nodes", "_edges", "_sink_paths", "_chains")
+
+    def __init__(self, node: np.ndarray, parent: np.ndarray,
+                 edge: np.ndarray, branch: np.ndarray) -> None:
+        self.node = node
+        self.parent = parent
+        self.edge = edge
+        self.branch = branch
+        self.delay_memo = None
+        self._nodes = self._edges = self._sink_paths = self._chains = None
+
+    @classmethod
+    def from_paths(cls, c: CompiledRRG, source: int, paths) -> "RouteTree":
+        """The tree over ``c`` of ``(sink, path)`` branches in
+        ``sink_paths`` order, each path starting at the source or at a
+        node of an earlier path and ending at its sink (the Python
+        router's and a hand-built record).
+
+        A node reached from several predecessors keeps the first; a
+        path whose first node is not in the tree yet adds it without a
+        parent (and without an edge), so a record that is not a tree
+        still gives each node at most one parent.  An edge the fabric
+        lacks has index -1.
+        """
+        pos = {source: 0}
+        node, parent, branch = [source], [-1], []
+        for _sink, path in paths:
+            at = -1
+            for n in path:
+                here = pos.get(n)
+                if here is None:
+                    here = pos[n] = len(node)
+                    node.append(n)
+                    parent.append(at)
+                elif at >= 0 and here and parent[here] < 0:
+                    parent[here] = at
+                at = here
+            branch.append((at, len(path)))
+        src = [node[p] if p >= 0 else -1 for p in parent]
+        edge = c.edge_index(np.array(src), np.array(node))
+        return cls(*_frozen(node, parent, edge),
+                   _frozen(branch)[0].reshape(-1, 2))
+
+    @property
+    def nodes(self) -> set[int]:
+        """The route's nodes (read-only)."""
+        if self._nodes is None:
+            self._nodes = set(self.node.tolist())
+        return self._nodes
+
+    @property
+    def edges(self) -> set[tuple[int, int]]:
+        """The route's ``(src, dst)`` edges (read-only)."""
+        if self._edges is None:
+            nl = self.node.tolist()
+            self._edges = {(nl[p], n) for p, n in
+                           zip(self.parent[1:].tolist(), nl[1:]) if p >= 0}
+        return self._edges
+
+    @property
+    def sink_paths(self) -> dict[int, list[int]]:
+        """Each sink's path, as the router found it (read-only)."""
+        if self._sink_paths is None:
+            nl, pl = self.node.tolist(), self.parent.tolist()
+            out: dict[int, list[int]] = {}
+            for at, length in self.branch.tolist():
+                path = [0] * length
+                for k in range(length - 1, -1, -1):
+                    path[k] = nl[at]
+                    at = pl[at]
+                out[path[-1]] = path
+            self._sink_paths = out
+        return self._sink_paths
+
+    def edge_codes(self, n_nodes: int) -> np.ndarray:
+        """``src * n_nodes + dst`` of edge ``i``, for ``i >= 1``."""
+        return (self.node[self.parent[1:]].astype(np.int64) * n_nodes
+                + self.node[1:])
+
+    def root_chains(self) -> tuple[list[int], list[list[int]],
+                                   np.ndarray, list[int]]:
+        """Each sink's whole chain from the source, in branch order,
+        cached: the sinks, the chains' nodes, their tree positions
+        back to back and where each chain starts.  A chain that never
+        reaches the source (a record that is not a tree) is left
+        out."""
+        if self._chains is None:
+            nl, pl = self.node.tolist(), self.parent.tolist()
+            limit = len(pl)
+            sinks: list[int] = []
+            chains: list[list[int]] = []
+            flat: list[int] = []
+            starts: list[int] = []
+            for at, _length in self.branch.tolist():
+                walk = [at]
+                while at != 0:
+                    at = pl[at]
+                    if at < 0 or len(walk) > limit:
+                        break
+                    walk.append(at)
+                if walk[-1] != 0:
+                    continue
+                walk.reverse()
+                starts.append(len(flat))
+                flat += walk
+                sinks.append(nl[walk[-1]])
+                chains.append([nl[p] for p in walk])
+            self._chains = (sinks, chains,
+                            np.array(flat, dtype=np.intp), starts)
+        return self._chains
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RouteTree):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in (
+            (self.node, other.node), (self.parent, other.parent),
+            (self.edge, other.edge), (self.branch, other.branch)))
+
+    __hash__ = None
+
+    def __getstate__(self):
+        return self.node, self.parent, self.edge, self.branch
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*_frozen(*state))
+
+
+def _frozen(*arrays) -> list[np.ndarray]:
+    """Each sequence as a read-only int32 array."""
+    out = []
+    for a in arrays:
+        a = np.array(a, dtype=np.int32)
+        a.setflags(write=False)
+        out.append(a)
+    return out
+
+
 @dataclass
 class RoutedNet:
-    """One routed net: the branch to each sink plus the full node set."""
+    """One routed net: its endpoints and its :class:`RouteTree`.
+
+    ``nodes``, ``edges`` and ``sink_paths`` are the tree's read-only
+    views.  ``reused`` marks a route adopted from the reuse bank (and
+    never ripped up since): it shares the bank route's tree.
+    """
 
     name: str
     source: int
     sinks: list[int]
-    nodes: set[int] = field(default_factory=set)
-    edges: set[tuple[int, int]] = field(default_factory=set)
-    sink_paths: dict[int, list[int]] = field(default_factory=dict)
+    tree: RouteTree
     reused: bool = False
+
+    @property
+    def nodes(self) -> set[int]:
+        return self.tree.nodes
+
+    @property
+    def edges(self) -> set[tuple[int, int]]:
+        return self.tree.edges
+
+    @property
+    def sink_paths(self) -> dict[int, list[int]]:
+        return self.tree.sink_paths
 
 
 @dataclass
@@ -136,22 +322,13 @@ class RouteResult:
     iterations: int
     context: int = 0
 
-    def used_edges(self) -> set[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
-        for net in self.nets.values():
-            out |= net.edges
-        return out
-
     def wirelength(self, g: CompiledRRG) -> int:
-        """Wire segments used, one gather over the concatenated node
-        sets (weights are 0 for non-wire nodes; a node shared by several
-        nets counts once per net)."""
-        ids = np.fromiter(
-            (nid for net in self.nets.values() for nid in net.nodes),
-            dtype=np.int64,
-        )
-        if ids.size == 0:
+        """Wire segments used, one gather over the concatenated tree
+        nodes (weights are 0 for non-wire nodes; a node shared by
+        several nets counts once per net)."""
+        if not self.nets:
             return 0
+        ids = np.concatenate([net.tree.node for net in self.nets.values()])
         return int(g.wire_length_weights()[ids].sum())
 
 
@@ -632,7 +809,7 @@ class _RouteJob(ctypes.Structure):
 
     _fields_ = [(name, kind) for names, kind in (
         ("n_nodes", ctypes.c_int64),
-        ("estart emid edst xlo xhi ylo yhi", ctypes.c_void_p),
+        ("estart emid edst edge_dst xlo xhi ylo yhi", ctypes.c_void_p),
         ("cols rows margin", ctypes.c_int64),
         ("node_ok base cap hist eff usage", ctypes.c_void_p),
         ("pres_fac pres_fac_mult hist_fac", ctypes.c_double),
@@ -641,8 +818,8 @@ class _RouteJob(ctypes.Structure):
          "seed_path_start seed_sink seed_nodes dist prev stamp path",
          ctypes.c_void_p),
         ("out_nodes_cap out_paths_cap", ctypes.c_int64),
-        ("out_nodes out_path_start out_path_sink out_net_path "
-         "out_survived", ctypes.c_void_p),
+        ("out_nodes out_parent out_edge out_net_node out_branch "
+         "out_net_path out_survived", ctypes.c_void_p),
     ) for name in names.split()] + [("stats", ctypes.c_int64 * 12)]
 
 
@@ -711,15 +888,17 @@ def _route_native(
     native call (``route_context`` in ``_search.c``).
 
     The nets go in as flat arrays in routing order: sources, sinks,
-    each adopted bank route's node set and each salvaged net's seed
+    each adopted bank route's tree nodes and each salvaged net's seed
     branches (``sigs`` holds each net's endpoint signature, ``None``
     when there is neither a bank nor a salvage).  The C route runs the
     initial pass and the rip-up iterations over ``state``'s arrays and
-    ``scratch``, and hands back every routed net's sink paths in
-    insertion order, which :func:`net_from_paths` turns into the
-    :class:`RoutedNet` the Python loop builds; an adopted net that was
-    never ripped up keeps aliasing its bank route.  Counters,
-    ``scratch.epoch`` and the errors are the loop's.
+    ``scratch``, and hands back every routed net's tree (nodes, parent
+    positions, CSR edge indexes, branches) in the order the Python loop
+    builds it; the
+    :class:`RouteTree` of each net is a read-only slice of those
+    buffers, and an adopted net that was never ripped up keeps its bank
+    route's tree.  Counters, ``scratch.epoch`` and the errors are the
+    loop's.
     """
     if (edst.dtype != np.int32 or not edst.flags.c_contiguous
             or edst.size != c.n_edges):
@@ -729,7 +908,8 @@ def _route_native(
     priors: list[RoutedNet | None] = []
     sources: list[int] = []
     sinks_flat: list[int] = []
-    adopt: list[int] = []
+    adopt: list[np.ndarray] = []
+    n_adopt = 0
     seed_sink: list[int] = []
     seed_nodes: list[int] = []
     sink_start, adopt_start, seed_start, seed_path_start = [0], [0], [0], [0]
@@ -741,35 +921,37 @@ def _route_native(
         sinks_flat += sinks
         sink_start.append(len(sinks_flat))
         if prior is not None:
-            adopt += prior.nodes
+            adopt.append(prior.tree.node)
+            n_adopt += prior.tree.node.size
         elif seeds and (kept := seeds.get(sig)):
             for sink, path in kept.items():
                 seed_sink.append(sink)
                 seed_nodes += path
                 seed_path_start.append(len(seed_nodes))
-        adopt_start.append(len(adopt))
+        adopt_start.append(n_adopt)
         seed_start.append(len(seed_sink))
     n = len(endpoints)
-    ints = (sources, sinks_flat, adopt, seed_sink, seed_nodes)
+    ints = (sources, sinks_flat, seed_sink, seed_nodes)
     longs = (sink_start, adopt_start, seed_start, seed_path_start)
-    ints_buf = np.array(list(chain.from_iterable(ints)), dtype=np.int32)
+    ints_buf = np.concatenate((
+        np.array(list(chain.from_iterable(ints)), dtype=np.int32), *adopt))
     longs_buf = np.array(list(chain.from_iterable(longs)), dtype=np.int64)
-    (source_at, sinks_at, adopt_at, seed_sink_at, seed_nodes_at) = _segments(
-        ints_buf, map(len, ints))
+    (source_at, sinks_at, seed_sink_at, seed_nodes_at, adopt_at) = _segments(
+        ints_buf, [*map(len, ints), n_adopt])
     (sink_start_at, adopt_start_at, seed_start_at,
      seed_path_start_at) = _segments(longs_buf, map(len, longs))
-    # a routed net's paths hold at most its nodes, one junction node
-    # per searched sink and its seed branches; without overuse the nodes
-    # of all nets fit in the summed capacity
+    # a net has a path per sink (searched or salvaged); the routing
+    # ends without overuse, so the trees of all nets (each node once
+    # per net) fit in the summed capacity
     paths_cap = len(sinks_flat) + len(seed_sink)
-    nodes_cap = int(c.node_capacity_np.sum()) + paths_cap + len(seed_nodes)
-    # out32: nodes | path sinks | survived flags; out64: path starts |
-    # each net's first path
-    out32 = np.empty(nodes_cap + paths_cap + n, dtype=np.int32)
-    out64 = np.empty(paths_cap + n + 2, dtype=np.int64)
+    nodes_cap = int(c.node_capacity_np.sum())
+    # out32: tree nodes | parents | edges | branches | survived flags;
+    # out64: each net's first tree node | each net's first branch
+    out32 = np.empty(3 * nodes_cap + 2 * paths_cap + n, dtype=np.int32)
+    out64 = np.empty(2 * n + 2, dtype=np.int64)
     job = _RouteJob(
-        c.n_nodes, *map(_addr, (c.edge_start, c.edge_mid, edst, c.xlo_np,
-                                c.xhi_np, c.ylo_np, c.yhi_np)),
+        c.n_nodes, *map(_addr, (c.edge_start, c.edge_mid, edst, c.edge_dst,
+                                c.xlo_np, c.xhi_np, c.ylo_np, c.yhi_np)),
         c.params.cols, c.params.rows, BBOX_MARGIN,
         None if node_ok is None else _addr(node_ok),
         *map(_addr, (c.base_cost_np, state.capacity_np, state.history,
@@ -779,10 +961,10 @@ def _route_native(
         seed_start_at, seed_path_start_at, seed_sink_at, seed_nodes_at,
         *scratch.ptrs[:4], nodes_cap, paths_cap,
     )
-    job.out_nodes, job.out_path_sink, job.out_survived = _segments(
-        out32, (nodes_cap, paths_cap, n))
-    job.out_path_start, job.out_net_path = _segments(out64, (paths_cap + 1,
-                                                             n + 1))
+    (job.out_nodes, job.out_parent, job.out_edge, job.out_branch,
+     job.out_survived) = _segments(out32, (nodes_cap, nodes_cap, nodes_cap,
+                                           2 * paths_cap, n))
+    job.out_net_node, job.out_net_path = _segments(out64, (n + 1, n + 1))
     job.stats[_ST_EPOCH] = scratch.epoch
     fn(ctypes.byref(job))
     stats = list(job.stats)
@@ -815,18 +997,22 @@ def _route_native(
         raise RuntimeError(f"context route: output overflow (status {status})")
     _tcount("router.contexts_routed")
     _tcount("router.ripped_nets", stats[_ST_RIPPED])
-    n_paths = stats[_ST_OUT_PATHS]
-    flat = out32[:stats[_ST_OUT_NODES]].tolist()
-    ends = out32[nodes_cap:nodes_cap + n_paths].tolist()
-    survived = out32[nodes_cap + paths_cap:].tolist()
-    starts = out64[:n_paths + 1].tolist()
-    first = out64[paths_cap + 1:].tolist()
+    out32.setflags(write=False)  # the trees are slices of it
+    nodes, parents, edges = (out32[k * nodes_cap:(k + 1) * nodes_cap]
+                             for k in range(3))
+    rest = out32[3 * nodes_cap:]
+    branches = rest[:2 * paths_cap].reshape(-1, 2)
+    survived = rest[2 * paths_cap:].tolist()
+    bounds = out64.tolist()
     routes: dict[str, RoutedNet] = {}
     for i, (name, source, sinks) in enumerate(endpoints):
-        routes[name] = _adopt(name, source, sinks, priors[i]) \
-            if survived[i] else net_from_paths(name, source, sinks, (
-                (ends[p], flat[starts[p]:starts[p + 1]])
-                for p in range(first[i], first[i + 1])))
+        if survived[i]:
+            routes[name] = _adopt(name, source, sinks, priors[i])
+            continue
+        a, b = bounds[i], bounds[i + 1]
+        p, q = bounds[n + 1 + i], bounds[n + 2 + i]
+        routes[name] = RoutedNet(name, source, list(sinks), RouteTree(
+            nodes[a:b], parents[a:b], edges[a:b], branches[p:q]))
     return RouteResult(routes, stats[_ST_ITERATIONS], context)
 
 
@@ -868,63 +1054,46 @@ def _route_net_flat(
     branches — the healthy portion of a dirty net's golden route —
     so only the broken sinks are searched, and those searches start
     from the salvaged tree instead of the bare source."""
-    net = RoutedNet(name, source, list(sinks))
-    net.nodes = {source}
+    nodes = {source}
+    sink_paths: dict[int, list[int]] = {}
     if seed_paths:
         for sink, path in seed_paths.items():
-            net.sink_paths[sink] = list(path)
-            for a, b in zip(path, path[1:]):
-                net.edges.add((a, b))
-            net.nodes.update(path)
+            sink_paths[sink] = list(path)
+            nodes.update(path)
     for sink in sinks:
-        if sink in net.sink_paths:
+        if sink in sink_paths:
             continue
-        path = _search(c, state, net.nodes, sink, scratch, mask, edst)
+        path = _search(c, state, nodes, sink, scratch, mask, edst)
         if path is None and mask is not base_mask:
             # the pruned region disconnected this sink — retry without
             # the bounding box (defective resources stay excluded)
             path = _search(
-                c, state, net.nodes, sink, scratch, base_mask, edst
+                c, state, nodes, sink, scratch, base_mask, edst
             )
         if path is None:
             raise RoutingError(
                 f"no path to sink node {sink} ({c.node_name(sink)})"
             )
-        net.sink_paths[sink] = list(path)
-        for a, b in zip(path, path[1:]):
-            net.edges.add((a, b))
-        net.nodes.update(path)
-    return net
-
-
-def net_from_paths(name: str, source: int, sinks: list[int],
-                   paths) -> RoutedNet:
-    """A :class:`RoutedNet` from its ``(sink, path)`` branches, in
-    ``sink_paths`` order: the node set is the source plus every path's
-    nodes and the edges are each path's consecutive pairs, added in the
-    order the router adds them (so even the sets' iteration order
-    matches).  The native route's output decodes through here."""
-    net = RoutedNet(name, source, list(sinks))
-    nodes = net.nodes = {source}
-    edges, sink_paths = net.edges, net.sink_paths
-    for sink, path in paths:
-        sink_paths[sink] = path
-        edges.update(zip(path, path[1:]))
+        sink_paths[sink] = list(path)
         nodes.update(path)
-    return net
+    return net_from_paths(c, name, source, sinks, sink_paths.items())
+
+
+def net_from_paths(c: CompiledRRG, name: str, source: int,
+                   sinks: list[int], paths) -> RoutedNet:
+    """A :class:`RoutedNet` over ``c`` from its ``(sink, path)``
+    branches, in ``sink_paths`` order (see
+    :meth:`RouteTree.from_paths`)."""
+    return RoutedNet(name, source, list(sinks),
+                     RouteTree.from_paths(c, source, paths))
 
 
 def _adopt(name: str, source: int, sinks: list[int],
            prior: RoutedNet) -> RoutedNet:
-    """A bank route adopted for net ``name``: it aliases the prior
-    net's sets (routes are only ever replaced wholesale, never mutated
+    """A bank route adopted for net ``name``: it shares the prior
+    net's tree (routes are only ever replaced wholesale, never mutated
     in place)."""
-    net = RoutedNet(name, source, list(sinks))
-    net.nodes = prior.nodes
-    net.edges = prior.edges
-    net.sink_paths = prior.sink_paths
-    net.reused = True
-    return net
+    return RoutedNet(name, source, list(sinks), prior.tree, True)
 
 
 def _healthy_sink_paths(
@@ -934,53 +1103,25 @@ def _healthy_sink_paths(
 
     A dirty net is dirty because *some* branch crosses a dead resource;
     sinks whose entire chain back to the source is healthy can adopt it
-    verbatim (delta-reroute salvage).  ``sink_paths`` stores incremental
-    branches (each starts at a node of an earlier branch), so the chain
-    is reconstructed through parent pointers — a branch that merely
-    *hangs off* a broken branch is correctly rejected.  A chain is
-    healthy when every node on it is alive and no consecutive pair is a
-    dead edge.  The net's chains are tested together: one gather of the
-    node mask, one binary search of every consecutive pair's edge code
-    (pairs straddling two chains masked out) and one segmented
-    reduction over the chains.
+    verbatim (delta-reroute salvage).  A branch stores only its new
+    part (it starts at a node of an earlier branch), so each chain is
+    walked through the tree's parent positions
+    (:meth:`RouteTree.root_chains`, cached on the tree) — a branch that
+    merely *hangs off* a broken branch is correctly rejected.  A chain
+    is healthy when every node on it is alive and no edge into one of
+    its nodes is dead: one gather of the node mask and one binary
+    search of the tree's edge codes mark each tree position, and one
+    segmented reduction tests the chains.
     """
-    parent: dict[int, int] = {}
-    for branch in prior.sink_paths.values():
-        for a, b in zip(branch, branch[1:]):
-            parent.setdefault(b, a)
-    limit = len(parent) + 1
-    sinks: list[int] = []
-    chains: list[list[int]] = []
-    starts: list[int] = []
-    size = 0
-    for sink in prior.sink_paths:
-        path = [sink]
-        node = sink
-        while node != prior.source:
-            node = parent.get(node, -1)
-            if node < 0 or len(path) > limit:
-                break
-            path.append(node)
-        if path[-1] != prior.source:
-            continue  # malformed tree record: don't salvage this sink
-        path.reverse()
-        sinks.append(sink)
-        chains.append(path)
-        starts.append(size)
-        size += len(path)
+    tree = prior.tree
+    sinks, chains, flat, starts = tree.root_chains()
     if not chains:
         return {}
-    flat = np.fromiter(chain.from_iterable(chains), dtype=np.int64,
-                       count=size)
-    bad = ~defects.node_ok[flat]
-    if defects.bad_edge_codes.size:
-        # pair i joins flat[i] -> flat[i + 1] and is charged to flat[i];
-        # the pair ending at a chain's start crosses a boundary
-        dead = defects.edges_dead(flat[:-1] * defects.n_nodes + flat[1:])
-        dead[[s - 1 for s in starts[1:]]] = False
-        bad[:-1] |= dead
-    broken = np.logical_or.reduceat(bad, starts).tolist()
-    return {s: p for s, p, b in zip(sinks, chains, broken) if not b}
+    bad = ~defects.node_ok[tree.node]
+    if defects.bad_edge_codes.size and tree.node.size > 1:
+        bad[1:] |= defects.edges_dead(tree.edge_codes(defects.n_nodes))
+    broken = np.logical_or.reduceat(bad[flat], starts).tolist()
+    return {s: list(p) for s, p, b in zip(sinks, chains, broken) if not b}
 
 
 def _route_initial(
@@ -1102,7 +1243,7 @@ def route_context_warm(
 
     Seeds PathFinder with the golden congestion state: every non-dirty
     golden route is adopted *before the first fresh search* — adopted
-    routes alias the golden net's sets and commit their usage in
+    routes share the golden net's tree and commit their usage in
     vectorised batches — so each dirty net's Dijkstra already sees the
     full picture of healthy routes and steers around them immediately,
     instead of colliding with not-yet-routed ones and negotiating the
@@ -1166,7 +1307,7 @@ def _route_context_compiled(
                 seeds[sig] = kept
             _tcount("router.warm.salvaged_sinks", len(kept))
             _tcount("router.warm.researched_sinks",
-                    len(prior.sink_paths) - len(kept))
+                    len(prior.tree.branch) - len(kept))
     # one endpoint signature per net keys the bank and the salvage
     sigs = [endpoint_signature(source, sinks)
             for _name, source, sinks in endpoints] if reuse or seeds else None

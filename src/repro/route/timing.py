@@ -17,16 +17,35 @@ The model:
 - PIN/INTERNAL edges add small constants.
 
 Units are normalized to the delay of one isolated SE hop (R*C = 1.0).
+
+Static timing reads each net's route as its
+:class:`~repro.route.pathfinder.RouteTree`: int32 arrays in tree
+order, every parent before its children, each edge by its CSR index.
+The delay to each node is its parent's plus the stage of the edge
+between them, so one pass in tree order times a whole net; the edge
+kinds of every tree a call has not timed before come from one gather
+of ``CompiledRRG.edge_kind``, and those trees are walked in one loop.
+Each tree memoises its sink-delay table (``RouteTree.delay_memo``,
+keyed by the substrate and the model), so a net adopted from a golden
+routing, which shares the golden's tree, costs a lookup.  The dict
+walk this replaces is the test suite's STA oracle
+(``tests/oracles/sta_oracle.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.compiled import EDGE_KINDS, CompiledRRG, EdgeKind
+import numpy as np
+
+from repro.arch.compiled import EDGE_KIND_INDEX, CompiledRRG, EdgeKind
 from repro.errors import SimulationError
-from repro.netlist.netlist import CellKind, Netlist
+from repro.netlist.index import DFF, LUT, OUTPUT
+from repro.netlist.netlist import Netlist
 from repro.route.pathfinder import RouteResult, RoutedNet
+
+_PASS, _BUF, _PIN = (EDGE_KIND_INDEX[k] for k in (
+    EdgeKind.PASS, EdgeKind.BUF, EdgeKind.PIN))
 
 
 @dataclass(frozen=True)
@@ -63,24 +82,31 @@ def chain_delay(n_series_ses: int, model: DelayModel | None = None) -> float:
     return sum(m.pass_stage(i) for i in range(1, n_series_ses + 1))
 
 
+_DEFAULT_MODEL = DelayModel()
+
+
 def path_delay(
     g: CompiledRRG,
     path: list[int],
     model: DelayModel | None = None,
 ) -> float:
     """Delay along a node path using edge kinds from the RRG."""
-    m = model or DelayModel()
+    m = model or _DEFAULT_MODEL
+    kinds = g.edge_kinds(np.asarray(path[:-1], dtype=np.int64), path[1:])
+    missing = np.flatnonzero(kinds < 0)
+    if missing.size:
+        at = int(missing[0])
+        raise SimulationError(f"no RRG edge {path[at]}->{path[at + 1]}")
     total = 0.0
     chain = 0
-    for a, b in zip(path, path[1:]):
-        kind = _edge_kind(g, a, b)
-        if kind is EdgeKind.PASS:
+    for kind in kinds.tolist():
+        if kind == _PASS:
             chain += 1
             total += m.pass_stage(chain)
-        elif kind is EdgeKind.BUF:
+        elif kind == _BUF:
             total += m.t_buf
             chain = 0
-        elif kind is EdgeKind.PIN:
+        elif kind == _PIN:
             total += m.t_pin
             chain = 0  # connection blocks are buffered in this model
         else:  # INTERNAL
@@ -88,23 +114,77 @@ def path_delay(
     return total
 
 
-def _edge_kind(g: CompiledRRG, a: int, b: int) -> EdgeKind:
-    lo, hi = g.edge_start[a:a + 2].tolist()
-    row = g.edge_dst[lo:hi].tolist()
-    if b in row:
-        return EDGE_KINDS[g.edge_kind[lo + row.index(b)]]
-    raise SimulationError(f"no RRG edge {a}->{b}")
+def _sink_tables(g: CompiledRRG, nets, m: DelayModel) -> list[dict]:
+    """Each net's ``{sink: delay}`` table, memoised on its tree.
+
+    Trees without a table for ``g`` and ``m`` are timed together: one
+    gather of their edges' kinds, then one pass over each tree's
+    positions in tree order carrying (delay, chain length) from parent
+    to child — a node's value is its parent's plus one stage, the
+    arithmetic of the dict walk this replaces.  Raises when a tree is
+    not one (a parent after its child), uses an edge the fabric lacks,
+    or misses a sink of its net.
+    """
+    nets = list(nets)
+    todo = []
+    for net in nets:
+        memo = net.tree.delay_memo
+        if memo is None or memo[0] is not g or not (
+                memo[1] is m or memo[1] == m):
+            todo.append(net)
+    if todo:
+        _time_trees(g, todo, m)
+    return [net.tree.delay_memo[2] for net in nets]
 
 
-def _pin_node(ids, params, x: int, y: int, pin: int) -> int | None:
-    """Node ``ids[tile (x, y), pin]`` of a ``(tile, pin)`` table, or
-    None where the fabric has no such pin (off the grid, past the
-    table's width, or a ``-1`` entry)."""
-    if not (0 <= x < params.cols and 0 <= y < params.rows
-            and 0 <= pin < ids.shape[1]):
-        return None
-    node = int(ids[y * params.cols + x, pin])
-    return node if node >= 0 else None
+def _time_trees(g: CompiledRRG, nets: list[RoutedNet],
+                m: DelayModel) -> None:
+    trees = [net.tree for net in nets]
+    edge = np.concatenate([tree.edge for tree in trees])
+    if np.count_nonzero(edge < 0) != len(trees):  # one per root
+        for tree, net in zip(trees, nets):
+            if np.count_nonzero(tree.edge < 0) > 1:
+                raise SimulationError(
+                    f"route of net {net.name!r} uses an edge the fabric "
+                    "lacks")
+    kinds = g.edge_kind[edge].tolist()  # a root's entry is never read
+    nl = np.concatenate([tree.node for tree in trees]).tolist()
+    pl = np.concatenate([tree.parent for tree in trees]).tolist()
+    branches = np.concatenate([tree.branch for tree in trees]).tolist()
+    unit = m.r_pass * m.c_seg  # DelayModel.pass_stage's first product
+    t_buf, t_pin = m.t_buf, m.t_pin
+    at = b = 0
+    for tree, net in zip(trees, nets):
+        size = len(tree.node)
+        delay = [0.0] * size
+        chain = [0] * size
+        for i in range(1, size):
+            p = pl[at + i]
+            if not 0 <= p < i:
+                raise SimulationError(
+                    f"route of net {net.name!r} is not a tree in tree order")
+            k = kinds[at + i]
+            if k == _PASS:
+                c = chain[p] + 1
+                delay[i] = delay[p] + unit * c
+                chain[i] = c
+            elif k == _BUF:
+                delay[i] = delay[p] + t_buf
+            elif k == _PIN:
+                delay[i] = delay[p] + t_pin
+            else:
+                delay[i] = delay[p]
+                chain[i] = chain[p]
+        nb = len(tree.branch)
+        table = {nl[at + pos]: delay[pos] for pos, _ in branches[b:b + nb]}
+        for sink in net.sinks:
+            if sink not in table:
+                raise SimulationError(
+                    f"sink {sink} unreachable in route tree of net "
+                    f"{net.name!r}")
+        tree.delay_memo = (g, m, table)
+        at += size
+        b += nb
 
 
 def route_tree_delays(
@@ -114,57 +194,11 @@ def route_tree_delays(
 ) -> dict[int, float]:
     """Source-to-sink delay for every sink of a routed net.
 
-    Walks the route tree from the source, carrying (delay, chain length)
-    per node; raises if the route is not a connected tree.
+    One pass over the net's tree (memoised on it); raises if the route
+    is not a connected tree.
     """
-    m = model or DelayModel()
-    adj: dict[int, list[int]] = {}
-    for a, b in net.edges:
-        adj.setdefault(a, []).append(b)
-    state: dict[int, tuple[float, int]] = {net.source: (0.0, 0)}
-    stack = [net.source]
-    while stack:
-        nid = stack.pop()
-        d, chain = state[nid]
-        for nxt in adj.get(nid, []):
-            kind = _edge_kind(g, nid, nxt)
-            if kind is EdgeKind.PASS:
-                nd, nc = d + m.pass_stage(chain + 1), chain + 1
-            elif kind is EdgeKind.BUF:
-                nd, nc = d + m.t_buf, 0
-            elif kind is EdgeKind.PIN:
-                nd, nc = d + m.t_pin, 0
-            else:
-                nd, nc = d, chain
-            if nxt not in state or nd < state[nxt][0]:
-                state[nxt] = (nd, nc)
-                stack.append(nxt)
-    out: dict[int, float] = {}
-    for sink in net.sinks:
-        if sink not in state:
-            raise SimulationError(
-                f"sink {sink} unreachable in route tree of net {net.name!r}"
-            )
-        out[sink] = state[sink][0]
-    return out
-
-
-def route_net_delays(
-    g: CompiledRRG,
-    route: RouteResult,
-    model: DelayModel | None = None,
-) -> dict[str, dict[int, float]]:
-    """Per-net sink-delay tables for a whole routed context.
-
-    The cacheable half of :func:`critical_path`: the repair ladder
-    computes these once for the golden routing and hands them back via
-    ``reuse_delays`` so trials only re-walk the nets they rerouted.
-    """
-    m = model or DelayModel()
-    return {
-        net.name: route_tree_delays(g, net, m)
-        for net in route.nets.values()
-    }
+    table = _sink_tables(g, [net], model or _DEFAULT_MODEL)[0]
+    return {sink: table[sink] for sink in net.sinks}
 
 
 def critical_path(
@@ -173,7 +207,6 @@ def critical_path(
     route: RouteResult,
     placement,
     model: DelayModel | None = None,
-    reuse_delays: dict[str, dict[int, float]] | None = None,
 ) -> float:
     """Static timing analysis of one routed context.
 
@@ -181,59 +214,45 @@ def critical_path(
     to the LUT's sink) + t_lut.  Returns the worst primary-output /
     DFF-input arrival.
 
-    Edge kinds come from the substrate's CSR arrays and sink nodes
-    from its ``(tile, pin)`` tables.
-
-    ``reuse_delays`` (from :func:`route_net_delays` on a previous
-    routing) supplies ready-made sink-delay tables for nets whose
-    ``reused`` flag shows they still carry that exact route — the
-    delay walk is a pure function of the route tree, so reusing the
-    table is bit-identical to recomputing it.  Nets routed fresh (or
-    ripped up, which clears the flag) are always re-walked.
+    Net delays come from each net's tree (:func:`_sink_tables`), sink
+    nodes from the substrate's ``(tile, pin)`` tables
+    (:meth:`CompiledRRG.sink_lists`), and the arrivals from one pass
+    over the netlist index's cells in topological order
+    (:attr:`NetlistIndex.readers <repro.netlist.index.NetlistIndex.readers>`).
     """
-    m = model or DelayModel()
-    net_sink_delay: dict[tuple[str, int], float] = {}
-    for net in route.nets.values():
-        if reuse_delays is not None and net.reused:
-            prior = reuse_delays.get(net.name)
-            if prior is not None:
-                for sink, d in prior.items():
-                    net_sink_delay[(net.name, sink)] = d
-                continue
-        for sink, d in route_tree_delays(g, net, m).items():
-            net_sink_delay[(net.name, sink)] = d
-
-    arrivals: dict[str, float] = {}
-    for name in netlist.topo_order():
-        cell = netlist.cells[name]
-        if cell.kind is CellKind.INPUT:
-            arrivals[cell.output] = 0.0
-        elif cell.kind is CellKind.DFF:
-            arrivals[cell.output] = 0.0
-
-    def sink_node_for(cell, slot: int) -> int | None:
-        if cell.kind in (CellKind.LUT, CellKind.DFF):
-            loc = placement.location(cell.name)
-            pin = slot if cell.kind is CellKind.LUT else 0
-            return _pin_node(g.lb_sink_ids, g.params, loc.x, loc.y, pin)
-        if cell.kind is CellKind.OUTPUT:
-            coord, pad = placement.ios[cell.name]
-            return _pin_node(g.io_sink_ids, g.params, coord.x, coord.y, pad)
-        return None
-
+    m = model or _DEFAULT_MODEL
+    tables = dict(zip(route.nets, _sink_tables(g, route.nets.values(), m)))
+    ix = netlist.index()
+    by_net = [tables.get(name) for name in ix.net_names]
+    names = ix.cell_names
+    lb_rows, io_rows = g.sink_lists()
+    cols, rows = g.params.cols, g.params.rows
+    # INPUT and DFF outputs arrive at 0.0; a LUT's before its readers
+    arrivals = [0.0] * ix.n_nets
+    t_lut = m.t_lut
     worst = 0.0
-    for name in netlist.topo_order():
-        cell = netlist.cells[name]
-        if cell.kind not in (CellKind.LUT, CellKind.OUTPUT, CellKind.DFF):
-            continue
+    for c, kind, nets, out in ix.readers:
         arr = 0.0
-        for slot, in_net in enumerate(cell.inputs):
-            src_arr = arrivals.get(in_net, 0.0)
-            sink = sink_node_for(cell, slot)
-            wire = net_sink_delay.get((in_net, sink), 0.0) if sink is not None else 0.0
-            arr = max(arr, src_arr + wire)
-        if cell.kind is CellKind.LUT:
-            arr += m.t_lut
-            arrivals[cell.output] = arr
+        if nets:
+            # the cell's SINK row: its tile's logic-block pins, or its
+            # pad's pins for an output; a pin the fabric lacks is -1
+            if kind == OUTPUT:
+                at, pad = placement.ios[names[c]]
+                table_rows = io_rows
+            else:
+                at = placement.location(names[c])
+                table_rows = lb_rows
+            x, y = at.x, at.y
+            row = (table_rows[y * cols + x]
+                   if 0 <= x < cols and 0 <= y < rows else ())
+        for slot, n in enumerate(nets):
+            pin = slot if kind == LUT else 0 if kind == DFF else pad
+            sink = row[pin] if 0 <= pin < len(row) else -1
+            table = by_net[n]
+            wire = table.get(sink, 0.0) if table is not None else 0.0
+            arr = max(arr, arrivals[n] + wire)
+        if kind == LUT:
+            arr += t_lut
+            arrivals[out] = arr
         worst = max(worst, arr)
     return worst

@@ -142,7 +142,7 @@ class TestFlatSubstrate:
             a, b = getattr(flat, row), getattr(full, row)
             assert a.dtype == b.dtype == np.int32, row
             assert a.tobytes() == b.tobytes(), row
-        assert flat.edge_kind == full.edge_kind
+        assert np.array_equal(flat.edge_kind, full.edge_kind)
         assert flat.node_kind == full.node_kind
         assert flat.base_cost == full.base_cost
         g = build_rrg(params)

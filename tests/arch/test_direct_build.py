@@ -32,7 +32,7 @@ TESTS = Path(__file__).resolve().parents[1]
 CORPUS = TESTS.parent / "regression_tests"
 
 LISTS = ("node_kind", "node_capacity", "node_length", "base_cost", "xlo",
-         "xhi", "ylo", "yhi", "edge_kind")
+         "xhi", "ylo", "yhi")
 #: CSR rows, stored as contiguous int32 arrays
 ROWS = ("edge_start", "edge_mid", "edge_dst")
 #: numpy mirror -> (list field it mirrors, dtype)
@@ -52,7 +52,7 @@ def _lower(g) -> dict:
     each in ``out_edges`` order; enums encoded by declaration order."""
     kinds, ekinds = list(NodeKind), list(EdgeKind)
     to_sink = [node.kind is NodeKind.SINK for node in g.nodes]
-    out = {name: [] for name in LISTS + ROWS}
+    out = {name: [] for name in LISTS + ROWS + ("edge_kind",)}
     for node in g.nodes:
         out["node_kind"].append(kinds.index(node.kind))
         out["node_capacity"].append(node.capacity)
@@ -87,6 +87,9 @@ def assert_matches_object_graph(c, params) -> None:
     assert c.n_edges == len(ref["edge_dst"])
     for name in LISTS:
         assert getattr(c, name) == ref[name], name
+    assert c.edge_kind.dtype == np.int8
+    assert c.edge_kind.tobytes() == np.asarray(ref["edge_kind"],
+                                               np.int8).tobytes()
     for name in PINS:
         table = getattr(c, f"{name}_ids")
         assert table.dtype == np.int32, name

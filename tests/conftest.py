@@ -1,8 +1,10 @@
 """Puts ``tests/oracles`` on ``sys.path`` for every test directory.
 
-The oracles there — the object-graph fabric (``rrg_oracle``) and the
-legacy router (``legacy_router``) — are independent reimplementations
-the tests compare the library against.  They live outside ``src/`` so
+The oracles there — the object-graph fabric (``rrg_oracle``), the
+legacy router (``legacy_router``), the dict-walk static timing
+(``sta_oracle``) and the from-scratch repair ladder
+(``repair_oracle``) — are independent reimplementations the tests
+compare the library against.  They live outside ``src/`` so
 no production path can reach them; tests import them by module name.
 """
 

@@ -6,17 +6,19 @@ no search, congestion or endpoint code with
 :mod:`repro.route.pathfinder`: the equivalence tests assert the compiled
 router reproduces its routes, and ``benchmarks/bench_engine_scaling.py``
 and ``benchmarks/bench_sweep_scaling.py`` measure their speed-ups
-against it.  Only the result records (:class:`RoutedNet`,
-:class:`RouteResult`), the schedule constants and
-:func:`endpoint_signature` are imported, so both routers hand back the
-same types and price nodes with the same numbers.
+against it.  Only the result records (:class:`RoutedNet` through
+:func:`net_from_paths`, whose trees name edges by the compiled
+substrate's CSR indexes, and :class:`RouteResult`), the schedule
+constants and :func:`endpoint_signature` are imported, so both
+routers hand back the same types and price nodes with the same
+numbers.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from repro.arch.compiled import LENGTH_COST_FACTOR, NodeKind
+from repro.arch.compiled import LENGTH_COST_FACTOR, NodeKind, flat_rrg_for
 from repro.errors import RoutingError
 from repro.netlist.dfg import MultiContextProgram
 from repro.netlist.netlist import CellKind, Netlist
@@ -29,6 +31,7 @@ from repro.route.pathfinder import (
     RouteResult,
     RoutedNet,
     endpoint_signature,
+    net_from_paths,
 )
 from rrg_oracle import RoutingResourceGraph
 
@@ -158,16 +161,14 @@ def _route_net(
     source: int,
     sinks: list[int],
 ) -> RoutedNet:
-    net = RoutedNet(name, source, list(sinks))
-    net.nodes = {source}
+    nodes = {source}
+    sink_paths: dict[int, list[int]] = {}
     for sink in sinks:
-        path = _dijkstra_to_sink(g, state, net.nodes, sink)
-        # record full root->sink path for timing: splice at the join point
-        net.sink_paths[sink] = list(path)
-        for a, b in zip(path, path[1:]):
-            net.edges.add((a, b))
-        net.nodes.update(path)
-    return net
+        path = _dijkstra_to_sink(g, state, nodes, sink)
+        sink_paths[sink] = list(path)
+        nodes.update(path)
+    return net_from_paths(flat_rrg_for(g.params), name, source, sinks,
+                          sink_paths.items())
 
 
 def route_context_legacy(
@@ -188,10 +189,9 @@ def route_context_legacy(
         sig = endpoint_signature(source, sinks)
         prior = reuse.get(sig) if reuse else None
         if prior is not None:
-            net = RoutedNet(name, source, list(sinks))
-            net.nodes = set(prior.nodes)
-            net.edges = set(prior.edges)
-            net.sink_paths = {k: list(v) for k, v in prior.sink_paths.items()}
+            net = net_from_paths(
+                flat_rrg_for(g.params), name, source, sinks,
+                [(k, list(v)) for k, v in prior.sink_paths.items()])
             net.reused = True
             routes[name] = net
             state.add(net.nodes)

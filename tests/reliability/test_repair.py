@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.api import ExecutionConfig, Session, YieldRequest
 from repro.arch.compiled import build_flat, flat_rrg_for
 from repro.arch.geometry import Coord
 from repro.arch.params import ArchParams
@@ -25,6 +26,7 @@ from repro.route import pathfinder
 from repro.route.pathfinder import route_context_compiled, route_context_warm
 from repro.utils.telemetry import Telemetry, collecting
 from repro.workloads.generators import ripple_adder
+from repair_oracle import repair_from_scratch
 
 PARAMS = ArchParams(cols=6, rows=6, channel_width=8, io_capacity=4)
 MAX_ITERS = 25
@@ -199,11 +201,9 @@ class TestIncrementalRepair:
                 dm = DefectMap.sample(c, rate, seed=seed)
                 inc = repair_mapping(
                     c, netlist, golden, dm, max_iterations=MAX_ITERS,
-                    incremental=True,
                 )
-                ref = repair_mapping(
+                ref = repair_from_scratch(
                     c, netlist, golden, dm, max_iterations=MAX_ITERS,
-                    incremental=False,
                 )
                 assert inc.level is ref.level, (rate, seed)
                 assert inc.routed == ref.routed, (rate, seed)
@@ -299,6 +299,34 @@ class TestGoldenEndpoints:
         rebuilt = golden.endpoints(build_flat(PARAMS), twin)
         assert rebuilt is not again and rebuilt == first
         assert pickle.loads(pickle.dumps(golden))._endpoints is None
+
+
+class TestRouteTrees:
+    @pytest.mark.skipif(pathfinder.route_kernel() != "native",
+                        reason="the Python loop searches over node sets")
+    def test_yield_campaign_builds_no_route_sets(self, monkeypatch):
+        """Trials read the route trees' arrays: no set or dict view of
+        any route is built on the native path."""
+        def refuse(self):
+            raise AssertionError("a route view was built")
+
+        for view in ("nodes", "edges", "sink_paths"):
+            monkeypatch.setattr(pathfinder.RouteTree, view, property(refuse))
+        request = YieldRequest(
+            workload="random", grid=7, width=8, rates=(0.02, 0.05),
+            trials=3, model="uniform", execution=ExecutionConfig(seed=3))
+        rows = list(Session().stream(request))
+        assert [row.trials for row in rows] == [3, 3]
+
+    def test_golden_delay_memo_does_not_pickle(self, mapping):
+        c, netlist, placement, _ = mapping
+        golden = build_golden(c, netlist, placement, MAX_ITERS)
+        assert all(net.tree.delay_memo is not None
+                   for net in golden.routes.nets.values())
+        back = pickle.loads(pickle.dumps(golden))
+        assert all(net.tree.delay_memo is None
+                   for net in back.routes.nets.values())
+        assert back.routes == golden.routes
 
 
 class TestVectorisedDetection:

@@ -4,8 +4,9 @@ With a C compiler, every sequential context route (``workers <= 1``)
 is one ``route_context`` call into ``_search.c``.  Each workload below
 is routed twice: once through that call and once through the Python
 loop of ``_route_context_compiled`` (the fallback and the oracle, with
-the native search inside).  Per net the two must agree on ``nodes``,
-``edges``, ``sink_paths`` (insertion order included) and ``reused``,
+the native search inside).  Per net the two must agree on the route
+tree's arrays, on ``nodes``, ``edges``, ``sink_paths`` (insertion order
+included) and ``reused``,
 per context on ``iterations``, the telemetry counters must match key
 for key (first-seen order included), and the congestion state left
 behind (usage, history, folded costs, pressure factor) bit for bit.
@@ -136,7 +137,9 @@ def _assert_same_route(a, b):
         assert list(net.sink_paths.items()) == \
             list(other.sink_paths.items()), name
         assert net.reused == other.reused, name
-        # the Python loop builds its sets in this order as well
+        # the same tree arrays, and the Python loop builds its sets in
+        # this order as well
+        assert net.tree == other.tree, name
         assert list(net.nodes) == list(other.nodes), name
 
 

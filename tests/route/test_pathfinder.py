@@ -1,5 +1,8 @@
 """Tests for the PathFinder router."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.arch.compiled import NodeKind, compiled_rrg_for
@@ -14,6 +17,7 @@ from repro.route.pathfinder import (
     route_context,
     route_program,
 )
+from repro.route.timing import critical_path
 from repro.workloads.generators import random_dag, ripple_adder
 from repro.workloads.multicontext import mutated_program
 
@@ -80,6 +84,67 @@ class TestSingleContext:
         pl = place(n, params, seed=0, effort=0.2)
         with pytest.raises(RoutingError):
             route_context(g, n, pl, max_iterations=6)
+
+
+class TestRouteTree:
+    """Each net's route as arrays in tree order, and its views."""
+
+    def test_tree_arrays_describe_the_route(self, setup):
+        _, g, n, pl = setup
+        rr = route_context(g, n, pl)
+        for name, net in rr.nets.items():
+            tree = net.tree
+            assert tree.node[0] == net.source and tree.parent[0] == -1
+            assert tree.edge[0] == -1
+            pos = np.arange(1, tree.node.size)
+            assert ((tree.parent[1:] >= 0) & (tree.parent[1:] < pos)).all()
+            # edge i is the first node[parent[i]] -> node[i] CSR edge
+            assert np.array_equal(
+                tree.edge[1:],
+                g.edge_index(tree.node[tree.parent[1:]], tree.node[1:]))
+            assert len(set(tree.node.tolist())) == tree.node.size
+            assert net.nodes == set(tree.node.tolist())
+            assert len(net.edges) == tree.node.size - 1
+            assert sorted(net.sink_paths) == sorted(net.sinks), name
+            assert [int(tree.node[at]) for at, _ in tree.branch] == \
+                list(net.sink_paths), name
+            for sink, path in net.sink_paths.items():
+                assert path[-1] == sink and path[0] in net.nodes
+
+    def test_views_are_cached_and_shared_by_adopted_nets(self):
+        params = ArchParams(cols=5, rows=5, channel_width=8, io_capacity=4)
+        g = compiled_rrg_for(params)
+        base = tech_map(synthesize(["a", "b", "c"], {"o": "(a & b) ^ c"}), k=4)
+        prog = mutated_program(base, n_contexts=2, fraction=0.0)
+        pls = place_program(prog, params, seed=1, share_aware=True, effort=0.3)
+        rrs = route_program(g, prog, pls, share_aware=True)
+        adopted = [net for net in rrs[1].nets.values() if net.reused]
+        assert adopted
+        for net in adopted:
+            prior = next(p for p in rrs[0].nets.values()
+                         if endpoint_signature(p.source, p.sinks)
+                         == endpoint_signature(net.source, net.sinks))
+            assert net.tree is prior.tree
+            assert net.nodes is prior.nodes is net.nodes
+
+    def test_arrays_are_read_only_and_pickle_without_caches(self, setup):
+        _, g, n, pl = setup
+        rr = route_context(g, n, pl)
+        critical_path(g, n, rr, pl)
+        net = next(iter(rr.nets.values()))
+        with pytest.raises(ValueError):
+            net.tree.node[0] = 0
+        net.nodes, net.sink_paths  # build the views
+        assert net.tree.delay_memo is not None
+        back = pickle.loads(pickle.dumps(rr))
+        for name, twin in back.nets.items():
+            tree = twin.tree
+            assert tree == rr.nets[name].tree
+            assert tree.delay_memo is None and tree._nodes is None
+            assert not tree.node.flags.writeable
+            assert list(twin.sink_paths.items()) == \
+                list(rr.nets[name].sink_paths.items())
+            assert list(twin.nodes) == list(rr.nets[name].nodes)
 
 
 class TestIterationLimit:

@@ -19,7 +19,7 @@ from repro.arch.params import ArchParams
 from repro.netlist.techmap import tech_map
 from repro.place.placer import place
 from repro.reliability import DefectMap, build_golden
-from repro.route.pathfinder import RoutedNet, _healthy_sink_paths
+from repro.route.pathfinder import _healthy_sink_paths, net_from_paths
 from repro.workloads.generators import random_dag
 from salvage_oracle import dead_edge_pairs, healthy_sink_paths
 
@@ -96,8 +96,8 @@ class TestHandBuiltTrees:
         """A trunk ``n0..n4`` and a branch ``n2 -> m`` off its middle."""
         trunk, trunk_edges = _walk(c, int(c.wire_node_ids()[40]), 4)
         (_n2, m), (branch_edge,) = _walk(c, trunk[2], 1, avoid=trunk)
-        prior = RoutedNet("t", source=trunk[0], sinks=[trunk[4], m])
-        prior.sink_paths = {trunk[4]: list(trunk), m: [trunk[2], m]}
+        prior = net_from_paths(c, "t", trunk[0], [trunk[4], m], [
+            (trunk[4], list(trunk)), (m, [trunk[2], m])])
         return prior, trunk, m, trunk_edges, branch_edge
 
     def test_shared_trunk(self, substrate):
@@ -122,8 +122,8 @@ class TestHandBuiltTrees:
         c = substrate
         (s, a), (ea,) = _walk(c, int(c.wire_node_ids()[7]), 1)
         (_s, b), (eb,) = _walk(c, s, 1, avoid=[a])
-        prior = RoutedNet("one", source=s, sinks=[a, b])
-        prior.sink_paths = {a: [s, a], b: [s, b]}
+        prior = net_from_paths(c, "one", s, [a, b],
+                               [(a, [s, a]), (b, [s, b])])
         dm = DefectMap.from_defects(c, switch_edges=[ea])
         assert _same(c, prior, dm) == {b: [s, b]}
         dm = DefectMap.from_defects(c, switch_edges=[ea, eb])
@@ -138,31 +138,31 @@ class TestHandBuiltTrees:
         assert (a, b) in dead_edge_pairs(
             c, DefectMap.from_defects(c, switch_edges=[e]))
         x = int(c.wire_node_ids()[200])
-        prior = RoutedNet("edge", source=b, sinks=[a, x])
-        prior.sink_paths = {a: [b, a], x: [b, x]}
+        prior = net_from_paths(c, "edge", b, [a, x],
+                               [(a, [b, a]), (x, [b, x])])
         dm = DefectMap.from_defects(c, switch_edges=[e])
         assert _same(c, prior, dm) == {a: [b, a], x: [b, x]}
 
     def test_malformed_records_are_skipped(self, substrate):
         c = substrate
-        prior, trunk, m, trunk_edges, _ = self._tree(c)
+        _, trunk, m, trunk_edges, _ = self._tree(c)
         orphan = int(c.wire_node_ids()[300])
         # a branch hanging off a node outside the tree
-        prior.sink_paths[orphan] = [orphan + 1, orphan]
-        prior.sinks.append(orphan)
+        prior = net_from_paths(c, "t", trunk[0], [trunk[4], m, orphan], [
+            (trunk[4], list(trunk)), (m, [trunk[2], m]),
+            (orphan, [orphan + 1, orphan])])
         dm = DefectMap.from_defects(c, switch_edges=[trunk_edges[3]])
         got = _same(c, prior, dm)
         assert orphan not in got and m in got
         # a parent cycle that never reaches the source
-        cyc = RoutedNet("cyc", source=trunk[0], sinks=[trunk[2]])
-        cyc.sink_paths = {trunk[2]: [trunk[1], trunk[2], trunk[1]]}
+        cyc = net_from_paths(c, "cyc", trunk[0], [trunk[2]], [
+            (trunk[2], [trunk[1], trunk[2], trunk[1]])])
         assert _same(c, cyc, DefectMap.from_defects(c)) == {}
 
     def test_source_as_its_own_sink(self, substrate):
         c = substrate
         s = int(c.wire_node_ids()[3])
-        prior = RoutedNet("self", source=s, sinks=[s])
-        prior.sink_paths = {s: [s]}
+        prior = net_from_paths(c, "self", s, [s], [(s, [s])])
         assert _same(c, prior, DefectMap.from_defects(c)) == {s: [s]}
         dm = DefectMap.from_defects(c, wire_nodes=[s])
         assert _same(c, prior, dm) == {}

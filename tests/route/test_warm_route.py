@@ -8,8 +8,8 @@ from repro.netlist.techmap import tech_map
 from repro.place.placer import place
 from repro.reliability import DefectMap, build_golden, dirty_net_names
 from repro.route.pathfinder import (
-    RoutedNet,
     _healthy_sink_paths,
+    net_from_paths,
     route_context_warm,
 )
 from repro.workloads.generators import random_dag
@@ -102,10 +102,10 @@ class TestWarmRoute:
         sink_paths store incremental branches, and health is a property
         of the full chain back to the source."""
         c = flat_rrg_for(PARAMS)
-        prior = RoutedNet("n", source=0, sinks=[3, 5])
-        prior.sink_paths = {3: [0, 1, 2, 3], 5: [2, 4, 5]}
-        prior.nodes = {0, 1, 2, 3, 4, 5}
-        prior.edges = {(0, 1), (1, 2), (2, 3), (2, 4), (4, 5)}
+        prior = net_from_paths(c, "n", 0, [3, 5],
+                               [(3, [0, 1, 2, 3]), (5, [2, 4, 5])])
+        assert prior.nodes == {0, 1, 2, 3, 4, 5}
+        assert prior.edges == {(0, 1), (1, 2), (2, 3), (2, 4), (4, 5)}
         dm = DefectMap.from_defects(c, wire_nodes=[1])
         assert _healthy_sink_paths(prior, dm) == {}
         # breaking only the leaf branch keeps the trunk's sink

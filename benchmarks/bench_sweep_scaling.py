@@ -8,8 +8,8 @@ minimum-channel-width-style grid (channel widths 4..19) three ways —
   dict/set PathFinder;
 - **compiled sequential** — :class:`repro.analysis.sweep.SweepRunner`
   on the compiled engine: cached substrates, one shared placement
-  (channel width is invisible to the placer), pooled scratch, the
-  flat-array router with vectorised congestion;
+  (channel width is invisible to the placer), the flat-array router
+  with vectorised congestion;
 - **compiled process** — the same grid fanned out over a
   ``ProcessPoolExecutor`` (reported separately; its wins depend on
   core count and grid size, not on the engine).

@@ -20,10 +20,12 @@ The package splits into:
 - :mod:`repro.place` / :mod:`repro.route` — simulated-annealing placer
   (integer tile ids, cached net bounding boxes, draw-for-draw scalar
   RNG, precomputed per-grid distance tables) and PathFinder router with
-  cross-context route reuse.  Routing runs on the compiled RRG: array
-  Dijkstra with epoch-stamped scratch buffers and per-net bounding-box
-  pruning.  The original object-graph router is kept in the test suite
-  as the reference the equivalence tests compare routes against.
+  cross-context route reuse.  Routing runs on the compiled RRG: one
+  native call per context route (a Python loop without a compiler),
+  array Dijkstra with epoch-stamped search buffers owned by that route,
+  and per-net bounding-box pruning.  The original object-graph router
+  is kept in the test suite as the reference the equivalence tests
+  compare routes against.
 - :mod:`repro.sim` — levelized, event-driven and multi-context
   (DPGA-schedule) simulators.
 - :mod:`repro.workloads` — circuit generators and multi-context

@@ -80,7 +80,7 @@ def _try_route(
     effort: float,
     runner: SweepRunner | None = None,
 ) -> RoutePoint:
-    """Evaluate one architecture point (compiled engine, pooled scratch)."""
+    """Evaluate one architecture point on the compiled engine."""
     runner = runner if runner is not None else _default_runner()
     job = SweepJob("point", 0.0, params, netlist, seed, effort)
     return _as_route_point(runner.run([job])[0])

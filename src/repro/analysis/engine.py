@@ -15,10 +15,10 @@ flat-array substrate:
   routes)`` result to its own cached substrate, so process-backend
   rows are indistinguishable from sequential ones.
 
-Scratch buffers: all routing entry points lease their Dijkstra scratch
-from :data:`repro.route.pathfinder.SCRATCH_POOL`, so sequential batch
-jobs reuse one allocation and concurrent jobs hold one each (workers in
-a process pool each own a per-process pool).
+Search buffers: each context route owns its own (the native route
+allocates them inside its call, the Python fallback makes one
+:class:`~repro.route.pathfinder.RouterScratch`), so concurrent jobs
+share nothing but the read-only substrate.
 
 Routing *within* one program parallelises per context only in
 share-unaware mode — share-aware routing reuses earlier contexts'

@@ -21,10 +21,10 @@ exploration: points are data, the runner is policy):
 
 Backend and pool selection
 --------------------------
-``backend="sequential"`` (default) evaluates points in order, reusing
-one leased :class:`~repro.route.pathfinder.RouterScratch` per substrate
-through the shared scratch pool — the right choice for small grids and
-for bisection, where points depend on earlier outcomes.
+``backend="sequential"`` (default) evaluates points in order, sharing
+each substrate across the points that use it — the right choice for
+small grids and for bisection, where points depend on earlier
+outcomes.
 ``backend="thread"`` overlaps points with a thread pool; the native
 route and anneal kernels release the GIL inside their ``ctypes``
 calls, so threads overlap those, while the Python around them stays
@@ -32,7 +32,7 @@ serialized.
 ``backend="process"`` fans points out to a ``ProcessPoolExecutor`` —
 jobs and results are picklable by construction, so each point ships
 as a pickled ``(job, placement)`` pair and each worker process warms
-its own compiled-RRG cache and scratch pool.  ``workers=None`` sizes
+its own compiled-RRG cache.  ``workers=None`` sizes
 parallel backends to ``os.cpu_count()``.
 
 :meth:`SweepRunner.iter_items` is the one pool loop: sweep points,

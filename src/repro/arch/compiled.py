@@ -4,14 +4,13 @@
 graph the placer, router, timing, statistics and defect models use.
 Nodes are physical resources (wire segments, pins, logical
 sources/sinks, :class:`NodeKind`); edges are programmable switches
-(:class:`EdgeKind`).  The fabric is held as flat arrays, so the hot
-paths index plain Python lists and numpy buffers instead of chasing
-objects.  :func:`build_flat` emits those arrays directly from the
-device parameters.  Each node class (wires, logic-block pins, I/O pads)
-and each edge group (switch points, pins, I/O) is numpy index
-arithmetic over channels, tracks, tiles and pins; every source's edges
-come out in one fixed loop order, so one stable sort by source forms
-the CSR rows.  An object-graph build of the same fabric lives in the
+(:class:`EdgeKind`).  The fabric is held as flat numpy arrays, so the
+hot paths index buffers instead of chasing objects.  :func:`build_flat`
+emits those arrays directly from the device parameters.  Each node
+class (wires, logic-block pins, I/O pads) and each edge group (switch
+points, pins, I/O) is numpy index arithmetic over channels, tracks,
+tiles and pins; every source's edges come out in one fixed loop order,
+so one stable sort by source forms the CSR rows.  An object-graph build of the same fabric lives in the
 test suite (``tests/oracles/rrg_oracle.py``) as the independent oracle
 the arrays are compared against.
 
@@ -21,18 +20,15 @@ the arrays are compared against.
   router's inner loop needs no per-edge kind test (relaxation order
   within one node does not affect Dijkstra's result — heap order is
   decided by ``(dist, node)`` values, not push order).  The three rows
-  are contiguous int32 arrays, which the native search kernel reads in
-  place; the Python kernel asks for list forms (:meth:`CompiledRRG.row_lists`).
-- **node attribute arrays** — kind, capacity, wire length and the
-  congestion *base cost* ``1.0 + 0.2 * (length - 1)`` precomputed per
-  node.  These are plain Python lists rather than
-  ``array('i')``/``array('d')``: list indexing returns the stored
-  (cached) object, while ``array`` boxes a fresh int/float on every
-  read — measurably slower in the router's per-net loops.
+  are contiguous int32 arrays, which the native context route reads in
+  place; the Python search asks for list forms (:meth:`CompiledRRG.row_lists`).
+- **node attribute arrays** — kind (int8), capacity (int64), wire
+  length (int8) and the congestion *base cost* ``1.0 + 0.2 * (length -
+  1)`` (float64) precomputed per node, one numpy array each.
 - **spatial extents** — per-node tile-coordinate bounding boxes
-  (``xlo``/``xhi``/``ylo``/``yhi``, mirrored as numpy arrays) from
-  which the router builds per-net bounding-box prune masks in one
-  vectorised expression.
+  (``xlo``/``xhi``/``ylo``/``yhi``, int32 arrays) from which the
+  router builds per-net bounding-box prune masks in one vectorised
+  expression.
 - **pin indexes** — int32 ``(tile, pin)`` tables of each tile's
   SOURCE and SINK nodes (``-1`` where a tile has no such pin).
 
@@ -108,10 +104,6 @@ _PASS, _BUF, _PIN, _INTERNAL = (
 LENGTH_COST_FACTOR = 0.2
 
 
-def _as_list(a) -> list:
-    return a.tolist() if isinstance(a, np.ndarray) else a
-
-
 class CompiledRRG:
     """Flat arrays of one fabric: what the router and placer inner loops
     need, and nothing else.
@@ -127,16 +119,10 @@ class CompiledRRG:
         "node_capacity",
         "node_length",
         "base_cost",
-        "node_capacity_np",
-        "base_cost_np",
         "xlo",
         "xhi",
         "ylo",
         "yhi",
-        "xlo_np",
-        "xhi_np",
-        "ylo_np",
-        "yhi_np",
         "edge_start",
         "edge_mid",
         "edge_dst",
@@ -181,12 +167,13 @@ class CompiledRRG:
     ) -> "CompiledRRG":
         """Assemble a substrate from its arrays — the one constructor.
 
-        Array fields take Python lists or numpy arrays.  The hot Python
-        lists are kept (lists) or materialised (arrays).  The CSR rows
+        Array fields take Python lists or numpy arrays, and each is
+        stored once, as a numpy array: ``node_kind``, ``node_length``
+        and ``edge_kind`` as int8, ``node_capacity`` as int64,
+        ``base_cost`` as float64, and the extents, the CSR rows
         ``edge_start``/``edge_mid``/``edge_dst`` and the pin-node
-        tables are stored only as contiguous int32 arrays and
-        ``edge_kind`` only as an int8 array; those and each numpy
-        mirror alias their input when the dtype already matches.
+        tables as int32, all but ``edge_kind`` contiguous.  Each
+        aliases its input when it already has that form.
 
         The pin-node tables are indexed by row-major tile ``y * cols +
         x``: ``lb_source_ids[tile, output]``, ``lb_sink_ids[tile,
@@ -202,14 +189,16 @@ class CompiledRRG:
                 lb_source_ids, lb_sink_ids, io_source_ids, io_sink_ids))
         n = len(node_kind)
         c.n_nodes = n
-        c.node_kind = _as_list(node_kind)
-        c.node_capacity = _as_list(node_capacity)
-        c.node_length = _as_list(node_length)
-        c.base_cost = _as_list(base_cost)
-        c.xlo = _as_list(xlo)
-        c.xhi = _as_list(xhi)
-        c.ylo = _as_list(ylo)
-        c.yhi = _as_list(yhi)
+        c.node_kind = np.ascontiguousarray(node_kind, dtype=np.int8)
+        c.node_length = np.ascontiguousarray(node_length, dtype=np.int8)
+        # capacity/base-cost feed the congestion bookkeeping (overuse
+        # scans, effective-cost refreshes), the extents per-net
+        # prune-mask construction; the native context route reads
+        # them in place
+        c.node_capacity = np.ascontiguousarray(node_capacity, dtype=np.int64)
+        c.base_cost = np.ascontiguousarray(base_cost, dtype=np.float64)
+        c.xlo, c.xhi, c.ylo, c.yhi = (np.ascontiguousarray(a, dtype=np.int32)
+                                      for a in (xlo, xhi, ylo, yhi))
         c.edge_start = np.ascontiguousarray(edge_start, dtype=np.int32)
         c.edge_mid = np.ascontiguousarray(edge_mid, dtype=np.int32)
         c.edge_dst = np.ascontiguousarray(edge_dst, dtype=np.int32)
@@ -217,16 +206,6 @@ class CompiledRRG:
         # and defect sampling, as the int8 array ``build_flat`` makes
         c.edge_kind = np.asarray(edge_kind, dtype=np.int8)
         c.n_edges = len(c.edge_dst)
-
-        # vectorised mirrors: capacity/base-cost feed the congestion
-        # bookkeeping (overuse scans, effective-cost refreshes), the
-        # bounding boxes feed per-net prune-mask construction
-        c.node_capacity_np = np.asarray(node_capacity, dtype=np.int64)
-        c.base_cost_np = np.asarray(base_cost, dtype=np.float64)
-        c.xlo_np = np.asarray(xlo, dtype=np.int32)
-        c.xhi_np = np.asarray(xhi, dtype=np.int32)
-        c.ylo_np = np.asarray(ylo, dtype=np.int32)
-        c.yhi_np = np.asarray(yhi, dtype=np.int32)
 
         # defect-candidate indexes (reliability subsystem) are derived
         # lazily and cached, so routing-only flows never pay for them
@@ -245,8 +224,8 @@ class CompiledRRG:
 
     def row_lists(self) -> tuple[list[int], list[int], list[int]]:
         """``edge_start``/``edge_mid``/``edge_dst`` as Python lists,
-        built on first use and cached (the Python search kernel iterates
-        them; the native kernel reads the int32 arrays and never asks).
+        built on first use and cached (the Python search iterates them;
+        the native context route reads the int32 arrays and never asks).
         ``edge_dst`` reuses one int object per node id: a plain
         ``tolist()`` would allocate a fresh int per *edge*."""
         if self._row_lists is None:
@@ -274,7 +253,7 @@ class CompiledRRG:
         would use it) out of service.
         """
         if self._wire_ids is None:
-            kind = np.asarray(self.node_kind, dtype=np.int64)
+            kind = self.node_kind
             self._wire_ids = np.flatnonzero(
                 (kind == KIND_CHANX) | (kind == KIND_CHANY)
             )
@@ -382,10 +361,9 @@ class CompiledRRG:
         over every node of every net — an exact integer sum either way.
         """
         if self._wire_len is None:
-            kind = np.asarray(self.node_kind, dtype=np.int64)
-            lengths = np.asarray(self.node_length, dtype=np.int64)
-            wire = (kind == KIND_CHANX) | (kind == KIND_CHANY)
-            self._wire_len = np.where(wire, lengths, 0)
+            wires = self.wire_node_ids()
+            self._wire_len = np.zeros(self.n_nodes, dtype=np.int64)
+            self._wire_len[wires] = self.node_length[wires]
         return self._wire_len
 
     def bbox_mask(
@@ -398,8 +376,8 @@ class CompiledRRG:
         is an immutable ``bytes`` indexable to 0/1 ints.
         """
         inside = (
-            (self.xhi_np >= bxlo) & (self.xlo_np <= bxhi)
-            & (self.yhi_np >= bylo) & (self.ylo_np <= byhi)
+            (self.xhi >= bxlo) & (self.xlo <= bxhi)
+            & (self.yhi >= bylo) & (self.ylo <= byhi)
         )
         return inside.tobytes()
 
@@ -412,7 +390,7 @@ class CompiledRRG:
         return NODE_KINDS[self.node_kind[nid]]
 
     def is_wire(self, nid: int) -> bool:
-        k = self.node_kind[nid]
+        k = int(self.node_kind[nid])
         return k == KIND_CHANX or k == KIND_CHANY
 
     def describe(self) -> str:
@@ -608,7 +586,7 @@ def build_flat(params: ArchParams) -> CompiledRRG:
         at = _fill((src, dst, ekind), at, shape, values)
 
     # uint16 keys take numpy's radix sort; either sort is stable.  The
-    # sort's working arrays go before the list fields are made, which
+    # sort's working arrays are dropped as soon as they are used, which
     # keeps the build's transient peak down
     order = np.argsort(src.astype(np.uint16) if n <= 1 << 16 else src,
                        kind="stable")
@@ -620,10 +598,9 @@ def build_flat(params: ArchParams) -> CompiledRRG:
     dst, ekind = dst[order], ekind[order]
     del order
 
-    # base costs share one float object per wire length; pad pin nodes
-    # spread from perimeter rows to tile rows
-    cost = np.array([1.0 + LENGTH_COST_FACTOR * (k - 1) for k in range(3)],
-                    dtype=object)
+    # base costs by wire length; pad pin nodes spread from perimeter
+    # rows to tile rows
+    cost = np.array([1.0 + LENGTH_COST_FACTOR * (k - 1) for k in range(3)])
     io_ids = np.full((2, n_tiles, n_pads), -1, dtype=i32)
     io_ids[:, perimeter] = io_source, io_sink
     return CompiledRRG._from_arrays(
@@ -631,7 +608,7 @@ def build_flat(params: ArchParams) -> CompiledRRG:
         node_kind=kind,
         node_capacity=np.ones(n, dtype=np.int64),
         node_length=length,
-        base_cost=cost[length].tolist(),
+        base_cost=cost[length],
         xlo=xlo,
         xhi=xhi,
         ylo=ylo,
@@ -704,9 +681,5 @@ flat_rrg_for.cache_clear = _substrate_cached.cache_clear
 
 
 def clear_rrg_cache() -> None:
-    """Drop all cached substrates and their pooled router scratch
-    buffers (mainly for tests / memory)."""
+    """Drop all cached substrates (mainly for tests / memory)."""
     _substrate_cached.cache_clear()
-    from repro.route.pathfinder import SCRATCH_POOL
-
-    SCRATCH_POOL.clear()

@@ -208,7 +208,7 @@ class DefectMap:
             switch_hit = switches[rng.random(len(switches)) < s_rate]
             tile_hit = np.flatnonzero(rng.random(len(tiles)) < l_rate)
         else:
-            xlo, ylo = c.xlo_np, c.ylo_np
+            xlo, ylo = c.xlo, c.ylo
             wire_hit = _clustered_pick(
                 rng, wires, xlo[wires], ylo[wires], w_rate,
                 c.params, cluster_radius, cluster_size,

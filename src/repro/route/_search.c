@@ -1,24 +1,25 @@
-/* Native routing: the C twins of repro.route.pathfinder's search and
- * sequential context route.
+/* Native routing: the C twin of repro.route.pathfinder's sequential
+ * context route.
  *
- * One static search (`search`) serves both exports.  It finds the
- * shortest path from a route tree to one target over the CSR rows of a
- * compiled routing-resource graph.  A binary heap on (dist, node) pops
- * entries in exactly the order of the Python kernel's Dial buckets: a
- * node's pushed distances strictly decrease, so no two heap keys are
- * equal (the only exception, the order among infinite-distance
- * entries, is documented in pathfinder.py).  Stale pops are counted
- * like the Python kernel counts them.
+ * `route_context` runs one context's whole PathFinder route: the
+ * initial pass over the nets (adopted, seeded, searched), the usage
+ * commits and every rip-up iteration, with the congestion arithmetic of
+ * pathfinder._FlatCongestion operation for operation (built with
+ * -ffp-contract=off, so no multiply-add is fused).  It is the only
+ * export.
  *
- * - `route_search` runs one search (the Python loop's kernel).
- * - `route_context` runs one context's whole sequential PathFinder
- *   route: the initial pass over the nets (adopted, seeded, searched),
- *   the usage commits and every rip-up iteration, with the congestion
- *   arithmetic of pathfinder._FlatCongestion operation for operation
- *   (built with -ffp-contract=off, so no multiply-add is fused).
+ * Its one search (`search`) finds the shortest path from a route tree
+ * to one target over the CSR rows of a compiled routing-resource graph.
+ * A binary heap on (dist, node) pops entries in exactly the order of
+ * the Python kernel's Dial buckets (pathfinder._dijkstra): a node's
+ * pushed distances strictly decrease, so no two heap keys are equal
+ * (the only exception, the order among infinite-distance entries, is
+ * documented in pathfinder.py).  Stale pops are counted like the
+ * Python kernel counts them.
  *
- * Neither keeps static state; every buffer is the caller's or is
- * allocated and freed within the call.
+ * Nothing is static: the route reads and writes the caller's graph,
+ * congestion and output arrays, and allocates and frees every scratch
+ * buffer within the call.
  *
  * Build: gcc -O2 -shared -fPIC -ffp-contract=off -lm (repro.utils.native).
  */
@@ -89,14 +90,18 @@ static entry pop(entry *heap, int64_t *len) {
     return top;
 }
 
-/* The search's graph, costs and scratch; the heap persists across
- * searches and grows on demand. */
+/* The search's graph, costs and scratch.  `dist`/`prev` are never
+ * cleared: `stamp` holds the epoch of the search that last wrote a
+ * node's entry, and any other stamp reads as unvisited.  The epoch
+ * counts the searches of one call from 1, so it never wraps.  The heap
+ * persists across searches and grows on demand. */
 typedef struct {
     const int32_t *estart, *emid, *edst;
     const double *eff;
     double *dist;
     int32_t *prev;
-    uint32_t *stamp;
+    uint64_t *stamp;
+    uint64_t epoch;
     entry *heap;
     int64_t heap_cap;
 } searcher;
@@ -104,19 +109,19 @@ typedef struct {
 /* Pushes the `n_tree` nodes of `tree` at distance 0 and searches.
  * Returns the length of the path written to `path` (tree node first,
  * target last), 0 when `target` is unreachable, or -1 when the heap
- * cannot grow.  `path` may alias `tree`: the tree is read first.  A
- * non-SINK edge (before `emid`) enters a node only where `mask` (NULL:
- * everywhere) admits it; SINK edges admit only `target`.  `*pops`
- * receives the pop count. */
+ * cannot grow.  A non-SINK edge (before `emid`) enters a node only
+ * where `mask` (NULL: everywhere) admits it; SINK edges admit only
+ * `target`.  `*pops` receives the pop count. */
 static int64_t search(searcher *s, const uint8_t *mask, const int32_t *tree,
-                      int64_t n_tree, int32_t target, uint32_t epoch,
-                      int32_t *path, int64_t *pops)
+                      int64_t n_tree, int32_t target, int32_t *path,
+                      int64_t *pops)
 {
     const int32_t *estart = s->estart, *emid = s->emid, *edst = s->edst;
     const double *eff = s->eff;
     double *dist = s->dist;
     int32_t *prev = s->prev;
-    uint32_t *stamp = s->stamp;
+    uint64_t *stamp = s->stamp;
+    uint64_t epoch = ++s->epoch;
     int64_t len = 0, k = 0, count = 0;
     for (int64_t i = 0; i < n_tree; i++) {
         stamp[tree[i]] = epoch;
@@ -171,47 +176,25 @@ static int64_t search(searcher *s, const uint8_t *mask, const int32_t *tree,
     return k;
 }
 
-/* On entry `path` holds the `n_tree` route-tree nodes.  Returns the
- * length of the path then written to `path` (tree node first, target
- * last), 0 when `target` is unreachable inside `mask`, or -1 when the
- * heap could not be allocated.  `*pops` receives the pop count.  A NULL
- * `mask` admits every node; SINK edges (from `emid`) admit only `target`. */
-int64_t route_search(
-    const int32_t *estart, const int32_t *emid, const int32_t *edst,
-    const double *eff, const uint8_t *mask, int64_t n_tree, int32_t target,
-    double *dist, int32_t *prev, uint32_t *stamp, int32_t *path,
-    int64_t *pops, uint32_t epoch)
-{
-    searcher s = {estart, emid, edst, eff, dist, prev, stamp, NULL,
-                  n_tree > 64 ? 2 * n_tree : 128};
-    *pops = 0;
-    s.heap = malloc((size_t)s.heap_cap * sizeof(entry));
-    if (s.heap == NULL)
-        return -1;
-    int64_t k = search(&s, mask, path, n_tree, target, epoch, path, pops);
-    free(s.heap);
-    return k;
-}
-
 /* ---------------------------------------------------------------------- */
 /* one context's sequential route                                          */
 /* ---------------------------------------------------------------------- */
 
-/* `stats` slots; pathfinder.py mirrors these names. */
+/* `stats` slots, all written by the call; pathfinder.py mirrors these
+ * names. */
 enum {
-    ST_EPOCH,           /* in/out: RouterScratch.epoch */
-    ST_STATUS,          /* out: one of the RC_* codes */
-    ST_DETAIL,          /* out: the sink (RC_NO_PATH) or the overused
-                           nodes (RC_CONGESTED) */
-    ST_ITERATIONS,      /* out: RouteResult.iterations */
-    ST_POPS,            /* out: router.pops */
-    ST_FIRST_POPS,      /* out: router.pops of the initial pass */
-    ST_RIPUPS,          /* out: router.ripup_iterations */
-    ST_CENSUS,          /* out: router.overused_census */
-    ST_REPRICED,        /* out: router.repriced_nodes */
-    ST_RIPPED,          /* out: router.ripped_nets */
-    ST_OUT_NODES,       /* out: tree nodes written to out_nodes */
-    ST_OUT_PATHS,       /* out: paths written */
+    ST_STATUS,          /* one of the RC_* codes */
+    ST_DETAIL,          /* the sink (RC_NO_PATH) or the overused nodes
+                           (RC_CONGESTED) */
+    ST_ITERATIONS,      /* RouteResult.iterations */
+    ST_POPS,            /* router.pops */
+    ST_FIRST_POPS,      /* router.pops of the initial pass */
+    ST_RIPUPS,          /* router.ripup_iterations */
+    ST_CENSUS,          /* router.overused_census */
+    ST_REPRICED,        /* router.repriced_nodes */
+    ST_RIPPED,          /* router.ripped_nets */
+    ST_OUT_NODES,       /* tree nodes written to out_nodes */
+    ST_OUT_PATHS,       /* paths written */
     N_STATS
 };
 
@@ -246,11 +229,6 @@ typedef struct {
     const int64_t *seed_path_start;
     const int32_t *seed_sink;
     const int32_t *seed_nodes;
-    /* RouterScratch */
-    double *dist;
-    int32_t *prev;
-    uint32_t *stamp;
-    int32_t *path;
     /* out: each routed net's tree (its distinct nodes in insertion
      * order, each with its parent's position in the net's tree and the
      * CSR index of the edge from its parent, -1 at the source) and its
@@ -297,6 +275,7 @@ typedef struct {
 typedef struct {
     route_job *j;
     searcher s;
+    int32_t *path;  /* the search's output */
     vec tree, parent, paths;
     route_rec *rec;
     uint8_t *mask;  /* the net's prune mask */
@@ -374,17 +353,6 @@ static int add_path(router *r, route_rec *rec, const int32_t *p,
     return 0;
 }
 
-static uint32_t next_epoch(router *r) {
-    route_job *j = r->j;
-    uint32_t epoch = (uint32_t)j->stats[ST_EPOCH];
-    if (epoch == 0xFFFFFFFFu) {
-        memset(j->stamp, 0, (size_t)j->n_nodes * sizeof(uint32_t));
-        epoch = 0;
-    }
-    j->stats[ST_EPOCH] = ++epoch;
-    return epoch;
-}
-
 /* pathfinder._route_net_flat: route net `i` afresh (seeded with its
  * salvaged branches when `seeded`), replacing its route record.
  * Returns an RC_* code. */
@@ -439,12 +407,12 @@ static int route_net(router *r, int64_t i, int seeded) {
         }
         int64_t pops, len;
         len = search(&r->s, mask, r->tree.v + rec.tree_off, rec.tree_len,
-                     sink, next_epoch(r), j->path, &pops);
+                     sink, r->path, &pops);
         j->stats[ST_POPS] += pops;
         if (len == 0 && !covers) {
             /* the box disconnected this sink: retry without it */
             len = search(&r->s, j->node_ok, r->tree.v + rec.tree_off,
-                         rec.tree_len, sink, next_epoch(r), j->path, &pops);
+                         rec.tree_len, sink, r->path, &pops);
             j->stats[ST_POPS] += pops;
         }
         if (len < 0)
@@ -453,7 +421,7 @@ static int route_net(router *r, int64_t i, int seeded) {
             j->stats[ST_DETAIL] = sink;
             return RC_NO_PATH;
         }
-        if (add_path(r, &rec, j->path, len) < 0)
+        if (add_path(r, &rec, r->path, len) < 0)
             return RC_NOMEM;
     }
     r->rec[i] = rec;
@@ -573,34 +541,45 @@ static int write_out(router *r) {
     return RC_OK;
 }
 
-/* pathfinder._route_context_compiled's sequential loop in one call.
+/* pathfinder.route_context_compiled's sequential loop in one call.
  * Returns (and stores in stats[ST_STATUS]) an RC_* code. */
 int64_t route_context(route_job *j)
 {
+    size_t n = (size_t)(j->n_nodes ? j->n_nodes : 1);
     router r;
     memset(&r, 0, sizeof r);
     r.j = j;
-    searcher s = {j->estart, j->emid, j->edst, j->eff, j->dist, j->prev,
-                  j->stamp, NULL, 1024};
-    r.s = s;
-    for (int k = ST_STATUS; k < N_STATS; k++)
-        j->stats[k] = 0;
+    r.s.estart = j->estart;
+    r.s.emid = j->emid;
+    r.s.edst = j->edst;
+    r.s.eff = j->eff;
+    r.s.heap_cap = 1024;
+    memset(j->stats, 0, sizeof j->stats);
     memset(j->out_survived, 0, (size_t)j->n_nets * sizeof(int32_t));
-    for (int64_t n = 0; n < j->n_nodes; n++)
-        r.n_over += j->usage[n] > j->cap[n];
+    for (int64_t i = 0; i < j->n_nodes; i++)
+        r.n_over += j->usage[i] > j->cap[i];
+    r.s.dist = malloc(n * sizeof(double));
+    r.s.prev = malloc(n * sizeof(int32_t));
+    r.s.stamp = calloc(n, sizeof(uint64_t));
     r.s.heap = malloc((size_t)r.s.heap_cap * sizeof(entry));
+    r.path = malloc(n * sizeof(int32_t));
     r.rec = calloc((size_t)(j->n_nets ? j->n_nets : 1), sizeof(route_rec));
-    r.mark = calloc((size_t)(j->n_nodes ? j->n_nodes : 1), sizeof(uint32_t));
-    r.mask = malloc((size_t)(j->n_nodes ? j->n_nodes : 1));
-    r.pos = malloc((size_t)(j->n_nodes ? j->n_nodes : 1) * sizeof(int32_t));
+    r.mark = calloc(n, sizeof(uint32_t));
+    r.mask = malloc(n);
+    r.pos = malloc(n * sizeof(int32_t));
     int rc = RC_NOMEM;
-    if (r.s.heap != NULL && r.rec != NULL && r.mark != NULL
-            && r.mask != NULL && r.pos != NULL) {
+    if (r.s.dist != NULL && r.s.prev != NULL && r.s.stamp != NULL
+            && r.s.heap != NULL && r.path != NULL && r.rec != NULL
+            && r.mark != NULL && r.mask != NULL && r.pos != NULL) {
         rc = route_all(&r);
         if (rc == RC_OK)
             rc = write_out(&r);
     }
+    free(r.s.dist);
+    free(r.s.prev);
+    free(r.s.stamp);
     free(r.s.heap);
+    free(r.path);
     free(r.rec);
     free(r.mark);
     free(r.mask);

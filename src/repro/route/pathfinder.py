@@ -13,35 +13,36 @@ make the corresponding switch patterns CONSTANT, which is what the RCM
 rewards (paper Section 3).
 
 The router runs over the flat CSR arrays of a
-:class:`~repro.arch.compiled.CompiledRRG`.  :func:`_search` runs a
-native binary heap on ``(dist, node)`` (``_search.c``, built at first
-use by :mod:`repro.utils.native`), or without a C compiler the Python
-bucket queue (Dial's algorithm) :func:`_dijkstra`, also the native
-kernel's oracle.  Both return the same path and pops: every cost is
->= 1.0, so a relaxation from ``d`` lands past bucket ``int(d)``, and
-buckets drained in order, each sorted by ``(dist, node)``, pop the
-heap's order; a node's pushed distances strictly decrease, so heap
-keys never tie.  The one exception, the order among infinite-distance
-entries, is never reached: ``mask_for`` folds the defect floor into
-every mask, and the only unmasked relaxation enters the net's own
-target.  Scratch buffers are reused by epoch stamping; each net is
-pruned to its terminal bounding box, with a full-graph retry.
+:class:`~repro.arch.compiled.CompiledRRG`, and each kernel has one
+search.  A context route is one native call when the C build is there
+(:func:`route_kernel`): ``route_context`` in ``_search.c`` (built at
+first use by :mod:`repro.utils.native`) runs the whole loop — adopting
+bank routes, seeding salvaged branches, each net's sink searches with
+the prune mask built from ``CompiledRRG.bbox_mask``'s inequalities and
+the unpruned retry, the usage commits and every rip-up iteration
+(overuse test, history bump, pressure growth, re-price) — over this
+module's arrays, with :class:`_FlatCongestion`'s arithmetic operation
+for operation, and hands back each net's route tree as arrays
+(:class:`RouteTree`).  It allocates its own search buffers, so the
+native path builds none in Python.
 
-A context route is one native call when the C build is there
-(:func:`route_kernel`): ``route_context`` in
-``_search.c`` runs the whole loop — adopting bank routes, seeding
-salvaged branches, each net's sink searches with the prune mask built
-from ``CompiledRRG.bbox_mask``'s inequalities and the unpruned retry,
-the usage commits and every rip-up iteration (overuse test, history
-bump, pressure growth, re-price) — over this module's arrays, with
-:class:`_FlatCongestion`'s arithmetic operation for operation, and
-hands back each net's route tree as arrays (:class:`RouteTree`).  The
-Python loop (:func:`_route_initial` and the rip-up loop of
-:func:`_route_context_compiled`) stays as the fallback and the oracle;
-it builds the same trees from its sink paths
-(:meth:`RouteTree.from_paths`), and
+Without a C compiler the Python loop (:func:`_route_initial` and the
+rip-up loop of :func:`route_context_compiled`) runs :func:`_search`,
+the Python bucket queue (Dial's algorithm) :func:`_dijkstra`, on a
+:class:`RouterScratch` made for that context route.  The loop stays as
+the fallback and the oracle: it builds the same trees from its sink
+paths (:meth:`RouteTree.from_paths`), and
 ``tests/route/test_native_context.py`` holds the two equal net for
-net, counters included.
+net, counters included.  The C search's binary heap on ``(dist,
+node)`` pops the buckets' order: every cost is >= 1.0, so a relaxation
+from ``d`` lands past bucket ``int(d)``, and buckets drained in order,
+each sorted by ``(dist, node)``, pop the heap's order; a node's pushed
+distances strictly decrease, so heap keys never tie.  The one
+exception, the order among infinite-distance entries, is never
+reached: ``mask_for`` folds the defect floor into every mask, and the
+only unmasked relaxation enters the net's own target.  Search buffers
+are reused by epoch stamping within a context route; each net is
+pruned to its terminal bounding box, with a full-graph retry.
 
 A routed net keeps its route as one :class:`RouteTree`: int32 arrays
 in tree order that timing, repair and the statistics read directly.
@@ -79,9 +80,7 @@ from __future__ import annotations
 
 import ctypes
 import heapq
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -403,115 +402,25 @@ def _net_endpoints(
 # compiled engine
 # ========================================================================= #
 class RouterScratch:
-    """Reusable search buffers for one compiled graph.
+    """The Python kernel's search buffers for one context route.
 
     ``dist``/``prev`` are never cleared between searches: a per-node
-    uint32 ``stamp`` records the epoch that last wrote the entry, and a
-    stale stamp reads as "unvisited" (before the epoch wraps, the
-    stamps are cleared).  ``path`` passes the tree to the native kernel
-    and receives its path, ``pops`` its pop count.  One scratch serves
-    sequential searches; concurrent searches need one scratch each.
+    ``stamp`` records the epoch that last wrote the entry, and any
+    other stamp reads as "unvisited".  The epoch counts the route's
+    searches from 1, so it never wraps.
     """
 
-    __slots__ = ("n", "dist", "prev", "stamp", "path", "pops", "epoch", "ptrs")
+    __slots__ = ("dist", "prev", "stamp", "epoch")
 
     def __init__(self, n_nodes: int) -> None:
-        self.n = n_nodes
         self.dist = np.zeros(n_nodes, dtype=np.float64)
         self.prev = np.full(n_nodes, -1, dtype=np.int32)
-        self.stamp = np.zeros(n_nodes, dtype=np.uint32)
-        self.path = np.zeros(max(n_nodes, 1), dtype=np.int32)
+        self.stamp = np.zeros(n_nodes, dtype=np.uint64)
         self.epoch = 0
-        self.pops = np.zeros(1, dtype=np.int64)
-        self.ptrs = tuple(a.ctypes.data for a in (
-            self.dist, self.prev, self.stamp, self.path, self.pops))
 
     def next_epoch(self) -> int:
-        if self.epoch == 0xFFFFFFFF:
-            self.stamp.fill(0)
-            self.epoch = 0
         self.epoch += 1
         return self.epoch
-
-
-class ScratchPool:
-    """Thread-safe, bounded free-list of :class:`RouterScratch` buffers.
-
-    Scratch buffers are four ``n_nodes`` arrays; allocating them
-    per routing call dominates short jobs (small contexts in a batch or
-    sweep).  The pool keys free buffers by node count, so sequential
-    jobs on one substrate reuse a single scratch while concurrent jobs
-    each lease their own (epoch stamping makes reuse safe across
-    *different* graphs of equal size too — stale stamps read as
-    unvisited).
-
-    A sweep over varying grids or channel widths visits many distinct
-    graph sizes whose buffers can never serve each other, so the pool
-    is bounded both ways: at most ``max_per_size`` free buffers per
-    size (surplus concurrent releases become garbage) and at most
-    ``max_sizes`` sizes, evicting the least-recently-used size
-    wholesale.  :func:`repro.arch.compiled.clear_rrg_cache` also calls
-    :meth:`clear`, so dropping the substrates drops their scratch too.
-
-    :data:`SCRATCH_POOL` is the shared module-level instance the
-    routing entry points fall back to when no explicit scratch is
-    passed; :class:`~repro.analysis.engine.MappingEngine` and the sweep
-    runner ride on it implicitly.
-    """
-
-    def __init__(self, max_sizes: int = 8, max_per_size: int = 8) -> None:
-        self._lock = threading.Lock()
-        self._free: dict[int, list[RouterScratch]] = {}  # insertion = LRU
-        self.max_sizes = max_sizes
-        self.max_per_size = max_per_size
-
-    def acquire(self, n_nodes: int) -> RouterScratch:
-        with self._lock:
-            free = self._free.get(n_nodes)
-            if free:
-                scratch = free.pop()
-                if free:
-                    self._free[n_nodes] = self._free.pop(n_nodes)  # LRU touch
-                else:
-                    # a drained size must not occupy an LRU slot, or empty
-                    # placeholders could evict the one size holding buffers
-                    del self._free[n_nodes]
-                return scratch
-        return RouterScratch(n_nodes)
-
-    def release(self, scratch: RouterScratch) -> None:
-        with self._lock:
-            free = self._free.get(scratch.n)
-            if free is None:
-                while len(self._free) >= self.max_sizes:
-                    self._free.pop(next(iter(self._free)))  # oldest size
-                free = self._free[scratch.n] = []
-            else:
-                self._free[scratch.n] = self._free.pop(scratch.n)
-            if len(free) < self.max_per_size:
-                free.append(scratch)
-
-    def clear(self) -> None:
-        """Drop every pooled buffer (memory hook for cache clears)."""
-        with self._lock:
-            self._free.clear()
-
-    @contextmanager
-    def lease(self, n_nodes: int):
-        scratch = self.acquire(n_nodes)
-        try:
-            yield scratch
-        finally:
-            self.release(scratch)
-
-    def size(self) -> int:
-        """Free buffers currently pooled (for tests/diagnostics)."""
-        with self._lock:
-            return sum(len(v) for v in self._free.values())
-
-
-#: Shared scratch pool for all compiled-router entry points.
-SCRATCH_POOL = ScratchPool()
 
 
 class _FlatCongestion:
@@ -525,8 +434,9 @@ class _FlatCongestion:
     re-price only the touched nodes, and the whole-graph re-price after
     each PathFinder iteration (history bump + pressure escalation) is
     one vectorised expression.  ``eff`` is one contiguous float64 array,
-    written in place by fancy-index stores, so both search kernels read
-    it with no per-search copy.
+    written in place by fancy-index stores, so the Python search reads
+    it with no per-search copy and the native context route re-prices
+    it in place.
 
     ``overused_ids`` is maintained incrementally by the scatter
     updates, which makes the per-iteration overuse census O(1) and the
@@ -544,7 +454,7 @@ class _FlatCongestion:
 
     __slots__ = (
         "c", "usage", "history", "eff", "pres_fac", "overused_ids",
-        "pressured_ids", "capacity_np", "native_args",
+        "pressured_ids", "capacity_np",
     )
 
     def __init__(self, c: CompiledRRG, defects: "DefectMap | None" = None) -> None:
@@ -553,17 +463,16 @@ class _FlatCongestion:
         self.history = np.zeros(c.n_nodes, dtype=np.float64)
         self.pres_fac = PRES_FAC_FIRST
         self.overused_ids: set[int] = set()
-        self.native_args: tuple | None = None  # see _search
         # a defect mask zeroes the capacity of dead nodes and prices
         # them infinite (via the history term, which flows through both
         # the whole-graph refresh and the scatter updates unchanged);
         # without defects the capacity view *is* the substrate's array,
         # so the defect-free cost arithmetic is untouched
         if defects is None:
-            self.capacity_np = c.node_capacity_np
+            self.capacity_np = c.node_capacity
         else:
             bad = ~defects.node_ok
-            self.capacity_np = np.where(bad, 0, c.node_capacity_np)
+            self.capacity_np = np.where(bad, 0, c.node_capacity)
             self.history[bad] = np.inf
         # zero-capacity nodes (defects) are born pressured: their
         # overuse term is non-zero even at usage 0
@@ -585,7 +494,7 @@ class _FlatCongestion:
         used = self.usage[idx]
         cap = self.capacity_np[idx]
         over = np.maximum(used + 1 - cap, 0)
-        costs = self.c.base_cost_np[idx] * (1.0 + self.pres_fac * over) \
+        costs = self.c.base_cost[idx] * (1.0 + self.pres_fac * over) \
             + self.history[idx]
         return costs, used > cap, over > 0
 
@@ -680,49 +589,6 @@ class _FlatCongestion:
 #: Dial bucket of infinitely-priced (dead) nodes, drained in rounds.
 _INF_BUCKET = float("inf")
 
-#: The native twin of :func:`_dijkstra`, built at the first search.
-_NATIVE = NativeLibrary(
-    "repro.route", "_search.c", "route_search",
-    (ctypes.c_void_p,) * 4 + (ctypes.c_char_p, ctypes.c_int64, ctypes.c_int32)
-    + (ctypes.c_void_p,) * 5 + (ctypes.c_uint32,), ctypes.c_int64,
-)
-
-
-def search_kernel() -> str:
-    """The route-search kernel: ``"native"`` or ``"python"`` (builds it)."""
-    return _NATIVE.kernel
-
-
-def _search(c: CompiledRRG, state: _FlatCongestion, tree_nodes: set[int],
-            target: int, scratch: RouterScratch, mask: bytes | None,
-            edst: np.ndarray) -> list[int] | None:
-    """One search (as :func:`_dijkstra`): native, else the Python kernel."""
-    fn = _NATIVE.function()
-    if fn is None:
-        return _dijkstra(c, state, tree_nodes, target, scratch, mask, edst)
-    args = state.native_args
-    if args is None or args[0] is not edst:
-        # rows and costs are sound by construction; ``edst`` is an input
-        if (edst.dtype != np.int32 or not edst.flags.c_contiguous
-                or edst.size != c.n_edges):
-            raise ValueError("edst must be a contiguous int32 edge row")
-        args = state.native_args = (edst, *(a.ctypes.data for a in (
-            c.edge_start, c.edge_mid, edst, state.eff)))
-    if scratch.n != c.n_nodes:
-        raise ValueError("scratch sized for another graph")
-    n = len(tree_nodes)  # the tree goes in through ``path``
-    scratch.path[:n] = np.fromiter(tree_nodes, dtype=np.int32, count=n)
-    k = fn(*args[1:], mask, n, target, *scratch.ptrs, scratch.next_epoch())
-    if k < 0:
-        raise MemoryError("route search: heap allocation failed")
-    _tcount("router.pops", int(scratch.pops[0]))
-    return scratch.path[:k].tolist() if k else None
-
-
-#: ``_search`` as defined here: the native context route stands in for
-#: the Python loop only while this is the search in effect.
-_SEARCH = _search
-
 
 def _dijkstra(c: CompiledRRG, state: _FlatCongestion, tree_nodes: set[int],
               target: int, scratch: RouterScratch, mask: bytes | None,
@@ -802,10 +668,17 @@ def _dijkstra(c: CompiledRRG, state: _FlatCongestion, tree_nodes: set[int],
     return None
 
 
+#: The Python loop's search; the test suite patches its oracles in here.
+_search = _dijkstra
+#: ``_search`` as defined here: the native context route stands in for
+#: the Python loop only while this is the search in effect.
+_SEARCH = _search
+
+
 class _RouteJob(ctypes.Structure):
     """``route_job`` of ``_search.c``: one native context route's
-    graph, congestion state, nets, scratch and outputs (pointers are
-    buffer addresses)."""
+    graph, congestion state, nets and outputs (pointers are buffer
+    addresses)."""
 
     _fields_ = [(name, kind) for names, kind in (
         ("n_nodes", ctypes.c_int64),
@@ -815,22 +688,20 @@ class _RouteJob(ctypes.Structure):
         ("pres_fac pres_fac_mult hist_fac", ctypes.c_double),
         ("max_iterations n_nets", ctypes.c_int64),
         ("source sink_start sinks adopt_start adopt seed_start "
-         "seed_path_start seed_sink seed_nodes dist prev stamp path",
-         ctypes.c_void_p),
+         "seed_path_start seed_sink seed_nodes", ctypes.c_void_p),
         ("out_nodes_cap out_paths_cap", ctypes.c_int64),
         ("out_nodes out_parent out_edge out_net_node out_branch "
          "out_net_path out_survived", ctypes.c_void_p),
-    ) for name in names.split()] + [("stats", ctypes.c_int64 * 12)]
+    ) for name in names.split()] + [("stats", ctypes.c_int64 * 11)]
 
 
 #: ``route_job.stats`` slots and ``route_context`` status codes.
-(_ST_EPOCH, _ST_STATUS, _ST_DETAIL, _ST_ITERATIONS, _ST_POPS, _ST_FIRST_POPS,
+(_ST_STATUS, _ST_DETAIL, _ST_ITERATIONS, _ST_POPS, _ST_FIRST_POPS,
  _ST_RIPUPS, _ST_CENSUS, _ST_REPRICED, _ST_RIPPED, _ST_OUT_NODES,
- _ST_OUT_PATHS) = range(12)
+ _ST_OUT_PATHS) = range(11)
 _RC_OK, _RC_NO_PATH, _RC_CONGESTED, _RC_NOMEM = range(4)
 
-#: The native sequential context route, from the same source as
-#: :data:`_NATIVE`.
+#: The native sequential context route, built at the first route.
 _ROUTE = NativeLibrary(
     "repro.route", "_search.c", "route_context",
     (ctypes.POINTER(_RouteJob),), ctypes.c_int64,
@@ -840,19 +711,20 @@ _ROUTE = NativeLibrary(
 def _route_function():
     """The bound ``route_context``, or ``None`` to run the Python loop.
 
-    The C route runs the native search inline, so it stands in for the
-    loop only while :func:`_search` is this module's own and resolves
-    to the native kernel: a substituted ``_search`` (the test suite
-    patches its oracles in there) is honoured through the Python loop.
+    The C route runs its own search inline, so it stands in for the
+    loop only while :func:`_search` is this module's own: a substituted
+    ``_search`` (the test suite patches its oracles in there) is
+    honoured through the Python loop.
     """
-    if _search is not _SEARCH or _NATIVE.function() is None:
+    if _search is not _SEARCH:
         return None
     return _ROUTE.function()
 
 
 def route_kernel() -> str:
     """The sequential context route: ``"native"`` (one C call per
-    context) or ``"python"`` (the loop around :func:`_search`)."""
+    context) or ``"python"`` (the loop around :func:`_search`).  Builds
+    the C route on first use."""
     return "python" if _route_function() is None else "native"
 
 
@@ -880,31 +752,27 @@ def _route_native(
     seeds: dict[str, dict[int, list[int]]],
     node_ok: np.ndarray | None,
     edst: np.ndarray,
-    scratch: RouterScratch,
     max_iterations: int,
     context: int,
 ) -> RouteResult:
-    """The sequential loop of :func:`_route_context_compiled` in one
+    """The sequential loop of :func:`route_context_compiled` in one
     native call (``route_context`` in ``_search.c``).
 
     The nets go in as flat arrays in routing order: sources, sinks,
     each adopted bank route's tree nodes and each salvaged net's seed
     branches (``sigs`` holds each net's endpoint signature, ``None``
     when there is neither a bank nor a salvage).  The C route runs the
-    initial pass and the rip-up iterations over ``state``'s arrays and
-    ``scratch``, and hands back every routed net's tree (nodes, parent
-    positions, CSR edge indexes, branches) in the order the Python loop
-    builds it; the
-    :class:`RouteTree` of each net is a read-only slice of those
-    buffers, and an adopted net that was never ripped up keeps its bank
-    route's tree.  Counters, ``scratch.epoch`` and the errors are the
-    loop's.
+    initial pass and the rip-up iterations over ``state``'s arrays, on
+    search buffers it allocates itself, and hands back every routed
+    net's tree (nodes, parent positions, CSR edge indexes, branches) in
+    the order the Python loop builds it; the :class:`RouteTree` of each
+    net is a read-only slice of those buffers, and an adopted net that
+    was never ripped up keeps its bank route's tree.  Counters and the
+    errors are the loop's.
     """
     if (edst.dtype != np.int32 or not edst.flags.c_contiguous
             or edst.size != c.n_edges):
         raise ValueError("edst must be a contiguous int32 edge row")
-    if scratch.n != c.n_nodes:
-        raise ValueError("scratch sized for another graph")
     priors: list[RoutedNet | None] = []
     sources: list[int] = []
     sinks_flat: list[int] = []
@@ -944,31 +812,29 @@ def _route_native(
     # ends without overuse, so the trees of all nets (each node once
     # per net) fit in the summed capacity
     paths_cap = len(sinks_flat) + len(seed_sink)
-    nodes_cap = int(c.node_capacity_np.sum())
+    nodes_cap = int(c.node_capacity.sum())
     # out32: tree nodes | parents | edges | branches | survived flags;
     # out64: each net's first tree node | each net's first branch
     out32 = np.empty(3 * nodes_cap + 2 * paths_cap + n, dtype=np.int32)
     out64 = np.empty(2 * n + 2, dtype=np.int64)
     job = _RouteJob(
         c.n_nodes, *map(_addr, (c.edge_start, c.edge_mid, edst, c.edge_dst,
-                                c.xlo_np, c.xhi_np, c.ylo_np, c.yhi_np)),
+                                c.xlo, c.xhi, c.ylo, c.yhi)),
         c.params.cols, c.params.rows, BBOX_MARGIN,
         None if node_ok is None else _addr(node_ok),
-        *map(_addr, (c.base_cost_np, state.capacity_np, state.history,
+        *map(_addr, (c.base_cost, state.capacity_np, state.history,
                      state.eff, state.usage)),
         state.pres_fac, PRES_FAC_MULT, HIST_FAC, max_iterations, n,
         source_at, sink_start_at, sinks_at, adopt_start_at, adopt_at,
         seed_start_at, seed_path_start_at, seed_sink_at, seed_nodes_at,
-        *scratch.ptrs[:4], nodes_cap, paths_cap,
+        nodes_cap, paths_cap,
     )
     (job.out_nodes, job.out_parent, job.out_edge, job.out_branch,
      job.out_survived) = _segments(out32, (nodes_cap, nodes_cap, nodes_cap,
                                            2 * paths_cap, n))
     job.out_net_node, job.out_net_path = _segments(out64, (n + 1, n + 1))
-    job.stats[_ST_EPOCH] = scratch.epoch
     fn(ctypes.byref(job))
     stats = list(job.stats)
-    scratch.epoch = stats[_ST_EPOCH]
     state.pres_fac = job.pres_fac
     # the Python loop's counters, first seen in the same order
     ripups = stats[_ST_RIPUPS]
@@ -1021,11 +887,11 @@ def _net_mask(
 ) -> bytes | None:
     """Prune mask of a net's margin-expanded terminal bounding box,
     ``None`` when it cannot prune."""
-    ends = (source, *sinks)
-    xlo = min(c.xlo[n] for n in ends) - margin
-    xhi = max(c.xhi[n] for n in ends) + margin
-    ylo = min(c.ylo[n] for n in ends) - margin
-    yhi = max(c.yhi[n] for n in ends) + margin
+    ends = [source, *sinks]
+    xlo = int(c.xlo[ends].min()) - margin
+    xhi = int(c.xhi[ends].max()) + margin
+    ylo = int(c.ylo[ends].min()) - margin
+    yhi = int(c.yhi[ends].max()) + margin
     p = c.params
     if xlo <= -1 and ylo <= -1 and xhi >= p.cols and yhi >= p.rows:
         return None  # box covers the whole fabric; masking is pure overhead
@@ -1175,7 +1041,6 @@ def route_context_compiled(
     context: int = 0,
     reuse: dict[str, RoutedNet] | None = None,
     max_iterations: int = MAX_ITERATIONS,
-    scratch: RouterScratch | None = None,
     defects: "DefectMap | None" = None,
     warm: bool = False,
     salvage: dict[str, RoutedNet] | None = None,
@@ -1186,12 +1051,12 @@ def route_context_compiled(
     Mirrors the legacy router (``tests/oracles/legacy_router.py``)
     decision-for-decision (same net order, same congestion schedule,
     same rip-up criterion), but runs Dijkstra over CSR arrays with
-    epoch-stamped scratch buffers and per-net bounding boxes (see the
+    epoch-stamped search buffers and per-net bounding boxes (see the
     module docstring for the one case where pruning may pick a
-    different route than the legacy engine).
+    different route than the legacy engine).  The native route
+    allocates its buffers per call; the Python loop makes one
+    :class:`RouterScratch` per call.
 
-    ``scratch`` buffers are leased from :data:`SCRATCH_POOL` when not
-    supplied, so repeated calls reuse one allocation per worker.
     ``defects`` (a :class:`~repro.reliability.defect_map.DefectMap`)
     excludes dead wires/switches from every search and prices them
     unroutable; a clean map is normalised to ``None``.
@@ -1212,86 +1077,6 @@ def route_context_compiled(
     when the caller already holds it (the repair ladder caches the
     golden's on the golden mapping); it is only read.
     """
-    pooled = scratch is None or scratch.n != c.n_nodes
-    if pooled:
-        scratch = SCRATCH_POOL.acquire(c.n_nodes)
-    try:
-        return _route_context_compiled(
-            c, netlist, placement, context, reuse, max_iterations, scratch,
-            defects, warm, salvage, endpoints,
-        )
-    finally:
-        if pooled:
-            SCRATCH_POOL.release(scratch)
-
-
-def route_context_warm(
-    c: CompiledRRG,
-    netlist: Netlist,
-    placement: Placement,
-    golden: RouteResult,
-    dirty: set[str],
-    context: int = 0,
-    max_iterations: int = MAX_ITERATIONS,
-    scratch: RouterScratch | None = None,
-    defects: "DefectMap | None" = None,
-    signatures: dict[str, str] | None = None,
-    endpoints: list[tuple[str, int, list[int]]] | None = None,
-) -> RouteResult:
-    """Delta-reroute: warm-start from a golden routing, re-routing only
-    the ``dirty`` nets.
-
-    Seeds PathFinder with the golden congestion state: every non-dirty
-    golden route is adopted *before the first fresh search* — adopted
-    routes share the golden net's tree and commit their usage in
-    vectorised batches — so each dirty net's Dijkstra already sees the
-    full picture of healthy routes and steers around them immediately,
-    instead of colliding with not-yet-routed ones and negotiating the
-    conflicts away over rip-up iterations.  Adopted routes still
-    participate in congestion resolution: one that conflicts with a
-    rerouted dirty net is ripped up like any other (losing its reuse
-    mark).  Dirty nets themselves are *salvaged* per sink: branches of
-    the golden route untouched by the defect map are adopted verbatim,
-    and only the broken sinks are re-searched (from the salvaged tree).
-    The result is a valid conflict-free routing, deterministic
-    per input — but the routes may legitimately differ from a cold :func:`route_context_compiled` call with the same bank,
-    which discovers the bank hits in netlist order.  ``signatures``
-    optionally supplies precomputed ``endpoint_signature`` strings per
-    golden net name, and ``endpoints`` the netlist's endpoints on
-    ``placement`` (the repair ladder caches both on the golden
-    mapping).
-    """
-    bank: dict[str, RoutedNet] = {}
-    salvage: dict[str, RoutedNet] = {}
-    nets = golden.nets
-    if signatures is None:
-        for name, net in nets.items():
-            sig = endpoint_signature(net.source, net.sinks)
-            (salvage if name in dirty else bank)[sig] = net
-    else:
-        for name, net in nets.items():
-            (salvage if name in dirty else bank)[signatures[name]] = net
-    return route_context_compiled(
-        c, netlist, placement, context=context, reuse=bank,
-        max_iterations=max_iterations, scratch=scratch, defects=defects,
-        warm=True, salvage=salvage or None,
-        endpoints=endpoints,
-    )
-
-
-def _route_context_compiled(
-    c: CompiledRRG,
-    netlist: Netlist,
-    placement: Placement,
-    context: int,
-    reuse: dict[str, RoutedNet] | None,
-    max_iterations: int,
-    scratch: RouterScratch,
-    defects: "DefectMap | None" = None,
-    warm: bool = False,
-    salvage: dict[str, RoutedNet] | None = None,
-    endpoints: list[tuple[str, int, list[int]]] | None = None,
-) -> RouteResult:
     if defects is not None and defects.is_clean:
         defects = None  # all-healthy map: take the defect-free path verbatim
     if endpoints is None:
@@ -1339,8 +1124,9 @@ def _route_context_compiled(
         node_ok = None if defects is None else \
             np.ascontiguousarray(defects.node_ok).view(np.uint8)
         return _route_native(fn, c, state, endpoints, sigs, reuse, seeds,
-                             node_ok, edst, scratch, max_iterations, context)
+                             node_ok, edst, max_iterations, context)
     base_mask = defects.node_ok_bytes if defects is not None else None
+    scratch = RouterScratch(c.n_nodes)
     routes: dict[str, RoutedNet] = {}
     # prune masks are built lazily: a reused net only needs one if it is
     # ripped up later, and mask construction is O(n_nodes) per net
@@ -1399,6 +1185,59 @@ def _route_context_compiled(
     return RouteResult(routes, iteration, context)
 
 
+def route_context_warm(
+    c: CompiledRRG,
+    netlist: Netlist,
+    placement: Placement,
+    golden: RouteResult,
+    dirty: set[str],
+    context: int = 0,
+    max_iterations: int = MAX_ITERATIONS,
+    defects: "DefectMap | None" = None,
+    signatures: dict[str, str] | None = None,
+    endpoints: list[tuple[str, int, list[int]]] | None = None,
+) -> RouteResult:
+    """Delta-reroute: warm-start from a golden routing, re-routing only
+    the ``dirty`` nets.
+
+    Seeds PathFinder with the golden congestion state: every non-dirty
+    golden route is adopted *before the first fresh search* — adopted
+    routes share the golden net's tree and commit their usage in
+    vectorised batches — so each dirty net's Dijkstra already sees the
+    full picture of healthy routes and steers around them immediately,
+    instead of colliding with not-yet-routed ones and negotiating the
+    conflicts away over rip-up iterations.  Adopted routes still
+    participate in congestion resolution: one that conflicts with a
+    rerouted dirty net is ripped up like any other (losing its reuse
+    mark).  Dirty nets themselves are *salvaged* per sink: branches of
+    the golden route untouched by the defect map are adopted verbatim,
+    and only the broken sinks are re-searched (from the salvaged tree).
+    The result is a valid conflict-free routing, deterministic
+    per input — but the routes may legitimately differ from a cold :func:`route_context_compiled` call with the same bank,
+    which discovers the bank hits in netlist order.  ``signatures``
+    optionally supplies precomputed ``endpoint_signature`` strings per
+    golden net name, and ``endpoints`` the netlist's endpoints on
+    ``placement`` (the repair ladder caches both on the golden
+    mapping).
+    """
+    bank: dict[str, RoutedNet] = {}
+    salvage: dict[str, RoutedNet] = {}
+    nets = golden.nets
+    if signatures is None:
+        for name, net in nets.items():
+            sig = endpoint_signature(net.source, net.sinks)
+            (salvage if name in dirty else bank)[sig] = net
+    else:
+        for name, net in nets.items():
+            (salvage if name in dirty else bank)[signatures[name]] = net
+    return route_context_compiled(
+        c, netlist, placement, context=context, reuse=bank,
+        max_iterations=max_iterations, defects=defects,
+        warm=True, salvage=salvage or None,
+        endpoints=endpoints,
+    )
+
+
 def route_program_compiled(
     c: CompiledRRG,
     program: MultiContextProgram,
@@ -1412,8 +1251,8 @@ def route_program_compiled(
     With ``share_aware`` the contexts are routed in order so each can
     adopt earlier contexts' routes (the reuse bank is a sequential
     dependency).  Without it every context is an independent problem
-    and ``workers > 1`` routes them in parallel, one scratch buffer per
-    job, sharing the read-only compiled substrate.  ``defects`` applies
+    and ``workers > 1`` routes them in parallel on threads, sharing the
+    read-only compiled substrate.  ``defects`` applies
     one defect map to every context (manufacturing defects are a
     property of the die, not of a configuration).
     """
@@ -1432,19 +1271,15 @@ def route_program_compiled(
 
     results: list[RouteResult] = []
     bank: dict[str, RoutedNet] = {}
-    with SCRATCH_POOL.lease(c.n_nodes) as scratch:
-        for ci, (netlist, placement) in jobs:
-            res = route_context_compiled(
-                c, netlist, placement, context=ci,
-                reuse=bank if share_aware else None, scratch=scratch,
-                defects=defects,
-            )
-            results.append(res)
-            if share_aware:
-                for net in res.nets.values():
-                    bank.setdefault(
-                        endpoint_signature(net.source, net.sinks), net
-                    )
+    for ci, (netlist, placement) in jobs:
+        res = route_context_compiled(
+            c, netlist, placement, context=ci,
+            reuse=bank if share_aware else None, defects=defects,
+        )
+        results.append(res)
+        if share_aware:
+            for net in res.nets.values():
+                bank.setdefault(endpoint_signature(net.source, net.sinks), net)
     return results
 
 

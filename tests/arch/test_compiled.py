@@ -143,8 +143,8 @@ class TestFlatSubstrate:
             assert a.dtype == b.dtype == np.int32, row
             assert a.tobytes() == b.tobytes(), row
         assert np.array_equal(flat.edge_kind, full.edge_kind)
-        assert flat.node_kind == full.node_kind
-        assert flat.base_cost == full.base_cost
+        assert np.array_equal(flat.node_kind, full.node_kind)
+        assert np.array_equal(flat.base_cost, full.base_cost)
         g = build_rrg(params)
         for name in ("lb_sink", "io_source"):
             ids = getattr(flat, f"{name}_ids")

@@ -31,19 +31,19 @@ from rrg_oracle import build_rrg, pin_table
 TESTS = Path(__file__).resolve().parents[1]
 CORPUS = TESTS.parent / "regression_tests"
 
-LISTS = ("node_kind", "node_capacity", "node_length", "base_cost", "xlo",
-         "xhi", "ylo", "yhi")
+#: node array -> its dtype
+NODES = {
+    "node_kind": np.int8,
+    "node_capacity": np.int64,
+    "node_length": np.int8,
+    "base_cost": np.float64,
+    "xlo": np.int32,
+    "xhi": np.int32,
+    "ylo": np.int32,
+    "yhi": np.int32,
+}
 #: CSR rows, stored as contiguous int32 arrays
 ROWS = ("edge_start", "edge_mid", "edge_dst")
-#: numpy mirror -> (list field it mirrors, dtype)
-MIRRORS = {
-    "node_capacity_np": ("node_capacity", np.int64),
-    "base_cost_np": ("base_cost", np.float64),
-    "xlo_np": ("xlo", np.int32),
-    "xhi_np": ("xhi", np.int32),
-    "ylo_np": ("ylo", np.int32),
-    "yhi_np": ("yhi", np.int32),
-}
 PINS = ("lb_source", "lb_sink", "io_source", "io_sink")
 
 
@@ -52,7 +52,7 @@ def _lower(g) -> dict:
     each in ``out_edges`` order; enums encoded by declaration order."""
     kinds, ekinds = list(NodeKind), list(EdgeKind)
     to_sink = [node.kind is NodeKind.SINK for node in g.nodes]
-    out = {name: [] for name in LISTS + ROWS + ("edge_kind",)}
+    out = {name: [] for name in (*NODES, *ROWS, "edge_kind")}
     for node in g.nodes:
         out["node_kind"].append(kinds.index(node.kind))
         out["node_capacity"].append(node.capacity)
@@ -85,8 +85,11 @@ def assert_matches_object_graph(c, params) -> None:
     assert c.params == params
     assert c.n_nodes == len(ref["node_kind"])
     assert c.n_edges == len(ref["edge_dst"])
-    for name in LISTS:
-        assert getattr(c, name) == ref[name], name
+    for name, dtype in NODES.items():
+        array = getattr(c, name)
+        want = np.asarray(ref[name], dtype=dtype)
+        assert array.dtype == want.dtype, name
+        assert array.tobytes() == want.tobytes(), name
     assert c.edge_kind.dtype == np.int8
     assert c.edge_kind.tobytes() == np.asarray(ref["edge_kind"],
                                                np.int8).tobytes()
@@ -98,11 +101,6 @@ def assert_matches_object_graph(c, params) -> None:
         row = getattr(c, name)
         assert row.dtype == np.int32, name
         assert row.tobytes() == np.asarray(ref[name], np.int32).tobytes(), name
-    for name, (field, dtype) in MIRRORS.items():
-        mirror = getattr(c, name)
-        want = np.asarray(ref[field], dtype=dtype)
-        assert mirror.dtype == want.dtype, name
-        assert mirror.tobytes() == want.tobytes(), name
 
 
 # -- parameter sets --------------------------------------------------------- #

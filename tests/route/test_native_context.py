@@ -3,19 +3,20 @@
 With a C compiler, every sequential context route (``workers <= 1``)
 is one ``route_context`` call into ``_search.c``.  Each workload below
 is routed twice: once through that call and once through the Python
-loop of ``_route_context_compiled`` (the fallback and the oracle, with
-the native search inside).  Per net the two must agree on the route
+loop of ``route_context_compiled`` (the fallback and the oracle), which
+runs the Python kernel ``_dijkstra``, not the native search: the two
+share no search code.  Per net the two must agree on the route
 tree's arrays, on ``nodes``, ``edges``, ``sink_paths`` (insertion order
 included) and ``reused``,
 per context on ``iterations``, the telemetry counters must match key
 for key (first-seen order included), and the congestion state left
 behind (usage, history, folded costs, pressure factor) bit for bit.
 Covered: the route-digest cases (share-aware programs, the 0-10% wire
-and switch defect suite, warm reroutes with salvage), the queue
-workloads, a congested context on fractional base costs, the
-share-aware ``map8`` programs with their reuse banks, both
-``RoutingError`` messages, a forced epoch wrap, and share-unaware
-contexts routed on four threads.
+and switch defect suite plus seed-9 maps at 1, 3 and 5% on its 6x6
+fabric, warm reroutes with salvage), the queue workloads, a congested
+context on fractional base costs, the share-aware ``map8`` programs
+with their reuse banks, both ``RoutingError`` messages, and
+share-unaware contexts routed on four threads.
 """
 
 import inspect
@@ -34,7 +35,6 @@ from repro.place.placer import place, place_program
 from repro.reliability import DefectMap, build_golden, dirty_net_names
 from repro.route import pathfinder
 from repro.route.pathfinder import (
-    RouterScratch,
     route_context_compiled,
     route_context_warm,
     route_kernel,
@@ -57,6 +57,9 @@ from test_router_queue import CASES
 pytestmark = pytest.mark.skipif(
     route_kernel() != "native", reason="no C compiler: Python loop only"
 )
+
+#: Maps routed on the 6x6 defect fabric besides the digest suite's.
+EXTRA_DEFECT_MAPS = {"6x6w8": [(rate, 9) for rate in (0.01, 0.03, 0.05)]}
 
 
 class _Calls:
@@ -175,13 +178,13 @@ class TestDigestCases:
         netlist = tech_map(circuit(), k=4)
         pl = place(netlist, params, seed=2, effort=0.3)
         ripups = 0
-        for rate in DEFECT_RATES:
-            for seed in DEFECT_SEEDS:
-                dm = DefectMap.sample(c, rate, seed=seed, logic_rate=0.0)
-                _results, counts = _assert_twins(
-                    lambda: route_context_compiled(
-                        c, netlist, pl, defects=dm, max_iterations=MAX_ITERS))
-                ripups += counts.get("router.ripup_iterations", 0)
+        maps = [(rate, seed) for rate in DEFECT_RATES for seed in DEFECT_SEEDS]
+        for rate, seed in maps + EXTRA_DEFECT_MAPS.get(label, []):
+            dm = DefectMap.sample(c, rate, seed=seed, logic_rate=0.0)
+            _results, counts = _assert_twins(
+                lambda: route_context_compiled(
+                    c, netlist, pl, defects=dm, max_iterations=MAX_ITERS))
+            ripups += counts.get("router.ripup_iterations", 0)
         assert ripups > 0
 
     def test_warm_reroutes_with_salvage(self):
@@ -311,25 +314,3 @@ class TestErrors:
         assert "congestion unresolved after 6 iterations" in msg_native
         assert counts_native == counts_python
 
-
-class TestEpochWrap:
-    def test_wrap_mid_context(self):
-        """The stamps are cleared and the epoch restarts inside the C
-        call exactly as ``RouterScratch.next_epoch`` does."""
-        name, params, circuit = CASES[1]
-        netlist = tech_map(circuit(), k=4)
-        c = flat_rrg_for(params)
-        pl = place(netlist, params, seed=2, effort=0.3)
-
-        def run():
-            scratch = RouterScratch(c.n_nodes)
-            scratch.stamp[:] = 1 + np.arange(c.n_nodes) % 64
-            scratch.epoch = 2**32 - 3
-            rr = route_context_compiled(c, netlist, pl, scratch=scratch)
-            return rr, scratch.epoch, scratch.stamp.copy()
-
-        (native, counts_native), (python, counts_python) = _twice(run)
-        _assert_same_route(native[0], python[0])
-        assert 0 < native[1] == python[1] < 2**32 - 3  # it wrapped
-        assert np.array_equal(native[2], python[2])
-        assert counts_native == counts_python

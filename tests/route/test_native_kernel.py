@@ -1,13 +1,12 @@
-"""The native route-search kernel against the Python one, search by search.
+"""The native context route's loader, threads and heap oracle.
 
-Every search the router makes runs twice here: once through the native
-kernel (``_search.c``, the production path) and once through the Python
-kernel :func:`pathfinder._dijkstra` on its own scratch, over the same
-congestion state.  Both must return the same path and count the same
-pops.  Covered: the queue-test workloads, defect maps at 1, 3 and 5%
-and ``route_context_warm``.  The loader's
-fallbacks (no compiler, a damaged cache entry, concurrent builds, an
-unsafe cache directory) and the uint32 epoch wrap are pinned too.
+``route_context`` in ``_search.c`` is the router's one C entry point;
+``tests/route/test_native_context.py`` compares it with the Python loop
+context by context.  Here its routes are checked against the
+independent binary-heap oracle of ``test_router_queue``, whole contexts
+are routed concurrently on threads, and the loader's fallbacks (no
+compiler, a damaged cache entry, concurrent builds, an unsafe cache
+directory) are pinned.
 
 Every subprocess and build below is bounded by a timeout.
 """
@@ -19,25 +18,18 @@ import sys
 import threading
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.arch.compiled import flat_rrg_for
-from repro.arch.params import ArchParams
 from repro.netlist.techmap import tech_map
 from repro.place.placer import place, place_program
-from repro.reliability import DefectMap, build_golden, dirty_net_names
 from repro.route import pathfinder
 from repro.route.pathfinder import (
-    RouterScratch,
     route_context_compiled,
-    route_context_warm,
+    route_kernel,
     route_program_compiled,
-    search_kernel,
 )
 from repro.utils import native
-from repro.utils.telemetry import collecting
-from repro.workloads.generators import random_dag
 from route_digest_cases import EQUIV_GRIDS, _equiv_programs
 from test_router_queue import CASES, _assert_identical, _route, heap_search
 
@@ -45,135 +37,22 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 TIMEOUT_S = 180
 
 needs_native = pytest.mark.skipif(
-    search_kernel() != "native", reason="no C compiler: Python kernel only"
+    route_kernel() != "native", reason="no C compiler: Python loop only"
 )
-
-
-class _Pops:
-    """A minimal telemetry collector: the pops one search reports."""
-
-    def __init__(self):
-        self.pops = 0
-
-    def count(self, name, value=1, **labels):
-        if name == "router.pops":
-            self.pops += value
-
-
-class _Twin:
-    """Stands in for ``pathfinder._search``: runs both kernels on every
-    search, records any difference, returns the native result."""
-
-    def __init__(self, native_search):
-        self.native_search = native_search
-        self.searches = 0
-        self.mismatches = []
-        self._local = threading.local()
-        self._lock = threading.Lock()
-
-    def __call__(self, c, state, tree_nodes, target, scratch, mask, edst):
-        py_scratch = getattr(self._local, "scratch", None)
-        if py_scratch is None or py_scratch.n != c.n_nodes:
-            py_scratch = self._local.scratch = RouterScratch(c.n_nodes)
-        tree = set(tree_nodes)
-        with collecting(_Pops()) as want:
-            expect = pathfinder._dijkstra(
-                c, state, tree_nodes, target, py_scratch, mask, edst)
-        with collecting(_Pops()) as got:
-            path = self.native_search(
-                c, state, tree_nodes, target, scratch, mask, edst)
-        assert tree_nodes == tree  # neither kernel touches the tree
-        with self._lock:
-            self.searches += 1
-            if path != expect or got.pops != want.pops:
-                self.mismatches.append(
-                    (target, path, expect, got.pops, want.pops))
-        return path
-
-
-@pytest.fixture
-def twin(monkeypatch):
-    t = _Twin(pathfinder._search)
-    monkeypatch.setattr(pathfinder, "_search", t)
-    yield t
-    assert t.searches > 0
-    assert t.mismatches == []
-
-
-@needs_native
-class TestSearchBySearch:
-    @pytest.mark.parametrize("name,params,circuit", CASES)
-    def test_queue_workloads(self, name, params, circuit, twin):
-        _route(params, circuit)
-
-    @pytest.mark.parametrize("rate", [0.01, 0.03, 0.05])
-    def test_defect_maps(self, rate, twin):
-        params = ArchParams(cols=6, rows=6, channel_width=8, io_capacity=4)
-        netlist = tech_map(random_dag(5, 12, 4, seed=3), k=4)
-        c = flat_rrg_for(params)
-        pl = place(netlist, params, seed=2, effort=0.3)
-        dm = DefectMap.sample(c, rate, seed=9, logic_rate=0.0)
-        assert dm.switch_defects.size and dm.wire_defects.size
-        route_context_compiled(c, netlist, pl, defects=dm)
-
-    def test_route_context_warm(self, twin):
-        params = ArchParams(cols=6, rows=6, channel_width=8, io_capacity=4)
-        c = flat_rrg_for(params)
-        netlist = tech_map(
-            random_dag(n_inputs=6, n_gates=18, n_outputs=6, seed=3), k=4)
-        pl = place(netlist, params, seed=0, effort=0.3)
-        golden = build_golden(c, netlist, pl, 25)
-        before = twin.searches
-        for seed in range(3):
-            dm = DefectMap.sample(c, 0.03, seed=seed, logic_rate=0.0)
-            dirty = dirty_net_names(golden.routes, dm)
-            if dirty:
-                route_context_warm(c, netlist, pl, golden.routes, dirty,
-                                   max_iterations=25, defects=dm)
-        assert twin.searches > before
 
 
 @needs_native
 class TestHeapOracleOnNative:
     """``test_router_queue``'s independent heap oracle, with the native
-    kernel asserted to be the one the router runs."""
+    context route asserted to be the one the router runs."""
 
     @pytest.mark.parametrize("name,params,circuit", CASES)
     def test_native_routes_match_heap(self, name, params, circuit,
                                       monkeypatch):
-        assert search_kernel() == "native"
+        assert route_kernel() == "native"
         got = _route(params, circuit)
         monkeypatch.setattr(pathfinder, "_search", heap_search())
         _assert_identical(got, _route(params, circuit))
-
-
-def _python_kernel(monkeypatch):
-    monkeypatch.setattr(pathfinder._NATIVE, "function", lambda: None)
-    assert search_kernel() == "python"
-
-
-class TestEpochWrap:
-    """``stamp`` is uint32: at the wrap the stamps are cleared and the
-    epoch restarts, so routes and pops do not change."""
-
-    @pytest.mark.parametrize("kernel", ["active", "python"])
-    def test_wrap_keeps_routes(self, kernel, monkeypatch):
-        if kernel == "python":
-            _python_kernel(monkeypatch)
-        name, params, circuit = CASES[1]
-        c = flat_rrg_for(params)
-        with collecting(_Pops()) as want:
-            fresh = _route(params, circuit, scratch=RouterScratch(c.n_nodes))
-        scratch = RouterScratch(c.n_nodes)
-        # what a long-lived scratch holds: stamps of every earlier epoch
-        scratch.stamp[:] = 1 + np.arange(c.n_nodes) % 64
-        scratch.epoch = 2**32 - 2
-        for _ in range(3):
-            with collecting(_Pops()) as got:
-                again = _route(params, circuit, scratch=scratch)
-            _assert_identical(fresh, again)
-            assert got.pops == want.pops
-        assert 0 < scratch.epoch < 2**32 - 2  # it wrapped
 
 
 class TestThreads:
@@ -182,9 +61,7 @@ class TestThreads:
     once."""
 
     def test_first_use_from_many_threads_resolves_once(self, monkeypatch):
-        lib = native.NativeLibrary(
-            "repro.route", "_search.c", "route_search",
-            pathfinder._NATIVE.argtypes, pathfinder._NATIVE.restype)
+        lib = _route_library()
         loads = []
         real_load = lib._load
 
@@ -263,11 +140,18 @@ def _run(code: str, env: dict) -> subprocess.CompletedProcess:
     )
 
 
+def _route_library() -> native.NativeLibrary:
+    """A fresh, unresolved loader of ``route_context``."""
+    return native.NativeLibrary(
+        "repro.route", "_search.c", "route_context",
+        pathfinder._ROUTE.argtypes, pathfinder._ROUTE.restype)
+
+
 #: Prints the kernel a fresh process resolves, then its detail line.
 PROBE = (
-    "from repro.route.pathfinder import _NATIVE\n"
-    "print(_NATIVE.kernel)\n"
-    "print(_NATIVE.detail)\n"
+    "from repro.route.pathfinder import _ROUTE\n"
+    "print(_ROUTE.kernel)\n"
+    "print(_ROUTE.detail)\n"
 )
 
 
@@ -276,15 +160,13 @@ class TestLoader:
                                                   caplog):
         name, params, circuit = CASES[0]
         want = _route(params, circuit)
-        lib = native.NativeLibrary(
-            "repro.route", "_search.c", "route_search",
-            pathfinder._NATIVE.argtypes, pathfinder._NATIVE.restype)
+        lib = _route_library()
         monkeypatch.setattr(native.shutil, "which", lambda name: None)
-        monkeypatch.setattr(pathfinder, "_NATIVE", lib)
+        monkeypatch.setattr(pathfinder, "_ROUTE", lib)
         with caplog.at_level(logging.WARNING, logger=native.__name__):
             got = _route(params, circuit)
             _route(params, circuit)
-        assert search_kernel() == "python"
+        assert route_kernel() == "python"
         _assert_identical(want, got)
         lines = [r.getMessage() for r in caplog.records]
         assert len(lines) == 1, lines  # logged once

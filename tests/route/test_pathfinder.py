@@ -212,95 +212,3 @@ class TestSignature:
     def test_signature_canonical(self):
         assert endpoint_signature(5, [9, 3]) == endpoint_signature(5, [3, 9])
         assert endpoint_signature(5, [3]) != endpoint_signature(6, [3])
-
-
-class TestScratchPool:
-    """Scratch buffers are pooled and reuse never changes routes."""
-
-    def _case(self):
-        params = ArchParams(cols=5, rows=5, channel_width=8, io_capacity=4)
-        g = compiled_rrg_for(params)
-        n = tech_map(ripple_adder(3), k=4)
-        pl = place(n, params, seed=0, effort=0.2)
-        return g, n, pl
-
-    def test_pooled_scratch_routes_unchanged(self):
-        """Regression: a pool-reused (dirty) scratch routes identically
-        to a fresh per-call buffer."""
-        from repro.route.pathfinder import (
-            RouterScratch,
-            route_context_compiled,
-        )
-
-        c, n, pl = self._case()
-        fresh = route_context_compiled(c, n, pl, scratch=RouterScratch(c.n_nodes))
-        # two pooled calls: the second leases the first call's buffer
-        route_context_compiled(c, n, pl)
-        pooled = route_context_compiled(c, n, pl)
-        assert set(fresh.nets) == set(pooled.nets)
-        for name in fresh.nets:
-            assert fresh.nets[name].nodes == pooled.nets[name].nodes
-            assert fresh.nets[name].edges == pooled.nets[name].edges
-        assert fresh.iterations == pooled.iterations
-
-    def test_pool_reuses_buffers(self):
-        from repro.route.pathfinder import SCRATCH_POOL, route_context_compiled
-
-        c, n, pl = self._case()
-        route_context_compiled(c, n, pl)  # seeds the pool
-        before = SCRATCH_POOL.size()
-        first = SCRATCH_POOL.acquire(c.n_nodes)
-        SCRATCH_POOL.release(first)
-        again = SCRATCH_POOL.acquire(c.n_nodes)
-        SCRATCH_POOL.release(again)
-        assert again is first  # same buffer cycles through the free-list
-        assert SCRATCH_POOL.size() == before  # sequential reuse never grows it
-
-    def test_lease_returns_buffer_on_error(self):
-        from repro.route.pathfinder import SCRATCH_POOL
-
-        leaked = None
-        with pytest.raises(RuntimeError):
-            with SCRATCH_POOL.lease(64) as scratch:
-                leaked = scratch
-                raise RuntimeError("boom")
-        # the buffer went back to the free-list despite the error
-        recovered = SCRATCH_POOL.acquire(64)
-        try:
-            assert recovered is leaked
-        finally:
-            SCRATCH_POOL.release(recovered)
-
-    def test_pool_bounded_across_sizes(self):
-        from repro.route.pathfinder import RouterScratch, ScratchPool
-
-        pool = ScratchPool(max_sizes=2, max_per_size=1)
-        for n in (10, 20, 30):
-            pool.release(RouterScratch(n))
-        assert pool.size() == 2  # oldest size (10) evicted
-        pool.release(RouterScratch(20))
-        assert pool.size() == 2  # per-size cap holds
-        pool.clear()
-        assert pool.size() == 0
-
-    def test_drained_sizes_free_their_lru_slot(self):
-        from repro.route.pathfinder import RouterScratch, ScratchPool
-
-        pool = ScratchPool(max_sizes=2, max_per_size=2)
-        kept = RouterScratch(10)
-        pool.release(kept)
-        pool.release(RouterScratch(20))
-        pool.acquire(20)  # drains size 20 -> its LRU slot is freed
-        # without slot reclamation, the empty size-20 entry would make
-        # this release evict size 10 (the oldest) despite holding nothing
-        pool.release(RouterScratch(30))
-        assert pool.acquire(10) is kept
-
-    def test_clear_rrg_cache_drops_pooled_scratch(self):
-        from repro.arch.compiled import clear_rrg_cache
-        from repro.route.pathfinder import SCRATCH_POOL, RouterScratch
-
-        SCRATCH_POOL.release(RouterScratch(17))
-        assert SCRATCH_POOL.size() > 0
-        clear_rrg_cache()
-        assert SCRATCH_POOL.size() == 0

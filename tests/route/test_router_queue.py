@@ -1,7 +1,7 @@
 """The router's search kernels against an independent binary-heap oracle.
 
-The compiled engine runs one search: a native binary-heap kernel, or
-without a C compiler the Python bucket-queue Dijkstra (Dial's
+Each kernel runs one search: the native context route a binary heap,
+or without a C compiler the Python loop a bucket-queue Dijkstra (Dial's
 algorithm).  Every effective node cost is >= 1.0, so bucketing
 distances by integer part and draining each bucket in ``(dist, node)``
 order visits nodes in exactly a binary heap's pop order.  Dead switches
@@ -10,10 +10,11 @@ reach the kernel as self-loops in a lowered copy of ``edge_dst``.
 The oracle below is a plain binary-heap Dijkstra that reads
 ``c.edge_dst`` and skips the defect map's ``switch_defects`` itself, so
 it shares no code with the kernels or the self-loop lowering.  These
-tests patch it over ``pathfinder._search``, the entry point that picks
-the kernel, and pin that the routes (not just the wirelengths) are
-identical — including congested runs whose escalated costs spread
-distances across sparse buckets, and defect maps with dead switches.
+tests patch it over ``pathfinder._search``, the Python loop's search
+(which moves the route onto the Python loop), and pin that the routes
+(not just the wirelengths) are identical — including congested runs
+whose escalated costs spread distances across sparse buckets, and
+defect maps with dead switches.
 They also pin that the targeted congestion re-price reproduces the
 whole-graph refresh bit-for-bit.
 """

@@ -77,7 +77,7 @@ class TestWarmRoute:
         for net in rr.nets.values():
             for node in net.nodes:
                 usage[node] = usage.get(node, 0) + 1
-        cap = c.node_capacity_np
+        cap = c.node_capacity
         for node, used in usage.items():
             assert used <= int(cap[node]), node
 

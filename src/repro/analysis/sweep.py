@@ -53,6 +53,7 @@ equivalence suite in ``tests/analysis/test_sweep.py`` pins this.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 from collections.abc import Sequence
@@ -239,6 +240,31 @@ def evaluate_point(
     )
 
 
+def _pin_worker(counter, cpus: tuple[int, ...]) -> None:
+    """Process-pool initializer: pins the *i*-th worker to be started
+    to ``cpus[i]``.  Left to the scheduler, the forked workers of a
+    short campaign stay on the parent's CPU until it ends."""
+    with counter.get_lock():
+        i = counter.value
+        counter.value += 1
+    os.sched_setaffinity(0, (cpus[i % len(cpus)],))
+
+
+def _pool(backend: str, n: int):
+    """A pool of ``n`` workers for ``backend``.  A process pool pins its
+    workers one to a CPU where the OS supports affinity and this process
+    may run on at least ``n`` CPUs."""
+    if backend == "thread":
+        return ThreadPoolExecutor(max_workers=n)
+    if hasattr(os, "sched_setaffinity"):
+        cpus = tuple(sorted(os.sched_getaffinity(0)))
+        if n <= len(cpus):
+            return ProcessPoolExecutor(
+                max_workers=n, initializer=_pin_worker,
+                initargs=(multiprocessing.Value("i", 0), cpus))
+    return ProcessPoolExecutor(max_workers=n)
+
+
 def _evaluate_shipped(pair: tuple[SweepJob, Placement]) -> SweepPoint:
     """Top-level process-pool entry point (must be picklable)."""
     job, placement = pair
@@ -321,11 +347,7 @@ class SweepRunner:
             for it in items:
                 yield fn(it)
             return
-        pool_cls = (
-            ThreadPoolExecutor if self.backend == "thread"
-            else ProcessPoolExecutor
-        )
-        pool = pool_cls(max_workers=n)
+        pool = _pool(self.backend, n)
         try:
             futures = [pool.submit(fn, it) for it in items]
             for f in futures:

@@ -6,13 +6,20 @@ Nodes are physical resources (wire segments, pins, logical
 sources/sinks, :class:`NodeKind`); edges are programmable switches
 (:class:`EdgeKind`).  The fabric is held as flat numpy arrays, so the
 hot paths index buffers instead of chasing objects.  :func:`build_flat`
-emits those arrays directly from the device parameters.  Each node
-class (wires, logic-block pins, I/O pads) and each edge group (switch
-points, pins, I/O) is numpy index arithmetic over channels, tracks,
-tiles and pins; every source's edges come out in one fixed loop order,
-so one stable sort by source forms the CSR rows.  An object-graph build of the same fabric lives in the
-test suite (``tests/oracles/rrg_oracle.py``) as the independent oracle
-the arrays are compared against.
+emits those arrays directly from the device parameters, in one call
+into ``_build.c`` (``build_substrate``, compiled at the first build by
+:class:`~repro.utils.native.NativeLibrary`).  Without a compiler it
+logs one line and runs :func:`build_numpy`, which is also the native
+build's oracle: each node class (wires, logic-block pins, I/O pads)
+and each edge group (switch points, pins, I/O) is numpy index
+arithmetic over channels, tracks, tiles and pins; every source's edges
+come out in one fixed loop order, so one stable sort by source forms
+the CSR rows.  The C build walks the same groups in the same order and
+places each edge by a counting pass instead of the sort, so both emit
+the same bytes (:func:`substrate_kernel` says which runs).  An
+object-graph build of the same fabric lives in the test suite
+(``tests/oracles/rrg_oracle.py``) as the independent oracle both are
+compared against.
 
 - **CSR adjacency** — ``edge_start[n] .. edge_start[n+1]`` indexes into
   ``edge_dst`` / ``edge_kind``.  Within each node's range, edges whose
@@ -44,6 +51,7 @@ share one substrate.  Statistics extraction looks edge kinds up with
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import math
 import threading
@@ -52,7 +60,9 @@ from functools import lru_cache
 import numpy as np
 
 from repro.arch.params import ArchParams
-from repro.arch.wires import SegmentKind
+from repro.arch.wires import SegmentKind, double_track_count
+from repro.errors import ArchitectureError
+from repro.utils.native import NativeLibrary
 from repro.utils.telemetry import count as _tcount
 
 
@@ -141,6 +151,7 @@ class CompiledRRG:
         "_wire_len",
         "_row_lists",
         "_sink_lists",
+        "_addresses",
     )
 
     @classmethod
@@ -220,7 +231,21 @@ class CompiledRRG:
         c._wire_len = None
         c._row_lists = None
         c._sink_lists = None
+        c._addresses = None
         return c
+
+    def addresses(self) -> tuple[int, ...]:
+        """Buffer addresses of ``edge_start``, ``edge_mid``,
+        ``edge_dst``, ``xlo``, ``xhi``, ``ylo``, ``yhi``, ``base_cost``
+        and ``node_capacity``, read on first use and cached: the native
+        context route reads these arrays in place on every call, and
+        they live as long as the substrate."""
+        if self._addresses is None:
+            self._addresses = tuple(a.ctypes.data for a in (
+                self.edge_start, self.edge_mid, self.edge_dst, self.xlo,
+                self.xhi, self.ylo, self.yhi, self.base_cost,
+                self.node_capacity))
+        return self._addresses
 
     def row_lists(self) -> tuple[list[int], list[int], list[int]]:
         """``edge_start``/``edge_mid``/``edge_dst`` as Python lists,
@@ -429,15 +454,22 @@ def _segments(double: np.ndarray, phase: np.ndarray, extent: int):
             local - 1)
 
 
+def _fc_pattern(fc: float, n_wires: int) -> tuple[int, int]:
+    """``(k, step)``: pin ``p`` reaches the ``k`` columns from ``p *
+    step`` of a tile's sorted wire row, wrapping around.  All of them
+    at ``fc >= 1`` (``step`` 0), else ``ceil(fc * n_wires)`` from a
+    pin-staggered start (the standard Fc population pattern)."""
+    if fc >= 1.0:
+        return n_wires, 0
+    k = max(1, math.ceil(fc * n_wires))
+    return k, max(1, n_wires // k)
+
+
 def _fc_rows(fc: float, n_pins: int, n_wires: int) -> np.ndarray:
     """``(n_pins, k)`` columns of a tile's sorted wire row that each pin
-    reaches: all of them at ``fc >= 1``, else ``ceil(fc * n_wires)``
-    consecutive ones from a pin-staggered start, wrapping around (the
-    standard Fc population pattern)."""
-    if fc >= 1.0:
-        return np.arange(n_wires, dtype=np.intp)[None, :].repeat(n_pins, 0)
-    k = max(1, math.ceil(fc * n_wires))
-    start = np.arange(n_pins, dtype=np.intp) * max(1, n_wires // k)
+    reaches (:func:`_fc_pattern`)."""
+    k, step = _fc_pattern(fc, n_wires)
+    start = np.arange(n_pins, dtype=np.intp) * step
     return (start[:, None] + np.arange(k, dtype=np.intp)) % n_wires
 
 
@@ -450,8 +482,99 @@ def _fill(arrays, first: int, shape: tuple, values) -> int:
     return end
 
 
+#: Congestion base cost by wire length (pins have length 1).
+_BASE_COST = np.array([1.0 + LENGTH_COST_FACTOR * (k - 1) for k in range(3)])
+_BASE_COST_AT = _BASE_COST.ctypes.data
+
+#: The native build (``_build.c``), built at the first substrate build.
+_BUILD = NativeLibrary(
+    "repro.arch", "_build.c", "build_substrate",
+    (ctypes.c_void_p,) * 3, ctypes.c_int64,
+)
+#: ``build_substrate``'s ``spec``: 11 device slots, then what the size
+#: query writes: node and edge counts, the output buffer's byte size
+#: and the byte offset of each of its 12 arrays
+_SPEC_DEVICE = 11
+_Spec = ctypes.c_int64 * (_SPEC_DEVICE + 15)
+
+
+def substrate_kernel() -> str:
+    """The substrate build: ``"native"`` (one C call per fabric) or
+    ``"python"`` (:func:`build_numpy`).  Builds the C build on first
+    use."""
+    return _BUILD.kernel
+
+
 def build_flat(params: ArchParams) -> CompiledRRG:
-    """Emit the flat substrate for ``params`` straight as arrays.
+    """The flat substrate for ``params``: one call into ``_build.c``,
+    or :func:`build_numpy` where no native build is available.  Both
+    emit the same arrays, byte for byte."""
+    fn = _BUILD.function()
+    return build_numpy(params) if fn is None else _build_native(fn, params)
+
+
+def _lb_pins(params: ArchParams) -> tuple[int, int]:
+    """Input and output pins of each logic block."""
+    geom = params.lut_geometry()
+    return geom.base_inputs + geom.max_extra_inputs, params.lut_outputs
+
+
+def _build_native(fn, params: ArchParams) -> CompiledRRG:
+    """:func:`build_numpy`'s arrays from ``build_substrate``: a size
+    query lays the arrays out in one buffer, allocated here, and one
+    more call fills it."""
+    cols, rows, width = params.cols, params.rows, params.channel_width
+    n_in, n_out = _lb_pins(params)
+    n_pads, n_wires = params.io_capacity, 4 * width
+    spec = _Spec(
+        cols, rows, width,
+        width - double_track_count(width, params.double_fraction),
+        n_in, n_out, n_pads, *_fc_pattern(params.fc_in, n_wires),
+        *_fc_pattern(params.fc_out, n_wires))
+    if fn(spec, None, None):
+        raise ArchitectureError(
+            f"{cols}x{rows} W={width}: node or edge ids overflow int32")
+    n, n_edges, size, *offsets = spec[_SPEC_DEVICE:]
+    buf = np.empty(size, dtype=np.uint8)
+    if fn(spec, _BASE_COST_AT,
+          ctypes.addressof(ctypes.c_char.from_buffer(buf))):
+        raise MemoryError("substrate build: allocation failed")
+    n_tiles = cols * rows
+    i8, i32 = np.int8, np.int32
+    (kind, length, capacity, base_cost, (xlo, xhi, ylo, yhi), edge_start,
+     edge_mid, edge_dst, edge_kind, lb_source, lb_sink,
+     (io_source, io_sink)) = (
+        np.ndarray(shape, dtype, buf, offset)
+        for (shape, dtype), offset in zip((
+            (n, i8), (n, i8), (n, np.int64), (n, np.float64), ((4, n), i32),
+            (n + 1, i32), (n, i32), (n_edges, i32), (n_edges, i8),
+            ((n_tiles, n_out), i32), ((n_tiles, n_in), i32),
+            ((2, n_tiles, n_pads), i32)), offsets))
+    return CompiledRRG._from_arrays(
+        params,
+        node_kind=kind,
+        node_capacity=capacity,
+        node_length=length,
+        base_cost=base_cost,
+        xlo=xlo,
+        xhi=xhi,
+        ylo=ylo,
+        yhi=yhi,
+        edge_start=edge_start,
+        edge_mid=edge_mid,
+        edge_dst=edge_dst,
+        edge_kind=edge_kind,
+        lb_source_ids=lb_source,
+        lb_sink_ids=lb_sink,
+        io_source_ids=io_source,
+        io_sink_ids=io_sink,
+    )
+
+
+def build_numpy(params: ArchParams) -> CompiledRRG:
+    """Emit the flat substrate for ``params`` straight as arrays, with
+    numpy: the no-compiler fallback of :func:`build_flat` and the
+    native build's oracle.
 
     Node ids run CHANX then CHANY wires (channel, track, segment),
     logic-block pins per tile (row-major), then perimeter I/O.  Each
@@ -461,7 +584,8 @@ def build_flat(params: ArchParams) -> CompiledRRG:
     broadcast over a fixed loop nest, flattened in that loop order, and
     the groups with wire sources come first.  So every source's
     out-edges keep one fixed order, and a stable sort by source forms
-    the CSR rows.  Only IPINs drive SINKs, and they drive nothing else,
+    the CSR rows (``_build.c`` places them in that order without a
+    sort).  Only IPINs drive SINKs, and they drive nothing else,
     so ``edge_mid`` is a per-kind choice.  No node object, name string
     or per-edge Python value is created.  The object-graph oracle
     (``tests/oracles/rrg_oracle.py``) builds the same fabric loop by
@@ -493,9 +617,7 @@ def build_flat(params: ArchParams) -> CompiledRRG:
     # bordering a tile are distinct, and their ids already ascend in
     # the order below, above, left, right: each row of tile_wires is
     # sorted
-    geom = params.lut_geometry()
-    n_in = geom.base_inputs + geom.max_extra_inputs
-    n_out = params.lut_outputs
+    n_in, n_out = _lb_pins(params)
     lb_kinds = np.array([KIND_IPIN] * n_in + [KIND_SINK] * n_in
                         + [KIND_OPIN, KIND_SOURCE] * n_out, dtype=np.int8)
     n_tiles, per_lb = rows * cols, len(lb_kinds)
@@ -598,9 +720,7 @@ def build_flat(params: ArchParams) -> CompiledRRG:
     dst, ekind = dst[order], ekind[order]
     del order
 
-    # base costs by wire length; pad pin nodes spread from perimeter
-    # rows to tile rows
-    cost = np.array([1.0 + LENGTH_COST_FACTOR * (k - 1) for k in range(3)])
+    # pad pin nodes spread from perimeter rows to tile rows
     io_ids = np.full((2, n_tiles, n_pads), -1, dtype=i32)
     io_ids[:, perimeter] = io_source, io_sink
     return CompiledRRG._from_arrays(
@@ -608,7 +728,7 @@ def build_flat(params: ArchParams) -> CompiledRRG:
         node_kind=kind,
         node_capacity=np.ones(n, dtype=np.int64),
         node_length=length,
-        base_cost=cost[length],
+        base_cost=_BASE_COST[length],
         xlo=xlo,
         xhi=xhi,
         ylo=ylo,

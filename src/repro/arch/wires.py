@@ -75,6 +75,12 @@ class TrackSpec:
         return position - 1
 
 
+def double_track_count(width: int, double_fraction: float) -> int:
+    """How many of a channel's ``width`` tracks are double-length lines
+    (the last ones, see :func:`make_track_specs`)."""
+    return int(round(width * double_fraction))
+
+
 def make_track_specs(width: int, double_fraction: float = 0.5) -> list[TrackSpec]:
     """Split a channel into single- and double-length tracks.
 
@@ -90,7 +96,7 @@ def make_track_specs(width: int, double_fraction: float = 0.5) -> list[TrackSpec
         raise ArchitectureError(
             f"double_fraction must be in [0, 1], got {double_fraction}"
         )
-    n_double = int(round(width * double_fraction))
+    n_double = double_track_count(width, double_fraction)
     n_single = width - n_double
     specs: list[TrackSpec] = []
     for i in range(n_single):

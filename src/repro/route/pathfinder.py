@@ -817,13 +817,16 @@ def _route_native(
     # out64: each net's first tree node | each net's first branch
     out32 = np.empty(3 * nodes_cap + 2 * paths_cap + n, dtype=np.int32)
     out64 = np.empty(2 * n + 2, dtype=np.int64)
+    # the substrate's own arrays have fixed addresses; a defect map's
+    # lowered edge row and capacities are per call
+    estart, emid, dst, xlo, xhi, ylo, yhi, base, cap = c.addresses()
     job = _RouteJob(
-        c.n_nodes, *map(_addr, (c.edge_start, c.edge_mid, edst, c.edge_dst,
-                                c.xlo, c.xhi, c.ylo, c.yhi)),
-        c.params.cols, c.params.rows, BBOX_MARGIN,
-        None if node_ok is None else _addr(node_ok),
-        *map(_addr, (c.base_cost, state.capacity_np, state.history,
-                     state.eff, state.usage)),
+        c.n_nodes, estart, emid, dst if edst is c.edge_dst else _addr(edst),
+        dst, xlo, xhi, ylo, yhi, c.params.cols, c.params.rows, BBOX_MARGIN,
+        None if node_ok is None else _addr(node_ok), base,
+        cap if state.capacity_np is c.node_capacity
+        else _addr(state.capacity_np),
+        *map(_addr, (state.history, state.eff, state.usage)),
         state.pres_fac, PRES_FAC_MULT, HIST_FAC, max_iterations, n,
         source_at, sink_start_at, sinks_at, adopt_start_at, adopt_at,
         seed_start_at, seed_path_start_at, seed_sink_at, seed_nodes_at,

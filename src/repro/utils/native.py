@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import atexit
 import ctypes
+import importlib
 import logging
 import os
 import platform
 import shutil
 import stat
 import subprocess
+import sys
 import tempfile
 import threading
 from importlib import resources
@@ -119,8 +121,6 @@ class NativeLibrary:
         return self._fn
 
     def _load(self) -> ctypes.CDLL:
-        import hashlib  # not otherwise loaded: keep it off the import path
-
         compiler = shutil.which(COMPILER)
         if compiler is None:
             raise _Unavailable(f"no C compiler: {COMPILER} is not on PATH")
@@ -129,9 +129,9 @@ class NativeLibrary:
                 self.source).read_bytes()
         except OSError as exc:
             raise _Unavailable(f"cannot read {self.source}: {exc}") from exc
-        key = hashlib.sha256(b"\0".join(
+        key = _sha256(b"\0".join(
             [code, *(f.encode() for f in FLAGS), platform.machine().encode()]
-        )).hexdigest()[:16]
+        ))[:16]
         name = f"{self.source.rsplit('.', 1)[0]}-{key}.so"
         try:
             directory = cache_dir() or _private_dir()
@@ -148,6 +148,19 @@ class NativeLibrary:
             return ctypes.CDLL(path)
         except OSError as exc:
             raise _Unavailable(f"cannot load {path}: {exc}") from exc
+
+
+def _sha256(data: bytes) -> str:
+    """The sha256 hex digest of ``data``, from CPython's built-in sha256
+    module where there is one: importing :mod:`hashlib` loads OpenSSL
+    first (~4 ms on a 2-core host), which the first native kernel of
+    every process would pay."""
+    try:
+        sha256 = importlib.import_module(
+            "_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except (ImportError, AttributeError):  # another interpreter or build
+        from hashlib import sha256
+    return sha256(data).hexdigest()
 
 
 class _Unavailable(Exception):

@@ -8,6 +8,7 @@ no longer carries it), across two workloads.
 """
 
 import json
+import os
 
 import pytest
 
@@ -150,6 +151,25 @@ class TestSweepRunner:
         seq = SweepRunner().run(jobs)
         proc = SweepRunner(backend="process", workers=2).run(jobs)
         assert [pt.to_dict() for pt in proc] == [pt.to_dict() for pt in seq]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity")
+        or len(os.sched_getaffinity(0)) < 2,
+        reason="needs CPU affinity and two CPUs")
+    def test_process_workers_pinned_one_per_cpu(self):
+        """Each process worker runs on one CPU of the parent's set while
+        there is a CPU per worker, and on the whole set otherwise; the
+        parent stays unpinned."""
+        allowed = os.sched_getaffinity(0)
+        rows = list(SweepRunner(backend="process", workers=2).iter_items(
+            os.sched_getaffinity, [0] * 6))
+        assert all(len(cpus) == 1 and cpus <= allowed for cpus in rows)
+        wide = len(allowed) + 1
+        if wide <= 8:  # one worker more than CPUs, on a small host
+            rows = list(SweepRunner(backend="process", workers=wide)
+                        .iter_items(os.sched_getaffinity, [0] * wide))
+            assert all(cpus == allowed for cpus in rows)
+        assert os.sched_getaffinity(0) == allowed
 
     def test_thread_backend_matches_sequential(self):
         netlist = _workloads()["random"]

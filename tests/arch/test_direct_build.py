@@ -1,32 +1,47 @@
-"""The direct CSR builder against an independent lowering of the object
-graph.
+"""The substrate builds against an independent lowering of the object
+graph, and against each other.
 
-``build_flat`` emits the substrate arrays straight from ``ArchParams``;
-``build_rrg`` (``tests/oracles/rrg_oracle.py``) builds the same fabric
-as an object graph, loop by loop.  The two must describe the same
-fabric byte for byte.  :func:`_lower` below is the reference: a plain
-walk over ``build_rrg(p).out_edges`` that shares no code with
-``build_flat``.
+``build_flat`` emits the substrate arrays straight from ``ArchParams``,
+through the native build (``_build.c``) where a compiler is present and
+through ``build_numpy`` otherwise; ``build_rrg``
+(``tests/oracles/rrg_oracle.py``) builds the same fabric as an object
+graph, loop by loop.  Every build must describe the same fabric byte
+for byte.  :func:`_lower` below is the reference: a plain walk over
+``build_rrg(p).out_edges`` that shares no code with either build.
 """
 
 import ast
+import functools
+import logging
 import random
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import compiled
 from repro.arch.compiled import (
     EdgeKind,
     NodeKind,
     build_flat,
+    build_numpy,
     clear_rrg_cache,
     compiled_rrg_for,
     flat_rrg_for,
+    substrate_kernel,
 )
 from repro.arch.params import ArchParams, paper_params
 from repro.errors import ArchitectureError
+from repro.utils import native
 from rrg_oracle import build_rrg, pin_table
+
+needs_native = pytest.mark.skipif(
+    substrate_kernel() != "native", reason="no C compiler: numpy build only"
+)
 
 TESTS = Path(__file__).resolve().parents[1]
 CORPUS = TESTS.parent / "regression_tests"
@@ -80,8 +95,49 @@ def _lower(g) -> dict:
     return out
 
 
-def assert_matches_object_graph(c, params) -> None:
+#: every array of a substrate
+ARRAYS = (*NODES, *ROWS, "edge_kind", *(f"{name}_ids" for name in PINS))
+
+
+@functools.cache
+def builders() -> dict:
+    """The numpy build and, where a compiler is present, the native
+    build, called directly (each is checked on its own)."""
+    out = {"numpy": build_numpy}
+    fn = compiled._BUILD.function()
+    if fn is not None:
+        out["native"] = functools.partial(compiled._build_native, fn)
+    return out
+
+
+def assert_same_arrays(a, b) -> None:
+    """``a`` and ``b`` hold every array with one dtype, shape and bytes."""
+    assert (a.params, a.n_nodes, a.n_edges) == (b.params, b.n_nodes,
+                                                 b.n_edges)
+    for name in ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+
+
+def assert_builds_match_object_graph(params) -> list:
+    """Every build of ``params`` against the object graph; returns the
+    substrates."""
     ref = _lower(build_rrg(params))
+    out = []
+    for kind, build in builders().items():
+        c = build(params)
+        try:
+            assert_matches_object_graph(c, params, ref)
+        except AssertionError as exc:
+            raise AssertionError(f"{kind} build of {params}: {exc}") from exc
+        out.append(c)
+    return out
+
+
+def assert_matches_object_graph(c, params, ref=None) -> None:
+    if ref is None:
+        ref = _lower(build_rrg(params))
     assert c.params == params
     assert c.n_nodes == len(ref["node_kind"])
     assert c.n_edges == len(ref["edge_dst"])
@@ -168,25 +224,145 @@ def _random_params(n: int = 300, seed: int = 14) -> list:
 
 
 class TestByteEquality:
+    """Each build (numpy, and native where a compiler is present)
+    against the object graph."""
+
     def test_params_used_in_tests(self):
         found = _params_in_tests()
         assert len(found) >= 20  # the harvest itself works
         for params in found:
-            assert_matches_object_graph(build_flat(params), params)
+            assert_builds_match_object_graph(params)
 
     def test_regression_corpus_devices(self):
         found = _corpus_params()
         assert found
         for params in found:
-            assert_matches_object_graph(build_flat(params), params)
+            assert_builds_match_object_graph(params)
 
     def test_benchmark_devices(self):
         for params in _perfbench_params():
-            assert_matches_object_graph(build_flat(params), params)
+            assert_builds_match_object_graph(params)
 
     def test_random_grid(self):
         for params in _random_params():
-            assert_matches_object_graph(build_flat(params), params)
+            assert_builds_match_object_graph(params)
+
+
+def _device():
+    """Devices for the native/numpy differential: grids 1-12, widths
+    1-16, any double fraction, Fc in (0, 1], 0-8 pads, LUT geometries."""
+    fc = st.one_of(st.just(1.0), st.floats(0.01, 1.0))
+    return st.builds(
+        ArchParams,
+        cols=st.integers(1, 12), rows=st.integers(1, 12),
+        channel_width=st.integers(1, 16),
+        double_fraction=st.one_of(st.sampled_from((0.0, 0.5, 1.0)),
+                                  st.floats(0.0, 1.0)),
+        fc_in=fc, fc_out=fc, io_capacity=st.integers(0, 8),
+        lut_inputs=st.integers(1, 6), lut_outputs=st.integers(1, 3),
+        n_contexts=st.sampled_from((1, 2, 4, 8)),
+    )
+
+
+@needs_native
+class TestNativeAgainstNumpy:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(params=_device())
+    def test_differential(self, params):
+        """The native build is the numpy build, array for array: dtype,
+        shape and bytes."""
+        native_build = builders()["native"]
+        assert_same_arrays(native_build(params), build_numpy(params))
+
+    def test_oversized_device_refused(self):
+        """A device whose ids would not fit in int32 is refused by the
+        size query, before anything is allocated.  (The side is a name,
+        not a literal, so ``_params_in_tests`` does not harvest it.)"""
+        side = 50_000
+        with pytest.raises(ArchitectureError, match="overflow int32"):
+            builders()["native"](ArchParams(cols=side, rows=side))
+
+    def test_build_flat_runs_native(self):
+        params = ArchParams(cols=3, rows=2, channel_width=5)
+        c = build_flat(params)
+        assert substrate_kernel() == "native"
+        assert_same_arrays(c, build_numpy(params))
+
+
+class TestFallback:
+    def test_no_compiler_runs_numpy_with_one_line(self, monkeypatch,
+                                                  caplog, tmp_path):
+        """With gcc off ``PATH`` the substrate build logs one line and
+        runs ``build_numpy``, with the same arrays."""
+        params = ArchParams(cols=4, rows=3, channel_width=6, fc_in=0.5)
+        want = build_flat(params)
+        lib = native.NativeLibrary(
+            "repro.arch", "_build.c", "build_substrate",
+            compiled._BUILD.argtypes, compiled._BUILD.restype)
+        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.setattr(compiled, "_BUILD", lib)
+        with caplog.at_level(logging.WARNING, logger=native.__name__):
+            got = build_flat(params)
+            build_flat(params)
+        assert substrate_kernel() == "python"
+        assert_same_arrays(want, got)
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 1, lines  # logged once
+        assert lines[0] == ("_build.c: no native build (no C compiler: gcc "
+                            "is not on PATH); running the Python kernel")
+
+
+class TestConcurrentBuilds:
+    def test_threads_share_one_build_per_device(self, monkeypatch):
+        """Eight threads ask for three devices at once through
+        ``compiled_rrg_for`` and ``flat_rrg_for``: each device is built
+        once, every thread gets that substrate, and it is the numpy
+        build's."""
+        devices = [ArchParams(cols=5, rows=5, channel_width=w,
+                              io_capacity=2) for w in (4, 6, 9)]
+        built = []
+        real = compiled.build_flat
+
+        def counted(params):
+            built.append(params)
+            return real(params)
+
+        monkeypatch.setattr(compiled, "build_flat", counted)
+        clear_rrg_cache()
+        barrier = threading.Barrier(8)
+        got = [[] for _ in range(8)]
+        errors = []
+
+        def hammer(i):
+            try:
+                barrier.wait(timeout=60)
+                for params in devices[i % 3:] + devices[:i % 3]:
+                    get = compiled_rrg_for if i % 2 else flat_rrg_for
+                    got[i].append((params, get(params)))
+            except Exception as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            clear_rrg_cache()
+        assert errors == []
+        assert sorted(built, key=repr) == sorted(devices, key=repr)
+        first = {}
+        for rows in got:
+            for params, c in rows:
+                assert first.setdefault(params, c) is c
+        for params, c in first.items():
+            assert_same_arrays(c, build_numpy(params))
 
 
 class TestInt32Rows:
@@ -246,23 +422,20 @@ class TestPastBenchmarkSizes:
 
     def test_wide_channels(self):
         params = ArchParams(cols=16, rows=16, channel_width=16)
-        c = build_flat(params)
-        assert (c.n_nodes, c.n_edges) == (11208, 188624)
-        assert_matches_object_graph(c, params)
+        for c in assert_builds_match_object_graph(params):
+            assert (c.n_nodes, c.n_edges) == (11208, 188624)
 
     def test_node_ids_past_int16(self):
         params = ArchParams(cols=32, rows=32, channel_width=12)
-        c = build_flat(params)
-        assert 1 << 15 < c.n_nodes <= 1 << 16
-        assert_matches_object_graph(c, params)
+        for c in assert_builds_match_object_graph(params):
+            assert 1 << 15 < c.n_nodes <= 1 << 16
 
     def test_node_ids_past_uint16(self):
         params = ArchParams(cols=44, rows=44, channel_width=2, lut_inputs=8,
                             lut_outputs=8, n_contexts=1, fc_in=0.25,
                             fc_out=0.25, io_capacity=1)
-        c = build_flat(params)
-        assert c.n_nodes > 1 << 16
-        assert_matches_object_graph(c, params)
+        for c in assert_builds_match_object_graph(params):
+            assert c.n_nodes > 1 << 16
 
     def test_strips(self):
         for cols, rows in ((1, 9), (9, 1), (1, 1), (1, 2), (2, 1)):
@@ -270,7 +443,7 @@ class TestPastBenchmarkSizes:
                 params = ArchParams(cols=cols, rows=rows, channel_width=5,
                                     fc_in=0.6, fc_out=0.3,
                                     io_capacity=io_capacity)
-                assert_matches_object_graph(build_flat(params), params)
+                assert_builds_match_object_graph(params)
 
 
 class TestFcPopulation:
@@ -344,17 +517,21 @@ class TestFcPopulation:
 
 class TestBuildMemory:
     def test_transient_peak(self):
-        """The build's working arrays stay int32/int8, and the sort's
-        are dropped before the list fields are made: about 1.0 MiB on
-        this device, 1.3 MiB with int64 intermediates."""
+        """The numpy build's working arrays stay int32/int8, and the
+        sort's are dropped before the list fields are made: about 1.0
+        MiB on this device, 1.3 MiB with int64 intermediates.  The
+        native build allocates only its output, one ~0.25 MiB buffer
+        (its C scratch is a few KiB, not traced here)."""
         import tracemalloc
 
         params = ArchParams(cols=7, rows=7, channel_width=12, io_capacity=4)
-        build_flat(params)
-        tracemalloc.start()
-        try:
-            build_flat(params)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * 2**20
+        limits = {"numpy": 1.25 * 2**20, "native": 0.3 * 2**20}
+        for kind, build in builders().items():
+            build(params)
+            tracemalloc.start()
+            try:
+                build(params)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= limits[kind], kind

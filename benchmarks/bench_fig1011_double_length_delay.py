@@ -13,7 +13,7 @@ from repro.arch.compiled import compiled_rrg_for
 from repro.core.diamond import DiamondSwitch, Direction
 from repro.netlist.techmap import tech_map
 from repro.place.placer import place
-from repro.route.pathfinder import route_context
+from repro.route.pathfinder import route_context_compiled
 from repro.route.timing import DelayModel, chain_delay, critical_path
 from repro.utils.tables import TextTable
 from repro.workloads.generators import parity_tree, ripple_adder
@@ -68,7 +68,7 @@ class TestFabricDelay:
                 )
                 g = compiled_rrg_for(params)
                 pl = place(n, params, seed=0, effort=0.4)
-                rr = route_context(g, n, pl)
+                rr = route_context_compiled(g, n, pl)
                 out[frac] = critical_path(g, n, rr, pl)
             return out
 

@@ -7,7 +7,7 @@ Walks the paper's core ideas end to end, through the public
 1. context patterns and their three hardware classes (Figs. 3-5),
 2. synthesizing a pattern decoder from switch elements (Fig. 9),
 3. mapping a small two-context program onto a behavioral MC-FPGA
-   (``Session.map_program``),
+   (``map_program``),
 4. single-cycle context switching with flip accounting,
 5. the headline area comparison via ``Session.run(AreaRequest())``,
 6. a whole declarative campaign via ``Session.run_spec``.
@@ -21,6 +21,7 @@ from repro import (
     MultiContextFPGA,
     class_census,
 )
+from repro.analysis.experiments import map_program
 from repro.api import AreaRequest, ExperimentSpec, Session
 from repro.core.decoder_synth import synthesize_single
 from repro.netlist.synth import synthesize
@@ -74,7 +75,7 @@ def step3_map_program() -> MultiContextFPGA:
         k=4,
     )
     program = mutated_program(base, n_contexts=2, fraction=0.25, seed=1)
-    mapped = SESSION.map_program(program, share_aware=True, seed=1)
+    mapped = map_program(program, share_aware=True, seed=1)
     print(f"grid: {mapped.params.cols}x{mapped.params.rows}, "
           f"LUTs per context: {[len(nl.luts()) for nl in program.contexts]}")
     print(f"route reuse across contexts: {mapped.reuse_fraction():.0%}")

@@ -31,9 +31,10 @@ The package splits into:
 - :mod:`repro.workloads` — circuit generators and multi-context
   workloads with controllable redundancy.
 - :mod:`repro.analysis` — redundancy statistics, pattern censuses, the
-  unified :class:`~repro.analysis.engine.MappingEngine` (one compiled
-  RRG shared across jobs; share-unaware contexts route in parallel),
-  the :class:`~repro.analysis.sweep.SweepRunner` pool loop that batch,
+  one place-and-route entry
+  :func:`~repro.analysis.experiments.map_program` (one compiled RRG
+  shared across jobs; share-unaware contexts route in parallel), the
+  :class:`~repro.analysis.sweep.SweepRunner` pool loop that batch,
   sweep and yield requests fan out through, and the experiment drivers
   behind every benchmark.
 - :mod:`repro.api` — the public facade: typed requests/results with a

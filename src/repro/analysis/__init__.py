@@ -1,9 +1,8 @@
 """Analysis & experiment drivers: redundancy statistics (Table 1),
-pattern-class censuses (Figs. 3-5), report rendering, the unified
-mapping engine, and the end-to-end experiment flows behind every
-benchmark."""
+pattern-class censuses (Figs. 3-5), report rendering, the one
+place-and-route entry (:func:`map_program`), and the end-to-end
+experiment flows behind every benchmark."""
 
-from repro.analysis.engine import DEFAULT_ENGINE, MappingEngine
 from repro.analysis.experiments import (
     ExperimentResult,
     map_program,
@@ -14,9 +13,7 @@ from repro.analysis.pattern_stats import pattern_class_table, pattern_cost_table
 from repro.analysis.redundancy import redundancy_report, table1_view
 
 __all__ = [
-    "DEFAULT_ENGINE",
     "ExperimentResult",
-    "MappingEngine",
     "map_program",
     "pattern_class_table",
     "pattern_cost_table",

@@ -18,12 +18,13 @@ per-point flow exactly (``tests/analysis/test_sweep.py`` pins the
 equivalence).  Pass a :class:`~repro.analysis.sweep.SweepRunner` with
 ``backend="process"`` to fan grid points out across cores.
 
-Deprecation shim: when no ``runner`` is supplied, these drivers build
-one on the :mod:`repro.api` default session's engine — sharing the
-facade's compiled-substrate caches while keeping the per-call placement
-cache lifetime (see :func:`_default_runner`).  Named-workload sweeps
-should prefer ``Session.run(SweepRequest(...))`` directly; these
-functions remain for explicit-netlist exploration.
+Without a ``runner`` each call uses a fresh
+:class:`~repro.analysis.sweep.SweepRunner`: its placement cache holds
+strong references to netlists, so it lives for that call only (a
+process-wide runner would grow without bound), while compiled
+substrates stay shared process-wide.  Named-workload sweeps should
+prefer ``Session.run(SweepRequest(...))``; these functions serve
+explicit-netlist exploration.
 """
 
 from __future__ import annotations
@@ -42,21 +43,6 @@ from repro.analysis.sweep import (
 from repro.arch.params import ArchParams
 from repro.errors import RoutingError
 from repro.netlist.netlist import Netlist
-
-
-def _default_runner() -> SweepRunner:
-    """A fresh per-call runner on the facade's shared engine.
-
-    Fresh on purpose: the runner's placement cache holds strong
-    references to netlists, so a process-wide runner would grow
-    without bound as callers explore distinct netlists — per-call
-    runners keep the original "drop the runner, drop the cache"
-    lifetime, while the engine (and its compiled-substrate caches)
-    stays shared through the facade's default session.
-    """
-    from repro.api.session import default_session
-
-    return SweepRunner(engine=default_session().engine)
 
 
 @dataclass
@@ -81,7 +67,7 @@ def _try_route(
     runner: SweepRunner | None = None,
 ) -> RoutePoint:
     """Evaluate one architecture point on the compiled engine."""
-    runner = runner if runner is not None else _default_runner()
+    runner = runner if runner is not None else SweepRunner()
     job = SweepJob("point", 0.0, params, netlist, seed, effort)
     return _as_route_point(runner.run([job])[0])
 
@@ -103,7 +89,7 @@ def minimum_channel_width(
     probe reuses the runner's cached placement — the anneal is
     independent of channel width — so only the routing is repeated.
     """
-    runner = runner if runner is not None else _default_runner()
+    runner = runner if runner is not None else SweepRunner()
 
     def routed(width: int) -> bool:
         jobs = channel_width_jobs(
@@ -132,7 +118,7 @@ def explore_double_fraction(
 ) -> list[tuple[float, RoutePoint]]:
     """Sweep the double-length track share (Fig. 10's knob)."""
     fractions = list(fractions)
-    runner = runner if runner is not None else _default_runner()
+    runner = runner if runner is not None else SweepRunner()
     jobs = double_fraction_jobs(netlist, base, fractions, seed=seed, effort=effort)
     return [
         (f, _as_route_point(pt))
@@ -150,7 +136,7 @@ def explore_fc(
 ) -> list[tuple[float, RoutePoint]]:
     """Sweep connection-block flexibility."""
     fcs = list(fcs)
-    runner = runner if runner is not None else _default_runner()
+    runner = runner if runner is not None else SweepRunner()
     jobs = fc_jobs(netlist, base, fcs, seed=seed, effort=effort)
     return [
         (fc, _as_route_point(pt))

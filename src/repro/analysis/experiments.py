@@ -3,8 +3,9 @@
 Each benchmark in ``benchmarks/`` is a thin wrapper around a function
 here, so results are reproducible from the library API alone:
 
-- :func:`map_program` — synth-to-bitstream mapping of one program
-  (place + route per context, share-aware or naive),
+- :func:`map_program` — the one place-and-route entry: synth-to-
+  bitstream mapping of one program (place + route per context,
+  share-aware or naive) on a cached compiled substrate,
 - :func:`run_full_flow` — mapping plus functional verification and
   statistics extraction,
 - :func:`run_area_experiment` — the Section-5 evaluation: measured
@@ -18,7 +19,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.arch.compiled import CompiledRRG
+from repro.arch.compiled import CompiledRRG, compiled_rrg_for
 from repro.arch.params import ArchParams
 from repro.core.area_model import (
     AreaComparison,
@@ -32,8 +33,8 @@ from repro.core.fpga import MultiContextFPGA
 from repro.errors import ReproError
 from repro.netlist.dfg import MultiContextProgram
 from repro.netlist.sharing import pack_global, pack_local
-from repro.place.placer import Placement
-from repro.route.pathfinder import RouteResult
+from repro.place.placer import Placement, place_program
+from repro.route.pathfinder import RouteResult, route_program_compiled
 
 
 @dataclass
@@ -80,21 +81,30 @@ def map_program(
     seed: int = 0,
     effort: float = 0.5,
     rrg: CompiledRRG | None = None,
+    route_workers: int | None = None,
 ) -> MappedProgram:
     """Place and route every context of ``program``.
 
-    Deprecation shim: kept so historical imports keep working, but the
-    implementation is :meth:`repro.api.Session.map_program` on the
-    process-wide default session — new code should hold a
-    :class:`~repro.api.Session` and call that directly.  Repeated calls
-    with equal ``params`` share one compiled routing substrate; an
-    explicit ``rrg`` bypasses the cache.
+    The one place-and-route entry: every flow (the api ``Session``,
+    batch items, the experiment drivers) maps through it.  ``params``
+    defaults to a grid fitted to the program.  Repeated calls with
+    equal ``params`` share one compiled routing substrate
+    (:func:`~repro.arch.compiled.compiled_rrg_for`); an explicit
+    ``rrg`` bypasses the cache.  ``route_workers`` routes share-unaware
+    contexts in parallel on threads.
     """
-    from repro.api.session import default_session
-
-    return default_session().map_program(
-        program, params, share_aware=share_aware, seed=seed,
-        effort=effort, rrg=rrg,
+    if params is None:
+        params = _fit_params(program)
+    compiled = compiled_rrg_for(params) if rrg is None else rrg
+    placements = place_program(
+        program, params, seed=seed, share_aware=share_aware, effort=effort
+    )
+    routes = route_program_compiled(
+        compiled, program, placements,
+        share_aware=share_aware, workers=route_workers,
+    )
+    return MappedProgram(
+        program, params, placements, routes, compiled, share_aware
     )
 
 

@@ -12,8 +12,8 @@ exploration: points are data, the runner is policy):
 - :class:`SweepPoint` — the structured outcome (routed, wirelength,
   critical path, iterations), JSON-serializable via
   :meth:`~SweepPoint.to_dict` / :meth:`~SweepPoint.from_dict`;
-- :class:`SweepRunner` — executes a grid on the compiled mapping
-  engine with a selectable backend;
+- :class:`SweepRunner` — executes a grid on the cached compiled
+  substrates with a selectable backend;
 - grid builders (:func:`channel_width_jobs`,
   :func:`double_fraction_jobs`, :func:`fc_jobs`) and the analytic
   area-model sweeps (:func:`sweep_change_rate_points`,
@@ -60,6 +60,7 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
+from repro.arch.compiled import compiled_rrg_for
 from repro.arch.params import ArchParams
 from repro.errors import RoutingError
 from repro.netlist.netlist import Netlist
@@ -70,7 +71,7 @@ from repro.utils.iters import SizedIterator
 from repro.utils.telemetry import Telemetry, collecting, span
 
 #: PathFinder iteration budget per sweep point.  Matches the legacy
-#: per-point flow (``route_context(..., max_iterations=25)``), so sweep
+#: per-point flow (``max_iterations=25`` on every point), so sweep
 #: verdicts are comparable with historical results.
 POINT_MAX_ITERATIONS = 25
 
@@ -192,9 +193,9 @@ def _placement_key(job: SweepJob) -> tuple:
 
 
 def evaluate_point(
-    job: SweepJob, placement: Placement | None = None, engine=None
+    job: SweepJob, placement: Placement | None = None
 ) -> SweepPoint:
-    """Evaluate one sweep point on the compiled engine.
+    """Evaluate one sweep point on the compiled substrate.
 
     Places (unless a cached ``placement`` is supplied), routes over the
     cached substrate for ``job.params`` (flat arrays, no object graph
@@ -206,11 +207,8 @@ def evaluate_point(
     """
     tel = Telemetry(job.telemetry) if job.telemetry else None
     with collecting(tel):
-        if engine is None:
-            from repro.analysis.engine import DEFAULT_ENGINE
-            engine = DEFAULT_ENGINE
         with span("point.substrate"):
-            c = engine.compiled(job.params)
+            c = compiled_rrg_for(job.params)
         if placement is None:
             with span("point.place"):
                 placement = place(
@@ -266,13 +264,14 @@ def _pool(backend: str, n: int):
 
 
 def _evaluate_shipped(pair: tuple[SweepJob, Placement]) -> SweepPoint:
-    """Top-level process-pool entry point (must be picklable)."""
+    """Evaluate one ``(job, placement)`` pair (top-level, so process
+    pools can pickle it)."""
     job, placement = pair
     return evaluate_point(job, placement)
 
 
 class SweepRunner:
-    """Executes sweep grids on the shared mapping engine.
+    """Executes sweep grids on the shared compiled substrates.
 
     See the module docstring for backend and pool selection.  The
     placement cache lives on the runner, so successive :meth:`run`
@@ -282,7 +281,6 @@ class SweepRunner:
 
     def __init__(
         self,
-        engine=None,
         backend: str = "sequential",
         workers: int | None = None,
     ) -> None:
@@ -290,10 +288,6 @@ class SweepRunner:
             raise ValueError(
                 f"backend must be one of {_BACKENDS}, got {backend!r}"
             )
-        if engine is None:
-            from repro.analysis.engine import DEFAULT_ENGINE
-            engine = DEFAULT_ENGINE
-        self.engine = engine
         self.backend = backend
         self.workers = workers
         self._placements: dict[tuple, Placement] = {}
@@ -372,15 +366,7 @@ class SweepRunner:
         # parent: points differing only in routing resources share one
         # anneal, and worker processes receive ready placements
         pairs = [(job, self.placement_for(job)) for job in jobs]
-        if self.backend == "process" and self.pool_width(len(pairs)) > 1:
-            yield from self.iter_items(_evaluate_shipped, pairs)
-            return
-        # sequential/thread (and the process single-worker fallback)
-        # evaluate through the runner's own engine
-        engine = self.engine
-        yield from self.iter_items(
-            lambda pair: evaluate_point(pair[0], pair[1], engine), pairs
-        )
+        yield from self.iter_items(_evaluate_shipped, pairs)
 
     def run(self, jobs: Sequence[SweepJob]) -> list[SweepPoint]:
         """Evaluate every job; results keep the order of ``jobs``."""

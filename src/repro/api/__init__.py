@@ -68,7 +68,6 @@ from repro.api.serialize import SCHEMA_VERSION
 from repro.api.session import (
     Session,
     build_report,
-    default_session,
     stage_rows,
 )
 from repro.api.spec import GRID_AXES, STAGES, ExperimentSpec
@@ -109,7 +108,6 @@ __all__ = [
     "build_circuit",
     "build_program",
     "build_report",
-    "default_session",
     "request_from_dict",
     "request_total_rows",
     "result_from_dict",

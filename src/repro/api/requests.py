@@ -522,6 +522,12 @@ def request_total_rows(request) -> int:
     )
 
 
+def request_stage_kind(request) -> str:
+    """The stage kind a bare request folds and reports under
+    (``map_request`` -> ``map``)."""
+    return request.TYPE_TAG[: -len("_request")]
+
+
 #: Type tag -> request class, for generic deserialization.
 REQUEST_TYPES = {
     cls.TYPE_TAG: cls

@@ -1,18 +1,20 @@
 """The `Session` facade: one object, every flow, shared caches.
 
-A :class:`Session` owns the compiled-substrate engine, one
-:class:`~repro.analysis.sweep.SweepRunner` per (backend, workers)
-configuration (placement cache included), the reliability layer's
-golden-mapping caches, and a netlist cache keyed by workload name — so
-any mix of requests executed through it shares every expensive
-artifact the subsystems know how to share.  Three entry points:
+A :class:`Session` owns one :class:`~repro.analysis.sweep.SweepRunner`
+per (backend, workers) configuration (placement cache included), the
+reliability layer's golden-mapping caches, and a netlist cache keyed by
+workload name; compiled substrates are shared process-wide through
+:func:`~repro.arch.compiled.compiled_rrg_for`.  So any mix of requests
+executed through it shares every expensive artifact the subsystems know
+how to share.  Three entry points:
 
-- :meth:`Session.run` — execute any typed request, return its typed
-  result (dispatch on request type);
-- :meth:`Session.stream` — the same rows, incrementally: sweep points,
-  yield points and batch rows are yielded as they complete (in request
-  order, bit-identical to the blocking call), with an optional
-  ``progress(done, total, item)`` callback;
+- :meth:`Session.stream` — execute any typed request (dispatch on
+  request type), yielding its rows incrementally: sweep points, yield
+  points and batch rows are yielded as they complete (in request
+  order), with an optional ``progress(done, total, item)`` callback;
+- :meth:`Session.run` — the blocking form: the fold of the streamed
+  rows into the request's typed result (:meth:`Session.fold_stage`),
+  so both forms agree by construction;
 - :meth:`Session.run_spec` / :meth:`Session.stream_spec` — execute a
   declarative :class:`~repro.api.spec.ExperimentSpec` stage by stage,
   with caching shared *across* stages (one substrate build per device,
@@ -28,7 +30,13 @@ from __future__ import annotations
 import threading
 from dataclasses import replace
 
-from repro.analysis.engine import DEFAULT_ENGINE, MappingEngine, map_job
+from repro.analysis.engine import map_job
+from repro.analysis.experiments import (
+    ExperimentResult,
+    MappedProgram,
+    map_program,
+    verify_mapped,
+)
 from repro.analysis.sweep import (
     SweepRunner,
     channel_width_jobs,
@@ -46,6 +54,7 @@ from repro.api.requests import (
     ReorderRequest,
     SweepRequest,
     YieldRequest,
+    request_stage_kind,
 )
 from repro.api.results import (
     AreaResult,
@@ -86,6 +95,18 @@ def _noop_progress(done: int, total: int, item) -> None:
     return None
 
 
+def _single(compute):
+    """The stream handler of a single-shot request: ``compute`` its one
+    result, report it and yield it."""
+
+    def handler(session, req, progress):
+        result = compute(session, req)
+        progress(1, 1, result)
+        yield result
+
+    return handler
+
+
 def _fold_metrics(pt, profile: bool, telemetry: bool) -> None:
     """Turn a streamed row's telemetry snapshot into what the request
     asked for: a ``profile`` table of its spans when profiling, and
@@ -105,8 +126,7 @@ def _fold_metrics(pt, profile: bool, telemetry: bool) -> None:
 class Session:
     """Facade over the whole system; see the module docstring."""
 
-    def __init__(self, engine: MappingEngine | None = None) -> None:
-        self.engine = engine if engine is not None else DEFAULT_ENGINE
+    def __init__(self) -> None:
         self._circuits: dict[str, object] = {}
         self._programs: dict[tuple, object] = {}
         self._sweep_runners: dict[tuple, SweepRunner] = {}
@@ -161,8 +181,7 @@ class Session:
             runner = self._sweep_runners.get(key)
             if runner is None:
                 GLOBAL.inc("session.cache.misses", cache="sweep_runner")
-                runner = SweepRunner(engine=self.engine,
-                                     backend=config.backend,
+                runner = SweepRunner(backend=config.backend,
                                      workers=config.workers)
                 self._sweep_runners[key] = runner
             else:
@@ -186,34 +205,21 @@ class Session:
                 GLOBAL.inc("session.cache.hits", cache="yield_runner")
             return runner
 
-    def map_program(self, program, params=None, share_aware: bool = True,
-                    seed: int = 0, effort: float = MAP_EFFORT, rrg=None,
-                    route_workers: int | None = None):
-        """Place and route an explicit program object (the facade form
-        of :func:`repro.analysis.experiments.map_program`)."""
-        return self.engine.map(
-            program, params, share_aware=share_aware, seed=seed,
-            effort=effort, rrg=rrg, route_workers=route_workers,
-        )
-
     # -- dispatch ----------------------------------------------------------- #
     def run(self, request):
-        """Execute any typed request, blocking; returns its result type."""
-        handler = self._RUN.get(type(request))
-        if handler is None:
-            raise RequestError(
-                f"unsupported request type {type(request).__name__}"
-            )
-        return handler(self, request)
+        """Execute any typed request, blocking; returns its result type
+        (the :meth:`fold_stage` of the rows :meth:`stream` yields)."""
+        rows = list(self.stream(request))
+        return self.fold_stage(request_stage_kind(request), request, rows)
 
     def stream(self, request, progress=None):
         """Execute a request, yielding rows incrementally.
 
         Sweep requests yield their points, yield requests their
         campaign cells, batch requests one :class:`MapResult` per
-        workload; single-shot requests (map, area, reorder) yield their
-        one result.  Rows arrive in request order and are bit-identical
-        to what :meth:`run` folds into its result.  ``progress`` is
+        workload; single-shot requests (map, area, reorder, import)
+        yield their one result.  Rows arrive in request order and are
+        what :meth:`run` folds into its result.  ``progress`` is
         called as ``progress(done, total, item)`` after each row.
         """
         handler = self._STREAM.get(type(request))
@@ -224,43 +230,23 @@ class Session:
         return handler(self, request, progress or _noop_progress)
 
     # -- map / batch -------------------------------------------------------- #
-    def _map_one(self, workload: str, contexts: int, mutation: float,
-                 share_aware: bool, verify: bool,
-                 config: ExecutionConfig) -> MapResult:
-        from repro.analysis.experiments import ExperimentResult, verify_mapped
-
-        program = self.program(workload, contexts, mutation, config.seed)
-        mapped = self.map_program(
-            program, share_aware=share_aware, seed=config.seed,
-            effort=config.effort_or(MAP_EFFORT),
-            route_workers=config.route_workers,
+    def _map(self, req: MapRequest) -> MapResult:
+        cfg = req.execution
+        program = self.program(req.workload, req.contexts, req.mutation,
+                               cfg.seed)
+        mapped = map_program(
+            program, share_aware=req.share_aware, seed=cfg.seed,
+            effort=cfg.effort_or(MAP_EFFORT),
+            route_workers=cfg.route_workers,
         )
         stats = mapped.stats()
-        verified = verify_mapped(mapped, seed=config.seed) if verify else False
+        verified = (
+            verify_mapped(mapped, seed=cfg.seed) if req.verify else False
+        )
         experiment = ExperimentResult(program.name, mapped, stats, verified)
-        return MapResult.from_experiment(workload, experiment)
-
-    def _run_map(self, req: MapRequest) -> MapResult:
-        return self._map_one(req.workload, req.contexts, req.mutation,
-                             req.share_aware, req.verify, req.execution)
-
-    def _stream_map(self, req: MapRequest, progress):
-        result = self._run_map(req)
-        progress(1, 1, result)
-        yield result
-
-    def _run_batch(self, req: BatchRequest) -> BatchResult:
-        return BatchResult(results=tuple(self._stream_batch(
-            req, _noop_progress
-        )))
+        return MapResult.from_experiment(req.workload, experiment)
 
     def _stream_batch(self, req: BatchRequest, progress):
-        from repro.analysis.experiments import (
-            ExperimentResult,
-            MappedProgram,
-            verify_mapped,
-        )
-
         # every backend rides the sweep runner's pool loop: the whole
         # batch is submitted up front and rows are yielded as they
         # complete, in request order; each (params, placements, routes)
@@ -309,11 +295,6 @@ class Session:
             points=tuple(points), metrics=metrics,
         )
 
-    def _run_sweep(self, req: SweepRequest) -> SweepResult:
-        return self._sweep_result(
-            req, list(self._stream_sweep(req, _noop_progress))
-        )
-
     def _stream_sweep(self, req: SweepRequest, progress):
         values = req.resolved_values()
         if req.analytic:
@@ -358,11 +339,6 @@ class Session:
             metrics=metrics,
         )
 
-    def _run_yield(self, req: YieldRequest) -> YieldResult:
-        return self._yield_result(
-            req, list(self._stream_yield(req, _noop_progress))
-        )
-
     def _stream_yield(self, req: YieldRequest, progress):
         cfg = req.execution
         netlist = self.circuit(req.workload)
@@ -393,7 +369,7 @@ class Session:
             yield pt
 
     # -- area / reorder ----------------------------------------------------- #
-    def _run_area(self, req: AreaRequest) -> AreaResult:
+    def _area(self, req: AreaRequest) -> AreaResult:
         from repro.core.area_model import AreaConstants, AreaModel, Technology
 
         constants = (
@@ -434,18 +410,13 @@ class Session:
             technologies=technologies, comparisons=comparisons,
         )
 
-    def _stream_area(self, req: AreaRequest, progress):
-        result = self._run_area(req)
-        progress(1, 1, result)
-        yield result
-
-    def _run_reorder(self, req: ReorderRequest) -> ReorderResult:
+    def _reorder(self, req: ReorderRequest) -> ReorderResult:
         from repro.core.reorder import optimize_context_order
 
         cfg = req.execution
         program = self.program(req.workload, req.contexts, req.mutation,
                                cfg.seed)
-        mapped = self.map_program(
+        mapped = map_program(
             program, seed=cfg.seed, effort=cfg.effort_or(MAP_EFFORT),
             route_workers=cfg.route_workers,
         )
@@ -458,14 +429,8 @@ class Session:
             schedule=tuple(result.physical_schedule()),
         )
 
-    def _stream_reorder(self, req: ReorderRequest, progress):
-        result = self._run_reorder(req)
-        progress(1, 1, result)
-        yield result
-
     # -- import ------------------------------------------------------------- #
-    def _run_import(self, req: ImportRequest) -> ImportResult:
-        from repro.analysis.experiments import verify_mapped
+    def _import(self, req: ImportRequest) -> ImportResult:
         from repro.netlist.frontend import arch_for, load_program
 
         cfg = req.execution
@@ -475,7 +440,7 @@ class Session:
         if req.grid is not None:
             params = arch_for(program, req.grid, width=req.width,
                               k=req.k)
-        mapped = self.map_program(
+        mapped = map_program(
             program, params, share_aware=req.share_aware,
             seed=cfg.seed, effort=cfg.effort_or(MAP_EFFORT),
             route_workers=cfg.route_workers,
@@ -485,11 +450,6 @@ class Session:
         )
         return ImportResult.from_mapped(program.name, metas, mapped,
                                         verified)
-
-    def _stream_import(self, req: ImportRequest, progress):
-        result = self._run_import(req)
-        progress(1, 1, result)
-        yield result
 
     # -- specs -------------------------------------------------------------- #
     def iter_spec_events(self, spec: ExperimentSpec, progress=None,
@@ -541,12 +501,6 @@ class Session:
             collected.append(folded)
             yield "result", index, name, folded
 
-    def _spec_events(self, spec: ExperimentSpec, progress):
-        """Back-compat shape: ``(kind, stage kind, item)`` triples."""
-        kinds = [s["stage"] for s in spec.stages]
-        for kind, index, _name, item in self.iter_spec_events(spec, progress):
-            yield kind, kinds[index], item
-
     def stream_spec(self, spec: ExperimentSpec, progress=None):
         """Execute a spec stage by stage, yielding ``(stage, item)``
         pairs: every streamed row of every stage, with each stage's
@@ -554,15 +508,15 @@ class Session:
         yields its :class:`ReportResult`).  Collecting the rows per
         stage reproduces :meth:`run_spec` bit-identically.
         """
-        progress = progress or _noop_progress
-        for kind, stage, item in self._spec_events(spec, progress):
+        kinds = [s["stage"] for s in spec.stages]
+        for kind, index, _name, item in self.iter_spec_events(spec, progress):
             if kind == "row":
-                yield stage, item
+                yield kinds[index], item
 
     def run_spec(self, spec: ExperimentSpec) -> SpecResult:
         """Execute a spec, blocking; one typed result per stage."""
         results = [
-            item for kind, _, item in self._spec_events(spec, _noop_progress)
+            item for kind, _index, _name, item in self.iter_spec_events(spec)
             if kind == "result"
         ]
         return SpecResult(name=spec.name, workload=spec.workload,
@@ -571,9 +525,10 @@ class Session:
     def fold_stage(self, stage: str, request, points):
         """Fold one stage's streamed rows into its typed result.
 
-        ``stage`` is the stage kind (``"map"``/``"batch"``/...); the
-        service layer also uses this to fold the rows of a bare request
-        job into the result :meth:`run` would have returned.
+        ``stage`` is the stage kind (``"map"``/``"batch"``/...; see
+        :func:`~repro.api.requests.request_stage_kind`); :meth:`run`
+        and the service layer's bare request jobs fold their rows
+        through it.
         """
         if stage == "batch":
             return BatchResult(results=tuple(points))
@@ -581,27 +536,18 @@ class Session:
             return self._sweep_result(request, points)
         if stage == "yield":
             return self._yield_result(request, points)
-        # single-shot stages (map, area, reorder) stream their one result
+        # single-shot stages (map, area, reorder, import) stream their
+        # one result
         return points[0]
 
-    _RUN = {
-        MapRequest: _run_map,
-        BatchRequest: _run_batch,
-        SweepRequest: _run_sweep,
-        YieldRequest: _run_yield,
-        AreaRequest: _run_area,
-        ReorderRequest: _run_reorder,
-        ImportRequest: _run_import,
-    }
-
     _STREAM = {
-        MapRequest: _stream_map,
+        MapRequest: _single(_map),
         BatchRequest: _stream_batch,
         SweepRequest: _stream_sweep,
         YieldRequest: _stream_yield,
-        AreaRequest: _stream_area,
-        ReorderRequest: _stream_reorder,
-        ImportRequest: _stream_import,
+        AreaRequest: _single(_area),
+        ReorderRequest: _single(_reorder),
+        ImportRequest: _single(_import),
     }
 
 
@@ -690,17 +636,3 @@ def build_report(spec: ExperimentSpec, results) -> ReportResult:
             key = f"{kind}_{n}"
         summary[key] = payload
     return ReportResult(summary=summary)
-
-
-#: Process-wide default session (the shared caches behind the
-#: module-level convenience shims in ``analysis/experiments.py`` and
-#: ``analysis/dse.py``).
-_DEFAULT_SESSION: Session | None = None
-
-
-def default_session() -> Session:
-    """The lazily-created process-wide :class:`Session`."""
-    global _DEFAULT_SESSION
-    if _DEFAULT_SESSION is None:
-        _DEFAULT_SESSION = Session()
-    return _DEFAULT_SESSION

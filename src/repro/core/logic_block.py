@@ -22,7 +22,6 @@ its own size-controller bits onto an :class:`~repro.core.rcm.RCMBlock`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,15 +37,6 @@ class SizeControl(enum.Enum):
 
     GLOBAL = "global"
     LOCAL = "local"
-
-
-@dataclass
-class LogicBlockConfig:
-    """Programming of one adaptive logic block."""
-
-    granularity: int = 0
-    #: per-plane, per-output truth tables; planes[output][plane] = bits
-    planes: dict[int, dict[int, np.ndarray]] = field(default_factory=dict)
 
 
 class AdaptiveLogicBlock:
@@ -143,66 +133,3 @@ class AdaptiveLogicBlock:
         for pat in self.controller_patterns():
             total += bank.request(pat).marginal_ses
         return total
-
-
-# ---------------------------------------------------------------------- #
-# Plane-requirement analysis used by the Figs. 13/14 experiments
-# ---------------------------------------------------------------------- #
-
-@dataclass
-class PlaneRequirement:
-    """How many distinct planes a mapped node-set needs per context group."""
-
-    n_nodes: int
-    distinct_tables: int
-    contexts: tuple[int, ...]
-
-
-def required_planes(tables_per_context: dict[int, bytes]) -> int:
-    """Distinct truth tables across contexts = planes a LUT must store.
-
-    ``tables_per_context[ctx]`` is the packed truth table the LUT must
-    implement in context ``ctx``.  A LUT whose function never changes
-    (the common case at <5% change) needs one plane.
-    """
-    return len(set(tables_per_context.values()))
-
-
-def pack_luts_global(
-    lut_tables: list[dict[int, bytes]], n_contexts: int
-) -> tuple[int, int]:
-    """Pack LUT requirements under GLOBAL size control.
-
-    Every LB runs at granularity 0 (one plane per context), so every
-    logical LUT occupies one LB and stores ``n_contexts`` planes whether
-    or not they differ.  Returns ``(n_lbs, stored_plane_bits_factor)``
-    where the factor counts stored planes (for redundancy accounting).
-    """
-    n_lbs = len(lut_tables)
-    stored = n_lbs * n_contexts
-    return n_lbs, stored
-
-
-def pack_luts_local(
-    lut_tables: list[dict[int, bytes]], n_contexts: int
-) -> tuple[int, int]:
-    """Pack LUT requirements under LOCAL size control.
-
-    Each LB stores only its distinct planes; LUTs that need ≤ n/2 planes
-    free half their memory, which the MCMG trade converts into an extra
-    input — two such LUTs of adjacent granularity can merge into one LB
-    when one fits inside the other's freed plane space.  We model the
-    first-order effect: LBs needed = sum over LUTs of
-    ``distinct/planes n_contexts`` (a LUT with 1 distinct plane uses 1/n
-    of an LB's memory), rounded up — a fractional-bin lower bound which
-    the paper's Fig. 14 example (3 LBs → 2 LBs) matches exactly.
-    """
-    frac = 0.0
-    stored = 0
-    for tables in lut_tables:
-        d = len(set(tables.values()))
-        stored += d
-        frac += d / n_contexts
-    import math
-
-    return max(1, math.ceil(frac)) if lut_tables else (0), stored

@@ -39,6 +39,7 @@ import urllib.request
 
 import repro.errors as _errors_mod
 from repro.api import ExperimentSpec, Session, request_from_dict
+from repro.api.requests import request_stage_kind
 from repro.api.results import SpecResult, result_from_dict
 from repro.api.session import stage_rows
 from repro.errors import (
@@ -48,12 +49,6 @@ from repro.errors import (
     ReproError,
     RequestError,
 )
-
-
-def request_stage_kind(request) -> str:
-    """The stage kind a bare request folds and reports under
-    (``map_request`` -> ``map``)."""
-    return request.TYPE_TAG[: -len("_request")]
 
 
 def task_from_dict(payload: dict):

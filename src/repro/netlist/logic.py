@@ -9,7 +9,6 @@ simulators and the MCMG-LUT loader.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -209,7 +208,3 @@ class TruthTable:
 def mux_table() -> TruthTable:
     """3-input mux: inputs (d0, d1, sel) -> sel ? d1 : d0."""
     return TruthTable.from_function(3, lambda d0, d1, s: d1 if s else d0)
-
-
-def reduce_and(tables: list[TruthTable]) -> TruthTable:
-    return reduce(lambda a, b: a & b, tables)

@@ -276,7 +276,6 @@ class YieldRunner:
 
     def __init__(
         self,
-        engine=None,
         backend: str = "sequential",
         workers: int | None = None,
         runner: SweepRunner | None = None,
@@ -285,7 +284,7 @@ class YieldRunner:
         #: caller (the api ``Session`` passes its sweep runner, so a
         #: yield stage reuses the anneal a sweep stage already paid for)
         self._runner = runner if runner is not None else SweepRunner(
-            engine=engine, backend=backend, workers=workers
+            backend=backend, workers=workers
         )
         self._golden: dict[tuple, GoldenMapping | None] = {}
         # single-flight get-or-create: concurrent campaigns (service

@@ -5,8 +5,8 @@ from repro.route.pathfinder import (
     RouteResult,
     RoutedNet,
     RouteTree,
-    route_context,
-    route_program,
+    route_context_compiled,
+    route_program_compiled,
 )
 from repro.route.timing import DelayModel, path_delay, route_tree_delays
 
@@ -16,7 +16,7 @@ __all__ = [
     "RoutedNet",
     "RouteTree",
     "path_delay",
-    "route_context",
-    "route_program",
+    "route_context_compiled",
+    "route_program_compiled",
     "route_tree_delays",
 ]

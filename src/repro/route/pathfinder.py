@@ -50,13 +50,11 @@ The set and dict views (``nodes``, ``edges``, ``sink_paths``) are
 built only when something asks for them, so a yield trial's routes
 never build one on the native path.
 
-``route_context`` / ``route_program`` are the public entry points;
-``route_context_compiled`` / ``route_program_compiled`` are the same
-engine under the names instrumentation wraps.  The original dict/set
-router over an object graph lives in the test suite
-(``tests/oracles/legacy_router.py``) as the independent reference: it
-shares cost arithmetic and tie-breaking with this engine, and
-bounding-box pruning *can* in principle divert a net whose
+``route_context_compiled`` / ``route_program_compiled`` are the public
+entry points.  The original dict/set router over an object graph lives
+in the test suite (``tests/oracles/legacy_router.py``) as the
+independent reference: it shares cost arithmetic and tie-breaking with
+this engine, and bounding-box pruning *can* in principle divert a net whose
 oracle-optimal detour leaves the terminal box by more than
 ``BBOX_MARGIN`` tiles while a costlier in-box path exists.  The
 equivalence suite (``tests/route/test_compiled_equivalence.py``) pins
@@ -1060,6 +1058,12 @@ def route_context_compiled(
     allocates its buffers per call; the Python loop makes one
     :class:`RouterScratch` per call.
 
+    ``reuse`` maps *endpoint signatures* (see :func:`endpoint_signature`)
+    to routes from earlier contexts; matching nets adopt the previous
+    route up front (they still take part in congestion resolution — a
+    reused route that conflicts within this context gets ripped up,
+    losing its reuse mark).
+
     ``defects`` (a :class:`~repro.reliability.defect_map.DefectMap`)
     excludes dead wires/switches from every search and prices them
     unroutable; a clean map is normalised to ``None``.
@@ -1284,51 +1288,6 @@ def route_program_compiled(
             for net in res.nets.values():
                 bank.setdefault(endpoint_signature(net.source, net.sinks), net)
     return results
-
-
-# ========================================================================= #
-# public entry points
-# ========================================================================= #
-def route_context(
-    g: CompiledRRG,
-    netlist: Netlist,
-    placement: Placement,
-    context: int = 0,
-    reuse: dict[str, RoutedNet] | None = None,
-    max_iterations: int = MAX_ITERATIONS,
-    defects: "DefectMap | None" = None,
-) -> RouteResult:
-    """Route one context's placed netlist to congestion-freedom.
-
-    ``reuse`` maps *endpoint signatures* (see :func:`endpoint_signature`)
-    to routes from earlier contexts; matching nets adopt the previous
-    route up front (they still participate in congestion resolution —
-    a reused route that conflicts within this context gets ripped up,
-    losing its reuse mark).  ``defects`` excludes a defect map's dead
-    resources from every search.
-    """
-    return route_context_compiled(
-        g, netlist, placement, context=context,
-        reuse=reuse, max_iterations=max_iterations, defects=defects,
-    )
-
-
-def route_program(
-    g: CompiledRRG,
-    program: MultiContextProgram,
-    placements: list[Placement],
-    share_aware: bool = True,
-    workers: int | None = None,
-    defects: "DefectMap | None" = None,
-) -> list[RouteResult]:
-    """Route all contexts; with ``share_aware`` routes are reused across
-    contexts whenever endpoints coincide (the proposed mapping flow).
-    ``workers`` parallelises share-unaware (independent) contexts;
-    ``defects`` applies one die's defect map to every context."""
-    return route_program_compiled(
-        g, program, placements,
-        share_aware=share_aware, workers=workers, defects=defects,
-    )
 
 
 def endpoint_signature(source: int, sinks: list[int]) -> str:

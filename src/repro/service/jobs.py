@@ -61,7 +61,11 @@ import time
 from dataclasses import dataclass
 
 from repro.api import ExperimentSpec, Session
-from repro.api.requests import REQUEST_TYPES, request_total_rows
+from repro.api.requests import (
+    REQUEST_TYPES,
+    request_stage_kind,
+    request_total_rows,
+)
 from repro.api.serialize import stamp
 from repro.errors import JobCancelled, JobError, JobNotFound, ReproError
 from repro.fleet.journal import JOURNAL_NAME, Journal, pending_submissions
@@ -73,7 +77,6 @@ from repro.fleet.worker import (
     format_traceback,
     iter_job_events,
     process_job_main,
-    request_stage_kind,
     task_from_dict,
 )
 from repro.utils.telemetry import GLOBAL
@@ -509,10 +512,13 @@ class JobManager:
             if not isinstance(task, dict):
                 continue
             try:
+                priority = int(record.get("priority") or 0)
+            except (TypeError, ValueError):
+                continue  # a priority int() refuses, e.g. "high"
+            try:
                 handles.append(self.submit(
                     task, resume=self.store is not None,
-                    priority=int(record.get("priority") or 0),
-                    _job_id=record.get("job_id"),
+                    priority=priority, _job_id=record.get("job_id"),
                 ))
             except ReproError:
                 continue  # a malformed journal entry loses one job,

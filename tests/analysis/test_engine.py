@@ -1,4 +1,4 @@
-"""Tests for the unified mapping engine and batch mapping.
+"""Tests for the place-and-route entry and batch mapping.
 
 Batches run through ``Session.run(BatchRequest(...))``: every backend
 fans :func:`~repro.analysis.engine.map_job` out over the sweep runner's
@@ -7,14 +7,16 @@ substrate."""
 
 import pytest
 
-from repro.analysis.engine import DEFAULT_ENGINE, MappingEngine, map_job
+from repro.analysis.engine import map_job
 from repro.analysis.experiments import map_program
 from repro.api import BatchRequest, ExecutionConfig, Session
-from repro.arch.compiled import CompiledRRG, compiled_rrg_for
+from repro.arch.compiled import compiled_rrg_for
 from repro.arch.params import ArchParams
 from repro.errors import RequestError
 from repro.netlist.synth import synthesize
 from repro.netlist.techmap import tech_map
+from repro.place.placer import place_program
+from repro.route.pathfinder import route_program_compiled
 from repro.workloads.multicontext import mutated_program
 
 
@@ -40,33 +42,36 @@ def _placement_key(mapped):
 
 class TestSingleJob:
     def test_map_matches_map_program(self, prog, params):
-        a = MappingEngine().map(prog, params, seed=1, effort=0.3)
-        b = map_program(prog, params, seed=1, effort=0.3)
-        assert _placement_key(a) == _placement_key(b)
-        assert [r.wirelength(a.rrg) for r in a.routes] == [
-            r.wirelength(b.rrg) for r in b.routes
+        """``map_program`` is ``place_program`` then
+        ``route_program_compiled`` on the cached substrate."""
+        mapped = map_program(prog, params, seed=1, effort=0.3)
+        placements = place_program(prog, params, seed=1, share_aware=True,
+                                   effort=0.3)
+        c = compiled_rrg_for(params)
+        routes = route_program_compiled(c, prog, placements,
+                                        share_aware=True)
+        assert mapped.rrg is c
+        assert _placement_key(mapped) == [
+            (sorted(pl.cells.items()), sorted(pl.ios.items()))
+            for pl in placements
+        ]
+        assert [r.wirelength(c) for r in mapped.routes] == [
+            r.wirelength(c) for r in routes
         ]
 
     def test_shares_cached_substrate(self, prog, params):
-        engine = MappingEngine()
-        a = engine.map(prog, params, seed=1, effort=0.3)
-        b = engine.map(prog, params, seed=2, effort=0.3)
-        assert a.rrg is b.rrg is engine.compiled(params)
+        a = map_program(prog, params, seed=1, effort=0.3)
+        b = map_program(prog, params, seed=2, effort=0.3)
+        assert a.rrg is b.rrg is compiled_rrg_for(params)
 
     def test_explicit_compiled_graph_respected(self, prog, params):
         c = compiled_rrg_for(params)
-        mapped = MappingEngine().map(prog, params, seed=1, effort=0.3, rrg=c)
+        mapped = map_program(prog, params, seed=1, effort=0.3, rrg=c)
         assert mapped.rrg is c
 
     def test_auto_fit_params(self, prog):
-        mapped = MappingEngine().map(prog, seed=1, effort=0.3)
+        mapped = map_program(prog, seed=1, effort=0.3)
         assert mapped.params.n_tiles >= len(prog.contexts[0].luts())
-
-    def test_default_engine_exists(self):
-        assert isinstance(DEFAULT_ENGINE, MappingEngine)
-        assert isinstance(DEFAULT_ENGINE.compiled(
-            ArchParams(cols=3, rows=3, channel_width=4)
-        ), CompiledRRG)
 
 
 def _batch(workloads=("crc", "parity", "adder"), **execution):
@@ -150,7 +155,7 @@ class TestProcessBackend:
 
     def test_item_function_returns_rebindable_artifacts(self, prog):
         params, placements, routes = map_job((prog, True, 1, 0.3, None))
-        mapped = MappingEngine().map(prog, seed=1, effort=0.3)
+        mapped = map_program(prog, seed=1, effort=0.3)
         assert params == mapped.params
         assert _placement_key(mapped) == [
             (sorted(pl.cells.items()), sorted(pl.ios.items()))

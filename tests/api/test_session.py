@@ -21,9 +21,12 @@ from repro.api import (
     Session,
     result_from_dict,
 )
+from repro.api.requests import REQUEST_TYPES, request_stage_kind
 from repro.arch.params import ArchParams
 from repro.errors import RequestError
 from repro.reliability.yield_runner import YieldRunner
+
+from golden_requests import GOLDEN_REQUESTS
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +164,24 @@ class TestBatchAndMap:
     def test_unsupported_request_type(self, session):
         with pytest.raises(RequestError, match="unsupported request"):
             session.run(object())
+
+
+class TestRunFoldsStream:
+    """``Session.run`` is the fold of ``Session.stream`` for every
+    request type (one small request each, fresh sessions)."""
+
+    REQUESTS = {req.TYPE_TAG: req for req in GOLDEN_REQUESTS.values()}
+
+    @pytest.mark.parametrize("tag", sorted(REQUEST_TYPES))
+    def test_run_equals_folded_stream(self, tag):
+        request = self.REQUESTS[tag]
+        blocking = Session().run(request)
+        session = Session()
+        rows = list(session.stream(request))
+        folded = session.fold_stage(request_stage_kind(request), request,
+                                    rows)
+        assert type(folded) is type(blocking)
+        assert folded.to_dict() == blocking.to_dict()
 
 
 class TestResultRoundTrips:
@@ -302,22 +323,27 @@ class TestConcurrentCaches:
 
 
 class TestRouteWorkersWiring:
-    """ExecutionConfig.route_workers reaches the engine's map calls."""
+    """ExecutionConfig.route_workers reaches every ``map_program`` call
+    (the map handler's and the batch item function's)."""
 
-    def _capture(self, monkeypatch, session):
+    def _capture(self, monkeypatch):
+        import repro.analysis.engine as engine_mod
+        import repro.api.session as session_mod
+
         calls = []
-        real = session.engine.map
+        real = session_mod.map_program
 
         def spy(program, params=None, **kwargs):
             calls.append(kwargs.get("route_workers"))
             return real(program, params, **kwargs)
 
-        monkeypatch.setattr(session.engine, "map", spy)
+        for module in (session_mod, engine_mod):
+            monkeypatch.setattr(module, "map_program", spy)
         return calls
 
     def test_map_request_passes_route_workers(self, monkeypatch):
         session = Session()
-        calls = self._capture(monkeypatch, session)
+        calls = self._capture(monkeypatch)
         session.run(MapRequest(
             workload="adder", contexts=2, share_aware=False,
             execution=ExecutionConfig(effort=0.2, route_workers=2),
@@ -326,7 +352,7 @@ class TestRouteWorkersWiring:
 
     def test_default_is_none(self, monkeypatch):
         session = Session()
-        calls = self._capture(monkeypatch, session)
+        calls = self._capture(monkeypatch)
         session.run(MapRequest(workload="adder", contexts=2,
                                execution=ExecutionConfig(effort=0.2)))
         assert calls == [None]
@@ -341,7 +367,7 @@ class TestRouteWorkersWiring:
 
     def test_batch_thread_backend_passes_route_workers(self, monkeypatch):
         session = Session()
-        calls = self._capture(monkeypatch, session)
+        calls = self._capture(monkeypatch)
         session.run(BatchRequest(
             workloads=("adder", "cmp"), contexts=2, share_aware=False,
             execution=ExecutionConfig(backend="thread", workers=2,

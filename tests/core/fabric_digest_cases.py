@@ -24,6 +24,7 @@ import json
 import random
 from pathlib import Path
 
+from repro.analysis.experiments import map_program
 from repro.api import ExecutionConfig, MapRequest, Session
 from repro.api.session import MAP_EFFORT
 from repro.core.bitstream import extract_lut_patterns
@@ -63,7 +64,7 @@ def mapped_cases():
         seed = req.execution.seed
         program = session.program(req.workload, req.contexts, req.mutation,
                                   seed)
-        mapped = session.map_program(
+        mapped = map_program(
             program, share_aware=req.share_aware, seed=seed,
             effort=req.execution.effort_or(MAP_EFFORT),
         )
@@ -74,7 +75,7 @@ def mapped_cases():
         params = None
         if req.grid is not None:
             params = arch_for(program, req.grid, width=req.width, k=req.k)
-        mapped = session.map_program(
+        mapped = map_program(
             program, params, share_aware=req.share_aware,
             seed=req.execution.seed,
             effort=req.execution.effort_or(MAP_EFFORT),

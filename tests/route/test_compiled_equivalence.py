@@ -18,7 +18,7 @@ from repro.arch.params import ArchParams
 from repro.core.fpga import MultiContextFPGA
 from repro.netlist.techmap import tech_map
 from repro.place.placer import place_program
-from repro.route.pathfinder import route_program, route_program_compiled
+from repro.route.pathfinder import route_program_compiled
 from rrg_oracle import build_rrg
 from repro.workloads.generators import crc_step, random_dag, ripple_adder
 from repro.workloads.multicontext import mutated_program, temporal_partition
@@ -149,13 +149,13 @@ class TestDefectMaskNeutrality:
 
 class TestAdapters:
     def test_route_program_accepts_object_graph(self):
-        """The public entry point, handed the substrate of an object
-        graph's device, matches the legacy router on that graph."""
+        """The program route, handed the substrate of an object graph's
+        device, matches the legacy router on that graph."""
         params = GRIDS[0]
         g = build_rrg(params)
         prog = _workloads()["adder"]
         pls = place_program(prog, params, seed=1, share_aware=True, effort=0.2)
-        via_adapter = route_program(
+        via_adapter = route_program_compiled(
             compiled_rrg_for(params), prog, pls, share_aware=True)
         legacy = route_program_legacy(g, prog, pls, share_aware=True)
         assert [wirelength(g, r) for r in via_adapter] == [

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import map_program
 from repro.api import Session
 from repro.arch.compiled import CompiledRRG, flat_rrg_for
 from repro.arch.params import ArchParams
@@ -257,8 +258,7 @@ class TestWorkloads:
             seed = req.execution.seed
             program = session.program(req.workload, req.contexts,
                                       req.mutation, seed)
-            mapped = session.map_program(program, share_aware=True,
-                                         seed=seed)
+            mapped = map_program(program, share_aware=True, seed=seed)
             _assert_twins(lambda: route_program_compiled(
                 mapped.rrg, program, mapped.placements, share_aware=True))
 

@@ -14,8 +14,8 @@ from repro.netlist.techmap import tech_map
 from repro.place.placer import place, place_program
 from repro.route.pathfinder import (
     endpoint_signature,
-    route_context,
-    route_program,
+    route_context_compiled,
+    route_program_compiled,
 )
 from repro.route.timing import critical_path
 from repro.workloads.generators import random_dag, ripple_adder
@@ -34,7 +34,7 @@ def setup():
 class TestSingleContext:
     def test_routes_all_nets(self, setup):
         _, g, n, pl = setup
-        rr = route_context(g, n, pl)
+        rr = route_context_compiled(g, n, pl)
         routable = {
             net for net, drv in n.net_driver.items() if n.fanout(net)
         }
@@ -43,7 +43,7 @@ class TestSingleContext:
     def test_no_overuse(self, setup):
         """Congestion-freedom: each wire node used by at most one net."""
         _, g, n, pl = setup
-        rr = route_context(g, n, pl)
+        rr = route_context_compiled(g, n, pl)
         usage: dict[int, int] = {}
         for net in rr.nets.values():
             for node in net.nodes:
@@ -54,7 +54,7 @@ class TestSingleContext:
 
     def test_every_sink_reached(self, setup):
         _, g, n, pl = setup
-        rr = route_context(g, n, pl)
+        rr = route_context_compiled(g, n, pl)
         for net in rr.nets.values():
             for sink in net.sinks:
                 assert sink in net.nodes
@@ -64,7 +64,7 @@ class TestSingleContext:
         from rrg_oracle import build_rrg
 
         params, g, n, pl = setup
-        rr = route_context(g, n, pl)
+        rr = route_context_compiled(g, n, pl)
         oracle = build_rrg(params)
         for net in rr.nets.values():
             for a, b in net.edges:
@@ -72,7 +72,7 @@ class TestSingleContext:
 
     def test_wirelength_positive(self, setup):
         _, g, n, pl = setup
-        rr = route_context(g, n, pl)
+        rr = route_context_compiled(g, n, pl)
         assert rr.wirelength(g) > 0
 
     def test_unroutable_raises(self):
@@ -83,7 +83,7 @@ class TestSingleContext:
         n = tech_map(random_dag(n_inputs=4, n_gates=8, n_outputs=3, seed=2), k=4)
         pl = place(n, params, seed=0, effort=0.2)
         with pytest.raises(RoutingError):
-            route_context(g, n, pl, max_iterations=6)
+            route_context_compiled(g, n, pl, max_iterations=6)
 
 
 class TestRouteTree:
@@ -91,7 +91,7 @@ class TestRouteTree:
 
     def test_tree_arrays_describe_the_route(self, setup):
         _, g, n, pl = setup
-        rr = route_context(g, n, pl)
+        rr = route_context_compiled(g, n, pl)
         for name, net in rr.nets.items():
             tree = net.tree
             assert tree.node[0] == net.source and tree.parent[0] == -1
@@ -117,7 +117,7 @@ class TestRouteTree:
         base = tech_map(synthesize(["a", "b", "c"], {"o": "(a & b) ^ c"}), k=4)
         prog = mutated_program(base, n_contexts=2, fraction=0.0)
         pls = place_program(prog, params, seed=1, share_aware=True, effort=0.3)
-        rrs = route_program(g, prog, pls, share_aware=True)
+        rrs = route_program_compiled(g, prog, pls, share_aware=True)
         adopted = [net for net in rrs[1].nets.values() if net.reused]
         assert adopted
         for net in adopted:
@@ -129,7 +129,7 @@ class TestRouteTree:
 
     def test_arrays_are_read_only_and_pickle_without_caches(self, setup):
         _, g, n, pl = setup
-        rr = route_context(g, n, pl)
+        rr = route_context_compiled(g, n, pl)
         critical_path(g, n, rr, pl)
         net = next(iter(rr.nets.values()))
         with pytest.raises(ValueError):
@@ -172,12 +172,13 @@ class TestIterationLimit:
             pytest.skip("no C compiler: Python loop only")
         assert pathfinder.route_kernel() == loop
         g, n, pl = case
-        assert route_context(g, n, pl).iterations == 2
+        assert route_context_compiled(g, n, pl).iterations == 2
         with pytest.raises(RoutingError) as info:
-            route_context(g, n, pl, max_iterations=2)
+            route_context_compiled(g, n, pl, max_iterations=2)
         assert str(info.value) == ("context 0: congestion unresolved after 2 "
                                    "iterations (0 overused nodes)")
-        assert route_context(g, n, pl, max_iterations=3).iterations == 2
+        rr = route_context_compiled(g, n, pl, max_iterations=3)
+        assert rr.iterations == 2
 
 
 class TestMultiContext:
@@ -189,7 +190,7 @@ class TestMultiContext:
         base = tech_map(synthesize(["a", "b", "c"], {"o": "(a & b) ^ c"}), k=4)
         prog = mutated_program(base, n_contexts=2, fraction=0.0)
         pls = place_program(prog, params, seed=1, share_aware=True, effort=0.3)
-        rrs = route_program(g, prog, pls, share_aware=True)
+        rrs = route_program_compiled(g, prog, pls, share_aware=True)
         assert all(net.reused for net in rrs[1].nets.values())
 
     def test_naive_mode_no_reuse_flag(self):
@@ -197,7 +198,7 @@ class TestMultiContext:
         g = compiled_rrg_for(params)
         prog = paper_example_program()
         pls = place_program(prog, params, seed=1, share_aware=False, effort=0.3)
-        rrs = route_program(g, prog, pls, share_aware=False)
+        rrs = route_program_compiled(g, prog, pls, share_aware=False)
         assert all(not net.reused for rr in rrs for net in rr.nets.values())
 
     def test_placement_count_checked(self):
@@ -205,7 +206,7 @@ class TestMultiContext:
         g = compiled_rrg_for(params)
         prog = paper_example_program()
         with pytest.raises(RoutingError):
-            route_program(g, prog, [], share_aware=True)
+            route_program_compiled(g, prog, [], share_aware=True)
 
 
 class TestSignature:

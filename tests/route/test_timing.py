@@ -6,7 +6,7 @@ from repro.arch.compiled import compiled_rrg_for
 from repro.arch.params import ArchParams
 from repro.netlist.techmap import tech_map
 from repro.place.placer import place
-from repro.route.pathfinder import route_context
+from repro.route.pathfinder import route_context_compiled
 from repro.route.timing import (
     DelayModel,
     chain_delay,
@@ -43,7 +43,7 @@ class TestRoutedDelays:
         g = compiled_rrg_for(params)
         n = tech_map(ripple_adder(3), k=4)
         pl = place(n, params, seed=0, effort=0.3)
-        rr = route_context(g, n, pl)
+        rr = route_context_compiled(g, n, pl)
         return g, n, pl, rr
 
     def test_all_sinks_have_delays(self, routed):
@@ -70,7 +70,7 @@ class TestRoutedDelays:
                                 double_fraction=frac, io_capacity=4)
             g = compiled_rrg_for(params)
             pl = place(n, params, seed=0, effort=0.3)
-            rr = route_context(g, n, pl)
+            rr = route_context_compiled(g, n, pl)
             results[frac] = critical_path(g, n, rr, pl)
         assert results[0.5] <= results[0.0]
 
@@ -81,7 +81,7 @@ class TestPathDelay:
         g = compiled_rrg_for(params)
         n = tech_map(ripple_adder(2), k=4)
         pl = place(n, params, seed=0, effort=0.3)
-        rr = route_context(g, n, pl)
+        rr = route_context_compiled(g, n, pl)
         net = next(iter(rr.nets.values()))
         delays = route_tree_delays(g, net)
         # reconstruct a root->sink path and compare

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import ExecutionConfig, ExperimentSpec, Session
+from repro.api import ExecutionConfig, ExperimentSpec, MapRequest, Session
 from repro.service import ArtifactStore, JobManager
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -116,6 +116,26 @@ class TestRecover:
         try:
             recovered = restarted.recover()
             assert [h.job_id for h in recovered] == [job_id]
+            recovered[0].result(timeout=120)
+        finally:
+            restarted.shutdown(wait=True)
+
+    def test_malformed_priority_loses_one_job(self, session, tmp_path):
+        """A journaled priority ``int()`` refuses skips that record;
+        the valid submission after it is still resubmitted."""
+        from repro.fleet.journal import JOURNAL_NAME, Journal
+
+        store = ArtifactStore(tmp_path / "results")
+        request = MapRequest(workload="adder", contexts=2, execution=EXEC)
+        journal = Journal(tmp_path / "results" / JOURNAL_NAME)
+        journal.append({"event": "submit", "job_id": "job-1",
+                        "task": request.to_dict(), "priority": "high"})
+        journal.append({"event": "submit", "job_id": "job-2",
+                        "task": request.to_dict(), "priority": 0})
+        restarted = JobManager(session=session, workers=1, store=store)
+        try:
+            recovered = restarted.recover()
+            assert [h.job_id for h in recovered] == ["job-2"]
             recovered[0].result(timeout=120)
         finally:
             restarted.shutdown(wait=True)

@@ -1,6 +1,7 @@
 """JobManager: lifecycle, progress, cancellation, resume, grid fan-out."""
 
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -42,6 +43,33 @@ SPEC = ExperimentSpec(
 @pytest.fixture(scope="module")
 def session():
     return Session()
+
+
+@contextmanager
+def counting_work():
+    """Count the map handler's ``map_program`` calls and the sweep
+    point evaluations while the block runs."""
+    import repro.analysis.sweep as sweep_mod
+    import repro.api.session as session_mod
+
+    calls = {"map": 0, "point": 0}
+    real_map, real_point = session_mod.map_program, sweep_mod.evaluate_point
+
+    def counting_map(*a, **k):
+        calls["map"] += 1
+        return real_map(*a, **k)
+
+    def counting_point(*a, **k):
+        calls["point"] += 1
+        return real_point(*a, **k)
+
+    session_mod.map_program = counting_map
+    sweep_mod.evaluate_point = counting_point
+    try:
+        yield calls
+    finally:
+        session_mod.map_program = real_map
+        sweep_mod.evaluate_point = real_point
 
 
 @pytest.fixture(scope="module")
@@ -236,40 +264,23 @@ class TestResume:
 
     def test_resume_replays_without_recomputing(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        with JobManager(session=Session(), workers=1, store=store) as m:
+        with counting_work() as fresh, \
+                JobManager(session=Session(), workers=1, store=store) as m:
             first = m.submit(SPEC)
             first_result = first.result(timeout=300)
             first_rows = [ev["data"] for ev in first.events()
                           if ev["event"] == "row"]
+        # the spies sit on what a fresh run calls
+        assert fresh["map"] >= 1 and fresh["point"] >= 1, fresh
 
         # a *fresh* manager and session: nothing cached in memory, so
         # any recomputation would have to rebuild substrates and route
-        import repro.analysis.sweep as sweep_mod
-        from repro.analysis.engine import MappingEngine
-
-        calls = {"map": 0, "point": 0}
-        real_map, real_point = MappingEngine.map, sweep_mod.evaluate_point
-
-        def counting_map(self, *a, **k):
-            calls["map"] += 1
-            return real_map(self, *a, **k)
-
-        def counting_point(*a, **k):
-            calls["point"] += 1
-            return real_point(*a, **k)
-
-        MappingEngine.map = counting_map
-        sweep_mod.evaluate_point = counting_point
-        try:
-            with JobManager(session=Session(), workers=1,
-                            store=store) as m:
-                second = m.submit(SPEC, resume=True)
-                second_result = second.result(timeout=300)
-                second_rows = [ev["data"] for ev in second.events()
-                               if ev["event"] == "row"]
-        finally:
-            MappingEngine.map = real_map
-            sweep_mod.evaluate_point = real_point
+        with counting_work() as calls, \
+                JobManager(session=Session(), workers=1, store=store) as m:
+            second = m.submit(SPEC, resume=True)
+            second_result = second.result(timeout=300)
+            second_rows = [ev["data"] for ev in second.events()
+                           if ev["event"] == "row"]
 
         assert calls == {"map": 0, "point": 0}, (
             "resume must load completed stages from artifacts, "
@@ -416,7 +427,8 @@ class TestCancelThenResume:
     def test_lifecycle(self, tmp_path):
         store = ArtifactStore(tmp_path)
         gated = GatedSession()
-        with JobManager(session=gated, workers=1, store=store) as m:
+        with counting_work() as fresh, \
+                JobManager(session=gated, workers=1, store=store) as m:
             handle = m.submit(self.SPEC)
             # follow live events until the sweep stage starts rowing,
             # then cancel: map is already persisted, sweep is mid-grid
@@ -428,31 +440,12 @@ class TestCancelThenResume:
             assert handle.wait(timeout=120).state == CANCELLED
         completed = store.completed_stages(self.SPEC)
         assert list(completed) == [0]  # map survived, sweep didn't
+        # the spies sit on what the interrupted run called
+        assert fresh["map"] >= 1 and fresh["point"] >= 1, fresh
 
-        import repro.analysis.sweep as sweep_mod
-        from repro.analysis.engine import MappingEngine
-
-        calls = {"map": 0, "point": 0}
-        real_map, real_point = MappingEngine.map, sweep_mod.evaluate_point
-
-        def counting_map(self_, *a, **k):
-            calls["map"] += 1
-            return real_map(self_, *a, **k)
-
-        def counting_point(*a, **k):
-            calls["point"] += 1
-            return real_point(*a, **k)
-
-        MappingEngine.map = counting_map
-        sweep_mod.evaluate_point = counting_point
-        try:
-            with JobManager(session=Session(), workers=1,
-                            store=store) as m:
-                resumed = m.submit(self.SPEC, resume=True) \
-                    .result(timeout=300)
-        finally:
-            MappingEngine.map = real_map
-            sweep_mod.evaluate_point = real_point
+        with counting_work() as calls, \
+                JobManager(session=Session(), workers=1, store=store) as m:
+            resumed = m.submit(self.SPEC, resume=True).result(timeout=300)
 
         # the completed map stage loaded from the store; only the
         # interrupted sweep recomputed (one routing call per value)

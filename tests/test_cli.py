@@ -276,14 +276,15 @@ class TestRun:
 class TestThinShell:
     def test_cli_has_no_direct_subsystem_calls(self):
         """The acceptance invariant: cli.py routes everything through
-        repro.api — no SweepRunner/YieldRunner/map_batch in sight."""
+        repro.api — no SweepRunner/YieldRunner/map_batch/map_program in
+        sight."""
         import inspect
 
         import repro.cli as cli
 
         src = inspect.getsource(cli)
         for needle in ("SweepRunner", "YieldRunner", "map_batch",
-                       "run_full_flow", "MappingEngine"):
+                       "run_full_flow", "map_program"):
             assert needle not in src, needle
 
 

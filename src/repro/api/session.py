@@ -11,7 +11,7 @@ how to share.  Three entry points:
 - :meth:`Session.stream` — execute any typed request (dispatch on
   request type), yielding its rows incrementally: sweep points, yield
   points and batch rows are yielded as they complete (in request
-  order), with an optional ``progress(done, total, item)`` callback;
+  order);
 - :meth:`Session.run` — the blocking form: the fold of the streamed
   rows into the request's typed result (:meth:`Session.fold_stage`),
   so both forms agree by construction;
@@ -91,18 +91,12 @@ _JOB_BUILDERS = {
 }
 
 
-def _noop_progress(done: int, total: int, item) -> None:
-    return None
-
-
 def _single(compute):
     """The stream handler of a single-shot request: ``compute`` its one
-    result, report it and yield it."""
+    result and yield it."""
 
-    def handler(session, req, progress):
-        result = compute(session, req)
-        progress(1, 1, result)
-        yield result
+    def handler(session, req):
+        yield compute(session, req)
 
     return handler
 
@@ -212,22 +206,21 @@ class Session:
         rows = list(self.stream(request))
         return self.fold_stage(request_stage_kind(request), request, rows)
 
-    def stream(self, request, progress=None):
+    def stream(self, request):
         """Execute a request, yielding rows incrementally.
 
         Sweep requests yield their points, yield requests their
         campaign cells, batch requests one :class:`MapResult` per
         workload; single-shot requests (map, area, reorder, import)
         yield their one result.  Rows arrive in request order and are
-        what :meth:`run` folds into its result.  ``progress`` is
-        called as ``progress(done, total, item)`` after each row.
+        what :meth:`run` folds into its result.
         """
         handler = self._STREAM.get(type(request))
         if handler is None:
             raise RequestError(
                 f"unsupported request type {type(request).__name__}"
             )
-        return handler(self, request, progress or _noop_progress)
+        return handler(self, request)
 
     # -- map / batch -------------------------------------------------------- #
     def _map(self, req: MapRequest) -> MapResult:
@@ -246,7 +239,7 @@ class Session:
         experiment = ExperimentResult(program.name, mapped, stats, verified)
         return MapResult.from_experiment(req.workload, experiment)
 
-    def _stream_batch(self, req: BatchRequest, progress):
+    def _stream_batch(self, req: BatchRequest):
         # every backend rides the sweep runner's pool loop: the whole
         # batch is submitted up front and rows are yielded as they
         # complete, in request order; each (params, placements, routes)
@@ -262,9 +255,8 @@ class Session:
             for program in programs
         ]
         mapped = self.sweep_runner(cfg).iter_items(map_job, items)
-        total = len(items)
-        for i, (w, program, (params, placements, routes)) in enumerate(
-            zip(req.workloads, programs, mapped), 1
+        for w, program, (params, placements, routes) in zip(
+            req.workloads, programs, mapped
         ):
             m = MappedProgram(program, params, placements, routes,
                               compiled_rrg_for(params), req.share_aware)
@@ -273,9 +265,7 @@ class Session:
             )
             experiment = ExperimentResult(program.name, m, m.stats(),
                                           verified)
-            result = MapResult.from_experiment(w, experiment)
-            progress(i, total, result)
-            yield result
+            yield MapResult.from_experiment(w, experiment)
 
     # -- sweep -------------------------------------------------------------- #
     def _sweep_result(self, req: SweepRequest, points) -> SweepResult:
@@ -295,16 +285,13 @@ class Session:
             points=tuple(points), metrics=metrics,
         )
 
-    def _stream_sweep(self, req: SweepRequest, progress):
+    def _stream_sweep(self, req: SweepRequest):
         values = req.resolved_values()
         if req.analytic:
             if req.what == "change-rate":
-                points = sweep_change_rate_points(values)
+                yield from sweep_change_rate_points(values)
             else:
-                points = sweep_contexts_points([int(v) for v in values])
-            for i, pt in enumerate(points):
-                progress(i + 1, len(points), pt)
-                yield pt
+                yield from sweep_contexts_points([int(v) for v in values])
             return
         cfg = req.execution
         netlist = self.circuit(req.workload)
@@ -320,9 +307,8 @@ class Session:
             run_id = new_run_id()
             jobs = [replace(job, telemetry=run_id) for job in jobs]
         runner = self.sweep_runner(cfg)
-        for i, pt in enumerate(runner.iter_run(jobs)):
+        for pt in runner.iter_run(jobs):
             _fold_metrics(pt, req.profile, cfg.telemetry)
-            progress(i + 1, len(jobs), pt)
             yield pt
 
     # -- yield -------------------------------------------------------------- #
@@ -339,7 +325,7 @@ class Session:
             metrics=metrics,
         )
 
-    def _stream_yield(self, req: YieldRequest, progress):
+    def _stream_yield(self, req: YieldRequest):
         cfg = req.execution
         netlist = self.circuit(req.workload)
         base = ArchParams(
@@ -350,22 +336,19 @@ class Session:
         effort = cfg.effort_or(POINT_EFFORT)
         run_id = new_run_id() if cfg.telemetry or req.profile else None
         if req.spares is not None:
-            total = len(req.spares)
             points = runner.iter_spare_width_curve(
                 netlist, req.workload, base, list(req.spares), req.rates[0],
                 req.trials, model=req.model, seed=cfg.seed, effort=effort,
                 telemetry=run_id,
             )
         else:
-            total = len(req.rates)
             points = runner.iter_campaign(
                 netlist, req.workload, base, list(req.rates), req.trials,
                 model=req.model, seed=cfg.seed, effort=effort,
                 telemetry=run_id,
             )
-        for i, pt in enumerate(points):
+        for pt in points:
             _fold_metrics(pt, req.profile, cfg.telemetry)
-            progress(i + 1, total, pt)
             yield pt
 
     # -- area / reorder ----------------------------------------------------- #
@@ -452,7 +435,7 @@ class Session:
                                         verified)
 
     # -- specs -------------------------------------------------------------- #
-    def iter_spec_events(self, spec: ExperimentSpec, progress=None,
+    def iter_spec_events(self, spec: ExperimentSpec,
                          completed: "dict[int, object] | None" = None):
         """The event stream every spec entry point drains.
 
@@ -471,7 +454,6 @@ class Session:
         resume, and downstream ``report`` stages summarize the loaded
         results exactly as if they had just run.
         """
-        progress = progress or _noop_progress
         completed = completed or {}
         names = spec.stage_names()
         collected: list = []
@@ -479,29 +461,26 @@ class Session:
             name = names[index]
             if index in completed:
                 loaded = completed[index]
-                rows = stage_rows(loaded)
-                for i, item in enumerate(rows):
-                    progress(i + 1, len(rows), item)
+                for item in stage_rows(loaded):
                     yield "row", index, name, item
                 collected.append(loaded)
                 yield "result", index, name, loaded
                 continue
             if stage == "report":
                 report = build_report(spec, collected)
-                progress(1, 1, report)
                 collected.append(report)
                 yield "row", index, name, report
                 yield "result", index, name, report
                 continue
             points = []
-            for item in self.stream(request, progress=progress):
+            for item in self.stream(request):
                 points.append(item)
                 yield "row", index, name, item
             folded = self.fold_stage(stage, request, points)
             collected.append(folded)
             yield "result", index, name, folded
 
-    def stream_spec(self, spec: ExperimentSpec, progress=None):
+    def stream_spec(self, spec: ExperimentSpec):
         """Execute a spec stage by stage, yielding ``(stage, item)``
         pairs: every streamed row of every stage, with each stage's
         folded result available to later stages (the ``report`` stage
@@ -509,7 +488,7 @@ class Session:
         stage reproduces :meth:`run_spec` bit-identically.
         """
         kinds = [s["stage"] for s in spec.stages]
-        for kind, index, _name, item in self.iter_spec_events(spec, progress):
+        for kind, index, _name, item in self.iter_spec_events(spec):
             if kind == "row":
                 yield kinds[index], item
 

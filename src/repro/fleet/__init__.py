@@ -7,17 +7,18 @@ nothing but the api's versioned JSON contract:
 - :class:`Scheduler` — priority queue with per-client quotas and
   backpressure, replacing the bare thread-pool hand-off
   (:mod:`repro.fleet.scheduler`);
-- :class:`LeaseTable` / :class:`Lease` — TTL-bounded job ownership;
-  a dead worker's lease expires and its job requeues
+- :class:`LeaseTable` / :class:`Lease` — TTL-bounded job ownership
+  by remote workers; a dead worker's lease expires and its job requeues
   (:mod:`repro.fleet.leases`);
 - :class:`Journal` — append-only NDJSON write-ahead log making the
   coordinator crash-safe (:mod:`repro.fleet.journal`);
 - :class:`TokenAuth` — static bearer tokens gating submit/lease
   (:mod:`repro.fleet.auth`);
 - :class:`FleetWorker` / :func:`iter_task_events` — the worker engine,
-  shared by remote HTTP workers and the coordinator's
-  ``executor="process"`` mode so every executor produces bit-identical
-  rows (:mod:`repro.fleet.worker`);
+  shared by remote HTTP workers and the child processes of the
+  coordinator's ``executor="process"`` mode (which hold no lease) so
+  every executor produces bit-identical rows
+  (:mod:`repro.fleet.worker`);
 - :func:`artifact_index` / :func:`gc_artifacts` — results-dir
   retention (:mod:`repro.fleet.gc`).
 """

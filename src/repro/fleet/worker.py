@@ -1,19 +1,20 @@
 """Fleet workers: run a job and stream its events home.
 
-Three executors share one engine.  :func:`iter_job_events` runs a
-typed task — a request or an :class:`~repro.api.ExperimentSpec`,
-plus any resume material — and yields the job's events: ``row``
-events carrying exactly what ``Session.stream`` yields (so every
-executor's rows are bit-identical to the blocking result), ``stage``
-events carrying each folded stage result, and a final ``done`` event
-with the typed result.  The coordinator's thread executor drains it
-in-thread on the submitted task itself.  :func:`iter_task_events` is
-the wire decoder over it — a lease document in, JSON-ready events out
-— which the process executor drains over a pipe and
-:class:`FleetWorker` over HTTP.  :func:`decode_event` turns a wire
-event back into a typed one, and the coordinator commits every
-executor's events through one method, so the event log a client reads
-does not depend on which executor ran the job.
+Every executor runs one engine.  :func:`iter_job_events` runs a typed
+task — a request or an :class:`~repro.api.ExperimentSpec`, plus any
+resume material — and yields the job's events: ``row`` events carrying
+exactly what ``Session.stream`` yields (so every executor's rows are
+bit-identical to the blocking result), ``stage`` events carrying each
+folded stage result, and a final ``done`` event with the typed result.
+The coordinator's thread executor drains it in-thread on the submitted
+task itself.  :func:`iter_task_events` is the wire encoder over it — a
+task document in, JSON-ready events out — which
+:func:`process_job_main` ships over a pipe to the coordinator's local
+run loop and :class:`FleetWorker` POSTs over HTTP.
+:func:`decode_event` turns a wire event back into a typed one, and the
+coordinator commits every executor's events through one method, so
+the event log a client reads does not depend on which executor ran
+the job.
 
 A :class:`FleetWorker` (the ``repro worker`` CLI) is a pull-based
 client: it long-polls ``POST /v1/workers/lease``, runs the granted
@@ -191,13 +192,14 @@ def decode_event(event: dict) -> dict:
 
 
 def iter_task_events(session: Session, lease_doc: dict):
-    """Execute a leased task, yielding wire events.
+    """Execute a task document, yielding wire events.
 
-    ``lease_doc`` is what ``POST /v1/workers/lease`` granted: a
-    ``task`` payload (spec or request document) plus optional resume
-    material (``resume_completed`` stage payloads for specs,
-    ``resume_result`` for requests).  Yields the events of
-    :func:`iter_job_events` in their wire form (:func:`encode_event`).
+    ``lease_doc`` is what ``POST /v1/workers/lease`` granted, or what
+    the coordinator hands a local child process: a ``task`` payload
+    (spec or request document) plus optional resume material
+    (``resume_completed`` stage payloads for specs, ``resume_result``
+    for requests).  Yields the events of :func:`iter_job_events` in
+    their wire form (:func:`encode_event`).
     """
     task = lease_doc.get("task")
     if not isinstance(task, dict):
@@ -222,10 +224,11 @@ def iter_task_events(session: Session, lease_doc: dict):
 def process_job_main(conn, lease_doc: dict) -> None:
     """Child entry point for ``JobManager(executor="process")``.
 
-    Runs the leased task in a fresh :class:`Session` and ships every
+    Runs the task document in a fresh :class:`Session` and ships every
     wire event over ``conn`` (a multiprocessing pipe) — the same
     stream a remote worker would POST, applied by the same
-    coordinator-side commit path.
+    coordinator-side commit path.  The child holds no lease: the
+    coordinator watches it through the pipe and its exit status.
     """
     session = Session()
     try:

@@ -24,25 +24,27 @@ hand-off.  Execution is pluggable via ``executor``:
 - ``"thread"`` (default): dispatcher threads run jobs on the one
   shared :class:`Session`, so concurrent jobs share every expensive
   cached artifact (compiled substrates, placements, golden mappings);
-- ``"process"``: each job runs in a fresh worker process that streams
+- ``"process"``: each job runs in a fresh child process that streams
   the same wire events a remote fleet worker would POST;
 - ``"external"``: no local execution at all; jobs wait for remote
   ``repro worker`` processes to pull them via :meth:`lease_job` /
   :meth:`apply_worker_events` (the HTTP fleet endpoints).
 
-All three run one engine (:func:`repro.fleet.worker.iter_job_events`)
+All three run one engine (:func:`repro.fleet.worker.iter_job_events`;
+both local executors drain it in one loop, :meth:`JobManager._execute`)
 and commit its events through one method, :meth:`JobManager._commit`
 — the only place the job layer dispatches on event kind — so a job's
-event log, artifacts and result do not depend on the executor.  The
-job and lease gauges (``jobs.queue_depth``, ``jobs.running``,
-``jobs.retained``, ``fleet.leases.active``) are not bookkept: the
-manager reads them from the scheduler, the job table and the lease
-table when ``/v1/metrics`` is scraped (:meth:`JobManager.gauges`).
+event log, artifacts and result do not depend on the executor.  Every
+state change is checked against :data:`NEXT_STATES`.  The job and
+lease gauges (``jobs.queue_depth``, ``jobs.running``,
+``jobs.retained``, ``fleet.leases.active``) are read from live state
+when ``/v1/metrics`` is scraped (:meth:`JobManager.gauges`).
 
 Leases make remote execution crash-safe: a worker that stops posting
 events misses its TTL, the lease expires, and the job requeues with a
-bounded retry budget.  With an artifact ``store`` attached the
-manager also journals every top-level submission and state transition
+bounded retry budget; local jobs are watched directly and hold none.
+With an artifact ``store`` attached the manager also journals every
+top-level submission and state transition
 (:class:`~repro.fleet.Journal`), so :meth:`recover` on a restarted
 coordinator resubmits whatever was in flight — with ``resume=True``,
 replaying finished stages from the store instead of recomputing.
@@ -91,12 +93,15 @@ CANCELLED = "cancelled"
 #: States a job never leaves.
 TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
+#: Which states may follow each live state (running -> queued is a
+#: remote job's lease expiring).
+NEXT_STATES = {
+    QUEUED: (RUNNING, CANCELLED),
+    RUNNING: (QUEUED, DONE, FAILED, CANCELLED),
+}
+
 #: Supported execution backends for locally-dispatched jobs.
 EXECUTORS = ("thread", "process", "external")
-
-
-class _CancelJob(Exception):
-    """Internal: the worker noticed the job's cancel flag."""
 
 
 @dataclass(frozen=True)
@@ -161,9 +166,59 @@ class _Job:
         self.events: list[dict] = []
         self.cancel_event = threading.Event()
         self.retries = 0
+        #: rows this attempt streamed; below ``rows_done`` a retry
+        #: re-streams rows the log already holds
+        self.attempt_rows = 0
         self.lease = None
         self.submitted_at = time.perf_counter()
         self.finished_at: float | None = None
+
+
+def _steady(row):
+    """A row without its wall-clock fields, which differ by attempt."""
+    if isinstance(row, dict):
+        return {k: v for k, v in row.items()
+                if k not in ("profile", "metrics")}
+    return row
+
+
+def _check_move(job: _Job, state: str) -> None:
+    if state not in NEXT_STATES.get(job.state, ()):
+        raise JobError(f"job {job.job_id} cannot go from {job.state} "
+                       f"to {state}")
+
+
+def _child_events(job_id: str, doc: dict):
+    """Run the task document ``doc`` in a spawned child, yielding its
+    decoded wire events (a heartbeat per idle 0.1 s poll); a child that
+    ends without a result raises :class:`JobError`."""
+    # spawn, not fork: a child forked while a dispatcher or HTTP
+    # thread holds a lock (a module import, the metrics registry)
+    # would wait on it forever
+    ctx = multiprocessing.get_context("spawn")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=process_job_main, args=(send, doc),
+                       name=f"repro-fleet-{job_id}", daemon=True)
+    proc.start()
+    send.close()
+    try:
+        while True:
+            if recv.poll(0.1):
+                try:
+                    yield decode_event(recv.recv())
+                except EOFError as exc:
+                    raise JobError(f"worker process for {job_id} closed "
+                                   f"its pipe without a result") from exc
+            elif not proc.is_alive():
+                raise JobError(f"worker process for {job_id} died "
+                               f"(exit code {proc.exitcode})")
+            else:
+                yield {"event": "heartbeat"}
+    finally:
+        if proc.is_alive():
+            proc.terminate()
+        proc.join(timeout=10.0)
+        recv.close()
 
 
 class JobHandle:
@@ -447,20 +502,20 @@ class JobManager:
         parent = _Job(self._new_id(job_id), "grid", spec.name, spec,
                       resume, sum(c.total_rows() for c in children),
                       priority=priority, client=client)
-        self._emit(parent, {"event": "status", "state": QUEUED})
-        self._register(parent)
-        with parent.cond:
-            parent.state = RUNNING
-        self._emit(parent, {"event": "status", "state": RUNNING})
-        self._journal_state(parent, RUNNING)
-        # every child record joins parent.children *before* any child
-        # is pushed: a fast first child finishing mid-submission must
-        # not let _maybe_finish_grid conclude the whole grid is done
+        # every child record joins parent.children before the parent is
+        # visible and before any child is pushed: neither a fast first
+        # child nor an early cancel may let _maybe_finish_grid conclude
+        # the whole grid is done
         jobs = [self._create_job(child_spec, resume, parent,
                                  priority=priority)
                 for child_spec in children]
+        self._emit(parent, {"event": "status", "state": QUEUED})
+        self._register(parent)
+        self._move(parent, RUNNING)
         for job in jobs:
             self._admit(job, force=True)
+        if parent.cancel_event.is_set():  # cancelled mid-submission
+            self._cancel_job(parent)
         return JobHandle(self, parent)
 
     # -- journal ------------------------------------------------------------- #
@@ -615,9 +670,10 @@ class JobManager:
         """Cancel a job (and, for a grid parent, all its children).
 
         ``True`` when the job was still live: a queued job is
-        cancelled before it starts, a locally-running one stops at its
-        next row boundary, a leased one is finished immediately (the
-        worker learns on its next event post and abandons).
+        cancelled before it starts, a locally-running one stops before
+        its next event (a process job within one 0.1 s poll), a leased
+        one is finished immediately (the worker learns on its next
+        event post and abandons).
         """
         return self._cancel_job(self.handle(job_id)._job)
 
@@ -645,6 +701,21 @@ class JobManager:
         return True
 
     # -- lifecycle plumbing -------------------------------------------------- #
+    def _move(self, job: _Job, state: str, **fields) -> bool:
+        """Move a job to the live ``state`` (and set ``fields``), log
+        and journal it; ``False`` once the job is terminal,
+        :class:`JobError` for a move :data:`NEXT_STATES` forbids."""
+        with job.cond:
+            if job.state in TERMINAL_STATES:
+                return False
+            _check_move(job, state)
+            job.state = state
+            for name, value in fields.items():
+                setattr(job, name, value)
+            self._emit(job, {"event": "status", "state": state})
+        self._journal_state(job, state)
+        return True
+
     def _emit(self, job: _Job, event: dict) -> None:
         with job.cond:
             if job.state in TERMINAL_STATES:
@@ -671,6 +742,7 @@ class JobManager:
         with job.cond:
             if job.state in TERMINAL_STATES:
                 return
+            _check_move(job, state)
             lease, job.lease = job.lease, None
             job.state = state
             job.result = result
@@ -746,18 +818,37 @@ class JobManager:
         Thread, process and remote jobs all land here: this persists
         stage and request artifacts, writes the event log and finishes
         the job on ``done``/``error``.  ``True`` once the job is
-        finished.
+        finished.  A retry's rows and stages that the log already holds
+        are checked, not logged again.
         """
         kind = event.get("event")
         if kind == "row":
             with job.cond:
                 if job.state in TERMINAL_STATES:
                     return True  # a stale post must not extend the log
-                job.rows_done += 1
-                job.stage = event.get("stage")
-            self._emit(job, {"event": "row", "stage": event.get("stage"),
-                             "data": event.get("data")})
+                index = job.attempt_rows
+                job.attempt_rows += 1
+                repeat = index < job.rows_done
+                if repeat:
+                    logged = [ev["data"] for ev in job.events
+                              if ev["event"] == "row"][index]
+                else:
+                    job.rows_done += 1
+                    job.stage = event.get("stage")
+            if not repeat:
+                self._emit(job, {"event": "row", "stage": event.get("stage"),
+                                 "data": event.get("data")})
+            elif _steady(logged) != _steady(event.get("data")):
+                exc = JobError(f"job {job.job_id}: attempt {job.retries} "
+                               f"streamed row {index} differently")
+                return self._commit(job, {**error_event(exc),
+                                          "exception": exc})
         elif kind == "stage":
+            with job.cond:
+                if any(ev["event"] == "stage"
+                       and ev.get("index") == event["index"]
+                       for ev in job.events):
+                    return False  # a retry replaying a logged stage
             out = {"event": "stage", "stage": event.get("stage"),
                    "index": event["index"],
                    "skipped": bool(event.get("skipped"))}
@@ -799,9 +890,25 @@ class JobManager:
             return self.store.completed_stages(job.payload), None
         return {}, self.store.load_request_result(job.payload)
 
-    def _check_cancel(self, job: _Job) -> None:
-        if job.cancel_event.is_set():
-            raise _CancelJob()
+    def _task_doc(self, job: _Job) -> dict:
+        """What :func:`~repro.fleet.worker.iter_task_events` runs: the
+        job's identity, attempt and task, plus stored resume material."""
+        doc = {
+            "job_id": job.job_id,
+            "kind": job.kind,
+            "name": job.name,
+            "attempt": job.retries,
+            "task": job.payload.to_dict(),
+        }
+        completed, loaded = self._resume_material(job)
+        if completed:
+            doc["resume_completed"] = {
+                str(index): result.to_dict()
+                for index, result in completed.items()
+            }
+        if loaded is not None:
+            doc["resume_result"] = loaded.to_dict()
+        return doc
 
     # -- local dispatch ------------------------------------------------------ #
     def _dispatch_loop(self) -> None:
@@ -820,114 +927,43 @@ class JobManager:
                 return
 
     def _execute(self, job: _Job) -> None:
+        """Run one job locally: commit its events — the engine's on the
+        shared session, or a child process's — until it is terminal or
+        cancelled.  No lease: this process watches both directly."""
         if job.cancel_event.is_set():
             self._finish(job, CANCELLED)
             return
-        with job.cond:
-            job.state = RUNNING
-        self._emit(job, {"event": "status", "state": RUNNING})
-        self._journal_state(job, RUNNING)
-        run = self._run_process_job if self.executor == "process" \
-            else self._run_thread_job
+        if not self._move(job, RUNNING):
+            return
         try:
-            run(job)
-        except _CancelJob:
-            self._finish(job, CANCELLED)
+            if self.executor == "process":
+                events = _child_events(job.job_id, self._task_doc(job))
+            else:
+                events = iter_job_events(self.session, job.payload,
+                                         *self._resume_material(job))
+            try:
+                for event in events:
+                    if job.cancel_event.is_set() or \
+                            self._commit(job, event):
+                        break
+            finally:
+                events.close()
         except Exception as exc:  # reported via status/result, not lost
             self._commit(job, {**error_event(exc), "exception": exc})
-
-    def _run_thread_job(self, job: _Job) -> None:
-        """Drain the engine in this thread, on the submitted task
-        itself, stopping at the first event after a cancel.
-
-        No lease: a lease is the crash protocol for work outside this
-        process, and the monitor would requeue a thread job whose row
-        runs longer than the TTL.
-        """
-        completed, loaded = self._resume_material(job)
-        events = iter_job_events(self.session, job.payload, completed,
-                                 loaded)
-        try:
-            for event in events:
-                self._check_cancel(job)
-                self._commit(job, event)
-        finally:
-            events.close()
-
-    # -- process executor ---------------------------------------------------- #
-    def _run_process_job(self, job: _Job) -> None:
-        """Run one job in a fresh worker process over the fleet's wire
-        protocol: the child streams the same events a remote worker
-        would POST — held under a real lease, renewed while the child
-        is alive."""
-        lease = self._leases.grant(job, worker=f"process:{job.job_id}",
-                                   ttl=self.lease_ttl)
-        with job.cond:
-            job.lease = lease
-        GLOBAL.inc("fleet.leases.granted", executor="process")
-        payload = self._lease_payload(job, lease)
-        # spawn, not fork: a child forked while a dispatcher or HTTP
-        # thread holds a lock (a module import, the metrics registry)
-        # would wait on it forever
-        ctx = multiprocessing.get_context("spawn")
-        recv, send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=process_job_main, args=(send, payload),
-                           name=f"repro-fleet-{job.job_id}", daemon=True)
-        proc.start()
-        send.close()
-        try:
-            while True:
-                self._check_cancel(job)
-                with job.cond:
-                    if job.lease is not lease:
-                        # the lease was collected (expiry under a
-                        # pathological stall, or a racing cancel) —
-                        # the job belongs to someone else now; a stale
-                        # commit must not corrupt it
-                        raise _CancelJob()
-                if recv.poll(0.1):
-                    try:
-                        event = recv.recv()
-                    except EOFError as exc:
-                        raise JobError(
-                            f"worker process for {job.job_id} closed its "
-                            f"pipe without a result"
-                        ) from exc
-                    if self._commit(job, decode_event(event)):
-                        if job.state == DONE:
-                            GLOBAL.inc("fleet.leases.completed",
-                                       executor="process")
-                        return
-                elif not proc.is_alive():
-                    raise JobError(
-                        f"worker process for {job.job_id} died "
-                        f"(exit code {proc.exitcode})"
-                    )
-                try:
-                    self._leases.renew(lease.lease_id)
-                except JobError:
-                    pass  # collected by a racing cancel; loop notices
-        finally:
-            self._leases.release(lease.lease_id)
-            with job.cond:
-                if job.lease is lease:  # a requeue may hold a new one
-                    job.lease = None
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=10.0)
-            recv.close()
+        if job.cancel_event.is_set():
+            self._finish(job, CANCELLED)
 
     # -- fleet leasing ------------------------------------------------------- #
-    def lease_job(self, worker: str = "", wait: float = 0.0,
-                  ttl: "float | None" = None) -> "dict | None":
+    def lease_job(self, worker: str = "",
+                  wait: float = 0.0) -> "dict | None":
         """Grant the next runnable job to a pulling worker.
 
         The remote half of the scheduler: pops the highest-priority
         pending job (blocking up to ``wait`` seconds), grants a lease,
         flips the job to ``running`` and returns the lease document —
-        task payload, lease id, TTL, and any resume material the
-        artifact store holds.  ``None`` when nothing is pending (or
-        the manager is draining/paused).
+        the task document (:meth:`_task_doc`) plus the lease id and
+        TTL.  ``None`` when nothing is pending (or the manager is
+        draining/paused).
         """
         wait = max(0.0, min(float(wait), 60.0))
         deadline = time.monotonic() + wait
@@ -939,44 +975,21 @@ class JobManager:
             if job.cancel_event.is_set():
                 self._finish(job, CANCELLED)
                 continue
-            lease = self._leases.grant(job, worker,
-                                       self.lease_ttl if ttl is None
-                                       else ttl)
-            with job.cond:
-                job.state = RUNNING
-                job.lease = lease
+            lease = self._leases.grant(job, worker, self.lease_ttl)
+            if not self._move(job, RUNNING, lease=lease):
+                self._leases.release(lease.lease_id)
+                continue
             GLOBAL.inc("fleet.leases.granted", executor="remote")
-            self._emit(job, {"event": "status", "state": RUNNING})
-            self._journal_state(job, RUNNING)
             self._journal_append({"event": "lease", "job_id": job.job_id,
                                   "lease_id": lease.lease_id,
                                   "worker": worker})
             self._ensure_monitor()
             try:
-                return self._lease_payload(job, lease)
+                return {"lease_id": lease.lease_id, "ttl": lease.ttl,
+                        **self._task_doc(job)}
             except Exception as exc:  # corrupted resume artifact etc.
                 self._commit(job, {**error_event(exc), "exception": exc})
                 return None
-
-    def _lease_payload(self, job: _Job, lease) -> dict:
-        doc = {
-            "lease_id": lease.lease_id,
-            "job_id": job.job_id,
-            "ttl": lease.ttl,
-            "kind": job.kind,
-            "name": job.name,
-            "attempt": job.retries,
-            "task": job.payload.to_dict(),
-        }
-        completed, loaded = self._resume_material(job)
-        if completed:
-            doc["resume_completed"] = {
-                str(index): result.to_dict()
-                for index, result in completed.items()
-            }
-        if loaded is not None:
-            doc["resume_result"] = loaded.to_dict()
-        return doc
 
     def apply_worker_events(self, lease_id: str, events,
                             worker: str = "") -> dict:
@@ -1047,17 +1060,14 @@ class JobManager:
                 f"{self.max_retries} exhausted"
             ))
             return
-        with job.cond:
-            job.state = QUEUED
-            job.rows_done = 0
-            job.stage = None
-        GLOBAL.inc("fleet.jobs.requeued")
         self._emit(job, {"event": "requeued", "attempt": retries,
                          "reason": f"lease {lease.lease_id} expired"})
-        self._emit(job, {"event": "status", "state": QUEUED})
-        self._journal_state(job, QUEUED)
-        # re-admission of already-accepted work bypasses the queue cap
-        self._scheduler.push(job, priority=job.priority, force=True)
+        # rows_done stays: the next attempt re-streams the logged rows,
+        # and _commit checks them instead of logging them again
+        if self._move(job, QUEUED, attempt_rows=0):
+            GLOBAL.inc("fleet.jobs.requeued")
+            # re-admission of already-accepted work bypasses the queue cap
+            self._scheduler.push(job, priority=job.priority, force=True)
 
     # -- drain / teardown ---------------------------------------------------- #
     def live_jobs(self) -> "list[_Job]":

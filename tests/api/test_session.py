@@ -78,12 +78,6 @@ class TestSweepEquivalence:
         assert [pt.value for pt in result.points] == [0.0, 0.05]
         assert all(0 < pt.cmos_ratio < 1 for pt in result.points)
 
-    def test_progress_callback(self, session):
-        seen = []
-        list(session.stream(SWEEP_REQ,
-                            progress=lambda d, t, it: seen.append((d, t))))
-        assert seen == [(1, 2), (2, 2)]
-
 
 class TestYieldEquivalence:
     """Session.run(YieldRequest) == direct YieldRunner, bit for bit."""

@@ -162,7 +162,7 @@ class TestRemoteWorker:
         svc, _manager = fleet
 
         class ExplodingSession(Session):
-            def stream(self, request, progress=None):
+            def stream(self, request):
                 raise RuntimeError("boom on the worker")
 
         _, doc = _call(svc, "POST", "/v1/jobs",

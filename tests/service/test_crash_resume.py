@@ -48,9 +48,9 @@ class CountingSession(Session):
         super().__init__()
         self.stream_calls = 0
 
-    def stream(self, request, progress=None):
+    def stream(self, request):
         self.stream_calls += 1
-        return super().stream(request, progress)
+        return super().stream(request)
 
 
 @pytest.fixture(scope="module")

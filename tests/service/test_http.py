@@ -36,8 +36,8 @@ class GatedSession(Session):
         self.first_row = threading.Event()
         self.release = threading.Event()
 
-    def stream(self, request, progress=None):
-        inner = super().stream(request, progress)
+    def stream(self, request):
+        inner = super().stream(request)
 
         def gated():
             for i, item in enumerate(inner):
@@ -235,7 +235,7 @@ class TestErrorPaths:
 class ExplodingSession(Session):
     """Streams nothing: every request detonates at run time."""
 
-    def stream(self, request, progress=None):
+    def stream(self, request):
         raise RuntimeError("boom at runtime")
 
 

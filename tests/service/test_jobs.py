@@ -1,5 +1,8 @@
 """JobManager: lifecycle, progress, cancellation, resume, grid fan-out."""
 
+import multiprocessing
+import os
+import signal
 import threading
 from contextlib import contextmanager
 
@@ -21,6 +24,7 @@ from repro.service import (
     JobManager,
     TERMINAL_STATES,
 )
+from repro.service.jobs import QUEUED, RUNNING
 
 EXEC = ExecutionConfig(effort=0.2)
 
@@ -87,8 +91,8 @@ class GatedSession(Session):
         self.first_row = threading.Event()
         self.release = threading.Event()
 
-    def stream(self, request, progress=None):
-        inner = super().stream(request, progress)
+    def stream(self, request):
+        inner = super().stream(request)
 
         def gated():
             for i, item in enumerate(inner):
@@ -385,6 +389,26 @@ class TestGridFanOut:
                 assert m.handle(child_id).status().state in TERMINAL_STATES
 
 
+    def test_cancel_during_grid_submission(self, session):
+        m = JobManager(session=session, executor="external")
+        register = m._register
+
+        def register_then_cancel(job):
+            # the parent's id is visible from here on (GET /v1/jobs)
+            register(job)
+            if job.kind == "grid":
+                assert m.cancel(job.job_id)
+
+        m._register = register_then_cancel
+        try:
+            status = m.submit(self.GRID_SPEC).wait(timeout=10)
+            assert status.state == CANCELLED
+            assert [m.handle(c).status().state for c in status.children] \
+                == [CANCELLED, CANCELLED]
+        finally:
+            m.shutdown(wait=False, cancel=True)
+
+
 class TestManagerLifecycle:
     def test_submit_after_shutdown(self, session):
         m = JobManager(session=session, workers=1)
@@ -500,3 +524,76 @@ class TestGridFastChildren:
                     "children were aggregated"
                 status = handle.status()
                 assert status.rows_done == status.rows_total == 2
+
+
+class TestProcessLoop:
+    """Process jobs run in the local loop, watched through their child:
+    no lease, a cancel within one poll, a dead child a typed failure."""
+
+    #: one quick analytic row, then seconds of yield campaign: the
+    #: child is still busy whenever a test acts on the first row
+    SLOW_SPEC = ExperimentSpec(
+        name="process-loop",
+        workload="adder",
+        arch={"grid": 5, "width": 7},
+        execution=EXEC,
+        stages=(
+            {"stage": "sweep", "what": "change-rate", "values": [0.1]},
+            {"stage": "yield", "rates": [0.02, 0.04, 0.06],
+             "trials": 500},
+        ),
+    )
+
+    @staticmethod
+    def _children(job_id):
+        return [p for p in multiprocessing.active_children()
+                if p.name == f"repro-fleet-{job_id}"]
+
+    def _first_row(self, manager):
+        handle = manager.submit(self.SLOW_SPEC)
+        for event in handle.events(timeout=120):
+            if event["event"] == "row":
+                return handle
+        raise AssertionError("the job finished without a row")
+
+    def test_cancel_running_process_job(self):
+        with JobManager(workers=1, executor="process") as m:
+            handle = self._first_row(m)
+            assert m.leases.active() == 0  # local jobs hold no lease
+            assert handle.cancel()
+            assert handle.wait(timeout=30).state == CANCELLED
+            events = list(handle.events())
+            assert [ev["event"] for ev in events].count("done") == 1
+            assert (events[-1]["event"], events[-1]["state"]) == \
+                ("done", CANCELLED)
+            assert self._children(handle.job_id) == []
+
+    def test_killed_child_fails_the_job(self):
+        with JobManager(workers=1, executor="process") as m:
+            handle = self._first_row(m)
+            (child,) = self._children(handle.job_id)
+            os.kill(child.pid, signal.SIGKILL)
+            status = handle.wait(timeout=30)
+            assert (status.state, status.error_type) == (FAILED, "JobError")
+            assert handle.job_id in status.error
+
+
+class TestLifecycleTable:
+    def test_move_follows_the_table(self, session):
+        m = JobManager(session=session, executor="external")
+        try:
+            handle = m.submit(SWEEP)
+            job = handle._job
+            with pytest.raises(JobError, match="from queued to done"):
+                m._move(job, DONE)
+            with pytest.raises(JobError, match="from queued to done"):
+                m._finish(job, DONE)
+            assert handle.status().state == QUEUED
+            assert handle.cancel()
+            log = list(handle.events())
+            # a terminal job stays put, and its log ends with `done`
+            assert m._move(job, RUNNING) is False
+            assert handle.status().state == CANCELLED
+            assert list(handle.events()) == log
+        finally:
+            m.shutdown(wait=False, cancel=True)

@@ -4,8 +4,9 @@ Each walk takes random steps — submit (request, spec or grid), cancel,
 lease, post ``row``/``done``/``error`` events, expire a lease, abandon
 the manager and recover a new one on the same results dir — and after
 every step checks that the live gauges match the job table, that every
-terminal job's log ends in exactly one ``done`` event, and that no
-lease outlives its job.
+terminal job's log ends in exactly one ``done`` event (a finished one
+holding exactly its ``rows_total`` rows), and that no lease outlives
+its job.  Fixed cases pin what a retry logs after a lease expiry.
 """
 
 import random
@@ -14,11 +15,23 @@ from collections import Counter
 
 import pytest
 
-from repro.api import AreaRequest, ExperimentSpec, Session, SweepRequest
-from repro.errors import LeaseExpired
+from repro.api import (
+    AreaRequest,
+    ExecutionConfig,
+    ExperimentSpec,
+    Session,
+    SweepRequest,
+)
+from repro.errors import JobError, LeaseExpired
 from repro.fleet.worker import error_event, iter_task_events
 from repro.service import ArtifactStore, JobManager
-from repro.service.jobs import QUEUED, RUNNING, TERMINAL_STATES
+from repro.service.jobs import (
+    DONE,
+    FAILED,
+    QUEUED,
+    RUNNING,
+    TERMINAL_STATES,
+)
 
 # analytic tasks: each computes in about a millisecond
 TASKS = (
@@ -159,6 +172,9 @@ class Walk:
                          manager.handle(snap.job_id).events(timeout=WAIT_S)]
                 assert kinds[-1] == "done" and kinds.count("done") == 1, \
                     (snap.job_id, kinds)
+                if snap.state == DONE:
+                    assert kinds.count("row") == snap.rows_total, \
+                        (snap.job_id, kinds)
 
     def finish(self) -> None:
         """Lease and complete everything still live."""
@@ -190,3 +206,111 @@ def test_seeded_lifecycle_walk(seed, tmp_path):
         }
     finally:
         walk.close()
+
+
+def _expire(manager: JobManager, lease_id: str) -> None:
+    """Expire one lease now and wait for the monitor to requeue its job."""
+    manager.leases.renew(lease_id).deadline = time.monotonic() - 1.0
+    _wait_until(lambda: manager.queue_depth() == 1,
+                f"the requeue after {lease_id}")
+
+
+class TestRetryLog:
+    """A retry streams from the start again; the log keeps each row and
+    stage once, and a re-streamed row must match the logged one."""
+
+    REQUEST = SweepRequest(what="change-rate", values=(0.05, 0.1, 0.2))
+
+    @pytest.fixture
+    def manager(self):
+        manager = JobManager(session=Session(), executor="external",
+                             lease_ttl=3600.0)
+        yield manager
+        manager.shutdown(wait=False, cancel=True)
+
+    def test_requeued_request_logs_each_row_once(self, manager):
+        session = Session()
+        handle = manager.submit(self.REQUEST)
+        doc = manager.lease_job(worker="dies")
+        rows = [ev for ev in iter_task_events(session, doc)
+                if ev["event"] == "row"]
+        manager.apply_worker_events(doc["lease_id"], rows[:2])
+        _expire(manager, doc["lease_id"])
+        doc = manager.lease_job(worker="finishes")
+        manager.apply_worker_events(doc["lease_id"],
+                                    list(iter_task_events(session, doc)))
+        log = list(handle.events(timeout=WAIT_S))
+        assert [ev["event"] for ev in log] == [
+            "status", "status", "row", "row", "requeued", "status",
+            "status", "row", "done",
+        ]
+        assert [ev["data"] for ev in log if ev["event"] == "row"] == \
+            [pt.to_dict() for pt in session.run(self.REQUEST).points]
+        status = handle.status()
+        assert (status.state, status.rows_done) == (DONE, 3)
+
+    def test_retried_spec_logs_each_stage_once(self, tmp_path):
+        spec = TASKS[2]
+        session = Session()
+        manager = JobManager(session=Session(),
+                             store=ArtifactStore(tmp_path / "results"),
+                             executor="external", lease_ttl=3600.0)
+        try:
+            handle = manager.submit(spec)
+            doc = manager.lease_job(worker="dies")
+            events = list(iter_task_events(session, doc))
+            # the first stage's rows and stage event, one row past it
+            cut = [ev["event"] for ev in events].index("stage") + 2
+            manager.apply_worker_events(doc["lease_id"], events[:cut])
+            _expire(manager, doc["lease_id"])
+            doc = manager.lease_job(worker="finishes")
+            assert "resume_completed" in doc  # the retry replays stage 0
+            manager.apply_worker_events(doc["lease_id"],
+                                        list(iter_task_events(session, doc)))
+            log = list(handle.events(timeout=WAIT_S))
+        finally:
+            manager.shutdown(wait=False, cancel=True)
+        assert log[-1]["state"] == DONE
+        assert [ev["index"] for ev in log if ev["event"] == "stage"] == \
+            [0, 1, 2]
+        assert [ev["data"] for ev in log if ev["event"] == "row"] == [
+            item.to_dict() for kind, _i, _n, item in
+            session.iter_spec_events(spec) if kind == "row"
+        ]
+
+    def test_retry_may_differ_in_wall_clock_fields(self, manager):
+        # a profiled row carries span times, which no two attempts share
+        request = SweepRequest(what="channel-width", grid=5, values=(6, 7),
+                               execution=ExecutionConfig(effort=0.2),
+                               profile=True)
+        handle = manager.submit(request)
+        doc = manager.lease_job(worker="dies")
+        first = list(iter_task_events(Session(), doc))
+        manager.apply_worker_events(doc["lease_id"], first[:1])
+        _expire(manager, doc["lease_id"])
+        doc = manager.lease_job(worker="finishes")
+        retry = list(iter_task_events(Session(), doc))
+        assert retry[0]["data"]["profile"] != first[0]["data"]["profile"]
+        manager.apply_worker_events(doc["lease_id"], retry)
+        assert handle.wait(timeout=WAIT_S).state == DONE
+        rows = [ev["data"] for ev in handle.events() if ev["event"] == "row"]
+        assert rows == [first[0]["data"], retry[1]["data"]]
+
+    def test_retry_streaming_a_different_row_fails_the_job(self, manager):
+        session = Session()
+        handle = manager.submit(self.REQUEST)
+        doc = manager.lease_job(worker="dies")
+        rows = [ev for ev in iter_task_events(session, doc)
+                if ev["event"] == "row"]
+        manager.apply_worker_events(doc["lease_id"], rows[:2])
+        _expire(manager, doc["lease_id"])
+        doc = manager.lease_job(worker="diverges")
+        first = rows[0]
+        manager.apply_worker_events(doc["lease_id"], [
+            {**first, "data": {**first["data"], "cmos_ratio": -1.0}},
+        ])
+        status = handle.wait(timeout=WAIT_S)
+        assert (status.state, status.error_type) == (FAILED, "JobError")
+        assert handle.job_id in status.error
+        with pytest.raises(JobError, match="differently"):
+            handle.result(timeout=1)

@@ -26,8 +26,10 @@ The package splits into:
   and per-net bounding-box pruning.  The original object-graph router
   is kept in the test suite as the reference the equivalence tests
   compare routes against.
-- :mod:`repro.sim` — levelized, event-driven and multi-context
-  (DPGA-schedule) simulators.
+- :mod:`repro.sim` — event-driven and multi-context (DPGA-schedule)
+  simulators and switching activity; batched combinational evaluation
+  of a netlist or a configured device runs one lane-word LUT primitive
+  (:func:`repro.netlist.logic.lut_value`).
 - :mod:`repro.workloads` — circuit generators and multi-context
   workloads with controllable redundancy.
 - :mod:`repro.analysis` — redundancy statistics, pattern censuses, the

@@ -5,9 +5,11 @@ mapping → placement/routing → device configuration must all preserve
 function.  This module provides the checkers the test-suite and flows
 lean on:
 
-- :func:`equivalent` — exhaustive for small input counts (bit-parallel,
-  64 vectors per word), Monte-Carlo beyond, with a counterexample on
-  failure;
+- :func:`equivalent` — exhaustive for small input counts, Monte-Carlo
+  beyond, every vector at once as lane words
+  (:meth:`Netlist.evaluate_lanes
+  <repro.netlist.netlist.Netlist.evaluate_lanes>`), with a
+  counterexample on failure;
 - :func:`verify_device` — configured-device vs source-program check for
   every context;
 - :class:`Miter` — XOR-miter construction for structural flows.
@@ -17,18 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.fpga import MultiContextFPGA
 from repro.errors import SimulationError
 from repro.netlist.dfg import MultiContextProgram
-from repro.netlist.logic import TruthTable
+from repro.netlist.logic import TruthTable, projections, random_lanes
 from repro.netlist.netlist import Netlist
-from repro.sim.levelized import LevelizedSimulator
 from repro.utils.rng import ensure_rng
 
 #: Exhaustive checking is used up to this many primary inputs (2^18
-#: vectors, packed 64/word — fast).
+#: vectors, one 32 KiB lane word per net).
 EXHAUSTIVE_LIMIT = 18
 
 
@@ -64,60 +63,29 @@ def equivalent(
     """Check combinational equivalence of two netlists.
 
     Exhaustive when the shared input count is at most
-    :data:`EXHAUSTIVE_LIMIT`; otherwise ``n_random`` random vectors.
+    :data:`EXHAUSTIVE_LIMIT` (lane ``w`` is input word ``w``);
+    otherwise ``n_random`` random vectors, every lane drawn.  The
+    counterexample is the first vector on which an output (in sorted
+    order) differs.
     """
     inputs, outputs = _common_io(a, b)
-    n = len(inputs)
-    sim_a = LevelizedSimulator(a)
-    sim_b = LevelizedSimulator(b)
-
-    if n <= EXHAUSTIVE_LIMIT:
-        total = 1 << n
-        words = (total + 63) // 64
-        stim: dict[str, np.ndarray] = {}
-        lanes = np.arange(total, dtype=np.uint64)
-        for j, name in enumerate(inputs):
-            bits = (lanes >> np.uint64(j)) & np.uint64(1)
-            packed = np.zeros(words, dtype=np.uint64)
-            for w in range(words):
-                chunk = bits[w * 64 : (w + 1) * 64]
-                packed[w] = np.bitwise_or.reduce(
-                    chunk << np.arange(chunk.size, dtype=np.uint64)
-                ) if chunk.size else np.uint64(0)
-            stim[name] = packed
-        out_a = sim_a.outputs(stim)
-        out_b = sim_b.outputs(stim)
-        for oname in outputs:
-            diff = out_a[oname] ^ out_b[oname]
-            if diff.any():
-                w = int(np.nonzero(diff)[0][0])
-                lane = int(diff[w]).bit_length() - 1
-                vec_index = w * 64 + lane
-                cex = {
-                    name: (vec_index >> j) & 1 for j, name in enumerate(inputs)
-                }
-                return EquivalenceResult(False, total, True, cex, oname)
-        return EquivalenceResult(True, total, True)
-
-    rng = ensure_rng(seed)
-    words = (n_random + 63) // 64
-    stim = {
-        name: rng.integers(0, 2**63, words, dtype=np.int64).astype(np.uint64)
-        for name in inputs
-    }
-    out_a = sim_a.outputs(stim)
-    out_b = sim_b.outputs(stim)
+    exhaustive = len(inputs) <= EXHAUSTIVE_LIMIT
+    if exhaustive:
+        lanes = 1 << len(inputs)
+        stim = dict(zip(inputs, projections(len(inputs))[1]))
+    else:
+        rng = ensure_rng(seed)
+        lanes = n_random
+        stim = {name: random_lanes(rng, lanes) for name in inputs}
+    va = a.evaluate_lanes(stim, lanes)
+    vb = b.evaluate_lanes(stim, lanes)
     for oname in outputs:
-        diff = out_a[oname] ^ out_b[oname]
-        if diff.any():
-            w = int(np.nonzero(diff)[0][0])
-            lane = int(diff[w]).bit_length() - 1
-            cex = {
-                name: int((stim[name][w] >> np.uint64(lane)) & np.uint64(1))
-                for name in inputs
-            }
-            return EquivalenceResult(False, words * 64, False, cex, oname)
-    return EquivalenceResult(True, words * 64, False)
+        diff = va[a.cells[oname].inputs[0]] ^ vb[b.cells[oname].inputs[0]]
+        if diff:
+            lane = (diff & -diff).bit_length() - 1
+            cex = {name: (stim[name] >> lane) & 1 for name in inputs}
+            return EquivalenceResult(False, lanes, exhaustive, cex, oname)
+    return EquivalenceResult(True, lanes, exhaustive)
 
 
 def assert_equivalent(a: Netlist, b: Netlist, **kwargs) -> None:
@@ -136,25 +104,18 @@ def verify_device(
     n_vectors: int = 64,
     seed: int = 0,
 ) -> int:
-    """Check every context of a configured device against its source.
+    """Check every context of a device configured with ``program``
+    against its source (:meth:`MultiContextFPGA.verify_against_source
+    <repro.core.fpga.MultiContextFPGA.verify_against_source>`, the same
+    draws per context).
 
     Returns the number of vectors checked; raises on any divergence.
     """
-    rng = ensure_rng(seed)
-    checked = 0
+    if device._program is not program:
+        raise SimulationError("device is not configured with this program")
     for ctx in range(program.n_contexts):
-        netlist = program.contexts[ctx]
-        names = [c.name for c in netlist.inputs()]
-        for _ in range(n_vectors):
-            vec = {n: int(rng.integers(2)) for n in names}
-            want = netlist.evaluate_outputs(vec)
-            got = device.evaluate(ctx, vec)
-            if want != got:
-                raise SimulationError(
-                    f"context {ctx}: device={got} source={want} on {vec}"
-                )
-            checked += 1
-    return checked
+        device.verify_against_source(ctx, n_vectors=n_vectors, seed=seed)
+    return program.n_contexts * n_vectors
 
 
 class Miter:

@@ -4,14 +4,16 @@
 logic blocks, the routing fabric (RRG), per-context configuration, and
 single-cycle context switching.  A configured device can
 
-- evaluate any context like hardware would (LUT lookups over routed
-  connectivity — *not* by re-running the source netlist, so bitstream
-  and routing bugs are caught), one vector at a time
-  (:meth:`MultiContextFPGA.evaluate`) or a whole stimulus batch at once
-  (:meth:`MultiContextFPGA.evaluate_batch`, one topological walk over
+- evaluate any context from its stored configuration
+  (:meth:`MultiContextFPGA.evaluate_lanes`, one topological walk over
   the netlist's id index in which every LUT reads its tile's stored
-  plane for all vectors together — what
-  :meth:`MultiContextFPGA.verify_against_source` runs),
+  plane for all vectors together, as lane words; one vector at a time
+  is :meth:`MultiContextFPGA.evaluate`, and
+  :meth:`MultiContextFPGA.verify_against_source` checks a batch
+  against the source netlist).  A wrong plane load, a flipped memory
+  bit or a cell on the wrong tile shows up as a mismatch.  Which net
+  feeds which LUT input comes from the index, not from the stored
+  routes, so a deleted or misrouted net is *not* caught here,
 - switch contexts and report how many configuration bits flip,
 - report the measured pattern statistics and feed the area model.
 
@@ -36,15 +38,12 @@ from repro.core.mcmg_lut import MCMGGeometry
 from repro.errors import ConfigurationError, SimulationError
 from repro.netlist.dfg import MultiContextProgram
 from repro.netlist.index import KIND_CODE, LUT
-from repro.netlist.netlist import CellKind
+from repro.netlist.logic import lut_value, pack_bits
 from repro.place.placer import Placement
 from repro.route.pathfinder import RouteResult
 
 #: ``CellKind`` values by :mod:`repro.netlist.index` kind code.
 _KIND_VALUE = {code: kind.value for kind, code in KIND_CODE.items()}
-
-#: Input ``j``'s place in a LUT's packed input word (up to 16 inputs).
-_SHIFT = np.arange(16, dtype=np.int64)[:, None]
 
 
 @dataclass
@@ -173,54 +172,24 @@ class MultiContextFPGA:
     # evaluation (fabric-level: LUT lookups over stored planes)
     # ------------------------------------------------------------------ #
     def evaluate(self, ctx: int, inputs: dict[str, int]) -> dict[str, int]:
-        """Evaluate a context's primary outputs from stored configuration.
+        """A context's primary outputs on one vector, from stored
+        configuration: :meth:`evaluate_lanes` with one lane."""
+        return self.evaluate_lanes(ctx, inputs, 1)
 
-        Walks the configured connectivity in topological order, reading
-        each tile's *stored plane* (not the source netlist) — so a wrong
-        plane load or placement shows up as a functional mismatch.
-        """
-        if ctx not in self.contexts:
-            raise SimulationError(f"context {ctx} is not configured")
-        if self._program is None:
-            raise SimulationError("device is not configured")
-        netlist = self._program.contexts[ctx]
-        placement = self._placements[ctx]
-        values: dict[str, int] = {}
-        for cell in netlist.inputs():
-            if cell.output not in inputs and cell.name not in inputs:
-                raise SimulationError(f"missing value for input {cell.name!r}")
-            values[cell.output] = inputs.get(cell.output, inputs.get(cell.name, 0))
-        for cell in netlist.dffs():
-            values[cell.output] = 0
-        for name in netlist.topo_order():
-            cell = netlist.cells[name]
-            if cell.kind is not CellKind.LUT:
-                continue
-            coord = placement.cells[cell.name]
-            lb = self.logic_blocks[coord]
-            word = 0
-            for j, net in enumerate(cell.inputs):
-                word |= values[net] << j
-            values[cell.output] = lb.lut.evaluate(ctx, word)
-        return {
-            c.name: values[c.inputs[0]] for c in netlist.outputs()
-        }
+    def evaluate_lanes(
+        self, ctx: int, stimulus: dict[str, int], lanes: int = 1
+    ) -> dict[str, int]:
+        """A context's primary outputs over ``lanes`` vectors at once.
 
-    def evaluate_batch(
-        self, ctx: int, stimulus: dict[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
-        """:meth:`evaluate` over arrays of stimuli, one walk for all.
-
-        Each input maps to a 0/1 array; all arrays share a length (an
-        input-less context evaluates once, to length-1 arrays, as
-        :meth:`Netlist.evaluate_batch
-        <repro.netlist.netlist.Netlist.evaluate_batch>` does).  Like
-        :meth:`evaluate`, every LUT reads its tile's *stored plane*,
-        never the cell's truth table.  The walk runs on the ids of the
-        netlist's :class:`~repro.netlist.index.NetlistIndex`: the net
-        values are one array row per net, and each LUT, in topological
-        order, forms its input words from its input-net row and reads
-        its stored plane in one gather.  The source side of
+        Each input maps to a lane word (bit ``i`` is its value in vector
+        ``i``), and so does each output.  Every LUT reads its tile's
+        *stored plane*, packed from the tile's memory on each call (so
+        a flipped memory bit or a moved cell shows up), never the
+        cell's truth table, and evaluates it with
+        :func:`~repro.netlist.logic.lut_value`.  The walk runs on the
+        ids of the netlist's :class:`~repro.netlist.index.NetlistIndex`:
+        a LUT's input nets, its output net and the topological order
+        come from the index, while the source side of
         :meth:`verify_against_source` reads the cells by name, so a
         wrong index row shows up as a mismatch.
         """
@@ -228,38 +197,31 @@ class MultiContextFPGA:
             raise SimulationError(f"context {ctx} is not configured")
         if self._program is None:
             raise SimulationError("device is not configured")
-        netlist = self._program.contexts[ctx]
+        ix = self._program.contexts[ctx].index()
         placement = self._placements[ctx]
-        ix = netlist.index()
         names = ix.cell_names
         out, start, ins = (ix.out_net.tolist(), ix.in_start.tolist(),
                            ix.in_net.tolist())
-        arrays = []
-        for cell in ix.inputs:
-            arr = stimulus.get(ix.net_names[out[cell]], stimulus.get(names[cell]))
-            if arr is None:
-                raise SimulationError(f"missing value for input {names[cell]!r}")
-            arrays.append(np.asarray(arr, dtype=np.int64))
-            if arrays[-1].size != arrays[0].size:
-                raise SimulationError("stimulus arrays must share a length")
-        # one row per net (DFF outputs stay 0)
-        values = np.zeros((ix.n_nets, arrays[0].size if arrays else 1),
-                          dtype=np.int64)
-        values[[out[c] for c in ix.inputs]] = arrays or 0
-        # stored planes are 0/1, so only a primary input outside 0/1 can
-        # form an input word past its LUT's plane
-        checked = values.min() >= 0 and values.max() <= 1
+        full = (1 << lanes) - 1
+        values = [0] * ix.n_nets  # DFF outputs stay 0
+        for c in ix.inputs:
+            word = stimulus.get(ix.net_names[out[c]], stimulus.get(names[c]))
+            if word is None:
+                raise SimulationError(f"missing value for input {names[c]!r}")
+            word = values[out[c]] = int(word)
+            if not 0 <= word <= full:
+                raise ConfigurationError("input word out of range")
         kinds = ix.kind.tolist()
         for c in ix.topo:
             if kinds[c] != LUT:
                 continue
             lut = self.logic_blocks[placement.cells[names[c]]].lut
             row = ins[start[c]:start[c + 1]]
-            word = np.bitwise_or.reduce(values[row] << _SHIFT[:len(row)], axis=0)
-            if not checked and (word.min() < 0 or word.max() >= lut.plane_bits):
+            if len(row) > lut.n_inputs:
                 raise ConfigurationError("input word out of range")
-            values[out[c]] = lut.memory[
-                0, lut.plane_for_context(ctx) * lut.plane_bits + word]
+            base = lut.plane_for_context(ctx) * lut.plane_bits
+            plane = pack_bits(lut.memory[0, base:base + (1 << len(row))])
+            values[out[c]] = lut_value(plane, [values[n] for n in row], full)
         return {names[c]: values[ins[start[c]]] for c in ix.outputs}
 
     def verify_against_source(self, ctx: int, n_vectors: int = 32, seed: int = 0) -> None:
@@ -267,8 +229,9 @@ class MultiContextFPGA:
 
         All ``n_vectors`` vectors are drawn in one call (the same values,
         and the same generator state after, as one scalar draw per input
-        per vector) and run through both sides batched; a mismatch is
-        reported on the first bad vector, re-evaluated one at a time.
+        per vector), packed into lane words and run through both sides
+        at once; a mismatch is reported on the first bad vector,
+        re-evaluated on its own.
         """
         if self._program is None:
             raise SimulationError("device is not configured")
@@ -276,14 +239,14 @@ class MultiContextFPGA:
         netlist = self._program.contexts[ctx]
         in_names = [c.name for c in netlist.inputs()]
         draws = rng.integers(2, size=(n_vectors, len(in_names)))
-        stimulus = {n: draws[:, i] for i, n in enumerate(in_names)}
-        want = netlist.evaluate_batch(stimulus)
-        got = self.evaluate_batch(ctx, stimulus)
-        bad = np.zeros(n_vectors, dtype=bool)
+        stimulus = {n: pack_bits(draws[:, i]) for i, n in enumerate(in_names)}
+        want = netlist.evaluate_lanes(stimulus, n_vectors)
+        got = self.evaluate_lanes(ctx, stimulus, n_vectors)
+        bad = 0
         for c in netlist.outputs():
-            bad |= got[c.name] != want[c.inputs[0]]
-        if bad.any():
-            row = draws[int(np.argmax(bad))]
+            bad |= got[c.name] ^ want[c.inputs[0]]
+        if bad:
+            row = draws[(bad & -bad).bit_length() - 1]
             vec = {n: int(v) for n, v in zip(in_names, row)}
             raise SimulationError(
                 f"context {ctx} fabric mismatch on {vec}: "

@@ -2,13 +2,23 @@
 
 A :class:`TruthTable` over ``n`` inputs stores its ``2**n`` output bits
 as an int (entry ``i`` = output for packed input word ``i``, input ``j``
-at bit ``j``).  NumPy conversions are provided for the vectorized
-simulators and the MCMG-LUT loader.
+at bit ``j``).  NumPy conversions are provided for the MCMG-LUT loader.
+
+Batched evaluation works on *lane words*: Python ints whose bit ``i``
+is a net's value in vector ``i``.  :func:`lut_value` evaluates one LUT
+over every lane at once; it is the one LUT primitive behind every
+batched netlist and fabric walk (:meth:`Netlist.evaluate_lanes
+<repro.netlist.netlist.Netlist.evaluate_lanes>`,
+:meth:`MultiContextFPGA.evaluate_lanes
+<repro.core.fpga.MultiContextFPGA.evaluate_lanes>`, cone tables in
+technology mapping and signatures in sharing analysis).
+:func:`projections` gives the lane words of exhaustive stimulus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,11 +89,7 @@ class TruthTable:
         n = int(np.log2(a.size))
         if 1 << n != a.size:
             raise SynthesisError(f"array size {a.size} is not a power of two")
-        bits = 0
-        for i, v in enumerate(a):
-            if v:
-                bits |= 1 << i
-        return cls(n, bits)
+        return cls(n, pack_bits(a != 0))
 
     # -- evaluation --------------------------------------------------------#
     def evaluate(self, word: int) -> int:
@@ -203,6 +209,69 @@ class TruthTable:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         width = 1 << self.n_inputs
         return f"TT{self.n_inputs}({self.bits:0{width}b})"
+
+
+@lru_cache(maxsize=32)
+def projections(k: int) -> tuple[int, tuple[int, ...]]:
+    """All-ones mask and the ``k`` projection masks over ``2**k`` lanes.
+
+    Bit ``w`` of projection ``j`` is bit ``j`` of ``w``: runs of
+    ``2**j`` zeros then ``2**j`` ones, repeated.  As stimulus, lane
+    ``w`` is input word ``w``, so a net's lane word over them is its
+    truth table.  Each mask is one repeated byte pattern.
+
+    >>> full, (x0, x1) = projections(2)
+    >>> bin(full), bin(x0), bin(x1)
+    ('0b1111', '0b1010', '0b1100')
+    """
+    size = 1 << k
+    full = (1 << size) - 1
+    n_bytes = (size + 7) // 8
+    masks = []
+    for j in range(k):
+        if j < 3:
+            period = (b"\xaa", b"\xcc", b"\xf0")[j]
+        else:
+            run = 1 << (j - 3)
+            period = b"\x00" * run + b"\xff" * run
+        masks.append(int.from_bytes(period * (n_bytes // len(period)),
+                                    "little") & full)
+    return full, tuple(masks)
+
+
+def lut_value(bits: int, inputs: list[int], full: int) -> int:
+    """A LUT's output lane word, given its table ``bits`` and its
+    inputs' lane words (``full`` has a bit set per lane): a mux tree
+    over the table bits, input ``j`` selecting at level ``j``.
+
+    >>> full, (x0, x1) = projections(2)
+    >>> lut_value(0b0110, [x0, x1], full) == x0 ^ x1
+    True
+    """
+    level = [full if (bits >> w) & 1 else 0 for w in range(1 << len(inputs))]
+    for sel in inputs:
+        low = full ^ sel
+        level = [
+            a if a == b else (a & low) | (b & sel)
+            for a, b in zip(level[::2], level[1::2])
+        ]
+    return level[0]
+
+
+def pack_bits(bits: np.ndarray) -> int:
+    """A 0/1 array as an int whose bit ``i`` is ``bits[i]``.
+
+    >>> pack_bits(np.array([1, 0, 1, 1]))
+    13
+    """
+    return int.from_bytes(
+        np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def random_lanes(rng: np.random.Generator, lanes: int) -> int:
+    """A lane word with each of its ``lanes`` bits drawn at random."""
+    return int.from_bytes(rng.bytes((lanes + 7) // 8), "little") & (
+        (1 << lanes) - 1)
 
 
 def mux_table() -> TruthTable:

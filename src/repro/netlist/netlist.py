@@ -12,10 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import SynthesisError
-from repro.netlist.logic import TruthTable
+from repro.netlist.logic import TruthTable, lut_value
 
 
 class CellKind(enum.Enum):
@@ -59,8 +57,9 @@ class Cell:
 class Netlist:
     """A named DAG of cells.
 
-    Combinational evaluation is levelized; sequential designs advance
-    one clock per :meth:`step`.
+    Combinational evaluation walks the cells in topological order, one
+    vector (:meth:`evaluate`) or many (:meth:`evaluate_lanes`) at a
+    time; sequential designs advance one clock per :meth:`step`.
     """
 
     def __init__(self, name: str = "netlist") -> None:
@@ -260,39 +259,39 @@ class Netlist:
         outs = {c.name: values[c.inputs[0]] for c in self.outputs()}
         return outs, next_state
 
-    # -- bulk evaluation (vectorized over stimulus) -----------------------------#
-    def evaluate_batch(self, stimulus: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Vectorized combinational evaluation over arrays of stimuli.
+    # -- lane evaluation (every vector at once) --------------------------------#
+    def evaluate_lanes(
+        self, stimulus: dict[str, int], lanes: int = 1
+    ) -> dict[str, int]:
+        """:meth:`evaluate` over ``lanes`` vectors at once; returns the
+        lane word of every net.
 
-        Each input maps to a uint8 array; all arrays share a length.  DFFs
-        are held at 0 (combinational analysis only).  A netlist with no
-        primary inputs is evaluated once: its nets come back as length-1
-        arrays, which broadcast against a batch of any length.
+        Each input maps to a lane word, an int whose bit ``i`` is the
+        input's value in vector ``i``.  DFFs are held at 0
+        (combinational analysis only).  The walk reads ``cell.inputs``
+        and ``cell.table`` by name, never :meth:`index`, so the source
+        side of fabric verification shares no rows with the device side.
         """
-        arrays: dict[str, np.ndarray] = {}
-        length = None
+        full = (1 << lanes) - 1
+        values: dict[str, int] = {}
         for c in self.inputs():
-            arr = stimulus.get(c.output, stimulus.get(c.name))
-            if arr is None:
+            word = stimulus.get(c.output, stimulus.get(c.name))
+            if word is None:
                 raise SynthesisError(f"missing stimulus for input {c.name!r}")
-            arr = np.asarray(arr, dtype=np.uint8)
-            if length is None:
-                length = arr.size
-            elif arr.size != length:
-                raise SynthesisError("stimulus arrays must share a length")
-            arrays[c.output] = arr
-        if length is None:
-            length = 1
+            word = values[c.output] = int(word)
+            if not 0 <= word <= full:
+                raise SynthesisError(
+                    f"stimulus for input {c.name!r} exceeds {lanes} lanes"
+                )
         for c in self.dffs():
-            arrays[c.output] = np.zeros(length, dtype=np.uint8)
+            values[c.output] = 0
         for name in self.topo_order():
             c = self.cells[name]
             if c.kind is CellKind.LUT:
-                word = np.zeros(length, dtype=np.int64)
-                for j, net in enumerate(c.inputs):
-                    word |= arrays[net].astype(np.int64) << j
-                arrays[c.output] = c.table.to_array()[word]
-        return arrays
+                values[c.output] = lut_value(
+                    c.table.bits, [values[net] for net in c.inputs], full
+                )
+        return values
 
     # -- serialization --------------------------------------------------------- #
     def to_dict(self) -> dict:

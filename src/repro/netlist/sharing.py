@@ -10,7 +10,9 @@ Truth tables are computed bit-parallel, as Python ints (the ABC style
 of Brayton & Mishchenko, CAV'10).  For a cell whose sorted support
 has ``k`` inputs, input ``j`` is the ``2**k``-bit *projection mask*
 whose bit ``w`` is bit ``j`` of ``w``; each LUT in the cone is a mux
-tree over its table bits selecting on its inputs' masks.  Bit ``w`` of
+tree over its table bits selecting on its inputs' masks
+(:func:`~repro.netlist.logic.projections` and
+:func:`~repro.netlist.logic.lut_value`).  Bit ``w`` of
 the cell's result is then its output under input word ``w``, which is
 exactly the table the ``2**k`` enumeration builds.  The form is
 canonical because it depends only on the function and the sorted
@@ -27,10 +29,9 @@ Outputs feed three consumers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from repro.errors import MappingError, SynthesisError
-from repro.netlist.logic import TruthTable
+from repro.netlist.logic import TruthTable, lut_value, projections
 from repro.netlist.netlist import Cell, CellKind, Netlist
 from repro.netlist.dfg import MultiContextProgram
 
@@ -85,12 +86,12 @@ def _signatures(
             out[cell.name] = None
             continue
         names = tuple(sorted(support))
-        full, projections = _projections(len(names))
+        full, masks = projections(len(names))
         values = tables.get(names)
         if values is None:
-            values = tables[names] = dict(zip(names, projections))
+            values = tables[names] = dict(zip(names, masks))
         for driver in _cone(netlist, cell.output, values):
-            values[driver.output] = _lut_value(
+            values[driver.output] = lut_value(
                 driver.table.bits, [values[net] for net in driver.inputs], full
             )
         out[cell.name] = Signature(names, values[cell.output])
@@ -140,35 +141,6 @@ def _support(
             return None
         support |= inner
     return support
-
-
-@lru_cache(maxsize=32)
-def _projections(k: int) -> tuple[int, tuple[int, ...]]:
-    """All-ones mask and the ``k`` projection masks over ``2**k`` bits.
-
-    Bit ``w`` of projection ``j`` is bit ``j`` of ``w``: runs of
-    ``2**j`` zeros then ``2**j`` ones, repeated."""
-    full = (1 << (1 << k)) - 1
-    masks = []
-    for j in range(k):
-        run = 1 << j
-        # one set bit at the start of every 2*run-bit period
-        starts = full // ((1 << (2 * run)) - 1)
-        masks.append(starts * (((1 << run) - 1) << run))
-    return full, tuple(masks)
-
-
-def _lut_value(bits: int, inputs: list[int], full: int) -> int:
-    """A LUT's output truth table, given its inputs' truth tables: a mux
-    tree over the table bits, input ``j`` selecting at level ``j``."""
-    level = [full if (bits >> w) & 1 else 0 for w in range(1 << len(inputs))]
-    for sel in inputs:
-        low = full ^ sel
-        level = [
-            a if a == b else (a & low) | (b & sel)
-            for a, b in zip(level[::2], level[1::2])
-        ]
-    return level[0]
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 A FlowMap-flavoured cut-based mapper: enumerate small cuts per node in
 topological order, pick per-node best cuts by (depth, leaf count), then
-cover the network from its roots.  Cone truth tables are computed by
-exhaustive simulation over the cut leaves (cuts are ≤ k ≤ 8 inputs, so
-at most 256 rows).
+cover the network from its roots.  A cone's truth table is one walk
+over its cut leaves' projection masks (cuts are ≤ k ≤ 8 inputs, so
+at most 256 lanes).
 
 The result is a pure-LUT :class:`~repro.netlist.netlist.Netlist` whose
 LUTs have at most ``k`` inputs — the form the MCMG-LUT logic blocks and
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import MappingError
-from repro.netlist.logic import TruthTable
+from repro.netlist.logic import TruthTable, lut_value, projections
 from repro.netlist.netlist import Cell, CellKind, Netlist
 
 #: Cap on cuts kept per node (keeps enumeration near-linear).
@@ -149,32 +149,27 @@ def tech_map(netlist: Netlist, k: int = 4, name: str | None = None) -> Netlist:
 
 
 def _cone_table(netlist: Netlist, root: str, leaves: list[str]) -> TruthTable:
-    """Truth table of the cone rooted at ``root`` with the given leaves."""
+    """Truth table of the cone rooted at ``root`` with the given leaves:
+    the cone evaluated once, over every input word as lanes."""
     n = len(leaves)
     if n > 8:
         raise MappingError(f"cone with {n} leaves exceeds simulation limit")
-    bits = 0
-    for word in range(1 << n):
-        values = {leaf: (word >> j) & 1 for j, leaf in enumerate(leaves)}
-        if _eval_cone(netlist, root, values):
-            bits |= 1 << word
-    return TruthTable(n, bits)
+    full, masks = projections(n)
+    values = dict(zip(leaves, masks))
 
-
-def _eval_cone(netlist: Netlist, net: str, values: dict[str, int]) -> int:
-    if net in values:
+    def lanes(net: str) -> int:
+        if net not in values:
+            driver = netlist.driver_cell(net)
+            if driver.kind is not CellKind.LUT:
+                raise MappingError(
+                    f"cone evaluation escaped through non-LUT driver of {net!r}"
+                )
+            values[net] = lut_value(
+                driver.table.bits, [lanes(i) for i in driver.inputs], full
+            )
         return values[net]
-    driver = netlist.driver_cell(net)
-    if driver.kind is not CellKind.LUT:
-        raise MappingError(
-            f"cone evaluation escaped through non-LUT driver of {net!r}"
-        )
-    word = 0
-    for j, in_net in enumerate(driver.inputs):
-        word |= _eval_cone(netlist, in_net, values) << j
-    v = driver.table.evaluate(word)
-    values[net] = v
-    return v
+
+    return TruthTable(n, lanes(root))
 
 
 def mapping_stats(original: Netlist, mapped: Netlist) -> dict[str, float]:

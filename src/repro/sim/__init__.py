@@ -1,14 +1,14 @@
-"""Simulators: levelized and event-driven logic simulation, plus the
-DPGA-style multi-context execution model."""
+"""Simulators: event-driven logic simulation, switching activity and
+the DPGA-style multi-context execution model.  Batched combinational
+evaluation is :meth:`Netlist.evaluate_lanes
+<repro.netlist.netlist.Netlist.evaluate_lanes>`."""
 
 from repro.sim.context_switch import ContextSchedule, MultiContextExecutor
 from repro.sim.events import EventSimulator, Waveform
-from repro.sim.levelized import LevelizedSimulator
 
 __all__ = [
     "ContextSchedule",
     "EventSimulator",
-    "LevelizedSimulator",
     "MultiContextExecutor",
     "Waveform",
 ]

@@ -1,8 +1,8 @@
 """Switching-activity estimation for dynamic-power accounting.
 
-Estimates per-net toggle rates by bit-parallel simulation over random
-(or supplied) stimulus streams: for each net, the fraction of adjacent
-vector pairs on which its value changes.  Feeds the dynamic-logic term
+Estimates per-net toggle rates by lane-word simulation over a random
+stimulus stream: for each net, the fraction of adjacent vector pairs
+on which its value changes.  Feeds the dynamic-logic term
 of :mod:`repro.core.power` and gives the event-driven simulator's
 glitch counts a zero-delay baseline to compare against.
 """
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.netlist.netlist import CellKind, Netlist
-from repro.sim.levelized import LevelizedSimulator
+from repro.netlist.logic import random_lanes
+from repro.netlist.netlist import Netlist
 from repro.utils.rng import ensure_rng
 
 
@@ -45,43 +45,25 @@ def estimate_activity(
     netlist: Netlist,
     n_vectors: int = 1024,
     seed: int | np.random.Generator | None = 0,
-    stimulus: dict[str, np.ndarray] | None = None,
 ) -> ActivityReport:
-    """Toggle rate per net under random (or supplied) stimulus.
+    """Toggle rate per net under ``n_vectors`` random vectors.
 
-    Vectors are packed 64 per word; the toggle count of a net is the
-    popcount of ``v ^ (v >> 1)`` across lanes (with cross-word stitching),
-    so the whole estimate is a handful of NumPy ops per net.
+    Every net's values over the stream are one lane word
+    (:meth:`Netlist.evaluate_lanes
+    <repro.netlist.netlist.Netlist.evaluate_lanes>`); its toggle count
+    is the popcount of ``v ^ (v >> 1)`` over the adjacent lane pairs.
     """
     if n_vectors < 2:
         raise SimulationError("need at least 2 vectors to observe a toggle")
     rng = ensure_rng(seed)
-    sim = LevelizedSimulator(netlist)
-    words = (n_vectors + 63) // 64
-    n_vectors = words * 64  # bit-parallel lanes come in whole words
-    if stimulus is None:
-        stimulus = {
-            c.output: rng.integers(0, 2**63, words, dtype=np.int64).astype(np.uint64)
-            for c in netlist.inputs()
-        }
-    values = sim.run(stimulus)
-
+    stimulus = {c.output: random_lanes(rng, n_vectors) for c in netlist.inputs()}
+    pairs = n_vectors - 1
+    inside = (1 << pairs) - 1
     rates: dict[str, float] = {}
     total = 0.0
-    for net, packed in values.items():
-        toggles = 0
-        prev_last_bit: int | None = None
-        for w in range(packed.size):
-            word = int(packed[w])
-            # transitions inside the word: bit i vs bit i+1
-            inside = (word ^ (word >> 1)) & ((1 << 63) - 1)
-            toggles += bin(inside).count("1")
-            if prev_last_bit is not None:
-                if (word & 1) != prev_last_bit:
-                    toggles += 1
-            prev_last_bit = (word >> 63) & 1
-        pairs = n_vectors - 1
-        rates[net] = toggles / pairs if pairs else 0.0
+    for net, word in netlist.evaluate_lanes(stimulus, n_vectors).items():
+        toggles = ((word ^ (word >> 1)) & inside).bit_count()
+        rates[net] = toggles / pairs
         total += toggles
     return ActivityReport(rates, total, n_vectors)
 

@@ -1,9 +1,10 @@
 """Event-driven logic simulation with per-cell delays.
 
-Complements the levelized simulator: models time, so it can count
-transitions (dynamic-power proxy), observe glitches through unbalanced
-paths, and simulate the *moment* of a context switch — the event where
-a multi-context fabric differs most from a static FPGA.
+Complements zero-delay lane evaluation (:meth:`Netlist.evaluate_lanes
+<repro.netlist.netlist.Netlist.evaluate_lanes>`): models time, so it
+can count transitions (dynamic-power proxy), observe glitches through
+unbalanced paths, and simulate the *moment* of a context switch — the
+event where a multi-context fabric differs most from a static FPGA.
 """
 
 from __future__ import annotations

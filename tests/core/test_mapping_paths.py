@@ -33,7 +33,7 @@ CORPUS_ROOT = os.path.join(os.path.dirname(__file__), "..", "..",
 SRC_PACKAGE = Path(repro.__file__).resolve().parent
 
 #: Module names only the test suite may import.
-ORACLE_MODULES = ("rrg_oracle", "legacy_router")
+ORACLE_MODULES = ("rrg_oracle", "legacy_router", "fabric_oracle")
 #: Identifiers of the object graph and the legacy router.
 ORACLE_NAMES = ("build_rrg", "RoutingResourceGraph", "compile_rrg")
 

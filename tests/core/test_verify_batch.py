@@ -1,10 +1,13 @@
 """Batched fabric verification against the one-vector-at-a-time loop.
 
 ``verify_against_source`` draws every vector in one call and runs the
-device and the netlist batched.  The scalar loop it replaced is kept
-here as the oracle: on clean mappings and on mappings with a planted
-fault (a flipped stored plane bit, two placed cells swapping tiles) both
-must give the same verdict and, when they raise, the same message.
+device and the netlist over them at once, as lane words.  The scalar
+loop it replaced is kept here as the oracle, on the scalar fabric walk
+of ``tests/oracles/fabric_oracle.py`` (the device's own ``evaluate`` is
+now a one-lane call of the walk under test): on clean mappings and on
+mappings with a planted fault (a flipped stored plane bit, two placed
+cells swapping tiles) both must give the same verdict and, when they
+raise, the same message.
 """
 
 import copy
@@ -18,9 +21,10 @@ from repro.arch.params import ArchParams
 from repro.core.fpga import MultiContextFPGA
 from repro.errors import SimulationError
 from repro.netlist.dfg import MultiContextProgram
-from repro.netlist.logic import TruthTable
+from repro.netlist.logic import TruthTable, pack_bits
 from repro.netlist.netlist import CellKind, Netlist
 from repro.place.placer import place_program
+from fabric_oracle import scalar_evaluate
 
 N_VECTORS = (5, 16)
 
@@ -33,7 +37,7 @@ def scalar_verify(device, ctx: int, n_vectors: int, seed: int) -> None:
     for _ in range(n_vectors):
         vec = {n: int(rng.integers(2)) for n in in_names}
         want = netlist.evaluate_outputs(vec)
-        got = device.evaluate(ctx, vec)
+        got = scalar_evaluate(device, ctx, vec)
         if want != got:
             raise SimulationError(
                 f"context {ctx} fabric mismatch on {vec}: "
@@ -139,14 +143,16 @@ def test_planted_faults_same_verdict_and_message(mapped):
 
 
 def test_input_less_netlist_batch_evaluates_once():
+    """One walk fills every lane of a constant."""
     nl = Netlist("const")
     nl.add_lut("k", [], "one", TruthTable(0, 1))
     nl.add_lut("z", [], "zero", TruthTable(0, 0))
     nl.add_output("o", "one")
     nl.add_output("p", "zero")
-    batch = nl.evaluate_batch({})
     assert nl.evaluate_outputs({}) == {"o": 1, "p": 0}
-    assert batch["one"].tolist() == [1] and batch["zero"].tolist() == [0]
+    for lanes in (0, 1, 5, 64, 65):
+        batch = nl.evaluate_lanes({}, lanes)
+        assert batch["one"] == (1 << lanes) - 1 and batch["zero"] == 0
 
 
 def test_verify_on_constant_only_context():
@@ -163,7 +169,7 @@ def test_verify_on_constant_only_context():
     device = MultiContextFPGA(params)
     device.configure_program(prog, place_program(prog, params, seed=0,
                                                  effort=0.2))
-    assert device.evaluate_batch(0, {})["o"].tolist() == [1]
+    assert device.evaluate_lanes(0, {}, 3) == {"o": 0b111}
     assert device.evaluate(0, {}) == {"o": 1}
     for ctx in (0, 1):
         device.verify_against_source(ctx, n_vectors=8)
@@ -202,14 +208,27 @@ def test_a_wrong_index_row_is_caught():
 
 def test_source_side_never_reads_the_index(monkeypatch):
     nl = build_program("adder", 2, 0.05, 0).contexts[0]
-    want = nl.evaluate_batch({c.name: np.ones(4, dtype=np.uint8)
-                              for c in nl.inputs()})
+    stimulus = {c.name: 0b1011 for c in nl.inputs()}
+    want = nl.evaluate_lanes(stimulus, 4)
 
     def refuse(self):
-        raise AssertionError("Netlist.evaluate_batch read the index")
+        raise AssertionError("Netlist.evaluate_lanes read the index")
 
     monkeypatch.setattr(Netlist, "index", refuse)
-    got = nl.evaluate_batch({c.name: np.ones(4, dtype=np.uint8)
-                             for c in nl.inputs()})
-    assert {k: v.tolist() for k, v in got.items()} == {
-        k: v.tolist() for k, v in want.items()}
+    assert nl.evaluate_lanes(stimulus, 4) == want
+
+
+@pytest.mark.parametrize("lanes", [1, 5, 63, 64, 65, 128])
+def test_device_lanes_match_the_scalar_walk(lanes):
+    prog = build_program("adder", 2, 0.05, 0)
+    device = configured(map_program(prog, seed=0, effort=0.3))
+    rng = np.random.default_rng(lanes)
+    for ctx, netlist in enumerate(prog.contexts):
+        names = [c.name for c in netlist.inputs()]
+        draws = rng.integers(2, size=(lanes, len(names)))
+        got = device.evaluate_lanes(
+            ctx, {n: pack_bits(draws[:, i]) for i, n in enumerate(names)},
+            lanes)
+        for lane, row in enumerate(draws.tolist()):
+            want = scalar_evaluate(device, ctx, dict(zip(names, row)))
+            assert {o: (w >> lane) & 1 for o, w in got.items()} == want

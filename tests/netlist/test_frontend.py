@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import MappingError, RequestError, SynthesisError
 from repro.netlist import Netlist
+from repro.netlist.logic import random_lanes
 from repro.netlist.frontend import (
     arch_for,
     decompose_wide,
@@ -76,14 +77,13 @@ def _same_function(a: Netlist, b: Netlist, seed=0, n=64) -> bool:
     POs ``po_<net>``).
     """
     rng = np.random.default_rng(seed)
-    stim = {c.output: rng.integers(0, 2, n, dtype=np.uint8)
-            for c in a.inputs()}
-    va = a.evaluate_batch(stim)
-    vb = b.evaluate_batch(stim)
+    stim = {c.output: random_lanes(rng, n) for c in a.inputs()}
+    va = a.evaluate_lanes(stim, n)
+    vb = b.evaluate_lanes(stim, n)
     nets_a = sorted(c.inputs[0] for c in a.outputs())
     nets_b = sorted(c.inputs[0] for c in b.outputs())
     assert nets_a == nets_b
-    return all((va[net] == vb[net]).all() for net in nets_a)
+    return all(va[net] == vb[net] for net in nets_a)
 
 
 class TestBlifImport:

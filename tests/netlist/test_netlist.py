@@ -1,6 +1,5 @@
 """Tests for the netlist container."""
 
-import numpy as np
 import pytest
 
 from repro.errors import SynthesisError
@@ -75,14 +74,11 @@ class TestEvaluation:
 
     def test_evaluate_batch_matches_scalar(self):
         n = small()
-        stim = {
-            "a": np.array([0, 0, 1, 1], dtype=np.uint8),
-            "b": np.array([0, 1, 0, 1], dtype=np.uint8),
-        }
-        batch = n.evaluate_batch(stim)
+        stim = {"a": 0b1100, "b": 0b1010}
+        batch = n.evaluate_lanes(stim, 4)
         for i in range(4):
-            scalar = n.evaluate({"a": int(stim["a"][i]), "b": int(stim["b"][i])})
-            assert batch["w2"][i] == scalar["w2"]
+            scalar = n.evaluate({k: (v >> i) & 1 for k, v in stim.items()})
+            assert {k: (v >> i) & 1 for k, v in batch.items()} == scalar
 
 
 class TestQueries:

@@ -46,6 +46,17 @@ class TestRates:
         b = estimate_activity(n, n_vectors=256, seed=7)
         assert a.rates == b.rates
 
+    @pytest.mark.parametrize("n_vectors", [2, 64, 100])
+    def test_counts_the_vectors_drawn(self, n_vectors):
+        n = synthesize(["a"], {"o": "~a"})
+        rep = estimate_activity(n, n_vectors=n_vectors, seed=9)
+        assert rep.vectors == n_vectors
+        # ~a toggles exactly when a does, over n_vectors - 1 pairs
+        assert rep.rate("a") * (n_vectors - 1) == pytest.approx(
+            round(rep.rate("a") * (n_vectors - 1)))
+        out = n.outputs()[0].inputs[0]
+        assert rep.rate(out) == rep.rate("a")
+
     def test_needs_two_vectors(self):
         with pytest.raises(SimulationError):
             estimate_activity(ripple_adder(1), n_vectors=1)

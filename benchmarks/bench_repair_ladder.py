@@ -161,7 +161,7 @@ def _campaign_rows(backend: str, rates, trials) -> list[dict]:
     netlist = random_dag(n_gates=20, seed=7)
     base = ArchParams(cols=6, rows=6, channel_width=8, io_capacity=6)
     workers = 2 if backend != "sequential" else None
-    points = YieldRunner(backend=backend, workers=workers).run_campaign(
+    points = YieldRunner(backend=backend, workers=workers).iter_campaign(
         netlist, "dag", base, rates, trials, seed=1, effort=0.2,
     )
     return [pt.to_dict() for pt in points]

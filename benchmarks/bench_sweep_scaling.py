@@ -104,7 +104,8 @@ def _compiled_sweep(netlist, base, widths, backend: str) -> list[tuple]:
     runner = SweepRunner(backend=backend, workers=workers)
     jobs = channel_width_jobs(netlist, base, widths, seed=SEED, effort=EFFORT)
     return [
-        (int(pt.value), pt.routed, pt.wirelength) for pt in runner.run(jobs)
+        (int(pt.value), pt.routed, pt.wirelength)
+        for pt in runner.iter_run(jobs)
     ]
 
 
@@ -129,7 +130,7 @@ def _measure(base: ArchParams, widths, n_gates: int) -> dict:
         t0 = time.perf_counter()
         seq += [
             (int(pt.value), pt.routed, pt.wirelength)
-            for pt in runner.run(jobs)
+            for pt in runner.iter_run(jobs)
         ]
         t_seq += time.perf_counter() - t0
 

@@ -82,7 +82,7 @@ def _campaign(netlist, base, rates, trials, backend: str):
     runner = YieldRunner(
         backend=backend, workers=WORKERS if backend != "sequential" else None
     )
-    points = runner.run_campaign(
+    points = runner.iter_campaign(
         netlist, "random", base, rates, trials, seed=SEED, effort=EFFORT
     )
     return [pt.to_dict() for pt in points]

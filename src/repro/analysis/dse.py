@@ -69,7 +69,8 @@ def _try_route(
     """Evaluate one architecture point on the compiled engine."""
     runner = runner if runner is not None else SweepRunner()
     job = SweepJob("point", 0.0, params, netlist, seed, effort)
-    return _as_route_point(runner.run([job])[0])
+    (pt,) = runner.iter_run([job])
+    return _as_route_point(pt)
 
 
 def minimum_channel_width(
@@ -95,7 +96,8 @@ def minimum_channel_width(
         jobs = channel_width_jobs(
             netlist, base, [width], seed=seed, effort=effort
         )
-        return runner.run(jobs)[0].routed
+        (pt,) = runner.iter_run(jobs)
+        return pt.routed
 
     if not routed(hi):
         raise RoutingError(f"unroutable even at W={hi}")
@@ -122,7 +124,7 @@ def explore_double_fraction(
     jobs = double_fraction_jobs(netlist, base, fractions, seed=seed, effort=effort)
     return [
         (f, _as_route_point(pt))
-        for f, pt in zip(fractions, runner.run(jobs))
+        for f, pt in zip(fractions, runner.iter_run(jobs))
     ]
 
 
@@ -140,5 +142,5 @@ def explore_fc(
     jobs = fc_jobs(netlist, base, fcs, seed=seed, effort=effort)
     return [
         (fc, _as_route_point(pt))
-        for fc, pt in zip(fcs, runner.run(jobs))
+        for fc, pt in zip(fcs, runner.iter_run(jobs))
     ]

@@ -35,6 +35,7 @@ from repro.netlist.dfg import MultiContextProgram
 from repro.netlist.sharing import pack_global, pack_local
 from repro.place.placer import Placement, place_program
 from repro.route.pathfinder import RouteResult, route_program_compiled
+from repro.utils.telemetry import span
 
 
 @dataclass
@@ -91,18 +92,22 @@ def map_program(
     equal ``params`` share one compiled routing substrate
     (:func:`~repro.arch.compiled.compiled_rrg_for`); an explicit
     ``rrg`` bypasses the cache.  ``route_workers`` routes share-unaware
-    contexts in parallel on threads.
+    contexts in parallel on threads.  Placement and routing are traced
+    as ``map.place`` and ``map.route`` on whichever collector is bound.
     """
     if params is None:
         params = _fit_params(program)
     compiled = compiled_rrg_for(params) if rrg is None else rrg
-    placements = place_program(
-        program, params, seed=seed, share_aware=share_aware, effort=effort
-    )
-    routes = route_program_compiled(
-        compiled, program, placements,
-        share_aware=share_aware, workers=route_workers,
-    )
+    with span("map.place"):
+        placements = place_program(
+            program, params, seed=seed, share_aware=share_aware,
+            effort=effort,
+        )
+    with span("map.route"):
+        routes = route_program_compiled(
+            compiled, program, placements,
+            share_aware=share_aware, workers=route_workers,
+        )
     return MappedProgram(
         program, params, placements, routes, compiled, share_aware
     )

@@ -38,7 +38,13 @@ parallel backends to ``os.cpu_count()``.
 :meth:`SweepRunner.iter_items` is the one pool loop: sweep points,
 the reliability layer's yield trials and the api ``Session``'s batch
 maps all fan out through it, so every backend keeps one set of
-ordering and cancellation semantics.
+ordering and cancellation semantics.  It is also the one place that
+collects per-item telemetry: given a run id it runs each item under a
+fresh :class:`~repro.utils.telemetry.Telemetry` inside the worker and
+yields ``(result, snapshot)`` pairs, so spans and counters survive the
+process backend without any work item carrying an instrumentation
+field.  :meth:`SweepRunner.iter_run` is the streaming grid entry;
+``list(...)`` over it is the blocking form.
 
 Two sweep-level optimisations keep grids cheap without changing any
 verdict: the runner caches *placements* across points that share a
@@ -94,12 +100,6 @@ class SweepJob:
     seed: int = 0
     effort: float = 0.3
     max_iterations: int = POINT_MAX_ITERATIONS
-    #: run/trace id when telemetry or a profile is on (``None`` =
-    #: off) — the job's only instrumentation field.  Workers bind a
-    #: :class:`~repro.utils.telemetry.Telemetry` collector per point
-    #: and ship its snapshot back inside the row — the channel that
-    #: makes spans/counters survive the process backend.
-    telemetry: str | None = None
 
 
 @dataclass
@@ -117,7 +117,7 @@ class SweepPoint:
     #: profile — wall-clock, so omitted from serialization when off
     profile: dict | None = None
     #: telemetry snapshot (spans + counter deltas); ``None`` unless
-    #: the job carried a run id — omitted from serialization so
+    #: the grid ran under a run id — omitted from serialization so
     #: telemetry never perturbs row bit-identity
     metrics: dict | None = None
 
@@ -203,30 +203,24 @@ def evaluate_point(
     extracts the structured outcome.
     An unroutable point is a *result* (``routed=False``), not an error.
     The substrate lookup (and the build, on a cache miss) is traced as
-    ``point.substrate``.
+    ``point.substrate`` on whichever collector is bound.
     """
-    tel = Telemetry(job.telemetry) if job.telemetry else None
-    with collecting(tel):
-        with span("point.substrate"):
-            c = compiled_rrg_for(job.params)
-        if placement is None:
-            with span("point.place"):
-                placement = place(
-                    job.netlist, job.params, seed=job.seed, effort=job.effort
-                )
-        try:
-            with span("point.route"):
-                rr = route_context_compiled(
-                    c, job.netlist, placement,
-                    max_iterations=job.max_iterations,
-                )
-        except RoutingError:
-            return SweepPoint(
-                job.axis, job.value, False,
-                metrics=tel.snapshot() if tel is not None else None,
+    with span("point.substrate"):
+        c = compiled_rrg_for(job.params)
+    if placement is None:
+        with span("point.place"):
+            placement = place(
+                job.netlist, job.params, seed=job.seed, effort=job.effort
             )
-        with span("point.timing"):
-            cp = critical_path(c, job.netlist, rr, placement)
+    try:
+        with span("point.route"):
+            rr = route_context_compiled(
+                c, job.netlist, placement, max_iterations=job.max_iterations,
+            )
+    except RoutingError:
+        return SweepPoint(job.axis, job.value, False)
+    with span("point.timing"):
+        cp = critical_path(c, job.netlist, rr, placement)
     return SweepPoint(
         job.axis,
         job.value,
@@ -234,7 +228,6 @@ def evaluate_point(
         wirelength=rr.wirelength(c),
         critical_path=cp,
         iterations=rr.iterations,
-        metrics=tel.snapshot() if tel is not None else None,
     )
 
 
@@ -270,11 +263,26 @@ def _evaluate_shipped(pair: tuple[SweepJob, Placement]) -> SweepPoint:
     return evaluate_point(job, placement)
 
 
+def run_item(fn, item, run_id: str | None):
+    """``(fn(item), snapshot)``: under a fresh collector when ``run_id``
+    is set, else with none bound (an ambient one the caller bound keeps
+    receiving on the sequential backend) and ``snapshot=None``.
+
+    The pool loop's step for each item; the Session runs its
+    single-shot requests and its batch rows' checks through it too."""
+    if run_id is None:
+        return fn(item), None
+    tel = Telemetry(run_id)
+    with collecting(tel):
+        result = fn(item)
+    return result, tel.snapshot()
+
+
 class SweepRunner:
     """Executes sweep grids on the shared compiled substrates.
 
     See the module docstring for backend and pool selection.  The
-    placement cache lives on the runner, so successive :meth:`run`
+    placement cache lives on the runner, so successive :meth:`iter_run`
     calls (a bisection probing one width at a time, say) keep sharing
     placements; use a fresh runner to drop them.
     """
@@ -315,35 +323,38 @@ class SweepRunner:
         n = self.workers if self.workers is not None else (os.cpu_count() or 1)
         return 1 if self.backend == "sequential" else min(n, n_items)
 
-    def iter_items(self, fn, items: Sequence) -> SizedIterator:
-        """Execute ``fn`` over ``items``, yielding results incrementally.
+    def iter_items(self, fn, items: Sequence,
+                   run_id: str | None = None) -> SizedIterator:
+        """Execute ``fn`` over ``items``, yielding ``(result, snapshot)``
+        pairs incrementally.
 
-        The one pool loop: sweep points, yield trials and batch maps
-        all run through it.  Results keep the order of ``items`` on
-        every backend: parallel backends submit the whole grid up front
-        and yield each result as soon as it (and everything before it)
-        is done, so streaming consumers see the same rows as a
-        sequential run — bit-identical, just earlier.  A failing item
-        raises its error when its slot is reached.  ``fn`` must be a
-        picklable top-level callable for the process backend.  The
-        returned iterator is a :class:`~repro.utils.iters.SizedIterator`
-        — ``len()`` is the total row count, available before any work
-        runs.
+        The one pool loop (see the module docstring).  ``snapshot`` is
+        the item's telemetry leaf block, collected inside its worker,
+        when a ``run_id`` is given, else ``None``.  Results keep the
+        order of ``items`` on every backend: parallel backends submit
+        the whole grid up front and yield each result as soon as it
+        (and everything before it) is done, so streaming consumers see
+        the same rows as a sequential run — bit-identical, just
+        earlier.  A failing item raises its error when its slot is
+        reached.  ``fn`` must be a picklable top-level callable for the
+        process backend.  The returned iterator is a
+        :class:`~repro.utils.iters.SizedIterator` — ``len()`` is the
+        total row count, available before any work runs.
         """
         items = list(items)
-        return SizedIterator(self._iter_items(fn, items), len(items))
+        return SizedIterator(self._iter_items(fn, items, run_id), len(items))
 
-    def _iter_items(self, fn, items: list):
+    def _iter_items(self, fn, items: list, run_id: str | None):
         if not items:
             return
         n = self.pool_width(len(items))
         if n <= 1:
             for it in items:
-                yield fn(it)
+                yield run_item(fn, it, run_id)
             return
         pool = _pool(self.backend, n)
         try:
-            futures = [pool.submit(fn, it) for it in items]
+            futures = [pool.submit(run_item, fn, it, run_id) for it in items]
             for f in futures:
                 yield f.result()
         finally:
@@ -352,25 +363,25 @@ class SweepRunner:
             # of the `with` block's shutdown(wait=True)
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def iter_run(self, jobs: Sequence[SweepJob]) -> SizedIterator:
+    def iter_run(self, jobs: Sequence[SweepJob],
+                 run_id: str | None = None) -> SizedIterator:
         """Evaluate every job, yielding each :class:`SweepPoint` as it
-        completes (in job order) — the streaming form of :meth:`run`.
-        Sized: ``len()`` is the grid size."""
+        completes (in job order).  Under a ``run_id`` each point's
+        ``metrics`` is its telemetry snapshot.  Sized: ``len()`` is the
+        grid size."""
         jobs = list(jobs)
-        return SizedIterator(self._iter_run(jobs), len(jobs))
+        return SizedIterator(self._iter_run(jobs, run_id), len(jobs))
 
-    def _iter_run(self, jobs: list):
+    def _iter_run(self, jobs: list, run_id: str | None):
         if not jobs:
             return
         # placements are computed (and deduplicated) up front in the
         # parent: points differing only in routing resources share one
         # anneal, and worker processes receive ready placements
         pairs = [(job, self.placement_for(job)) for job in jobs]
-        yield from self.iter_items(_evaluate_shipped, pairs)
-
-    def run(self, jobs: Sequence[SweepJob]) -> list[SweepPoint]:
-        """Evaluate every job; results keep the order of ``jobs``."""
-        return list(self.iter_run(jobs))
+        for pt, snapshot in self.iter_items(_evaluate_shipped, pairs, run_id):
+            pt.metrics = snapshot
+            yield pt
 
 
 # ------------------------------------------------------------------------- #

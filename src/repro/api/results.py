@@ -48,6 +48,10 @@ class _Result:
             if not f.compare:
                 continue
             v = getattr(self, f.name)
+            if f.name == "metrics" and v is None:
+                # only under ExecutionConfig.telemetry: payloads stay
+                # byte-identical (and goldens hold) with telemetry off
+                continue
             if isinstance(v, tuple):
                 v = list(v)
             payload[f.name] = v
@@ -87,6 +91,8 @@ class MapResult(_Result):
     reuse_fraction: float
     switch_change_rate: float
     class_fractions: dict
+    #: merged telemetry block; ``None`` unless telemetry was on
+    metrics: dict | None = None
     #: the full in-memory experiment (mapped program + stats) for table
     #: renderers and downstream stages; never serialized.
     experiment: object | None = field(default=None, compare=False,
@@ -279,6 +285,8 @@ class ReorderResult(_Result):
     cost_after: int
     saving: float
     schedule: tuple[int, ...]
+    #: merged telemetry block; ``None`` unless telemetry was on
+    metrics: dict | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schedule", tuple(self.schedule))
@@ -350,6 +358,8 @@ class ImportResult(_Result):
     critical_path: float
     route_iterations: tuple[int, ...]
     reuse_fraction: float
+    #: merged telemetry block; ``None`` unless telemetry was on
+    metrics: dict | None = None
     #: the full in-memory mapped program, for downstream consumers;
     #: never serialized.
     mapped: object | None = field(default=None, compare=False,

@@ -42,6 +42,7 @@ from repro.analysis.sweep import (
     channel_width_jobs,
     double_fraction_jobs,
     fc_jobs,
+    run_item,
     sweep_change_rate_points,
     sweep_contexts_points,
 )
@@ -78,6 +79,7 @@ from repro.utils.telemetry import (
     merge_metrics,
     new_run_id,
     phase_totals,
+    span,
 )
 
 #: Historical per-flow effort defaults (``ExecutionConfig.effort=None``).
@@ -93,28 +95,44 @@ _JOB_BUILDERS = {
 
 def _single(compute):
     """The stream handler of a single-shot request: ``compute`` its one
-    result and yield it."""
+    result, under one collector when the request has a run id, and
+    yield it."""
 
-    def handler(session, req):
-        yield compute(session, req)
+    def handler(session, req, run_id):
+        result, snapshot = run_item(
+            lambda r: compute(session, r), req, run_id)
+        yield _fold_metrics(result, merge_metrics([snapshot]))
 
     return handler
 
 
-def _fold_metrics(pt, profile: bool, telemetry: bool) -> None:
-    """Turn a streamed row's telemetry snapshot into what the request
-    asked for: a ``profile`` table of its spans when profiling, and
-    the raw ``metrics`` block (its counters merged into
+def _fold_metrics(row, block, profile: bool = False,
+                  telemetry: bool = True):
+    """``row`` with its telemetry ``block`` turned into what the
+    request asked for: a ``profile`` table of its spans when
+    profiling, and the ``metrics`` block (its counters merged into
     :data:`GLOBAL`, so ``/v1/metrics`` sums across workers) only when
-    telemetry is on."""
-    if pt.metrics is None:
-        return
+    telemetry is on.  ``row`` itself when there is no block."""
+    if block is None:
+        return row
+    changes = {"metrics": block if telemetry else None}
     if profile:
-        pt.profile = phase_totals(pt.metrics)
+        changes["profile"] = phase_totals(block)
     if telemetry:
-        GLOBAL.merge_counters(pt.metrics.get("counters"))
-    else:
-        pt.metrics = None
+        GLOBAL.merge_counters(block.get("counters"))
+    return replace(row, **changes)
+
+
+def _checked(mapped, seed: int, verify: bool):
+    """``(stats, verified)`` of one mapping, traced as ``map.stats``
+    and ``map.verify``."""
+    with span("map.stats"):
+        stats = mapped.stats()
+    verified = False
+    if verify:
+        with span("map.verify"):
+            verified = verify_mapped(mapped, seed=seed)
+    return stats, verified
 
 
 class Session:
@@ -214,13 +232,20 @@ class Session:
         workload; single-shot requests (map, area, reorder, import)
         yield their one result.  Rows arrive in request order and are
         what :meth:`run` folds into its result.
+
+        A request with ``execution.telemetry`` (or a ``profile``) gets
+        one run id, and every row it yields carries the telemetry
+        block of the work behind it.
         """
         handler = self._STREAM.get(type(request))
         if handler is None:
             raise RequestError(
                 f"unsupported request type {type(request).__name__}"
             )
-        return handler(self, request)
+        cfg = getattr(request, "execution", None)
+        traced = (cfg is not None and cfg.telemetry) \
+            or getattr(request, "profile", False)
+        return handler(self, request, new_run_id() if traced else None)
 
     # -- map / batch -------------------------------------------------------- #
     def _map(self, req: MapRequest) -> MapResult:
@@ -232,18 +257,17 @@ class Session:
             effort=cfg.effort_or(MAP_EFFORT),
             route_workers=cfg.route_workers,
         )
-        stats = mapped.stats()
-        verified = (
-            verify_mapped(mapped, seed=cfg.seed) if req.verify else False
-        )
+        stats, verified = _checked(mapped, cfg.seed, req.verify)
         experiment = ExperimentResult(program.name, mapped, stats, verified)
         return MapResult.from_experiment(req.workload, experiment)
 
-    def _stream_batch(self, req: BatchRequest):
+    def _stream_batch(self, req: BatchRequest, run_id):
         # every backend rides the sweep runner's pool loop: the whole
         # batch is submitted up front and rows are yielded as they
         # complete, in request order; each (params, placements, routes)
-        # result is re-bound to this process's cached substrate
+        # result is re-bound to this process's cached substrate, and
+        # each row's block merges its pool item's snapshot with the
+        # parent-side stats/verify spans
         cfg = req.execution
         programs = [
             self.program(w, req.contexts, req.mutation, cfg.seed)
@@ -254,38 +278,34 @@ class Session:
              cfg.route_workers)
             for program in programs
         ]
-        mapped = self.sweep_runner(cfg).iter_items(map_job, items)
-        for w, program, (params, placements, routes) in zip(
+        mapped = self.sweep_runner(cfg).iter_items(map_job, items, run_id)
+        for w, program, ((params, placements, routes), snapshot) in zip(
             req.workloads, programs, mapped
         ):
             m = MappedProgram(program, params, placements, routes,
                               compiled_rrg_for(params), req.share_aware)
-            verified = (
-                verify_mapped(m, seed=cfg.seed) if req.verify else False
-            )
-            experiment = ExperimentResult(program.name, m, m.stats(),
-                                          verified)
-            yield MapResult.from_experiment(w, experiment)
+            (stats, verified), checked = run_item(
+                lambda m: _checked(m, cfg.seed, req.verify), m, run_id)
+            experiment = ExperimentResult(program.name, m, stats, verified)
+            row = MapResult.from_experiment(w, experiment)
+            yield _fold_metrics(row, merge_metrics([snapshot, checked]))
 
     # -- sweep -------------------------------------------------------------- #
     def _sweep_result(self, req: SweepRequest, points) -> SweepResult:
         if req.analytic:
             return SweepResult(sweep=req.what, workload=None, grid=None,
                                backend="sequential", points=tuple(points))
-        metrics = None
-        if req.execution.telemetry:
-            # result-level roll-up: counter sums + one span track per
-            # worker pid, merged from the per-point snapshots
-            metrics = merge_metrics(
-                getattr(pt, "metrics", None) for pt in points
-            )
+        # result-level roll-up: counter sums + one span track per
+        # worker pid, merged from the rows' blocks (``None`` unless
+        # telemetry was on)
         return SweepResult(
             sweep=req.what, workload=req.workload,
             grid=(req.grid, req.grid), backend=req.execution.backend,
-            points=tuple(points), metrics=metrics,
+            points=tuple(points),
+            metrics=merge_metrics(pt.metrics for pt in points),
         )
 
-    def _stream_sweep(self, req: SweepRequest):
+    def _stream_sweep(self, req: SweepRequest, run_id):
         values = req.resolved_values()
         if req.analytic:
             if req.what == "change-rate":
@@ -303,29 +323,19 @@ class Session:
             netlist, base, values, seed=cfg.seed,
             effort=cfg.effort_or(POINT_EFFORT),
         )
-        if cfg.telemetry or req.profile:
-            run_id = new_run_id()
-            jobs = [replace(job, telemetry=run_id) for job in jobs]
-        runner = self.sweep_runner(cfg)
-        for pt in runner.iter_run(jobs):
-            _fold_metrics(pt, req.profile, cfg.telemetry)
-            yield pt
+        for pt in self.sweep_runner(cfg).iter_run(jobs, run_id):
+            yield _fold_metrics(pt, pt.metrics, req.profile, cfg.telemetry)
 
     # -- yield -------------------------------------------------------------- #
     def _yield_result(self, req: YieldRequest, points) -> YieldResult:
-        metrics = None
-        if req.execution.telemetry:
-            metrics = merge_metrics(
-                getattr(pt, "metrics", None) for pt in points
-            )
         return YieldResult(
             campaign=req.campaign, workload=req.workload,
             grid=(req.grid, req.grid), model=req.model, trials=req.trials,
             backend=req.execution.backend, points=tuple(points),
-            metrics=metrics,
+            metrics=merge_metrics(pt.metrics for pt in points),
         )
 
-    def _stream_yield(self, req: YieldRequest):
+    def _stream_yield(self, req: YieldRequest, run_id):
         cfg = req.execution
         netlist = self.circuit(req.workload)
         base = ArchParams(
@@ -333,23 +343,23 @@ class Session:
             io_capacity=4,
         )
         runner = self.yield_runner(cfg)
-        effort = cfg.effort_or(POINT_EFFORT)
-        run_id = new_run_id() if cfg.telemetry or req.profile else None
-        if req.spares is not None:
-            points = runner.iter_spare_width_curve(
-                netlist, req.workload, base, list(req.spares), req.rates[0],
-                req.trials, model=req.model, seed=cfg.seed, effort=effort,
-                telemetry=run_id,
-            )
-        else:
-            points = runner.iter_campaign(
-                netlist, req.workload, base, list(req.rates), req.trials,
-                model=req.model, seed=cfg.seed, effort=effort,
-                telemetry=run_id,
-            )
-        for pt in points:
-            _fold_metrics(pt, req.profile, cfg.telemetry)
-            yield pt
+        # a spare-width curve is one single-rate campaign per widened
+        # channel width; all of them share one placement (the placer
+        # never sees channel width)
+        campaigns = [(base, list(req.rates), 0)] if req.spares is None else [
+            (base.with_(channel_width=base.channel_width + spare),
+             [req.rates[0]], spare)
+            for spare in req.spares
+        ]
+        for params, rates, spare in campaigns:
+            for pt in runner.iter_campaign(
+                netlist, req.workload, params, rates, req.trials,
+                model=req.model, seed=cfg.seed,
+                effort=cfg.effort_or(POINT_EFFORT), spare_tracks=spare,
+                run_id=run_id,
+            ):
+                yield _fold_metrics(pt, pt.metrics, req.profile,
+                                    cfg.telemetry)
 
     # -- area / reorder ----------------------------------------------------- #
     def _area(self, req: AreaRequest) -> AreaResult:
@@ -403,7 +413,8 @@ class Session:
             program, seed=cfg.seed, effort=cfg.effort_or(MAP_EFFORT),
             route_workers=cfg.route_workers,
         )
-        masks = list(mapped.stats().switch.used.values())
+        with span("map.stats"):
+            masks = list(mapped.stats().switch.used.values())
         result = optimize_context_order(masks, req.contexts)
         return ReorderResult(
             workload=req.workload, contexts=req.contexts,
@@ -428,9 +439,10 @@ class Session:
             seed=cfg.seed, effort=cfg.effort_or(MAP_EFFORT),
             route_workers=cfg.route_workers,
         )
-        verified = (
-            verify_mapped(mapped, seed=cfg.seed) if req.verify else False
-        )
+        verified = False
+        if req.verify:
+            with span("map.verify"):
+                verified = verify_mapped(mapped, seed=cfg.seed)
         return ImportResult.from_mapped(program.name, metas, mapped,
                                         verified)
 

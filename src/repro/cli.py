@@ -735,8 +735,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     doc["execution"] = exec_doc
     spec = ExperimentSpec.from_dict(doc)
     result = _session().run_spec(spec)
-    blocks = [m for m in (getattr(sr, "metrics", None)
-                          for sr in result.stages) if m]
+    # a batch stage's blocks ride on its rows; every other stage
+    # carries one block of its own
+    blocks = [m for m in (getattr(r, "metrics", None)
+                          for sr in result.stages
+                          for r in getattr(sr, "results", (sr,))) if m]
     trace = chrome_trace(blocks)
     with open(args.output, "w") as fh:
         json.dump(trace, fh)

@@ -29,6 +29,7 @@ from repro.core.decoder_synth import DecoderBank
 from repro.core.fpga import MultiContextFPGA
 from repro.core.patterns import ContextPattern
 from repro.errors import SimulationError
+from repro.netlist.logic import pack_bits
 from repro.utils.rng import ensure_rng
 
 
@@ -157,6 +158,19 @@ class SoftErrorReport:
         }
 
 
+def _upset_visible(device: MultiContextFPGA, ctx: int,
+                   rng: np.random.Generator, n_vectors: int) -> bool:
+    """Whether some of ``n_vectors`` random vectors sees a primary
+    output of context ``ctx`` differ from its source netlist."""
+    netlist = device._program.contexts[ctx]
+    names = [c.name for c in netlist.inputs()]
+    draws = rng.integers(2, size=(n_vectors, len(names)))
+    stimulus = {n: pack_bits(draws[:, i]) for i, n in enumerate(names)}
+    want = netlist.evaluate_lanes(stimulus, n_vectors)
+    got = device.evaluate_lanes(ctx, stimulus, n_vectors)
+    return any(got[c.name] != want[c.inputs[0]] for c in netlist.outputs())
+
+
 def inject_soft_errors(
     device: MultiContextFPGA,
     n_upsets: int = 8,
@@ -168,8 +182,11 @@ def inject_soft_errors(
     ``detected_by_readback`` counts upsets visible by comparing plane
     memory against a pre-fault snapshot (always all of them — readback
     is exact); ``functionally_visible`` counts upsets that change at
-    least one primary output over random vectors in the context whose
-    plane was hit.  The gap between the two is the silent-corruption
+    least one primary output over ``n_vectors`` random vectors in the
+    context whose plane was hit.  Each upset draws its vectors in one
+    call and checks them in one lane-word evaluation per side, as
+    :meth:`~repro.core.fpga.MultiContextFPGA.verify_against_source`
+    does.  The gap between the two counts is the silent-corruption
     window that FeRAM's upset immunity closes.
     The device is restored afterwards.
     """
@@ -205,16 +222,8 @@ def inject_soft_errors(
             if not np.array_equal(lb.lut.memory, snapshot[coord]):
                 detected += 1
             # functional visibility
-            netlist = device._program.contexts[ctx] if ctx in device.contexts else None
-            visible = False
-            if netlist is not None:
-                names = [c.name for c in netlist.inputs()]
-                for _ in range(n_vectors):
-                    vec = {n: int(rng.integers(2)) for n in names}
-                    if device.evaluate(ctx, vec) != netlist.evaluate_outputs(vec):
-                        visible = True
-                        break
-            if visible:
+            if ctx in device.contexts and _upset_visible(
+                    device, ctx, rng, n_vectors):
                 functional += 1
             # restore this upset before the next
             lb.lut.memory[:] = snapshot[coord]

@@ -18,6 +18,13 @@ job, each die is sampled inside the trial that repairs it, and
 worker-side substrates are pure functions of ``ArchParams`` through
 the ``flat_rrg_for`` cache — so a campaign's :class:`YieldPoint` rows
 are bit-identical whichever backend ran them.
+
+:meth:`YieldRunner.iter_campaign` is the one entry: it streams one row
+per rate (``list(...)`` is the blocking form), and a spare-width curve
+is one campaign per widened channel width.  Telemetry rides the same
+pool loop: given a run id, the loop collects each trial's spans and
+counters inside its worker, and each row's ``metrics`` merges its
+trials' snapshots; trial jobs and results carry no instrumentation.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.utils.iters import SizedIterator
-from repro.utils.telemetry import Telemetry, collecting, merge_metrics, span
+from repro.utils.telemetry import merge_metrics, span
 
 from repro.arch.compiled import flat_rrg_for
 from repro.arch.params import ArchParams
@@ -80,10 +87,6 @@ class YieldTrialJob:
     max_iterations: int = POINT_MAX_ITERATIONS
     cluster_radius: int = CLUSTER_RADIUS
     cluster_size: int = CLUSTER_SIZE
-    #: run/trace id when telemetry or a profile is on (``None`` =
-    #: off) — the job's only instrumentation field; the trial's span
-    #: buffer and counter deltas ride back in the result
-    telemetry: str | None = None
 
 
 @dataclass
@@ -94,15 +97,12 @@ class TrialResult:
     outcome: RepairOutcome
     wirelength_overhead: float = 0.0
     critical_path_overhead: float = 0.0
-    metrics: dict | None = None
 
     def to_dict(self) -> dict:
         d = self.outcome.to_dict()
         d["trial"] = self.trial
         d["wirelength_overhead"] = self.wirelength_overhead
         d["critical_path_overhead"] = self.critical_path_overhead
-        if self.metrics is not None:
-            d["metrics"] = self.metrics
         return d
 
 
@@ -114,25 +114,19 @@ def evaluate_trial(job: YieldTrialJob, golden: GoldenMapping) -> TrialResult:
     build), and the defect sample depends only on the job's seed.
     """
     c = flat_rrg_for(job.params)
-    tel = Telemetry(job.telemetry) if job.telemetry else None
-    with collecting(tel):
-        with span("trial.sample"):
-            dm = DefectMap.sample(
-                c, job.defect_rate, seed=job.defect_seed, model=job.model,
-                cluster_radius=job.cluster_radius,
-                cluster_size=job.cluster_size,
-            )
-        with span("trial.repair"):
-            outcome = repair_mapping(
-                c, job.netlist, golden, dm,
-                seed=job.seed, effort=job.effort,
-                max_iterations=job.max_iterations,
-            )
-        wl, cp = outcome.overheads(golden)
-    return TrialResult(
-        job.trial, outcome, wl, cp,
-        metrics=tel.snapshot() if tel is not None else None,
-    )
+    with span("trial.sample"):
+        dm = DefectMap.sample(
+            c, job.defect_rate, seed=job.defect_seed, model=job.model,
+            cluster_radius=job.cluster_radius, cluster_size=job.cluster_size,
+        )
+    with span("trial.repair"):
+        outcome = repair_mapping(
+            c, job.netlist, golden, dm,
+            seed=job.seed, effort=job.effort,
+            max_iterations=job.max_iterations,
+        )
+    wl, cp = outcome.overheads(golden)
+    return TrialResult(job.trial, outcome, wl, cp)
 
 
 def _evaluate_trial_item(item: tuple[YieldTrialJob, GoldenMapping]) -> TrialResult:
@@ -218,8 +212,10 @@ def _aggregate(
     params: ArchParams,
     results: Sequence[TrialResult],
     spare_tracks: int = 0,
+    snapshots: Sequence[dict | None] = (),
 ) -> YieldPoint:
-    """Fold N trial results into one :class:`YieldPoint` row."""
+    """Fold N trial results (and their telemetry snapshots, if any)
+    into one :class:`YieldPoint` row."""
     n = len(results)
     histogram = {level.name.lower(): 0 for level in RepairLevel}
     routed = 0
@@ -244,7 +240,7 @@ def _aggregate(
         mean_critical_path_overhead=cp / routed if routed else 0.0,
         spare_tracks=spare_tracks,
         golden_routed=True,
-        metrics=merge_metrics(tr.metrics for tr in results),
+        metrics=merge_metrics(snapshots),
     )
 
 
@@ -335,16 +331,20 @@ class YieldRunner:
         cluster_radius: int = CLUSTER_RADIUS,
         cluster_size: int = CLUSTER_SIZE,
         spare_tracks: int = 0,
-        telemetry: str | None = None,
+        run_id: str | None = None,
     ) -> SizedIterator:
-        """Streaming form of :meth:`run_campaign`: yield each
-        :class:`YieldPoint` as soon as its ``trials`` results are in.
+        """N trials per defect rate, yielding one :class:`YieldPoint`
+        per rate as soon as its ``trials`` results are in.
 
-        All trials (across every rate) are still submitted to the
-        backend up front, so parallel backends overlap cells; trial
-        results are consumed in submission order, so the aggregated
-        rows are bit-identical to the blocking call's.  Sized:
-        ``len()`` is the number of campaign points (one per rate).
+        All trials (across every rate) are submitted to the backend up
+        front, so parallel backends overlap cells; trial results are
+        consumed in submission order, so the rows are bit-identical
+        whichever backend ran them (``list(...)`` is the blocking
+        form).  ``spare_tracks`` only annotates the rows: a spare-width
+        curve widens ``base`` itself and runs one campaign per width.
+        Under a ``run_id`` each row's ``metrics`` merges its trials'
+        telemetry snapshots.  Sized: ``len()`` is the number of
+        campaign points (one per rate).
         """
         rates = list(rates)
         if model not in DEFECT_MODELS:
@@ -358,14 +358,14 @@ class YieldRunner:
             defect_rate=0.0, model=model, trial=0, defect_seed=0,
             seed=seed, effort=effort, max_iterations=max_iterations,
             cluster_radius=cluster_radius, cluster_size=cluster_size,
-            telemetry=telemetry,
         )
         return SizedIterator(
-            self._iter_campaign(template, rates, trials, spare_tracks),
+            self._iter_campaign(template, rates, trials, spare_tracks,
+                                run_id),
             len(rates),
         )
 
-    def _iter_campaign(self, template, rates, trials, spare_tracks):
+    def _iter_campaign(self, template, rates, trials, spare_tracks, run_id):
         t = template
         golden = self.golden_for(t.netlist, t.params, t.seed, t.effort,
                                  t.max_iterations)
@@ -387,109 +387,17 @@ class YieldRunner:
             for i in range(trials)
         ]
         cell: list[TrialResult] = []
+        snapshots: list[dict | None] = []
         pi = 0
-        for tr in self._runner.iter_items(_evaluate_trial_item, items):
+        for tr, snapshot in self._runner.iter_items(
+                _evaluate_trial_item, items, run_id):
             cell.append(tr)
+            snapshots.append(snapshot)
             if len(cell) == trials:
                 yield _aggregate(t.workload, t.model, float(rates[pi]),
-                                 t.params, cell, spare_tracks)
-                cell = []
+                                 t.params, cell, spare_tracks, snapshots)
+                cell, snapshots = [], []
                 pi += 1
-
-    def run_campaign(
-        self,
-        netlist: Netlist,
-        workload: str,
-        base: ArchParams,
-        rates: Sequence[float],
-        trials: int,
-        model: str = "uniform",
-        seed: int = 0,
-        effort: float = 0.3,
-        max_iterations: int = POINT_MAX_ITERATIONS,
-        cluster_radius: int = CLUSTER_RADIUS,
-        cluster_size: int = CLUSTER_SIZE,
-        spare_tracks: int = 0,
-        telemetry: str | None = None,
-    ) -> list[YieldPoint]:
-        """N trials per defect rate; one :class:`YieldPoint` per rate.
-
-        ``spare_tracks`` only annotates the rows (spare-width curves
-        pass the widened ``base`` themselves via
-        :meth:`spare_width_curve`).
-        """
-        return list(self.iter_campaign(
-            netlist, workload, base, rates, trials, model=model,
-            seed=seed, effort=effort, max_iterations=max_iterations,
-            cluster_radius=cluster_radius, cluster_size=cluster_size,
-            spare_tracks=spare_tracks, telemetry=telemetry,
-        ))
-
-    def iter_spare_width_curve(
-        self,
-        netlist: Netlist,
-        workload: str,
-        base: ArchParams,
-        spares: Sequence[int],
-        rate: float,
-        trials: int,
-        model: str = "uniform",
-        seed: int = 0,
-        effort: float = 0.3,
-        max_iterations: int = POINT_MAX_ITERATIONS,
-        telemetry: str | None = None,
-    ) -> SizedIterator:
-        """Streaming form of :meth:`spare_width_curve` (one
-        :class:`YieldPoint` per spare width, as each completes).
-        Sized: ``len()`` is the number of spare widths."""
-        spares = list(spares)
-        return SizedIterator(
-            self._iter_spare_width_curve(
-                netlist, workload, base, spares, rate, trials, model, seed,
-                effort, max_iterations, telemetry,
-            ),
-            len(spares),
-        )
-
-    def _iter_spare_width_curve(
-        self, netlist, workload, base, spares, rate, trials, model, seed,
-        effort, max_iterations, telemetry,
-    ):
-        for spare in spares:
-            params = base.with_(channel_width=base.channel_width + int(spare))
-            yield from self.iter_campaign(
-                netlist, workload, params, [rate], trials, model=model,
-                seed=seed, effort=effort, max_iterations=max_iterations,
-                spare_tracks=int(spare), telemetry=telemetry,
-            )
-
-    def spare_width_curve(
-        self,
-        netlist: Netlist,
-        workload: str,
-        base: ArchParams,
-        spares: Sequence[int],
-        rate: float,
-        trials: int,
-        model: str = "uniform",
-        seed: int = 0,
-        effort: float = 0.3,
-        max_iterations: int = POINT_MAX_ITERATIONS,
-        telemetry: str | None = None,
-    ) -> list[YieldPoint]:
-        """Yield vs spare channel width at one defect rate.
-
-        The manufacturing question the subsystem answers: each spare
-        point widens every channel by ``spare`` tracks and reruns the
-        campaign, so the curve prices redundant routing in yield
-        percentage points.  All points share one placement (the placer
-        never sees channel width).
-        """
-        return list(self.iter_spare_width_curve(
-            netlist, workload, base, spares, rate, trials, model=model,
-            seed=seed, effort=effort, max_iterations=max_iterations,
-            telemetry=telemetry,
-        ))
 
 
 def combined_reliability_report(

@@ -95,6 +95,7 @@ from repro.netlist.index import DFF, LUT, NetlistIndex
 from repro.netlist.netlist import Netlist
 from repro.place.placer import Placement
 from repro.utils.native import NativeLibrary
+from repro.utils.telemetry import collecting, current_collector
 from repro.utils.telemetry import count as _tcount
 
 #: PathFinder schedule parameters.
@@ -1267,11 +1268,14 @@ def route_program_compiled(
         raise RoutingError("one placement per context required")
     jobs = list(enumerate(zip(program.contexts, placements)))
     if not share_aware and workers and workers > 1 and len(jobs) > 1:
+        tel = current_collector()  # the threads count into the caller's
+
         def _one(job: tuple[int, tuple[Netlist, Placement]]) -> RouteResult:
             ci, (netlist, placement) = job
-            return route_context_compiled(
-                c, netlist, placement, context=ci, defects=defects
-            )
+            with collecting(tel):
+                return route_context_compiled(
+                    c, netlist, placement, context=ci, defects=defects
+                )
 
         with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             return list(pool.map(_one, jobs))

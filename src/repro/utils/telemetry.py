@@ -11,13 +11,17 @@ Two cooperating pieces, both stdlib-only:
 
 - :class:`Telemetry` — a per-run span/counter collector bound
   ambiently (thread-local) around one unit of work.  Worker processes
-  cannot share the parent's registry, so each sweep point / yield
-  trial binds a fresh collector, and its :meth:`~Telemetry.snapshot`
+  cannot share the parent's registry, so the one pool loop
+  (:meth:`repro.analysis.sweep.SweepRunner.iter_items`) binds a fresh
+  collector around each sweep point, yield trial and batch map inside
+  its worker, and the api ``Session`` binds one around each map,
+  import and reorder request.  A collector's :meth:`~Telemetry.snapshot`
   (span buffer + counter deltas) rides back to the parent *inside*
   the result row, where :func:`merge_metrics` folds them together and
-  the parent registry absorbs the counters.  :func:`phase_totals`
-  folds a block's spans into the per-phase ``profile`` table that
-  ``--profile`` prints.
+  the parent registry absorbs the counters.  Nothing else constructs
+  a collector, and with telemetry off none is bound.
+  :func:`phase_totals` folds a block's spans into the per-phase
+  ``profile`` table that ``--profile`` prints.
 
 The ambient helpers (:func:`count`, :func:`span`, ...) short-circuit
 on a single thread-local read when no collector is bound, so
@@ -191,7 +195,7 @@ class Telemetry:
     """
 
     __slots__ = ("run_id", "job_id", "pid", "counters", "spans",
-                 "_origin", "_tids")
+                 "_origin", "_tids", "_lock")
 
     def __init__(self, run_id: str, job_id: str | None = None) -> None:
         self.run_id = run_id
@@ -203,18 +207,19 @@ class Telemetry:
         # across processes with perf_counter resolution within one
         self._origin = time.time() - time.perf_counter()
         self._tids: dict = {}
+        # threads that route contexts in parallel share their caller's
+        # collector
+        self._lock = threading.Lock()
 
     def count(self, name: str, value=1, **labels) -> None:
         key = series_key(name, labels)
-        self.counters[key] = self.counters.get(key, 0) + value
+        with self._lock:
+            self.counters[key] = self.counters.get(key, 0) + value
 
     def _tid(self) -> int:
         ident = threading.get_ident()
-        tid = self._tids.get(ident)
-        if tid is None:
-            tid = len(self._tids) + 1
-            self._tids[ident] = tid
-        return tid
+        with self._lock:
+            return self._tids.setdefault(ident, len(self._tids) + 1)
 
     @contextmanager
     def span(self, name: str):

@@ -121,14 +121,15 @@ class TestSweepRunner:
             SweepRunner(backend="fork-bomb")
 
     def test_empty_grid(self):
-        assert SweepRunner().run([]) == []
+        rows = SweepRunner().iter_run([])
+        assert len(rows) == 0 and list(rows) == []
 
     def test_result_order_matches_jobs(self):
         netlist = _workloads()["adder"]
         widths = [8, 4, 6]
-        pts = SweepRunner().run(
+        pts = list(SweepRunner().iter_run(
             channel_width_jobs(netlist, BASE, widths, effort=EFFORT)
-        )
+        ))
         assert [pt.value for pt in pts] == widths
 
     def test_placement_cache_shared_across_runs(self):
@@ -148,8 +149,8 @@ class TestSweepRunner:
         """Smoke: result order and values equal across backends."""
         netlist = _workloads()["adder"]
         jobs = channel_width_jobs(netlist, BASE, [4, 6, 8], effort=EFFORT)
-        seq = SweepRunner().run(jobs)
-        proc = SweepRunner(backend="process", workers=2).run(jobs)
+        seq = list(SweepRunner().iter_run(jobs))
+        proc = list(SweepRunner(backend="process", workers=2).iter_run(jobs))
         assert [pt.to_dict() for pt in proc] == [pt.to_dict() for pt in seq]
 
     @pytest.mark.skipif(
@@ -163,26 +164,27 @@ class TestSweepRunner:
         allowed = os.sched_getaffinity(0)
         rows = list(SweepRunner(backend="process", workers=2).iter_items(
             os.sched_getaffinity, [0] * 6))
-        assert all(len(cpus) == 1 and cpus <= allowed for cpus in rows)
+        assert all(len(cpus) == 1 and cpus <= allowed and snap is None
+                   for cpus, snap in rows)
         wide = len(allowed) + 1
         if wide <= 8:  # one worker more than CPUs, on a small host
             rows = list(SweepRunner(backend="process", workers=wide)
                         .iter_items(os.sched_getaffinity, [0] * wide))
-            assert all(cpus == allowed for cpus in rows)
+            assert all(cpus == allowed for cpus, _snap in rows)
         assert os.sched_getaffinity(0) == allowed
 
     def test_thread_backend_matches_sequential(self):
         netlist = _workloads()["random"]
         jobs = fc_jobs(netlist, BASE, [1.0, 0.5], effort=EFFORT)
-        seq = SweepRunner().run(jobs)
-        thr = SweepRunner(backend="thread", workers=2).run(jobs)
+        seq = list(SweepRunner().iter_run(jobs))
+        thr = list(SweepRunner(backend="thread", workers=2).iter_run(jobs))
         assert [pt.to_dict() for pt in thr] == [pt.to_dict() for pt in seq]
 
     @staticmethod
     def _rows_per_backend(jobs) -> list:
         return [
             [pt.to_dict() for pt in SweepRunner(backend=backend,
-                                                workers=2).run(jobs)]
+                                                workers=2).iter_run(jobs)]
             for backend in ("sequential", "thread", "process")
         ]
 
@@ -324,15 +326,15 @@ class TestProfilePlumbing:
             assert block["calls"] >= 1
 
     def test_standalone_point_profiles_placement_too(self):
-        from dataclasses import replace
-
         from repro.analysis.sweep import evaluate_point
-        from repro.utils.telemetry import phase_totals
+        from repro.utils.telemetry import Telemetry, collecting, phase_totals
 
         nl = tech_map(ripple_adder(3), k=4)
         (job,) = channel_width_jobs(nl, BASE, [8], seed=0, effort=EFFORT)
-        pt = evaluate_point(replace(job, telemetry="run-test"))
-        profile = phase_totals(pt.metrics)
+        with collecting(Telemetry("run-test")) as tel:
+            pt = evaluate_point(job)
+        assert pt.metrics is None  # only the pool loop attaches blocks
+        profile = phase_totals(tel.snapshot())
         assert profile is not None
         assert "point.place" in profile
         assert "point.route" in profile

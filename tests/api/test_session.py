@@ -52,7 +52,7 @@ class TestSweepEquivalence:
         netlist = session.circuit("adder")
         base = ArchParams(cols=5, rows=5, channel_width=10, io_capacity=4)
         jobs = channel_width_jobs(netlist, base, [6, 8], seed=0, effort=0.2)
-        direct = SweepRunner().run(jobs)
+        direct = list(SweepRunner().iter_run(jobs))
         assert [pt.to_dict() for pt in result.points] == \
             [pt.to_dict() for pt in direct]
 
@@ -86,9 +86,9 @@ class TestYieldEquivalence:
         result = session.run(YIELD_REQ)
         netlist = session.circuit("adder")
         base = ArchParams(cols=5, rows=5, channel_width=7, io_capacity=4)
-        direct = YieldRunner().run_campaign(
+        direct = list(YieldRunner().iter_campaign(
             netlist, "adder", base, [0.0, 0.05], 3, seed=0, effort=0.2,
-        )
+        ))
         assert [pt.to_dict() for pt in result.points] == \
             [pt.to_dict() for pt in direct]
 

@@ -1,5 +1,6 @@
 """Tests for fault injection."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.experiments import map_program
@@ -91,6 +92,45 @@ class TestSoftErrors:
         inject_soft_errors(dev, n_upsets=10, seed=5)
         for ctx in range(prog.n_contexts):
             dev.verify_against_source(ctx, n_vectors=8)
+
+    @pytest.mark.parametrize("seed", [1, 3, 5, 7])
+    def test_visible_count_matches_the_scalar_walk(self, device, seed):
+        """Replay the injector's draws (site, then one ``(n_vectors,
+        n_inputs)`` stimulus block per upset) and recount the visible
+        upsets one vector at a time with the scalar fabric oracle."""
+        from fabric_oracle import scalar_evaluate
+
+        dev, prog = device
+        n_upsets, n_vectors = 24, 16
+        report = inject_soft_errors(dev, n_upsets=n_upsets,
+                                    n_vectors=n_vectors, seed=seed)
+        rng = np.random.default_rng(seed)
+        coords = sorted({c for ctx in dev.contexts.values()
+                         for c in ctx.lut_config}, key=lambda c: (c.x, c.y))
+        tiles = list(dev.contexts)
+        visible = 0
+        for _ in range(n_upsets):
+            lut = dev.logic_blocks[coords[int(rng.integers(len(coords)))]].lut
+            ctx = int(rng.integers(dev.params.n_contexts))
+            if ctx not in dev.contexts:
+                ctx = tiles[int(rng.integers(len(tiles)))]
+            idx = (lut.plane_for_context(ctx) * lut.plane_bits
+                   + int(rng.integers(lut.plane_bits)))
+            netlist = prog.contexts[ctx]
+            names = [c.name for c in netlist.inputs()]
+            draws = rng.integers(2, size=(n_vectors, len(names)))
+            lut.memory[0, idx] ^= 1
+            try:
+                visible += any(
+                    scalar_evaluate(dev, ctx, vec)
+                    != netlist.evaluate_outputs(vec)
+                    for vec in ({n: int(v) for n, v in zip(names, row)}
+                                for row in draws)
+                )
+            finally:
+                lut.memory[0, idx] ^= 1
+        assert report.functionally_visible == visible
+        assert 0 < visible < n_upsets  # both outcomes occur
 
     def test_unconfigured_rejected(self):
         from repro.arch.params import ArchParams

@@ -33,7 +33,7 @@ class TestTrialSeeds:
 class TestCampaign:
     def test_zero_rate_yields_everything(self, netlist):
         runner = YieldRunner()
-        (pt,) = runner.run_campaign(
+        (pt,) = runner.iter_campaign(
             netlist, "adder", PARAMS, [0.0], TRIALS, seed=3
         )
         assert pt.yield_fraction == 1.0
@@ -42,9 +42,9 @@ class TestCampaign:
 
     def test_histogram_sums_to_trials(self, netlist):
         runner = YieldRunner()
-        points = runner.run_campaign(
+        points = list(runner.iter_campaign(
             netlist, "adder", PARAMS, [0.02, 0.1], TRIALS, seed=3
-        )
+        ))
         for pt in points:
             assert sum(pt.repair_histogram.values()) == TRIALS
             assert 0.0 <= pt.yield_fraction <= 1.0
@@ -53,9 +53,9 @@ class TestCampaign:
         """Smoke for the first-order physics: more defects, fewer good
         dies (deterministic for the pinned seed/rate grid)."""
         runner = YieldRunner()
-        points = runner.run_campaign(
+        points = list(runner.iter_campaign(
             netlist, "adder", PARAMS, [0.0, 0.05, 0.4], TRIALS, seed=3
-        )
+        ))
         fractions = [pt.yield_fraction for pt in points]
         assert fractions == sorted(fractions, reverse=True)
         assert fractions[0] == 1.0
@@ -63,16 +63,16 @@ class TestCampaign:
 
     def test_mean_defects_grow_with_rate(self, netlist):
         runner = YieldRunner()
-        points = runner.run_campaign(
+        points = list(runner.iter_campaign(
             netlist, "adder", PARAMS, [0.01, 0.2], TRIALS, seed=3
-        )
+        ))
         assert points[0].mean_defects < points[1].mean_defects
 
     def test_backends_identical_rows(self, netlist):
         rows = {}
         for backend in ("sequential", "thread", "process"):
             runner = YieldRunner(backend=backend, workers=2)
-            pts = runner.run_campaign(
+            pts = runner.iter_campaign(
                 netlist, "adder", PARAMS, [0.01, 0.08], 3, seed=5
             )
             rows[backend] = [pt.to_dict() for pt in pts]
@@ -81,7 +81,7 @@ class TestCampaign:
 
     def test_clustered_model_runs(self, netlist):
         runner = YieldRunner()
-        (pt,) = runner.run_campaign(
+        (pt,) = runner.iter_campaign(
             netlist, "adder", PARAMS, [0.05], TRIALS, model="clustered",
             seed=3,
         )
@@ -91,7 +91,7 @@ class TestCampaign:
     def test_unroutable_golden_reports_zero_yield(self, netlist):
         tight = PARAMS.with_(channel_width=1)
         runner = YieldRunner()
-        (pt,) = runner.run_campaign(
+        (pt,) = runner.iter_campaign(
             netlist, "adder", tight, [0.01], TRIALS, seed=3
         )
         assert pt.yield_fraction == 0.0
@@ -101,17 +101,28 @@ class TestCampaign:
     def test_rejects_unknown_model(self, netlist):
         runner = YieldRunner()
         with pytest.raises(ValueError):
-            runner.run_campaign(netlist, "adder", PARAMS, [0.1], 2,
-                                model="bogus")
+            runner.iter_campaign(netlist, "adder", PARAMS, [0.1], 2,
+                                 model="bogus")
+
+
+def _spare_curve(runner, netlist, spares, rate, trials, seed):
+    """A yield-vs-spare-track curve the way the Session runs one: one
+    single-rate campaign per widened channel width."""
+    return [
+        pt
+        for spare in spares
+        for pt in runner.iter_campaign(
+            netlist, "adder",
+            PARAMS.with_(channel_width=PARAMS.channel_width + spare),
+            [rate], trials, seed=seed, spare_tracks=spare,
+        )
+    ]
 
 
 class TestSpareWidthCurve:
     def test_spares_annotate_and_help(self, netlist):
-        runner = YieldRunner()
-        points = runner.spare_width_curve(
-            netlist, "adder", PARAMS, [0, 3], rate=0.1, trials=TRIALS,
-            seed=3,
-        )
+        points = _spare_curve(YieldRunner(), netlist, [0, 3], rate=0.1,
+                              trials=TRIALS, seed=3)
         assert [pt.spare_tracks for pt in points] == [0, 3]
         assert points[1].channel_width == PARAMS.channel_width + 3
         # spare routing can only help (deterministic for pinned seeds)
@@ -119,27 +130,38 @@ class TestSpareWidthCurve:
 
     def test_curve_identical_across_backends(self, netlist):
         curves = [
-            [pt.to_dict() for pt in YieldRunner(
-                backend=backend, workers=2).spare_width_curve(
-                    netlist, "adder", PARAMS, [0, 2], rate=0.03,
-                    trials=3, seed=1)]
+            [pt.to_dict() for pt in _spare_curve(
+                YieldRunner(backend=backend, workers=2), netlist, [0, 2],
+                rate=0.03, trials=3, seed=1)]
             for backend in ("sequential", "thread", "process")
         ]
         assert curves[0] == curves[1] == curves[2]
 
     def test_placements_shared_across_widths(self, netlist):
         runner = YieldRunner()
-        runner.spare_width_curve(
-            netlist, "adder", PARAMS, [0, 1], rate=0.01, trials=2, seed=3
-        )
+        _spare_curve(runner, netlist, [0, 1], rate=0.01, trials=2, seed=3)
         # channel width is invisible to the placer: one cached anneal
+        assert len(runner._runner._placements) == 1
+
+    def test_session_curve_shares_one_placement(self):
+        """The Session's spare-width branch runs its campaigns on one
+        runner, so every widened width reuses the first anneal."""
+        from repro.api import ExecutionConfig, Session, YieldRequest
+
+        session = Session()
+        result = session.run(YieldRequest(
+            workload="adder", grid=5, width=7, rates=(0.01,), trials=2,
+            spares=(0, 1, 2), execution=ExecutionConfig(seed=3),
+        ))
+        assert [pt.channel_width for pt in result.points] == [7, 8, 9]
+        runner = session.yield_runner(ExecutionConfig(seed=3))
         assert len(runner._runner._placements) == 1
 
 
 class TestSerialization:
     def test_yield_point_round_trip(self, netlist):
         runner = YieldRunner()
-        (pt,) = runner.run_campaign(
+        (pt,) = runner.iter_campaign(
             netlist, "adder", PARAMS, [0.05], 3, seed=3
         )
         again = YieldPoint.from_dict(pt.to_dict())
@@ -151,7 +173,8 @@ class TestSerialization:
         from repro.core.defects import SoftErrorReport
 
         runner = YieldRunner()
-        pts = runner.run_campaign(netlist, "adder", PARAMS, [0.02], 2, seed=3)
+        pts = list(runner.iter_campaign(netlist, "adder", PARAMS, [0.02], 2,
+                                        seed=3))
         report = combined_reliability_report(
             yield_points=pts,
             soft_error=SoftErrorReport(8, 8, 5, 16),
@@ -234,9 +257,9 @@ class TestProfilePlumbing:
     def test_run_id_ships_spans_back_in_the_row(self, netlist):
         from repro.utils.telemetry import phase_totals
 
-        (pt,) = YieldRunner().run_campaign(
+        (pt,) = YieldRunner().iter_campaign(
             netlist, "adder", PARAMS, [0.08], TRIALS, seed=3,
-            telemetry="run-test",
+            run_id="run-test",
         )
         assert pt.profile is None  # only the Session folds the spans
         totals = phase_totals(pt.metrics)

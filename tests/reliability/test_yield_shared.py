@@ -23,8 +23,8 @@ def _netlist():
 
 
 def _campaign_rows(runner, netlist):
-    points = runner.run_campaign(netlist, "dag", BASE, RATES, TRIALS,
-                                 seed=1, effort=0.2)
+    points = runner.iter_campaign(netlist, "dag", BASE, RATES, TRIALS,
+                                  seed=1, effort=0.2)
     return [pt.to_dict() for pt in points]
 
 

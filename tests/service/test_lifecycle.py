@@ -1,12 +1,16 @@
 """Seeded interleavings of the job lifecycle on an external manager.
 
 Each walk takes random steps — submit (request, spec or grid), cancel,
-lease, post ``row``/``done``/``error`` events, expire a lease, abandon
-the manager and recover a new one on the same results dir — and after
-every step checks that the live gauges match the job table, that every
-terminal job's log ends in exactly one ``done`` event (a finished one
-holding exactly its ``rows_total`` rows), and that no lease outlives
-its job.  Fixed cases pin what a retry logs after a lease expiry.
+lease, post ``row``/``done``/``error`` events, crash a worker
+mid-stream (post part of its events, then expire its lease), expire a
+lease, abandon the manager and recover a new one on the same results
+dir — and after every step checks that the live gauges match the job
+table, that every terminal job's log ends in exactly one ``done`` event
+(a finished one holding exactly its ``rows_total`` rows), and that no
+lease outlives its job.  The walks record whether a job finished after
+a lease expiry cut an attempt that had posted rows, and at least one
+seed must reach that retry path.  Fixed cases pin what a retry logs
+after a lease expiry.
 """
 
 import random
@@ -71,7 +75,15 @@ class Walk:
         self.root = root
         self.session = Session()  # computes the workers' events
         self.manager = self._new_manager()
-        self.held: dict = {}  # lease id -> wire events not yet posted
+        # lease id -> wire events not yet posted; steps pick leases in
+        # insertion order, as the ids themselves are random
+        self.held: dict = {}
+        #: leases whose attempt has posted a row and holds more events
+        self.partial: set = set()
+        #: jobs whose attempt was cut by a lease expiry after a partial
+        #: post, and those of them that went on to finish
+        self.cut: set = set()
+        self.finished_after_cut: set = set()
 
     def _new_manager(self) -> JobManager:
         # a TTL no step outlives: leases expire only when a step says so
@@ -101,7 +113,7 @@ class Walk:
     def post(self) -> None:
         if not self.held:
             return
-        lease_id = self.rng.choice(sorted(self.held))
+        lease_id = self.rng.choice(list(self.held))
         events = self.held.pop(lease_id)
         roll = self.rng.random()
         if roll < 0.2:
@@ -110,17 +122,35 @@ class Walk:
             batch, rest = events[:1], events[1:]
         else:
             batch, rest = events, []
+        self._post(lease_id, batch, rest)
+
+    def crash(self) -> None:
+        """A worker posts part of its stream and dies: its lease
+        expires with the rest unposted."""
+        if not self.held:
+            return
+        lease_id = self.rng.choice(list(self.held))
+        events = self.held.pop(lease_id)
+        cut = self.rng.randrange(1, len(events)) if len(events) > 1 else 0
+        self._post(lease_id, events[:cut], events[cut:])
+        if lease_id in self.held:
+            self._expire(lease_id)
+
+    def expire(self) -> None:
+        if self.held:
+            self._expire(self.rng.choice(list(self.held)))
+
+    def _post(self, lease_id: str, batch: list, rest: list) -> None:
         try:
             reply = self.manager.apply_worker_events(lease_id, batch)
         except LeaseExpired:
             return
         if rest and not reply["cancelled"]:
             self.held[lease_id] = rest
+            if any(ev["event"] == "row" for ev in batch):
+                self.partial.add(lease_id)
 
-    def expire(self) -> None:
-        if not self.held:
-            return
-        lease_id = self.rng.choice(sorted(self.held))
+    def _expire(self, lease_id: str) -> None:
         del self.held[lease_id]
         try:
             lease = self.manager.leases.renew(lease_id)
@@ -135,16 +165,20 @@ class Walk:
             or self.manager.queue_depth() == depth + 1,
             f"the expiry of {lease_id}",
         )
+        if lease_id in self.partial:
+            self.cut.add(handle.job_id)
 
     def recover(self) -> None:
         # abandon: no terminal records are journaled for live jobs
         self.manager.shutdown(wait=False)
         self.manager = self._new_manager()
         self.held.clear()
+        self.partial.clear()
+        self.cut.clear()  # a recovered job's log starts afresh
         self.manager.recover()
 
     ACTIONS = ((submit, 0.25), (cancel, 0.1), (lease, 0.2), (post, 0.3),
-               (expire, 0.1), (recover, 0.03))
+               (crash, 0.05), (expire, 0.1), (recover, 0.03))
 
     def step(self) -> None:
         actions, weights = zip(*self.ACTIONS)
@@ -175,13 +209,16 @@ class Walk:
                 if snap.state == DONE:
                     assert kinds.count("row") == snap.rows_total, \
                         (snap.job_id, kinds)
+                    if snap.job_id in self.cut:
+                        assert "requeued" in kinds, (snap.job_id, kinds)
+                        self.finished_after_cut.add(snap.job_id)
 
     def finish(self) -> None:
         """Lease and complete everything still live."""
         deadline = time.monotonic() + WAIT_S
         while self.manager.live_jobs():
             assert time.monotonic() < deadline, "jobs never drained"
-            for lease_id in sorted(self.held):
+            for lease_id in list(self.held):
                 try:
                     self.manager.apply_worker_events(
                         lease_id, self.held.pop(lease_id))
@@ -191,9 +228,15 @@ class Walk:
             self.check()
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_seeded_lifecycle_walk(seed, tmp_path):
-    walk = Walk(seed, tmp_path / "results")
+class RetryWalk(Walk):
+    """A walk that reaches the retry path: workers crash mid-stream, and
+    no cancel or recover ends the requeued job before it finishes."""
+
+    ACTIONS = ((Walk.submit, 0.2), (Walk.lease, 0.25), (Walk.post, 0.35),
+               (Walk.crash, 0.2))
+
+
+def _walk(walk: Walk) -> Walk:
     try:
         for _ in range(STEPS):
             walk.step()
@@ -206,6 +249,20 @@ def test_seeded_lifecycle_walk(seed, tmp_path):
         }
     finally:
         walk.close()
+    return walk
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_lifecycle_walk(seed, tmp_path):
+    _walk(Walk(seed, tmp_path / "results"))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_retry_walk_finishes_a_job_cut_after_a_partial_post(seed, tmp_path):
+    """An attempt posts rows, its lease expires, and the requeued job
+    still finishes with each row logged once."""
+    walk = _walk(RetryWalk(seed, tmp_path / "results"))
+    assert walk.finished_after_cut, walk.cut
 
 
 def _expire(manager: JobManager, lease_id: str) -> None:

@@ -470,12 +470,12 @@ static int route_all(router *r) {
     int64_t iteration = 1;
     for (;; iteration++) {
         j->stats[ST_ITERATIONS] = iteration;
+        if (r->n_over == 0)
+            return RC_OK;
         if (iteration >= j->max_iterations) {
             j->stats[ST_DETAIL] = r->n_over;
             return RC_CONGESTED;
         }
-        if (r->n_over == 0)
-            return RC_OK;
         j->stats[ST_CENSUS] += r->n_over;
         j->stats[ST_RIPUPS]++;
         escalate(r);

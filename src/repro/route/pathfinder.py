@@ -1162,9 +1162,13 @@ def route_context_compiled(
     overused_ids = state.overused_ids
     iteration = 1
     ripped = 0
-    while iteration < max_iterations:
-        if not overused_ids:
-            break
+    while overused_ids:
+        if iteration >= max_iterations:
+            raise RoutingError(
+                f"context {context}: congestion unresolved after "
+                f"{max_iterations} iterations ({state.overused()} overused "
+                "nodes)"
+            )
         _tcount("router.overused_census", len(overused_ids))
         _tcount("router.ripup_iterations")
         state.next_iteration()
@@ -1183,11 +1187,6 @@ def route_context_compiled(
             state.add(fresh.nodes)
             ripped += 1
         iteration += 1
-    else:
-        raise RoutingError(
-            f"context {context}: congestion unresolved after {max_iterations} "
-            f"iterations ({state.overused()} overused nodes)"
-        )
     _tcount("router.contexts_routed")
     _tcount("router.ripped_nets", ripped)
     return RouteResult(routes, iteration, context)

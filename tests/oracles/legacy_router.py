@@ -201,10 +201,13 @@ def route_context_legacy(
             state.add(net.nodes)
 
     iteration = 1
-    while iteration < max_iterations:
-        over = state.overused(g)
-        if over == 0:
-            break
+    while state.overused(g):
+        if iteration >= max_iterations:
+            raise RoutingError(
+                f"context {context}: congestion unresolved after "
+                f"{max_iterations} iterations ({state.overused(g)} overused "
+                "nodes)"
+            )
         state.bump_history(g)
         state.pres_fac *= PRES_FAC_MULT
         # rip up and reroute congested nets only
@@ -216,11 +219,6 @@ def route_context_legacy(
             routes[name] = fresh
             state.add(fresh.nodes)
         iteration += 1
-    else:
-        raise RoutingError(
-            f"context {context}: congestion unresolved after {max_iterations} "
-            f"iterations ({state.overused(g)} overused nodes)"
-        )
     return RouteResult(routes, iteration, context)
 
 

@@ -148,37 +148,49 @@ class TestRouteTree:
 
 
 class TestIterationLimit:
-    """Pins today's ``while iteration < max_iterations ... else: raise``
-    limit, on the native route and on the Python loop alike: a routing
-    that clears on its last permitted rip-up pass is still rejected.
-    Here the route clears in two iterations, so ``max_iterations=2``
-    raises with 0 overused nodes while 3 succeeds.  Fixing it may move
-    sweep rows at ``max_iterations=25``, so it waits for a deliberate
-    re-pin."""
+    """The rip-up limit, on the native route and on the Python loop
+    alike: overuse is tested before the limit, so a routing that clears
+    on its last permitted pass is accepted and only a context still
+    overused at the limit raises.  On 6x6 at width 4 the route clears
+    in two iterations; at width 6 its first pass is clean."""
 
     @pytest.fixture(scope="class")
-    def case(self):
-        params = ArchParams(6, 6, channel_width=4, io_capacity=4)
-        n = tech_map(random_dag(6, 18, 6, seed=2), 4)
-        return compiled_rrg_for(params), n, place(n, params, seed=2)
+    def netlist(self):
+        return tech_map(random_dag(6, 18, 6, seed=2), 4)
 
-    @pytest.mark.parametrize("loop", ["native", "python"])
-    def test_last_pass_rejected(self, case, loop, monkeypatch):
+    def _case(self, netlist, width):
+        params = ArchParams(6, 6, channel_width=width, io_capacity=4)
+        return compiled_rrg_for(params), netlist, place(netlist, params,
+                                                        seed=2)
+
+    @pytest.fixture(params=["native", "python"])
+    def loop(self, request, monkeypatch):
         from repro.route import pathfinder
 
-        if loop == "python":
+        if request.param == "python":
             monkeypatch.setattr(pathfinder, "_route_function", lambda: None)
         elif pathfinder.route_kernel() != "native":
             pytest.skip("no C compiler: Python loop only")
-        assert pathfinder.route_kernel() == loop
-        g, n, pl = case
+        assert pathfinder.route_kernel() == request.param
+        return request.param
+
+    def test_clears_on_the_last_pass(self, netlist, loop):
+        g, n, pl = self._case(netlist, 4)
         assert route_context_compiled(g, n, pl).iterations == 2
-        with pytest.raises(RoutingError) as info:
-            route_context_compiled(g, n, pl, max_iterations=2)
-        assert str(info.value) == ("context 0: congestion unresolved after 2 "
-                                   "iterations (0 overused nodes)")
-        rr = route_context_compiled(g, n, pl, max_iterations=3)
+        rr = route_context_compiled(g, n, pl, max_iterations=2)
         assert rr.iterations == 2
+
+    def test_clean_first_pass_at_one(self, netlist, loop):
+        g, n, pl = self._case(netlist, 6)
+        rr = route_context_compiled(g, n, pl, max_iterations=1)
+        assert rr.iterations == 1
+
+    def test_overused_at_the_limit_raises(self, netlist, loop):
+        g, n, pl = self._case(netlist, 4)
+        with pytest.raises(RoutingError) as info:
+            route_context_compiled(g, n, pl, max_iterations=1)
+        assert str(info.value) == ("context 0: congestion unresolved after 1 "
+                                   "iterations (1 overused nodes)")
 
 
 class TestMultiContext:

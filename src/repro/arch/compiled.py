@@ -25,8 +25,8 @@ compared against.
   ``edge_dst`` / ``edge_kind``.  Within each node's range, edges whose
   destination is a SINK are segregated *after* ``edge_mid[n]``, so the
   router's inner loop needs no per-edge kind test (relaxation order
-  within one node does not affect Dijkstra's result — heap order is
-  decided by ``(dist, node)`` values, not push order).  The three rows
+  within one node does not affect the search's result — heap order is
+  decided by the ``(g + h, -g, node)`` keys, not push order).  The three rows
   are contiguous int32 arrays, which the native context route reads in
   place; the Python search asks for list forms (:meth:`CompiledRRG.row_lists`).
 - **node attribute arrays** — kind (int8), capacity (int64), wire

@@ -8,14 +8,16 @@
  * -ffp-contract=off, so no multiply-add is fused).  It is the only
  * export.
  *
- * Its one search (`search`) finds the shortest path from a route tree
- * to one target over the CSR rows of a compiled routing-resource graph.
- * A binary heap on (dist, node) pops entries in exactly the order of
- * the Python kernel's Dial buckets (pathfinder._dijkstra): a node's
- * pushed distances strictly decrease, so no two heap keys are equal
- * (the only exception, the order among infinite-distance entries, is
- * documented in pathfinder.py).  Stale pops are counted like the
- * Python kernel counts them.
+ * Its one search (`search`) is an A* search for the cheapest path from a
+ * route tree to one target over the CSR rows of a compiled
+ * routing-resource graph.  The lower bound on the cost left at node n
+ * is h(n) = bound * (gap_x + gap_y), each gap the tile distance between
+ * n's extent box and the target's tile, with `bound` =
+ * pathfinder.ASTAR_FAC.  A binary heap on (g + h, -g, node) pops
+ * entries in exactly the order of the Python kernel's heapq
+ * (pathfinder._astar): h is fixed per node within a search and a
+ * node's pushed g strictly decrease, so no two heap keys are equal.
+ * Stale pops are counted like the Python kernel counts them.
  *
  * Nothing is static: the route reads and writes the caller's graph,
  * congestion and output arrays, and allocates and frees every scratch
@@ -27,19 +29,23 @@
 #include <stdlib.h>
 #include <string.h>
 
+/* A heap entry: the key g + h, and the path cost g from the tree. */
 typedef struct {
-    double d;
+    double f, g;
     int32_t n;
 } entry;
 
-/* Strict (dist, node) order, evaluated without branches.  Keys never
- * tie, so the pop order depends on the keys alone, not on the layout
- * of the heap. */
+/* Strict (f, -g, node) order, evaluated without branches: among equal
+ * keys the entry further from the tree pops first.  Keys never tie, so
+ * the pop order depends on the keys alone, not on the layout of the
+ * heap. */
 static int before(entry a, entry b) {
-    return (a.d < b.d) | ((a.d == b.d) & (a.n < b.n));
+    return (a.f < b.f)
+        | ((a.f == b.f) & ((a.g > b.g) | ((a.g == b.g) & (a.n < b.n))));
 }
 
-static int push(entry **heap, int64_t *len, int64_t *cap, double d, int32_t n) {
+static int push(entry **heap, int64_t *len, int64_t *cap, double f, double g,
+                int32_t n) {
     if (*len == *cap) {
         int64_t grown = *cap * 2;
         entry *h = realloc(*heap, (size_t)grown * sizeof(entry));
@@ -48,7 +54,7 @@ static int push(entry **heap, int64_t *len, int64_t *cap, double d, int32_t n) {
         *heap = h;
         *cap = grown;
     }
-    entry e = {d, n};
+    entry e = {f, g, n};
     int64_t i = (*len)++;
     while (i > 0) {
         int64_t up = (i - 1) / 2;
@@ -97,6 +103,8 @@ static entry pop(entry *heap, int64_t *len) {
  * persists across searches and grows on demand. */
 typedef struct {
     const int32_t *estart, *emid, *edst;
+    const int32_t *xlo, *xhi, *ylo, *yhi;
+    double bound;
     const double *eff;
     double *dist;
     int32_t *prev;
@@ -105,6 +113,21 @@ typedef struct {
     entry *heap;
     int64_t heap_cap;
 } searcher;
+
+/* h(n): `bound` times the tiles between n's extent box and the target
+ * tile (tx, ty).  No node spans more than 2 tiles a side and every cost
+ * is >= 1.0, so with bound <= 0.5 an edge u -> v never lowers h by more
+ * than eff[v]: h is consistent, and every node pops first at its
+ * shortest distance. */
+static double lower_bound(const searcher *s, int32_t n, int32_t tx,
+                          int32_t ty) {
+    int32_t gx = s->xlo[n] - tx, gy = s->ylo[n] - ty;
+    if (gx < 0)
+        gx = tx - s->xhi[n] > 0 ? tx - s->xhi[n] : 0;
+    if (gy < 0)
+        gy = ty - s->yhi[n] > 0 ? ty - s->yhi[n] : 0;
+    return s->bound * (double)(gx + gy);
+}
 
 /* Pushes the `n_tree` nodes of `tree` at distance 0 and searches.
  * Returns the length of the path written to `path` (tree node first,
@@ -122,16 +145,18 @@ static int64_t search(searcher *s, const uint8_t *mask, const int32_t *tree,
     int32_t *prev = s->prev;
     uint64_t *stamp = s->stamp;
     uint64_t epoch = ++s->epoch;
+    int32_t tx = s->xlo[target], ty = s->ylo[target];
     int64_t len = 0, k = 0, count = 0;
     for (int64_t i = 0; i < n_tree; i++) {
         stamp[tree[i]] = epoch;
         dist[tree[i]] = 0.0;
-        if (push(&s->heap, &len, &s->heap_cap, 0.0, tree[i]) < 0)
+        if (push(&s->heap, &len, &s->heap_cap,
+                 lower_bound(s, tree[i], tx, ty), 0.0, tree[i]) < 0)
             k = -1;
     }
     while (len > 0 && k == 0) {
         entry top = pop(s->heap, &len);
-        double d = top.d;
+        double d = top.g;
         int32_t nid = top.n;
         count++;
         if (d > dist[nid])
@@ -165,7 +190,8 @@ static int64_t search(searcher *s, const uint8_t *mask, const int32_t *tree,
                 stamp[nxt] = epoch;
                 dist[nxt] = nd;
                 prev[nxt] = nid;
-                if (push(&s->heap, &len, &s->heap_cap, nd, nxt) < 0) {
+                if (push(&s->heap, &len, &s->heap_cap,
+                         nd + lower_bound(s, nxt, tx, ty), nd, nxt) < 0) {
                     k = -1;
                     break;
                 }
@@ -217,6 +243,7 @@ typedef struct {
     double *hist, *eff;
     int64_t *usage;
     double pres_fac, pres_fac_mult, hist_fac;
+    double astar_fac;           /* the search's lower-bound weight */
     int64_t max_iterations;
     /* nets, in routing order */
     int64_t n_nets;
@@ -552,6 +579,11 @@ int64_t route_context(route_job *j)
     r.s.estart = j->estart;
     r.s.emid = j->emid;
     r.s.edst = j->edst;
+    r.s.xlo = j->xlo;
+    r.s.xhi = j->xhi;
+    r.s.ylo = j->ylo;
+    r.s.yhi = j->yhi;
+    r.s.bound = j->astar_fac;
     r.s.eff = j->eff;
     r.s.heap_cap = 1024;
     memset(j->stats, 0, sizeof j->stats);

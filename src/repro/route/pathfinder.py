@@ -1,10 +1,10 @@
 """PathFinder negotiated-congestion routing on the flat substrate.
 
-Classic iterative rip-up-and-reroute: every net is routed by Dijkstra
-over the routing-resource graph; node costs grow with present overuse
-and accumulated (history) congestion until the solution is overlap-free.
-Multi-sink nets route as Steiner-ish trees by re-running Dijkstra from
-the partial tree to the nearest remaining sink.
+Classic iterative rip-up-and-reroute: every net is routed by a shortest
+path search over the routing-resource graph; node costs grow with
+present overuse and accumulated (history) congestion until the solution
+is overlap-free.  Multi-sink nets route as Steiner-ish trees by
+re-running the search from the partial tree to each remaining sink.
 
 Multi-context specifics: each context is an independent routing problem
 on the same RRG, but the *proposed* flow reuses routes for nets that are
@@ -28,21 +28,31 @@ native path builds none in Python.
 
 Without a C compiler the Python loop (:func:`_route_initial` and the
 rip-up loop of :func:`route_context_compiled`) runs :func:`_search`,
-the Python bucket queue (Dial's algorithm) :func:`_dijkstra`, on a
-:class:`RouterScratch` made for that context route.  The loop stays as
-the fallback and the oracle: it builds the same trees from its sink
-paths (:meth:`RouteTree.from_paths`), and
+the Python kernel :func:`_astar`, on a :class:`RouterScratch` made for
+that context route.  The loop stays as the fallback and the oracle: it
+builds the same trees from its sink paths
+(:meth:`RouteTree.from_paths`), and
 ``tests/route/test_native_context.py`` holds the two equal net for
-net, counters included.  The C search's binary heap on ``(dist,
-node)`` pops the buckets' order: every cost is >= 1.0, so a relaxation
-from ``d`` lands past bucket ``int(d)``, and buckets drained in order,
-each sorted by ``(dist, node)``, pop the heap's order; a node's pushed
-distances strictly decrease, so heap keys never tie.  The one
-exception, the order among infinite-distance entries, is never
-reached: ``mask_for`` folds the defect floor into every mask, and the
-only unmasked relaxation enters the net's own target.  Search buffers
-are reused by epoch stamping within a context route; each net is
-pruned to its terminal bounding box, with a full-graph retry.
+net, counters included.  Search buffers are reused by epoch stamping
+within a context route; each net is pruned to its terminal bounding
+box, with a full-graph retry.
+
+Both searches are A*, VPR's directed search (Betz, Rose & Marquardt,
+1999) inside PathFinder's negotiated congestion (McMurchie & Ebeling,
+FPGA'95).  The bound on the cost left from node ``n`` to target ``t``
+is ``h_t(n) = ASTAR_FAC * (gap_x + gap_y)``, each gap the tiles
+between ``n``'s extent box and ``t``'s tile (:func:`_lower_bounds`).
+It is consistent: an edge ``u -> v`` joins nodes whose boxes overlap
+and no box spans more than 2 tiles a side, so each gap shrinks by at
+most one tile and ``h_t(u) - h_t(v) <= 0.5 * 2 = 1.0``, while every
+cost ``eff[v]`` is at least its base cost, >= 1.0.
+So the search pops every node first at its shortest distance and
+returns a cheapest path, as Dijkstra would; only the choice among
+equally cheap paths is the bound's (``tests/route/test_lower_bound.py``
+checks the inequality on every edge of the workloads' fabrics).  Both
+heaps order entries by ``(g + h, -g, node)``: ``h`` is fixed per node
+within a search and a node's pushed ``g`` strictly decrease, so no two
+keys tie and the C binary heap and ``heapq`` pop the same order.
 
 A routed net keeps its route as one :class:`RouteTree`: int32 arrays
 in tree order that timing, repair and the statistics read directly.
@@ -103,6 +113,11 @@ MAX_ITERATIONS = 40
 PRES_FAC_FIRST = 0.6
 PRES_FAC_MULT = 1.6
 HIST_FAC = 0.35
+
+#: Weight of the search's lower bound: each tile between a node and
+#: its target counts this much of the cost still to pay (see the
+#: module docstring for why 0.5 keeps every search optimal).
+ASTAR_FAC = 0.5
 
 #: Starting pressure factor for warm-started (delta-reroute) calls.  A
 #: cold route begins gentle (``PRES_FAC_FIRST``) because early sharing
@@ -427,7 +442,7 @@ class _FlatCongestion:
 
     The entire node-cost formula — ``base * (1 + pres_fac * overuse) +
     history`` with ``overuse = max(0, usage + 1 - capacity)`` — is
-    folded into one *effective cost* per node, so the Dijkstra relax is
+    folded into one *effective cost* per node, so the search's relax is
     a single load + add.  ``usage``, ``history`` and the costs ``eff``
     are numpy buffers: usage add/remove are scatter updates that
     re-price only the touched nodes, and the whole-graph re-price after
@@ -585,24 +600,28 @@ class _FlatCongestion:
         self._reprice_pressured()
 
 
-#: Dial bucket of infinitely-priced (dead) nodes, drained in rounds.
-_INF_BUCKET = float("inf")
+def _lower_bounds(c: CompiledRRG, target: int) -> np.ndarray:
+    """The search's lower bound ``h`` on every node for one target:
+    :data:`ASTAR_FAC` times the tile gap, on each axis, between the
+    node's extent box and the target's tile."""
+    tx, ty = c.xlo[target], c.ylo[target]
+    gap = (np.maximum(np.maximum(c.xlo - tx, tx - c.xhi), 0)
+           + np.maximum(np.maximum(c.ylo - ty, ty - c.yhi), 0))
+    return ASTAR_FAC * gap
 
 
-def _dijkstra(c: CompiledRRG, state: _FlatCongestion, tree_nodes: set[int],
-              target: int, scratch: RouterScratch, mask: bytes | None,
-              edst: np.ndarray) -> list[int] | None:
-    """Shortest path from the route tree to ``target`` over flat arrays.
+def _astar(c: CompiledRRG, state: _FlatCongestion, tree_nodes: set[int],
+           target: int, scratch: RouterScratch, mask: bytes | None,
+           edst: np.ndarray) -> list[int] | None:
+    """Cheapest path from the route tree to ``target`` over flat arrays.
 
-    The Python kernel (see the module docstring): Dial's buckets, with
-    the occupied bucket indices in a small index heap (``order``), so
-    the sparse distance ranges of late PathFinder iterations cost
-    nothing to scan.
+    The Python kernel (see the module docstring): A* on one ``heapq``
+    of ``(g + h, -g, node)``, with ``h`` from :func:`_lower_bounds`.
 
     ``edst`` is the edge-destination array to search: ``c.edge_dst``,
     or a defect map's copy in which every dead switch is a self-loop
     (:meth:`~repro.reliability.defect_map.DefectMap.live_edge_dst`).
-    A self-loop never relaxes — a popped node has ``dist == d`` and a
+    A self-loop never relaxes — a popped node has ``dist == g`` and a
     cost >= 1.0 — so dead switches need no test here.  ``mask`` is a
     per-node 0/1 membership mask (the net's expanded bounding box);
     zero-mask nodes are never relaxed.  Returns ``None`` when
@@ -613,62 +632,54 @@ def _dijkstra(c: CompiledRRG, state: _FlatCongestion, tree_nodes: set[int],
     buffers through memoryviews (no copy).
     """
     ep = scratch.next_epoch()
-    dist, prev, stamp, eff = map(memoryview, (
-        scratch.dist, scratch.prev, scratch.stamp, state.eff))
+    dist, prev, stamp, eff, bound = map(memoryview, (
+        scratch.dist, scratch.prev, scratch.stamp, state.eff,
+        _lower_bounds(c, target)))
     estart, emid, rows_dst = c.row_lists()
     dst = rows_dst if edst is c.edge_dst else memoryview(edst)
 
-    first: list[tuple[float, int]] = []
-    buckets: dict[float, list[tuple[float, int]]] = {0: first}
-    order: list[float] = [0]  # heap of occupied bucket indices
-    push_order = heapq.heappush
-    pop_order = heapq.heappop
-    pops = 0
+    heap = []
     for n in tree_nodes:
         stamp[n] = ep
         dist[n] = 0.0
-        first.append((0.0, n))
-    while order:
-        bucket = buckets.pop(pop_order(order))
-        bucket.sort()
-        for d, nid in bucket:
-            pops += 1
-            if d > dist[nid] and stamp[nid] == ep:
-                continue
-            if nid == target:
-                path = [nid]
-                tail = nid
-                while tail not in tree_nodes:
-                    tail = prev[tail]
-                    path.append(tail)
-                path.reverse()
-                _tcount("router.pops", pops)
-                return path
-            lo, mid, hi = estart[nid], emid[nid], estart[nid + 1]
-            outs = dst[lo:mid]  # non-SINK destinations (bulk of the fan-out)
-            if mask is not None:
-                outs = [nxt for nxt in outs if mask[nxt]]
-            if mid < hi and target in dst[mid:hi]:
-                outs = [*outs, target]  # the only enterable SINK
-            for nxt in outs:
-                nd = d + eff[nxt]
-                if stamp[nxt] != ep or nd < dist[nxt]:
-                    stamp[nxt] = ep
-                    dist[nxt] = nd
-                    prev[nxt] = nid
-                    bi = int(nd) if nd != _INF_BUCKET else _INF_BUCKET
-                    b = buckets.get(bi)
-                    if b is None:
-                        buckets[bi] = [(nd, nxt)]
-                        push_order(order, bi)
-                    else:
-                        b.append((nd, nxt))
+        heap.append((bound[n], -0.0, n))
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    pops = 0
+    while heap:
+        _f, g, nid = pop(heap)
+        pops += 1
+        d = -g
+        if d > dist[nid]:
+            continue  # stale: the node was reached cheaper since
+        if nid == target:
+            path = [nid]
+            tail = nid
+            while tail not in tree_nodes:
+                tail = prev[tail]
+                path.append(tail)
+            path.reverse()
+            _tcount("router.pops", pops)
+            return path
+        lo, mid, hi = estart[nid], emid[nid], estart[nid + 1]
+        outs = dst[lo:mid]  # non-SINK destinations (bulk of the fan-out)
+        if mask is not None:
+            outs = [nxt for nxt in outs if mask[nxt]]
+        if mid < hi and target in dst[mid:hi]:
+            outs = [*outs, target]  # the only enterable SINK
+        for nxt in outs:
+            nd = d + eff[nxt]
+            if stamp[nxt] != ep or nd < dist[nxt]:
+                stamp[nxt] = ep
+                dist[nxt] = nd
+                prev[nxt] = nid
+                push(heap, (nd + bound[nxt], -nd, nxt))
     _tcount("router.pops", pops)
     return None
 
 
 #: The Python loop's search; the test suite patches its oracles in here.
-_search = _dijkstra
+_search = _astar
 #: ``_search`` as defined here: the native context route stands in for
 #: the Python loop only while this is the search in effect.
 _SEARCH = _search
@@ -684,7 +695,7 @@ class _RouteJob(ctypes.Structure):
         ("estart emid edst edge_dst xlo xhi ylo yhi", ctypes.c_void_p),
         ("cols rows margin", ctypes.c_int64),
         ("node_ok base cap hist eff usage", ctypes.c_void_p),
-        ("pres_fac pres_fac_mult hist_fac", ctypes.c_double),
+        ("pres_fac pres_fac_mult hist_fac astar_fac", ctypes.c_double),
         ("max_iterations n_nets", ctypes.c_int64),
         ("source sink_start sinks adopt_start adopt seed_start "
          "seed_path_start seed_sink seed_nodes", ctypes.c_void_p),
@@ -826,7 +837,7 @@ def _route_native(
         cap if state.capacity_np is c.node_capacity
         else _addr(state.capacity_np),
         *map(_addr, (state.history, state.eff, state.usage)),
-        state.pres_fac, PRES_FAC_MULT, HIST_FAC, max_iterations, n,
+        state.pres_fac, PRES_FAC_MULT, HIST_FAC, ASTAR_FAC, max_iterations, n,
         source_at, sink_start_at, sinks_at, adopt_start_at, adopt_at,
         seed_start_at, seed_path_start_at, seed_sink_at, seed_nodes_at,
         nodes_cap, paths_cap,
@@ -916,7 +927,7 @@ def _route_net_flat(
     mask; ``base_mask`` is the defect-only floor the full-graph retry
     must keep honouring (``None`` without defects), and ``edst`` is the
     edge-destination array to search (dead switches lowered to
-    self-loops, see :func:`_dijkstra`).
+    self-loops, see :func:`_astar`).
 
     ``seed_paths`` (delta-reroute) pre-adopts known-good source→sink
     branches — the healthy portion of a dirty net's golden route —
@@ -1052,7 +1063,7 @@ def route_context_compiled(
 
     Mirrors the legacy router (``tests/oracles/legacy_router.py``)
     decision-for-decision (same net order, same congestion schedule,
-    same rip-up criterion), but runs Dijkstra over CSR arrays with
+    same rip-up criterion and search key), but searches CSR arrays with
     epoch-stamped search buffers and per-net bounding boxes (see the
     module docstring for the one case where pruning may pick a
     different route than the legacy engine).  The native route
@@ -1210,7 +1221,7 @@ def route_context_warm(
     Seeds PathFinder with the golden congestion state: every non-dirty
     golden route is adopted *before the first fresh search* — adopted
     routes share the golden net's tree and commit their usage in
-    vectorised batches — so each dirty net's Dijkstra already sees the
+    vectorised batches — so each dirty net's search already sees the
     full picture of healthy routes and steers around them immediately,
     instead of colliding with not-yet-routed ones and negotiating the
     conflicts away over rip-up iterations.  Adopted routes still

@@ -1,7 +1,9 @@
 """The legacy PathFinder router over the object graph: a test oracle.
 
 The original dict/set implementation of negotiated-congestion routing
-(McMurchie & Ebeling, FPGA'95) on a :mod:`rrg_oracle` graph.  It shares
+(McMurchie & Ebeling, FPGA'95) on a :mod:`rrg_oracle` graph, with
+VPR's directed (A*) search computing its bound from the graph's own
+node coordinates.  It shares
 no search, congestion or endpoint code with
 :mod:`repro.route.pathfinder`: the equivalence tests assert the compiled
 router reproduces its routes, and ``benchmarks/bench_engine_scaling.py``
@@ -9,9 +11,9 @@ and ``benchmarks/bench_sweep_scaling.py`` measure their speed-ups
 against it.  Only the result records (:class:`RoutedNet` through
 :func:`net_from_paths`, whose trees name edges by the compiled
 substrate's CSR indexes, and :class:`RouteResult`), the schedule
-constants and :func:`endpoint_signature` are imported, so both
-routers hand back the same types and price nodes with the same
-numbers.
+constants (the bound's weight ``ASTAR_FAC`` among them) and
+:func:`endpoint_signature` are imported, so both routers hand back the
+same types and price nodes with the same numbers.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.netlist.dfg import MultiContextProgram
 from repro.netlist.netlist import CellKind, Netlist
 from repro.place.placer import Placement
 from repro.route.pathfinder import (
+    ASTAR_FAC,
     HIST_FAC,
     MAX_ITERATIONS,
     PRES_FAC_FIRST,
@@ -120,21 +123,43 @@ class _CongestionState:
                 self.history[nid] += HIST_FAC * (u - g.nodes[nid].capacity)
 
 
-def _dijkstra_to_sink(
+def _extent(node) -> tuple[int, int, int, int]:
+    """``(xlo, xhi, ylo, yhi)``: the tiles a node touches.  A wire in
+    channel ``c`` lies between tile rows (columns) ``c - 1`` and ``c``
+    and covers ``length`` tiles from ``pos`` along it; a pin sits on
+    its tile."""
+    if node.kind is NodeKind.CHANX:
+        return node.pos, node.pos + node.length - 1, node.y - 1, node.y
+    if node.kind is NodeKind.CHANY:
+        return node.x - 1, node.x, node.pos, node.pos + node.length - 1
+    return node.x, node.x, node.y, node.y
+
+
+def _astar_to_sink(
     g: RoutingResourceGraph,
     state: _CongestionState,
     tree_nodes: set[int],
     target: int,
 ) -> list[int]:
-    """Shortest path from the current route tree to ``target``."""
+    """Cheapest path from the current route tree to ``target``: A* on
+    ``(g + h, -g, node)``, ``h`` the tile gap to the target times
+    ``ASTAR_FAC``."""
+    tx, ty = g.nodes[target].x, g.nodes[target].y
+
+    def h(nid: int) -> float:
+        xlo, xhi, ylo, yhi = _extent(g.nodes[nid])
+        return ASTAR_FAC * (max(0, xlo - tx, tx - xhi)
+                            + max(0, ylo - ty, ty - yhi))
+
     dist: dict[int, float] = {}
     prev: dict[int, int] = {}
-    heap: list[tuple[float, int]] = []
+    heap: list[tuple[float, float, int]] = []
     for n in tree_nodes:
         dist[n] = 0.0
-        heapq.heappush(heap, (0.0, n))
+        heapq.heappush(heap, (h(n), -0.0, n))
     while heap:
-        d, nid = heapq.heappop(heap)
+        _f, neg, nid = heapq.heappop(heap)
+        d = -neg
         if d > dist.get(nid, float("inf")):
             continue
         if nid == target:
@@ -150,7 +175,7 @@ def _dijkstra_to_sink(
             if nd < dist.get(nxt, float("inf")):
                 dist[nxt] = nd
                 prev[nxt] = nid
-                heapq.heappush(heap, (nd, nxt))
+                heapq.heappush(heap, (nd + h(nxt), -nd, nxt))
     raise RoutingError(f"no path to sink node {target} ({g.nodes[target].name})")
 
 
@@ -164,7 +189,7 @@ def _route_net(
     nodes = {source}
     sink_paths: dict[int, list[int]] = {}
     for sink in sinks:
-        path = _dijkstra_to_sink(g, state, nodes, sink)
+        path = _astar_to_sink(g, state, nodes, sink)
         sink_paths[sink] = list(path)
         nodes.update(path)
     return net_from_paths(flat_rrg_for(g.params), name, source, sinks,

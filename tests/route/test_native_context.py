@@ -4,7 +4,7 @@ With a C compiler, every sequential context route (``workers <= 1``)
 is one ``route_context`` call into ``_search.c``.  Each workload below
 is routed twice: once through that call and once through the Python
 loop of ``route_context_compiled`` (the fallback and the oracle), which
-runs the Python kernel ``_dijkstra``, not the native search: the two
+runs the Python kernel ``_astar``, not the native search: the two
 share no search code.  Per net the two must agree on the route
 tree's arrays, on ``nodes``, ``edges``, ``sink_paths`` (insertion order
 included) and ``reused``,
@@ -15,8 +15,9 @@ Covered: the route-digest cases (share-aware programs, the 0-10% wire
 and switch defect suite plus seed-9 maps at 1, 3 and 5% on its 6x6
 fabric, warm reroutes with salvage), the queue workloads, a congested
 context on fractional base costs, the share-aware ``map8`` programs
-with their reuse banks, both ``RoutingError`` messages, and
-share-unaware contexts routed on four threads.
+with their reuse banks, both ``RoutingError`` messages, routes that
+clear exactly at the rip-up limit, and share-unaware contexts routed
+on four threads.
 """
 
 import inspect
@@ -300,6 +301,20 @@ class TestErrors:
         assert msg_native == msg_python
         assert msg_native.startswith(f"no path to sink node {sink} ")
         assert counts_native == counts_python
+
+    def test_limit_tested_after_overuse(self):
+        """Both loops test overuse before the rip-up limit: a route that
+        clears on its last permitted pass, and a clean first pass at a
+        limit of one, are accepted."""
+        netlist = tech_map(random_dag(6, 18, 6, seed=2), k=4)
+        for width, limit in ((4, 2), (6, 1)):
+            params = ArchParams(cols=6, rows=6, channel_width=width,
+                                io_capacity=4)
+            c = flat_rrg_for(params)
+            pl = place(netlist, params, seed=2)
+            (rr,), _counts = _assert_twins(lambda: route_context_compiled(
+                c, netlist, pl, max_iterations=limit))
+            assert rr.iterations == limit
 
     def test_iteration_limit(self):
         params = ArchParams(cols=3, rows=3, channel_width=1,

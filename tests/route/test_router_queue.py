@@ -1,20 +1,20 @@
 """The router's search kernels against an independent binary-heap oracle.
 
-Each kernel runs one search: the native context route a binary heap,
-or without a C compiler the Python loop a bucket-queue Dijkstra (Dial's
-algorithm).  Every effective node cost is >= 1.0, so bucketing
-distances by integer part and draining each bucket in ``(dist, node)``
-order visits nodes in exactly a binary heap's pop order.  Dead switches
-reach the kernel as self-loops in a lowered copy of ``edge_dst``.
+Each kernel runs one A* search: the native context route on a binary
+heap, or without a C compiler the Python loop on ``heapq``, both keyed
+``(g + h, -g, node)`` with ``h`` the tile gap to the target times
+``ASTAR_FAC``.  The key never ties, so any correct heap pops the same
+order.  Dead switches reach the kernel as self-loops in a lowered copy
+of ``edge_dst``.
 
-The oracle below is a plain binary-heap Dijkstra that reads
-``c.edge_dst`` and skips the defect map's ``switch_defects`` itself, so
-it shares no code with the kernels or the self-loop lowering.  These
-tests patch it over ``pathfinder._search``, the Python loop's search
-(which moves the route onto the Python loop), and pin that the routes
-(not just the wirelengths) are identical — including congested runs
-whose escalated costs spread distances across sparse buckets, and
-defect maps with dead switches.
+The oracle below is a plain binary-heap A* that reads ``c.edge_dst``,
+computes its own bound from the node extents and skips the defect
+map's ``switch_defects`` itself, so it shares no code with the
+kernels, their bound or the self-loop lowering.  These tests patch it
+over ``pathfinder._search``, the Python loop's search (which moves the
+route onto the Python loop), and pin that the routes (not just the
+wirelengths) are identical — including congested runs whose escalated
+costs spread distances far apart, and defect maps with dead switches.
 They also pin that the targeted congestion re-price reproduces the
 whole-graph refresh bit-for-bit.
 """
@@ -34,8 +34,8 @@ from repro.reliability.defect_map import DefectMap
 from repro.workloads.generators import crc_step, random_dag, ripple_adder
 
 #: Narrow channels force congestion iterations; wide ones resolve in
-#: one pass — both matter (late iterations price nodes very high,
-#: which is the bucket queue's sparse-distance regime).
+#: one pass — both matter (late iterations price nodes very high, so
+#: the bound is a small part of the key).
 CASES = [
     ("adder-tight", ArchParams(cols=5, rows=5, channel_width=5,
                                io_capacity=4), lambda: ripple_adder(3)),
@@ -48,7 +48,7 @@ CASES = [
 
 
 def heap_search(dead_switches=()):
-    """A binary-heap Dijkstra with the kernel's signature and results.
+    """A binary-heap A* with the kernel's signature and results.
 
     Ignores the ``edst`` it is handed: it walks ``c.edge_dst`` and
     skips the edge ids in ``dead_switches`` on its own.
@@ -57,12 +57,20 @@ def heap_search(dead_switches=()):
 
     def search(c, state, tree_nodes, target, scratch, mask, edst):
         eff = state.eff
+        tx, ty = int(c.xlo[target]), int(c.ylo[target])
+
+        def h(n):
+            gx = max(0, int(c.xlo[n]) - tx, tx - int(c.xhi[n]))
+            gy = max(0, int(c.ylo[n]) - ty, ty - int(c.yhi[n]))
+            return pathfinder.ASTAR_FAC * (gx + gy)
+
         dist = {n: 0.0 for n in tree_nodes}
         prev = {}
-        heap = [(0.0, n) for n in tree_nodes]
+        heap = [(h(n), -0.0, n) for n in tree_nodes]
         heapq.heapify(heap)
         while heap:
-            d, nid = heapq.heappop(heap)
+            _f, g, nid = heapq.heappop(heap)
+            d = -g
             if d > dist[nid]:
                 continue
             if nid == target:
@@ -83,7 +91,7 @@ def heap_search(dead_switches=()):
                 if nxt not in dist or nd < dist[nxt]:
                     dist[nxt] = nd
                     prev[nxt] = nid
-                    heapq.heappush(heap, (nd, nxt))
+                    heapq.heappush(heap, (nd + h(nxt), -nd, nxt))
         return None
 
     return search

@@ -77,6 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--naive", action="store_true",
                    help="disable redundancy-aware mapping")
+    p.add_argument("--telemetry", action="store_true",
+                   help="collect counters and trace spans; attaches a "
+                        "`metrics` block to the result (visible in "
+                        "--json output)")
     p.add_argument("--json", action="store_true",
                    help="emit results as JSON instead of tables")
 
@@ -95,6 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pool flavour for concurrent mapping jobs")
     p.add_argument("--naive", action="store_true",
                    help="disable redundancy-aware mapping")
+    p.add_argument("--telemetry", action="store_true",
+                   help="collect counters and trace spans; attaches a "
+                        "`metrics` block to the result (visible in "
+                        "--json output)")
     p.add_argument("--json", action="store_true",
                    help="emit results as JSON instead of tables")
 
@@ -103,6 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contexts", type=int, default=4)
     p.add_argument("--mutation", type=float, default=0.15)
     p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--telemetry", action="store_true",
+                   help="collect counters and trace spans; attaches a "
+                        "`metrics` block to the result (visible in "
+                        "--json output)")
+    p.add_argument("--json", action="store_true",
+                   help="emit the result as JSON instead of a summary")
 
     p = sub.add_parser("sweep", help="design-space and sensitivity sweeps")
     p.add_argument("--what",
@@ -207,6 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-verify", action="store_true",
                    help="skip functional verification of the mapped "
                         "program")
+    p.add_argument("--telemetry", action="store_true",
+                   help="collect counters and trace spans; attaches a "
+                        "`metrics` block to the result (visible in "
+                        "--json output)")
     p.add_argument("--json", action="store_true",
                    help="emit the result as JSON instead of a summary")
 
@@ -403,7 +421,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     request = MapRequest(
         workload=args.workload, contexts=args.contexts,
         mutation=args.mutation, share_aware=not args.naive,
-        execution=ExecutionConfig(seed=args.seed),
+        execution=ExecutionConfig(seed=args.seed, telemetry=args.telemetry),
     )
     result = _session().run(request)
     if args.json:
@@ -427,6 +445,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         share_aware=not args.naive,
         execution=ExecutionConfig(
             backend=args.backend, workers=args.workers, seed=args.seed,
+            telemetry=args.telemetry,
         ),
     )
     result = _session().run(request)
@@ -446,9 +465,13 @@ def cmd_reorder(args: argparse.Namespace) -> int:
 
     request = ReorderRequest(
         workload=args.workload, contexts=args.contexts,
-        mutation=args.mutation, execution=ExecutionConfig(seed=args.seed),
+        mutation=args.mutation,
+        execution=ExecutionConfig(seed=args.seed, telemetry=args.telemetry),
     )
     result = _session().run(request)
+    if args.json:
+        print(json.dumps(result.to_dict(), indent=2))
+        return 0
     print(f"decoder cost before: {result.cost_before} SEs")
     print(f"decoder cost after : {result.cost_after} SEs "
           f"(saving {result.saving:.1%})")
@@ -602,7 +625,8 @@ def cmd_import(args: argparse.Namespace) -> int:
         sources=tuple(sources), name=args.name, k=args.k,
         grid=args.grid, width=args.width,
         share_aware=not args.naive, verify=not args.no_verify,
-        execution=ExecutionConfig(seed=args.seed, effort=args.effort),
+        execution=ExecutionConfig(seed=args.seed, effort=args.effort,
+                                  telemetry=args.telemetry),
     )
     result = _session().run(request)
     if args.json:

@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+#: A BLIF netlist of the pinned corpus.
+ADDER_BLIF = (Path(__file__).parents[1] / "regression_tests" / "comb_adder2"
+              / "add2.blif")
 
 SPEC_DOC = {
     "schema_version": 1,
@@ -120,6 +125,44 @@ class TestReorder:
         out = capsys.readouterr().out
         assert "decoder cost" in out
         assert "schedule" in out
+
+
+class TestTelemetryFlag:
+    """``--telemetry`` on the mapping subcommands: the JSON result
+    carries a ``metrics`` block with the route span and the router's
+    pop counter."""
+
+    def _assert_metrics(self, doc):
+        metrics = doc["metrics"]
+        spans = {s[0] for w in metrics["workers"] for s in w["spans"]}
+        assert "map.route" in spans
+        assert metrics["counters"]["router.pops"] > 0
+
+    def _run(self, capsys, argv):
+        assert main([*argv, "--telemetry", "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_map(self, capsys):
+        self._assert_metrics(self._run(capsys, ["map", "--contexts", "2"]))
+
+    def test_batch(self, capsys):
+        data = self._run(capsys, ["batch", "--workloads", "adder",
+                                  "--contexts", "2"])
+        self._assert_metrics(data[0])
+
+    def test_reorder(self, capsys):
+        doc = self._run(capsys, ["reorder", "--contexts", "2"])
+        assert doc["cost_after"] <= doc["cost_before"]
+        self._assert_metrics(doc)
+
+    def test_import(self, capsys):
+        doc = self._run(capsys, ["import", str(ADDER_BLIF)])
+        assert doc["verified"] is True
+        self._assert_metrics(doc)
+
+    def test_off_by_default(self, capsys):
+        assert main(["map", "--contexts", "2", "--json"]) == 0
+        assert "metrics" not in json.loads(capsys.readouterr().out)
 
 
 class TestSweep:

@@ -55,7 +55,7 @@ def _fabrics():
     )
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(params=_fabrics())
 def test_bound_is_consistent_on_every_edge(params):
     c = build_flat(params)

@@ -11,13 +11,16 @@
  * Its one search (`search`) is an A* search for the cheapest path from a
  * route tree to one target over the CSR rows of a compiled
  * routing-resource graph.  The lower bound on the cost left at node n
- * is h(n) = bound * (gap_x + gap_y), each gap the tile distance between
- * n's extent box and the target's tile, with `bound` =
- * pathfinder.ASTAR_FAC.  A binary heap on (g + h, -g, node) pops
- * entries in exactly the order of the Python kernel's heapq
- * (pathfinder._astar): h is fixed per node within a search and a
- * node's pushed g strictly decrease, so no two heap keys are equal.
- * Stale pops are counted like the Python kernel counts them.
+ * (pathfinder._lower_bounds) is h(n) = bound * (gap_x + gap_y), each
+ * gap the tile distance between n's extent box and the target's tile,
+ * with `bound` = pathfinder.ASTAR_FAC; it is infinite at a node whose
+ * only edges are SINK edges (an input pin) on another tile than the
+ * target's, which reaches none of the target's sinks, so the search
+ * never pushes one.  A binary heap on (g + h, -g, node) pops entries in
+ * exactly the order of the Python kernel's heapq (pathfinder._astar): h
+ * is fixed per node within a search and a node's pushed g strictly
+ * decrease, so no two heap keys are equal.  Stale pops are counted like
+ * the Python kernel counts them.
  *
  * Nothing is static: the route reads and writes the caller's graph,
  * congestion and output arrays, and allocates and frees every scratch
@@ -114,11 +117,11 @@ typedef struct {
     int64_t heap_cap;
 } searcher;
 
-/* h(n): `bound` times the tiles between n's extent box and the target
- * tile (tx, ty).  No node spans more than 2 tiles a side and every cost
- * is >= 1.0, so with bound <= 0.5 an edge u -> v never lowers h by more
- * than eff[v]: h is consistent, and every node pops first at its
- * shortest distance. */
+/* h(n) where it is finite: `bound` times the tiles between n's extent
+ * box and the target tile (tx, ty).  No node spans more than 2 tiles a
+ * side and every cost is >= 1.0, so with bound <= 0.5 an edge u -> v
+ * never lowers h by more than eff[v]: h is consistent, and every node
+ * pops first at its shortest distance. */
 static double lower_bound(const searcher *s, int32_t n, int32_t tx,
                           int32_t ty) {
     int32_t gx = s->xlo[n] - tx, gy = s->ylo[n] - ty;
@@ -129,15 +132,31 @@ static double lower_bound(const searcher *s, int32_t n, int32_t tx,
     return s->bound * (double)(gx + gy);
 }
 
-/* Pushes the `n_tree` nodes of `tree` at distance 0 and searches.
+/* Whether h(n) is infinite: n's only edges are SINK edges (an input
+ * pin) and it is on another tile than (tx, ty), so it reaches none of
+ * the target's sinks. */
+static int beyond(const searcher *s, int32_t n, int32_t tx, int32_t ty) {
+    return (s->emid[n] == s->estart[n])
+        & ((s->xlo[n] != tx) | (s->ylo[n] != ty));
+}
+
+/* A net's prune box: the tiles [xlo, xhi] x [ylo, yhi]. */
+typedef struct {
+    int32_t xlo, xhi, ylo, yhi;
+} window;
+
+/* Puts the `n_tree` nodes of `tree` at distance 0, pushes those with a
+ * finite bound, and searches.
  * Returns the length of the path written to `path` (tree node first,
  * target last), 0 when `target` is unreachable, or -1 when the heap
  * cannot grow.  A non-SINK edge (before `emid`) enters a node only
- * where `mask` (NULL: everywhere) admits it; SINK edges admit only
- * `target`.  `*pops` receives the pop count. */
-static int64_t search(searcher *s, const uint8_t *mask, const int32_t *tree,
-                      int64_t n_tree, int32_t target, int32_t *path,
-                      int64_t *pops)
+ * where `ok` (NULL: everywhere) admits it and, unless `box` is NULL,
+ * only when the node's extent meets the box (CompiledRRG.bbox_mask's
+ * inequalities); SINK edges admit only `target`.  `*pops` receives the
+ * pop count. */
+static int64_t search(searcher *s, const window *box, const uint8_t *ok,
+                      const int32_t *tree, int64_t n_tree, int32_t target,
+                      int32_t *path, int64_t *pops)
 {
     const int32_t *estart = s->estart, *emid = s->emid, *edst = s->edst;
     const double *eff = s->eff;
@@ -150,8 +169,9 @@ static int64_t search(searcher *s, const uint8_t *mask, const int32_t *tree,
     for (int64_t i = 0; i < n_tree; i++) {
         stamp[tree[i]] = epoch;
         dist[tree[i]] = 0.0;
-        if (push(&s->heap, &len, &s->heap_cap,
-                 lower_bound(s, tree[i], tx, ty), 0.0, tree[i]) < 0)
+        if (!beyond(s, tree[i], tx, ty)
+                && push(&s->heap, &len, &s->heap_cap,
+                        lower_bound(s, tree[i], tx, ty), 0.0, tree[i]) < 0)
             k = -1;
     }
     while (len > 0 && k == 0) {
@@ -179,8 +199,15 @@ static int64_t search(searcher *s, const uint8_t *mask, const int32_t *tree,
         for (int32_t e = lo; e < hi; e++) {
             int32_t nxt = edst[e];
             if (e < mid) {
-                if (mask != NULL && !mask[nxt])
-                    continue; /* outside the mask */
+                if (ok != NULL && !ok[nxt])
+                    continue; /* a dead node */
+                if (box != NULL
+                        && ((s->xhi[nxt] < box->xlo) | (s->xlo[nxt] > box->xhi)
+                            | (s->yhi[nxt] < box->ylo)
+                            | (s->ylo[nxt] > box->yhi)))
+                    continue; /* outside the net's box */
+                if (beyond(s, nxt, tx, ty))
+                    continue; /* an input pin of another tile */
             } else if (nxt != target) {
                 continue; /* a foreign SINK */
             }
@@ -305,7 +332,6 @@ typedef struct {
     int32_t *path;  /* the search's output */
     vec tree, parent, paths;
     route_rec *rec;
-    uint8_t *mask;  /* the net's prune mask */
     uint32_t *mark; /* route serial that last put a node in its tree */
     int32_t *pos;   /* a marked node's position in its route's tree */
     uint32_t serial;
@@ -399,24 +425,22 @@ static int route_net(router *r, int64_t i, int seeded) {
         if (add_path(r, &rec, j->seed_nodes + a, b - a) < 0)
             return RC_NOMEM;
     }
-    /* _net_mask: the margin-expanded terminal box ANDed with the defect
-     * floor, unless the box covers the fabric (built at the first search) */
-    int32_t bxlo = j->xlo[src], bxhi = j->xhi[src];
-    int32_t bylo = j->ylo[src], byhi = j->yhi[src];
+    /* _net_mask: the margin-expanded terminal box (ANDed with the
+     * defect floor), unless it covers the fabric */
+    window box = {j->xlo[src], j->xhi[src], j->ylo[src], j->yhi[src]};
     for (int64_t k = 0; k < n_sinks; k++) {
         int32_t n = sinks[k];
-        if (j->xlo[n] < bxlo) bxlo = j->xlo[n];
-        if (j->xhi[n] > bxhi) bxhi = j->xhi[n];
-        if (j->ylo[n] < bylo) bylo = j->ylo[n];
-        if (j->yhi[n] > byhi) byhi = j->yhi[n];
+        if (j->xlo[n] < box.xlo) box.xlo = j->xlo[n];
+        if (j->xhi[n] > box.xhi) box.xhi = j->xhi[n];
+        if (j->ylo[n] < box.ylo) box.ylo = j->ylo[n];
+        if (j->yhi[n] > box.yhi) box.yhi = j->yhi[n];
     }
-    bxlo -= (int32_t)j->margin;
-    bxhi += (int32_t)j->margin;
-    bylo -= (int32_t)j->margin;
-    byhi += (int32_t)j->margin;
-    int covers = bxlo <= -1 && bylo <= -1 && bxhi >= j->cols
-        && byhi >= j->rows;
-    const uint8_t *mask = NULL;
+    box.xlo -= (int32_t)j->margin;
+    box.xhi += (int32_t)j->margin;
+    box.ylo -= (int32_t)j->margin;
+    box.yhi += (int32_t)j->margin;
+    int covers = box.xlo <= -1 && box.ylo <= -1 && box.xhi >= j->cols
+        && box.yhi >= j->rows;
     for (int64_t k = 0; k < n_sinks; k++) {
         int32_t sink = sinks[k];
         int done = 0;
@@ -424,21 +448,14 @@ static int route_net(router *r, int64_t i, int seeded) {
             done = j->seed_sink[p] == sink;
         if (done)
             continue;
-        if (mask == NULL) {
-            mask = covers ? j->node_ok : r->mask;
-            if (!covers) /* CompiledRRG.bbox_mask's inequalities */
-                for (int64_t n = 0; n < j->n_nodes; n++)
-                    r->mask[n] = j->xhi[n] >= bxlo && j->xlo[n] <= bxhi
-                        && j->yhi[n] >= bylo && j->ylo[n] <= byhi
-                        && (j->node_ok == NULL || j->node_ok[n]);
-        }
         int64_t pops, len;
-        len = search(&r->s, mask, r->tree.v + rec.tree_off, rec.tree_len,
-                     sink, r->path, &pops);
+        len = search(&r->s, covers ? NULL : &box, j->node_ok,
+                     r->tree.v + rec.tree_off, rec.tree_len, sink, r->path,
+                     &pops);
         j->stats[ST_POPS] += pops;
         if (len == 0 && !covers) {
             /* the box disconnected this sink: retry without it */
-            len = search(&r->s, j->node_ok, r->tree.v + rec.tree_off,
+            len = search(&r->s, NULL, j->node_ok, r->tree.v + rec.tree_off,
                          rec.tree_len, sink, r->path, &pops);
             j->stats[ST_POPS] += pops;
         }
@@ -597,12 +614,11 @@ int64_t route_context(route_job *j)
     r.path = malloc(n * sizeof(int32_t));
     r.rec = calloc((size_t)(j->n_nets ? j->n_nets : 1), sizeof(route_rec));
     r.mark = calloc(n, sizeof(uint32_t));
-    r.mask = malloc(n);
     r.pos = malloc(n * sizeof(int32_t));
     int rc = RC_NOMEM;
     if (r.s.dist != NULL && r.s.prev != NULL && r.s.stamp != NULL
             && r.s.heap != NULL && r.path != NULL && r.rec != NULL
-            && r.mark != NULL && r.mask != NULL && r.pos != NULL) {
+            && r.mark != NULL && r.pos != NULL) {
         rc = route_all(&r);
         if (rc == RC_OK)
             rc = write_out(&r);
@@ -614,7 +630,6 @@ int64_t route_context(route_job *j)
     free(r.path);
     free(r.rec);
     free(r.mark);
-    free(r.mask);
     free(r.pos);
     free(r.tree.v);
     free(r.parent.v);

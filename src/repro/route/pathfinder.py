@@ -45,14 +45,18 @@ between ``n``'s extent box and ``t``'s tile (:func:`_lower_bounds`).
 It is consistent: an edge ``u -> v`` joins nodes whose boxes overlap
 and no box spans more than 2 tiles a side, so each gap shrinks by at
 most one tile and ``h_t(u) - h_t(v) <= 0.5 * 2 = 1.0``, while every
-cost ``eff[v]`` is at least its base cost, >= 1.0.
-So the search pops every node first at its shortest distance and
-returns a cheapest path, as Dijkstra would; only the choice among
-equally cheap paths is the bound's (``tests/route/test_lower_bound.py``
-checks the inequality on every edge of the workloads' fabrics).  Both
-heaps order entries by ``(g + h, -g, node)``: ``h`` is fixed per node
-within a search and a node's pushed ``g`` strictly decrease, so no two
-keys tie and the C binary heap and ``heapq`` pop the same order.
+cost ``eff[v]`` is at least its base cost, >= 1.0.  So the search
+pops every node first at its shortest distance and returns a cheapest
+path, as Dijkstra would; only the choice among equally cheap paths is
+the bound's (``tests/route/test_lower_bound.py`` checks the inequality
+on every edge of the workloads' fabrics).  The bound is infinite, and
+the search never pushes the node, at an input pin (a node whose only
+edges are SINK edges) on another tile than the target's: it reaches
+none of the target's sinks, so skipping it moves no route, only pops.
+Both heaps order entries by ``(g + h, -g, node)``: ``h`` is fixed per
+node within a search and a node's pushed ``g`` strictly decrease, so
+no two keys tie and the C binary heap and ``heapq`` pop the same
+order.
 
 A routed net keeps its route as one :class:`RouteTree`: int32 arrays
 in tree order that timing, repair and the statistics read directly.
@@ -603,11 +607,20 @@ class _FlatCongestion:
 def _lower_bounds(c: CompiledRRG, target: int) -> np.ndarray:
     """The search's lower bound ``h`` on every node for one target:
     :data:`ASTAR_FAC` times the tile gap, on each axis, between the
-    node's extent box and the target's tile."""
+    node's extent box and the target's tile, and infinite at a node
+    whose only edges are SINK edges (an input pin) on another tile,
+    which reaches none of the target's sinks."""
     tx, ty = c.xlo[target], c.ylo[target]
     gap = (np.maximum(np.maximum(c.xlo - tx, tx - c.xhi), 0)
            + np.maximum(np.maximum(c.ylo - ty, ty - c.yhi), 0))
-    return ASTAR_FAC * gap
+    h = ASTAR_FAC * gap
+    pins = c.edge_mid == c.edge_start[:-1]
+    h[pins & ((c.xlo != tx) | (c.ylo != ty))] = np.inf
+    return h
+
+
+#: The bound of a node that cannot reach the target.
+_NEVER = float("inf")
 
 
 def _astar(c: CompiledRRG, state: _FlatCongestion, tree_nodes: set[int],
@@ -616,7 +629,8 @@ def _astar(c: CompiledRRG, state: _FlatCongestion, tree_nodes: set[int],
     """Cheapest path from the route tree to ``target`` over flat arrays.
 
     The Python kernel (see the module docstring): A* on one ``heapq``
-    of ``(g + h, -g, node)``, with ``h`` from :func:`_lower_bounds`.
+    of ``(g + h, -g, node)``, with ``h`` from :func:`_lower_bounds`; a
+    node whose bound is infinite is never pushed.
 
     ``edst`` is the edge-destination array to search: ``c.edge_dst``,
     or a defect map's copy in which every dead switch is a self-loop
@@ -642,7 +656,8 @@ def _astar(c: CompiledRRG, state: _FlatCongestion, tree_nodes: set[int],
     for n in tree_nodes:
         stamp[n] = ep
         dist[n] = 0.0
-        heap.append((bound[n], -0.0, n))
+        if bound[n] != _NEVER:
+            heap.append((bound[n], -0.0, n))
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     pops = 0
@@ -668,12 +683,15 @@ def _astar(c: CompiledRRG, state: _FlatCongestion, tree_nodes: set[int],
         if mid < hi and target in dst[mid:hi]:
             outs = [*outs, target]  # the only enterable SINK
         for nxt in outs:
+            h = bound[nxt]
+            if h == _NEVER:
+                continue  # an input pin of another tile
             nd = d + eff[nxt]
             if stamp[nxt] != ep or nd < dist[nxt]:
                 stamp[nxt] = ep
                 dist[nxt] = nd
                 prev[nxt] = nid
-                push(heap, (nd + bound[nxt], -nd, nxt))
+                push(heap, (nd + h, -nd, nxt))
     _tcount("router.pops", pops)
     return None
 

@@ -45,6 +45,13 @@ from repro.api.workloads import WORKLOADS
 _WORKLOADS = list(WORKLOADS)
 
 
+def _telemetry_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--telemetry", action="store_true",
+                   help="collect counters and trace spans from every "
+                        "worker; attaches a `metrics` block to the "
+                        "result (visible in --json output)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -77,10 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--naive", action="store_true",
                    help="disable redundancy-aware mapping")
-    p.add_argument("--telemetry", action="store_true",
-                   help="collect counters and trace spans; attaches a "
-                        "`metrics` block to the result (visible in "
-                        "--json output)")
+    _telemetry_flag(p)
     p.add_argument("--json", action="store_true",
                    help="emit results as JSON instead of tables")
 
@@ -99,10 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pool flavour for concurrent mapping jobs")
     p.add_argument("--naive", action="store_true",
                    help="disable redundancy-aware mapping")
-    p.add_argument("--telemetry", action="store_true",
-                   help="collect counters and trace spans; attaches a "
-                        "`metrics` block to the result (visible in "
-                        "--json output)")
+    _telemetry_flag(p)
     p.add_argument("--json", action="store_true",
                    help="emit results as JSON instead of tables")
 
@@ -111,10 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contexts", type=int, default=4)
     p.add_argument("--mutation", type=float, default=0.15)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--telemetry", action="store_true",
-                   help="collect counters and trace spans; attaches a "
-                        "`metrics` block to the result (visible in "
-                        "--json output)")
+    _telemetry_flag(p)
     p.add_argument("--json", action="store_true",
                    help="emit the result as JSON instead of a summary")
 
@@ -143,10 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="attach per-phase wall-clock timings to each "
                         "point (visible in --json output)")
-    p.add_argument("--telemetry", action="store_true",
-                   help="collect counters and trace spans from every "
-                        "worker; attaches a `metrics` block to the "
-                        "result (visible in --json output)")
+    _telemetry_flag(p)
     p.add_argument("--json", action="store_true",
                    help="emit results as JSON instead of tables")
 
@@ -184,10 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="attach per-phase wall-clock timings to each "
                         "campaign point (visible in --json output)")
-    p.add_argument("--telemetry", action="store_true",
-                   help="collect counters and trace spans from every "
-                        "worker; attaches a `metrics` block to the "
-                        "result (visible in --json output)")
+    _telemetry_flag(p)
     p.add_argument("--json", action="store_true",
                    help="emit results as JSON instead of tables")
 
@@ -221,10 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-verify", action="store_true",
                    help="skip functional verification of the mapped "
                         "program")
-    p.add_argument("--telemetry", action="store_true",
-                   help="collect counters and trace spans; attaches a "
-                        "`metrics` block to the result (visible in "
-                        "--json output)")
+    _telemetry_flag(p)
     p.add_argument("--json", action="store_true",
                    help="emit the result as JSON instead of a summary")
 

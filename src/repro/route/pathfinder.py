@@ -17,14 +17,14 @@ The router runs over the flat CSR arrays of a
 search.  A context route is one native call when the C build is there
 (:func:`route_kernel`): ``route_context`` in ``_search.c`` (built at
 first use by :mod:`repro.utils.native`) runs the whole loop — adopting
-bank routes, seeding salvaged branches, each net's sink searches with
-the prune mask built from ``CompiledRRG.bbox_mask``'s inequalities and
-the unpruned retry, the usage commits and every rip-up iteration
-(overuse test, history bump, pressure growth, re-price) — over this
-module's arrays, with :class:`_FlatCongestion`'s arithmetic operation
-for operation, and hands back each net's route tree as arrays
-(:class:`RouteTree`).  It allocates its own search buffers, so the
-native path builds none in Python.
+bank routes, seeding salvaged branches, each net's sink searches
+inside its prune box (``CompiledRRG.bbox_mask``'s inequalities, tested
+per relaxation) and the unpruned retry, the usage commits and every
+rip-up iteration (overuse test, history bump, pressure growth,
+re-price) — over this module's arrays, with :class:`_FlatCongestion`'s
+arithmetic operation for operation, and hands back each net's route
+tree as arrays (:class:`RouteTree`).  It allocates its own search
+buffers, so the native path builds none in Python.
 
 Without a C compiler the Python loop (:func:`_route_initial` and the
 rip-up loop of :func:`route_context_compiled`) runs :func:`_search`,

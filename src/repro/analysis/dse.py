@@ -30,7 +30,6 @@ explicit-netlist exploration.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from repro.analysis.sweep import (
     SweepJob,
@@ -45,32 +44,18 @@ from repro.errors import RoutingError
 from repro.netlist.netlist import Netlist
 
 
-@dataclass
-class RoutePoint:
-    """One architecture point's routing outcome."""
-
-    routed: bool
-    wirelength: int = 0
-    critical_path: float = 0.0
-    iterations: int = 0
-
-
-def _as_route_point(pt: SweepPoint) -> RoutePoint:
-    return RoutePoint(pt.routed, pt.wirelength, pt.critical_path, pt.iterations)
-
-
 def _try_route(
     netlist: Netlist,
     params: ArchParams,
     seed: int,
     effort: float,
     runner: SweepRunner | None = None,
-) -> RoutePoint:
+) -> SweepPoint:
     """Evaluate one architecture point on the compiled engine."""
     runner = runner if runner is not None else SweepRunner()
     job = SweepJob("point", 0.0, params, netlist, seed, effort)
     (pt,) = runner.iter_run([job])
-    return _as_route_point(pt)
+    return pt
 
 
 def minimum_channel_width(
@@ -117,15 +102,12 @@ def explore_double_fraction(
     seed: int = 0,
     effort: float = 0.3,
     runner: SweepRunner | None = None,
-) -> list[tuple[float, RoutePoint]]:
+) -> list[tuple[float, SweepPoint]]:
     """Sweep the double-length track share (Fig. 10's knob)."""
     fractions = list(fractions)
     runner = runner if runner is not None else SweepRunner()
     jobs = double_fraction_jobs(netlist, base, fractions, seed=seed, effort=effort)
-    return [
-        (f, _as_route_point(pt))
-        for f, pt in zip(fractions, runner.iter_run(jobs))
-    ]
+    return list(zip(fractions, runner.iter_run(jobs)))
 
 
 def explore_fc(
@@ -135,12 +117,9 @@ def explore_fc(
     seed: int = 0,
     effort: float = 0.3,
     runner: SweepRunner | None = None,
-) -> list[tuple[float, RoutePoint]]:
+) -> list[tuple[float, SweepPoint]]:
     """Sweep connection-block flexibility."""
     fcs = list(fcs)
     runner = runner if runner is not None else SweepRunner()
     jobs = fc_jobs(netlist, base, fcs, seed=seed, effort=effort)
-    return [
-        (fc, _as_route_point(pt))
-        for fc, pt in zip(fcs, runner.iter_run(jobs))
-    ]
+    return list(zip(fcs, runner.iter_run(jobs)))

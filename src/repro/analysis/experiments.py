@@ -32,6 +32,7 @@ from repro.core.bitstream import BitstreamStats, extract_bitstream_stats
 from repro.core.fpga import MultiContextFPGA
 from repro.errors import ReproError
 from repro.netlist.dfg import MultiContextProgram
+from repro.netlist.frontend import arch_for
 from repro.netlist.sharing import pack_global, pack_local
 from repro.place.placer import Placement, place_program
 from repro.route.pathfinder import RouteResult, route_program_compiled
@@ -96,7 +97,12 @@ def map_program(
     as ``map.place`` and ``map.route`` on whichever collector is bound.
     """
     if params is None:
-        params = _fit_params(program)
+        # a grid comfortably holding the largest context
+        biggest = max(
+            len(nl.luts()) + len(nl.dffs()) for nl in program.contexts
+        )
+        side = max(3, math.ceil(math.sqrt(biggest * 1.8)))
+        params = arch_for(program, side)
     compiled = compiled_rrg_for(params) if rrg is None else rrg
     with span("map.place"):
         placements = place_program(
@@ -110,25 +116,6 @@ def map_program(
         )
     return MappedProgram(
         program, params, placements, routes, compiled, share_aware
-    )
-
-
-def _fit_params(program: MultiContextProgram) -> ArchParams:
-    """Pick a grid comfortably holding the largest context."""
-    biggest = max(
-        len(nl.luts()) + len(nl.dffs()) for nl in program.contexts
-    )
-    io = max(
-        len(nl.inputs()) + len(nl.outputs()) for nl in program.contexts
-    )
-    side = max(3, math.ceil(math.sqrt(biggest * 1.8)))
-    io_cap = max(2, math.ceil(io / max(1, 4 * (side - 1))) + 1)
-    n_ctx = 1
-    while n_ctx < program.n_contexts:
-        n_ctx *= 2
-    return ArchParams(
-        cols=side, rows=side, n_contexts=max(2, n_ctx),
-        lut_inputs=4, channel_width=10, io_capacity=io_cap,
     )
 
 

@@ -10,8 +10,8 @@ exploration: points are data, the runner is policy):
 - :class:`SweepJob` — one architecture point to evaluate (picklable,
   so grids can be shipped to worker processes);
 - :class:`SweepPoint` — the structured outcome (routed, wirelength,
-  critical path, iterations), JSON-serializable via
-  :meth:`~SweepPoint.to_dict` / :meth:`~SweepPoint.from_dict`;
+  critical path, iterations), JSON-serializable through the record
+  codec (:mod:`repro.utils.records`);
 - :class:`SweepRunner` — executes a grid on the cached compiled
   substrates with a selectable backend;
 - grid builders (:func:`channel_width_jobs`,
@@ -73,7 +73,7 @@ from repro.netlist.netlist import Netlist
 from repro.place.placer import Placement, place
 from repro.route.pathfinder import route_context_compiled
 from repro.route.timing import critical_path
-from repro.utils.iters import SizedIterator
+from repro.utils.records import Record
 from repro.utils.telemetry import Telemetry, collecting, span
 
 #: PathFinder iteration budget per sweep point.  Matches the legacy
@@ -103,7 +103,7 @@ class SweepJob:
 
 
 @dataclass
-class SweepPoint:
+class SweepPoint(Record):
     """Structured outcome of one sweep point."""
 
     axis: str
@@ -121,60 +121,15 @@ class SweepPoint:
     #: telemetry never perturbs row bit-identity
     metrics: dict | None = None
 
-    def to_dict(self) -> dict:
-        d = {
-            "axis": self.axis,
-            "value": self.value,
-            "routed": self.routed,
-            "wirelength": self.wirelength,
-            "critical_path": self.critical_path,
-            "iterations": self.iterations,
-        }
-        if self.profile is not None:
-            d["profile"] = self.profile
-        if self.metrics is not None:
-            d["metrics"] = self.metrics
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SweepPoint":
-        return cls(
-            axis=d["axis"],
-            value=d["value"],
-            routed=d["routed"],
-            wirelength=d.get("wirelength", 0),
-            critical_path=d.get("critical_path", 0.0),
-            iterations=d.get("iterations", 0),
-            profile=d.get("profile"),
-            metrics=d.get("metrics"),
-        )
-
 
 @dataclass
-class AreaPoint:
+class AreaPoint(Record):
     """One analytic area-model sweep point (no routing involved)."""
 
     axis: str
     value: float
     cmos_ratio: float
     fepg_ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "value": self.value,
-            "cmos_ratio": self.cmos_ratio,
-            "fepg_ratio": self.fepg_ratio,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AreaPoint":
-        return cls(
-            axis=d["axis"],
-            value=d["value"],
-            cmos_ratio=d["cmos_ratio"],
-            fepg_ratio=d["fepg_ratio"],
-        )
 
 
 def _placement_key(job: SweepJob) -> tuple:
@@ -323,8 +278,7 @@ class SweepRunner:
         n = self.workers if self.workers is not None else (os.cpu_count() or 1)
         return 1 if self.backend == "sequential" else min(n, n_items)
 
-    def iter_items(self, fn, items: Sequence,
-                   run_id: str | None = None) -> SizedIterator:
+    def iter_items(self, fn, items: Sequence, run_id: str | None = None):
         """Execute ``fn`` over ``items``, yielding ``(result, snapshot)``
         pairs incrementally.
 
@@ -337,16 +291,9 @@ class SweepRunner:
         the same rows as a sequential run — bit-identical, just
         earlier.  A failing item raises its error when its slot is
         reached.  ``fn`` must be a picklable top-level callable for the
-        process backend.  The returned iterator is a
-        :class:`~repro.utils.iters.SizedIterator` — ``len()`` is the
-        total row count, available before any work runs.
+        process backend.
         """
         items = list(items)
-        return SizedIterator(self._iter_items(fn, items, run_id), len(items))
-
-    def _iter_items(self, fn, items: list, run_id: str | None):
-        if not items:
-            return
         n = self.pool_width(len(items))
         if n <= 1:
             for it in items:
@@ -363,18 +310,10 @@ class SweepRunner:
             # of the `with` block's shutdown(wait=True)
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def iter_run(self, jobs: Sequence[SweepJob],
-                 run_id: str | None = None) -> SizedIterator:
+    def iter_run(self, jobs: Sequence[SweepJob], run_id: str | None = None):
         """Evaluate every job, yielding each :class:`SweepPoint` as it
         completes (in job order).  Under a ``run_id`` each point's
-        ``metrics`` is its telemetry snapshot.  Sized: ``len()`` is the
-        grid size."""
-        jobs = list(jobs)
-        return SizedIterator(self._iter_run(jobs, run_id), len(jobs))
-
-    def _iter_run(self, jobs: list, run_id: str | None):
-        if not jobs:
-            return
+        ``metrics`` is its telemetry snapshot."""
         # placements are computed (and deduplicated) up front in the
         # parent: points differing only in routing resources share one
         # anneal, and worker processes receive ready placements

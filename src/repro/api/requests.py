@@ -13,11 +13,12 @@ where the underlying runners used to each spell their own conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.api.serialize import check, stamp
 from repro.api.workloads import WORKLOADS, check_workload
 from repro.errors import RequestError
+from repro.utils import records
 
 #: Backends every grid-shaped request understands.  ``sequential`` is
 #: in-process and ordered; ``thread``/``process`` fan out over pools
@@ -44,7 +45,7 @@ SWEEP_DEFAULTS = {
 
 
 @dataclass(frozen=True)
-class ExecutionConfig:
+class ExecutionConfig(records.Record):
     """How a request executes: backend, pool size, seed, effort.
 
     ``effort=None`` means "the flow's historical default" (0.5 for
@@ -56,6 +57,9 @@ class ExecutionConfig:
     independent of ``workers``, which sizes the across-jobs pool.
     Sweep and yield requests route one context per point and ignore it.
     """
+
+    #: names the block in codec errors (it carries no header)
+    TYPE_TAG = "execution"
 
     backend: str = "sequential"
     workers: int | None = None
@@ -97,84 +101,24 @@ class ExecutionConfig:
         """The configured effort, or the calling flow's default."""
         return self.effort if self.effort is not None else default
 
-    def to_dict(self) -> dict:
-        d = {
-            "backend": self.backend,
-            "workers": self.workers,
-            "seed": self.seed,
-            "effort": self.effort,
-            "route_workers": self.route_workers,
-        }
-        # omitted when off: payloads (and the artifact store's resume
-        # keys hashed from them) stay byte-identical to pre-telemetry
-        if self.telemetry:
-            d["telemetry"] = True
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExecutionConfig":
-        unknown = set(d) - {"backend", "workers", "seed", "effort",
-                            "route_workers", "telemetry"}
-        if unknown:
-            # a typo'd key must not silently run with defaults
-            raise RequestError(
-                f"unknown execution keys {sorted(unknown)} "
-                f"(known: backend, workers, seed, effort, route_workers, "
-                f"telemetry)"
-            )
-        return cls(
-            backend=d.get("backend", "sequential"),
-            workers=d.get("workers"),
-            seed=d.get("seed", 0),
-            effort=d.get("effort"),
-            route_workers=d.get("route_workers"),
-            telemetry=d.get("telemetry", False),
-        )
-
 
 class _Request:
-    """Shared (de)serialization plumbing for the request types.
+    """Shared plumbing for the request types: the record codec
+    (:mod:`repro.utils.records`) under the ``stamp``/``check`` header.
 
     Subclasses set ``TYPE_TAG``; fields named in ``_TUPLE_FIELDS`` are
-    rebuilt as tuples on the way in (JSON only has lists), and the
-    ``execution`` field round-trips through :class:`ExecutionConfig`.
+    rebuilt as tuples on the way in (JSON only has lists).
     """
 
     TYPE_TAG = ""
     _TUPLE_FIELDS: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        payload = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "execution":
-                v = v.to_dict()
-            elif isinstance(v, tuple):
-                v = list(v)
-            payload[f.name] = v
-        return stamp(self.TYPE_TAG, payload)
+        return stamp(self.TYPE_TAG, records.to_dict(self))
 
     @classmethod
     def from_dict(cls, d: dict):
-        check(d, cls.TYPE_TAG)
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in d:
-                continue
-            v = d[f.name]
-            if f.name == "execution":
-                v = ExecutionConfig.from_dict(v or {})
-            elif f.name in cls._TUPLE_FIELDS and v is not None:
-                v = tuple(v)
-            kwargs[f.name] = v
-        try:
-            return cls(**kwargs)
-        except RequestError:
-            raise
-        except TypeError as exc:
-            raise RequestError(
-                f"malformed {cls.TYPE_TAG} payload: {exc}"
-            ) from exc
+        return records.from_dict(cls, check(d, cls.TYPE_TAG))
 
 
 def _check_contexts(n: int) -> None:

@@ -13,63 +13,37 @@ type.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.analysis.sweep import AreaPoint, SweepPoint
 from repro.api.serialize import check, stamp
 from repro.errors import RequestError
 from repro.reliability.yield_runner import YieldPoint
-
-
-@contextmanager
-def _malformed_as_request_error(type_tag: str):
-    """Missing/mistyped payload fields surface as the contract's
-    :class:`RequestError`, never a raw TypeError/KeyError."""
-    try:
-        yield
-    except RequestError:
-        raise
-    except (TypeError, KeyError) as exc:
-        raise RequestError(
-            f"malformed {type_tag} payload: {exc}"
-        ) from exc
+from repro.utils import records
 
 
 class _Result:
-    """Shared (de)serialization plumbing (mirror of ``_Request``)."""
+    """Shared plumbing (mirror of ``_Request``): the record codec under
+    the ``stamp``/``check`` header; ``compare=False`` fields never
+    serialize."""
 
     TYPE_TAG = ""
     _TUPLE_FIELDS: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        payload = {}
-        for f in fields(self):
-            if not f.compare:
-                continue
-            v = getattr(self, f.name)
-            if f.name == "metrics" and v is None:
-                # only under ExecutionConfig.telemetry: payloads stay
-                # byte-identical (and goldens hold) with telemetry off
-                continue
-            if isinstance(v, tuple):
-                v = list(v)
-            payload[f.name] = v
-        return stamp(self.TYPE_TAG, payload)
+        return stamp(self.TYPE_TAG, records.to_dict(self))
 
     @classmethod
     def from_dict(cls, d: dict):
-        check(d, cls.TYPE_TAG)
-        kwargs = {}
-        for f in fields(cls):
-            if not f.compare or f.name not in d:
-                continue
-            v = d[f.name]
-            if f.name in cls._TUPLE_FIELDS and v is not None:
-                v = tuple(v)
-            kwargs[f.name] = v
-        with _malformed_as_request_error(cls.TYPE_TAG):
-            return cls(**kwargs)
+        return records.from_dict(cls, check(d, cls.TYPE_TAG))
+
+
+def _with_rows(result, name: str) -> dict:
+    """``result``'s stamped payload with each nested row of field
+    ``name`` written through its own ``to_dict``, in the field's slot."""
+    payload = records.to_dict(result)
+    payload[name] = [row.to_dict() for row in getattr(result, name)]
+    return stamp(result.TYPE_TAG, payload)
 
 
 @dataclass(frozen=True)
@@ -136,22 +110,12 @@ class BatchResult(_Result):
         object.__setattr__(self, "results", tuple(self.results))
 
     def to_dict(self) -> dict:
-        return stamp(self.TYPE_TAG,
-                     {"results": [r.to_dict() for r in self.results]})
+        return _with_rows(self, "results")
 
     @classmethod
     def from_dict(cls, d: dict) -> "BatchResult":
-        check(d, cls.TYPE_TAG)
-        with _malformed_as_request_error(cls.TYPE_TAG):
-            return cls(results=tuple(
-                MapResult.from_dict(r) for r in d.get("results", ())
-            ))
-
-
-def _point_from_dict(what: str, d: dict):
-    from repro.api.requests import ANALYTIC_AXES
-
-    return (AreaPoint if what in ANALYTIC_AXES else SweepPoint).from_dict(d)
+        return records.from_dict(cls, check(d, cls.TYPE_TAG),
+                                 rows={"results": MapResult.from_dict})
 
 
 @dataclass(frozen=True)
@@ -175,34 +139,15 @@ class SweepResult(_Result):
         object.__setattr__(self, "points", tuple(self.points))
 
     def to_dict(self) -> dict:
-        d = {
-            "sweep": self.sweep,
-            "workload": self.workload,
-            "grid": list(self.grid) if self.grid is not None else None,
-            "backend": self.backend,
-            "points": [pt.to_dict() for pt in self.points],
-        }
-        if self.metrics is not None:
-            # only under ExecutionConfig.telemetry: payloads stay
-            # byte-identical (and goldens hold) with telemetry off
-            d["metrics"] = self.metrics
-        return stamp(self.TYPE_TAG, d)
+        return _with_rows(self, "points")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepResult":
+        from repro.api.requests import ANALYTIC_AXES
+
         check(d, cls.TYPE_TAG)
-        grid = d.get("grid")
-        with _malformed_as_request_error(cls.TYPE_TAG):
-            return cls(
-                sweep=d["sweep"],
-                workload=d.get("workload"),
-                grid=tuple(grid) if grid is not None else None,
-                backend=d.get("backend", "sequential"),
-                points=tuple(
-                    _point_from_dict(d["sweep"], pt) for pt in d["points"]
-                ),
-                metrics=d.get("metrics"),
-            )
+        row = AreaPoint if d.get("sweep") in ANALYTIC_AXES else SweepPoint
+        return records.from_dict(cls, d, rows={"points": row.from_dict})
 
 
 @dataclass(frozen=True)
@@ -226,33 +171,12 @@ class YieldResult(_Result):
         object.__setattr__(self, "points", tuple(self.points))
 
     def to_dict(self) -> dict:
-        d = {
-            "campaign": self.campaign,
-            "workload": self.workload,
-            "grid": list(self.grid),
-            "model": self.model,
-            "trials": self.trials,
-            "backend": self.backend,
-            "points": [pt.to_dict() for pt in self.points],
-        }
-        if self.metrics is not None:
-            d["metrics"] = self.metrics
-        return stamp(self.TYPE_TAG, d)
+        return _with_rows(self, "points")
 
     @classmethod
     def from_dict(cls, d: dict) -> "YieldResult":
-        check(d, cls.TYPE_TAG)
-        with _malformed_as_request_error(cls.TYPE_TAG):
-            return cls(
-                campaign=d["campaign"],
-                workload=d["workload"],
-                grid=tuple(d["grid"]),
-                model=d["model"],
-                trials=d["trials"],
-                backend=d.get("backend", "sequential"),
-                points=tuple(YieldPoint.from_dict(pt) for pt in d["points"]),
-                metrics=d.get("metrics"),
-            )
+        return records.from_dict(cls, check(d, cls.TYPE_TAG),
+                                 rows={"points": YieldPoint.from_dict})
 
 
 @dataclass(frozen=True)
@@ -316,23 +240,12 @@ class SpecResult(_Result):
         object.__setattr__(self, "stages", tuple(self.stages))
 
     def to_dict(self) -> dict:
-        return stamp(self.TYPE_TAG, {
-            "name": self.name,
-            "workload": self.workload,
-            "stages": [r.to_dict() for r in self.stages],
-        })
+        return _with_rows(self, "stages")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpecResult":
-        check(d, cls.TYPE_TAG)
-        with _malformed_as_request_error(cls.TYPE_TAG):
-            return cls(
-                name=d["name"],
-                workload=d["workload"],
-                stages=tuple(
-                    result_from_dict(r) for r in d.get("stages", ())
-                ),
-            )
+        return records.from_dict(cls, check(d, cls.TYPE_TAG),
+                                 rows={"stages": result_from_dict})
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,18 @@
 """Versioned JSON (de)serialization contract for the public api.
 
-Every request and result type serializes through one discipline:
+A payload's body is the record codec's (:mod:`repro.utils.records`):
+the type's ``compare=True`` fields in declaration order, with every
+unknown key rejected.  This module adds the header every request,
+result and job-status payload carries:
 
-- :func:`stamp` adds the ``schema_version`` and ``type`` fields every
-  payload carries,
+- :func:`stamp` adds the ``schema_version`` and ``type`` fields,
 - :func:`check` validates them on the way back in, raising
   :class:`~repro.errors.RequestError` on a missing/unsupported version
   or a mismatched type tag.
 
-``from_dict(to_dict(x)) == x`` is the round-trip contract the api test
-suite pins for every type; bump :data:`SCHEMA_VERSION` whenever a
-serialized shape changes incompatibly.
+``from_dict(to_dict(x)) == x`` is the round-trip contract the test
+suite pins for every record type; bump :data:`SCHEMA_VERSION` whenever
+a serialized shape changes incompatibly.
 """
 
 from __future__ import annotations

@@ -28,10 +28,11 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import SpecError
+from repro.utils.records import Record
 
 
 @dataclass(frozen=True)
-class ArtifactEntry:
+class ArtifactEntry(Record):
     """One retention unit in the results dir."""
 
     kind: str          # "spec" | "request"
@@ -41,19 +42,9 @@ class ArtifactEntry:
     bytes: int
     mtime: float       # newest file's mtime (epoch seconds)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "relpath": self.relpath,
-            "files": self.files,
-            "bytes": self.bytes,
-            "mtime": self.mtime,
-        }
-
 
 @dataclass
-class GCReport:
+class GCReport(Record):
     """What one collection pass scanned and removed."""
 
     scanned: int = 0
@@ -62,16 +53,6 @@ class GCReport:
     bytes_freed: int = 0
     dry_run: bool = False
     removed: list = field(default_factory=list)  # relpaths
-
-    def to_dict(self) -> dict:
-        return {
-            "scanned": self.scanned,
-            "deleted": self.deleted,
-            "kept": self.kept,
-            "bytes_freed": self.bytes_freed,
-            "dry_run": self.dry_run,
-            "removed": list(self.removed),
-        }
 
 
 def _dir_entry(path, relpath: str, kind: str, name: str) -> ArtifactEntry:

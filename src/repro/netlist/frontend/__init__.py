@@ -76,9 +76,12 @@ def load_program(sources, k: int = 4, name: str | None = None):
 
 def arch_for(program: MultiContextProgram, grid: int,
              width: int | None = None, k: int = 4) -> ArchParams:
-    """Pin an architecture for ``program`` on an explicit
-    ``grid`` x ``grid`` array (the auto-fit path picks its own side;
-    corpus cases pin one so goldens survive fit-heuristic changes).
+    """Pin an architecture for ``program`` on a ``grid`` x ``grid``
+    array: the I/O capacity its pads need and a power-of-two context
+    count (the auto-fit path in
+    :func:`~repro.analysis.experiments.map_program` passes its fitted
+    side; corpus cases pin one so goldens survive fit-heuristic
+    changes).
     """
     io = max(
         len(nl.inputs()) + len(nl.outputs()) for nl in program.contexts

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.utils.iters import SizedIterator
+from repro.utils.records import Record
 from repro.utils.telemetry import merge_metrics, span
 
 from repro.arch.compiled import flat_rrg_for
@@ -137,7 +137,7 @@ def _evaluate_trial_item(item: tuple[YieldTrialJob, GoldenMapping]) -> TrialResu
 
 
 @dataclass
-class YieldPoint:
+class YieldPoint(Record):
     """Aggregate of one campaign cell: N trials at one defect rate."""
 
     workload: str
@@ -161,48 +161,6 @@ class YieldPoint:
     #: the cell's trials; ``None`` unless telemetry was on — omitted
     #: from serialization so rows stay bit-identical with it off
     metrics: dict | None = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "workload": self.workload,
-            "model": self.model,
-            "defect_rate": self.defect_rate,
-            "channel_width": self.channel_width,
-            "trials": self.trials,
-            "yield_fraction": self.yield_fraction,
-            "repair_histogram": dict(self.repair_histogram),
-            "mean_defects": self.mean_defects,
-            "mean_wirelength_overhead": self.mean_wirelength_overhead,
-            "mean_critical_path_overhead": self.mean_critical_path_overhead,
-            "spare_tracks": self.spare_tracks,
-            "golden_routed": self.golden_routed,
-        }
-        if self.profile is not None:
-            d["profile"] = self.profile
-        if self.metrics is not None:
-            d["metrics"] = self.metrics
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "YieldPoint":
-        return cls(
-            workload=d["workload"],
-            model=d["model"],
-            defect_rate=d["defect_rate"],
-            channel_width=d["channel_width"],
-            trials=d["trials"],
-            yield_fraction=d["yield_fraction"],
-            repair_histogram=dict(d.get("repair_histogram", {})),
-            mean_defects=d.get("mean_defects", 0.0),
-            mean_wirelength_overhead=d.get("mean_wirelength_overhead", 0.0),
-            mean_critical_path_overhead=d.get(
-                "mean_critical_path_overhead", 0.0
-            ),
-            spare_tracks=d.get("spare_tracks", 0),
-            golden_routed=d.get("golden_routed", True),
-            profile=d.get("profile"),
-            metrics=d.get("metrics"),
-        )
 
 
 def _aggregate(
@@ -332,7 +290,7 @@ class YieldRunner:
         cluster_size: int = CLUSTER_SIZE,
         spare_tracks: int = 0,
         run_id: str | None = None,
-    ) -> SizedIterator:
+    ):
         """N trials per defect rate, yielding one :class:`YieldPoint`
         per rate as soon as its ``trials`` results are in.
 
@@ -343,8 +301,8 @@ class YieldRunner:
         form).  ``spare_tracks`` only annotates the rows: a spare-width
         curve widens ``base`` itself and runs one campaign per width.
         Under a ``run_id`` each row's ``metrics`` merges its trials'
-        telemetry snapshots.  Sized: ``len()`` is the number of
-        campaign points (one per rate).
+        telemetry snapshots.  An unknown ``model`` raises
+        :class:`ValueError` here, before any row is asked for.
         """
         rates = list(rates)
         if model not in DEFECT_MODELS:
@@ -359,11 +317,8 @@ class YieldRunner:
             seed=seed, effort=effort, max_iterations=max_iterations,
             cluster_radius=cluster_radius, cluster_size=cluster_size,
         )
-        return SizedIterator(
-            self._iter_campaign(template, rates, trials, spare_tracks,
-                                run_id),
-            len(rates),
-        )
+        return self._iter_campaign(template, rates, trials, spare_tracks,
+                                   run_id)
 
     def _iter_campaign(self, template, rates, trials, spare_tracks, run_id):
         t = template

@@ -81,6 +81,7 @@ from repro.fleet.worker import (
     process_job_main,
     task_from_dict,
 )
+from repro.utils import records
 from repro.utils.telemetry import GLOBAL
 
 #: Job lifecycle states.
@@ -105,8 +106,11 @@ EXECUTORS = ("thread", "process", "external")
 
 
 @dataclass(frozen=True)
-class JobStatus:
+class JobStatus(records.Record):
     """One observable snapshot of a job."""
+
+    TYPE_TAG = "job_status"
+    _TUPLE_FIELDS = ("children",)
 
     job_id: str
     kind: str                      # "request" | "spec" | "grid"
@@ -123,21 +127,7 @@ class JobStatus:
     retries: int = 0               # lease-expiry requeues so far
 
     def to_dict(self) -> dict:
-        return stamp("job_status", {
-            "job_id": self.job_id,
-            "kind": self.kind,
-            "name": self.name,
-            "state": self.state,
-            "rows_done": self.rows_done,
-            "rows_total": self.rows_total,
-            "stage": self.stage,
-            "error": self.error,
-            "error_type": self.error_type,
-            "traceback": self.traceback,
-            "children": list(self.children),
-            "priority": self.priority,
-            "retries": self.retries,
-        })
+        return stamp(self.TYPE_TAG, records.to_dict(self))
 
 
 class _Job:

@@ -129,7 +129,7 @@ class TestBatch:
         with pytest.raises(RequestError):
             BatchRequest(workloads=())
         rows = Session().sweep_runner().iter_items(map_job, [])
-        assert len(rows) == 0 and list(rows) == []
+        assert list(rows) == []
 
 
 class TestProcessBackend:

@@ -122,7 +122,7 @@ class TestSweepRunner:
 
     def test_empty_grid(self):
         rows = SweepRunner().iter_run([])
-        assert len(rows) == 0 and list(rows) == []
+        assert list(rows) == []
 
     def test_result_order_matches_jobs(self):
         netlist = _workloads()["adder"]

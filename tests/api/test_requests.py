@@ -84,6 +84,11 @@ class TestSchemaVersion:
         with pytest.raises(RequestError, match="unknown request type"):
             request_from_dict({"schema_version": 1, "type": "bogus"})
 
+    def test_unknown_request_key_rejected(self):
+        d = {"schema_version": 1, "type": "map_request", "workloda": "crc"}
+        with pytest.raises(RequestError, match="workloda"):
+            request_from_dict(d)
+
     def test_malformed_result_payload_raises_request_error(self):
         from repro.api import result_from_dict
 

@@ -172,6 +172,14 @@ class TestErrors:
         assert code == 400
         assert "bogus-axis" in doc["error"]
 
+    def test_unknown_request_key(self, service):
+        code, doc = self._status_of_error(
+            service, "POST", "/v1/jobs",
+            {"request": {"schema_version": 1, "type": "map_request",
+                         "workloda": "crc"}})
+        assert code == 400
+        assert "workloda" in doc["error"]
+
     def test_invalid_spec(self, service):
         code, doc = self._status_of_error(
             service, "POST", "/v1/jobs",

@@ -56,6 +56,11 @@ GOLDEN_REQUESTS = {
         workloads=("adder", "cmp"), contexts=4, mutation=0.05,
         execution=ExecutionConfig(seed=7),
     ),
+    # the analytic axes (the Section-5 area model, no routing); listed
+    # before ``sweep_result`` so that tag-keyed views of this catalog
+    # keep the routing sweep as their ``sweep_request``
+    "sweep_change_rate_result": SweepRequest(what="change-rate"),
+    "sweep_contexts_result": SweepRequest(what="contexts"),
     "sweep_result": SweepRequest(
         what="channel-width", workload="adder", grid=5, values=(6, 8),
         execution=ExecutionConfig(effort=0.2),

@@ -8,9 +8,10 @@ run before committing to parameters.
 
 import pytest
 
-from repro.analysis.dse import (
-    explore_double_fraction,
-    explore_fc,
+from repro.analysis.sweep import (
+    SweepRunner,
+    double_fraction_jobs,
+    fc_jobs,
     minimum_channel_width,
 )
 from repro.arch.params import ArchParams
@@ -51,12 +52,17 @@ class TestMinimumWidth:
         assert all(2 <= w <= 14 for w in widths.values())
 
 
+def _sweep(jobs):
+    """``(value, point)`` rows of one grid on a fresh runner."""
+    return [(pt.value, pt) for pt in SweepRunner().iter_run(jobs)]
+
+
 class TestDoubleFraction:
     def test_sweep(self, benchmark, circuit, base):
         rows = benchmark.pedantic(
-            lambda: explore_double_fraction(
+            lambda: _sweep(double_fraction_jobs(
                 circuit, base, [0.0, 0.25, 0.5, 0.75], effort=0.3
-            ),
+            )),
             rounds=1, iterations=1,
         )
         t = TextTable(
@@ -77,7 +83,8 @@ class TestDoubleFraction:
 class TestFcFlexibility:
     def test_sweep(self, benchmark, circuit, base):
         rows = benchmark.pedantic(
-            lambda: explore_fc(circuit, base, [1.0, 0.5, 0.3], effort=0.3),
+            lambda: _sweep(fc_jobs(circuit, base, [1.0, 0.5, 0.3],
+                                   effort=0.3)),
             rounds=1, iterations=1,
         )
         t = TextTable(

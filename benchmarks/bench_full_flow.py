@@ -7,7 +7,7 @@ between the configured device and the source program on every workload.
 
 import pytest
 
-from repro.analysis.experiments import map_program, run_full_flow
+from repro.analysis.experiments import map_program, verify_mapped
 from repro.core.fpga import MultiContextFPGA
 from repro.sim.context_switch import ContextSchedule, MultiContextExecutor
 from repro.utils.tables import TextTable, format_ratio
@@ -18,10 +18,12 @@ class TestFullFlow:
     def test_pipeline_throughput(self, benchmark):
         """Time the complete flow on a small program."""
         prog = workload_suite(small=True, seed=7)["adder_mut"]
-        result = benchmark.pedantic(
-            lambda: run_full_flow(prog, seed=3), rounds=1, iterations=2
-        )
-        assert result.verified
+        def flow():
+            mapped = map_program(prog, seed=3)
+            mapped.stats()
+            return verify_mapped(mapped, seed=3)
+
+        assert benchmark.pedantic(flow, rounds=1, iterations=2)
 
     def test_suite_summary(self, benchmark, suite, mapped_suite):
         def summarize():
@@ -66,5 +68,4 @@ class TestFullFlow:
 
     def test_all_contexts_verify(self, suite):
         for name, prog in suite.items():
-            res = run_full_flow(prog, seed=3, verify=True)
-            assert res.verified, name
+            assert verify_mapped(map_program(prog, seed=3), seed=3), name

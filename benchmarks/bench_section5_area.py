@@ -11,20 +11,22 @@ contexts, 6-input 2-output MCMG-LUTs, 5% configuration change), with:
 
 import pytest
 
-from repro.analysis.experiments import (
-    run_area_experiment,
-    sweep_change_rate,
-    sweep_contexts,
-)
+from repro.analysis.experiments import run_area_experiment
 from repro.analysis.report import area_comparison_table, breakdown_table, sweep_table
-from repro.core.area_model import AreaConstants, AreaModel, Technology
+from repro.analysis.sweep import sweep_change_rate_points, sweep_contexts_points
+from repro.core.area_model import AreaConstants, AreaModel
+
+
+def _rows(points):
+    return [(pt.value, pt.cmos_ratio, pt.fepg_ratio) for pt in points]
 
 
 class TestHeadline:
     def test_paper_operating_point(self, benchmark):
         """Paper: 45% (CMOS), 37% (FePG)."""
         out = benchmark.pedantic(
-            lambda: run_area_experiment(measured=False), rounds=1, iterations=1
+            lambda: AreaModel().paper_operating_points(), rounds=1,
+            iterations=1,
         )
         print("\n" + area_comparison_table(out))
         print("\n" + breakdown_table(out["cmos"], "Breakdown (CMOS)"))
@@ -34,14 +36,9 @@ class TestHeadline:
     def test_textbook_constants_same_ordering(self, benchmark):
         """Shape check with uncalibrated first-principles constants."""
         model = AreaModel(AreaConstants.textbook())
-
-        def run():
-            return {
-                tech.value: model.paper_operating_point(tech=tech)
-                for tech in (Technology.CMOS, Technology.FEPG)
-            }
-
-        out = benchmark.pedantic(run, rounds=1, iterations=1)
+        out = benchmark.pedantic(
+            model.paper_operating_points, rounds=1, iterations=1
+        )
         print("\n" + area_comparison_table(
             out, title="Section 5 with textbook constants (shape check)"
         ))
@@ -70,7 +67,8 @@ class TestHeadline:
 class TestSweeps:
     def test_change_rate_sensitivity(self, benchmark):
         rows = benchmark.pedantic(
-            lambda: sweep_change_rate([0.0, 0.01, 0.03, 0.05, 0.10, 0.20, 0.50]),
+            lambda: _rows(sweep_change_rate_points(
+                [0.0, 0.01, 0.03, 0.05, 0.10, 0.20, 0.50])),
             rounds=1, iterations=1,
         )
         print("\n" + sweep_table(
@@ -82,7 +80,8 @@ class TestSweeps:
 
     def test_context_count_sweep(self, benchmark):
         rows = benchmark.pedantic(
-            lambda: sweep_contexts([2, 4, 8, 16]), rounds=1, iterations=1
+            lambda: _rows(sweep_contexts_points([2, 4, 8, 16])),
+            rounds=1, iterations=1,
         )
         print("\n" + sweep_table(
             rows, ["contexts", "CMOS ratio", "FePG ratio"],

@@ -9,23 +9,20 @@ the context count, decoder sharing, and the LB packing credit?
 Run:  python examples/area_explorer.py
 """
 
-from repro.analysis.experiments import (
-    run_area_experiment,
-    sweep_change_rate,
-    sweep_contexts,
-)
+from repro.analysis.experiments import run_area_experiment
 from repro.analysis.report import (
     area_comparison_table,
     breakdown_table,
     sweep_table,
 )
+from repro.analysis.sweep import sweep_change_rate_points, sweep_contexts_points
 from repro.core.area_model import AreaConstants, AreaModel, Technology
 from repro.utils.tables import TextTable, format_ratio
 from repro.workloads.multicontext import workload_suite
 
 
 def headline() -> None:
-    out = run_area_experiment(measured=False)
+    out = AreaModel().paper_operating_points()
     print(area_comparison_table(out))
     print()
     print(breakdown_table(out["cmos"], "Breakdown at the operating point (CMOS)"))
@@ -41,14 +38,15 @@ def measured() -> None:
 
 
 def sensitivity() -> None:
-    rows = sweep_change_rate([0.0, 0.01, 0.03, 0.05, 0.1, 0.2, 0.5])
-    print(sweep_table(rows, ["change rate", "CMOS", "FePG"],
-                      "Sensitivity: area ratio vs change rate"))
-    print()
-    rows = sweep_contexts([2, 4, 8, 16])
-    print(sweep_table(rows, ["contexts", "CMOS", "FePG"],
-                      "Sensitivity: area ratio vs context count"))
-    print()
+    for points, label, title in (
+        (sweep_change_rate_points([0.0, 0.01, 0.03, 0.05, 0.1, 0.2, 0.5]),
+         "change rate", "Sensitivity: area ratio vs change rate"),
+        (sweep_contexts_points([2, 4, 8, 16]),
+         "contexts", "Sensitivity: area ratio vs context count"),
+    ):
+        rows = [(pt.value, pt.cmos_ratio, pt.fepg_ratio) for pt in points]
+        print(sweep_table(rows, [label, "CMOS", "FePG"], title))
+        print()
 
 
 def levers() -> None:
@@ -74,12 +72,9 @@ def levers() -> None:
         ("paper_calibrated", AreaConstants.paper_calibrated()),
         ("textbook", AreaConstants.textbook()),
     ):
-        m = AreaModel(const)
-        t2.add_row([
-            name,
-            format_ratio(m.paper_operating_point(tech=Technology.CMOS).ratio),
-            format_ratio(m.paper_operating_point(tech=Technology.FEPG).ratio),
-        ])
+        pair = AreaModel(const).paper_operating_points()
+        t2.add_row([name, format_ratio(pair["cmos"].ratio),
+                    format_ratio(pair["fepg"].ratio)])
     print(t2.render())
 
 

@@ -12,8 +12,8 @@ Run:  python examples/eight_contexts.py
 
 from collections import Counter
 
-from repro.analysis.experiments import map_program, run_area_experiment
-from repro.core.area_model import AreaModel, Technology, analytic_pattern_mix
+from repro.analysis.experiments import map_program
+from repro.core.area_model import AreaModel, analytic_pattern_mix
 from repro.core.decoder_synth import DecoderBank, decoder_cost
 from repro.core.patterns import ContextPattern, class_census
 from repro.netlist.techmap import tech_map
@@ -72,23 +72,21 @@ def area_at_eight() -> None:
     print("=" * 64)
     print("Section-5 comparison at n = 8")
     print("=" * 64)
-    model = AreaModel()
     mix = analytic_pattern_mix(0.05, 8)
     print(f"analytic mix at 5% change: constant {format_ratio(mix.constant)}, "
           f"literal {format_ratio(mix.literal)}, "
           f"general {format_ratio(mix.general)}")
     from repro.arch.params import paper_params
-    from repro.core.area_model import TileCounts, expected_distinct_planes
+    from repro.core.area_model import TileCounts
 
-    params = paper_params().with_(n_contexts=8)
-    counts = TileCounts.from_arch(params)
-    planes = expected_distinct_planes(0.1, 8)
-    for tech in (Technology.CMOS, Technology.FEPG):
-        cmp = model.compare(counts, 8, mix, planes, 2, sharing_factor=2.0,
-                            tech=tech)
-        print(f"  {tech.value:5s}: proposed / conventional = "
+    pair = AreaModel().paper_operating_points(
+        n_contexts=8,
+        counts=TileCounts.from_arch(paper_params().with_(n_contexts=8)),
+    )
+    for name, cmp in pair.items():
+        print(f"  {name:5s}: proposed / conventional = "
               f"{format_ratio(cmp.ratio)} (4-context paper point: "
-              f"{'45%' if tech is Technology.CMOS else '37%'})")
+              f"{'45%' if name == 'cmos' else '37%'})")
     print("\nthe advantage widens: conventional context memory grows "
           "linearly with n, the RCM grows only with pattern complexity.")
 

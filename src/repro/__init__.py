@@ -37,8 +37,8 @@ The package splits into:
   :func:`~repro.analysis.experiments.map_program` (one compiled RRG
   shared across jobs; share-unaware contexts route in parallel), the
   :class:`~repro.analysis.sweep.SweepRunner` pool loop that batch,
-  sweep and yield requests fan out through, and the experiment drivers
-  behind every benchmark.
+  sweep and yield requests fan out through, and one driver per
+  experiment (mapping, the Section-5 area point, the sweeps).
 - :mod:`repro.api` — the public facade: typed requests/results with a
   versioned JSON contract, the :class:`~repro.api.Session`
   (``run``/``stream``/``run_spec``) and declarative

@@ -1,26 +1,27 @@
-"""End-to-end experiment drivers.
-
-Each benchmark in ``benchmarks/`` is a thin wrapper around a function
-here, so results are reproducible from the library API alone:
+"""The mapping and Section-5 area drivers.
 
 - :func:`map_program` — the one place-and-route entry: synth-to-
   bitstream mapping of one program (place + route per context,
-  share-aware or naive) on a cached compiled substrate,
-- :func:`run_full_flow` — mapping plus functional verification and
-  statistics extraction,
-- :func:`run_area_experiment` — the Section-5 evaluation: measured
-  pattern mixes feeding the area model, proposed vs conventional,
-  CMOS and FePG.
+  share-aware or naive) on a cached compiled substrate; statistics
+  come from :meth:`MappedProgram.stats`,
+- :func:`verify_mapped` — functional verification of a mapping on a
+  configured device,
+- :func:`run_area_experiment` — the Section-5 evaluation on a measured
+  program: its pattern mixes feeding the area model, proposed vs
+  conventional, CMOS and FePG.
+
+Named workloads run through the api ``Session`` (``MapRequest``,
+``AreaRequest``, ``SweepRequest``), which calls these same drivers.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.analysis.verification import verify_device
 from repro.arch.compiled import CompiledRRG, compiled_rrg_for
-from repro.arch.params import ArchParams
+from repro.arch.params import ArchParams, paper_params
 from repro.core.area_model import (
     AreaComparison,
     AreaModel,
@@ -30,7 +31,6 @@ from repro.core.area_model import (
 )
 from repro.core.bitstream import BitstreamStats, extract_bitstream_stats
 from repro.core.fpga import MultiContextFPGA
-from repro.errors import ReproError
 from repro.netlist.dfg import MultiContextProgram
 from repro.netlist.frontend import arch_for
 from repro.netlist.sharing import pack_global, pack_local
@@ -119,51 +119,20 @@ def map_program(
     )
 
 
-@dataclass
-class ExperimentResult:
-    """Everything a bench prints for one program."""
-
-    name: str
-    mapped: MappedProgram
-    stats: BitstreamStats
-    verified: bool
-    comparisons: dict[str, AreaComparison] = field(default_factory=dict)
-
-    @property
-    def change_rate(self) -> float:
-        return self.stats.switch.change_fraction()
-
-
 def verify_mapped(mapped: MappedProgram, seed: int = 0, n_vectors: int = 16) -> bool:
     """Functional verification of a mapped program on a configured device.
 
     Configures a behavioural device from the mapping and checks every
-    context against its source netlist on random vectors; raises
+    context against its source netlist on random vectors
+    (:func:`~repro.analysis.verification.verify_device`); raises
     :class:`~repro.errors.SimulationError` on mismatch, returns True
-    otherwise.  Shared by :func:`run_full_flow` and the CLI flows so
+    otherwise.  Every flow that verifies a mapping calls it, so
     verification policy lives in one place.
     """
     device = MultiContextFPGA(mapped.params, rrg=mapped.rrg)
     device.configure_program(mapped.program, mapped.placements, mapped.routes)
-    for c in range(mapped.program.n_contexts):
-        device.verify_against_source(c, n_vectors=n_vectors, seed=seed)
+    verify_device(device, mapped.program, n_vectors=n_vectors, seed=seed)
     return True
-
-
-def run_full_flow(
-    program: MultiContextProgram,
-    params: ArchParams | None = None,
-    share_aware: bool = True,
-    seed: int = 0,
-    verify: bool = True,
-) -> ExperimentResult:
-    """Map, verify functionally, and extract statistics."""
-    mapped = map_program(program, params, share_aware=share_aware, seed=seed)
-    stats = mapped.stats()
-    verified = False
-    if verify:
-        verified = verify_mapped(mapped, seed=seed)
-    return ExperimentResult(program.name, mapped, stats, verified)
 
 
 def measured_mixes(stats: BitstreamStats) -> tuple[PatternMix, float]:
@@ -177,97 +146,36 @@ def measured_mixes(stats: BitstreamStats) -> tuple[PatternMix, float]:
 
 
 def run_area_experiment(
-    program: MultiContextProgram | None = None,
+    program: MultiContextProgram,
     params: ArchParams | None = None,
-    change_rate: float = 0.05,
     sharing_factor: float = 2.0,
     seed: int = 0,
-    measured: bool = True,
 ) -> dict[str, AreaComparison]:
-    """The Section-5 evaluation.
+    """The Section-5 evaluation on a measured program.
 
-    With a program: map it, measure the pattern mix / plane counts and
-    LB packing factor, then evaluate the area model with *measured*
+    Maps ``program``, measures the pattern mix / plane counts and LB
+    packing factor, then evaluates the area model with *measured*
     statistics plugged into the paper's device geometry (6-input
     2-output MCMG-LUTs, W=10 channels with realistic connection-block
     provisioning) — "under a constraint of the same number of contexts".
-    Without a program: evaluate at the paper's analytic operating point.
-    Returns comparisons for CMOS and FePG.
+    Returns comparisons for CMOS and FePG.  The analytic operating point
+    is :meth:`AreaModel.paper_operating_points
+    <repro.core.area_model.AreaModel.paper_operating_points>`.
     """
-    from repro.arch.params import paper_params
-
+    mapped = map_program(program, params, share_aware=True, seed=seed)
+    switch_mix, mean_planes = measured_mixes(mapped.stats())
+    gpack = pack_global(program)
+    lpack = pack_local(program)
+    packing = lpack.n_lbs / gpack.n_lbs if gpack.n_lbs else 1.0
+    n_ctx = mapped.params.n_contexts
+    device = paper_params().with_(n_contexts=n_ctx)
+    counts = TileCounts.from_arch(device)
     model = AreaModel()
-    out: dict[str, AreaComparison] = {}
-    if program is not None and measured:
-        mapped = map_program(program, params, share_aware=True, seed=seed)
-        stats = mapped.stats()
-        switch_mix, mean_planes = measured_mixes(stats)
-        gpack = pack_global(program)
-        lpack = pack_local(program)
-        packing = (
-            lpack.n_lbs / gpack.n_lbs if gpack.n_lbs else 1.0
+    return {
+        tech.value: model.compare(
+            counts, n_ctx, switch_mix, mean_planes,
+            device.lut_outputs, sharing_factor,
+            lb_packing_factor=min(1.0, packing), tech=tech,
         )
-        n_ctx = mapped.params.n_contexts
-        device = paper_params().with_(n_contexts=n_ctx)
-        counts = TileCounts.from_arch(device)
-        for tech in (Technology.CMOS, Technology.FEPG):
-            out[tech.value] = model.compare(
-                counts, n_ctx, switch_mix, mean_planes,
-                device.lut_outputs, sharing_factor,
-                lb_packing_factor=min(1.0, packing), tech=tech,
-            )
-    else:
-        for tech in (Technology.CMOS, Technology.FEPG):
-            out[tech.value] = model.paper_operating_point(
-                change_rate=change_rate, tech=tech,
-                sharing_factor=sharing_factor,
-            )
-    return out
-
-
-def sweep_change_rate(
-    rates: Sequence[float],
-    n_contexts: int = 4,
-    sharing_factor: float = 2.0,
-) -> list[tuple[float, float, float]]:
-    """(rate, cmos ratio, fepg ratio) across change rates — the
-    sensitivity curve behind the paper's single 5% point.
-
-    Thin row-tuple adapter over
-    :func:`repro.analysis.sweep.sweep_change_rate_points` (the sweep
-    subsystem owns the implementation) for table renderers.
-
-    ``n_contexts`` is honored since the sweep-subsystem port; the
-    original implementation accepted it but always evaluated at the
-    model's 4-context default.
-    """
-    from repro.analysis.sweep import sweep_change_rate_points
-
-    return [
-        (pt.value, pt.cmos_ratio, pt.fepg_ratio)
-        for pt in sweep_change_rate_points(
-            rates, n_contexts=n_contexts, sharing_factor=sharing_factor
-        )
-    ]
-
-
-def sweep_contexts(
-    context_counts: Sequence[int],
-    change_rate: float = 0.05,
-    sharing_factor: float = 2.0,
-) -> list[tuple[int, float, float]]:
-    """(n_contexts, cmos ratio, fepg ratio): the overhead the RCM attacks
-    grows with context count, so the proposed advantage should widen.
-
-    Thin row-tuple adapter over
-    :func:`repro.analysis.sweep.sweep_contexts_points`.
-    """
-    from repro.analysis.sweep import sweep_contexts_points
-
-    return [
-        (int(pt.value), pt.cmos_ratio, pt.fepg_ratio)
-        for pt in sweep_contexts_points(
-            context_counts, change_rate=change_rate,
-            sharing_factor=sharing_factor,
-        )
-    ]
+        for tech in Technology
+    }

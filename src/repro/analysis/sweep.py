@@ -15,9 +15,18 @@ exploration: points are data, the runner is policy):
 - :class:`SweepRunner` — executes a grid on the cached compiled
   substrates with a selectable backend;
 - grid builders (:func:`channel_width_jobs`,
-  :func:`double_fraction_jobs`, :func:`fc_jobs`) and the analytic
-  area-model sweeps (:func:`sweep_change_rate_points`,
-  :func:`sweep_contexts_points`).
+  :func:`double_fraction_jobs`, :func:`fc_jobs`): a sweep of one
+  routing knob on an explicit netlist is
+  ``SweepRunner().iter_run(fc_jobs(netlist, base, fcs))``;
+- :func:`minimum_channel_width` — bisect the narrowest channel a
+  netlist routes on, every probe on one runner's cached placement;
+- the analytic area-model sweeps (:func:`sweep_change_rate_points`,
+  :func:`sweep_contexts_points`), each point one
+  :meth:`AreaModel.paper_operating_points
+  <repro.core.area_model.AreaModel.paper_operating_points>` call.
+
+Named-workload sweeps run through ``Session.run(SweepRequest(...))``,
+which builds these same grids.
 
 Backend and pool selection
 --------------------------
@@ -67,7 +76,8 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.arch.compiled import compiled_rrg_for
-from repro.arch.params import ArchParams
+from repro.arch.params import ArchParams, paper_params
+from repro.core.area_model import AreaModel, TileCounts
 from repro.errors import RoutingError
 from repro.netlist.netlist import Netlist
 from repro.place.placer import Placement, place
@@ -371,10 +381,55 @@ def fc_jobs(
     ]
 
 
+def minimum_channel_width(
+    netlist: Netlist,
+    base: ArchParams,
+    lo: int = 2,
+    hi: int = 24,
+    seed: int = 0,
+    effort: float = 0.3,
+    runner: SweepRunner | None = None,
+) -> int:
+    """Smallest channel width that routes ``netlist`` on ``base``'s grid.
+
+    Standard bisection with a routable upper bound; raises
+    :class:`RoutingError` when even ``hi`` fails.  Bisection probes are
+    sequential by nature (each depends on the last verdict), but every
+    probe reuses the runner's cached placement — the anneal is
+    independent of channel width — so only the routing is repeated.
+    Without a ``runner`` the call uses a fresh one, whose placement
+    cache lives for this call only.
+    """
+    runner = runner if runner is not None else SweepRunner()
+
+    def routed(width: int) -> bool:
+        jobs = channel_width_jobs(
+            netlist, base, [width], seed=seed, effort=effort
+        )
+        (pt,) = runner.iter_run(jobs)
+        return pt.routed
+
+    if not routed(hi):
+        raise RoutingError(f"unroutable even at W={hi}")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if routed(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 # ------------------------------------------------------------------------- #
 # analytic area-model sweeps (no routing; kept with the grid machinery so
 # every sweep the CLI exposes lives in one subsystem)
 # ------------------------------------------------------------------------- #
+def _area_point(axis: str, value: float, **operating_point) -> AreaPoint:
+    """The CMOS and FePG ratios at one analytic operating point."""
+    pair = AreaModel().paper_operating_points(**operating_point)
+    return AreaPoint(axis, value, pair["cmos"].ratio, pair["fepg"].ratio)
+
+
 def sweep_change_rate_points(
     rates: Sequence[float],
     n_contexts: int = 4,
@@ -382,21 +437,11 @@ def sweep_change_rate_points(
 ) -> list[AreaPoint]:
     """Area ratio vs configuration-change rate — the sensitivity curve
     behind the paper's single 5% operating point."""
-    from repro.core.area_model import AreaModel, Technology
-
-    model = AreaModel()
-    out = []
-    for r in rates:
-        cm = model.paper_operating_point(
-            change_rate=r, n_contexts=n_contexts,
-            tech=Technology.CMOS, sharing_factor=sharing_factor,
-        )
-        fe = model.paper_operating_point(
-            change_rate=r, n_contexts=n_contexts,
-            tech=Technology.FEPG, sharing_factor=sharing_factor,
-        )
-        out.append(AreaPoint("change_rate", r, cm.ratio, fe.ratio))
-    return out
+    return [
+        _area_point("change_rate", r, change_rate=r, n_contexts=n_contexts,
+                    sharing_factor=sharing_factor)
+        for r in rates
+    ]
 
 
 def sweep_contexts_points(
@@ -405,30 +450,13 @@ def sweep_contexts_points(
     sharing_factor: float = 2.0,
 ) -> list[AreaPoint]:
     """Area ratio vs context count: the overhead the RCM attacks grows
-    with context count, so the proposed advantage should widen."""
-    from repro.arch.params import paper_params
-    from repro.core.area_model import (
-        AreaModel,
-        Technology,
-        TileCounts,
-        analytic_pattern_mix,
-        expected_distinct_planes,
-    )
-
-    model = AreaModel()
-    out = []
-    for n in context_counts:
-        mix = analytic_pattern_mix(change_rate, n)
-        params = paper_params().with_(n_contexts=n)
-        counts = TileCounts.from_arch(params)
-        planes = expected_distinct_planes(min(1.0, 2 * change_rate), n)
-        cm = model.compare(
-            counts, n, mix, planes, params.lut_outputs, sharing_factor,
-            tech=Technology.CMOS,
+    with context count, so the proposed advantage should widen.  Each
+    point's tile counts come from the paper device at that count."""
+    return [
+        _area_point(
+            "n_contexts", n, change_rate=change_rate, n_contexts=n,
+            sharing_factor=sharing_factor,
+            counts=TileCounts.from_arch(paper_params().with_(n_contexts=n)),
         )
-        fe = model.compare(
-            counts, n, mix, planes, params.lut_outputs, sharing_factor,
-            tech=Technology.FEPG,
-        )
-        out.append(AreaPoint("n_contexts", n, cm.ratio, fe.ratio))
-    return out
+        for n in context_counts
+    ]

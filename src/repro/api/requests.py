@@ -15,9 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.sweep import (
+    SweepJob,
+    channel_width_jobs,
+    double_fraction_jobs,
+    fc_jobs,
+)
 from repro.api.serialize import check, stamp
 from repro.api.workloads import WORKLOADS, check_workload
-from repro.errors import RequestError
+from repro.arch.params import ArchParams, paper_params
+from repro.core.area_model import analytic_pattern_mix
+from repro.errors import ArchitectureError, RequestError
 from repro.utils import records
 
 #: Backends every grid-shaped request understands.  ``sequential`` is
@@ -30,6 +38,13 @@ BACKENDS = ("sequential", "thread", "process")
 SWEEP_AXES = ("change-rate", "contexts", "channel-width",
               "double-fraction", "fc")
 ANALYTIC_AXES = ("change-rate", "contexts")
+
+#: The grid builder behind each routing sweep axis.
+_JOB_BUILDERS = {
+    "channel-width": channel_width_jobs,
+    "double-fraction": double_fraction_jobs,
+    "fc": fc_jobs,
+}
 
 #: Spatial defect models a yield campaign accepts.
 YIELD_MODELS = ("uniform", "clustered")
@@ -131,6 +146,21 @@ def _check_fraction(name: str, v: float) -> None:
         raise RequestError(f"{name} must be in [0, 1], got {v!r}")
 
 
+def _model_accepts(check, name: str) -> None:
+    """Run ``check()``, the architecture or area model's own validation
+    of a value, reporting its :class:`ArchitectureError` as a
+    :class:`RequestError` on ``name``."""
+    try:
+        check()
+    except ArchitectureError as exc:
+        raise RequestError(f"{name}: {exc}") from None
+
+
+def _paper_device(contexts: int) -> ArchParams:
+    """The Section-5 device at ``contexts`` contexts."""
+    return paper_params().with_(n_contexts=contexts)
+
+
 @dataclass(frozen=True)
 class MapRequest(_Request):
     """Map one named workload end to end (place + route + verify)."""
@@ -230,10 +260,35 @@ class SweepRequest(_Request):
                         f"{self.what} values must be integers, got {v!r}"
                     )
             object.__setattr__(self, "values", tuple(self.values))
+        _model_accepts(self._build_points,
+                       f"{self.what} values {self.resolved_values()}")
+
+    def _build_points(self) -> None:
+        """Build every point's model inputs, so that the area model or
+        ``ArchParams`` rejects an out-of-range value here, not mid-run."""
+        if self.what == "change-rate":
+            # one context: the rate's range check without enumeration
+            for rate in self.resolved_values():
+                analytic_pattern_mix(rate, 1)
+        elif self.what == "contexts":
+            for n in self.resolved_values():
+                _paper_device(n)
+        else:
+            self.jobs(None)
 
     @property
     def analytic(self) -> bool:
         return self.what in ANALYTIC_AXES
+
+    def jobs(self, netlist, seed: int = 0,
+             effort: float = 0.3) -> list[SweepJob]:
+        """The routing grid on ``netlist``: one job per value on a
+        ``grid`` x ``grid`` fabric of ``width`` tracks."""
+        base = ArchParams(cols=self.grid, rows=self.grid,
+                          channel_width=self.width, io_capacity=4)
+        return _JOB_BUILDERS[self.what](
+            netlist, base, self.resolved_values(), seed=seed, effort=effort,
+        )
 
     def resolved_values(self) -> list:
         """The requested sweep values, or the axis defaults."""
@@ -319,6 +374,7 @@ class AreaRequest(_Request):
     def __post_init__(self) -> None:
         _check_fraction("change_rate", self.change_rate)
         _check_contexts(self.contexts)
+        _model_accepts(lambda: _paper_device(self.contexts), "contexts")
         if self.sharing <= 0:
             raise RequestError(f"sharing must be > 0, got {self.sharing!r}")
         if self.constants not in ("paper", "textbook"):

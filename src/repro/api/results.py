@@ -4,10 +4,10 @@ Each ``*Result`` carries exactly the machine-readable fields the three
 old ad-hoc JSON shapes (``cli.py``'s hand-rolled dicts, ``sweep.py``'s
 and ``yield_runner.py``'s row dicts) used to spell separately, behind
 one versioned ``to_dict()``/``from_dict()`` contract.  Heavyweight
-in-memory artifacts (the mapped program, the area-model comparison
-objects) ride along in ``compare=False`` fields so table renderers can
-reach them, but they never serialize and never affect equality — the
-round-trip contract ``from_dict(to_dict(x)) == x`` holds for every
+in-memory artifacts (the mapped program and its statistics, the
+area-model comparison objects) ride along in ``compare=False`` fields
+so table renderers can reach them, but they never serialize and never
+affect equality — the round-trip contract ``from_dict(to_dict(x)) == x`` holds for every
 type.
 """
 
@@ -67,15 +67,16 @@ class MapResult(_Result):
     class_fractions: dict
     #: merged telemetry block; ``None`` unless telemetry was on
     metrics: dict | None = None
-    #: the full in-memory experiment (mapped program + stats) for table
-    #: renderers and downstream stages; never serialized.
-    experiment: object | None = field(default=None, compare=False,
-                                      repr=False)
+    #: the in-memory mapped program and its bitstream statistics, for
+    #: table renderers and downstream stages; never serialized.
+    mapped: object | None = field(default=None, compare=False, repr=False)
+    stats: object | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def from_experiment(cls, workload: str, result) -> "MapResult":
-        """Build from an :class:`~repro.analysis.experiments.ExperimentResult`."""
-        mapped = result.mapped
+    def from_mapped(cls, workload: str, mapped, stats,
+                    verified: bool) -> "MapResult":
+        """Build from a :class:`MappedProgram` and its
+        :class:`~repro.core.bitstream.BitstreamStats`."""
         return cls(
             workload=workload,
             grid=(mapped.params.cols, mapped.params.rows),
@@ -83,18 +84,19 @@ class MapResult(_Result):
             luts_per_context=tuple(
                 len(nl.luts()) for nl in mapped.program.contexts
             ),
-            verified=result.verified,
+            verified=verified,
             share_aware=mapped.share_aware,
             wirelength=sum(
                 rr.wirelength(mapped.rrg) for rr in mapped.routes
             ),
             route_iterations=tuple(rr.iterations for rr in mapped.routes),
             reuse_fraction=mapped.reuse_fraction(),
-            switch_change_rate=result.stats.switch.change_fraction(),
+            switch_change_rate=stats.switch.change_fraction(),
             class_fractions={
-                str(k): v for k, v in result.stats.class_fractions().items()
+                str(k): v for k, v in stats.class_fractions().items()
             },
-            experiment=result,
+            mapped=mapped,
+            stats=stats,
         )
 
 

@@ -32,16 +32,12 @@ from dataclasses import replace
 
 from repro.analysis.engine import map_job
 from repro.analysis.experiments import (
-    ExperimentResult,
     MappedProgram,
     map_program,
     verify_mapped,
 )
 from repro.analysis.sweep import (
     SweepRunner,
-    channel_width_jobs,
-    double_fraction_jobs,
-    fc_jobs,
     run_item,
     sweep_change_rate_points,
     sweep_contexts_points,
@@ -85,12 +81,6 @@ from repro.utils.telemetry import (
 #: Historical per-flow effort defaults (``ExecutionConfig.effort=None``).
 MAP_EFFORT = 0.5
 POINT_EFFORT = 0.3
-
-_JOB_BUILDERS = {
-    "channel-width": channel_width_jobs,
-    "double-fraction": double_fraction_jobs,
-    "fc": fc_jobs,
-}
 
 
 def _single(compute):
@@ -258,8 +248,7 @@ class Session:
             route_workers=cfg.route_workers,
         )
         stats, verified = _checked(mapped, cfg.seed, req.verify)
-        experiment = ExperimentResult(program.name, mapped, stats, verified)
-        return MapResult.from_experiment(req.workload, experiment)
+        return MapResult.from_mapped(req.workload, mapped, stats, verified)
 
     def _stream_batch(self, req: BatchRequest, run_id):
         # every backend rides the sweep runner's pool loop: the whole
@@ -286,8 +275,7 @@ class Session:
                               compiled_rrg_for(params), req.share_aware)
             (stats, verified), checked = run_item(
                 lambda m: _checked(m, cfg.seed, req.verify), m, run_id)
-            experiment = ExperimentResult(program.name, m, stats, verified)
-            row = MapResult.from_experiment(w, experiment)
+            row = MapResult.from_mapped(w, m, stats, verified)
             yield _fold_metrics(row, merge_metrics([snapshot, checked]))
 
     # -- sweep -------------------------------------------------------------- #
@@ -306,23 +294,14 @@ class Session:
         )
 
     def _stream_sweep(self, req: SweepRequest, run_id):
-        values = req.resolved_values()
         if req.analytic:
-            if req.what == "change-rate":
-                yield from sweep_change_rate_points(values)
-            else:
-                yield from sweep_contexts_points([int(v) for v in values])
+            points = sweep_change_rate_points if req.what == "change-rate" \
+                else sweep_contexts_points
+            yield from points(req.resolved_values())
             return
         cfg = req.execution
-        netlist = self.circuit(req.workload)
-        base = ArchParams(
-            cols=req.grid, rows=req.grid, channel_width=req.width,
-            io_capacity=4,
-        )
-        jobs = _JOB_BUILDERS[req.what](
-            netlist, base, values, seed=cfg.seed,
-            effort=cfg.effort_or(POINT_EFFORT),
-        )
+        jobs = req.jobs(self.circuit(req.workload), seed=cfg.seed,
+                        effort=cfg.effort_or(POINT_EFFORT))
         for pt in self.sweep_runner(cfg).iter_run(jobs, run_id):
             yield _fold_metrics(pt, pt.metrics, req.profile, cfg.telemetry)
 
@@ -363,22 +342,16 @@ class Session:
 
     # -- area / reorder ----------------------------------------------------- #
     def _area(self, req: AreaRequest) -> AreaResult:
-        from repro.core.area_model import AreaConstants, AreaModel, Technology
+        from repro.core.area_model import AreaConstants, AreaModel
 
         constants = (
             AreaConstants.paper_calibrated() if req.constants == "paper"
             else AreaConstants.textbook()
         )
-        model = AreaModel(constants)
-        comparisons = {
-            tech.value: model.paper_operating_point(
-                change_rate=req.change_rate,
-                n_contexts=req.contexts,
-                sharing_factor=req.sharing,
-                tech=tech,
-            )
-            for tech in (Technology.CMOS, Technology.FEPG)
-        }
+        comparisons = AreaModel(constants).paper_operating_points(
+            change_rate=req.change_rate, n_contexts=req.contexts,
+            sharing_factor=req.sharing,
+        )
         technologies = {
             name: {
                 "ratio": cmp.ratio,

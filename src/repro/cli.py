@@ -421,7 +421,7 @@ def cmd_map(args: argparse.Namespace) -> int:
           f"grid {result.grid[0]}x{result.grid[1]}, "
           f"verified={result.verified}")
     print()
-    print(redundancy_report(result.experiment.stats).render())
+    print(redundancy_report(result.stats).render())
     return 0
 
 

@@ -377,6 +377,14 @@ class AreaModel:
             sharing_factor, lb_packing_factor, tech,
         )
 
+    def paper_operating_points(self, **kwargs) -> dict[str, AreaComparison]:
+        """:meth:`paper_operating_point` in every technology, keyed by
+        its value (``"cmos"``, ``"fepg"``)."""
+        return {
+            tech.value: self.paper_operating_point(tech=tech, **kwargs)
+            for tech in Technology
+        }
+
 
 def static_power_model(
     counts: TileCounts,

@@ -18,9 +18,9 @@ single-cycle context switching.  A configured device can
 - report the measured pattern statistics and feed the area model.
 
 The configuration source is a mapped program: one placement + routing
-per context (see :mod:`repro.analysis.experiments` for the one-call
-flow), on the flat routing substrate it was routed on; the device
-never builds an object graph.
+per context (see :func:`repro.analysis.experiments.verify_mapped`,
+which configures a device from a mapping), on the flat routing
+substrate it was routed on; the device never builds an object graph.
 """
 
 from __future__ import annotations

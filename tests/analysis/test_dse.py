@@ -1,16 +1,24 @@
-"""Tests for design-space exploration."""
+"""Tests for design-space exploration: the routing grids and the
+minimum-channel-width bisection of :mod:`repro.analysis.sweep`."""
 
 import pytest
 
-from repro.analysis.dse import (
-    explore_double_fraction,
-    explore_fc,
+from repro.analysis.sweep import (
+    SweepRunner,
+    channel_width_jobs,
+    double_fraction_jobs,
+    fc_jobs,
     minimum_channel_width,
 )
 from repro.arch.params import ArchParams
 from repro.errors import RoutingError
 from repro.netlist.techmap import tech_map
 from repro.workloads.generators import ripple_adder
+
+
+def _sweep(jobs):
+    """``(value, point)`` rows of one grid on a fresh runner."""
+    return [(pt.value, pt) for pt in SweepRunner().iter_run(jobs)]
 
 
 @pytest.fixture(scope="module")
@@ -26,13 +34,12 @@ class TestMinimumChannelWidth:
         w = minimum_channel_width(netlist, base, lo=2, hi=12, effort=0.2)
         assert 2 <= w <= 12
         # one below must fail or w == lo
-        from repro.analysis.dse import _try_route
-
-        assert _try_route(netlist, base.with_(channel_width=w), 0, 0.2).routed
+        widths = [w - 1, w] if w > 2 else [w]
+        rows = dict(_sweep(channel_width_jobs(netlist, base, widths,
+                                              effort=0.2)))
+        assert rows[w].routed
         if w > 2:
-            assert not _try_route(
-                netlist, base.with_(channel_width=w - 1), 0, 0.2
-            ).routed
+            assert not rows[w - 1].routed
 
     def test_raises_when_impossible(self, setup):
         netlist, base = setup
@@ -44,23 +51,25 @@ class TestMinimumChannelWidth:
 class TestDoubleFractionSweep:
     def test_all_points_covered(self, setup):
         netlist, base = setup
-        rows = explore_double_fraction(netlist, base, [0.0, 0.5], effort=0.2)
+        rows = _sweep(double_fraction_jobs(netlist, base, [0.0, 0.5],
+                                           effort=0.2))
         assert len(rows) == 2
         assert all(pt.routed for _, pt in rows)
 
     def test_doubles_dont_hurt_delay(self, setup):
         netlist, base = setup
-        rows = dict(explore_double_fraction(netlist, base, [0.0, 0.5], effort=0.3))
+        rows = dict(_sweep(double_fraction_jobs(netlist, base, [0.0, 0.5],
+                                                effort=0.3)))
         assert rows[0.5].critical_path <= rows[0.0].critical_path * 1.05
 
 
 class TestFcSweep:
     def test_lower_fc_still_routes(self, setup):
         netlist, base = setup
-        rows = explore_fc(netlist, base, [1.0, 0.5], effort=0.2)
+        rows = _sweep(fc_jobs(netlist, base, [1.0, 0.5], effort=0.2))
         assert all(pt.routed for _, pt in rows)
 
     def test_wirelength_reported(self, setup):
         netlist, base = setup
-        rows = explore_fc(netlist, base, [1.0], effort=0.2)
+        rows = _sweep(fc_jobs(netlist, base, [1.0], effort=0.2))
         assert rows[0][1].wirelength > 0

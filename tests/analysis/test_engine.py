@@ -85,7 +85,7 @@ def _batch(workloads=("crc", "parity", "adder"), **execution):
 
 
 def _mapped(results):
-    return [r.experiment.mapped for r in results]
+    return [r.mapped for r in results]
 
 
 def _assert_same_mappings(a, b):

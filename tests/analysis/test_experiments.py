@@ -6,10 +6,10 @@ from repro.analysis.experiments import (
     map_program,
     measured_mixes,
     run_area_experiment,
-    run_full_flow,
-    sweep_change_rate,
-    sweep_contexts,
+    verify_mapped,
 )
+from repro.analysis.sweep import sweep_change_rate_points, sweep_contexts_points
+from repro.core.area_model import AreaModel
 from repro.netlist.dfg import paper_example_program
 from repro.netlist.synth import synthesize
 from repro.netlist.techmap import tech_map
@@ -40,17 +40,16 @@ class TestMapping:
 
 class TestFullFlow:
     def test_verifies_functionally(self, small_prog):
-        res = run_full_flow(small_prog, seed=1)
-        assert res.verified
+        assert verify_mapped(map_program(small_prog, seed=1), seed=1)
 
     def test_stats_attached(self, small_prog):
-        res = run_full_flow(small_prog, seed=1)
-        assert sum(res.stats.class_fractions().values()) == pytest.approx(1.0)
+        stats = map_program(small_prog, seed=1).stats()
+        assert sum(stats.class_fractions().values()) == pytest.approx(1.0)
 
 
 class TestAreaExperiment:
     def test_analytic_point_reproduces_paper(self):
-        out = run_area_experiment(measured=False)
+        out = AreaModel().paper_operating_points()
         assert out["cmos"].ratio == pytest.approx(0.45, abs=0.02)
         assert out["fepg"].ratio == pytest.approx(0.37, abs=0.02)
 
@@ -68,15 +67,15 @@ class TestAreaExperiment:
 
 class TestSweeps:
     def test_change_rate_monotone(self):
-        rows = sweep_change_rate([0.0, 0.05, 0.2, 0.5])
-        ratios = [r[1] for r in rows]
+        pts = sweep_change_rate_points([0.0, 0.05, 0.2, 0.5])
+        ratios = [pt.cmos_ratio for pt in pts]
         assert ratios == sorted(ratios)
 
     def test_context_sweep_widening_advantage(self):
         """More contexts -> bigger conventional overhead -> better ratio."""
-        rows = sweep_contexts([2, 4, 8])
-        assert rows[-1][1] < rows[0][1]
+        pts = sweep_contexts_points([2, 4, 8])
+        assert pts[-1].cmos_ratio < pts[0].cmos_ratio
 
     def test_fepg_below_cmos_everywhere(self):
-        for _, cm, fe in sweep_change_rate([0.0, 0.05, 0.2]):
-            assert fe < cm
+        for pt in sweep_change_rate_points([0.0, 0.05, 0.2]):
+            assert pt.fepg_ratio < pt.cmos_ratio

@@ -12,12 +12,6 @@ import os
 
 import pytest
 
-from repro.analysis.dse import (
-    _try_route,
-    explore_double_fraction,
-    explore_fc,
-    minimum_channel_width,
-)
 from repro.analysis.sweep import (
     SweepJob,
     SweepPoint,
@@ -25,6 +19,7 @@ from repro.analysis.sweep import (
     channel_width_jobs,
     double_fraction_jobs,
     fc_jobs,
+    minimum_channel_width,
     sweep_change_rate_points,
     sweep_contexts_points,
 )
@@ -92,8 +87,8 @@ class TestLegacyEquivalence:
     def test_double_fraction_matches_legacy(self, name):
         netlist = _workloads()[name]
         fractions = [0.0, 0.5, 1.0]
-        rows = explore_double_fraction(netlist, BASE, fractions, effort=EFFORT)
-        for f, pt in rows:
+        jobs = double_fraction_jobs(netlist, BASE, fractions, effort=EFFORT)
+        for f, pt in zip(fractions, SweepRunner().iter_run(jobs)):
             routed, wl, cp = _legacy_point(
                 netlist, BASE.with_(double_fraction=f)
             )
@@ -105,8 +100,8 @@ class TestLegacyEquivalence:
     def test_fc_matches_legacy(self, name):
         netlist = _workloads()[name]
         fcs = [1.0, 0.5]
-        rows = explore_fc(netlist, BASE, fcs, effort=EFFORT)
-        for fc, pt in rows:
+        jobs = fc_jobs(netlist, BASE, fcs, effort=EFFORT)
+        for fc, pt in zip(fcs, SweepRunner().iter_run(jobs)):
             routed, wl, cp = _legacy_point(
                 netlist, BASE.with_(fc_in=fc, fc_out=fc)
             )
@@ -242,23 +237,19 @@ class TestGridBuilders:
 
 
 class TestDsePort:
-    def test_try_route_reports_metrics(self):
+    def test_single_point_reports_metrics(self):
         netlist = _workloads()["adder"]
-        pt = _try_route(netlist, BASE, 0, EFFORT)
+        job = SweepJob("point", 0.0, BASE, netlist, 0, EFFORT)
+        (pt,) = SweepRunner().iter_run([job])
         assert pt.routed and pt.wirelength > 0 and pt.iterations >= 1
 
-    def test_sequence_defaults_normalized(self):
-        """Tuple defaults are accepted and normalized to lists."""
-        netlist = _workloads()["adder"]
-        rows = explore_fc(netlist, BASE, (1.0,), effort=EFFORT)
-        assert len(rows) == 1 and rows[0][0] == 1.0
-
     def test_no_legacy_entry_points_imported(self):
-        """dse rides the sweep subsystem, not the legacy per-point flow."""
-        import repro.analysis.dse as dse
+        """The drivers ride the sweep subsystem, not the legacy
+        per-point flow."""
         import repro.analysis.experiments as experiments
+        import repro.analysis.sweep as sweep
 
-        for module in (dse, experiments):
+        for module in (sweep, experiments):
             assert not hasattr(module, "build_rrg")
             assert not hasattr(module, "route_context")
             assert not hasattr(module, "route_context_legacy")
@@ -281,21 +272,6 @@ class TestAnalyticSweeps:
         four = sweep_change_rate_points([0.05], n_contexts=4)[0]
         eight = sweep_change_rate_points([0.05], n_contexts=8)[0]
         assert four.cmos_ratio != eight.cmos_ratio
-
-    def test_matches_experiments_wrappers(self):
-        from repro.analysis.experiments import (
-            sweep_change_rate,
-            sweep_contexts,
-        )
-
-        assert sweep_change_rate([0.05]) == [
-            (pt.value, pt.cmos_ratio, pt.fepg_ratio)
-            for pt in sweep_change_rate_points([0.05])
-        ]
-        assert sweep_contexts([4]) == [
-            (int(pt.value), pt.cmos_ratio, pt.fepg_ratio)
-            for pt in sweep_contexts_points([4])
-        ]
 
 
 class TestProfilePlumbing:

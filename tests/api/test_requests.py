@@ -185,6 +185,24 @@ class TestRequestValidation:
         with pytest.raises(RequestError, match="must be integers"):
             SweepRequest(what="channel-width", values=(2.5,))
 
+    @pytest.mark.parametrize("make", [
+        lambda: AreaRequest(contexts=3),
+        lambda: SweepRequest(what="change-rate", values=(1.5,)),
+        lambda: SweepRequest(what="change-rate", values=(0.05, -0.1)),
+        lambda: SweepRequest(what="contexts", values=(0,)),
+        lambda: SweepRequest(what="contexts", values=(4, 3)),
+        lambda: SweepRequest(what="channel-width", values=(0,)),
+        lambda: SweepRequest(what="fc", values=(0.0,)),
+        lambda: SweepRequest(what="double-fraction", values=(2.0,)),
+    ], ids=["area-contexts-3", "change-rate-1.5", "change-rate-neg",
+            "contexts-0", "contexts-3", "channel-width-0", "fc-0",
+            "double-fraction-2"])
+    def test_values_the_model_rejects(self, make):
+        """Values the architecture or area model would reject mid-run
+        fail at construction instead."""
+        with pytest.raises(RequestError):
+            make()
+
 
 class TestSweepDefaults:
     def test_values_default_per_axis(self):

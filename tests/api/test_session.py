@@ -152,8 +152,9 @@ class TestBatchAndMap:
 
     def test_map_result_carries_experiment(self, session):
         result = session.run(MapRequest(workload="adder"))
-        assert result.experiment is not None
-        assert result.experiment.mapped.params.cols == result.grid[0]
+        assert result.mapped.params.cols == result.grid[0]
+        assert result.stats.switch.change_fraction() == \
+            result.switch_change_rate
 
     def test_unsupported_request_type(self, session):
         with pytest.raises(RequestError, match="unsupported request"):

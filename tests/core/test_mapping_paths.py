@@ -73,7 +73,7 @@ def quadratic_connectivity(netlist) -> dict:
 def mapped_programs() -> list:
     """The six ``map8`` programs and every corpus case, mapped."""
     session = Session()
-    mapped = [session.run(r).experiment.mapped for r in map8_requests()]
+    mapped = [session.run(r).mapped for r in map8_requests()]
     mapped += [session.run(load_case(case)).mapped
                for case in discover_cases(CORPUS_ROOT)]
     assert len(mapped) >= 6 + 8

@@ -172,6 +172,14 @@ class TestErrors:
         assert code == 400
         assert "bogus-axis" in doc["error"]
 
+    def test_value_the_model_rejects(self, service):
+        code, doc = self._status_of_error(
+            service, "POST", "/v1/jobs",
+            {"request": {"schema_version": 1, "type": "sweep_request",
+                         "what": "contexts", "values": [3]}})
+        assert code == 400
+        assert "power of two" in doc["error"]
+
     def test_unknown_request_key(self, service):
         code, doc = self._status_of_error(
             service, "POST", "/v1/jobs",

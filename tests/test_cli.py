@@ -343,6 +343,17 @@ class TestRequestErrors:
                      "--values", ""]) == 2
         assert "values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["area", "--contexts", "3"], "power of two"),
+        (["sweep", "--what", "contexts", "--values", "3"], "power of two"),
+        (["sweep", "--what", "change-rate", "--values", "1.5"],
+         "change_rate must be in [0, 1]"),
+    ])
+    def test_values_the_model_rejects(self, capsys, argv, reason):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and reason in err
+
 
 class TestParser:
     def test_missing_command_rejected(self):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.experiments import map_program, run_full_flow
+from repro.analysis.experiments import map_program, verify_mapped
 from repro.analysis.verification import assert_equivalent, verify_device
 from repro.arch.compiled import NodeKind
 from repro.core.fpga import MultiContextFPGA
@@ -132,18 +132,21 @@ class TestStatisticsConsistency:
     def test_change_fraction_vs_flip_count(self):
         base = tech_map(ripple_adder(2), k=4)
         prog = mutated_program(base, n_contexts=2, fraction=0.0, seed=1)
-        res = run_full_flow(prog, seed=1)
+        mapped = map_program(prog, seed=1)
+        assert verify_mapped(mapped, seed=1)
+        stats = mapped.stats()
         # identical contexts: no switch changes, no LUT pattern diversity
-        assert res.change_rate == 0.0
-        hist = res.stats.luts.distinct_planes_per_tile()
+        assert stats.switch.change_fraction() == 0.0
+        hist = stats.luts.distinct_planes_per_tile()
         assert all(v == 1 for v in hist.values())
 
     def test_mutation_raises_measured_change(self):
         base = tech_map(random_dag(5, 16, 3, seed=2), k=4)
-        quiet = run_full_flow(
-            mutated_program(base, 4, 0.0, seed=3), seed=3
-        ).change_rate
-        noisy = run_full_flow(
-            mutated_program(base, 4, 0.4, seed=3), seed=3
-        ).change_rate
-        assert noisy > quiet
+
+        def change_rate(fraction):
+            mapped = map_program(mutated_program(base, 4, fraction, seed=3),
+                                 seed=3)
+            assert verify_mapped(mapped, seed=3)
+            return mapped.stats().switch.change_fraction()
+
+        assert change_rate(0.4) > change_rate(0.0)

@@ -7,8 +7,8 @@ one versioned ``to_dict()``/``from_dict()`` contract.  Heavyweight
 in-memory artifacts (the mapped program and its statistics, the
 area-model comparison objects) ride along in ``compare=False`` fields
 so table renderers can reach them, but they never serialize and never
-affect equality — the round-trip contract ``from_dict(to_dict(x)) == x`` holds for every
-type.
+affect equality — the round-trip contract ``from_dict(to_dict(x)) == x``
+holds for every type.
 """
 
 from __future__ import annotations

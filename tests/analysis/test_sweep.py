@@ -237,7 +237,8 @@ class TestGridBuilders:
 
 
 class TestDsePort:
-    def test_single_point_reports_metrics(self):
+    def test_try_route_reports_metrics(self):
+        """One point through the runner reports its route metrics."""
         netlist = _workloads()["adder"]
         job = SweepJob("point", 0.0, BASE, netlist, 0, EFFORT)
         (pt,) = SweepRunner().iter_run([job])

@@ -24,7 +24,7 @@ from repro.analysis.sweep import (
 from repro.api.serialize import check, stamp
 from repro.api.workloads import WORKLOADS, check_workload
 from repro.arch.params import ArchParams, paper_params
-from repro.core.area_model import analytic_pattern_mix
+from repro.core.area_model import analytic_pattern_mix, check_contexts
 from repro.errors import ArchitectureError, RequestError
 from repro.utils import records
 
@@ -156,9 +156,12 @@ def _model_accepts(check, name: str) -> None:
         raise RequestError(f"{name}: {exc}") from None
 
 
-def _paper_device(contexts: int) -> ArchParams:
-    """The Section-5 device at ``contexts`` contexts."""
-    return paper_params().with_(n_contexts=contexts)
+def _area_device(contexts: int) -> None:
+    """Check the Section-5 device at ``contexts`` contexts: the
+    architecture's own validation, then the area model's
+    (:data:`~repro.core.area_model.MAX_CONTEXTS` caps the count)."""
+    paper_params().with_(n_contexts=contexts)
+    check_contexts(contexts)
 
 
 @dataclass(frozen=True)
@@ -272,7 +275,7 @@ class SweepRequest(_Request):
                 analytic_pattern_mix(rate, 1)
         elif self.what == "contexts":
             for n in self.resolved_values():
-                _paper_device(n)
+                _area_device(n)
         else:
             self.jobs(None)
 
@@ -374,7 +377,7 @@ class AreaRequest(_Request):
     def __post_init__(self) -> None:
         _check_fraction("change_rate", self.change_rate)
         _check_contexts(self.contexts)
-        _model_accepts(lambda: _paper_device(self.contexts), "contexts")
+        _model_accepts(lambda: _area_device(self.contexts), "contexts")
         if self.sharing <= 0:
             raise RequestError(f"sharing must be > 0, got {self.sharing!r}")
         if self.constants not in ("paper", "textbook"):

@@ -151,7 +151,8 @@ class CompiledRRG:
         "_wire_len",
         "_row_lists",
         "_sink_lists",
-        "_addresses",
+        "_pin_tables",
+        "_native",
     )
 
     @classmethod
@@ -231,21 +232,38 @@ class CompiledRRG:
         c._wire_len = None
         c._row_lists = None
         c._sink_lists = None
-        c._addresses = None
+        c._pin_tables = None
+        c._native = {}
         return c
 
-    def addresses(self) -> tuple[int, ...]:
-        """Buffer addresses of ``edge_start``, ``edge_mid``,
-        ``edge_dst``, ``xlo``, ``xhi``, ``ylo``, ``yhi``, ``base_cost``
-        and ``node_capacity``, read on first use and cached: the native
-        context route reads these arrays in place on every call, and
-        they live as long as the substrate."""
-        if self._addresses is None:
-            self._addresses = tuple(a.ctypes.data for a in (
-                self.edge_start, self.edge_mid, self.edge_dst, self.xlo,
-                self.xhi, self.ylo, self.yhi, self.base_cost,
-                self.node_capacity))
-        return self._addresses
+    def native_cache(self) -> dict:
+        """Values a native kernel derives once per substrate (the
+        context route keeps its job template here, which holds the
+        addresses of this substrate's arrays, so it reads them in place
+        on every call).  A pickled substrate leaves the cache behind:
+        an address names memory of one process."""
+        return self._native
+
+    def __getstate__(self):
+        state = {name: getattr(self, name) for name in CompiledRRG.__slots__}
+        state["_native"] = {}
+        return None, state
+
+    def pin_tables(self) -> tuple[tuple, tuple]:
+        """The SOURCE and the SINK pin-node table, each as ``(nodes,
+        lb_width, lb_size, pad_width)``: ``nodes`` is the logic-block
+        table then the pad table, raveled into one Python list (built on
+        first use and cached), so pin ``pin`` of logic tile ``t`` is
+        ``nodes[t * lb_width + pin]`` and pad ``pad`` of tile ``t`` is
+        ``nodes[lb_size + t * pad_width + pad]``.  Route endpoint
+        extraction looks a placed netlist's pins up in them."""
+        if self._pin_tables is None:
+            self._pin_tables = tuple(
+                (lb.ravel().tolist() + pads.ravel().tolist(), lb.shape[1],
+                 lb.size, pads.shape[1])
+                for lb, pads in ((self.lb_source_ids, self.io_source_ids),
+                                 (self.lb_sink_ids, self.io_sink_ids)))
+        return self._pin_tables
 
     def row_lists(self) -> tuple[list[int], list[int], list[int]]:
         """``edge_start``/``edge_mid``/``edge_dst`` as Python lists,

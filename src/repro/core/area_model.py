@@ -45,6 +45,24 @@ from repro.errors import ArchitectureError
 from repro.utils.bitops import clog2, is_pow2
 
 
+#: The largest context count the model evaluates.  The pattern mix
+#: enumerates ``2**(n-1)`` flip placements and the GENERAL decoder mean
+#: ``2**n`` masks: at 16 contexts that is a few seconds cold, and each
+#: doubling squares it.
+MAX_CONTEXTS = 16
+
+
+def check_contexts(n_contexts: int) -> None:
+    """Raise :class:`ArchitectureError` unless the model evaluates
+    ``n_contexts``: a power of two, at most :data:`MAX_CONTEXTS`."""
+    if not is_pow2(n_contexts):
+        raise ArchitectureError("n_contexts must be a power of two")
+    if n_contexts > MAX_CONTEXTS:
+        raise ArchitectureError(
+            f"the area model evaluates at most {MAX_CONTEXTS} contexts, "
+            f"got {n_contexts}")
+
+
 class Technology(enum.Enum):
     CMOS = "cmos"
     FEPG = "fepg"
@@ -158,8 +176,7 @@ def analytic_pattern_mix(change_rate: float, n_contexts: int) -> PatternMix:
     """
     if not 0.0 <= change_rate <= 1.0:
         raise ArchitectureError("change_rate must be in [0, 1]")
-    if not is_pow2(n_contexts):
-        raise ArchitectureError("n_contexts must be a power of two")
+    check_contexts(n_contexts)
     from repro.core.patterns import classify_mask
 
     n = n_contexts
@@ -196,6 +213,8 @@ def expected_distinct_planes(lut_change_prob: float, n_contexts: int) -> float:
 def average_general_decoder_ses(n_contexts: int) -> float:
     """Mean isolated decoder cost over all GENERAL patterns."""
     from repro.core.patterns import classify_mask
+
+    check_contexts(n_contexts)
 
     general = [
         decoder_cost(m, n_contexts)

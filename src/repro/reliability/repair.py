@@ -49,6 +49,7 @@ from repro.netlist.netlist import Netlist
 from repro.place.placer import Placement, place
 from repro.reliability.defect_map import DefectMap
 from repro.route.pathfinder import (
+    NetEndpoints,
     RouteResult,
     _net_endpoints,
     endpoint_signature,
@@ -154,10 +155,12 @@ class GoldenMapping:
             self._flat = RouteFlat(self.routes, c.n_nodes)
         return self._flat
 
-    def endpoints(self, c: CompiledRRG, netlist: Netlist) -> list:
-        """The router's ``(net, source, sinks)`` endpoints of
+    def endpoints(self, c: CompiledRRG, netlist: Netlist) -> NetEndpoints:
+        """The router's :class:`~repro.route.pathfinder.NetEndpoints` of
         ``netlist`` on the golden placement, cached for one ``c`` and
-        ``netlist`` (another object of either rebuilds them)."""
+        ``netlist`` (another object of either rebuilds them); they
+        cache their endpoint signatures in turn, so every warm reroute
+        of the golden reads the same ones."""
         cached = self._endpoints
         if cached is None or cached[0] is not c or cached[1] is not netlist:
             cached = self._endpoints = (

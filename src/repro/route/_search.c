@@ -1,10 +1,15 @@
 /* Native routing: the C twin of repro.route.pathfinder's sequential
  * context route.
  *
- * `route_context` runs one context's whole PathFinder route: the
+ * `route_context` runs one context's whole PathFinder route.  It sets
+ * up the congestion state in the caller's empty buffer (usage 0,
+ * history 0 or infinite on a dead node, the effective capacity, each
+ * node's folded cost: pathfinder._FlatCongestion.__init__) and finds
+ * the healthy chains of the salvaged golden routes
+ * (pathfinder._Salvage).  Then it runs the
  * initial pass over the nets (adopted, seeded, searched), the usage
- * commits and every rip-up iteration, with the congestion arithmetic of
- * pathfinder._FlatCongestion operation for operation (built with
+ * commits and every rip-up iteration, with the congestion arithmetic
+ * of pathfinder._FlatCongestion operation for operation (built with
  * -ffp-contract=off, so no multiply-add is fused).  It is the only
  * export.
  *
@@ -28,6 +33,7 @@
  *
  * Build: gcc -O2 -shared -fPIC -ffp-contract=off -lm (repro.utils.native).
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -248,6 +254,8 @@ enum {
     ST_RIPPED,          /* router.ripped_nets */
     ST_OUT_NODES,       /* tree nodes written to out_nodes */
     ST_OUT_PATHS,       /* paths written */
+    ST_SALVAGED,        /* router.warm.salvaged_sinks */
+    ST_RESEARCHED,      /* router.warm.researched_sinks */
     N_STATS
 };
 
@@ -256,47 +264,73 @@ enum { RC_OK, RC_NO_PATH, RC_CONGESTED, RC_NOMEM, RC_SPACE };
 /* Everything one route_context call reads and writes (ctypes mirror:
  * pathfinder._RouteJob). */
 typedef struct {
-    /* graph */
+    /* graph: the fabric's CSR rows (edge_dst names each tree edge) */
     int64_t n_nodes;
-    /* edst: the searched rows (dead switches lowered to self-loops);
-     * edge_dst: the fabric's, which names each tree edge */
-    const int32_t *estart, *emid, *edst, *edge_dst;
+    const int32_t *estart, *emid, *edge_dst;
     const int32_t *xlo, *xhi, *ylo, *yhi;
     int64_t cols, rows, margin;
-    const uint8_t *node_ok; /* the defect floor; NULL without defects */
-    /* congestion state, in place */
+    /* defects: the node mask (NULL without defects) and the rows the
+     * search reads, edge_dst or a copy with each dead switch u -> v
+     * lowered to the self-loop u -> u (DefectMap.live_edge_dst) */
+    const uint8_t *node_ok;
+    const int32_t *edst;
+    /* congestion state: the call lays it out in the caller's buffer
+     * `state` and leaves it there (see set_up) */
     const double *base;
-    const int64_t *cap;
-    double *hist, *eff;
-    int64_t *usage;
+    const int64_t *node_cap;
+    int64_t *state;
     double pres_fac, pres_fac_mult, hist_fac;
     double astar_fac;           /* the search's lower-bound weight */
     int64_t max_iterations;
-    /* nets, in routing order */
+    /* nets: `ends` holds the endpoints of the nets in
+     * pathfinder.NetEndpoints order, source[n] | sink_start[n + 1] |
+     * sinks */
     int64_t n_nets;
-    const int32_t *source;
-    const int64_t *sink_start;   /* n_nets + 1 */
-    const int32_t *sinks;
-    const int64_t *adopt_start;  /* n_nets + 1; empty: not adopted */
-    const int32_t *adopt;        /* an adopted route's node set */
-    const int64_t *seed_start;   /* n_nets + 1, into the seed paths */
-    const int64_t *seed_path_start;
-    const int32_t *seed_sink;
-    const int32_t *seed_nodes;
+    const int32_t *ends;
+    /* `io`: the outputs, then the inputs of this call (int32 words):
+     *   out_nodes, out_parent, out_edge      out_nodes_cap each
+     *   out_branch                           2 * out_paths_cap
+     *   out_survived                         n_nets
+     *   out_net_node, out_net_path           n_nets + 1 each
+     *   order                                n_nets, when reordered
+     *   adopt_start                          n_nets + 1, when adopting
+     *   seed_of                              n_nets, with salvage
+     *   salvage_tree, salvage_paths          n_salvage + 1 each
+     *   adopt                                adopt_start[n_nets]
+     *   salvage_node, salvage_parent         salvage_tree[n_salvage] each
+     *   salvage_branch                       2 * salvage_paths[n_salvage] */
+    int32_t *io;
+    int64_t out_nodes_cap, out_paths_cap;
+    int64_t reordered, adopting, n_salvage;
+    int64_t stats[N_STATS];
+    /* set by the call: views of `state`, `ends` and `io` (NULL where
+     * the call has no such input) */
+    int64_t *usage;
+    const int64_t *cap;
+    double *hist, *eff;
+    const int32_t *source, *sink_start, *sinks;
+    /* the routing order: net i routes endpoint order[i] (NULL: i); the
+     * per-net arrays below follow it */
+    const int32_t *order;
+    /* adopted bank routes: net i adopts the node set
+     * adopt[adopt_start[i]:adopt_start[i + 1]] when that is not empty */
+    const int32_t *adopt_start, *adopt;
+    /* salvage: golden route k's tree is salvage_node and
+     * salvage_parent [salvage_tree[k]:salvage_tree[k + 1]], its sink
+     * paths the (position, length) pairs salvage_branch
+     * [salvage_paths[k]:salvage_paths[k + 1]]; net i starts from the
+     * healthy chains of route seed_of[i] (-1: none) */
+    const int32_t *seed_of, *salvage_tree, *salvage_paths;
+    const int32_t *salvage_node, *salvage_parent, *salvage_branch;
     /* out: each routed net's tree (its distinct nodes in insertion
      * order, each with its parent's position in the net's tree and the
      * CSR index of the edge from its parent, -1 at the source) and its
      * sink paths in insertion order, each as the tree position of its
-     * last node and its length */
-    int64_t out_nodes_cap, out_paths_cap;
-    int32_t *out_nodes;
-    int32_t *out_parent;
-    int32_t *out_edge;
-    int64_t *out_net_node;       /* n_nets + 1, into the nodes */
-    int32_t *out_branch;         /* (position, length) per path */
-    int64_t *out_net_path;       /* n_nets + 1, into the paths */
-    int32_t *out_survived;       /* adopted and never ripped up */
-    int64_t stats[N_STATS];
+     * last node and its length; out_net_node and out_net_path index
+     * them by net, and out_survived flags the adopted nets never ripped
+     * up (which have none) */
+    int32_t *out_nodes, *out_parent, *out_edge, *out_branch;
+    int32_t *out_survived, *out_net_node, *out_net_path;
 } route_job;
 
 /* A growable int32 array. */
@@ -331,6 +365,11 @@ typedef struct {
     searcher s;
     int32_t *path;  /* the search's output */
     vec tree, parent, paths;
+    /* the healthy chains: salvage route k's are seeds
+     * seed_start[k]:seed_start[k + 1], seed p ending at seed_sink[p]
+     * with nodes seed_nodes[seed_end[p - 1] (0 at p = 0):seed_end[p]] */
+    int64_t *seed_start;
+    vec seed_end, seed_sink, seed_nodes;
     route_rec *rec;
     uint32_t *mark; /* route serial that last put a node in its tree */
     int32_t *pos;   /* a marked node's position in its route's tree */
@@ -344,6 +383,59 @@ static double fold(const route_job *j, int32_t n) {
     if (over < 0)
         over = 0;
     return j->base[n] * (1.0 + j->pres_fac * (double)over) + j->hist[n];
+}
+
+/* Point the views at their parts of `ends` and `io`. */
+static void lay_out(route_job *j) {
+    int64_t n = j->n_nets, ns = j->n_salvage;
+    int32_t *at = j->io;
+    j->source = j->ends;
+    j->sink_start = j->ends + n;
+    j->sinks = j->ends + 2 * n + 1;
+    j->out_nodes = at;
+    j->out_parent = at += j->out_nodes_cap;
+    j->out_edge = at += j->out_nodes_cap;
+    j->out_branch = at += j->out_nodes_cap;
+    j->out_survived = at += 2 * j->out_paths_cap;
+    j->out_net_node = at += n;
+    j->out_net_path = at += n + 1;
+    at += n + 1;
+    j->order = j->reordered ? at : NULL;
+    at += j->reordered ? n : 0;
+    j->adopt_start = j->adopting ? at : NULL;
+    at += j->adopting ? n + 1 : 0;
+    j->seed_of = ns ? at : NULL;
+    j->salvage_tree = at += ns ? n : 0;
+    j->salvage_paths = at += ns ? ns + 1 : 0;
+    at += ns ? ns + 1 : 0;
+    j->adopt = at;
+    at += j->adopting ? j->adopt_start[n] : 0;
+    j->salvage_node = at;
+    j->salvage_parent = at += ns ? j->salvage_tree[ns] : 0;
+    j->salvage_branch = at + (ns ? j->salvage_tree[ns] : 0);
+}
+
+/* _FlatCongestion.__init__ in `state`: usage (int64), history and
+ * folded costs (double), and with defects the effective capacity
+ * (int64), n_nodes words each.  A dead node has no capacity and an
+ * infinite history, so it is priced out of every search; nothing is
+ * used yet, so nothing is overused. */
+static void set_up(route_job *j) {
+    const uint8_t *ok = j->node_ok;
+    int64_t n_nodes = j->n_nodes;
+    j->usage = j->state;
+    j->hist = (double *)(j->state + n_nodes);
+    j->eff = (double *)(j->state + 2 * n_nodes);
+    int64_t *live_cap = ok != NULL ? j->state + 3 * n_nodes : NULL;
+    j->cap = live_cap != NULL ? live_cap : j->node_cap;
+    for (int64_t n = 0; n < n_nodes; n++) {
+        int live = ok == NULL || ok[n];
+        if (live_cap != NULL)
+            live_cap[n] = live ? j->node_cap[n] : 0;
+        j->usage[n] = 0;
+        j->hist[n] = live ? 0.0 : INFINITY;
+        j->eff[n] = fold(j, (int32_t)n);
+    }
 }
 
 /* Add `delta` usage on route `i`'s nodes and re-price them. */
@@ -412,17 +504,21 @@ static int add_path(router *r, route_rec *rec, const int32_t *p,
 static int route_net(router *r, int64_t i, int seeded) {
     route_job *j = r->j;
     route_rec rec = {r->tree.len, 0, r->paths.len, 0};
-    int32_t src = j->source[i];
-    const int32_t *sinks = j->sinks + j->sink_start[i];
-    int64_t n_sinks = j->sink_start[i + 1] - j->sink_start[i];
-    int64_t s0 = seeded ? j->seed_start[i] : 0;
-    int64_t s1 = seeded ? j->seed_start[i + 1] : 0;
+    int64_t e = j->order != NULL ? j->order[i] : i;
+    int32_t src = j->source[e];
+    const int32_t *sinks = j->sinks + j->sink_start[e];
+    int64_t n_sinks = j->sink_start[e + 1] - j->sink_start[e];
+    int64_t s0 = 0, s1 = 0;
+    if (seeded && j->seed_of != NULL && j->seed_of[i] >= 0) {
+        s0 = r->seed_start[j->seed_of[i]];
+        s1 = r->seed_start[j->seed_of[i] + 1];
+    }
     r->serial++;
     if (add_nodes(r, &rec, &src, 1) < 0)
         return RC_NOMEM;
     for (int64_t p = s0; p < s1; p++) {
-        int64_t a = j->seed_path_start[p], b = j->seed_path_start[p + 1];
-        if (add_path(r, &rec, j->seed_nodes + a, b - a) < 0)
+        int64_t a = p ? r->seed_end.v[p - 1] : 0, b = r->seed_end.v[p];
+        if (add_path(r, &rec, r->seed_nodes.v + a, b - a) < 0)
             return RC_NOMEM;
     }
     /* _net_mask: the margin-expanded terminal box (ANDed with the
@@ -445,7 +541,7 @@ static int route_net(router *r, int64_t i, int seeded) {
         int32_t sink = sinks[k];
         int done = 0;
         for (int64_t p = s0; p < s1 && !done; p++)
-            done = j->seed_sink[p] == sink;
+            done = r->seed_sink.v[p] == sink;
         if (done)
             continue;
         int64_t pops, len;
@@ -489,11 +585,80 @@ static void escalate(router *r) {
     }
 }
 
+/* Whether a dead switch joins u -> v: an edge of u's row to v that the
+ * lowering turned into a self-loop (DefectMap.edges_dead's pair test). */
+static int dead_pair(const route_job *j, int32_t u, int32_t v) {
+    for (int32_t e = j->estart[u]; e < j->estart[u + 1]; e++)
+        if (j->edge_dst[e] == v && j->edst[e] != v)
+            return 1;
+    return 0;
+}
+
+/* pathfinder._Salvage: each salvage route's whole chains from the
+ * source (RouteTree.root_chains: a chain that never reaches position 0
+ * is left out), kept where every node is alive and no switch between
+ * two consecutive nodes is dead, as seed paths in branch order. */
+static int salvage(router *r) {
+    route_job *j = r->j;
+    int64_t kept = 0, branches = 0;
+    int32_t *walk = r->path;
+    r->seed_start = malloc((size_t)(j->n_salvage + 1) * sizeof(int64_t));
+    if (r->seed_start == NULL)
+        return -1;
+    for (int64_t k = 0; k < j->n_salvage; k++) {
+        const int32_t *node = j->salvage_node + j->salvage_tree[k];
+        const int32_t *parent = j->salvage_parent + j->salvage_tree[k];
+        int64_t size = j->salvage_tree[k + 1] - j->salvage_tree[k];
+        r->seed_start[k] = r->seed_sink.len;
+        for (int64_t b = j->salvage_paths[k]; b < j->salvage_paths[k + 1];
+                b++) {
+            int64_t len = 0;
+            int32_t at = j->salvage_branch[2 * b];
+            branches++;
+            walk[len++] = at;
+            while (at != 0) {
+                at = parent[at];
+                if (at < 0 || len > size)
+                    break;
+                walk[len++] = at;
+            }
+            if (walk[len - 1] != 0)
+                continue;
+            int ok = 1;
+            for (int64_t m = 0; m < len && ok; m++) {
+                int32_t v = node[walk[m]];
+                ok = (j->node_ok == NULL || j->node_ok[v])
+                    && !(m + 1 < len && j->edst != j->edge_dst
+                         && dead_pair(j, node[walk[m + 1]], v));
+            }
+            if (!ok)
+                continue;
+            if (reserve(&r->seed_nodes, len) < 0
+                    || reserve(&r->seed_sink, 1) < 0
+                    || reserve(&r->seed_end, 1) < 0)
+                return -1;
+            for (int64_t m = len - 1; m >= 0; m--)
+                r->seed_nodes.v[r->seed_nodes.len++] = node[walk[m]];
+            r->seed_sink.v[r->seed_sink.len++] = node[walk[0]];
+            r->seed_end.v[r->seed_end.len++] = (int32_t)r->seed_nodes.len;
+            kept++;
+        }
+    }
+    r->seed_start[j->n_salvage] = r->seed_sink.len;
+    j->stats[ST_SALVAGED] = kept;
+    j->stats[ST_RESEARCHED] = branches - kept;
+    return 0;
+}
+
 static int route_all(router *r) {
     route_job *j = r->j;
     int rc;
     for (int64_t i = 0; i < j->n_nets; i++) {
-        int64_t a = j->adopt_start[i], b = j->adopt_start[i + 1];
+        int64_t a = 0, b = 0;
+        if (j->adopt_start != NULL) {
+            a = j->adopt_start[i];
+            b = j->adopt_start[i + 1];
+        }
         if (b > a) {
             /* an adopted route: its (distinct) nodes, no paths */
             route_rec rec = {r->tree.len, b - a, r->paths.len, 0};
@@ -559,8 +724,8 @@ static int write_out(router *r) {
     route_job *j = r->j;
     int64_t n_out = 0, p_out = 0;
     for (int64_t i = 0; i < j->n_nets; i++) {
-        j->out_net_node[i] = n_out;
-        j->out_net_path[i] = p_out;
+        j->out_net_node[i] = (int32_t)n_out;
+        j->out_net_path[i] = (int32_t)p_out;
         if (j->out_survived[i])
             continue;
         const route_rec *rec = &r->rec[i];
@@ -578,8 +743,8 @@ static int write_out(router *r) {
         n_out += rec->tree_len;
         p_out += rec->n_paths;
     }
-    j->out_net_node[j->n_nets] = n_out;
-    j->out_net_path[j->n_nets] = p_out;
+    j->out_net_node[j->n_nets] = (int32_t)n_out;
+    j->out_net_path[j->n_nets] = (int32_t)p_out;
     j->stats[ST_OUT_NODES] = n_out;
     j->stats[ST_OUT_PATHS] = p_out;
     return RC_OK;
@@ -601,28 +766,33 @@ int64_t route_context(route_job *j)
     r.s.ylo = j->ylo;
     r.s.yhi = j->yhi;
     r.s.bound = j->astar_fac;
-    r.s.eff = j->eff;
     r.s.heap_cap = 1024;
     memset(j->stats, 0, sizeof j->stats);
+    lay_out(j);
     memset(j->out_survived, 0, (size_t)j->n_nets * sizeof(int32_t));
-    for (int64_t i = 0; i < j->n_nodes; i++)
-        r.n_over += j->usage[i] > j->cap[i];
+    set_up(j);
+    r.s.eff = j->eff;
     r.s.dist = malloc(n * sizeof(double));
     r.s.prev = malloc(n * sizeof(int32_t));
     r.s.stamp = calloc(n, sizeof(uint64_t));
     r.s.heap = malloc((size_t)r.s.heap_cap * sizeof(entry));
-    r.path = malloc(n * sizeof(int32_t));
+    r.path = malloc((n + 1) * sizeof(int32_t)); /* a salvage walk too */
     r.rec = calloc((size_t)(j->n_nets ? j->n_nets : 1), sizeof(route_rec));
     r.mark = calloc(n, sizeof(uint32_t));
     r.pos = malloc(n * sizeof(int32_t));
     int rc = RC_NOMEM;
     if (r.s.dist != NULL && r.s.prev != NULL && r.s.stamp != NULL
             && r.s.heap != NULL && r.path != NULL && r.rec != NULL
-            && r.mark != NULL && r.pos != NULL) {
+            && r.mark != NULL && r.pos != NULL
+            && (j->n_salvage == 0 || salvage(&r) == 0)) {
         rc = route_all(&r);
         if (rc == RC_OK)
             rc = write_out(&r);
     }
+    free(r.seed_start);
+    free(r.seed_end.v);
+    free(r.seed_sink.v);
+    free(r.seed_nodes.v);
     free(r.s.dist);
     free(r.s.prev);
     free(r.s.stamp);

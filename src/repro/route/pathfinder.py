@@ -16,15 +16,20 @@ The router runs over the flat CSR arrays of a
 :class:`~repro.arch.compiled.CompiledRRG`, and each kernel has one
 search.  A context route is one native call when the C build is there
 (:func:`route_kernel`): ``route_context`` in ``_search.c`` (built at
-first use by :mod:`repro.utils.native`) runs the whole loop — adopting
-bank routes, seeding salvaged branches, each net's sink searches
-inside its prune box (``CompiledRRG.bbox_mask``'s inequalities, tested
-per relaxation) and the unpruned retry, the usage commits and every
-rip-up iteration (overuse test, history bump, pressure growth,
-re-price) — over this module's arrays, with :class:`_FlatCongestion`'s
-arithmetic operation for operation, and hands back each net's route
-tree as arrays (:class:`RouteTree`).  It allocates its own search
-buffers, so the native path builds none in Python.
+first use by :mod:`repro.utils.native`) runs the whole loop — setting
+up the congestion state (dead wires unroutable), adopting bank routes,
+finding and seeding the salvaged branches, each net's sink searches inside its prune box
+(``CompiledRRG.bbox_mask``'s inequalities, tested per relaxation) and
+the unpruned retry, the usage commits and every rip-up iteration
+(overuse test, history bump, pressure growth, re-price) — over this
+module's arrays, with :class:`_FlatCongestion`'s arithmetic operation
+for operation, and hands back each net's route tree as arrays
+(:class:`RouteTree`).  It allocates its own search buffers.  What
+Python still does around the call: it extracts the nets' endpoints
+(:class:`NetEndpoints`, which a caller may keep), looks the nets up in
+the reuse bank and the salvage, hands over the per-call arrays and
+empty congestion buffers (:class:`_CongestionArrays`), and builds one
+:class:`RoutedNet` per net from the output.
 
 Without a C compiler the Python loop (:func:`_route_initial` and the
 rip-up loop of :func:`route_context_compiled`) runs :func:`_search`,
@@ -94,7 +99,7 @@ import ctypes
 import heapq
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -245,20 +250,16 @@ class RouteTree:
         return (self.node[self.parent[1:]].astype(np.int64) * n_nodes
                 + self.node[1:])
 
-    def root_chains(self) -> tuple[list[int], list[list[int]],
-                                   np.ndarray, list[int]]:
+    def root_chains(self) -> tuple[np.ndarray, np.ndarray]:
         """Each sink's whole chain from the source, in branch order,
-        cached: the sinks, the chains' nodes, their tree positions
-        back to back and where each chain starts.  A chain that never
-        reaches the source (a record that is not a tree) is left
-        out."""
+        cached: the chains' nodes back to back (int32) and each chain's
+        length.  A chain that never reaches the source (a record that
+        is not a tree) is left out."""
         if self._chains is None:
-            nl, pl = self.node.tolist(), self.parent.tolist()
+            pl = self.parent.tolist()
             limit = len(pl)
-            sinks: list[int] = []
-            chains: list[list[int]] = []
             flat: list[int] = []
-            starts: list[int] = []
+            lens: list[int] = []
             for at, _length in self.branch.tolist():
                 walk = [at]
                 while at != 0:
@@ -269,12 +270,10 @@ class RouteTree:
                 if walk[-1] != 0:
                     continue
                 walk.reverse()
-                starts.append(len(flat))
                 flat += walk
-                sinks.append(nl[walk[-1]])
-                chains.append([nl[p] for p in walk])
-            self._chains = (sinks, chains,
-                            np.array(flat, dtype=np.intp), starts)
+                lens.append(len(walk))
+            self._chains = (self.node[np.array(flat, dtype=np.intp)],
+                            np.array(lens, dtype=np.int64))
         return self._chains
 
     def __eq__(self, other) -> bool:
@@ -349,47 +348,99 @@ class RouteResult:
         return int(g.wire_length_weights()[ids].sum())
 
 
-def _cell_sites(ix: NetlistIndex, placement: Placement) -> list:
-    """Each cell's ``(x, y, pad)`` by id: a LUT or DFF at its
-    :meth:`Placement.location` (pad 0), a primary input or output at
-    its pad; None where the cell is not placed."""
+class NetEndpoints:
+    """The routable nets of one placed netlist.
+
+    ``rows`` holds each net as a ``(name, source, sinks)`` tuple, sinks
+    ascending and without repeats (read-only).  :meth:`address` packs
+    the nets once into one int32 buffer, ``source[n] | sink_start[n +
+    1] | sinks``, which the native context route reads in place, and
+    :meth:`signatures` gives each net's :func:`endpoint_signature`;
+    both are built on first use and cached, so endpoints a caller keeps
+    (the repair ladder keeps the golden's) pay for them once.
+    """
+
+    __slots__ = ("rows", "n_sinks", "_buf", "_address", "_sigs")
+
+    def __init__(self, rows: list[tuple[str, int, list[int]]]) -> None:
+        self.rows = rows
+        self.n_sinks = sum(len(sinks) for _name, _src, sinks in rows)
+        self._buf = self._address = self._sigs = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def address(self) -> int:
+        """The address of the packed int32 buffer."""
+        if self._address is None:
+            rows = self.rows
+            packed = [src for _name, src, _sinks in rows]
+            packed += accumulate((len(sinks) for _n, _s, sinks in rows),
+                                 initial=0)
+            for _name, _src, sinks in rows:
+                packed += sinks
+            self._buf = np.array(packed, dtype=np.int32)
+            self._address = _addr(self._buf)
+        return self._address
+
+    def signatures(self) -> list[str]:
+        """Each net's :func:`endpoint_signature`, cached."""
+        if self._sigs is None:
+            # the sinks are sorted already
+            self._sigs = [f"{src}->{','.join(map(str, sinks))}"
+                          for _name, src, sinks in self.rows]
+        return self._sigs
+
+    def __eq__(self, other) -> bool:
+        """Equal to endpoints, or to a list of ``(name, source,
+        sinks)`` tuples, with the same rows."""
+        if isinstance(other, NetEndpoints):
+            other = other.rows
+        if not isinstance(other, list):
+            return NotImplemented
+        return self.rows == other
+
+    __hash__ = None
+
+
+def _pin_bases(ix: NetlistIndex, kinds: list[int], placement: Placement,
+               g: CompiledRRG) -> tuple[list, list]:
+    """Each cell's first entry, by id, in the SOURCE and in the SINK
+    table of :meth:`CompiledRRG.pin_tables`: its logic block's pin 0
+    for a LUT or DFF at its :meth:`Placement.location`, its pad's pin
+    for a primary input or output; None where the cell is not placed.
+    A LUT or DFF's input slot ``s`` is ``s`` entries on."""
+    (_t, src_width, src_lb, pad_width), (_t, sink_width, sink_lb, _w) = \
+        g.pin_tables()
+    cols = g.params.cols
     cells, ios = placement.cells, placement.ios
-    sites = []
-    for name, kind in zip(ix.cell_names, ix.kind.tolist()):
+    src: list = []
+    sink: list = []
+    for name, kind in zip(ix.cell_names, kinds):
         site = ios.get(name)
         if kind == LUT or kind == DFF:
             loc = cells.get(name) or (site[0] if site else None)
-            sites.append(None if loc is None else (loc.x, loc.y, 0))
+            if loc is None:
+                src.append(None)
+                sink.append(None)
+            else:
+                tile = loc.y * cols + loc.x
+                src.append(tile * src_width)
+                sink.append(tile * sink_width)
+        elif site is None:
+            src.append(None)
+            sink.append(None)
         else:
-            sites.append(None if site is None
-                         else (site[0].x, site[0].y, site[1]))
-    return sites
-
-
-def _pin_nodes(g: CompiledRRG, role: str, kinds: list[int], sites: list,
-               pins) -> list[int]:
-    """The ``role`` (``"source"`` or ``"sink"``) node of each ``(cell,
-    pin)``: pin ``pin`` of the cell's logic block, or its pad's pin for
-    an I/O cell, in one gather from the substrate's int32 pin-node
-    tables (the ``(tile, pin)`` table, then the ``(tile, pad)`` one,
-    raveled)."""
-    lb, pads = getattr(g, f"lb_{role}_ids"), getattr(g, f"io_{role}_ids")
-    cols, width, pad_width = g.params.cols, lb.shape[1], pads.shape[1]
-    at = []
-    for c, pin in pins:
-        x, y, pad = sites[c]
-        at.append((y * cols + x) * width + pin if kinds[c] in (LUT, DFF)
-                  else lb.size + (y * cols + x) * pad_width + pad)
-    nodes = np.concatenate((lb.ravel(), pads.ravel()))[at].tolist()
-    if min(nodes, default=0) < 0:
-        raise PlacementError("an I/O cell sits on a tile without pads")
-    return nodes
+            at = (site[0].y * cols + site[0].x) * pad_width + site[1]
+            src.append(src_lb + at)
+            sink.append(sink_lb + at)
+    return src, sink
 
 
 def _net_endpoints(
     netlist: Netlist, placement: Placement, g: CompiledRRG
-) -> list[tuple[str, int, list[int]]]:
-    """Extract (net name, source node, sink nodes) for every routable net.
+) -> NetEndpoints:
+    """The :class:`NetEndpoints` of every routable net.
 
     One pass over the reader rows of :meth:`Netlist.index`: a LUT's
     input slot ``s`` sinks at its tile's SINK ``s``, a DFF at SINK 0 and
@@ -399,21 +450,31 @@ def _net_endpoints(
     nets nobody reads are left out.
     """
     ix = netlist.index()
-    sites = _cell_sites(ix, placement)
     kinds = ix.kind.tolist()
+    src_base, sink_base = _pin_bases(ix, kinds, placement, g)
     start = ix.pin_start.tolist()
     read = [n for n in range(ix.n_driven) if start[n] < start[n + 1]]
     stop = start[ix.n_driven]
-    pins = list(zip(ix.pin_cell[:stop].tolist(), ix.pin_slot[:stop].tolist()))
+    cells = ix.pin_cell[:stop].tolist()
     drivers = ix.driver[read].tolist()
-    for c in chain(drivers, (c for c, _slot in pins)):
-        if sites[c] is None:
-            raise PlacementError(f"cell {ix.cell_names[c]!r} not placed")
-    sinks = _pin_nodes(g, "sink", kinds, sites, pins)
-    sources = _pin_nodes(g, "source", kinds, sites, [(c, 0) for c in drivers])
+    if None in src_base:
+        for c in chain(drivers, cells):
+            if src_base[c] is None:
+                raise PlacementError(f"cell {ix.cell_names[c]!r} not placed")
+    (src_table, *_), (sink_table, *_) = g.pin_tables()
+    sinks = [sink_table[sink_base[c] + (slot if kinds[c] in (LUT, DFF) else 0)]
+             for c, slot in zip(cells, ix.pin_slot[:stop].tolist())]
+    sources = [src_table[src_base[c]] for c in drivers]
+    for nodes in (sinks, sources):
+        if min(nodes, default=0) < 0:
+            raise PlacementError("an I/O cell sits on a tile without pads")
     names = ix.net_names
-    return [(names[n], src, sorted(set(sinks[start[n]:start[n + 1]])))
-            for n, src in zip(read, sources)]
+    rows = []
+    for n, src in zip(read, sources):
+        a, b = start[n], start[n + 1]
+        rows.append((names[n], src, sorted(set(sinks[a:b])) if b - a > 1
+                     else sinks[a:b]))
+    return NetEndpoints(rows)
 
 
 # ========================================================================= #
@@ -442,7 +503,10 @@ class RouterScratch:
 
 
 class _FlatCongestion:
-    """numpy-backed PathFinder congestion bookkeeping for one context.
+    """numpy-backed PathFinder congestion bookkeeping for one context
+    of the Python loop (the native route keeps the same state in
+    :class:`_CongestionArrays` and sets it up itself, operation for
+    operation as ``__init__`` here does).
 
     The entire node-cost formula — ``base * (1 + pres_fac * overuse) +
     history`` with ``overuse = max(0, usage + 1 - capacity)`` — is
@@ -453,8 +517,7 @@ class _FlatCongestion:
     each PathFinder iteration (history bump + pressure escalation) is
     one vectorised expression.  ``eff`` is one contiguous float64 array,
     written in place by fancy-index stores, so the Python search reads
-    it with no per-search copy and the native context route re-prices
-    it in place.
+    it with no per-search copy.
 
     ``overused_ids`` is maintained incrementally by the scatter
     updates, which makes the per-iteration overuse census O(1) and the
@@ -706,27 +769,32 @@ _SEARCH = _search
 class _RouteJob(ctypes.Structure):
     """``route_job`` of ``_search.c``: one native context route's
     graph, congestion state, nets and outputs (pointers are buffer
-    addresses)."""
+    addresses; a ``None`` per-net array is the C side's NULL)."""
 
     _fields_ = [(name, kind) for names, kind in (
         ("n_nodes", ctypes.c_int64),
-        ("estart emid edst edge_dst xlo xhi ylo yhi", ctypes.c_void_p),
+        ("estart emid edge_dst xlo xhi ylo yhi", ctypes.c_void_p),
         ("cols rows margin", ctypes.c_int64),
-        ("node_ok base cap hist eff usage", ctypes.c_void_p),
+        ("node_ok edst base node_cap state", ctypes.c_void_p),
         ("pres_fac pres_fac_mult hist_fac astar_fac", ctypes.c_double),
         ("max_iterations n_nets", ctypes.c_int64),
-        ("source sink_start sinks adopt_start adopt seed_start "
-         "seed_path_start seed_sink seed_nodes", ctypes.c_void_p),
-        ("out_nodes_cap out_paths_cap", ctypes.c_int64),
-        ("out_nodes out_parent out_edge out_net_node out_branch "
-         "out_net_path out_survived", ctypes.c_void_p),
-    ) for name in names.split()] + [("stats", ctypes.c_int64 * 11)]
+        ("ends io", ctypes.c_void_p),
+        ("out_nodes_cap out_paths_cap reordered adopting n_salvage",
+         ctypes.c_int64),
+        ("stats", ctypes.c_int64 * 13),
+        # views the call sets
+        ("usage cap hist eff source sink_start sinks order adopt_start "
+         "adopt seed_of salvage_tree salvage_paths salvage_node "
+         "salvage_parent salvage_branch out_nodes out_parent out_edge "
+         "out_branch out_survived out_net_node out_net_path",
+         ctypes.c_void_p),
+    ) for name in names.split()]
 
 
 #: ``route_job.stats`` slots and ``route_context`` status codes.
 (_ST_STATUS, _ST_DETAIL, _ST_ITERATIONS, _ST_POPS, _ST_FIRST_POPS,
  _ST_RIPUPS, _ST_CENSUS, _ST_REPRICED, _ST_RIPPED, _ST_OUT_NODES,
- _ST_OUT_PATHS) = range(11)
+ _ST_OUT_PATHS, _ST_SALVAGED, _ST_RESEARCHED) = range(13)
 _RC_OK, _RC_NO_PATH, _RC_CONGESTED, _RC_NOMEM = range(4)
 
 #: The native sequential context route, built at the first route.
@@ -760,113 +828,145 @@ def _addr(a: np.ndarray) -> int:
     return a.ctypes.data
 
 
-def _segments(buf: np.ndarray, sizes) -> list[int]:
-    """The addresses of back-to-back segments of ``buf``, ``sizes``
-    items each."""
-    at, out = _addr(buf), []
-    for size in sizes:
-        out.append(at)
-        at += size * buf.itemsize
-    return out
+class _CongestionArrays:
+    """The congestion state of one native context route: ``usage``,
+    ``history``, the folded costs ``eff``, the effective ``capacity``
+    and ``pres_fac``, named as :class:`_FlatCongestion` names them.
+
+    The arrays are views of one uninitialised buffer at ``address``
+    (``capacity`` is the substrate's own without defects):
+    ``route_context`` sets the state up in it with
+    ``_FlatCongestion.__init__``'s values and leaves its final state
+    there.  The one difference is the pressure factor the initial costs
+    are folded with, the route's starting one: it enters only a node
+    whose capacity is 0, and the only such nodes are dead ones, whose
+    infinite history prices them out at any factor.
+    """
+
+    __slots__ = ("usage", "history", "eff", "capacity", "pres_fac",
+                 "address")
+
+    def __init__(self, c: CompiledRRG, defects: bool, pres_fac: float) -> None:
+        n = c.n_nodes
+        buf = np.empty((4 if defects else 3) * n, dtype=np.int64)
+        self.usage = buf[:n]
+        self.history = buf[n:2 * n].view(np.float64)
+        self.eff = buf[2 * n:3 * n].view(np.float64)
+        self.capacity = buf[3 * n:] if defects else c.node_capacity
+        self.pres_fac = pres_fac
+        self.address = _addr(buf)
+
+
+def _job_template(c: CompiledRRG) -> tuple[bytes, int]:
+    """A ``route_job`` holding what every route on ``c`` shares (its
+    arrays' addresses, its size, the schedule's constants), and the
+    summed node capacity, which bounds the nodes of a context's
+    overlap-free routes counted once per net; built once per substrate
+    and kept in its :meth:`~repro.arch.compiled.CompiledRRG.native_cache`.
+    """
+    cache = c.native_cache()
+    if "route_job" not in cache:
+        job = _RouteJob(
+            n_nodes=c.n_nodes, cols=c.params.cols,
+            rows=c.params.rows, margin=BBOX_MARGIN,
+            pres_fac_mult=PRES_FAC_MULT, hist_fac=HIST_FAC,
+            astar_fac=ASTAR_FAC)
+        (job.estart, job.emid, job.edge_dst, job.xlo, job.xhi, job.ylo,
+         job.yhi, job.base, job.node_cap) = map(_addr, (
+            c.edge_start, c.edge_mid, c.edge_dst, c.xlo, c.xhi, c.ylo,
+            c.yhi, c.base_cost, c.node_capacity))
+        job.edst = job.edge_dst
+        cache["route_job"] = (bytes(job), int(c.node_capacity.sum()))
+    return cache["route_job"]
 
 
 def _route_native(
     fn,
     c: CompiledRRG,
-    state: _FlatCongestion,
-    endpoints: list[tuple[str, int, list[int]]],
-    sigs: list[str] | None,
-    reuse: dict[str, RoutedNet] | None,
-    seeds: dict[str, dict[int, list[int]]],
-    node_ok: np.ndarray | None,
-    edst: np.ndarray,
+    endpoints: NetEndpoints,
+    order: list[int] | None,
+    priors: list[RoutedNet | None] | None,
+    salvage: list[RoutedNet] | None,
+    seed_of: list[int] | None,
+    defects: "DefectMap | None",
+    pres_fac: float,
     max_iterations: int,
     context: int,
 ) -> RouteResult:
     """The sequential loop of :func:`route_context_compiled` in one
     native call (``route_context`` in ``_search.c``).
 
-    The nets go in as flat arrays in routing order: sources, sinks,
-    each adopted bank route's tree nodes and each salvaged net's seed
-    branches (``sigs`` holds each net's endpoint signature, ``None``
-    when there is neither a bank nor a salvage).  The C route runs the
-    initial pass and the rip-up iterations over ``state``'s arrays, on
-    search buffers it allocates itself, and hands back every routed
-    net's tree (nodes, parent positions, CSR edge indexes, branches) in
-    the order the Python loop builds it; the :class:`RouteTree` of each
-    net is a read-only slice of those buffers, and an adopted net that
-    was never ripped up keeps its bank route's tree.  Counters and the
+    The C route reads the substrate's and the endpoints' arrays and
+    the defect map's node mask and lowered edge rows in place, and sets
+    up the congestion state itself (:class:`_CongestionArrays`).  What
+    differs per call goes in as one int32 buffer: the routing
+    ``order``, each adopted bank route's tree nodes (``priors``, by
+    routing position) and the golden trees of the ``salvage`` routes
+    (``seed_of`` gives each routing position its salvage route, -1 for
+    none), whose healthy chains the C route finds as :class:`_Salvage`
+    does.  It runs the initial pass and the rip-up iterations on search
+    buffers it allocates itself, and hands back every routed net's tree
+    (nodes, parent positions, CSR edge indexes, branches) in the order
+    the Python loop builds it; the :class:`RouteTree` of each net is a
+    read-only slice of one output buffer, and an adopted net that was
+    never ripped up keeps its bank route's tree.  Counters and the
     errors are the loop's.
     """
-    if (edst.dtype != np.int32 or not edst.flags.c_contiguous
-            or edst.size != c.n_edges):
-        raise ValueError("edst must be a contiguous int32 edge row")
-    priors: list[RoutedNet | None] = []
-    sources: list[int] = []
-    sinks_flat: list[int] = []
-    adopt: list[np.ndarray] = []
-    n_adopt = 0
-    seed_sink: list[int] = []
-    seed_nodes: list[int] = []
-    sink_start, adopt_start, seed_start, seed_path_start = [0], [0], [0], [0]
-    for i, (_name, source, sinks) in enumerate(endpoints):
-        sig = sigs[i] if sigs else ""
-        prior = reuse.get(sig) if reuse else None
-        priors.append(prior)
-        sources.append(source)
-        sinks_flat += sinks
-        sink_start.append(len(sinks_flat))
-        if prior is not None:
-            adopt.append(prior.tree.node)
-            n_adopt += prior.tree.node.size
-        elif seeds and (kept := seeds.get(sig)):
-            for sink, path in kept.items():
-                seed_sink.append(sink)
-                seed_nodes += path
-                seed_path_start.append(len(seed_nodes))
-        adopt_start.append(n_adopt)
-        seed_start.append(len(seed_sink))
     n = len(endpoints)
-    ints = (sources, sinks_flat, seed_sink, seed_nodes)
-    longs = (sink_start, adopt_start, seed_start, seed_path_start)
-    ints_buf = np.concatenate((
-        np.array(list(chain.from_iterable(ints)), dtype=np.int32), *adopt))
-    longs_buf = np.array(list(chain.from_iterable(longs)), dtype=np.int64)
-    (source_at, sinks_at, seed_sink_at, seed_nodes_at, adopt_at) = _segments(
-        ints_buf, [*map(len, ints), n_adopt])
-    (sink_start_at, adopt_start_at, seed_start_at,
-     seed_path_start_at) = _segments(longs_buf, map(len, longs))
-    # a net has a path per sink (searched or salvaged); the routing
-    # ends without overuse, so the trees of all nets (each node once
-    # per net) fit in the summed capacity
-    paths_cap = len(sinks_flat) + len(seed_sink)
-    nodes_cap = int(c.node_capacity.sum())
-    # out32: tree nodes | parents | edges | branches | survived flags;
-    # out64: each net's first tree node | each net's first branch
-    out32 = np.empty(3 * nodes_cap + 2 * paths_cap + n, dtype=np.int32)
-    out64 = np.empty(2 * n + 2, dtype=np.int64)
-    # the substrate's own arrays have fixed addresses; a defect map's
-    # lowered edge row and capacities are per call
-    estart, emid, dst, xlo, xhi, ylo, yhi, base, cap = c.addresses()
-    job = _RouteJob(
-        c.n_nodes, estart, emid, dst if edst is c.edge_dst else _addr(edst),
-        dst, xlo, xhi, ylo, yhi, c.params.cols, c.params.rows, BBOX_MARGIN,
-        None if node_ok is None else _addr(node_ok), base,
-        cap if state.capacity_np is c.node_capacity
-        else _addr(state.capacity_np),
-        *map(_addr, (state.history, state.eff, state.usage)),
-        state.pres_fac, PRES_FAC_MULT, HIST_FAC, ASTAR_FAC, max_iterations, n,
-        source_at, sink_start_at, sinks_at, adopt_start_at, adopt_at,
-        seed_start_at, seed_path_start_at, seed_sink_at, seed_nodes_at,
-        nodes_cap, paths_cap,
-    )
-    (job.out_nodes, job.out_parent, job.out_edge, job.out_branch,
-     job.out_survived) = _segments(out32, (nodes_cap, nodes_cap, nodes_cap,
-                                           2 * paths_cap, n))
-    job.out_net_node, job.out_net_path = _segments(out64, (n + 1, n + 1))
+    template, nodes_cap = _job_template(c)
+    job = _RouteJob.from_buffer_copy(template)
+    job.n_nets, job.ends = n, endpoints.address()
+    job.pres_fac, job.max_iterations = pres_fac, max_iterations
+    if defects is not None:
+        job.node_ok = _addr(defects.node_ok)
+        edst = defects.live_edge_dst(c)
+        if edst is not c.edge_dst:
+            job.edst = _addr(edst)
+    state = _CongestionArrays(c, defects is not None, pres_fac)
+    job.state = state.address
+    # the per-call inputs in route_job.io's order: Python ints, then
+    # arrays
+    ints: list[int] = []
+    arrays: list[np.ndarray] = []
+    if order is not None:
+        ints += order
+        job.reordered = 1
+    adopted = [prior.tree.node for prior in priors or () if prior is not None]
+    if adopted:
+        ints += accumulate((0 if prior is None else prior.tree.node.size
+                            for prior in priors), initial=0)
+        arrays += adopted
+        job.adopting = 1
+    # a net has a path per sink, salvaged or searched
+    paths_cap = endpoints.n_sinks
+    if salvage:
+        trees = [prior.tree for prior in salvage]
+        ints += seed_of
+        ints += accumulate((t.node.size for t in trees), initial=0)
+        ints += accumulate((len(t.branch) for t in trees), initial=0)
+        arrays += [t.node for t in trees]
+        arrays += [t.parent for t in trees]
+        arrays += [t.branch.ravel() for t in trees]
+        job.n_salvage = len(trees)
+        paths_cap += ints[-1]
+    # out: tree nodes | parents | edges | branches | survived flags |
+    # each net's first tree node | each net's first branch
+    at = 3 * nodes_cap + 2 * paths_cap + 3 * n + 2
+    out = np.empty(at + len(ints) + sum(a.size for a in arrays),
+                   dtype=np.int32)
+    out[at:at + len(ints)] = ints
+    if arrays:
+        np.concatenate(arrays, out=out[at + len(ints):])
+    job.io, job.out_nodes_cap, job.out_paths_cap = \
+        _addr(out), nodes_cap, paths_cap
     fn(ctypes.byref(job))
-    stats = list(job.stats)
+    stats = job.stats[:]
     state.pres_fac = job.pres_fac
+    if salvage:
+        _tcount("router.warm.salvaged_sinks", stats[_ST_SALVAGED])
+        _tcount("router.warm.researched_sinks", stats[_ST_RESEARCHED])
+    if order is not None:
+        _count_adopted(priors)
     # the Python loop's counters, first seen in the same order
     ripups = stats[_ST_RIPUPS]
     if stats[_ST_FIRST_POPS]:
@@ -894,20 +994,23 @@ def _route_native(
         raise RuntimeError(f"context route: output overflow (status {status})")
     _tcount("router.contexts_routed")
     _tcount("router.ripped_nets", stats[_ST_RIPPED])
-    out32.setflags(write=False)  # the trees are slices of it
-    nodes, parents, edges = (out32[k * nodes_cap:(k + 1) * nodes_cap]
-                             for k in range(3))
-    rest = out32[3 * nodes_cap:]
-    branches = rest[:2 * paths_cap].reshape(-1, 2)
-    survived = rest[2 * paths_cap:].tolist()
-    bounds = out64.tolist()
+    out.setflags(write=False)  # the trees are slices of it
+    k = nodes_cap
+    nodes, parents, edges = out[:k], out[k:2 * k], out[2 * k:3 * k]
+    k *= 3
+    branches = out[k:k + 2 * paths_cap].reshape(-1, 2)
+    tail = out[k + 2 * paths_cap:k + 2 * paths_cap + 3 * n + 2].tolist()
+    survived, node_at, path_at = tail[:n], tail[n:2 * n + 1], tail[2 * n + 1:]
+    rows = endpoints.rows
+    if order is not None:
+        rows = [rows[i] for i in order]
     routes: dict[str, RoutedNet] = {}
-    for i, (name, source, sinks) in enumerate(endpoints):
+    for i, (name, source, sinks) in enumerate(rows):
         if survived[i]:
             routes[name] = _adopt(name, source, sinks, priors[i])
             continue
-        a, b = bounds[i], bounds[i + 1]
-        p, q = bounds[n + 1 + i], bounds[n + 2 + i]
+        a, b = node_at[i], node_at[i + 1]
+        p, q = path_at[i], path_at[i + 1]
         routes[name] = RoutedNet(name, source, list(sinks), RouteTree(
             nodes[a:b], parents[a:b], edges[a:b], branches[p:q]))
     return RouteResult(routes, stats[_ST_ITERATIONS], context)
@@ -993,49 +1096,97 @@ def _adopt(name: str, source: int, sinks: list[int],
     return RoutedNet(name, source, list(sinks), prior.tree, True)
 
 
+class _Salvage:
+    """The healthy chains of several golden routes under one defect
+    map, tested together (delta-reroute salvage).
+
+    A dirty net is dirty because *some* branch crosses a dead resource;
+    a sink whose entire chain back to the source is healthy can adopt
+    it verbatim.  A branch stores only its new part (it starts at a
+    node of an earlier branch), so each chain is walked through the
+    tree's parent positions (:meth:`RouteTree.root_chains`, cached on
+    the tree) — a branch that merely *hangs off* a broken branch is
+    correctly rejected.  A chain is healthy when every node on it is
+    alive and no switch between two consecutive nodes is dead.  The
+    chains of all ``priors`` go back to back, so one gather of the node
+    mask, one binary search of the consecutive pairs' edge codes (a
+    pair that straddles two chains is not an edge and is ignored) and
+    one segmented reduction test them all.
+
+    Prior ``k``'s chains are ``chain_start[k]:chain_start[k + 1]``;
+    ``kept`` counts the healthy chains and ``branches`` the priors'
+    sink paths.
+    """
+
+    __slots__ = ("nodes", "lens", "starts", "healthy", "chain_start",
+                 "kept", "branches")
+
+    def __init__(self, priors: list[RoutedNet], defects: "DefectMap") -> None:
+        chains = [prior.tree.root_chains() for prior in priors]
+        self.chain_start = [0, *accumulate(lens.size for _n, lens in chains)]
+        self.branches = sum(len(prior.tree.branch) for prior in priors)
+        if not self.chain_start[-1]:
+            self.nodes = np.empty(0, dtype=np.int32)
+            self.lens = self.starts = np.empty(0, dtype=np.int64)
+            self.healthy = np.empty(0, dtype=bool)
+            self.kept = 0
+            return
+        nodes = self.nodes = np.concatenate([ch[0] for ch in chains])
+        lens = self.lens = np.concatenate([ch[1] for ch in chains])
+        starts = self.starts = np.cumsum(lens) - lens
+        bad = ~defects.node_ok[nodes]
+        if defects.bad_edge_codes.size and nodes.size > 1:
+            dead = defects.edges_dead(
+                nodes[:-1].astype(np.int64) * defects.n_nodes + nodes[1:])
+            dead[starts[1:] - 1] = False
+            bad[1:] |= dead
+        self.healthy = ~np.logical_or.reduceat(bad, starts)
+        self.kept = int(np.count_nonzero(self.healthy))
+
+    def paths(self, k: int) -> dict[int, list[int]]:
+        """Prior ``k``'s healthy chains by sink, in branch order."""
+        a, b = self.chain_start[k], self.chain_start[k + 1]
+        out: dict[int, list[int]] = {}
+        for at, length, ok in zip(self.starts[a:b].tolist(),
+                                  self.lens[a:b].tolist(),
+                                  self.healthy[a:b].tolist()):
+            if ok:
+                chain = self.nodes[at:at + length].tolist()
+                out[chain[-1]] = chain
+        return out
+
+
 def _healthy_sink_paths(
     prior: RoutedNet, defects: "DefectMap"
 ) -> dict[int, list[int]]:
-    """Full source→sink chains of a golden route untouched by defects.
+    """Full source→sink chains of a golden route untouched by defects,
+    by sink in branch order (one route's :class:`_Salvage`)."""
+    return _Salvage([prior], defects).paths(0)
 
-    A dirty net is dirty because *some* branch crosses a dead resource;
-    sinks whose entire chain back to the source is healthy can adopt it
-    verbatim (delta-reroute salvage).  A branch stores only its new
-    part (it starts at a node of an earlier branch), so each chain is
-    walked through the tree's parent positions
-    (:meth:`RouteTree.root_chains`, cached on the tree) — a branch that
-    merely *hangs off* a broken branch is correctly rejected.  A chain
-    is healthy when every node on it is alive and no edge into one of
-    its nodes is dead: one gather of the node mask and one binary
-    search of the tree's edge codes mark each tree position, and one
-    segmented reduction tests the chains.
-    """
-    tree = prior.tree
-    sinks, chains, flat, starts = tree.root_chains()
-    if not chains:
-        return {}
-    bad = ~defects.node_ok[tree.node]
-    if defects.bad_edge_codes.size and tree.node.size > 1:
-        bad[1:] |= defects.edges_dead(tree.edge_codes(defects.n_nodes))
-    broken = np.logical_or.reduceat(bad[flat], starts).tolist()
-    return {s: list(p) for s, p, b in zip(sinks, chains, broken) if not b}
+
+def _count_adopted(priors: list[RoutedNet | None]) -> None:
+    """The warm route's bank hits and fresh nets."""
+    fresh = sum(prior is None for prior in priors)
+    _tcount("router.warm.adopted_nets", len(priors) - fresh)
+    _tcount("router.warm.fresh_nets", fresh)
 
 
 def _route_initial(
     c: CompiledRRG,
     state: _FlatCongestion,
-    endpoints: list[tuple[str, int, list[int]]],
-    sigs: list[str] | None,
-    reuse: dict[str, RoutedNet] | None,
+    nets: list[tuple[str, int, list[int]]],
+    priors: list[RoutedNet | None] | None,
+    seeds: list[dict[int, list[int]] | None] | None,
     routes: dict[str, RoutedNet],
     mask_for,
     base_mask: bytes | None,
     edst: np.ndarray,
     scratch: RouterScratch,
-    seeds: dict[str, dict[int, list[int]]] | None = None,
 ) -> None:
     """The initial routing pass: every net in order, on the caller's
-    scratch, with the full-graph retry.
+    scratch, with the full-graph retry.  ``priors`` holds each net's
+    bank route (``None``: route it) and ``seeds`` its salvaged
+    branches, by routing position.
 
     Usage is committed in *batches*: runs of adopted (reused) routes
     flush their node sets through one :meth:`_FlatCongestion.add_batch`
@@ -1045,9 +1196,8 @@ def _route_initial(
     (which the rip-up loop iterates) is kept per net.
     """
     pending: list[set[int]] = []  # usage awaiting one batched commit
-    for i, (name, source, sinks) in enumerate(endpoints):
-        sig = sigs[i] if sigs else ""
-        prior = reuse.get(sig) if reuse else None
+    for i, (name, source, sinks) in enumerate(nets):
+        prior = priors[i] if priors else None
         if prior is not None:
             net = _adopt(name, source, sinks, prior)
         else:
@@ -1057,7 +1207,7 @@ def _route_initial(
             net = _route_net_flat(
                 c, state, name, source, sinks, scratch,
                 mask_for(name, source, sinks), base_mask, edst,
-                seed_paths=seeds.get(sig) if seeds else None,
+                seed_paths=seeds[i] if seeds else None,
             )
         routes[name] = net
         pending.append(net.nodes)
@@ -1075,7 +1225,7 @@ def route_context_compiled(
     defects: "DefectMap | None" = None,
     warm: bool = False,
     salvage: dict[str, RoutedNet] | None = None,
-    endpoints: list[tuple[str, int, list[int]]] | None = None,
+    endpoints: NetEndpoints | None = None,
 ) -> RouteResult:
     """Route one context's placed netlist over the compiled RRG.
 
@@ -1112,56 +1262,69 @@ def route_context_compiled(
 
     ``endpoints`` may supply ``_net_endpoints(netlist, placement, c)``
     when the caller already holds it (the repair ladder caches the
-    golden's on the golden mapping); it is only read.
+    golden's on the golden mapping, signatures included); it is only
+    read.
     """
     if defects is not None and defects.is_clean:
         defects = None  # all-healthy map: take the defect-free path verbatim
     if endpoints is None:
         endpoints = _net_endpoints(netlist, placement, c)
+    if not salvage or defects is None:
+        salvage = None
+    # one endpoint signature per net keys the bank and the salvage
+    sigs = endpoints.signatures() if reuse or salvage else None
+    # the routing order (None: the endpoints') and, by routing
+    # position, each net's bank route
+    order = priors = None
+    if reuse:
+        priors = [reuse.get(sig) for sig in sigs]
+        if warm:
+            # delta-reroute order: adopt every bank hit before the first
+            # fresh search, so fresh (dirty) nets route against the full
+            # golden congestion state and steer around healthy routes
+            # immediately instead of discovering the collisions one
+            # rip-up iteration at a time
+            order = [i for i, prior in enumerate(priors) if prior is not None]
+            order += [i for i, prior in enumerate(priors) if prior is None]
+            priors = [priors[i] for i in order]
     # delta-reroute salvage: the healthy branches of each dirty net's
     # golden route are adopted verbatim, so only broken sinks are
     # searched (and from the salvaged tree, not the bare source)
-    seeds: dict[str, dict[int, list[int]]] = {}
-    if salvage and defects is not None:
-        for sig, prior in salvage.items():
-            kept = _healthy_sink_paths(prior, defects)
-            if kept:
-                seeds[sig] = kept
-            _tcount("router.warm.salvaged_sinks", len(kept))
-            _tcount("router.warm.researched_sinks",
-                    len(prior.tree.branch) - len(kept))
-    # one endpoint signature per net keys the bank and the salvage
-    sigs = [endpoint_signature(source, sinks)
-            for _name, source, sinks in endpoints] if reuse or seeds else None
-    if warm and reuse:
-        # delta-reroute order: adopt every bank hit before the first
-        # fresh search, so fresh (dirty) nets route against the full
-        # golden congestion state and steer around healthy routes
-        # immediately instead of discovering the collisions one rip-up
-        # iteration at a time
-        hits: list = []
-        misses: list = []
-        for pair in zip(endpoints, sigs):
-            (hits if pair[1] in reuse else misses).append(pair)
-        endpoints = [e for e, _sig in hits + misses]
-        sigs = [sig for _e, sig in hits + misses]
-        _tcount("router.warm.adopted_nets", len(hits))
-        _tcount("router.warm.fresh_nets", len(misses))
-    state = _FlatCongestion(c, defects)
-    if warm and reuse:
-        # delta-reroute pricing: fresh nets see adopted usage at full
-        # price immediately (see WARM_PRES_FAC).  Safe to set before any
-        # usage commits — pres_fac only enters the folded cost of
-        # pressured nodes, and the only born-pressured nodes (defects)
-        # carry an infinite history term that dominates regardless.
-        state.pres_fac = WARM_PRES_FAC
-    edst = defects.live_edge_dst(c) if defects is not None else c.edge_dst
+    entries = seed_of = None
+    if salvage:
+        entries = list(salvage.values())
+        entry = dict(zip(salvage, range(len(entries))))
+        seed_of = [entry.get(sigs[i], -1)
+                   for i in (range(len(sigs)) if order is None else order)]
+        if priors:  # a bank route wins over a salvage
+            seed_of = [-1 if prior is not None else k
+                       for k, prior in zip(seed_of, priors)]
+    # delta-reroute pricing: fresh nets see adopted usage at full price
+    # immediately (see WARM_PRES_FAC).  Safe to set before any usage
+    # commits — pres_fac only enters the folded cost of pressured
+    # nodes, and the only born-pressured nodes (defects) carry an
+    # infinite history term that dominates regardless.
+    pres_fac = WARM_PRES_FAC if order is not None else PRES_FAC_FIRST
     fn = _route_function()
     if fn is not None:
-        node_ok = None if defects is None else \
-            np.ascontiguousarray(defects.node_ok).view(np.uint8)
-        return _route_native(fn, c, state, endpoints, sigs, reuse, seeds,
-                             node_ok, edst, max_iterations, context)
+        return _route_native(fn, c, endpoints, order, priors, entries,
+                             seed_of, defects, pres_fac, max_iterations,
+                             context)
+    seeds = None
+    if entries:
+        salvaged = _Salvage(entries, defects)
+        _tcount("router.warm.salvaged_sinks", salvaged.kept)
+        _tcount("router.warm.researched_sinks",
+                salvaged.branches - salvaged.kept)
+        seeds = [None if k < 0 else salvaged.paths(k) for k in seed_of]
+    if order is not None:
+        _count_adopted(priors)
+    state = _FlatCongestion(c, defects)
+    state.pres_fac = pres_fac
+    nets = endpoints.rows
+    if order is not None:
+        nets = [nets[i] for i in order]
+    edst = defects.live_edge_dst(c) if defects is not None else c.edge_dst
     base_mask = defects.node_ok_bytes if defects is not None else None
     scratch = RouterScratch(c.n_nodes)
     routes: dict[str, RoutedNet] = {}
@@ -1183,10 +1346,8 @@ def route_context_compiled(
             masks[name] = m
         return masks[name]
 
-    _route_initial(
-        c, state, endpoints, sigs, reuse, routes, mask_for, base_mask, edst,
-        scratch, seeds or None,
-    )
+    _route_initial(c, state, nets, priors, seeds, routes, mask_for,
+                   base_mask, edst, scratch)
 
     overused_ids = state.overused_ids
     iteration = 1
@@ -1231,7 +1392,7 @@ def route_context_warm(
     max_iterations: int = MAX_ITERATIONS,
     defects: "DefectMap | None" = None,
     signatures: dict[str, str] | None = None,
-    endpoints: list[tuple[str, int, list[int]]] | None = None,
+    endpoints: NetEndpoints | None = None,
 ) -> RouteResult:
     """Delta-reroute: warm-start from a golden routing, re-routing only
     the ``dirty`` nets.

@@ -34,21 +34,53 @@ _OMIT_WHEN = {"metrics": None, "profile": None, "telemetry": False}
 #: Header keys a payload may carry besides its fields.
 _HEADER = ("schema_version", "type")
 
+#: The omit value of a field that is always written: no value is it.
+_KEEP = object()
+
+
+class _Plan:
+    """What the codec reads of one record class, computed once: the
+    ``compare=True`` fields in declaration order, each with its omit
+    value (:data:`_KEEP` when it is always written) and whether it is
+    the nested ``execution`` record, the known-key set, the tuple
+    fields, the ``execution`` default and the label of messages."""
+
+    __slots__ = ("out", "names", "accepted", "tuples", "config", "label")
+
+    def __init__(self, cls) -> None:
+        known = [f for f in fields(cls) if f.compare]
+        self.out = tuple((f.name, _OMIT_WHEN.get(f.name, _KEEP),
+                          f.name == "execution") for f in known)
+        self.names = tuple(f.name for f in known)
+        self.accepted = frozenset(self.names) | frozenset(_HEADER)
+        self.tuples = frozenset(getattr(cls, "_TUPLE_FIELDS", ()))
+        self.config = next((f.default_factory for f in known
+                            if f.name == "execution"), None)
+        self.label = getattr(cls, "TYPE_TAG", "") or cls.__name__
+
+
+_PLANS: dict[type, _Plan] = {}
+
+
+def _plan(cls) -> _Plan:
+    plan = _PLANS.get(cls)
+    if plan is None:
+        plan = _PLANS[cls] = _Plan(cls)
+    return plan
+
 
 def to_dict(record) -> dict:
     """``record``'s JSON-ready payload, keys in field order."""
     out = {}
-    for f in fields(record):
-        if not f.compare:
+    for name, omit, nested in _plan(type(record)).out:
+        v = getattr(record, name)
+        if v is omit:
             continue
-        v = getattr(record, f.name)
-        if f.name in _OMIT_WHEN and v is _OMIT_WHEN[f.name]:
-            continue
-        if f.name == "execution":
+        if nested:
             v = to_dict(v)
         elif isinstance(v, tuple):
             v = list(v)
-        out[f.name] = v
+        out[name] = v
     return out
 
 
@@ -63,27 +95,27 @@ def from_dict(cls, d: dict, rows: dict | None = None):
     :class:`~repro.errors.RequestError`.  ``TYPE_TAG`` (the class name
     when unset) names the record in the message.
     """
-    label = getattr(cls, "TYPE_TAG", "") or cls.__name__
+    plan = _plan(cls)
+    label = plan.label
     if not isinstance(d, dict):
         raise RequestError(
             f"{label} payload must be a dict, got {type(d).__name__}"
         )
-    known = {f.name: f for f in fields(cls) if f.compare}
-    unknown = d.keys() - known.keys() - set(_HEADER)
+    unknown = d.keys() - plan.accepted
     if unknown:
         # a typo'd key must not silently run with defaults
         raise RequestError(
             f"unknown {label} keys {sorted(unknown)} "
-            f"(known: {', '.join(known)})"
+            f"(known: {', '.join(plan.names)})"
         )
-    tuples = getattr(cls, "_TUPLE_FIELDS", ())
+    tuples = plan.tuples
     kwargs = {}
     try:
         for name, v in d.items():
             if name in _HEADER:
                 continue
             if name == "execution":
-                config = known[name].default_factory
+                config = plan.config
                 v = config() if v is None else from_dict(config, v)
             elif rows and name in rows:
                 v = tuple(rows[name](row) for row in v)

@@ -194,9 +194,11 @@ class TestRequestValidation:
         lambda: SweepRequest(what="channel-width", values=(0,)),
         lambda: SweepRequest(what="fc", values=(0.0,)),
         lambda: SweepRequest(what="double-fraction", values=(2.0,)),
+        lambda: AreaRequest(contexts=32),
+        lambda: SweepRequest(what="contexts", values=(4, 64)),
     ], ids=["area-contexts-3", "change-rate-1.5", "change-rate-neg",
             "contexts-0", "contexts-3", "channel-width-0", "fc-0",
-            "double-fraction-2"])
+            "double-fraction-2", "area-contexts-32", "contexts-64"])
     def test_values_the_model_rejects(self, make):
         """Values the architecture or area model would reject mid-run
         fail at construction instead."""

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.area_model import (
+    MAX_CONTEXTS,
     AreaConstants,
     AreaModel,
     PatternMix,
@@ -79,6 +80,25 @@ class TestAnalyticMix:
             c = analytic_pattern_mix(p, 4).constant
             assert c < prev or p == 0.0
             prev = c
+
+
+class TestContextLimit:
+    """The model enumerates masks of the context count, so it stops at
+    :data:`MAX_CONTEXTS`; nothing here runs it past that."""
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda n: analytic_pattern_mix(0.05, n),
+        average_general_decoder_ses,
+        lambda n: AreaModel().paper_operating_point(n_contexts=n),
+    ], ids=["mix", "decoder", "operating-point"])
+    def test_rejects_counts_past_the_limit(self, evaluate):
+        with pytest.raises(ArchitectureError, match="at most 16 contexts"):
+            evaluate(2 * MAX_CONTEXTS)
+
+    def test_counts_within_the_limit_evaluate(self):
+        assert MAX_CONTEXTS == 16
+        mix = analytic_pattern_mix(0.05, 8)
+        assert mix.constant + mix.literal + mix.general == pytest.approx(1.0)
 
 
 class TestDistinctPlanes:

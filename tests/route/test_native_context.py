@@ -10,11 +10,13 @@ tree's arrays, on ``nodes``, ``edges``, ``sink_paths`` (insertion order
 included) and ``reused``,
 per context on ``iterations``, the telemetry counters must match key
 for key (first-seen order included), and the congestion state left
-behind (usage, history, folded costs, pressure factor) bit for bit.
+behind (usage, history, folded costs, pressure factor) bit for bit:
+the native route sets that state up itself, in buffers it is handed.
 Covered: the route-digest cases (share-aware programs, the 0-10% wire
 and switch defect suite plus seed-9 maps at 1, 3 and 5% on its 6x6
 fabric, warm reroutes with salvage), the queue workloads, a congested
-context on fractional base costs, the share-aware ``map8`` programs
+context on fractional base costs, a congested context whose dead
+pin-adjacent wires are born pressured, the share-aware ``map8`` programs
 with their reuse banks, both ``RoutingError`` messages, routes that
 clear exactly at the rip-up limit, and share-unaware contexts routed
 on four threads.
@@ -95,18 +97,24 @@ def _python_loop():
 
 @contextmanager
 def _recorded_states():
-    """Every congestion state the router builds, in order."""
+    """Every congestion state the router builds, in order: the Python
+    loop's ``_FlatCongestion`` and the buffers the native route sets up
+    and leaves its state in."""
     states = []
 
-    class Recorded(pathfinder._FlatCongestion):
-        __slots__ = ()
+    def recorded(base):
+        class Recorded(base):
+            __slots__ = ()
 
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            states.append(self)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append(self)
+
+        return Recorded
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pathfinder, "_FlatCongestion", Recorded)
+        for name in ("_FlatCongestion", "_CongestionArrays"):
+            mp.setattr(pathfinder, name, recorded(getattr(pathfinder, name)))
         yield states
 
 
@@ -229,6 +237,35 @@ class TestWorkloads:
         assert counts["router.ripped_nets"] > 0
         assert counts["router.repriced_nodes"] > 0
 
+    def test_dead_pin_wires(self):
+        """Every third wire one switch from a net's output pin is dead:
+        the native route sets those nodes up with no capacity and an
+        infinite history, born pressured, so every escalation re-prices
+        them; the congested context's routes, counters and congestion
+        state must still match the Python loop's."""
+        params = ArchParams(cols=6, rows=6, channel_width=5, io_capacity=4)
+        c = flat_rrg_for(params)
+        netlist = tech_map(random_dag(6, 18, 6, seed=2), k=4)
+        pl = place(netlist, params, seed=2)
+        wires = set(c.wire_node_ids().tolist())
+
+        def fanout(node):
+            return c.edge_dst[c.edge_start[node]:c.edge_start[node + 1]]
+
+        near = sorted({
+            wire for _name, source, _sinks in
+            pathfinder._net_endpoints(netlist, pl, c).rows
+            for pin in fanout(source).tolist()
+            for wire in fanout(pin).tolist() if wire in wires})
+        dm = DefectMap.from_defects(c, wire_nodes=near[::3])
+        (rr,), counts = _assert_twins(
+            lambda: route_context_compiled(c, netlist, pl, defects=dm))
+        assert rr.iterations > 1
+        # the dead nodes are re-priced at every escalation
+        dead = len(near[::3])
+        assert counts["router.repriced_nodes"] >= \
+            dead * counts["router.ripup_iterations"]
+
     def test_fractional_base_costs(self):
         """Base costs off the fabric's 1.0 / 1.2 grid, so every folded
         cost and history bump rounds: the C arithmetic must round as
@@ -292,7 +329,7 @@ class TestErrors:
         c = flat_rrg_for(params)
         netlist = tech_map(random_dag(4, 8, 3, seed=2), k=4)
         pl = place(netlist, params, seed=0, effort=0.2)
-        sink = pathfinder._net_endpoints(netlist, pl, c)[-1][2][-1]
+        sink = pathfinder._net_endpoints(netlist, pl, c).rows[-1][2][-1]
         dm = DefectMap.from_defects(
             c, switch_edges=np.flatnonzero(c.edge_dst == sink))
         (msg_native, counts_native), (msg_python, counts_python) = _twice(

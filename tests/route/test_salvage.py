@@ -1,13 +1,17 @@
 """The batched warm-reroute salvage against the pair-by-pair oracle.
 
-:func:`~repro.route.pathfinder._healthy_sink_paths` tests all of a
-net's chains with one node-mask gather and one binary search over the
-consecutive pairs, masking out the pairs that straddle two chains.
-These tests compare it with ``salvage_oracle.healthy_sink_paths`` on
-every net of two golden routings under a seeded 0-10% wire and switch
-defect suite, and on hand-built trees: chains sharing a trunk,
-one-edge chains, a dead edge exactly at a chain boundary and malformed
-records.
+:class:`~repro.route.pathfinder._Salvage` tests the chains of all of
+one context's salvaged nets together, with one node-mask gather and
+one binary search over the consecutive pairs, masking out the pairs
+that straddle two chains; :func:`~repro.route.pathfinder._healthy_sink_paths`
+is the batch of one net.  These tests compare both with
+``salvage_oracle.healthy_sink_paths`` net by net, in ``sink_paths``
+order, on every net of two golden routings under a seeded 0-10% wire
+and switch defect suite, and the single-net form on hand-built trees:
+chains sharing a trunk, one-edge chains, a dead edge exactly at a
+chain boundary and malformed records.  (The native route finds the
+same chains in C; ``test_native_context.py`` holds its warm reroutes
+equal to the Python loop's, salvage counters included.)
 """
 
 import pytest
@@ -19,7 +23,7 @@ from repro.arch.params import ArchParams
 from repro.netlist.techmap import tech_map
 from repro.place.placer import place
 from repro.reliability import DefectMap, build_golden
-from repro.route.pathfinder import _healthy_sink_paths, net_from_paths
+from repro.route.pathfinder import _healthy_sink_paths, _Salvage, net_from_paths
 from repro.workloads.generators import random_dag
 from salvage_oracle import dead_edge_pairs, healthy_sink_paths
 
@@ -66,6 +70,34 @@ def test_matches_oracle_on_defect_suite(build):
                 rejected += len(prior.sink_paths) - len(got)
     # the suite exercises both verdicts
     assert kept and rejected
+
+
+@pytest.mark.parametrize("build", [_golden_small, _golden_yield],
+                         ids=["6x6w8", "7x7w8"])
+def test_one_context_batch_matches_oracle(build):
+    """Every net of a golden routing salvaged in one batch, as one
+    warm reroute whose every net is dirty would: each net's chains
+    equal the oracle's, in ``sink_paths`` order, and the counts are the
+    sums over the nets."""
+    c, golden = build()
+    priors = list(golden.routes.nets.values())
+    for rate in RATES:
+        for seed in SEEDS:
+            dm = DefectMap.sample(c, rate, seed=seed, logic_rate=0.0)
+            batch = _Salvage(priors, dm)
+            kept = 0
+            for k, prior in enumerate(priors):
+                want = healthy_sink_paths(prior, dm, c)
+                assert list(batch.paths(k).items()) == list(want.items()), \
+                    prior.name
+                kept += len(want)
+            assert batch.kept == kept
+            assert batch.branches == sum(len(p.sink_paths) for p in priors)
+
+
+def test_empty_batch(substrate):
+    batch = _Salvage([], DefectMap.from_defects(substrate))
+    assert (batch.kept, batch.branches) == (0, 0)
 
 
 def _walk(c, start, steps, avoid=()):

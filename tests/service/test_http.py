@@ -172,13 +172,17 @@ class TestErrors:
         assert code == 400
         assert "bogus-axis" in doc["error"]
 
-    def test_value_the_model_rejects(self, service):
+    @pytest.mark.parametrize("payload,reason", [
+        ({"type": "sweep_request", "what": "contexts", "values": [3]},
+         "power of two"),
+        ({"type": "area_request", "contexts": 32}, "at most 16 contexts"),
+    ], ids=["contexts-3", "area-contexts-32"])
+    def test_value_the_model_rejects(self, service, payload, reason):
         code, doc = self._status_of_error(
             service, "POST", "/v1/jobs",
-            {"request": {"schema_version": 1, "type": "sweep_request",
-                         "what": "contexts", "values": [3]}})
+            {"request": {"schema_version": 1, **payload}})
         assert code == 400
-        assert "power of two" in doc["error"]
+        assert reason in doc["error"]
 
     def test_unknown_request_key(self, service):
         code, doc = self._status_of_error(

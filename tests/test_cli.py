@@ -348,6 +348,9 @@ class TestRequestErrors:
         (["sweep", "--what", "contexts", "--values", "3"], "power of two"),
         (["sweep", "--what", "change-rate", "--values", "1.5"],
          "change_rate must be in [0, 1]"),
+        (["area", "--contexts", "32"], "at most 16 contexts"),
+        (["sweep", "--what", "contexts", "--values", "4,64"],
+         "at most 16 contexts"),
     ])
     def test_values_the_model_rejects(self, capsys, argv, reason):
         assert main(argv) == 2

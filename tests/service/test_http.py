@@ -172,17 +172,21 @@ class TestErrors:
         assert code == 400
         assert "bogus-axis" in doc["error"]
 
-    @pytest.mark.parametrize("payload,reason", [
-        ({"type": "sweep_request", "what": "contexts", "values": [3]},
-         "power of two"),
-        ({"type": "area_request", "contexts": 32}, "at most 16 contexts"),
-    ], ids=["contexts-3", "area-contexts-32"])
-    def test_value_the_model_rejects(self, service, payload, reason):
+    def test_value_the_model_rejects(self, service):
         code, doc = self._status_of_error(
             service, "POST", "/v1/jobs",
-            {"request": {"schema_version": 1, **payload}})
+            {"request": {"schema_version": 1, "type": "sweep_request",
+                         "what": "contexts", "values": [3]}})
         assert code == 400
-        assert reason in doc["error"]
+        assert "power of two" in doc["error"]
+
+    def test_area_contexts_the_model_rejects(self, service):
+        code, doc = self._status_of_error(
+            service, "POST", "/v1/jobs",
+            {"request": {"schema_version": 1, "type": "area_request",
+                         "contexts": 32}})
+        assert code == 400
+        assert "at most 16 contexts" in doc["error"]
 
     def test_unknown_request_key(self, service):
         code, doc = self._status_of_error(

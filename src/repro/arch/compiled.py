@@ -152,7 +152,7 @@ class CompiledRRG:
         "_row_lists",
         "_sink_lists",
         "_pin_tables",
-        "_native",
+        "_route_job",
     )
 
     @classmethod
@@ -233,20 +233,15 @@ class CompiledRRG:
         c._row_lists = None
         c._sink_lists = None
         c._pin_tables = None
-        c._native = {}
+        c._route_job = None
         return c
 
-    def native_cache(self) -> dict:
-        """Values a native kernel derives once per substrate (the
-        context route keeps its job template here, which holds the
-        addresses of this substrate's arrays, so it reads them in place
-        on every call).  A pickled substrate leaves the cache behind:
-        an address names memory of one process."""
-        return self._native
-
     def __getstate__(self):
+        # the native context route's job template (``_route_job``, see
+        # repro.route.pathfinder) holds addresses of this process's
+        # arrays, so a pickled substrate leaves it behind
         state = {name: getattr(self, name) for name in CompiledRRG.__slots__}
-        state["_native"] = {}
+        state["_route_job"] = None
         return None, state
 
     def pin_tables(self) -> tuple[tuple, tuple]:

@@ -2,7 +2,7 @@
  * context route.
  *
  * `route_context` runs one context's whole PathFinder route.  It sets
- * up the congestion state in the caller's empty buffer (usage 0,
+ * up the congestion state in the caller's empty arrays (usage 0,
  * history 0 or infinite on a dead node, the effective capacity, each
  * node's folded cost: pathfinder._FlatCongestion.__init__) and finds
  * the healthy chains of the salvaged golden routes
@@ -262,7 +262,8 @@ enum {
 enum { RC_OK, RC_NO_PATH, RC_CONGESTED, RC_NOMEM, RC_SPACE };
 
 /* Everything one route_context call reads and writes (ctypes mirror:
- * pathfinder._RouteJob). */
+ * pathfinder._RouteJob).  The caller lays out every buffer and sets a
+ * pointer to each part; an input the call does not have is NULL. */
 typedef struct {
     /* graph: the fabric's CSR rows (edge_dst names each tree edge) */
     int64_t n_nodes;
@@ -274,52 +275,32 @@ typedef struct {
      * lowered to the self-loop u -> u (DefectMap.live_edge_dst) */
     const uint8_t *node_ok;
     const int32_t *edst;
-    /* congestion state: the call lays it out in the caller's buffer
-     * `state` and leaves it there (see set_up) */
+    /* congestion state: the call sets it up in the caller's empty
+     * usage, hist, eff and, with defects, live_cap, and leaves it there
+     * (see set_up) */
     const double *base;
     const int64_t *node_cap;
-    int64_t *state;
+    int64_t *usage, *live_cap;
+    double *hist, *eff;
     double pres_fac, pres_fac_mult, hist_fac;
     double astar_fac;           /* the search's lower-bound weight */
     int64_t max_iterations;
-    /* nets: `ends` holds the endpoints of the nets in
-     * pathfinder.NetEndpoints order, source[n] | sink_start[n + 1] |
-     * sinks */
+    /* nets, in pathfinder.NetEndpoints order: net n sources at
+     * source[n] and sinks at sinks[sink_start[n]:sink_start[n + 1]] */
     int64_t n_nets;
-    const int32_t *ends;
-    /* `io`: the outputs, then the inputs of this call (int32 words):
-     *   out_nodes, out_parent, out_edge      out_nodes_cap each
-     *   out_branch                           2 * out_paths_cap
-     *   out_survived                         n_nets
-     *   out_net_node, out_net_path           n_nets + 1 each
-     *   order                                n_nets, when reordered
-     *   adopt_start                          n_nets + 1, when adopting
-     *   seed_of                              n_nets, with salvage
-     *   salvage_tree, salvage_paths          n_salvage + 1 each
-     *   adopt                                adopt_start[n_nets]
-     *   salvage_node, salvage_parent         salvage_tree[n_salvage] each
-     *   salvage_branch                       2 * salvage_paths[n_salvage] */
-    int32_t *io;
-    int64_t out_nodes_cap, out_paths_cap;
-    int64_t reordered, adopting, n_salvage;
-    int64_t stats[N_STATS];
-    /* set by the call: views of `state`, `ends` and `io` (NULL where
-     * the call has no such input) */
-    int64_t *usage;
-    const int64_t *cap;
-    double *hist, *eff;
     const int32_t *source, *sink_start, *sinks;
     /* the routing order: net i routes endpoint order[i] (NULL: i); the
      * per-net arrays below follow it */
     const int32_t *order;
-    /* adopted bank routes: net i adopts the node set
+    /* adopted bank routes (NULL: none): net i adopts the node set
      * adopt[adopt_start[i]:adopt_start[i + 1]] when that is not empty */
     const int32_t *adopt_start, *adopt;
-    /* salvage: golden route k's tree is salvage_node and
-     * salvage_parent [salvage_tree[k]:salvage_tree[k + 1]], its sink
-     * paths the (position, length) pairs salvage_branch
+    /* salvage (n_salvage routes, 0: none): golden route k's tree is
+     * salvage_node and salvage_parent [salvage_tree[k]:salvage_tree[k +
+     * 1]], its sink paths the (position, length) pairs salvage_branch
      * [salvage_paths[k]:salvage_paths[k + 1]]; net i starts from the
      * healthy chains of route seed_of[i] (-1: none) */
+    int64_t n_salvage;
     const int32_t *seed_of, *salvage_tree, *salvage_paths;
     const int32_t *salvage_node, *salvage_parent, *salvage_branch;
     /* out: each routed net's tree (its distinct nodes in insertion
@@ -328,9 +309,15 @@ typedef struct {
      * sink paths in insertion order, each as the tree position of its
      * last node and its length; out_net_node and out_net_path index
      * them by net, and out_survived flags the adopted nets never ripped
-     * up (which have none) */
+     * up (which have none).  out_nodes, out_parent and out_edge hold
+     * out_nodes_cap words each, out_branch 2 * out_paths_cap. */
+    int64_t out_nodes_cap, out_paths_cap;
     int32_t *out_nodes, *out_parent, *out_edge, *out_branch;
     int32_t *out_survived, *out_net_node, *out_net_path;
+    int64_t stats[N_STATS];
+    /* set by the call: the capacity the route reads, live_cap or
+     * node_cap */
+    const int64_t *cap;
 } route_job;
 
 /* A growable int32 array. */
@@ -385,50 +372,15 @@ static double fold(const route_job *j, int32_t n) {
     return j->base[n] * (1.0 + j->pres_fac * (double)over) + j->hist[n];
 }
 
-/* Point the views at their parts of `ends` and `io`. */
-static void lay_out(route_job *j) {
-    int64_t n = j->n_nets, ns = j->n_salvage;
-    int32_t *at = j->io;
-    j->source = j->ends;
-    j->sink_start = j->ends + n;
-    j->sinks = j->ends + 2 * n + 1;
-    j->out_nodes = at;
-    j->out_parent = at += j->out_nodes_cap;
-    j->out_edge = at += j->out_nodes_cap;
-    j->out_branch = at += j->out_nodes_cap;
-    j->out_survived = at += 2 * j->out_paths_cap;
-    j->out_net_node = at += n;
-    j->out_net_path = at += n + 1;
-    at += n + 1;
-    j->order = j->reordered ? at : NULL;
-    at += j->reordered ? n : 0;
-    j->adopt_start = j->adopting ? at : NULL;
-    at += j->adopting ? n + 1 : 0;
-    j->seed_of = ns ? at : NULL;
-    j->salvage_tree = at += ns ? n : 0;
-    j->salvage_paths = at += ns ? ns + 1 : 0;
-    at += ns ? ns + 1 : 0;
-    j->adopt = at;
-    at += j->adopting ? j->adopt_start[n] : 0;
-    j->salvage_node = at;
-    j->salvage_parent = at += ns ? j->salvage_tree[ns] : 0;
-    j->salvage_branch = at + (ns ? j->salvage_tree[ns] : 0);
-}
-
-/* _FlatCongestion.__init__ in `state`: usage (int64), history and
- * folded costs (double), and with defects the effective capacity
- * (int64), n_nodes words each.  A dead node has no capacity and an
- * infinite history, so it is priced out of every search; nothing is
- * used yet, so nothing is overused. */
+/* _FlatCongestion.__init__: usage 0, history 0 and the folded costs,
+ * and with defects the effective capacity.  A dead node has no
+ * capacity and an infinite history, so it is priced out of every
+ * search; nothing is used yet, so nothing is overused. */
 static void set_up(route_job *j) {
     const uint8_t *ok = j->node_ok;
-    int64_t n_nodes = j->n_nodes;
-    j->usage = j->state;
-    j->hist = (double *)(j->state + n_nodes);
-    j->eff = (double *)(j->state + 2 * n_nodes);
-    int64_t *live_cap = ok != NULL ? j->state + 3 * n_nodes : NULL;
+    int64_t *live_cap = ok != NULL ? j->live_cap : NULL;
     j->cap = live_cap != NULL ? live_cap : j->node_cap;
-    for (int64_t n = 0; n < n_nodes; n++) {
+    for (int64_t n = 0; n < j->n_nodes; n++) {
         int live = ok == NULL || ok[n];
         if (live_cap != NULL)
             live_cap[n] = live ? j->node_cap[n] : 0;
@@ -768,7 +720,6 @@ int64_t route_context(route_job *j)
     r.s.bound = j->astar_fac;
     r.s.heap_cap = 1024;
     memset(j->stats, 0, sizeof j->stats);
-    lay_out(j);
     memset(j->out_survived, 0, (size_t)j->n_nets * sizeof(int32_t));
     set_up(j);
     r.s.eff = j->eff;

@@ -352,53 +352,48 @@ class NetEndpoints:
     """The routable nets of one placed netlist.
 
     ``rows`` holds each net as a ``(name, source, sinks)`` tuple, sinks
-    ascending and without repeats (read-only).  :meth:`address` packs
-    the nets once into one int32 buffer, ``source[n] | sink_start[n +
-    1] | sinks``, which the native context route reads in place, and
-    :meth:`signatures` gives each net's :func:`endpoint_signature`;
-    both are built on first use and cached, so endpoints a caller keeps
-    (the repair ladder keeps the golden's) pay for them once.
+    ascending and without repeats (read-only).  The nets are also packed
+    into one read-only int32 buffer, ``source[n] | sink_start[n + 1] |
+    sinks``, which the native context route reads in place at
+    ``addresses`` (one per part).  It is built here, never replaced, so
+    endpoints that threads share (the repair ladder keeps the golden's)
+    hand every native call the same live buffer.  :meth:`signatures`
+    gives each net's :func:`endpoint_signature`, built on first use and
+    cached.
     """
 
-    __slots__ = ("rows", "n_sinks", "_buf", "_address", "_sigs")
+    __slots__ = ("rows", "n_sinks", "addresses", "_buf", "_sigs")
 
     def __init__(self, rows: list[tuple[str, int, list[int]]]) -> None:
         self.rows = rows
-        self.n_sinks = sum(len(sinks) for _name, _src, sinks in rows)
-        self._buf = self._address = self._sigs = None
+        n = len(rows)
+        packed = [src for _name, src, _sinks in rows]
+        packed += accumulate((len(sinks) for _n, _s, sinks in rows),
+                             initial=0)
+        for _name, _src, sinks in rows:
+            packed += sinks
+        self.n_sinks = len(packed) - 2 * n - 1
+        self._buf = np.array(packed, dtype=np.int32)
+        self._buf.setflags(write=False)
+        at = _addr(self._buf)
+        self.addresses = (at, at + 4 * n, at + 4 * (2 * n + 1))
+        self._sigs = None
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def address(self) -> int:
-        """The address of the packed int32 buffer."""
-        if self._address is None:
-            rows = self.rows
-            packed = [src for _name, src, _sinks in rows]
-            packed += accumulate((len(sinks) for _n, _s, sinks in rows),
-                                 initial=0)
-            for _name, _src, sinks in rows:
-                packed += sinks
-            self._buf = np.array(packed, dtype=np.int32)
-            self._address = _addr(self._buf)
-        return self._address
-
     def signatures(self) -> list[str]:
-        """Each net's :func:`endpoint_signature`, cached."""
+        """Each net's :func:`endpoint_signature`, cached (a thread that
+        races another here builds an equal list)."""
         if self._sigs is None:
-            # the sinks are sorted already
-            self._sigs = [f"{src}->{','.join(map(str, sinks))}"
+            self._sigs = [endpoint_signature(src, sinks)
                           for _name, src, sinks in self.rows]
         return self._sigs
 
     def __eq__(self, other) -> bool:
-        """Equal to endpoints, or to a list of ``(name, source,
-        sinks)`` tuples, with the same rows."""
-        if isinstance(other, NetEndpoints):
-            other = other.rows
-        if not isinstance(other, list):
+        if not isinstance(other, NetEndpoints):
             return NotImplemented
-        return self.rows == other
+        return self.rows == other.rows
 
     __hash__ = None
 
@@ -769,25 +764,25 @@ _SEARCH = _search
 class _RouteJob(ctypes.Structure):
     """``route_job`` of ``_search.c``: one native context route's
     graph, congestion state, nets and outputs (pointers are buffer
-    addresses; a ``None`` per-net array is the C side's NULL)."""
+    addresses; an input left unset is the C side's NULL)."""
 
     _fields_ = [(name, kind) for names, kind in (
         ("n_nodes", ctypes.c_int64),
         ("estart emid edge_dst xlo xhi ylo yhi", ctypes.c_void_p),
         ("cols rows margin", ctypes.c_int64),
-        ("node_ok edst base node_cap state", ctypes.c_void_p),
+        ("node_ok edst base node_cap usage live_cap hist eff",
+         ctypes.c_void_p),
         ("pres_fac pres_fac_mult hist_fac astar_fac", ctypes.c_double),
         ("max_iterations n_nets", ctypes.c_int64),
-        ("ends io", ctypes.c_void_p),
-        ("out_nodes_cap out_paths_cap reordered adopting n_salvage",
-         ctypes.c_int64),
+        ("source sink_start sinks order adopt_start adopt", ctypes.c_void_p),
+        ("n_salvage", ctypes.c_int64),
+        ("seed_of salvage_tree salvage_paths salvage_node salvage_parent "
+         "salvage_branch", ctypes.c_void_p),
+        ("out_nodes_cap out_paths_cap", ctypes.c_int64),
+        ("out_nodes out_parent out_edge out_branch out_survived "
+         "out_net_node out_net_path", ctypes.c_void_p),
         ("stats", ctypes.c_int64 * 13),
-        # views the call sets
-        ("usage cap hist eff source sink_start sinks order adopt_start "
-         "adopt seed_of salvage_tree salvage_paths salvage_node "
-         "salvage_parent salvage_branch out_nodes out_parent out_edge "
-         "out_branch out_survived out_net_node out_net_path",
-         ctypes.c_void_p),
+        ("cap", ctypes.c_void_p),  # set by the call
     ) for name in names.split()]
 
 
@@ -833,9 +828,10 @@ class _CongestionArrays:
     ``history``, the folded costs ``eff``, the effective ``capacity``
     and ``pres_fac``, named as :class:`_FlatCongestion` names them.
 
-    The arrays are views of one uninitialised buffer at ``address``
-    (``capacity`` is the substrate's own without defects):
-    ``route_context`` sets the state up in it with
+    The arrays are views of one uninitialised buffer, and each view's
+    address goes into ``job`` (``capacity`` is the substrate's own
+    without defects, and the job's ``live_cap`` stays NULL):
+    ``route_context`` sets the state up in them with
     ``_FlatCongestion.__init__``'s values and leaves its final state
     there.  The one difference is the pressure factor the initial costs
     are folded with, the route's starting one: it enters only a node
@@ -843,10 +839,10 @@ class _CongestionArrays:
     infinite history prices them out at any factor.
     """
 
-    __slots__ = ("usage", "history", "eff", "capacity", "pres_fac",
-                 "address")
+    __slots__ = ("usage", "history", "eff", "capacity", "pres_fac")
 
-    def __init__(self, c: CompiledRRG, defects: bool, pres_fac: float) -> None:
+    def __init__(self, c: CompiledRRG, defects: bool, pres_fac: float,
+                 job: _RouteJob) -> None:
         n = c.n_nodes
         buf = np.empty((4 if defects else 3) * n, dtype=np.int64)
         self.usage = buf[:n]
@@ -854,7 +850,10 @@ class _CongestionArrays:
         self.eff = buf[2 * n:3 * n].view(np.float64)
         self.capacity = buf[3 * n:] if defects else c.node_capacity
         self.pres_fac = pres_fac
-        self.address = _addr(buf)
+        at = _addr(buf)
+        job.usage, job.hist, job.eff = at, at + 8 * n, at + 16 * n
+        if defects:
+            job.live_cap = at + 24 * n
 
 
 def _job_template(c: CompiledRRG) -> tuple[bytes, int]:
@@ -862,10 +861,9 @@ def _job_template(c: CompiledRRG) -> tuple[bytes, int]:
     arrays' addresses, its size, the schedule's constants), and the
     summed node capacity, which bounds the nodes of a context's
     overlap-free routes counted once per net; built once per substrate
-    and kept in its :meth:`~repro.arch.compiled.CompiledRRG.native_cache`.
+    and kept on it (see :meth:`CompiledRRG.__getstate__`).
     """
-    cache = c.native_cache()
-    if "route_job" not in cache:
+    if c._route_job is None:
         job = _RouteJob(
             n_nodes=c.n_nodes, cols=c.params.cols,
             rows=c.params.rows, margin=BBOX_MARGIN,
@@ -876,8 +874,8 @@ def _job_template(c: CompiledRRG) -> tuple[bytes, int]:
             c.edge_start, c.edge_mid, c.edge_dst, c.xlo, c.xhi, c.ylo,
             c.yhi, c.base_cost, c.node_capacity))
         job.edst = job.edge_dst
-        cache["route_job"] = (bytes(job), int(c.node_capacity.sum()))
-    return cache["route_job"]
+        c._route_job = (bytes(job), int(c.node_capacity.sum()))
+    return c._route_job
 
 
 def _route_native(
@@ -899,66 +897,84 @@ def _route_native(
     The C route reads the substrate's and the endpoints' arrays and
     the defect map's node mask and lowered edge rows in place, and sets
     up the congestion state itself (:class:`_CongestionArrays`).  What
-    differs per call goes in as one int32 buffer: the routing
+    differs per call shares one int32 buffer, inputs then outputs,
+    whose segments this function lays out and points the job at: the routing
     ``order``, each adopted bank route's tree nodes (``priors``, by
     routing position) and the golden trees of the ``salvage`` routes
     (``seed_of`` gives each routing position its salvage route, -1 for
     none), whose healthy chains the C route finds as :class:`_Salvage`
-    does.  It runs the initial pass and the rip-up iterations on search
-    buffers it allocates itself, and hands back every routed net's tree
-    (nodes, parent positions, CSR edge indexes, branches) in the order
-    the Python loop builds it; the :class:`RouteTree` of each net is a
-    read-only slice of one output buffer, and an adopted net that was
-    never ripped up keeps its bank route's tree.  Counters and the
-    errors are the loop's.
+    does; an absent input stays NULL.  The call runs the initial pass
+    and the rip-up iterations on search buffers it allocates itself,
+    and hands back every routed net's tree (nodes, parent positions,
+    CSR edge indexes, branches) in the order the Python loop builds it;
+    the :class:`RouteTree` of each net is a read-only slice of the
+    buffer, and an adopted net that was never ripped up keeps its bank
+    route's tree.  Counters and the errors are the loop's.
     """
     n = len(endpoints)
     template, nodes_cap = _job_template(c)
     job = _RouteJob.from_buffer_copy(template)
-    job.n_nets, job.ends = n, endpoints.address()
-    job.pres_fac, job.max_iterations = pres_fac, max_iterations
+    job.n_nets, job.pres_fac, job.max_iterations = n, pres_fac, max_iterations
+    job.source, job.sink_start, job.sinks = endpoints.addresses
     if defects is not None:
         job.node_ok = _addr(defects.node_ok)
         edst = defects.live_edge_dst(c)
         if edst is not c.edge_dst:
             job.edst = _addr(edst)
-    state = _CongestionArrays(c, defects is not None, pres_fac)
-    job.state = state.address
-    # the per-call inputs in route_job.io's order: Python ints, then
-    # arrays
+    state = _CongestionArrays(c, defects is not None, pres_fac, job)
+    # this call's inputs, Python ints then arrays, with the job field
+    # and the size of each segment
     ints: list[int] = []
+    int_fields: list[tuple[str, int]] = []
     arrays: list[np.ndarray] = []
+    array_fields: list[tuple[str, int]] = []
     if order is not None:
         ints += order
-        job.reordered = 1
+        int_fields.append(("order", n))
     adopted = [prior.tree.node for prior in priors or () if prior is not None]
     if adopted:
         ints += accumulate((0 if prior is None else prior.tree.node.size
                             for prior in priors), initial=0)
+        int_fields.append(("adopt_start", n + 1))
         arrays += adopted
-        job.adopting = 1
+        array_fields.append(("adopt", ints[-1]))
     # a net has a path per sink, salvaged or searched
     paths_cap = endpoints.n_sinks
     if salvage:
         trees = [prior.tree for prior in salvage]
         ints += seed_of
         ints += accumulate((t.node.size for t in trees), initial=0)
+        size = ints[-1]
         ints += accumulate((len(t.branch) for t in trees), initial=0)
+        paths = ints[-1]
+        int_fields += (("seed_of", n), ("salvage_tree", len(trees) + 1),
+                       ("salvage_paths", len(trees) + 1))
         arrays += [t.node for t in trees]
         arrays += [t.parent for t in trees]
         arrays += [t.branch.ravel() for t in trees]
+        array_fields += (("salvage_node", size), ("salvage_parent", size),
+                         ("salvage_branch", 2 * paths))
         job.n_salvage = len(trees)
-        paths_cap += ints[-1]
-    # out: tree nodes | parents | edges | branches | survived flags |
-    # each net's first tree node | each net's first branch
-    at = 3 * nodes_cap + 2 * paths_cap + 3 * n + 2
-    out = np.empty(at + len(ints) + sum(a.size for a in arrays),
-                   dtype=np.int32)
-    out[at:at + len(ints)] = ints
+        paths_cap += paths
+    # then the outputs: tree nodes | parents | edges | branches |
+    # survived flags | each net's first tree node | each net's first
+    # branch
+    fields = [*int_fields, *array_fields,
+              ("out_nodes", nodes_cap), ("out_parent", nodes_cap),
+              ("out_edge", nodes_cap), ("out_branch", 2 * paths_cap),
+              ("out_survived", n), ("out_net_node", n + 1),
+              ("out_net_path", n + 1)]
+    at = list(accumulate((size for _field, size in fields), initial=0))
+    out = np.empty(at[-1], dtype=np.int32)
+    base = _addr(out)
+    for (field, _size), offset in zip(fields, at):
+        setattr(job, field, base + 4 * offset)
+    job.out_nodes_cap, job.out_paths_cap = nodes_cap, paths_cap
+    o = at[-8:]  # where each output starts, then the end
+    if ints:
+        out[:len(ints)] = ints
     if arrays:
-        np.concatenate(arrays, out=out[at + len(ints):])
-    job.io, job.out_nodes_cap, job.out_paths_cap = \
-        _addr(out), nodes_cap, paths_cap
+        np.concatenate(arrays, out=out[len(ints):o[0]])
     fn(ctypes.byref(job))
     stats = job.stats[:]
     state.pres_fac = job.pres_fac
@@ -995,11 +1011,9 @@ def _route_native(
     _tcount("router.contexts_routed")
     _tcount("router.ripped_nets", stats[_ST_RIPPED])
     out.setflags(write=False)  # the trees are slices of it
-    k = nodes_cap
-    nodes, parents, edges = out[:k], out[k:2 * k], out[2 * k:3 * k]
-    k *= 3
-    branches = out[k:k + 2 * paths_cap].reshape(-1, 2)
-    tail = out[k + 2 * paths_cap:k + 2 * paths_cap + 3 * n + 2].tolist()
+    nodes, parents, edges = out[o[0]:o[1]], out[o[1]:o[2]], out[o[2]:o[3]]
+    branches = out[o[3]:o[4]].reshape(-1, 2)
+    tail = out[o[4]:].tolist()
     survived, node_at, path_at = tail[:n], tail[n:2 * n + 1], tail[2 * n + 1:]
     rows = endpoints.rows
     if order is not None:

@@ -6,10 +6,20 @@ trial job. These tests pin that every backend, and a process runner
 passed in from outside, produces the same campaign rows bit-for-bit.
 """
 
+import pickle
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 from repro.analysis.sweep import SweepRunner
 from repro.arch.params import ArchParams
 from repro.netlist.techmap import tech_map
-from repro.reliability.yield_runner import YieldRunner
+from repro.reliability.repair import RepairLevel
+from repro.reliability.yield_runner import (
+    YieldRunner,
+    YieldTrialJob,
+    evaluate_trial,
+    trial_seed,
+)
 from repro.workloads.generators import random_dag
 
 BASE = ArchParams(cols=5, rows=5, channel_width=8, io_capacity=4)
@@ -41,3 +51,33 @@ class TestCampaignRows:
             netlist,
         )
         assert seq == thread == process == explicit
+
+
+class TestSharedGolden:
+    WORKERS = 4
+
+    def test_threads_share_one_golden(self):
+        """Threads run trials against one golden whose caches are still
+        empty, released together, so their first warm reroutes fetch the
+        endpoints the golden caches at the same moment and hand them to
+        concurrent native routes: every trial's outcome equals the one a
+        single thread gets."""
+        netlist = _netlist()
+        golden = YieldRunner().golden_for(netlist, BASE, seed=1, effort=0.2)
+        jobs = [YieldTrialJob("dag", BASE, netlist, 0.03, "uniform", t,
+                              trial_seed(1, 0, t), seed=1, effort=0.2)
+                for t in range(2 * self.WORKERS)]
+        want = [evaluate_trial(job, pickle.loads(pickle.dumps(golden)))
+                for job in jobs]
+        assert any(r.outcome.level >= RepairLevel.ROUTE_AROUND for r in want)
+
+        shared = pickle.loads(pickle.dumps(golden))  # empty caches
+        start = threading.Barrier(self.WORKERS)
+
+        def trial(job):
+            start.wait()
+            return evaluate_trial(job, shared)
+
+        with ThreadPoolExecutor(self.WORKERS) as pool:
+            got = list(pool.map(trial, jobs))
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want]

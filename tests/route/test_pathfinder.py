@@ -1,5 +1,6 @@
 """Tests for the PathFinder router."""
 
+import ctypes
 import pickle
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.netlist.synth import synthesize
 from repro.netlist.techmap import tech_map
 from repro.place.placer import place, place_program
 from repro.route.pathfinder import (
+    _net_endpoints,
     endpoint_signature,
     route_context_compiled,
     route_program_compiled,
@@ -225,3 +227,26 @@ class TestSignature:
     def test_signature_canonical(self):
         assert endpoint_signature(5, [9, 3]) == endpoint_signature(5, [3, 9])
         assert endpoint_signature(5, [3]) != endpoint_signature(6, [3])
+
+
+class TestNetEndpoints:
+    def test_packed_at_construction(self, setup):
+        """The int32 parts a native route reads at ``addresses`` hold
+        the rows, built with the endpoints and never replaced (threads
+        sharing the endpoints all read one buffer), and the cached
+        signatures are :func:`endpoint_signature`'s."""
+        _, g, n, pl = setup
+        ep = _net_endpoints(n, pl, g)
+        addresses = ep.addresses
+        nets = len(ep)
+        source, sink_start, sinks = (
+            np.ctypeslib.as_array((ctypes.c_int32 * size).from_address(at))
+            for at, size in zip(addresses, (nets, nets + 1, ep.n_sinks)))
+        assert source.tolist() == [src for _n, src, _s in ep.rows]
+        for k, (_name, _src, want) in enumerate(ep.rows):
+            assert sinks[sink_start[k]:sink_start[k + 1]].tolist() == want
+        assert sink_start[-1] == ep.n_sinks
+        assert ep.signatures() == [endpoint_signature(src, s)
+                                   for _n, src, s in ep.rows]
+        assert ep.addresses == addresses
+        assert ep == _net_endpoints(n, pl, g)

@@ -76,8 +76,8 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.arch.compiled import compiled_rrg_for
-from repro.arch.params import ArchParams, paper_params
-from repro.core.area_model import AreaModel, TileCounts
+from repro.arch.params import ArchParams
+from repro.core.area_model import AreaModel
 from repro.errors import RoutingError
 from repro.netlist.netlist import Netlist
 from repro.place.placer import Placement, place
@@ -453,10 +453,7 @@ def sweep_contexts_points(
     with context count, so the proposed advantage should widen.  Each
     point's tile counts come from the paper device at that count."""
     return [
-        _area_point(
-            "n_contexts", n, change_rate=change_rate, n_contexts=n,
-            sharing_factor=sharing_factor,
-            counts=TileCounts.from_arch(paper_params().with_(n_contexts=n)),
-        )
+        _area_point("n_contexts", n, change_rate=change_rate, n_contexts=n,
+                    sharing_factor=sharing_factor)
         for n in context_counts
     ]

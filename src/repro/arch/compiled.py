@@ -369,9 +369,12 @@ class CompiledRRG:
             pair = (kinds == _PASS) | (kinds == _BUF)
             a = self.edge_src_ids()[pair]
             b = self.edge_dst[pair].astype(np.int64)
-            keys = np.minimum(a, b) * self.n_nodes + np.maximum(a, b)
-            self._n_switches = (int(np.unique(keys).size)
-                                + int(np.count_nonzero(kinds == _PIN)))
+            keys = np.sort(np.minimum(a, b) * self.n_nodes + np.maximum(a, b))
+            # distinct keys by adjacent changes: np.unique would import
+            # numpy.ma (through np.ma.is_masked) for this one count
+            pairs = int(keys.size > 0) + int(
+                np.count_nonzero(keys[1:] != keys[:-1]))
+            self._n_switches = pairs + int(np.count_nonzero(kinds == _PIN))
         return self._n_switches
 
     def logic_tiles(self) -> tuple[tuple[int, int], ...]:

@@ -382,11 +382,12 @@ class AreaModel:
 
         ``lut_change_prob`` (per-transition probability that a LUT's whole
         table changes) defaults to ``2 x change_rate``: bit changes
-        cluster into the few LUTs being re-purposed.
+        cluster into the few LUTs being re-purposed.  ``counts``
+        defaults to the paper device's tile counts at ``n_contexts``.
         """
         from repro.arch.params import paper_params
 
-        params = paper_params()
+        params = paper_params().with_(n_contexts=n_contexts)
         mix = analytic_pattern_mix(change_rate, n_contexts)
         q = lut_change_prob if lut_change_prob is not None else min(1.0, 2 * change_rate)
         planes = expected_distinct_planes(q, n_contexts)

@@ -19,6 +19,23 @@ canonical because it depends only on the function and the sorted
 support: two cones computing the same function of the same inputs
 yield the same ``Signature``, whatever their structure.
 
+Contexts of one program mostly repeat each other, so
+:func:`analyze_sharing` keeps one *cone table* (:class:`ConeTable`) per
+program: structural hashing, as ABC's ``strash`` (Mishchenko et al.,
+DAC'06).  Every net gets a structural key, interned to a cone id that
+all contexts share:
+
+- a primary input's key is its net name;
+- a DFF output's key is one shared "state" key;
+- a LUT's key is its table bits, its arity and its inputs' cone ids.
+
+Equal keys mean the same LUT tree over the same primary inputs, hence
+the same signature, so each distinct cone is signed once per program.
+Supports are kept per cone, and truth tables per cone and support, so
+a cone that differs from an earlier one in a single LUT evaluates only
+what is new in its fan-in.  The report equals the one signing every
+cell of every context gives, group order included.
+
 Outputs feed three consumers:
 
 - the multi-context mapper (pin shared cells to one LB → one plane),
@@ -30,14 +47,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import MappingError, SynthesisError
+from repro.errors import MappingError
 from repro.netlist.logic import TruthTable, lut_value, projections
-from repro.netlist.netlist import Cell, CellKind, Netlist
+from repro.netlist.netlist import CellKind, Netlist
 from repro.netlist.dfg import MultiContextProgram
+from repro.utils.telemetry import count as _tcount
 
 
 #: Largest support a signature is computed over (a ``2**12``-bit table).
 MAX_SUPPORT = 12
+
+#: The structural key every DFF output shares (state is never signed).
+_STATE = None
 
 
 @dataclass(frozen=True)
@@ -63,84 +84,104 @@ def cell_signature(
     cell = netlist.cells[cell_name]
     if cell.kind is not CellKind.LUT:
         raise MappingError(f"{cell_name!r} is not a LUT cell")
-    return _signatures(netlist, [cell], max_support)[cell_name]
+    table = ConeTable(max_support)
+    return table.signature(table.cone_ids(netlist)[cell.output])
 
 
-def _signatures(
-    netlist: Netlist, cells: list[Cell], max_support: int
-) -> dict[str, Signature | None]:
-    """Signatures of ``cells`` (LUTs of ``netlist``), keyed by cell name.
+class ConeTable:
+    """The distinct structural cones of the netlists keyed into it (see
+    the module docstring).
 
-    Supports are memoised per net across all cells, so reconvergent
-    fan-in is walked once; truth tables are memoised per net within one
-    support, so cells over the same inputs share their cones' tables.
+    Cone ids count up from 0 in the order keys are first seen, and a
+    LUT's inputs are keyed before it, so a cone's fan-in always has
+    smaller ids than the cone.
     """
-    supports: dict[str, frozenset[str] | None] = {}
-    tables: dict[tuple[str, ...], dict[str, int]] = {}
-    out: dict[str, Signature | None] = {}
-    for cell in cells:
-        for driver in _cone(netlist, cell.output, supports):
-            supports[driver.output] = _support(driver, supports)
-        support = supports[cell.output]
-        if support is None or len(support) > max_support:
-            out[cell.name] = None
-            continue
+
+    def __init__(self, max_support: int = MAX_SUPPORT) -> None:
+        self.max_support = max_support
+        self.ids: dict[object, int] = {}  # structural key -> cone id
+        self.keys: list[object] = []  # cone id -> structural key
+        #: cone id -> primary-input support; None past a DFF
+        self.supports: list[frozenset[str] | None] = []
+        #: sorted support -> cone id -> the cone's table over it
+        self.tables: dict[tuple[str, ...], dict[int, int]] = {}
+
+    def _intern(self, key: object, support: frozenset[str] | None) -> int:
+        cone = self.ids[key] = len(self.keys)
+        self.keys.append(key)
+        self.supports.append(support)
+        return cone
+
+    def cone_ids(self, netlist: Netlist) -> dict[str, int]:
+        """Cone id of every net ``netlist`` drives.
+
+        A primary input's key is its net name, a DFF output's is
+        :data:`_STATE`, and a LUT's is its table bits, its arity and
+        its inputs' cone ids.  Sources are keyed first, as the
+        topological order may list an INPUT or DFF cell after its
+        readers.  Raises :class:`SynthesisError` on a combinational
+        cycle or an undriven net.
+        """
+        ids, supports = self.ids, self.supports
+        net_cone: dict[str, int] = {}
+        cells = netlist.cells
+        for cell in cells.values():
+            if cell.kind is CellKind.INPUT:
+                key, support = cell.output, frozenset((cell.output,))
+            elif cell.kind is CellKind.DFF:
+                key, support = _STATE, None
+            else:
+                continue
+            cone = ids.get(key)
+            net_cone[cell.output] = (
+                self._intern(key, support) if cone is None else cone)
+        for name in netlist.topo_order():
+            cell = cells[name]
+            if cell.kind is not CellKind.LUT:
+                continue
+            table = cell.table
+            key = (table.bits, table.n_inputs,
+                   *[net_cone[net] for net in cell.inputs])
+            cone = ids.get(key)
+            if cone is None:
+                support: frozenset[str] | None = frozenset()
+                for inner in key[2:]:
+                    if supports[inner] is None:
+                        support = None
+                        break
+                    support |= supports[inner]
+                cone = self._intern(key, support)
+            net_cone[cell.output] = cone
+        return net_cone
+
+    def signature(self, cone: int) -> Signature | None:
+        """The signature of the LUT cone ``cone``; None past a DFF or
+        beyond ``max_support`` inputs.
+
+        Tables are memoised per cone and support across every netlist
+        keyed into the table, so a cone evaluates only the part of its
+        fan-in no earlier cone over the same support has.
+        """
+        support = self.supports[cone]
+        if support is None or len(support) > self.max_support:
+            return None
         names = tuple(sorted(support))
         full, masks = projections(len(names))
-        values = tables.get(names)
+        values = self.tables.get(names)
         if values is None:
-            values = tables[names] = dict(zip(names, masks))
-        for driver in _cone(netlist, cell.output, values):
-            values[driver.output] = lut_value(
-                driver.table.bits, [values[net] for net in driver.inputs], full
-            )
-        out[cell.name] = Signature(names, values[cell.output])
-    return out
-
-
-def _cone(netlist: Netlist, root: str, known: dict[str, object]) -> list[Cell]:
-    """Drivers of the nets in ``root``'s fan-in cone missing from
-    ``known``, fan-in first.  Only LUTs are walked through: a primary
-    input or a DFF ends its path."""
-    order: list[Cell] = []
-    finished: dict[str, bool] = {}  # net -> False while on the walk's path
-    stack: list[tuple[str, Cell | None]] = [(root, None)]
-    while stack:
-        net, driver = stack.pop()
-        if driver is not None:
-            finished[net] = True
-            order.append(driver)
-            continue
-        if net in known:
-            continue
-        state = finished.get(net)
-        if state is False:
-            raise SynthesisError(f"combinational cycle through net {net!r}")
-        if state:
-            continue
-        driver = netlist.driver_cell(net)
-        stack.append((net, driver))
-        if driver.kind is CellKind.LUT:
-            finished[net] = False
-            stack.extend((in_net, None) for in_net in reversed(driver.inputs))
-    return order
-
-
-def _support(
-    driver: Cell, supports: dict[str, frozenset[str] | None]
-) -> frozenset[str] | None:
-    """Primary-input support of ``driver``'s output; None past a DFF."""
-    if driver.kind is CellKind.INPUT:
-        return frozenset((driver.output,))
-    if driver.kind is CellKind.DFF:
-        return None
-    support: frozenset[str] = frozenset()
-    for net in driver.inputs:
-        inner = supports[net]
-        if inner is None:
-            return None
-        support |= inner
-    return support
+            values = self.tables[names] = {
+                self.ids[name]: mask for name, mask in zip(names, masks)}
+        missing: set[int] = set()
+        stack = [cone]
+        while stack:
+            at = stack.pop()
+            if at not in values and at not in missing:
+                missing.add(at)
+                stack.extend(self.keys[at][2:])
+        for at in sorted(missing):  # fan-in first: inputs have lower ids
+            key = self.keys[at]
+            values[at] = lut_value(key[0], [values[i] for i in key[2:]], full)
+        return Signature(names, values[cone])
 
 
 @dataclass
@@ -182,22 +223,35 @@ class SharingReport:
 
 
 def analyze_sharing(program: MultiContextProgram) -> SharingReport:
-    """Group LUT cells across contexts by canonical signature."""
+    """Group LUT cells across contexts by canonical signature.
+
+    One :class:`ConeTable` serves every context, so each distinct
+    structural cone is signed once.  Counts ``sharing.cells`` (LUT
+    cells) and ``sharing.signed`` (cones signed)."""
+    table = ConeTable()
     by_sig: dict[Signature, SharedGroup] = {}
+    by_cone: dict[int, SharedGroup | None] = {}  # None: unsignable
     per_context: dict[int, int] = {}
     unsignable = 0
     for c, netlist in enumerate(program.contexts):
         luts = netlist.luts()
         per_context[c] = len(luts)
-        signatures = _signatures(netlist, luts, MAX_SUPPORT)
+        net_cone = table.cone_ids(netlist)
         for cell in luts:
-            sig = signatures[cell.name]
-            if sig is None:
+            cone = net_cone[cell.output]
+            if cone in by_cone:
+                group = by_cone[cone]
+            else:
+                sig = table.signature(cone)
+                group = by_cone[cone] = None if sig is None else \
+                    by_sig.setdefault(sig, SharedGroup(sig))
+            if group is None:
                 unsignable += 1
                 continue
-            group = by_sig.setdefault(sig, SharedGroup(sig))
             # keep the first matching cell of each context
             group.members.setdefault(c, cell.name)
+    _tcount("sharing.cells", sum(per_context.values()))
+    _tcount("sharing.signed", len(by_cone))
     return SharingReport(list(by_sig.values()), per_context, unsignable)
 
 

@@ -101,6 +101,30 @@ class TestContextLimit:
         assert mix.constant + mix.literal + mix.general == pytest.approx(1.0)
 
 
+class TestOneOperatingPoint:
+    """``repro area`` and the contexts sweep read one operating point
+    the same way: the paper device's tile counts at that context
+    count."""
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_area_request_equals_sweep_point(self, n):
+        from repro.analysis.sweep import sweep_contexts_points
+        from repro.api import AreaRequest, Session
+
+        result = Session().run(AreaRequest(contexts=n))
+        (point,) = sweep_contexts_points([n])
+        assert result.technologies["cmos"]["ratio"] == point.cmos_ratio
+        assert result.technologies["fepg"]["ratio"] == point.fepg_ratio
+
+    def test_counts_follow_the_context_count(self):
+        from repro.arch.params import paper_params
+
+        at8 = TileCounts.from_arch(paper_params().with_(n_contexts=8))
+        model = AreaModel()
+        assert model.paper_operating_point(n_contexts=8) == \
+            model.paper_operating_point(n_contexts=8, counts=at8)
+
+
 class TestDistinctPlanes:
     def test_bounds(self):
         assert expected_distinct_planes(0.0, 4) == 1.0

@@ -25,7 +25,7 @@ from legacy_router import net_endpoints
 from repro.api import ExecutionConfig, MapRequest, Session
 from repro.core.fpga import MultiContextFPGA
 from repro.netlist.frontend.corpus import discover_cases, load_case
-from repro.route.pathfinder import _net_endpoints
+from repro.route.pathfinder import _net_endpoints, route_kernel
 from rrg_oracle import build_rrg
 
 CORPUS_ROOT = os.path.join(os.path.dirname(__file__), "..", "..",
@@ -38,7 +38,7 @@ ORACLE_MODULES = ("rrg_oracle", "legacy_router", "fabric_oracle")
 ORACLE_NAMES = ("build_rrg", "RoutingResourceGraph", "compile_rrg")
 
 
-def map8_requests() -> list:
+def map8_requests(telemetry: bool = False) -> list:
     """The ``map8`` benchmark's op pool (``perfbench/worker.py``): six
     8-context share-aware requests cycling over three workloads, seeds
     drawn from the pool seed 2005."""
@@ -47,7 +47,7 @@ def map8_requests() -> list:
     return [
         MapRequest(workload=("adder", "cmp", "random")[i % 3], contexts=8,
                    share_aware=True, verify=True,
-                   execution=ExecutionConfig(seed=s))
+                   execution=ExecutionConfig(seed=s, telemetry=telemetry))
         for i, s in enumerate(seeds)
     ]
 
@@ -152,6 +152,38 @@ print("loaded:", loaded)
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "loaded: []"
+
+
+def test_map8_pool_signs_each_cone_once():
+    """The ``map8`` pool's 512 LUT cells hold 126 distinct structural
+    cones, and its sharing analyses sign each of them once."""
+    session = Session()
+    cells = signed = 0
+    for request in map8_requests(telemetry=True):
+        counters = session.run(request).metrics["counters"]
+        cells += counters["sharing.cells"]
+        signed += counters["sharing.signed"]
+    assert (cells, signed) == (512, 126)
+
+
+@pytest.mark.skipif(route_kernel() != "native",
+                    reason="the Python route's congestion update calls "
+                           "np.unique, which loads numpy.ma")
+def test_map_never_imports_numpy_ma():
+    """A verified map in a fresh interpreter never loads ``numpy.ma``
+    (``np.unique`` would, for the substrate's switch count)."""
+    script = """
+import sys
+from repro.api import MapRequest, Session
+
+assert Session().run(MapRequest(contexts=8, verify=True)).verified
+print("numpy.ma loaded:", "numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC_PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "numpy.ma loaded: False"
 
 
 def test_oracle_endpoints_match_router(mapped_programs):

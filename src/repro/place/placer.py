@@ -12,24 +12,37 @@ move/swap proposals, adaptive temperature decay, and a per-net cached
 half-perimeter bounding box, so a proposal recomputes only the nets of
 the cells it moves.
 
-Anneal state is integer-only and built once per call as contiguous
-numpy arrays (:class:`_AnnealState`).  A tile is ``y * cols + x``;
-``occ`` holds a movable cell's index, ``_FREE`` or ``_PINNED``;
-forbidden tiles are uint8 bytes.  Every terminal (movable cells first,
-then pinned cells, then I/O pads) has an id into the int32 x and y
-coordinate arrays.  The live nets (two or more distinct terminals) and
-each movable cell's nets (a cell reading one net twice counts once)
-are CSR rows.  The set-up reads the netlist's connectivity from its
-:class:`~repro.netlist.index.NetlistIndex` (terminal rows, I/O pad
-rows), never from the cells.  ``Coord`` objects are written back once,
-after the last round.
+:func:`place` checks its arguments in Python, draws the initial
+order of the free tiles with numpy's own ``rng.permutation`` (the draw
+contract is numpy's shuffle) and hands a kernel a :class:`_PlaceJob`;
+afterwards it writes ``Coord`` objects and the ``placer.*`` counters.
+A kernel does everything in between:
 
-Two kernels run the move loop on that state.  The native one,
-``_anneal.c``, runs the whole schedule in one C call; it is compiled by
-:mod:`repro.utils.native` at the first anneal (never at import) and
+1. the initial occupancy (a tile is ``y * cols + x``; each holds a
+   movable cell's index, or is free or pinned; forbidden tiles are
+   bytes);
+2. the I/O pads, placed greedily near their cells;
+3. every terminal (movable cells first, then pinned cells, then I/O
+   pads) as an id into int32 x and y coordinate arrays, the live nets
+   (two or more distinct terminals) and each movable cell's nets (a
+   cell reading one net twice counts once) as CSR rows, their
+   half-perimeters and the start temperature;
+4. the move loop;
+5. the pads again, for the final cell positions, and the final cost.
+
+The set-up reads the netlist's connectivity from its
+:class:`~repro.netlist.index.NetlistIndex` (terminal rows, I/O pad
+rows), never from the cells.
+
+Two kernels do this.  The native one, ``_anneal.c``, is one C call of
+its one export, ``place_context``; it is compiled by
+:mod:`repro.utils.native` at the first placement (never at import) and
 :func:`anneal_kernel` says whether it runs.  Without a C compiler, or
-when the build fails, the Python kernel :func:`_anneal_python` runs
-instead; it is also the native kernel's test oracle.
+when the build fails, the Python kernel
+:func:`repro.place._python_kernel.place_python` runs instead, with the
+move loop in :func:`~repro.place._python_kernel.anneal_python`; it is
+also the native kernel's test oracle.  ``place`` imports it only then,
+so a process that places natively never compiles or loads it.
 
 Draw-for-draw contract: the proposal schedule, the acceptance test and
 the RNG call sequence are those of the original ``Coord``-keyed loop,
@@ -46,29 +59,32 @@ from a shared generator.
   same 32-bit Lemire rejection on ``next_uint32`` (``n == 1`` draws
   nothing), ``random()`` is ``next_double``, and the uphill test draws
   only when the cost rises, as in Python.  Costs are integers, so the
-  order in which a move's nets are summed cannot matter.  The one
-  floating-point path is the same operation for operation:
+  order in which a move's nets are summed cannot matter.  The
+  floating-point steps are the same operation for operation:
   ``exp(-delta / T)`` calls the libm ``exp`` that ``math.exp`` calls,
   the accept ratio is one division of two exactly representable
-  integers, and every temperature step is one multiply; no expression
-  has the form ``a*b+c``, so floating-point contraction cannot change
-  a result.
+  integers, and every temperature step is one multiply.  A pad's
+  barycentre is a float64 sum of small integers (exact in any order)
+  and one division, its distances to the pad tiles are computed as
+  numpy computes them, and ties go to the first tile in perimeter
+  order, as the Python kernel's stable argsort ranks them.  No
+  expression has the form ``a*b+c``, so floating-point contraction
+  cannot change a result.
 
 Both kernels draw past numpy's own locking, so ``place`` holds
-``rng.bit_generator.lock`` for the anneal, and only for it:
+``rng.bit_generator.lock`` for the kernel, and only for it:
 ``rng.permutation`` takes the same lock itself, which is a plain
 (non-reentrant) ``Lock`` on older numpy releases.  The native call
 releases the interpreter lock, so threads placing on different
-generators anneal in parallel.
+generators place in parallel.
 
-Perimeter pad assignment uses the per-grid precomputed distance tables
-of :func:`distance_tables`.
+The pads' perimeter order is that of the per-grid tables of
+:func:`distance_tables`.
 """
 
 from __future__ import annotations
 
 import ctypes
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -80,9 +96,10 @@ from repro.arch.geometry import Coord, Grid
 from repro.arch.params import ArchParams
 from repro.errors import PlacementError
 from repro.netlist.dfg import MultiContextProgram
+from repro.netlist.index import NetlistIndex
 from repro.netlist.netlist import Netlist
 from repro.utils.native import NativeLibrary
-from repro.utils.rng import ensure_rng, scalar_draws
+from repro.utils.rng import ensure_rng
 from repro.utils.telemetry import count as _tcount
 
 
@@ -110,9 +127,9 @@ class DistanceTables:
     """Precomputed per-grid geometry tables for placement hot paths.
 
     ``perimeter`` fixes the pad-candidate order; ``perim_x`` /
-    ``perim_y`` are its coordinates as numpy arrays, so the distances
+    ``perim_y`` are its coordinates as int32 arrays, so the distances
     from every I/O cell to every pad tile are one vectorised Manhattan
-    expression.
+    expression (in float64, which holds them exactly).
     """
 
     __slots__ = ("cols", "rows", "perimeter", "perim_x", "perim_y")
@@ -122,44 +139,14 @@ class DistanceTables:
         self.rows = rows
         grid = Grid(cols, rows)
         self.perimeter: list[Coord] = list(grid.perimeter())
-        self.perim_x = np.array([t.x for t in self.perimeter], dtype=np.float64)
-        self.perim_y = np.array([t.y for t in self.perimeter], dtype=np.float64)
+        self.perim_x = np.array([t.x for t in self.perimeter], dtype=np.int32)
+        self.perim_y = np.array([t.y for t in self.perimeter], dtype=np.int32)
 
 
 @lru_cache(maxsize=32)
 def distance_tables(cols: int, rows: int) -> DistanceTables:
     """Cached :class:`DistanceTables` for a grid size."""
     return DistanceTables(cols, rows)
-
-
-def _net_hpwl(net_start: np.ndarray, net_terms: np.ndarray, tx: np.ndarray,
-              ty: np.ndarray) -> np.ndarray:
-    """Half-perimeter bounding box of every CSR net (none may be empty)."""
-    if not len(net_terms):
-        return np.zeros(len(net_start) - 1, dtype=np.int32)
-    lo = net_start[:-1]
-    xs = tx[net_terms]
-    ys = ty[net_terms]
-    return (np.maximum.reduceat(xs, lo) - np.minimum.reduceat(xs, lo)
-            + np.maximum.reduceat(ys, lo) - np.minimum.reduceat(ys, lo))
-
-
-def _cell_nets(net_start: np.ndarray, net_terms: np.ndarray,
-               n_mov: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each movable cell's nets as CSR rows, ascending and without
-    repeats: a net lists a terminal once, so grouping the (net,
-    terminal) pairs by terminal, stably, is enough."""
-    net_of = np.repeat(np.arange(len(net_start) - 1, dtype=np.int32),
-                       np.diff(net_start))
-    moving = net_terms < n_mov
-    cells = net_terms[moving]
-    start = np.zeros(n_mov + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cells, minlength=n_mov), out=start[1:])
-    return start, net_of[moving][np.argsort(cells, kind="stable")]
-
-
-_FREE = -1
-_PINNED = -2
 
 
 def place(
@@ -189,343 +176,161 @@ def place(
     names = ix.cell_names
     movable_ids = [c for c in chain(ix.luts, ix.dffs)
                    if names[c] not in pinned]
-    movable = [names[c] for c in movable_ids]
-    forb = bytearray(grid.n_tiles)
-    for t in forbidden:
-        if grid.contains(t):
-            forb[t.y * cols + t.x] = 1
-    n_place = len(movable) + len(pinned)
-    n_usable = grid.n_tiles - sum(forb)
+    forb = {t.y * cols + t.x for t in forbidden if grid.contains(t)}
+    n_mov = len(movable_ids)
+    n_place = n_mov + len(pinned)
+    n_usable = grid.n_tiles - len(forb)
     if n_place > n_usable:
         raise PlacementError(
             f"{n_place} cells exceed {n_usable} usable tiles "
             f"({cols}x{rows}, {len(forbidden)} forbidden)"
         )
-
-    # --- initial assignment: pinned, then a random order of free tiles - #
-    # occ[tile] is a movable cell's index, _FREE or _PINNED
-    occ = np.full(grid.n_tiles, _FREE, dtype=np.int32)
-    location: dict[str, Coord] = {}
+    pin_tiles: list[int] = []
+    taken: set[int] = set()
     for name, coord in pinned.items():
         grid.check(coord)
         tile = coord.y * cols + coord.x
-        if forb[tile]:
+        if tile in forb:
             raise PlacementError(f"pinned cell {name!r} on forbidden tile {coord}")
-        if occ[tile] != _FREE:
+        if tile in taken:
             raise PlacementError(f"pinned collision at {coord}")
-        occ[tile] = _PINNED
-        location[name] = coord
-    forb_np = np.frombuffer(forb, dtype=np.uint8)
-    free_tiles = np.flatnonzero((occ == _FREE) & (forb_np == 0))
-    n_mov = len(movable)
-    order = rng.permutation(len(free_tiles))[:n_mov]
-    tiles = free_tiles[order].astype(np.int32)
-    occ[tiles] = np.arange(n_mov, dtype=np.int32)
-    mx, my = tiles % cols, tiles // cols
+        taken.add(tile)
+        pin_tiles.append(tile)
 
-    # --- I/O pads: greedy nearest perimeter tile ------------------------- #
-    # cx/cy: each cell's tile where ``placed`` (the pads' barycentres)
-    n_cells = ix.n_cells
-    cx = np.zeros(n_cells, dtype=np.int32)
-    cy = np.zeros(n_cells, dtype=np.int32)
-    placed = np.zeros(n_cells, dtype=bool)
-    cx[movable_ids], cy[movable_ids], placed[movable_ids] = mx, my, True
-    pinned_ids = [ix.cell_id.get(name) for name in pinned]
-    for c, coord in zip(pinned_ids, pinned.values()):
-        if c is not None:
-            cx[c], cy[c], placed[c] = coord.x, coord.y, True
-    io_ids, io_owner, io_cells = ix.io_rows
-    io_names = [names[c] for c in io_ids]
-    ios = _assign_ios(io_names, io_owner, io_cells, params, cx, cy, placed)
-
-    # --- terminals as integer ids: movable, then pinned cells, then pads - #
-    # every cell has one (a pinned I/O cell takes its pad's)
-    n_fixed = n_mov + len(pinned)
-    term = [0] * n_cells
-    for t, c in enumerate(chain(movable_ids, pinned_ids)):
-        if c is not None:
-            term[c] = t
-    for t, c in enumerate(io_ids, n_fixed):
-        term[c] = t
-    fixed = [*pinned.values(), *(coord for coord, _pad in ios.values())]
-    tx = np.concatenate((mx, np.array([c.x for c in fixed], dtype=np.int32)))
-    ty = np.concatenate((my, np.array([c.y for c in fixed], dtype=np.int32)))
-    net_start, term_cells, n_multi = ix.terminals
-    net_terms = np.array(term, dtype=np.int32)[term_cells]
-    net_cost = _net_hpwl(net_start, net_terms, tx, ty)
-    cost = float(net_cost.sum())
-
-    if not movable:
-        return Placement(location, ios, cost)
-
-    st = _AnnealState(
-        occ, forb_np, tx, ty, net_cost, net_start, net_terms,
-        *_cell_nets(net_start, net_terms, n_mov), n_mov, cols, rows,
-        moves_per_t=max(10, int(effort * 10 * (n_mov ** 1.33))),
-        temperature=max(1.0, 0.05 * cost / max(1, n_multi) * 20),
+    # movable cell i starts on the order[i]-th free tile (ascending)
+    order = rng.permutation(n_usable - len(pinned))[:n_mov]
+    job = _PlaceJob(
+        ix, movable_ids, order, pin_tiles,
+        [ix.cell_id.get(name, -1) for name in pinned], list(forb),
+        cols, rows, params.io_capacity,
+        max(10, int(effort * 10 * (n_mov ** 1.33))),
     )
-    kernel = _anneal_python if _NATIVE.function() is None else _anneal_native
+    if _NATIVE.function() is None:
+        from repro.place._python_kernel import place_python as kernel
+    else:
+        kernel = _place_native
     # both kernels draw past numpy's own locking, so hold the generator's
-    # lock for the whole anneal, and only for it: Generator methods take
-    # it themselves, and it is not reentrant on older numpy releases
-    with rng.bit_generator.lock:
-        rounds, accepted = kernel(st, rng)
-    _tcount("placer.rounds", rounds)
-    _tcount("placer.moves_proposed", rounds * st.moves_per_t)
-    _tcount("placer.moves_accepted", accepted)
+    # lock for the kernel, and only for it: Generator methods take it
+    # themselves, and it is not reentrant on older numpy releases
+    try:
+        with rng.bit_generator.lock:
+            out = kernel(job, rng)
+    except _OutOfPads as exc:
+        name = names[ix.io_rows[0][exc.args[0]]]
+        raise PlacementError(
+            f"out of I/O pads for {name!r} "
+            f"(capacity {params.io_capacity}/perimeter tile)"
+        ) from None
+    if n_mov:
+        _tcount("placer.rounds", out.rounds)
+        _tcount("placer.moves_proposed", out.rounds * job.moves_per_t)
+        _tcount("placer.moves_accepted", out.accepted)
 
-    for name, x, y in zip(movable, tx[:n_mov].tolist(), ty[:n_mov].tolist()):
-        location[name] = Coord(x, y)
-    # refresh IO pads for final cell positions
-    cx[movable_ids], cy[movable_ids] = tx[:n_mov], ty[:n_mov]
-    ios = _assign_ios(io_names, io_owner, io_cells, params, cx, cy, placed)
-    tx[n_fixed:] = [coord.x for coord, _pad in ios.values()]
-    ty[n_fixed:] = [coord.y for coord, _pad in ios.values()]
-    cost = float(_net_hpwl(net_start, net_terms, tx, ty).sum())
-    return Placement(location, ios, cost)
+    location = dict(pinned)
+    location.update(zip((names[c] for c in movable_ids),
+                        map(Coord, out.x, out.y)))
+    perimeter = distance_tables(cols, rows).perimeter
+    ios = {names[c]: (perimeter[p], s)
+           for c, p, s in zip(ix.io_rows[0], out.pads, out.slots)}
+    return Placement(location, ios, float(out.cost))
 
 
-class _AnnealState(NamedTuple):
-    """Everything the move loop reads or writes, as contiguous arrays.
+class _PlaceJob(NamedTuple):
+    """One context to place, after :func:`place`'s checks and its draw.
 
-    ``occ``, ``tx``, ``ty`` and ``net_cost`` are int32 and annealed in
-    place; ``forb`` is uint8.  The live nets (two or more distinct
-    terminals) are CSR rows ``net_start``/``net_terms``; each movable
-    cell's nets, ascending and without repeats, are ``cell_start``/
-    ``cell_nets``.  The rest is the schedule.
+    ``movable`` are cell ids (LUTs, then DFFs, not pinned); movable cell
+    ``i`` starts on the ``order[i]``-th free tile in ascending tile
+    order (neither pinned nor forbidden).  Pinned cell ``pin_cells[j]``
+    (-1 for a name the netlist lacks) holds tile ``pin_tiles[j]``; a
+    tile is ``y * cols + x``.  The pinned tiles are distinct, and so are
+    the ``forb_tiles``; all lie in the grid, and no pinned tile is
+    forbidden.
     """
 
-    occ: np.ndarray
-    forb: np.ndarray
-    tx: np.ndarray
-    ty: np.ndarray
-    net_cost: np.ndarray
-    net_start: np.ndarray
-    net_terms: np.ndarray
-    cell_start: np.ndarray
-    cell_nets: np.ndarray
-    n_mov: int
+    ix: NetlistIndex
+    movable: list[int]
+    order: np.ndarray
+    pin_tiles: list[int]
+    pin_cells: list[int]
+    forb_tiles: list[int]
     cols: int
     rows: int
+    io_capacity: int
     moves_per_t: int
-    temperature: float
     min_t: float = 0.005
 
-    @property
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """The nine arrays, in the C kernel's argument order."""
-        return self[:9]
+
+class _Placed(NamedTuple):
+    """A kernel's result: the movable cells' ``x``/``y``, each I/O's
+    perimeter index (:class:`DistanceTables` order) and slot on that
+    tile, the final cost, and the anneal's rounds and accepted moves
+    (both 0 when nothing moves)."""
+
+    x: list[int]
+    y: list[int]
+    pads: list[int]
+    slots: list[int]
+    cost: int
+    rounds: int
+    accepted: int
 
 
-#: The native twin of :func:`_anneal_python`, built at the first anneal.
+class _OutOfPads(Exception):
+    """I/O ``args[0]`` (an index into ``io_rows``) found no pad left."""
+
+
+#: The native twin of :func:`~repro.place._python_kernel.place_python`,
+#: built at the first placement.
 _NATIVE = NativeLibrary(
-    "repro.place", "_anneal.c", "place_anneal",
-    (ctypes.c_void_p,) * 10 + (ctypes.c_int32,) * 4
-    + (ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_void_p),
+    "repro.place", "_anneal.c", "place_context",
+    (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+     ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p),
     ctypes.c_int64,
 )
 
+#: ``place_context``'s error codes: below ``_OUT_OF_PADS``, I/O
+#: ``_OUT_OF_PADS - code`` found no pad.
+_NO_MEMORY = -1
+_OUT_OF_PADS = -2
+
 
 def anneal_kernel() -> str:
-    """The anneal kernel: ``"native"`` or ``"python"`` (builds it)."""
+    """The placement kernel: ``"native"`` or ``"python"`` (builds it)."""
     return _NATIVE.kernel
 
 
-def _anneal_native(st: _AnnealState, rng: np.random.Generator
-                   ) -> tuple[int, int]:
-    """The whole schedule in one C call (``_anneal.c``); the caller holds
-    ``rng.bit_generator.lock``.  Returns ``(rounds, accepted)``."""
-    _check_state(st)
-    accepted = ctypes.c_int64()
+def _place_native(job: _PlaceJob, rng: np.random.Generator) -> _Placed:
+    """The whole placement in one C call (``_anneal.c``); the caller
+    holds ``rng.bit_generator.lock``."""
+    ix = job.ix
+    io_ids, owner, near = ix.io_rows
+    net_start, term_cells, n_multi = ix.terminals
+    n_mov, n_io = len(job.movable), len(io_ids)
+    if (net_start[-1] != len(term_cells) or len(owner) != len(near)
+            or len(job.order) != n_mov):
+        raise ValueError("place job: row lengths disagree")
+    # place_context's one int32 input: the counts, then the rows (the
+    # cast refuses any row that is not integer)
+    rows = np.concatenate((
+        [ix.n_cells, len(net_start) - 1, len(term_cells), len(owner),
+         n_mov, len(job.pin_tiles), len(job.forb_tiles), n_io, job.cols,
+         job.rows, job.io_capacity, *job.movable, *job.pin_cells,
+         *job.pin_tiles, *job.forb_tiles, *io_ids],
+        net_start, term_cells, owner, near, job.order,
+    ), dtype=np.int32, casting="same_kind")
+    out = (ctypes.c_int32 * (2 * (n_mov + n_io)))()
+    stats = (ctypes.c_int64 * 2)()
     rounds = _NATIVE.function()(
-        rng.bit_generator.ctypes.bit_generator,
-        *(a.ctypes.data for a in st.arrays), st.n_mov, len(st.net_cost),
-        st.cols, st.rows, st.moves_per_t, st.temperature, st.min_t,
-        ctypes.byref(accepted),
+        rng.bit_generator.ctypes.bit_generator, rows.ctypes.data, n_multi,
+        job.moves_per_t, job.min_t, out, stats,
     )
+    if rounds == _NO_MEMORY:
+        raise MemoryError("place: scratch allocation failed")
     if rounds < 0:
-        raise MemoryError("anneal: scratch allocation failed")
-    return rounds, accepted.value
-
-
-def _check_state(st: _AnnealState) -> None:
-    """The dtypes and lengths the C kernel relies on (``place`` builds
-    the values, which are sound by construction)."""
-    if not all(a.flags.c_contiguous
-               and a.dtype == (np.uint8 if a is st.forb else np.int32)
-               for a in st.arrays):
-        raise ValueError("anneal state: arrays must be contiguous int32 "
-                         "(forb uint8)")
-    tiles = st.cols * st.rows
-    if (len(st.occ) != tiles or len(st.forb) != tiles
-            or len(st.ty) != len(st.tx) or len(st.tx) < st.n_mov
-            or len(st.net_start) != len(st.net_cost) + 1
-            or len(st.cell_start) != st.n_mov + 1
-            or st.net_start[-1] != len(st.net_terms)
-            or st.cell_start[-1] != len(st.cell_nets)):
-        raise ValueError("anneal state: array lengths disagree")
-
-
-def _anneal_python(st: _AnnealState, rng: np.random.Generator
-                   ) -> tuple[int, int]:
-    """The Python kernel: the fallback, and the oracle of
-    :func:`_anneal_native`.  Same state, same result, same draws."""
-    occ = st.occ.tolist()
-    forb = st.forb.tolist()
-    tx = st.tx.tolist()
-    ty = st.ty.tolist()
-    net_cost = st.net_cost.tolist()
-    ns = st.net_start.tolist()
-    nt = st.net_terms.tolist()
-    live = [nt[ns[k]:ns[k + 1]] for k in range(len(net_cost))]
-    cs = st.cell_start.tolist()
-    cn = st.cell_nets.tolist()
-    n_mov, cols, temperature = st.n_mov, st.cols, st.temperature
-    cell_nets = [frozenset(cn[cs[i]:cs[i + 1]]) for i in range(n_mov)]
-    moves_per_t, min_t = st.moves_per_t, st.min_t
-    span = max(cols, st.rows)
-    width = 2 * span + 1
-    xmax, ymax = cols - 1, st.rows - 1
-    integers, random = scalar_draws(rng)
-    exp = math.exp
-
-    rounds = 0
-    total_accepted = 0
-    while temperature > min_t:
-        rounds += 1
-        accepted = 0
-        for _ in range(moves_per_t):
-            ci = integers(n_mov)
-            sx = tx[ci]
-            sy = ty[ci]
-            x = sx + integers(width) - span
-            y = sy + integers(width) - span
-            if x < 0:
-                x = 0
-            elif x > xmax:
-                x = xmax
-            if y < 0:
-                y = 0
-            elif y > ymax:
-                y = ymax
-            dst = y * cols + x
-            if (x == sx and y == sy) or forb[dst]:
-                continue
-            other = occ[dst]
-            if other == _PINNED:
-                continue
-            if other == _FREE:
-                affected = cell_nets[ci]
-            else:
-                affected = cell_nets[ci] | cell_nets[other]
-            # tentative move (occupancy is only written on accept)
-            tx[ci] = x
-            ty[ci] = y
-            if other != _FREE:
-                tx[other] = sx
-                ty[other] = sy
-            delta = 0
-            new_costs = []
-            for k in affected:
-                # plain compares: ~4x faster than max()/min() on
-                # the 2-6 terminal nets of a LUT netlist
-                ids = live[k]
-                t = ids[0]
-                x0 = x1 = tx[t]
-                y0 = y1 = ty[t]
-                for t in ids:
-                    v = tx[t]
-                    if v < x0:
-                        x0 = v
-                    elif v > x1:
-                        x1 = v
-                    v = ty[t]
-                    if v < y0:
-                        y0 = v
-                    elif v > y1:
-                        y1 = v
-                nc = x1 - x0 + y1 - y0
-                new_costs.append(nc)
-                delta += nc - net_cost[k]
-            if delta <= 0 or random() < exp(-delta / temperature):
-                accepted += 1
-                occ[dst] = ci
-                occ[sy * cols + sx] = other
-                for k, nc in zip(affected, new_costs):
-                    net_cost[k] = nc
-            else:  # revert
-                tx[ci] = sx
-                ty[ci] = sy
-                if other != _FREE:
-                    tx[other] = x
-                    ty[other] = y
-        total_accepted += accepted
-        ratio = accepted / max(1, moves_per_t)
-        if ratio > 0.96:
-            temperature *= 0.5
-        elif ratio > 0.8:
-            temperature *= 0.9
-        elif ratio > 0.15:
-            temperature *= 0.95
-        else:
-            temperature *= 0.8
-
-    st.occ[:] = occ
-    st.tx[:] = tx
-    st.ty[:] = ty
-    st.net_cost[:] = net_cost
-    return rounds, total_accepted
-
-
-def _assign_ios(
-    names: list[str],
-    owner: np.ndarray,
-    near: np.ndarray,
-    params: ArchParams,
-    cx: np.ndarray,
-    cy: np.ndarray,
-    placed: np.ndarray,
-) -> dict[str, tuple[Coord, int]]:
-    """Assign each primary input/output to a perimeter pad near its logic.
-
-    I/O ``i`` (named ``names[i]``) goes near the barycentre of the
-    ``placed`` cells ``near[j]`` with ``owner[j] == i`` (an input's
-    readers, an output's driver: :class:`NetlistIndex.io_rows
-    <repro.netlist.index.NetlistIndex>`), or the grid centre
-    when none is placed, on the nearest perimeter tile with a pad left;
-    ties go to the first tile in perimeter order.  A barycentre is an
-    integer sum of the cells' ``cx``/``cy``, then one division.  The
-    Manhattan distances from every barycentre to every tile are one
-    vectorised expression over the grid's :class:`DistanceTables`,
-    ranked once with a stable sort, so the greedy pass, in I/O order,
-    only skips exhausted tiles.
-    """
-    tables = distance_tables(params.cols, params.rows)
-    n_io = len(names)
-    hit = placed[near]
-    owner, near = owner[hit], near[hit]
-    n = np.bincount(owner, minlength=n_io)
-    bx = np.full(n_io, params.cols / 2)
-    by = np.full(n_io, params.rows / 2)
-    np.divide(np.bincount(owner, cx[near], n_io), n, out=bx, where=n > 0)
-    np.divide(np.bincount(owner, cy[near], n_io), n, out=by, where=n > 0)
-    d = (np.abs(tables.perim_x - bx[:, None])
-         + np.abs(tables.perim_y - by[:, None]))
-    ranked = np.argsort(d, axis=1, kind="stable").tolist()
-    free = [params.io_capacity] * len(tables.perimeter)
-    ios: dict[str, tuple[Coord, int]] = {}
-    for name, candidates in zip(names, ranked):
-        for idx in candidates:
-            if free[idx]:
-                break
-        else:
-            raise PlacementError(
-                f"out of I/O pads for {name!r} "
-                f"(capacity {params.io_capacity}/perimeter tile)"
-            )
-        ios[name] = (tables.perimeter[idx], params.io_capacity - free[idx])
-        free[idx] -= 1
-    return ios
+        raise _OutOfPads(_OUT_OF_PADS - rounds)
+    pads = 2 * n_mov
+    return _Placed(out[:n_mov], out[n_mov:pads], out[pads:pads + n_io],
+                   out[pads + n_io:], stats[0], rounds, stats[1])
 
 
 def place_program(

@@ -616,7 +616,12 @@ class _FlatCongestion:
             (n for nodes in node_sets for n in nodes), dtype=np.int64
         )
         np.add.at(self.usage, idx, 1)
-        self._refold(np.unique(idx))
+        # distinct ids by a sort and adjacent changes: np.unique would
+        # import numpy.ma (through np.ma.is_masked)
+        idx.sort()
+        keep = np.ones(len(idx), dtype=bool)
+        keep[1:] = idx[1:] != idx[:-1]
+        self._refold(idx[keep])
 
     def remove(self, nodes: set[int]) -> None:
         self._scatter(nodes, -1)

@@ -1,14 +1,10 @@
 """Workload generation: benchmark circuits and multi-context programs
-with controllable inter-context redundancy."""
+with controllable inter-context redundancy.
 
-from repro.workloads.datapaths import (
-    barrel_shifter,
-    fir_tap,
-    iscas_c17,
-    popcount3,
-    priority_encoder,
-    sequence_detector,
-)
+The fixed datapath circuits (:mod:`repro.workloads.datapaths`) are not
+re-exported here: no request builds them, so importing the package
+does not load them."""
+
 from repro.workloads.generators import (
     alu_slice,
     comparator,
@@ -30,12 +26,6 @@ from repro.workloads.multicontext import (
 
 __all__ = [
     "alu_slice",
-    "barrel_shifter",
-    "fir_tap",
-    "iscas_c17",
-    "popcount3",
-    "priority_encoder",
-    "sequence_detector",
     "comparator",
     "crc_step",
     "gray_encoder",

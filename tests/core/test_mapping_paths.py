@@ -25,7 +25,7 @@ from legacy_router import net_endpoints
 from repro.api import ExecutionConfig, MapRequest, Session
 from repro.core.fpga import MultiContextFPGA
 from repro.netlist.frontend.corpus import discover_cases, load_case
-from repro.route.pathfinder import _net_endpoints, route_kernel
+from repro.route.pathfinder import _net_endpoints
 from rrg_oracle import build_rrg
 
 CORPUS_ROOT = os.path.join(os.path.dirname(__file__), "..", "..",
@@ -166,12 +166,10 @@ def test_map8_pool_signs_each_cone_once():
     assert (cells, signed) == (512, 126)
 
 
-@pytest.mark.skipif(route_kernel() != "native",
-                    reason="the Python route's congestion update calls "
-                           "np.unique, which loads numpy.ma")
 def test_map_never_imports_numpy_ma():
     """A verified map in a fresh interpreter never loads ``numpy.ma``
-    (``np.unique`` would, for the substrate's switch count)."""
+    (``np.unique`` would, for the substrate's switch count or the
+    Python route's congestion update), on either route kernel."""
     script = """
 import sys
 from repro.api import MapRequest, Session

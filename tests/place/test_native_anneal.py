@@ -1,15 +1,17 @@
-"""The native anneal kernel against the Python one, anneal by anneal.
+"""The native placement kernel against the Python one, call by call.
 
-Every anneal of the placement-digest cases runs twice here: once through
-the native kernel (``_anneal.c``, the production path) and once through
-the Python kernel :func:`placer._anneal_python` on a copy of the same
-state and of the same generator.  Both must leave the same occupancy,
-coordinates and net costs, return the same ``(rounds, accepted)`` and
-leave the generator in the same state, on numpy's default PCG64 and on
-MT19937, Philox and SFC64.  A scripted ``bitgen_t`` drives both kernels
-through Lemire rejections, which random streams almost never hit.
-Threads placing concurrently, on one shared generator or on one each,
-and the loader's fallback are pinned too.
+Every placement of the placement-digest cases runs twice here: once
+through the native kernel (``_anneal.c``'s ``place_context``, the
+production path) and once through the Python kernel
+:func:`~repro.place._python_kernel.place_python` (the Python set-up
+around its move loop ``anneal_python``) on the same job and a copy of
+the same generator.  Both must place the cells and the pads alike,
+report the same cost, return the same ``(rounds, accepted)`` and leave
+the generator in the same state, on numpy's default PCG64 and on
+MT19937, Philox and SFC64.  A scripted ``bitgen_t`` drives both kernels through
+Lemire rejections, which random streams almost never hit.  Threads
+placing concurrently, on one shared generator or on one each, and the
+loader's fallback are pinned too.
 
 Every join and wait below is bounded by a timeout.
 """
@@ -30,22 +32,18 @@ from place_digest_cases import compute_digests
 from repro.arch.params import ArchParams
 from repro.netlist.techmap import tech_map
 from repro.place import placer
+from repro.place._python_kernel import place_python
 from repro.place.placer import anneal_kernel, place
 from repro.utils import native
 from repro.workloads.generators import random_dag
 
 TIMEOUT_S = 120
-#: The arrays the anneal writes.
-RESULT_FIELDS = ("occ", "tx", "ty", "net_cost")
+#: The fields of a kernel's result that describe the placement.
+RESULT_FIELDS = ("x", "y", "pads", "slots", "cost")
 
 needs_native = pytest.mark.skipif(
     anneal_kernel() != "native", reason="no C compiler: Python kernel only"
 )
-
-
-def _copy_state(st):
-    arrays = [a.copy() for a in st.arrays]
-    return st._make([*arrays, *st[len(arrays):]])
 
 
 def _copy_rng(rng):
@@ -60,26 +58,26 @@ def _state(rng) -> str:
 
 
 class _Twin:
-    """Stands in for ``placer._anneal_native``: runs the Python kernel on
-    copies of the state and the generator, then the native kernel on the
-    originals, records any difference and returns the native result."""
+    """Stands in for ``placer._place_native``: runs the Python kernel on
+    the job and a copy of the generator, then the native kernel on the
+    original, records any difference and returns the native result."""
 
-    def __init__(self, native_anneal):
-        self.native_anneal = native_anneal
+    def __init__(self, native_place):
+        self.native_place = native_place
         self.anneals = 0
         self.mismatches = []
 
-    def __call__(self, st, rng):
-        py_st, py_rng = _copy_state(st), _copy_rng(rng)
-        want = placer._anneal_python(py_st, py_rng)
-        got = self.native_anneal(st, rng)
+    def __call__(self, job, rng):
+        py_rng = _copy_rng(rng)
+        want = place_python(job, py_rng)
+        got = self.native_place(job, rng)
         diff = [f for f in RESULT_FIELDS
-                if not np.array_equal(getattr(st, f), getattr(py_st, f))]
-        if got != want:
-            diff.append(f"(rounds, accepted) {got} != {want}")
+                if getattr(got, f) != getattr(want, f)]
+        if (got.rounds, got.accepted) != (want.rounds, want.accepted):
+            diff.append(f"(rounds, accepted) {got[-2:]} != {want[-2:]}")
         if _state(rng) != _state(py_rng):
             diff.append("generator state")
-        self.anneals += 1
+        self.anneals += got.rounds > 0
         if diff:
             self.mismatches.append(diff)
         return got
@@ -87,8 +85,8 @@ class _Twin:
 
 @pytest.fixture
 def twin(monkeypatch):
-    t = _Twin(placer._anneal_native)
-    monkeypatch.setattr(placer, "_anneal_native", t)
+    t = _Twin(placer._place_native)
+    monkeypatch.setattr(placer, "_place_native", t)
     yield t
     assert t.anneals > 0
     assert t.mismatches == []
@@ -155,30 +153,31 @@ class ScriptedGenerator:
         )
 
 
-def _captured_state(netlist, params, **kw):
-    """The anneal state ``place`` builds for these arguments."""
-    states = []
-    real = placer._anneal_native
+def _captured_job(netlist, params, **kw):
+    """The job ``place`` hands its kernel for these arguments."""
+    jobs = []
+    real = placer._place_native
 
-    def capture(st, rng):
-        states.append(_copy_state(st))
-        return real(st, rng)
+    def capture(job, rng):
+        jobs.append(job)
+        return real(job, rng)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(placer, "_anneal_native", capture)
+        mp.setattr(placer, "_place_native", capture)
         place(netlist, params, **kw)
-    (st,) = states
-    return st
+    (job,) = jobs
+    return job
 
 
 @needs_native
 def test_lemire_rejections_draw_for_draw():
     params = ArchParams(cols=5, rows=7, channel_width=8, io_capacity=4)
-    st = _captured_state(tech_map(random_dag(6, 18, 6, seed=3), k=4),
-                         params, seed=1, effort=0.2)
-    width = 2 * max(st.cols, st.rows) + 1
+    job = _captured_job(tech_map(random_dag(6, 18, 6, seed=3), k=4),
+                        params, seed=1, effort=0.2)
+    n_mov = len(job.movable)
+    width = 2 * max(job.cols, job.rows) + 1
     # a zero word is rejected for any bound but a power of two
-    assert st.n_mov & (st.n_mov - 1) and width & (width - 1)
+    assert n_mov & (n_mov - 1) and width & (width - 1)
     # a word whose low product falls inside [2**32 % n, n): checked
     # against the threshold, but not redrawn
     near = 2**32 // width + 1
@@ -187,17 +186,16 @@ def test_lemire_rejections_draw_for_draw():
              near, 12_345_678, 0, 0x7FFF_FFFF]
     doubles = [0.0, 0.5, 0.999_999, 0.25, 0.75, 0.1, 0.9]
     results = []
-    for kernel in (placer._anneal_python, placer._anneal_native):
+    for kernel in (place_python, placer._place_native):
         rng = ScriptedGenerator(words, doubles)
-        out = _copy_state(st)
         with rng.bit_generator.lock:
-            outcome = kernel(out, rng)
-        results.append((outcome, rng.log,
-                        [getattr(out, f).tolist() for f in RESULT_FIELDS]))
+            outcome = kernel(job, rng)
+        results.append((outcome, rng.log))
     assert results[0] == results[1]
-    (rounds, _accepted), log, _arrays = results[0]
+    outcome, log = results[0]
+    assert outcome.rounds > 0
     words_drawn = sum(kind == "u32" for kind, _value in log)
-    assert words_drawn > 3 * rounds * st.moves_per_t  # some were redrawn
+    assert words_drawn > 3 * outcome.rounds * job.moves_per_t  # some redrawn
     assert ("u64", None) not in log
 
 
@@ -262,7 +260,7 @@ def test_no_compiler_falls_back_with_one_line(monkeypatch, caplog):
     p = ArchParams(cols=5, rows=5, channel_width=8, io_capacity=4)
     want = place(nl, p, seed=4, effort=0.3)
     lib = native.NativeLibrary(
-        "repro.place", "_anneal.c", "place_anneal",
+        "repro.place", "_anneal.c", "place_context",
         placer._NATIVE.argtypes, placer._NATIVE.restype)
     monkeypatch.setattr(native.shutil, "which", lambda name: None)
     monkeypatch.setattr(placer, "_NATIVE", lib)

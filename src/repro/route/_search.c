@@ -10,8 +10,16 @@
  * initial pass over the nets (adopted, seeded, searched), the usage
  * commits and every rip-up iteration, with the congestion arithmetic
  * of pathfinder._FlatCongestion operation for operation (built with
- * -ffp-contract=off, so no multiply-add is fused).  It is the only
- * export.
+ * -ffp-contract=off, so no multiply-add is fused).
+ *
+ * Exports:
+ *   route_context(route_job *)  one context's whole route (above);
+ *   time_context(sta_job *)     static timing of one routed context
+ *                               (repro.route.timing.critical_path): each
+ *                               net's sink delays, walking its tree in
+ *                               tree order, then the worst arrival over
+ *                               the netlist's cells in topological
+ *                               order.
  *
  * Its one search (`search`) is an A* search for the cheapest path from a
  * route tree to one target over the CSR rows of a compiled
@@ -292,9 +300,14 @@ typedef struct {
     /* the routing order: net i routes endpoint order[i] (NULL: i); the
      * per-net arrays below follow it */
     const int32_t *order;
-    /* adopted bank routes (NULL: none): net i adopts the node set
-     * adopt[adopt_start[i]:adopt_start[i + 1]] when that is not empty */
-    const int32_t *adopt_start, *adopt;
+    /* adopted bank routes (NULL: none): net i adopts the tree whose
+     * nodes, parent positions and edges are adopt, adopt_parent and
+     * adopt_edge [adopt_start[i]:adopt_start[i + 1]], and whose sink
+     * paths are the pairs adopt_branch [adopt_paths[i]:adopt_paths[i +
+     * 1]], when that is not empty: the route commits its nodes, and
+     * writes the tree out as it is unless the net is ripped up */
+    const int32_t *adopt_start, *adopt, *adopt_parent, *adopt_edge;
+    const int32_t *adopt_paths, *adopt_branch;
     /* salvage (n_salvage routes, 0: none): golden route k's tree is
      * salvage_node and salvage_parent [salvage_tree[k]:salvage_tree[k +
      * 1]], its sink paths the (position, length) pairs salvage_branch
@@ -309,8 +322,9 @@ typedef struct {
      * sink paths in insertion order, each as the tree position of its
      * last node and its length; out_net_node and out_net_path index
      * them by net, and out_survived flags the adopted nets never ripped
-     * up (which have none).  out_nodes, out_parent and out_edge hold
-     * out_nodes_cap words each, out_branch 2 * out_paths_cap. */
+     * up (whose trees are the adopted ones).  out_nodes, out_parent and
+     * out_edge hold out_nodes_cap words each, out_branch 2 *
+     * out_paths_cap. */
     int64_t out_nodes_cap, out_paths_cap;
     int32_t *out_nodes, *out_parent, *out_edge, *out_branch;
     int32_t *out_survived, *out_net_node, *out_net_path;
@@ -671,15 +685,32 @@ static void write_edges(const route_job *j, const int32_t *node,
     }
 }
 
-/* Copy every net's tree and paths out; adopted survivors have none. */
+/* Copy every net's tree and paths out, an adopted survivor's as it
+ * was adopted. */
 static int write_out(router *r) {
     route_job *j = r->j;
     int64_t n_out = 0, p_out = 0;
     for (int64_t i = 0; i < j->n_nets; i++) {
         j->out_net_node[i] = (int32_t)n_out;
         j->out_net_path[i] = (int32_t)p_out;
-        if (j->out_survived[i])
+        if (j->out_survived[i]) {
+            int32_t a = j->adopt_start[i], len = j->adopt_start[i + 1] - a;
+            int32_t p = j->adopt_paths[i], n_paths = j->adopt_paths[i + 1] - p;
+            if (n_out + len > j->out_nodes_cap
+                    || p_out + n_paths > j->out_paths_cap)
+                return RC_SPACE;
+            memcpy(j->out_nodes + n_out, j->adopt + a,
+                   (size_t)len * sizeof(int32_t));
+            memcpy(j->out_parent + n_out, j->adopt_parent + a,
+                   (size_t)len * sizeof(int32_t));
+            memcpy(j->out_edge + n_out, j->adopt_edge + a,
+                   (size_t)len * sizeof(int32_t));
+            memcpy(j->out_branch + 2 * p_out, j->adopt_branch + 2 * p,
+                   (size_t)(2 * n_paths) * sizeof(int32_t));
+            n_out += len;
+            p_out += n_paths;
             continue;
+        }
         const route_rec *rec = &r->rec[i];
         if (n_out + rec->tree_len > j->out_nodes_cap
                 || p_out + rec->n_paths > j->out_paths_cap)
@@ -757,4 +788,189 @@ int64_t route_context(route_job *j)
     free(r.paths.v);
     j->stats[ST_STATUS] = rc;
     return rc;
+}
+
+/* ---------------------------------------------------------------------- */
+/* static timing of one routed context                                     */
+/* ---------------------------------------------------------------------- */
+
+enum { STA_OK, STA_EDGE, STA_NOT_TREE, STA_NO_SINK, STA_NOMEM };
+
+/* Everything one time_context call reads and writes (ctypes mirror:
+ * timing._StaJob). */
+typedef struct {
+    /* the route's trees (pathfinder.RouteForest): net i's nodes, their
+     * parent positions and the CSR indexes of the edges from their
+     * parents are [tree_start[i], tree_start[i + 1]) of node, parent and
+     * edge; its sink paths are the (position, length) pairs
+     * [path_start[i], path_start[i + 1]) of branch */
+    int64_t n_nets;
+    const int32_t *node, *parent, *edge, *branch, *tree_start, *path_start;
+    /* net i is row r = order[i] (order NULL: r = i) of its endpoints:
+     * it sinks at sinks[sink_start[r]:sink_start[r + 1]], and it is the
+     * netlist's net row_net[r] (-1: none) */
+    const int32_t *order, *sink_start, *sinks, *row_net;
+    /* the fabric's edge kinds, and the kind codes timing tells apart */
+    int64_t n_edges;
+    const int8_t *edge_kind;
+    int64_t kind_pass, kind_buf, kind_pin, kind_input, kind_lut;
+    /* the netlist (NetlistIndex): its n_cells cells in topological
+     * order; cell c is of kind[c], drives out_net[c] and reads
+     * in_net[in_start[c]:in_start[c + 1]]; reader pin p < n_pins (the
+     * pins of the nets with a driver) is input pin_slot[p] of cell
+     * pin_cell[p] and sinks at the SINK node pin_sink[p] */
+    int64_t n_netlist_nets, n_cells, n_pins;
+    const int32_t *topo, *kind, *out_net, *in_start, *in_net;
+    const int32_t *pin_cell, *pin_slot, *pin_sink;
+    /* the delay model: r_pass * c_seg, t_buf, t_pin, t_lut */
+    double unit, t_buf, t_pin, t_lut;
+    /* out: the worst arrival, an STA_* code and, on an error, the net
+     * (its position i) and the sink it concerns */
+    double worst;
+    int64_t status, net, sink;
+} sta_job;
+
+/* The delay of the sink node `sink` in net i's tree: its last sink path
+ * that ends there (a dict keyed by the paths' last nodes keeps the last
+ * one), or 0.0 with *found cleared when no path ends there. */
+static double sink_delay(const sta_job *j, const double *delay, int64_t i,
+                         int32_t sink, int *found) {
+    int32_t a = j->tree_start[i], size = j->tree_start[i + 1] - a;
+    for (int32_t q = j->path_start[i + 1] - 1; q >= j->path_start[i]; q--) {
+        int32_t pos = j->branch[2 * q];
+        if (0 <= pos && pos < size && j->node[a + pos] == sink) {
+            *found = 1;
+            return delay[a + pos];
+        }
+    }
+    *found = 0;
+    return 0.0;
+}
+
+/* timing._time_trees over every tree, then the arrival loop of
+ * timing._critical_path_python, in the same order with the same
+ * arithmetic.
+ * Returns (and stores in status) an STA_* code. */
+int64_t time_context(sta_job *j)
+{
+    int64_t n = j->n_nets, size = j->tree_start[n];
+    j->worst = 0.0;
+    j->net = j->sink = -1;
+    /* a tree edge the fabric lacks (the root's entry is never read) */
+    for (int64_t i = 0; i < n; i++)
+        for (int32_t k = j->tree_start[i] + 1; k < j->tree_start[i + 1]; k++)
+            if (j->edge[k] < 0 || j->edge[k] >= j->n_edges) {
+                j->net = i;
+                return j->status = STA_EDGE;
+            }
+    double *delay = malloc((size_t)(size ? size : 1) * sizeof(double));
+    int32_t *chain = malloc((size_t)(size ? size : 1) * sizeof(int32_t));
+    size_t nets = (size_t)(j->n_netlist_nets ? j->n_netlist_nets : 1);
+    double *arrival = calloc(nets, sizeof(double));
+    int64_t *route_of = malloc(nets * sizeof(int64_t));
+    int32_t n_inputs = j->in_start[j->n_cells];
+    int32_t *in_sink = malloc((size_t)(n_inputs ? n_inputs : 1)
+                              * sizeof(int32_t));
+    int64_t rc = STA_NOMEM;
+    if (delay == NULL || chain == NULL || arrival == NULL
+            || route_of == NULL || in_sink == NULL)
+        goto done;
+    rc = STA_OK;
+    /* each node's delay is its parent's plus one stage; the chain is
+     * the length of the unbuffered pass-gate ladder it ends */
+    for (int64_t i = 0; i < n && rc == STA_OK; i++) {
+        int32_t a = j->tree_start[i], len = j->tree_start[i + 1] - a;
+        double *d = delay + a;
+        int32_t *ch = chain + a;
+        if (len > 0) {
+            d[0] = 0.0;
+            ch[0] = 0;
+        }
+        for (int32_t k = 1; k < len; k++) {
+            int32_t p = j->parent[a + k];
+            if (p < 0 || p >= k) {
+                j->net = i;
+                rc = STA_NOT_TREE;
+                break;
+            }
+            int64_t kind = j->edge_kind[j->edge[a + k]];
+            if (kind == j->kind_pass) {
+                int32_t c = ch[p] + 1;
+                d[k] = d[p] + j->unit * (double)c;
+                ch[k] = c;
+            } else if (kind == j->kind_buf) {
+                d[k] = d[p] + j->t_buf;
+                ch[k] = 0;
+            } else if (kind == j->kind_pin) {
+                d[k] = d[p] + j->t_pin;
+                ch[k] = 0;
+            } else {
+                d[k] = d[p];
+                ch[k] = ch[p];
+            }
+        }
+        if (rc != STA_OK)
+            break;
+        int64_t r = j->order != NULL ? j->order[i] : i;
+        for (int32_t s = j->sink_start[r]; s < j->sink_start[r + 1]; s++) {
+            int found;
+            sink_delay(j, delay, i, j->sinks[s], &found);
+            if (!found) {
+                j->net = i;
+                j->sink = j->sinks[s];
+                rc = STA_NO_SINK;
+                break;
+            }
+        }
+    }
+    if (rc != STA_OK)
+        goto done;
+    for (int64_t m = 0; m < j->n_netlist_nets; m++)
+        route_of[m] = -1;
+    for (int64_t i = 0; i < n; i++) {
+        int32_t m = j->row_net[j->order != NULL ? j->order[i] : i];
+        if (0 <= m && m < j->n_netlist_nets)
+            route_of[m] = i;
+    }
+    /* each input's SINK node, -1 on a net nobody drives */
+    for (int32_t k = 0; k < n_inputs; k++)
+        in_sink[k] = -1;
+    for (int64_t p = 0; p < j->n_pins; p++)
+        in_sink[j->in_start[j->pin_cell[p]] + j->pin_slot[p]] =
+            j->pin_sink[p];
+    /* INPUT and DFF outputs arrive at 0.0; a LUT's before its readers */
+    double worst = 0.0;
+    for (int64_t q = 0; q < j->n_cells; q++) {
+        int32_t c = j->topo[q];
+        if (j->kind[c] == j->kind_input)
+            continue;
+        double arr = 0.0;
+        for (int32_t k = j->in_start[c]; k < j->in_start[c + 1]; k++) {
+            int32_t m = j->in_net[k];
+            double wire = 0.0;
+            if (route_of[m] >= 0) {
+                int found;
+                wire = sink_delay(j, delay, route_of[m], in_sink[k],
+                                  &found);
+            }
+            double x = arrival[m] + wire;
+            if (x > arr)
+                arr = x;
+        }
+        if (j->kind[c] == j->kind_lut) {
+            arr += j->t_lut;
+            if (j->out_net[c] >= 0)
+                arrival[j->out_net[c]] = arr;
+        }
+        if (arr > worst)
+            worst = arr;
+    }
+    j->worst = worst;
+done:
+    free(delay);
+    free(chain);
+    free(arrival);
+    free(route_of);
+    free(in_sink);
+    return j->status = rc;
 }

@@ -28,8 +28,9 @@ for operation, and hands back each net's route tree as arrays
 Python still does around the call: it extracts the nets' endpoints
 (:class:`NetEndpoints`, which a caller may keep), looks the nets up in
 the reuse bank and the salvage, hands over the per-call arrays and
-empty congestion buffers (:class:`_CongestionArrays`), and builds one
-:class:`RoutedNet` per net from the output.
+empty congestion buffers (:class:`_CongestionArrays`), and keeps the
+output buffer as the result's :class:`RouteForest`, from which it
+builds one :class:`RoutedNet` per net only when ``nets`` is read.
 
 Without a C compiler the Python loop (:func:`_route_initial` and the
 rip-up loop of :func:`route_context_compiled`) runs :func:`_search`,
@@ -99,6 +100,7 @@ import ctypes
 import heapq
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING
 
@@ -166,8 +168,8 @@ class RouteTree:
     filled in the order the router adds nodes, edges and paths, so
     even their iteration order is the router's.  An adopted route
     shares its bank route's tree, caches included.  ``delay_memo`` is
-    :mod:`repro.route.timing`'s per-tree sink-delay table.  No cache
-    pickles.
+    the Python static timing kernel's per-tree sink-delay table
+    (:mod:`repro.route.timing`).  No cache pickles.
     """
 
     __slots__ = ("node", "parent", "edge", "branch", "delay_memo",
@@ -330,41 +332,179 @@ class RoutedNet:
         return self.tree.sink_paths
 
 
-@dataclass
-class RouteResult:
-    """Routing of one context."""
+class RouteForest:
+    """Every net's :class:`RouteTree` of one route, back to back in one
+    read-only int32 buffer, nets in :attr:`RouteResult.nets` order.
 
-    nets: dict[str, RoutedNet]
-    iterations: int
-    context: int = 0
+    Net ``i``'s tree is positions ``tree_start[i]:tree_start[i + 1]``
+    of :attr:`node`, :attr:`parent` (positions within the net's tree)
+    and :attr:`edge`, and its sink paths are rows
+    ``path_start[i]:path_start[i + 1]`` of :attr:`branch`.  Each part
+    starts ``at[k]`` words into ``buf``, in the order of :data:`PARTS`
+    (``tree_start`` and ``path_start`` hold ``n_nets + 1`` words each).
+    The native context route's output buffer is one as it is
+    (:meth:`concat` makes one of any other trees), so wirelength and
+    static timing read it without building a tree per net.
+    """
+
+    PARTS = ("node", "parent", "edge", "branch", "tree_start", "path_start")
+
+    __slots__ = ("buf", "at", "n_nets", "address")
+
+    def __init__(self, buf: np.ndarray, at: tuple, n_nets: int,
+                 address: int | None = None) -> None:
+        self.buf = buf
+        self.at = at
+        self.n_nets = n_nets
+        #: the buffer's address, for a native reader
+        self.address = _addr(buf) if address is None else address
+
+    @classmethod
+    def concat(cls, trees: list[tuple]) -> "RouteForest":
+        """The trees, each given as its ``(node, parent, edge,
+        branch)`` int32 arrays (``branch`` raveled), concatenated in
+        order."""
+        sizes = [node.size for node, *_ in trees]
+        paths = [branch.size // 2 for *_, branch in trees]
+        n, size = len(trees), sum(sizes)
+        buf = np.concatenate([
+            *(tree[k] for k in range(4) for tree in trees),
+            np.fromiter(accumulate(sizes, initial=0), np.int32, n + 1),
+            np.fromiter(accumulate(paths, initial=0), np.int32, n + 1)])
+        buf.setflags(write=False)
+        return cls(buf, tuple(accumulate(
+            (0, size, size, size, 2 * sum(paths), n + 1))), n)
+
+    def _part(self, k: int, words: int) -> np.ndarray:
+        return self.buf[self.at[k]:self.at[k] + words]
+
+    @property
+    def size(self) -> int:
+        """The nodes of every tree."""
+        return int(self.buf[self.at[4] + self.n_nets])
+
+    @property
+    def node(self) -> np.ndarray:
+        return self._part(0, self.size)
+
+    @property
+    def parent(self) -> np.ndarray:
+        return self._part(1, self.size)
+
+    @property
+    def edge(self) -> np.ndarray:
+        return self._part(2, self.size)
+
+    @property
+    def branch(self) -> np.ndarray:
+        return self._part(3, 2 * int(self.buf[self.at[5] + self.n_nets])
+                          ).reshape(-1, 2)
+
+    @property
+    def tree_start(self) -> np.ndarray:
+        return self._part(4, self.n_nets + 1)
+
+    @property
+    def path_start(self) -> np.ndarray:
+        return self._part(5, self.n_nets + 1)
+
+
+class RouteResult:
+    """Routing of one context: ``nets`` by name, in routing order, the
+    PathFinder ``iterations`` and the ``context``.
+
+    A route the native context route made keeps its output buffer and
+    builds its :class:`RoutedNet` objects on first access to ``nets``;
+    :meth:`forest`, and through it :meth:`wirelength` and static
+    timing, read the buffer itself, so a route that is only measured
+    never builds them.  ``endpoints`` are the :class:`NetEndpoints` the
+    router routed (``None`` for a route made any other way) and
+    ``order`` each net's row in them (``None``: row ``i``).  Neither
+    they nor the buffer pickle, and equality compares ``nets``,
+    ``iterations`` and ``context``, as it did when this was a plain
+    record.
+    """
+
+    __slots__ = ("iterations", "context", "endpoints", "order", "_nets",
+                 "_forest", "_decode")
+
+    def __init__(self, nets: dict[str, RoutedNet] | None, iterations: int,
+                 context: int = 0) -> None:
+        self.iterations = iterations
+        self.context = context
+        self.endpoints = self.order = None
+        self._nets = nets
+        self._forest = self._decode = None
+
+    @property
+    def nets(self) -> dict[str, RoutedNet]:
+        if self._nets is None:
+            self._nets = self._decode()
+            self._decode = None
+        return self._nets
+
+    def forest(self) -> RouteForest:
+        """Every net's tree in one buffer (see :class:`RouteForest`),
+        cached."""
+        if self._forest is None:
+            self._forest = RouteForest.concat(
+                [(t.node, t.parent, t.edge, t.branch.ravel())
+                 for t in (net.tree for net in self.nets.values())])
+        return self._forest
 
     def wirelength(self, g: CompiledRRG) -> int:
-        """Wire segments used, one gather over the concatenated tree
-        nodes (weights are 0 for non-wire nodes; a node shared by
-        several nets counts once per net)."""
-        if not self.nets:
-            return 0
-        ids = np.concatenate([net.tree.node for net in self.nets.values()])
-        return int(g.wire_length_weights()[ids].sum())
+        """Wire segments used, one gather over the forest's nodes
+        (weights are 0 for non-wire nodes; a node shared by several
+        nets counts once per net)."""
+        return int(g.wire_length_weights()[self.forest().node].sum())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RouteResult):
+            return NotImplemented
+        return (self.nets, self.iterations, self.context) == \
+            (other.nets, other.iterations, other.context)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"RouteResult(nets={self.nets!r}, "
+                f"iterations={self.iterations!r}, context={self.context!r})")
+
+    def __getstate__(self):
+        return self.nets, self.iterations, self.context
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
 
 
 class NetEndpoints:
     """The routable nets of one placed netlist.
 
     ``rows`` holds each net as a ``(name, source, sinks)`` tuple, sinks
-    ascending and without repeats (read-only).  The nets are also packed
-    into one read-only int32 buffer, ``source[n] | sink_start[n + 1] |
-    sinks``, which the native context route reads in place at
-    ``addresses`` (one per part).  It is built here, never replaced, so
-    endpoints that threads share (the repair ladder keeps the golden's)
-    hand every native call the same live buffer.  :meth:`signatures`
-    gives each net's :func:`endpoint_signature`, built on first use and
-    cached.
+    ascending and without repeats (read-only), and ``nets`` each row's
+    net id in the netlist's :class:`NetlistIndex`.  The nets are also
+    packed into one read-only int32 buffer, ``source[n] |
+    sink_start[n + 1] | sinks | nets``, which the native context route
+    and static timing read in place at ``addresses`` (one per part).
+    It is built here, never replaced, so endpoints that threads share
+    (the repair ladder keeps the golden's) hand every native call the
+    same live buffer.  :meth:`signatures` gives each net's
+    :func:`endpoint_signature`, built on first use and cached.
+
+    ``made_for`` is the ``(index, placement, substrate)`` the endpoints
+    were extracted from (they rely on the placement never changing
+    afterwards), and ``pin_sinks`` each reader pin's SINK node, in the
+    index's pin order, for every net that has a driver (static timing
+    reads them).  ``sta_memo`` is :mod:`repro.route.timing`'s cache for
+    these endpoints.
     """
 
-    __slots__ = ("rows", "n_sinks", "addresses", "_buf", "_sigs")
+    __slots__ = ("rows", "n_sinks", "addresses", "made_for", "pin_sinks",
+                 "sta_memo", "_buf", "_sigs")
 
-    def __init__(self, rows: list[tuple[str, int, list[int]]]) -> None:
+    def __init__(self, rows: list[tuple[str, int, list[int]]],
+                 nets: list[int], made_for: tuple,
+                 pin_sinks: list[int]) -> None:
         self.rows = rows
         n = len(rows)
         packed = [src for _name, src, _sinks in rows]
@@ -373,10 +513,15 @@ class NetEndpoints:
         for _name, _src, sinks in rows:
             packed += sinks
         self.n_sinks = len(packed) - 2 * n - 1
+        packed += nets
         self._buf = np.array(packed, dtype=np.int32)
         self._buf.setflags(write=False)
         at = _addr(self._buf)
-        self.addresses = (at, at + 4 * n, at + 4 * (2 * n + 1))
+        self.addresses = (at, at + 4 * n, at + 4 * (2 * n + 1),
+                          at + 4 * (2 * n + 1 + self.n_sinks))
+        self.made_for = made_for
+        self.pin_sinks = pin_sinks
+        self.sta_memo = None
         self._sigs = None
 
     def __len__(self) -> int:
@@ -469,7 +614,7 @@ def _net_endpoints(
         a, b = start[n], start[n + 1]
         rows.append((names[n], src, sorted(set(sinks[a:b])) if b - a > 1
                      else sinks[a:b]))
-    return NetEndpoints(rows)
+    return NetEndpoints(rows, read, (ix, placement, g), sinks)
 
 
 # ========================================================================= #
@@ -779,7 +924,8 @@ class _RouteJob(ctypes.Structure):
          ctypes.c_void_p),
         ("pres_fac pres_fac_mult hist_fac astar_fac", ctypes.c_double),
         ("max_iterations n_nets", ctypes.c_int64),
-        ("source sink_start sinks order adopt_start adopt", ctypes.c_void_p),
+        ("source sink_start sinks order adopt_start adopt adopt_parent "
+         "adopt_edge adopt_paths adopt_branch", ctypes.c_void_p),
         ("n_salvage", ctypes.c_int64),
         ("seed_of salvage_tree salvage_paths salvage_node salvage_parent "
          "salvage_branch", ctypes.c_void_p),
@@ -904,23 +1050,25 @@ def _route_native(
     up the congestion state itself (:class:`_CongestionArrays`).  What
     differs per call shares one int32 buffer, inputs then outputs,
     whose segments this function lays out and points the job at: the routing
-    ``order``, each adopted bank route's tree nodes (``priors``, by
-    routing position) and the golden trees of the ``salvage`` routes
+    ``order``, each adopted bank route's tree (``priors``, by routing
+    position) and the golden trees of the ``salvage`` routes
     (``seed_of`` gives each routing position its salvage route, -1 for
     none), whose healthy chains the C route finds as :class:`_Salvage`
     does; an absent input stays NULL.  The call runs the initial pass
     and the rip-up iterations on search buffers it allocates itself,
-    and hands back every routed net's tree (nodes, parent positions,
-    CSR edge indexes, branches) in the order the Python loop builds it;
-    the :class:`RouteTree` of each net is a read-only slice of the
-    buffer, and an adopted net that was never ripped up keeps its bank
-    route's tree.  Counters and the errors are the loop's.
+    and hands back every net's tree (nodes, parent positions, CSR edge
+    indexes, branches) in the order the Python loop builds it, an
+    adopted net never ripped up with its bank route's tree: the
+    result's :class:`RouteForest` is the buffer.  The nets are built on
+    first access to ``nets``: each :class:`RouteTree` a read-only slice
+    of the buffer, and an adopted net that was never ripped up sharing
+    its bank route's tree.  Counters and the errors are the loop's.
     """
     n = len(endpoints)
     template, nodes_cap = _job_template(c)
     job = _RouteJob.from_buffer_copy(template)
     job.n_nets, job.pres_fac, job.max_iterations = n, pres_fac, max_iterations
-    job.source, job.sink_start, job.sinks = endpoints.addresses
+    job.source, job.sink_start, job.sinks = endpoints.addresses[:3]
     if defects is not None:
         job.node_ok = _addr(defects.node_ok)
         edst = defects.live_edge_dst(c)
@@ -936,15 +1084,24 @@ def _route_native(
     if order is not None:
         ints += order
         int_fields.append(("order", n))
-    adopted = [prior.tree.node for prior in priors or () if prior is not None]
+    # a net has a path per sink, salvaged, searched or adopted
+    paths_cap = endpoints.n_sinks
+    adopted = [prior.tree for prior in priors or () if prior is not None]
     if adopted:
         ints += accumulate((0 if prior is None else prior.tree.node.size
                             for prior in priors), initial=0)
-        int_fields.append(("adopt_start", n + 1))
-        arrays += adopted
-        array_fields.append(("adopt", ints[-1]))
-    # a net has a path per sink, salvaged or searched
-    paths_cap = endpoints.n_sinks
+        size = ints[-1]
+        ints += accumulate((0 if prior is None else len(prior.tree.branch)
+                            for prior in priors), initial=0)
+        paths = ints[-1]
+        int_fields += (("adopt_start", n + 1), ("adopt_paths", n + 1))
+        arrays += [t.node for t in adopted]
+        arrays += [t.parent for t in adopted]
+        arrays += [t.edge for t in adopted]
+        arrays += [t.branch.ravel() for t in adopted]
+        array_fields += (("adopt", size), ("adopt_parent", size),
+                         ("adopt_edge", size), ("adopt_branch", 2 * paths))
+        paths_cap += paths
     if salvage:
         trees = [prior.tree for prior in salvage]
         ints += seed_of
@@ -1016,23 +1173,40 @@ def _route_native(
     _tcount("router.contexts_routed")
     _tcount("router.ripped_nets", stats[_ST_RIPPED])
     out.setflags(write=False)  # the trees are slices of it
-    nodes, parents, edges = out[o[0]:o[1]], out[o[1]:o[2]], out[o[2]:o[3]]
-    branches = out[o[3]:o[4]].reshape(-1, 2)
-    tail = out[o[4]:].tolist()
-    survived, node_at, path_at = tail[:n], tail[n:2 * n + 1], tail[2 * n + 1:]
-    rows = endpoints.rows
+    result = RouteResult(None, stats[_ST_ITERATIONS], context)
+    result.endpoints = endpoints
+    if order is not None:
+        result.order = out[:n]
+    result._forest = RouteForest(
+        out, (*o[:4], o[4] + n, o[4] + 2 * n + 1), n, base)
+    result._decode = partial(
+        _decode_native, result._forest, endpoints.rows, order,
+        out[o[4]:o[4] + n].tolist() if priors else None, priors)
+    return result
+
+
+def _decode_native(forest: RouteForest, rows: list, order: list | None,
+                   survived: list | None,
+                   priors: list[RoutedNet | None] | None,
+                   ) -> dict[str, RoutedNet]:
+    """The nets of a native route: each a :class:`RouteTree` of
+    read-only slices of the output buffer, an adopted net never ripped
+    up its bank route's tree."""
+    nodes, parents, edges = forest.node, forest.parent, forest.edge
+    branches = forest.branch
+    node_at, path_at = forest.tree_start.tolist(), forest.path_start.tolist()
     if order is not None:
         rows = [rows[i] for i in order]
     routes: dict[str, RoutedNet] = {}
     for i, (name, source, sinks) in enumerate(rows):
-        if survived[i]:
+        if survived is not None and survived[i]:
             routes[name] = _adopt(name, source, sinks, priors[i])
             continue
         a, b = node_at[i], node_at[i + 1]
         p, q = path_at[i], path_at[i + 1]
         routes[name] = RoutedNet(name, source, list(sinks), RouteTree(
             nodes[a:b], parents[a:b], edges[a:b], branches[p:q]))
-    return RouteResult(routes, stats[_ST_ITERATIONS], context)
+    return routes
 
 
 def _net_mask(
@@ -1398,7 +1572,11 @@ def route_context_compiled(
         iteration += 1
     _tcount("router.contexts_routed")
     _tcount("router.ripped_nets", ripped)
-    return RouteResult(routes, iteration, context)
+    result = RouteResult(routes, iteration, context)
+    result.endpoints = endpoints
+    if order is not None:
+        result.order = np.array(order, dtype=np.int32)
+    return result
 
 
 def route_context_warm(

@@ -22,27 +22,49 @@ Static timing reads each net's route as its
 :class:`~repro.route.pathfinder.RouteTree`: int32 arrays in tree
 order, every parent before its children, each edge by its CSR index.
 The delay to each node is its parent's plus the stage of the edge
-between them, so one pass in tree order times a whole net; the edge
-kinds of every tree a call has not timed before come from one gather
-of ``CompiledRRG.edge_kind``, and those trees are walked in one loop.
-Each tree memoises its sink-delay table (``RouteTree.delay_memo``,
-keyed by the substrate and the model), so a net adopted from a golden
-routing, which shares the golden's tree, costs a lookup.  The dict
-walk this replaces is the test suite's STA oracle
-(``tests/oracles/sta_oracle.py``).
+between them, so one pass in tree order times a whole net.  The
+arrivals are one pass over the netlist index's reader cells in
+topological order, each input's SINK node read from the endpoints the
+router routed (:attr:`NetEndpoints.pin_sinks
+<repro.route.pathfinder.NetEndpoints>`; the native kernel's packed rows
+are cached on them, so every warm reroute of a golden mapping reuses
+the golden's).
+
+:func:`critical_path` runs in C when the native route's library is
+built (:func:`timing_kernel`): ``time_context`` in ``_search.c`` times
+every tree of the route's :class:`~repro.route.pathfinder.RouteForest`
+(the native route's output buffer as it is) and then the arrivals, with
+the arithmetic of the Python body below in the same order, so the two
+agree bit for bit.  The Python body is the fallback and the test twin:
+it times the trees that have no delay memo for this substrate and model
+together (one gather of ``CompiledRRG.edge_kind``, then one Python pass
+per tree) and memoises each tree's ``{sink: delay}`` table on it
+(``RouteTree.delay_memo``, the Python kernel's alone), so a net adopted
+from a golden routing, which shares the golden's tree, costs a lookup.
+:func:`route_tree_delays` always runs it.  The dict walk both replace is
+the test suite's STA oracle (``tests/oracles/sta_oracle.py``).
 """
 
 from __future__ import annotations
 
+import ctypes
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from repro.arch.compiled import EDGE_KIND_INDEX, CompiledRRG, EdgeKind
 from repro.errors import SimulationError
-from repro.netlist.index import DFF, LUT, OUTPUT
+from repro.netlist.index import INPUT, LUT
 from repro.netlist.netlist import Netlist
-from repro.route.pathfinder import RouteResult, RoutedNet
+from repro.route.pathfinder import (
+    _ROUTE,
+    RouteResult,
+    RoutedNet,
+    _addr,
+    _net_endpoints,
+)
 
 _PASS, _BUF, _PIN = (EDGE_KIND_INDEX[k] for k in (
     EdgeKind.PASS, EdgeKind.BUF, EdgeKind.PIN))
@@ -121,9 +143,9 @@ def _sink_tables(g: CompiledRRG, nets, m: DelayModel) -> list[dict]:
     gather of their edges' kinds, then one pass over each tree's
     positions in tree order carrying (delay, chain length) from parent
     to child — a node's value is its parent's plus one stage, the
-    arithmetic of the dict walk this replaces.  Raises when a tree is
-    not one (a parent after its child), uses an edge the fabric lacks,
-    or misses a sink of its net.
+    arithmetic of the dict walk this replaces.  Raises when a tree uses
+    an edge the fabric lacks (any tree, before the next two checks), is
+    not one (a parent after its child), or misses a sink of its net.
     """
     nets = list(nets)
     todo = []
@@ -140,22 +162,25 @@ def _sink_tables(g: CompiledRRG, nets, m: DelayModel) -> list[dict]:
 def _time_trees(g: CompiledRRG, nets: list[RoutedNet],
                 m: DelayModel) -> None:
     trees = [net.tree for net in nets]
+    sizes = [tree.node.size for tree in trees]
     edge = np.concatenate([tree.edge for tree in trees])
-    if np.count_nonzero(edge < 0) != len(trees):  # one per root
-        for tree, net in zip(trees, nets):
-            if np.count_nonzero(tree.edge < 0) > 1:
-                raise SimulationError(
-                    f"route of net {net.name!r} uses an edge the fabric "
-                    "lacks")
-    kinds = g.edge_kind[edge].tolist()  # a root's entry is never read
+    lacking = (edge < 0) | (edge >= g.n_edges)
+    # a root's entry is never read
+    lacking[[at for at, size in zip(accumulate(sizes, initial=0), sizes)
+             if size]] = False
+    if lacking.any():
+        net = nets[bisect_right(list(accumulate(sizes)),
+                                int(np.argmax(lacking)))]
+        raise SimulationError(
+            f"route of net {net.name!r} uses an edge the fabric lacks")
+    kinds = g.edge_kind[edge].tolist()
     nl = np.concatenate([tree.node for tree in trees]).tolist()
     pl = np.concatenate([tree.parent for tree in trees]).tolist()
     branches = np.concatenate([tree.branch for tree in trees]).tolist()
     unit = m.r_pass * m.c_seg  # DelayModel.pass_stage's first product
     t_buf, t_pin = m.t_buf, m.t_pin
     at = b = 0
-    for tree, net in zip(trees, nets):
-        size = len(tree.node)
+    for tree, net, size in zip(trees, nets, sizes):
         delay = [0.0] * size
         chain = [0] * size
         for i in range(1, size):
@@ -194,11 +219,164 @@ def route_tree_delays(
 ) -> dict[int, float]:
     """Source-to-sink delay for every sink of a routed net.
 
-    One pass over the net's tree (memoised on it); raises if the route
-    is not a connected tree.
+    One pass over the net's tree (memoised on it, on either kernel);
+    raises if the route is not a connected tree.
     """
     table = _sink_tables(g, [net], model or _DEFAULT_MODEL)[0]
     return {sink: table[sink] for sink in net.sinks}
+
+
+class _StaJob(ctypes.Structure):
+    """``sta_job`` of ``_search.c``: one ``time_context`` call's route
+    forest, endpoint rows, substrate, netlist and delay model (pointers
+    are buffer addresses; ``order`` left unset is the C side's NULL),
+    and its result."""
+
+    _fields_ = [(name, kind) for names, kind in (
+        ("n_nets", ctypes.c_int64),
+        ("node parent edge branch tree_start path_start order sink_start "
+         "sinks row_net", ctypes.c_void_p),
+        ("n_edges", ctypes.c_int64),
+        ("edge_kind", ctypes.c_void_p),
+        ("kind_pass kind_buf kind_pin kind_input kind_lut n_netlist_nets "
+         "n_cells n_pins", ctypes.c_int64),
+        ("topo kind out_net in_start in_net pin_cell pin_slot pin_sink",
+         ctypes.c_void_p),
+        ("unit t_buf t_pin t_lut worst", ctypes.c_double),
+        ("status net sink", ctypes.c_int64),
+    ) for name in names.split()]
+
+
+#: ``time_context`` status codes.
+_STA_OK, _STA_EDGE, _STA_NOT_TREE, _STA_NO_SINK, _STA_NOMEM = range(5)
+
+
+def _time_function():
+    """The bound ``time_context`` (in the native route's library, so it
+    costs no second build or load), or ``None`` to run the Python
+    body."""
+    return _ROUTE.export("time_context", (ctypes.POINTER(_StaJob),),
+                         ctypes.c_int64)
+
+
+def timing_kernel() -> str:
+    """The static timing :func:`critical_path` runs: ``"native"`` (one
+    C call per routed context) or ``"python"``.  Builds the native
+    route's library on first use."""
+    return "python" if _time_function() is None else "native"
+
+
+def _sta_template(g: CompiledRRG, ix, pin_sinks: list[int],
+                  rows: tuple[int, int, int]) -> tuple[bytes, np.ndarray]:
+    """A ``sta_job`` holding what one (netlist, placement, substrate)
+    shares: the endpoint ``rows`` (the addresses of their sink starts,
+    sinks and netlist nets), the edge kinds, and the index's cells in
+    topological order, its cell, input and reader-pin rows and each
+    reader pin's SINK node (``pin_sinks``, as
+    :attr:`NetEndpoints.pin_sinks
+    <repro.route.pathfinder.NetEndpoints>`), copied into one buffer;
+    and that buffer."""
+    parts = (ix.topo, ix.kind, ix.out_net, ix.in_start, ix.in_net,
+             ix.pin_cell, ix.pin_slot, pin_sinks)
+    sizes = [len(part) for part in parts]
+    buf = np.concatenate(parts, dtype=np.int32)
+    base = _addr(buf)
+    job = _StaJob(
+        n_edges=g.n_edges, edge_kind=_addr(g.edge_kind), kind_pass=_PASS,
+        kind_buf=_BUF, kind_pin=_PIN, kind_input=INPUT, kind_lut=LUT,
+        n_netlist_nets=ix.n_nets, n_cells=ix.n_cells, n_pins=sizes[-1])
+    job.sink_start, job.sinks, job.row_net = rows
+    (job.topo, job.kind, job.out_net, job.in_start, job.in_net,
+     job.pin_cell, job.pin_slot, job.pin_sink) = (
+        base + 4 * at for at in accumulate(sizes[:-1], initial=0))
+    return bytes(job), buf
+
+
+def _route_rows(ix, route: RouteResult) -> tuple[tuple, np.ndarray]:
+    """Endpoint rows made from ``route``'s nets, one per net in order:
+    each net's sinks and its net id in ``ix`` by name (-1: none); their
+    addresses as :func:`_sta_template` takes them, and the buffer."""
+    nets = route.nets.values()
+    net_id = ix.net_id
+    packed = list(accumulate((len(net.sinks) for net in nets), initial=0))
+    for net in nets:
+        packed += net.sinks
+    packed += [net_id.get(name, -1) for name in route.nets]
+    buf = np.array(packed, dtype=np.int32)
+    at = _addr(buf)
+    n = len(route.nets)
+    return (at, at + 4 * (n + 1), at + 4 * (n + 1 + packed[n])), buf
+
+
+def _critical_path_native(fn, g: CompiledRRG, ix, route: RouteResult,
+                          endpoints, pin_sinks: list[int],
+                          m: DelayModel) -> float:
+    """:func:`critical_path` in one ``time_context`` call over the
+    route's forest; ``endpoints`` are the route's own (their memo holds
+    the job's template) or ``None``."""
+    forest = route.forest()
+    if endpoints is None:
+        rows, rows_buf = _route_rows(ix, route)  # alive through the call
+        template = _sta_template(g, ix, pin_sinks, rows)
+    else:
+        if endpoints.sta_memo is None:
+            endpoints.sta_memo = _sta_template(g, ix, pin_sinks,
+                                               endpoints.addresses[1:])
+        template = endpoints.sta_memo
+    job = _StaJob.from_buffer_copy(template[0])
+    (job.node, job.parent, job.edge, job.branch, job.tree_start,
+     job.path_start) = (forest.address + 4 * at for at in forest.at)
+    job.n_nets = forest.n_nets
+    if endpoints is not None and route.order is not None:
+        job.order = _addr(route.order)
+    job.unit, job.t_buf, job.t_pin, job.t_lut = (
+        m.r_pass * m.c_seg, m.t_buf, m.t_pin, m.t_lut)
+    status = fn(ctypes.byref(job))
+    if status == _STA_OK:
+        return job.worst
+    if status == _STA_NOMEM:
+        raise MemoryError("static timing: allocation failed")
+    name = list(route.nets)[job.net]
+    if status == _STA_EDGE:
+        raise SimulationError(
+            f"route of net {name!r} uses an edge the fabric lacks")
+    if status == _STA_NOT_TREE:
+        raise SimulationError(
+            f"route of net {name!r} is not a tree in tree order")
+    raise SimulationError(
+        f"sink {job.sink} unreachable in route tree of net {name!r}")
+
+
+def _critical_path_python(g: CompiledRRG, ix, route: RouteResult,
+                          pin_sinks: list[int], m: DelayModel) -> float:
+    """:func:`critical_path`'s Python body: net delays from each net's
+    tree (:func:`_sink_tables`), then one pass over the index's reader
+    cells in topological order."""
+    tables = dict(zip(route.nets, _sink_tables(g, route.nets.values(), m)))
+    by_net = [tables.get(name) for name in ix.net_names]
+    start = ix.in_start.tolist()
+    # each input's SINK node, -1 on a net nobody drives
+    in_sink = [-1] * ix.in_net.size
+    for c, slot, sink in zip(ix.pin_cell.tolist(), ix.pin_slot.tolist(),
+                             pin_sinks):
+        in_sink[start[c] + slot] = sink
+    # INPUT and DFF outputs arrive at 0.0; a LUT's before its readers
+    arrivals = [0.0] * ix.n_nets
+    t_lut = m.t_lut
+    worst = 0.0
+    for c, kind, nets, out in ix.readers:
+        arr = 0.0
+        at = start[c]
+        for n in nets:
+            table = by_net[n]
+            wire = table.get(in_sink[at], 0.0) if table is not None else 0.0
+            arr = max(arr, arrivals[n] + wire)
+            at += 1
+        if kind == LUT:
+            arr += t_lut
+            arrivals[out] = arr
+        worst = max(worst, arr)
+    return worst
 
 
 def critical_path(
@@ -214,45 +392,25 @@ def critical_path(
     to the LUT's sink) + t_lut.  Returns the worst primary-output /
     DFF-input arrival.
 
-    Net delays come from each net's tree (:func:`_sink_tables`), sink
-    nodes from the substrate's ``(tile, pin)`` tables
-    (:meth:`CompiledRRG.sink_lists`), and the arrivals from one pass
-    over the netlist index's cells in topological order
-    (:attr:`NetlistIndex.readers <repro.netlist.index.NetlistIndex.readers>`).
+    Each input's SINK node comes from the endpoints the route was made
+    on, when they were made for this netlist's index, ``placement`` and
+    ``g``, and otherwise from endpoints extracted here; either way an
+    unplaced cell raises :class:`~repro.errors.PlacementError` naming
+    it.  The timing itself is one native call (:func:`timing_kernel`)
+    or the Python body, bit for bit the same; a route that is not a
+    tree of the fabric's edges reaching every sink raises
+    :class:`~repro.errors.SimulationError` with the same text on both.
     """
     m = model or _DEFAULT_MODEL
-    tables = dict(zip(route.nets, _sink_tables(g, route.nets.values(), m)))
     ix = netlist.index()
-    by_net = [tables.get(name) for name in ix.net_names]
-    names = ix.cell_names
-    lb_rows, io_rows = g.sink_lists()
-    cols, rows = g.params.cols, g.params.rows
-    # INPUT and DFF outputs arrive at 0.0; a LUT's before its readers
-    arrivals = [0.0] * ix.n_nets
-    t_lut = m.t_lut
-    worst = 0.0
-    for c, kind, nets, out in ix.readers:
-        arr = 0.0
-        if nets:
-            # the cell's SINK row: its tile's logic-block pins, or its
-            # pad's pins for an output; a pin the fabric lacks is -1
-            if kind == OUTPUT:
-                at, pad = placement.ios[names[c]]
-                table_rows = io_rows
-            else:
-                at = placement.location(names[c])
-                table_rows = lb_rows
-            x, y = at.x, at.y
-            row = (table_rows[y * cols + x]
-                   if 0 <= x < cols and 0 <= y < rows else ())
-        for slot, n in enumerate(nets):
-            pin = slot if kind == LUT else 0 if kind == DFF else pad
-            sink = row[pin] if 0 <= pin < len(row) else -1
-            table = by_net[n]
-            wire = table.get(sink, 0.0) if table is not None else 0.0
-            arr = max(arr, arrivals[n] + wire)
-        if kind == LUT:
-            arr += t_lut
-            arrivals[out] = arr
-        worst = max(worst, arr)
-    return worst
+    endpoints = route.endpoints
+    if endpoints is None or any(a is not b for a, b in zip(
+            endpoints.made_for, (ix, placement, g))):
+        endpoints = None
+        pin_sinks = _net_endpoints(netlist, placement, g).pin_sinks
+    else:
+        pin_sinks = endpoints.pin_sinks
+    fn = _time_function()
+    if fn is None:
+        return _critical_path_python(g, ix, route, pin_sinks, m)
+    return _critical_path_native(fn, g, ix, route, endpoints, pin_sinks, m)

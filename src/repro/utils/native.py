@@ -82,7 +82,8 @@ class NativeLibrary:
     its :mod:`ctypes` signature.  :meth:`function` resolves once per
     instance and is thread-safe; :attr:`kernel` and :attr:`detail`
     describe the outcome (``"native"`` and the library path, or
-    ``"python"`` and the reason).
+    ``"python"`` and the reason).  :meth:`export` binds another
+    function of the same library, with no second build or load.
     """
 
     def __init__(self, package: str, source: str, symbol: str,
@@ -95,6 +96,8 @@ class NativeLibrary:
         self._lock = threading.Lock()
         self._resolved = False
         self._fn = None
+        self._lib = None
+        self._exports: dict = {}
         self.detail = "not built yet"
 
     @property
@@ -112,13 +115,27 @@ class NativeLibrary:
                     lib = self._load()
                     fn = getattr(lib, self.symbol)
                     fn.argtypes, fn.restype = self.argtypes, self.restype
-                    self._fn, self.detail = fn, lib._name
+                    self._fn, self._lib, self.detail = fn, lib, lib._name
                 except (_Unavailable, AttributeError) as exc:
                     self.detail = str(exc)
                     log.warning("%s: no native build (%s); running the "
                                 "Python kernel", self.source, exc)
                 self._resolved = True
         return self._fn
+
+    def export(self, symbol: str, argtypes: tuple, restype):
+        """The library's function ``symbol`` with this :mod:`ctypes`
+        signature, bound once, or ``None`` wherever :meth:`function`
+        is (the caller then runs its Python kernel too)."""
+        fn = self._exports.get(symbol)
+        if fn is None and self.function() is not None:
+            with self._lock:
+                fn = self._exports.get(symbol)
+                if fn is None:
+                    fn = self._lib[symbol]
+                    fn.argtypes, fn.restype = argtypes, restype
+                    self._exports[symbol] = fn
+        return fn
 
     def _load(self) -> ctypes.CDLL:
         compiler = shutil.which(COMPILER)

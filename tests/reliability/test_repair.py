@@ -24,6 +24,7 @@ from repro.reliability import repair as repair_mod
 from repro.reliability.repair import GoldenMapping, RepairOutcome
 from repro.route import pathfinder
 from repro.route.pathfinder import route_context_compiled, route_context_warm
+from repro.route.timing import route_tree_delays
 from repro.utils.telemetry import Telemetry, collecting
 from repro.workloads.generators import ripple_adder
 from repair_oracle import repair_from_scratch
@@ -321,6 +322,8 @@ class TestRouteTrees:
     def test_golden_delay_memo_does_not_pickle(self, mapping):
         c, netlist, placement, _ = mapping
         golden = build_golden(c, netlist, placement, MAX_ITERS)
+        for net in golden.routes.nets.values():
+            route_tree_delays(c, net)  # the Python kernel's delay memo
         assert all(net.tree.delay_memo is not None
                    for net in golden.routes.nets.values())
         back = pickle.loads(pickle.dumps(golden))

@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.experiments import map_program
-from repro.api import Session
+from repro.api import ExecutionConfig, Session, SweepRequest, YieldRequest
 from repro.arch.compiled import CompiledRRG, flat_rrg_for
 from repro.arch.params import ArchParams
 from repro.errors import RoutingError
@@ -39,6 +39,7 @@ from repro.place.placer import place, place_program
 from repro.reliability import DefectMap, build_golden, dirty_net_names
 from repro.route import pathfinder
 from repro.route.pathfinder import (
+    RouteForest,
     route_context_compiled,
     route_context_warm,
     route_kernel,
@@ -154,6 +155,11 @@ def _assert_same_route(a, b):
         # this order as well
         assert net.tree == other.tree, name
         assert list(net.nodes) == list(other.nodes), name
+    # the native route's output buffer is the forest of every net's
+    # tree, adopted ones included, as the loop's trees concatenate
+    for part in RouteForest.PARTS:
+        assert np.array_equal(getattr(a.forest(), part),
+                              getattr(b.forest(), part)), part
 
 
 def _assert_twins(run):
@@ -366,3 +372,46 @@ class TestErrors:
         assert "congestion unresolved after 6 iterations" in msg_native
         assert counts_native == counts_python
 
+
+
+class TestLazyNets:
+    """A native route builds its nets only when something reads them:
+    wirelength and static timing read its output buffer."""
+
+    def test_sweep_points_build_no_nets(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a route's nets were built")
+
+        monkeypatch.setattr(pathfinder, "_decode_native", refuse)
+        request = SweepRequest(
+            what="channel-width", workload="random", grid=5, width=8,
+            values=(6, 8, 10), execution=ExecutionConfig(seed=2))
+        rows = list(Session().stream(request))
+        assert [row.routed for row in rows] == [True] * 3
+        assert all(row.critical_path > 0 for row in rows)
+
+    def test_yield_trials_build_no_nets(self, monkeypatch):
+        """Only the golden routes build nets (for defect detection and
+        the warm reroutes' reuse bank), never a trial's."""
+        decoded, goldens, trials = [], [], []
+        decode, route = pathfinder._decode_native, pathfinder._route_native
+
+        def counted_decode(*args):
+            decoded.append(args)
+            return decode(*args)
+
+        def counted_route(fn, c, endpoints, order, priors, salvage,
+                          seed_of, defects, *rest):
+            (goldens if defects is None else trials).append(order)
+            return route(fn, c, endpoints, order, priors, salvage, seed_of,
+                         defects, *rest)
+
+        monkeypatch.setattr(pathfinder, "_decode_native", counted_decode)
+        monkeypatch.setattr(pathfinder, "_route_native", counted_route)
+        request = YieldRequest(
+            workload="random", grid=7, width=8, rates=(0.02, 0.05),
+            trials=3, model="uniform", execution=ExecutionConfig(seed=3))
+        rows = list(Session().stream(request))
+        assert [row.trials for row in rows] == [3, 3]
+        assert trials and any(order is not None for order in trials)
+        assert 0 < len(decoded) <= len(goldens)

@@ -19,7 +19,7 @@ from repro.route.pathfinder import (
     route_context_compiled,
     route_program_compiled,
 )
-from repro.route.timing import critical_path
+from repro.route.timing import critical_path, route_tree_delays
 from repro.workloads.generators import random_dag, ripple_adder
 from repro.workloads.multicontext import mutated_program
 
@@ -137,6 +137,7 @@ class TestRouteTree:
         with pytest.raises(ValueError):
             net.tree.node[0] = 0
         net.nodes, net.sink_paths  # build the views
+        route_tree_delays(g, net)  # the Python kernel's delay memo
         assert net.tree.delay_memo is not None
         back = pickle.loads(pickle.dumps(rr))
         for name, twin in back.nets.items():

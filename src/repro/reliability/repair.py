@@ -73,9 +73,11 @@ class RouteFlat:
     """Flat per-net views of one routing for vectorised defect
     detection.
 
-    Concatenates every net's tree nodes and edge codes into single
-    numpy arrays with per-net offsets, so a trial's dirty-net census is
-    a fancy-index gather plus a segmented reduction instead of a Python
+    Reads every net's tree nodes from the route's
+    :class:`~repro.route.pathfinder.RouteForest` and derives each tree
+    edge's code (``src * n_nodes + dst``, the root's left out) from it,
+    with per-net offsets, so a trial's dirty-net census is a
+    fancy-index gather plus a segmented reduction instead of a Python
     loop over every node of every net.  Also carries the per-net
     endpoint signatures the warm-start reuse bank needs.
     """
@@ -88,15 +90,18 @@ class RouteFlat:
     def __init__(self, routes: RouteResult, n_nodes: int) -> None:
         nets = routes.nets
         self.names = list(nets)
-        trees = [net.tree for net in nets.values()]
-        sizes = np.array([tree.node.size for tree in trees], dtype=np.int64)
-        self.nodes_flat = np.concatenate(
-            [tree.node for tree in trees] or [np.empty(0, np.int32)])
-        self.node_start = np.concatenate(([0], np.cumsum(sizes)))
-        self.edge_codes = np.concatenate(
-            [tree.edge_codes(n_nodes) for tree in trees]
-            or [np.empty(0, np.int64)])
-        self.edge_start = np.concatenate(([0], np.cumsum(sizes - 1)))
+        forest = routes.forest()
+        self.nodes_flat = nodes = forest.node
+        self.node_start = start = forest.tree_start.astype(np.int64)
+        # each node's parent as a position in the forest; a root's
+        # entry (position 0 of its tree) is dropped
+        sizes = np.diff(start)
+        parent = forest.parent + np.repeat(start[:-1], sizes)
+        child = np.ones(nodes.size, dtype=bool)
+        child[start[:-1][sizes > 0]] = False
+        self.edge_codes = (nodes[parent[child]].astype(np.int64) * n_nodes
+                           + nodes[child])
+        self.edge_start = start - np.arange(start.size)
         self.signatures = {
             name: endpoint_signature(net.source, net.sinks)
             for name, net in nets.items()
@@ -157,10 +162,17 @@ class GoldenMapping:
 
     def endpoints(self, c: CompiledRRG, netlist: Netlist) -> NetEndpoints:
         """The router's :class:`~repro.route.pathfinder.NetEndpoints` of
-        ``netlist`` on the golden placement, cached for one ``c`` and
-        ``netlist`` (another object of either rebuilds them); they
-        cache their endpoint signatures in turn, so every warm reroute
-        of the golden reads the same ones."""
+        ``netlist`` on the golden placement: the golden route's own when
+        they were made for ``netlist``'s index, this placement and
+        ``c``, else extracted once and cached for one ``c`` and
+        ``netlist`` (another object of either extracts them again, as
+        does an unpickled golden, whose route carries none).  They
+        cache their endpoint signatures and timing rows in turn, so
+        every warm reroute of the golden reads the same ones."""
+        ends = self.routes.endpoints
+        if ends is not None and all(a is b for a, b in zip(
+                ends.made_for, (netlist.index(), self.placement, c))):
+            return ends  # the golden route's own
         cached = self._endpoints
         if cached is None or cached[0] is not c or cached[1] is not netlist:
             cached = self._endpoints = (

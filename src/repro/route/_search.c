@@ -847,8 +847,8 @@ static double sink_delay(const sta_job *j, const double *delay, int64_t i,
     return 0.0;
 }
 
-/* timing._time_trees over every tree, then the arrival loop of
- * timing._critical_path_python, in the same order with the same
+/* _python_timing._time_trees over every tree, then the arrival loop of
+ * _python_timing.critical_path_python, in the same order with the same
  * arithmetic.
  * Returns (and stores in status) an STA_* code. */
 int64_t time_context(sta_job *j)

@@ -98,6 +98,7 @@ from __future__ import annotations
 
 import ctypes
 import heapq
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -160,8 +161,7 @@ class RouteTree:
     added them, as ``(position of the path's last node, length)``: the
     path is the last ``length`` nodes of that node's chain to the
     source (a searched path starts at the tree node it grew from, a
-    salvaged one at the source).  :meth:`edge_codes` keys the edges
-    as ``src * n_nodes + dst``.
+    salvaged one at the source).
 
     The set and dict views of the route (:attr:`nodes`, :attr:`edges`,
     :attr:`sink_paths`) are built on first access and cached, each
@@ -169,7 +169,7 @@ class RouteTree:
     even their iteration order is the router's.  An adopted route
     shares its bank route's tree, caches included.  ``delay_memo`` is
     the Python static timing kernel's per-tree sink-delay table
-    (:mod:`repro.route.timing`).  No cache pickles.
+    (:mod:`repro.route._python_timing`).  No cache pickles.
     """
 
     __slots__ = ("node", "parent", "edge", "branch", "delay_memo",
@@ -246,11 +246,6 @@ class RouteTree:
                 out[path[-1]] = path
             self._sink_paths = out
         return self._sink_paths
-
-    def edge_codes(self, n_nodes: int) -> np.ndarray:
-        """``src * n_nodes + dst`` of edge ``i``, for ``i >= 1``."""
-        return (self.node[self.parent[1:]].astype(np.int64) * n_nodes
-                + self.node[1:])
 
     def root_chains(self) -> tuple[np.ndarray, np.ndarray]:
         """Each sink's whole chain from the source, in branch order,
@@ -409,13 +404,18 @@ class RouteForest:
         return self._part(5, self.n_nets + 1)
 
 
+#: Held while a native route builds its nets (:attr:`RouteResult.nets`).
+_DECODE_LOCK = threading.Lock()
+
+
 class RouteResult:
     """Routing of one context: ``nets`` by name, in routing order, the
     PathFinder ``iterations`` and the ``context``.
 
     A route the native context route made keeps its output buffer and
-    builds its :class:`RoutedNet` objects on first access to ``nets``;
-    :meth:`forest`, and through it :meth:`wirelength` and static
+    builds its :class:`RoutedNet` objects on first access to ``nets``
+    (once, under a lock, so threads that share a golden route read one
+    dict); :meth:`forest`, and through it :meth:`wirelength` and static
     timing, read the buffer itself, so a route that is only measured
     never builds them.  ``endpoints`` are the :class:`NetEndpoints` the
     router routed (``None`` for a route made any other way) and
@@ -438,19 +438,25 @@ class RouteResult:
 
     @property
     def nets(self) -> dict[str, RoutedNet]:
-        if self._nets is None:
-            self._nets = self._decode()
-            self._decode = None
-        return self._nets
+        nets = self._nets
+        if nets is None:
+            with _DECODE_LOCK:
+                nets = self._nets
+                if nets is None:
+                    nets = self._nets = self._decode()
+                    self._decode = None
+        return nets
 
     def forest(self) -> RouteForest:
         """Every net's tree in one buffer (see :class:`RouteForest`),
-        cached."""
-        if self._forest is None:
-            self._forest = RouteForest.concat(
+        cached (a thread that races another here builds an equal
+        one)."""
+        forest = self._forest
+        if forest is None:
+            forest = self._forest = RouteForest.concat(
                 [(t.node, t.parent, t.edge, t.branch.ravel())
                  for t in (net.tree for net in self.nets.values())])
-        return self._forest
+        return forest
 
     def wirelength(self, g: CompiledRRG) -> int:
         """Wire segments used, one gather over the forest's nodes

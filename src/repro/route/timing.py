@@ -34,11 +34,12 @@ the golden's).
 built (:func:`timing_kernel`): ``time_context`` in ``_search.c`` times
 every tree of the route's :class:`~repro.route.pathfinder.RouteForest`
 (the native route's output buffer as it is) and then the arrivals, with
-the arithmetic of the Python body below in the same order, so the two
-agree bit for bit.  The Python body is the fallback and the test twin:
-it times the trees that have no delay memo for this substrate and model
-together (one gather of ``CompiledRRG.edge_kind``, then one Python pass
-per tree) and memoises each tree's ``{sink: delay}`` table on it
+the arithmetic of the Python body in the same order, so the two agree
+bit for bit.  The Python body (:mod:`repro.route._python_timing`,
+imported only when it runs) is the fallback and the test twin: it times
+the trees that have no delay memo for this substrate and model together
+(one gather of ``CompiledRRG.edge_kind``, then one Python pass per
+tree) and memoises each tree's ``{sink: delay}`` table on it
 (``RouteTree.delay_memo``, the Python kernel's alone), so a net adopted
 from a golden routing, which shares the golden's tree, costs a lookup.
 :func:`route_tree_delays` always runs it.  The dict walk both replace is
@@ -48,7 +49,6 @@ the test suite's STA oracle (``tests/oracles/sta_oracle.py``).
 from __future__ import annotations
 
 import ctypes
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -136,82 +136,6 @@ def path_delay(
     return total
 
 
-def _sink_tables(g: CompiledRRG, nets, m: DelayModel) -> list[dict]:
-    """Each net's ``{sink: delay}`` table, memoised on its tree.
-
-    Trees without a table for ``g`` and ``m`` are timed together: one
-    gather of their edges' kinds, then one pass over each tree's
-    positions in tree order carrying (delay, chain length) from parent
-    to child — a node's value is its parent's plus one stage, the
-    arithmetic of the dict walk this replaces.  Raises when a tree uses
-    an edge the fabric lacks (any tree, before the next two checks), is
-    not one (a parent after its child), or misses a sink of its net.
-    """
-    nets = list(nets)
-    todo = []
-    for net in nets:
-        memo = net.tree.delay_memo
-        if memo is None or memo[0] is not g or not (
-                memo[1] is m or memo[1] == m):
-            todo.append(net)
-    if todo:
-        _time_trees(g, todo, m)
-    return [net.tree.delay_memo[2] for net in nets]
-
-
-def _time_trees(g: CompiledRRG, nets: list[RoutedNet],
-                m: DelayModel) -> None:
-    trees = [net.tree for net in nets]
-    sizes = [tree.node.size for tree in trees]
-    edge = np.concatenate([tree.edge for tree in trees])
-    lacking = (edge < 0) | (edge >= g.n_edges)
-    # a root's entry is never read
-    lacking[[at for at, size in zip(accumulate(sizes, initial=0), sizes)
-             if size]] = False
-    if lacking.any():
-        net = nets[bisect_right(list(accumulate(sizes)),
-                                int(np.argmax(lacking)))]
-        raise SimulationError(
-            f"route of net {net.name!r} uses an edge the fabric lacks")
-    kinds = g.edge_kind[edge].tolist()
-    nl = np.concatenate([tree.node for tree in trees]).tolist()
-    pl = np.concatenate([tree.parent for tree in trees]).tolist()
-    branches = np.concatenate([tree.branch for tree in trees]).tolist()
-    unit = m.r_pass * m.c_seg  # DelayModel.pass_stage's first product
-    t_buf, t_pin = m.t_buf, m.t_pin
-    at = b = 0
-    for tree, net, size in zip(trees, nets, sizes):
-        delay = [0.0] * size
-        chain = [0] * size
-        for i in range(1, size):
-            p = pl[at + i]
-            if not 0 <= p < i:
-                raise SimulationError(
-                    f"route of net {net.name!r} is not a tree in tree order")
-            k = kinds[at + i]
-            if k == _PASS:
-                c = chain[p] + 1
-                delay[i] = delay[p] + unit * c
-                chain[i] = c
-            elif k == _BUF:
-                delay[i] = delay[p] + t_buf
-            elif k == _PIN:
-                delay[i] = delay[p] + t_pin
-            else:
-                delay[i] = delay[p]
-                chain[i] = chain[p]
-        nb = len(tree.branch)
-        table = {nl[at + pos]: delay[pos] for pos, _ in branches[b:b + nb]}
-        for sink in net.sinks:
-            if sink not in table:
-                raise SimulationError(
-                    f"sink {sink} unreachable in route tree of net "
-                    f"{net.name!r}")
-        tree.delay_memo = (g, m, table)
-        at += size
-        b += nb
-
-
 def route_tree_delays(
     g: CompiledRRG,
     net: RoutedNet,
@@ -219,10 +143,13 @@ def route_tree_delays(
 ) -> dict[int, float]:
     """Source-to-sink delay for every sink of a routed net.
 
-    One pass over the net's tree (memoised on it, on either kernel);
-    raises if the route is not a connected tree.
+    One pass over the net's tree by the Python kernel (memoised on it,
+    whichever kernel :func:`critical_path` runs); raises if the route
+    is not a connected tree.
     """
-    table = _sink_tables(g, [net], model or _DEFAULT_MODEL)[0]
+    from repro.route._python_timing import sink_tables
+
+    table = sink_tables(g, [net], model or _DEFAULT_MODEL)[0]
     return {sink: table[sink] for sink in net.sinks}
 
 
@@ -292,43 +219,39 @@ def _sta_template(g: CompiledRRG, ix, pin_sinks: list[int],
     return bytes(job), buf
 
 
-def _route_rows(ix, route: RouteResult) -> tuple[tuple, np.ndarray]:
-    """Endpoint rows made from ``route``'s nets, one per net in order:
-    each net's sinks and its net id in ``ix`` by name (-1: none); their
-    addresses as :func:`_sta_template` takes them, and the buffer."""
-    nets = route.nets.values()
-    net_id = ix.net_id
-    packed = list(accumulate((len(net.sinks) for net in nets), initial=0))
-    for net in nets:
-        packed += net.sinks
-    packed += [net_id.get(name, -1) for name in route.nets]
-    buf = np.array(packed, dtype=np.int32)
-    at = _addr(buf)
-    n = len(route.nets)
-    return (at, at + 4 * (n + 1), at + 4 * (n + 1 + packed[n])), buf
+def _rows_by_name(endpoints, route: RouteResult) -> np.ndarray:
+    """Each of ``route``'s nets' row in ``endpoints``, found by name;
+    raises when a net is not one of them or sinks elsewhere."""
+    row_of = {name: (r, sinks)
+              for r, (name, _src, sinks) in enumerate(endpoints.rows)}
+    order = []
+    for name, net in route.nets.items():
+        r, sinks = row_of.get(name, (-1, ()))
+        if r < 0 or set(sinks) != set(net.sinks):
+            raise SimulationError(
+                f"route of net {name!r} does not match its net on this "
+                f"placement")
+        order.append(r)
+    return np.array(order, dtype=np.int32)
 
 
 def _critical_path_native(fn, g: CompiledRRG, ix, route: RouteResult,
-                          endpoints, pin_sinks: list[int],
+                          endpoints, order: np.ndarray | None,
                           m: DelayModel) -> float:
     """:func:`critical_path` in one ``time_context`` call over the
-    route's forest; ``endpoints`` are the route's own (their memo holds
-    the job's template) or ``None``."""
+    route's forest, net ``i`` being row ``order[i]`` (``None``: ``i``)
+    of ``endpoints``, whose memo holds the job's template."""
     forest = route.forest()
-    if endpoints is None:
-        rows, rows_buf = _route_rows(ix, route)  # alive through the call
-        template = _sta_template(g, ix, pin_sinks, rows)
-    else:
-        if endpoints.sta_memo is None:
-            endpoints.sta_memo = _sta_template(g, ix, pin_sinks,
-                                               endpoints.addresses[1:])
-        template = endpoints.sta_memo
+    template = endpoints.sta_memo
+    if template is None:
+        template = endpoints.sta_memo = _sta_template(
+            g, ix, endpoints.pin_sinks, endpoints.addresses[1:])
     job = _StaJob.from_buffer_copy(template[0])
     (job.node, job.parent, job.edge, job.branch, job.tree_start,
      job.path_start) = (forest.address + 4 * at for at in forest.at)
     job.n_nets = forest.n_nets
-    if endpoints is not None and route.order is not None:
-        job.order = _addr(route.order)
+    if order is not None:
+        job.order = _addr(order)
     job.unit, job.t_buf, job.t_pin, job.t_lut = (
         m.r_pass * m.c_seg, m.t_buf, m.t_pin, m.t_lut)
     status = fn(ctypes.byref(job))
@@ -347,38 +270,6 @@ def _critical_path_native(fn, g: CompiledRRG, ix, route: RouteResult,
         f"sink {job.sink} unreachable in route tree of net {name!r}")
 
 
-def _critical_path_python(g: CompiledRRG, ix, route: RouteResult,
-                          pin_sinks: list[int], m: DelayModel) -> float:
-    """:func:`critical_path`'s Python body: net delays from each net's
-    tree (:func:`_sink_tables`), then one pass over the index's reader
-    cells in topological order."""
-    tables = dict(zip(route.nets, _sink_tables(g, route.nets.values(), m)))
-    by_net = [tables.get(name) for name in ix.net_names]
-    start = ix.in_start.tolist()
-    # each input's SINK node, -1 on a net nobody drives
-    in_sink = [-1] * ix.in_net.size
-    for c, slot, sink in zip(ix.pin_cell.tolist(), ix.pin_slot.tolist(),
-                             pin_sinks):
-        in_sink[start[c] + slot] = sink
-    # INPUT and DFF outputs arrive at 0.0; a LUT's before its readers
-    arrivals = [0.0] * ix.n_nets
-    t_lut = m.t_lut
-    worst = 0.0
-    for c, kind, nets, out in ix.readers:
-        arr = 0.0
-        at = start[c]
-        for n in nets:
-            table = by_net[n]
-            wire = table.get(in_sink[at], 0.0) if table is not None else 0.0
-            arr = max(arr, arrivals[n] + wire)
-            at += 1
-        if kind == LUT:
-            arr += t_lut
-            arrivals[out] = arr
-        worst = max(worst, arr)
-    return worst
-
-
 def critical_path(
     g: CompiledRRG,
     netlist: Netlist,
@@ -394,23 +285,25 @@ def critical_path(
 
     Each input's SINK node comes from the endpoints the route was made
     on, when they were made for this netlist's index, ``placement`` and
-    ``g``, and otherwise from endpoints extracted here; either way an
-    unplaced cell raises :class:`~repro.errors.PlacementError` naming
-    it.  The timing itself is one native call (:func:`timing_kernel`)
-    or the Python body, bit for bit the same; a route that is not a
-    tree of the fabric's edges reaching every sink raises
-    :class:`~repro.errors.SimulationError` with the same text on both.
+    ``g``, and otherwise from endpoints extracted here, each route net
+    matched to its row by name; either way an unplaced cell raises
+    :class:`~repro.errors.PlacementError` naming it.  The timing itself
+    is one native call (:func:`timing_kernel`) or the Python body, bit
+    for bit the same; a route that is not a tree of the fabric's edges
+    reaching every sink, or (matched by name) has a net the placed
+    netlist does not have, raises :class:`~repro.errors.SimulationError`
+    with the same text on both.
     """
     m = model or _DEFAULT_MODEL
     ix = netlist.index()
-    endpoints = route.endpoints
+    endpoints, order = route.endpoints, route.order
     if endpoints is None or any(a is not b for a, b in zip(
             endpoints.made_for, (ix, placement, g))):
-        endpoints = None
-        pin_sinks = _net_endpoints(netlist, placement, g).pin_sinks
-    else:
-        pin_sinks = endpoints.pin_sinks
+        endpoints = _net_endpoints(netlist, placement, g)
+        order = _rows_by_name(endpoints, route)
     fn = _time_function()
     if fn is None:
-        return _critical_path_python(g, ix, route, pin_sinks, m)
-    return _critical_path_native(fn, g, ix, route, endpoints, pin_sinks, m)
+        from repro.route._python_timing import critical_path_python
+
+        return critical_path_python(g, ix, route, endpoints.pin_sinks, m)
+    return _critical_path_native(fn, g, ix, route, endpoints, order, m)

@@ -237,11 +237,13 @@ class TestGoldenEndpoints:
         fresh = build_golden(c, netlist, placement, MAX_ITERS)
         want = []
         for dm in dies:
+            # an unpickled golden's route carries no endpoints, so
+            # every trial extracts them anew
+            lean = pickle.loads(pickle.dumps(fresh))
             tel = Telemetry("uncached")
             with collecting(tel):
-                out = repair_mapping(c, netlist, fresh, dm,
+                out = repair_mapping(c, netlist, lean, dm,
                                      max_iterations=MAX_ITERS)
-            fresh._endpoints = None  # every trial extracts anew
             want.append((out.to_dict(), tel.counters))
         golden = build_golden(c, netlist, placement, MAX_ITERS)
         golden.endpoints(c, netlist)
@@ -291,6 +293,7 @@ class TestGoldenEndpoints:
         c, netlist, placement, _ = mapping
         golden = build_golden(c, netlist, placement, MAX_ITERS)
         first = golden.endpoints(c, netlist)
+        assert first is golden.routes.endpoints  # the route's own
         assert golden.endpoints(c, netlist) is first
         assert first == pathfinder._net_endpoints(netlist, placement, c)
         twin = copy.deepcopy(netlist)
@@ -299,7 +302,10 @@ class TestGoldenEndpoints:
         assert golden.endpoints(c, twin) is again
         rebuilt = golden.endpoints(build_flat(PARAMS), twin)
         assert rebuilt is not again and rebuilt == first
-        assert pickle.loads(pickle.dumps(golden))._endpoints is None
+        back = pickle.loads(pickle.dumps(golden))
+        assert back._endpoints is None and back.routes.endpoints is None
+        lean = back.endpoints(c, netlist)
+        assert lean == first and back.endpoints(c, netlist) is lean
 
 
 class TestRouteTrees:
@@ -354,6 +360,36 @@ class TestVectorisedDetection:
             assert dirty_net_names(
                 golden.routes, dm, flat=golden.flat(c)
             ) == brute, seed
+
+    def test_flat_views_match_each_tree(self, mapping):
+        """The flat views read from the route's forest equal each
+        tree's nodes and ``src * n_nodes + dst`` edge codes laid end to
+        end: for the golden, a warm reroute (adopted trees in its
+        buffer), an unpickled copy and a route of the Python loop."""
+        c, netlist, placement, golden = mapping
+        dm = DefectMap.from_defects(c, wire_nodes=[wire_on_route(c, golden)])
+        warm = route_context_warm(
+            c, netlist, placement, golden.routes,
+            dirty_net_names(golden.routes, dm), defects=dm,
+            max_iterations=MAX_ITERS)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pathfinder, "_route_function", lambda: None)
+            loop = route_context_compiled(c, netlist, placement)
+        routes = (golden.routes, warm, pickle.loads(pickle.dumps(warm)),
+                  loop)
+        for rr in routes:
+            flat = repair_mod.RouteFlat(rr, c.n_nodes)
+            trees = [net.tree for net in rr.nets.values()]
+            assert flat.names == list(rr.nets)
+            assert np.array_equal(flat.nodes_flat,
+                                  np.concatenate([t.node for t in trees]))
+            assert np.array_equal(flat.edge_codes, np.concatenate([
+                t.node[t.parent[1:]].astype(np.int64) * c.n_nodes
+                + t.node[1:] for t in trees]))
+            sizes = [t.node.size for t in trees]
+            assert flat.node_start.tolist() == [0, *np.cumsum(sizes)]
+            assert flat.edge_start.tolist() == \
+                [0, *np.cumsum([n - 1 for n in sizes])]
 
     def test_placement_blocked_matches_brute_force(self, mapping):
         c, netlist, placement, golden = mapping

@@ -20,6 +20,7 @@ from repro.reliability.yield_runner import (
     evaluate_trial,
     trial_seed,
 )
+from repro.route.pathfinder import route_kernel
 from repro.workloads.generators import random_dag
 
 BASE = ArchParams(cols=5, rows=5, channel_width=8, io_capacity=4)
@@ -81,3 +82,32 @@ class TestSharedGolden:
         with ThreadPoolExecutor(self.WORKERS) as pool:
             got = list(pool.map(trial, jobs))
         assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+
+    def test_threads_share_a_golden_straight_from_its_route(self):
+        """The same on the golden ``build_golden`` returned, not a
+        pickled copy: a native golden route has not built its nets
+        (wirelength and timing read its buffer), so the threads' first
+        detections build them at the same moment, and every thread
+        reads the one dict."""
+        netlist = _netlist()
+        jobs = [YieldTrialJob("dag", BASE, netlist, 0.03, "uniform", t,
+                              trial_seed(1, 0, t), seed=1, effort=0.2)
+                for t in range(2 * self.WORKERS)]
+        alone = YieldRunner().golden_for(netlist, BASE, seed=1, effort=0.2)
+        want = [evaluate_trial(job, alone) for job in jobs]
+        golden = YieldRunner().golden_for(netlist, BASE, seed=1, effort=0.2)
+        if route_kernel() == "native":
+            assert golden.routes._nets is None
+        start = threading.Barrier(self.WORKERS, timeout=60)
+        seen = []
+
+        def trial(job):
+            start.wait()
+            out = evaluate_trial(job, golden)
+            seen.append(golden.routes.nets)
+            return out
+
+        with ThreadPoolExecutor(self.WORKERS) as pool:
+            got = list(pool.map(trial, jobs))
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+        assert all(nets is seen[0] for nets in seen)

@@ -23,6 +23,9 @@ on four threads.
 """
 
 import inspect
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -415,3 +418,32 @@ class TestLazyNets:
         assert [row.trials for row in rows] == [3, 3]
         assert trials and any(order is not None for order in trials)
         assert 0 < len(decoded) <= len(goldens)
+
+    def test_threads_read_one_dict_of_nets(self):
+        """Threads that first read a native route's nets together (the
+        trial threads of a yield campaign share its golden) all get the
+        one dict it builds, equal to the nets of the same route read on
+        one thread."""
+        params = ArchParams(cols=6, rows=6, channel_width=8, io_capacity=4)
+        c = flat_rrg_for(params)
+        netlist = tech_map(random_dag(6, 24, 4, seed=4), k=4)
+        pl = place(netlist, params, seed=1, effort=0.2)
+        want = route_context_compiled(c, netlist, pl).nets
+        workers = 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the build
+        try:
+            for _ in range(10):
+                rr = route_context_compiled(c, netlist, pl)
+                start = threading.Barrier(workers, timeout=60)
+
+                def read(_):
+                    start.wait()
+                    return rr.nets
+
+                with ThreadPoolExecutor(workers) as pool:
+                    got = list(pool.map(read, range(workers)))
+                assert all(nets is got[0] for nets in got)
+                assert got[0] == want
+        finally:
+            sys.setswitchinterval(interval)

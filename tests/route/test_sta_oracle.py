@@ -17,8 +17,11 @@ defects, on both context-route kernels (so routes the Python loop
 made, and warm routes whose adopted trees are the golden's, are timed
 too), under the default and a non-default delay model.  A route that
 is not a tree of the fabric's edges reaching its sinks gives the same
-:class:`~repro.errors.SimulationError` text on both kernels, and a
-cell the placement lacks the same :class:`~repro.errors.PlacementError`.
+:class:`~repro.errors.SimulationError` text on both kernels, as does a
+hand-built route with a net the placed netlist lacks or one that sinks
+elsewhere (a hand-built route's nets are matched to the placed netlist's
+by name, in any order), and a cell the placement lacks the same
+:class:`~repro.errors.PlacementError`.
 """
 
 import dataclasses
@@ -315,6 +318,33 @@ class TestErrorParity:
             * len(KERNELS)
 
 
+    @staticmethod
+    def _unmatched(c, netlist, rr, pl, name):
+        for kernel in KERNELS:  # the error comes before any native call
+            with pytest.MonkeyPatch.context() as mp:
+                if kernel == "python":
+                    mp.setattr(timing, "_time_function", lambda: None)
+                with pytest.raises(SimulationError) as info:
+                    timing.critical_path(c, netlist, rr, pl)
+                assert str(info.value) == (
+                    f"route of net {name!r} does not match its net on "
+                    f"this placement")
+
+    def test_a_net_the_netlist_lacks(self, adder):
+        c, netlist, pl, rr = adder
+        net = _long_net(rr)
+        bad = RouteResult({**rr.nets, "ghost": dataclasses.replace(
+            net, name="ghost")}, rr.iterations, rr.context)
+        self._unmatched(c, netlist, bad, pl, "ghost")
+
+    def test_a_net_with_other_sinks(self, adder):
+        c, netlist, pl, rr = adder
+        net = next(n for n in rr.nets.values() if len(n.sinks) > 1)
+        bad = RouteResult({**rr.nets, net.name: dataclasses.replace(
+            net, sinks=net.sinks[1:])}, rr.iterations, rr.context)
+        self._unmatched(c, netlist, bad, pl, net.name)
+
+
 class TestPlacementErrors:
     """A cell the placement lacks raises PlacementError naming it, on
     both kernels, where the route's own endpoints are not the ones."""
@@ -364,3 +394,16 @@ def test_route_endpoints_feed_the_timing(adder):
                                  for r in (rr, back)]) \
         == [[want, want]] * len(KERNELS)
     assert rr.wirelength(c) == back.wirelength(c)
+
+
+def test_route_nets_in_another_order(adder):
+    """A hand-built route whose nets come in another order than the
+    endpoints' rows is matched to them by name: the same critical path
+    on both kernels."""
+    c, netlist, pl, rr = adder
+    turned = RouteResult(dict(reversed(rr.nets.items())), rr.iterations,
+                         rr.context)
+    assert list(turned.nets) != list(rr.nets)
+    want = sta_oracle.critical_path(c, netlist, rr, pl)
+    assert _each_kernel(lambda: timing.critical_path(c, netlist, turned, pl)) \
+        == [want] * len(KERNELS)

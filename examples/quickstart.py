@@ -15,15 +15,11 @@ Walks the paper's core ideas end to end, through the public
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    ContextPattern,
-    DecoderBank,
-    MultiContextFPGA,
-    class_census,
-)
 from repro.analysis.experiments import map_program
 from repro.api import AreaRequest, ExperimentSpec, Session
-from repro.core.decoder_synth import synthesize_single
+from repro.core.decoder_synth import DecoderBank, synthesize_single
+from repro.core.fpga import MultiContextFPGA
+from repro.core.patterns import ContextPattern, class_census
 from repro.netlist.synth import synthesize
 from repro.netlist.techmap import tech_map
 from repro.workloads.multicontext import mutated_program

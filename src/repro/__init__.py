@@ -26,9 +26,9 @@ The package splits into:
   and per-net bounding-box pruning.  The original object-graph router
   is kept in the test suite as the reference the equivalence tests
   compare routes against.
-- :mod:`repro.sim` — event-driven and multi-context (DPGA-schedule)
-  simulators and switching activity; batched combinational evaluation
-  of a netlist or a configured device runs one lane-word LUT primitive
+- :mod:`repro.sim` — the multi-context (DPGA-schedule) executor;
+  batched combinational evaluation of a netlist or a configured device
+  runs one lane-word LUT primitive
   (:func:`repro.netlist.logic.lut_value`).
 - :mod:`repro.workloads` — circuit generators and multi-context
   workloads with controllable redundancy.
@@ -53,52 +53,4 @@ the GIL inside their ``ctypes`` calls, so threads overlap only those;
 the ``process`` backend runs whole jobs in parallel.
 """
 
-from repro.core import (
-    AdaptiveLogicBlock,
-    AreaConstants,
-    AreaModel,
-    ContextPattern,
-    DecoderBank,
-    MCMGGeometry,
-    MCMGLut,
-    MultiContextFPGA,
-    PatternClass,
-    RCMBlock,
-    RCMSwitchBlock,
-    SEConfig,
-    SwitchElement,
-    Technology,
-    analytic_pattern_mix,
-    class_census,
-    decoder_cost,
-)
-from repro.arch import ArchParams
-from repro.arch.params import conventional_params, paper_params
-from repro.errors import ReproError
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "AdaptiveLogicBlock",
-    "ArchParams",
-    "AreaConstants",
-    "AreaModel",
-    "ContextPattern",
-    "DecoderBank",
-    "MCMGGeometry",
-    "MCMGLut",
-    "MultiContextFPGA",
-    "PatternClass",
-    "RCMBlock",
-    "RCMSwitchBlock",
-    "ReproError",
-    "SEConfig",
-    "SwitchElement",
-    "Technology",
-    "analytic_pattern_mix",
-    "class_census",
-    "conventional_params",
-    "decoder_cost",
-    "paper_params",
-    "__version__",
-]

@@ -25,12 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from repro.core.patterns import ContextPattern, PatternClass, classify_mask
-from repro.core.rcm import RCMBlock
-from repro.core.switch_element import SEConfig
 from repro.errors import SynthesisError
-from repro.utils.bitops import clog2, mask as ones
+from repro.utils.bitops import clog2
+
+if TYPE_CHECKING:
+    from repro.core.rcm import RCMBlock
 
 
 def _cofactor_masks(mask_value: int, j: int, n_contexts: int) -> tuple[int, int]:
@@ -145,6 +147,9 @@ class DecoderBank:
         block: RCMBlock | None = None,
         share: bool = True,
     ) -> None:
+        # The RCM model loads with the first bank: the request path
+        # imports this module only for :func:`decoder_cost`.
+        from repro.core.rcm import RCMBlock
         from repro.utils.bitops import is_pow2
 
         if not is_pow2(n_contexts):
@@ -201,6 +206,8 @@ class DecoderBank:
             src = self.block.id_net(j, inverted)
             net = self._inject_follow(src, f"lit_{len(self.block.ses)}")
         else:
+            from repro.core.switch_element import SEConfig
+
             j = best_split_bit(mask_value, self.n_contexts)
             f0, f1 = _cofactor_masks(mask_value, j, self.n_contexts)
             net0 = self._realize(f0)
@@ -215,6 +222,8 @@ class DecoderBank:
 
     def _inject(self, src_net: int, name: str) -> int:
         """Always-on injection SE copying ``src_net`` onto a fresh track."""
+        from repro.core.switch_element import SEConfig
+
         net = self.block.new_net(name)
         self.block.add_se(a=src_net, b=net, u=None, config=SEConfig.constant(1))
         return net
@@ -226,6 +235,8 @@ class DecoderBank:
         charging one SE matches Fig. 9's accounting (a LITERAL decoder is
         one SE whose variable input U is wired to the ID line).
         """
+        from repro.core.switch_element import SEConfig
+
         net = self.block.new_net(name)
         self.block.add_se(a=src_net, b=net, u=src_net, config=SEConfig.constant(1))
         return net

@@ -1,6 +1,1 @@
 """Placement: simulated-annealing placer for LUT netlists on the tile grid."""
-
-from repro.place.cost import hpwl_cost
-from repro.place.placer import Placement, place, place_program
-
-__all__ = ["Placement", "hpwl_cost", "place", "place_program"]

@@ -1,33 +1,2 @@
-"""Shared low-level utilities: bit manipulation, RNG plumbing, text tables."""
-
-from repro.utils.bitops import (
-    bit,
-    bit_count,
-    bits_of,
-    clog2,
-    from_bits,
-    is_pow2,
-    mask,
-    parity,
-    popcount,
-    reverse_bits,
-)
-from repro.utils.rng import ensure_rng
-from repro.utils.tables import TextTable, format_ratio, format_si
-
-__all__ = [
-    "TextTable",
-    "bit",
-    "bit_count",
-    "bits_of",
-    "clog2",
-    "ensure_rng",
-    "format_ratio",
-    "format_si",
-    "from_bits",
-    "is_pow2",
-    "mask",
-    "parity",
-    "popcount",
-    "reverse_bits",
-]
+"""Shared low-level utilities: bit manipulation, RNG plumbing, native
+kernel loading, the record codec, telemetry and text tables."""

@@ -1,9 +1,5 @@
 """Workload generation: benchmark circuits and multi-context programs
-with controllable inter-context redundancy.
-
-The fixed datapath circuits (:mod:`repro.workloads.datapaths`) are not
-re-exported here: no request builds them, so importing the package
-does not load them."""
+with controllable inter-context redundancy."""
 
 from repro.workloads.generators import (
     alu_slice,

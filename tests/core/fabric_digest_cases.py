@@ -5,7 +5,7 @@ from the mapping and reduces the device to sha256 digests of:
 
 - ``memory``: every logic block's ``lut.memory``, tile by tile in the
   device's tile order;
-- ``dump``: the :func:`~repro.core.serialize.dump_configuration` text;
+- ``dump``: the ``serialize.dump_configuration`` text;
 - ``connectivity``: each context's ``connectivity`` table, nets and
   sinks in stored order (one digest per context);
 - ``lut_stats``: the :func:`~repro.core.bitstream.extract_lut_patterns`
@@ -29,9 +29,9 @@ from repro.api import ExecutionConfig, MapRequest, Session
 from repro.api.session import MAP_EFFORT
 from repro.core.bitstream import extract_lut_patterns
 from repro.core.fpga import MultiContextFPGA
-from repro.core.serialize import dump_configuration
 from repro.netlist.frontend import arch_for, load_program
 from repro.netlist.frontend.corpus import discover_cases, load_case
+from serialize import dump_configuration
 
 CORPUS = Path(__file__).resolve().parents[2] / "regression_tests"
 

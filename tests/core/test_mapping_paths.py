@@ -1,10 +1,13 @@
-"""The mapping path end to end: no oracle in ``src/``, endpoints, and
-device connectivity.
+"""The mapping path end to end: what ``src/`` holds and loads,
+endpoints, and device connectivity.
 
 Mapping, statistics, verification and serialisation run on the flat
 substrate alone: no module under ``src/repro`` names the object-graph
 or legacy-router oracles (``tests/oracles``), and a full map, corpus
-import and serialisation never loads them.  The legacy router's own
+import and serialisation never loads them.  Every module under
+``src/repro`` has an importer outside the test suite, and the request
+path loads a pinned set of modules, none of the paper-figure circuit
+models.  The legacy router's own
 endpoint extraction must equal the router's on every ``map8`` benchmark
 program and pinned corpus case.  The device's per-context connectivity,
 gathered in one pass over the input pins, must equal the per-net scan
@@ -12,6 +15,7 @@ over every cell on the same programs.
 """
 
 import ast
+import json
 import os
 import random
 import subprocess
@@ -31,6 +35,12 @@ from rrg_oracle import build_rrg
 CORPUS_ROOT = os.path.join(os.path.dirname(__file__), "..", "..",
                            "regression_tests")
 SRC_PACKAGE = Path(repro.__file__).resolve().parent
+REPO = Path(__file__).resolve().parents[2]
+
+#: Where a ``src/repro`` module's importers may live: the package, the
+#: paper-figure and scaling benches, the examples and the end-to-end
+#: benchmark.  The test suite does not count.
+IMPORTER_ROOTS = ("src", "benchmarks", "examples", "perfbench")
 
 #: Module names only the test suite may import.
 ORACLE_MODULES = ("rrg_oracle", "legacy_router", "fabric_oracle")
@@ -182,6 +192,127 @@ print("numpy.ma loaded:", "numpy.ma" in sys.modules)
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "numpy.ma loaded: False"
+
+
+#: The ``repro`` modules ``import repro.api; Session()`` loads.  Each is
+#: run by some request kind; a module added to this set makes every
+#: spawned worker and CLI call compile it.
+REQUEST_PATH_MODULES = [
+    "repro",
+    "repro.analysis", "repro.analysis.engine", "repro.analysis.experiments",
+    "repro.analysis.sweep", "repro.analysis.verification",
+    "repro.api", "repro.api.requests", "repro.api.results",
+    "repro.api.serialize", "repro.api.session", "repro.api.spec",
+    "repro.api.workloads",
+    "repro.arch", "repro.arch.compiled", "repro.arch.geometry",
+    "repro.arch.params", "repro.arch.wires",
+    "repro.core", "repro.core.area_model", "repro.core.bitstream",
+    "repro.core.decoder_synth", "repro.core.fpga", "repro.core.logic_block",
+    "repro.core.mcmg_lut", "repro.core.patterns",
+    "repro.errors",
+    "repro.netlist", "repro.netlist.dfg", "repro.netlist.frontend",
+    "repro.netlist.frontend.blif", "repro.netlist.frontend.decompose",
+    "repro.netlist.frontend.verilog", "repro.netlist.index",
+    "repro.netlist.logic", "repro.netlist.netlist", "repro.netlist.sharing",
+    "repro.netlist.synth", "repro.netlist.techmap",
+    "repro.place", "repro.place.placer",
+    "repro.reliability", "repro.reliability.defect_map",
+    "repro.reliability.repair", "repro.reliability.yield_runner",
+    "repro.route", "repro.route.pathfinder", "repro.route.timing",
+    "repro.utils", "repro.utils.bitops", "repro.utils.native",
+    "repro.utils.records", "repro.utils.rng", "repro.utils.telemetry",
+]
+#: Paper-figure circuit models and report helpers no request runs.
+OFF_REQUEST_PATH = [
+    "repro.core.rcm", "repro.core.switch_element", "repro.core.fepg",
+    "repro.core.diamond", "repro.core.context_memory", "repro.analysis.pattern_stats",
+    "repro.analysis.redundancy", "repro.utils.tables",
+]
+
+
+def test_request_path_import_set():
+    """``import repro.api; Session()`` in a fresh interpreter loads
+    exactly :data:`REQUEST_PATH_MODULES`, so none of
+    :data:`OFF_REQUEST_PATH`; the decoder bank then loads the RCM model
+    it builds on at first use (Fig. 9's four SEs)."""
+    script = """
+import json
+import sys
+
+import repro.api
+
+repro.api.Session()
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "repro")))
+
+from repro.core.decoder_synth import DecoderBank, synthesize_single
+from repro.core.patterns import ContextPattern
+
+_, _, n_ses = synthesize_single(ContextPattern.from_paper_row((1, 0, 0, 0)))
+bank = DecoderBank(4)
+bank.request(ContextPattern(0b0110, 4))
+bank.verify()
+print(json.dumps([n_ses, bank.stats.total_ses]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC_PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    loaded, decoders = (json.loads(line)
+                        for line in done.stdout.splitlines()[-2:])
+    assert loaded == sorted(REQUEST_PATH_MODULES)
+    assert not set(loaded) & set(OFF_REQUEST_PATH)
+    assert decoders == [4, 4]
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(REPO / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imported_names(tree: ast.AST):
+    """Every dotted name a module imports: ``import a.b`` gives ``a.b``
+    and ``from a import b`` gives ``a`` and ``a.b``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_every_src_module_has_an_importer():
+    """Each non-package module under ``src/repro`` is imported by a
+    module under :data:`IMPORTER_ROOTS` other than itself.  Its own
+    package's ``__init__`` counts only when something outside the
+    package imports the package by name (the netlist frontend's parsers
+    and the HTTP server reach their callers through kept re-exports).
+    ``repro.__main__`` runs as ``python -m repro``.  A module that only
+    its own tests use has no place in ``src/``."""
+    imports = {}
+    for top in IMPORTER_ROOTS:
+        for path in sorted((REPO / top).rglob("*.py")):
+            who = (_module_name(path) if top == "src"
+                   else str(path.relative_to(REPO)))
+            tree = ast.parse(path.read_text(), filename=str(path))
+            imports[who] = set(_imported_names(tree))
+
+    def importers(name: str) -> set:
+        return {who for who, names in imports.items() if who != name
+                and any(n == name or n.startswith(name + ".") for n in names)}
+
+    modules = [_module_name(p) for p in sorted(SRC_PACKAGE.rglob("*.py"))
+               if p.name not in ("__init__.py", "__main__.py")]
+    assert len(modules) > 50
+    orphans = []
+    for name in modules:
+        package = name.rpartition(".")[0]
+        users = importers(name)
+        if not any(package in names for who, names in imports.items()
+                   if who != package and not who.startswith(package + ".")):
+            users.discard(package)
+        if not users:
+            orphans.append(name)
+    assert not orphans, f"modules no caller imports: {orphans}"
 
 
 def test_oracle_endpoints_match_router(mapped_programs):

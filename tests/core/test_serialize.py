@@ -6,15 +6,15 @@ import pytest
 
 from repro.analysis.experiments import map_program
 from repro.core.fpga import MultiContextFPGA
-from repro.core.serialize import (
-    dump_configuration,
-    load_configuration,
-    roundtrip_equal,
-)
 from repro.errors import ConfigurationError
 from repro.netlist.synth import synthesize
 from repro.netlist.techmap import tech_map
 from repro.workloads.multicontext import mutated_program
+from serialize import (
+    dump_configuration,
+    load_configuration,
+    roundtrip_equal,
+)
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,6 @@ from repro.arch.params import ArchParams
 from repro.netlist.index import NetlistIndex
 from repro.netlist.logic import TruthTable
 from repro.netlist.netlist import Cell, CellKind, Netlist
-from repro.netlist.optimize import collapse_buffers, propagate_constants
 from repro.netlist.synth import synthesize
 from repro.place.placer import place
 from repro.route.pathfinder import _net_endpoints
@@ -273,22 +272,6 @@ class TestInvalidation:
         before = nl.index()
         nl.add_input("c")
         assert nl.index() is not before
-        _same_index(nl)
-
-    def test_propagate_constants(self):
-        nl = synthesize(["a", "b"], {"o": "(a & 0) | (b & 1)", "p": "a | 1"})
-        _fields(nl.index())  # every lazy part cached before the edit
-        assert propagate_constants(nl) > 0
-        _same_index(nl)
-
-    def test_collapse_buffers(self):
-        nl = Netlist("buf")
-        nl.add_input("a")
-        nl.add_lut("buf1", ["a"], "w", TruthTable.identity())
-        nl.add_lut("inv", ["w"], "x", TruthTable.inverter())
-        nl.add_output("o", "x")
-        _fields(nl.index())  # every lazy part cached before the edit
-        assert collapse_buffers(nl) == 1
         _same_index(nl)
 
     def test_mutate_netlist(self):

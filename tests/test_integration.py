@@ -1,54 +1,54 @@
 """Cross-module integration and pipeline property tests.
 
-These tests exercise the complete flow — synthesis, optimization,
-technology mapping, placement, routing, device configuration, bitstream
-serialization, execution — on generated circuits, asserting the
-invariants that hold end to end.
+These tests exercise the complete flow — synthesis, technology mapping,
+placement, routing, device configuration, bitstream serialization,
+execution — on generated circuits, asserting the invariants that hold
+end to end.  The configuration dump (``serialize``) lives beside the
+fabric digests in ``tests/core``.
 """
 
-import numpy as np
-import pytest
+import os
+import sys
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import map_program, verify_mapped
-from repro.analysis.verification import assert_equivalent, verify_device
+from repro.analysis.verification import verify_device
 from repro.arch.compiled import NodeKind
 from repro.core.fpga import MultiContextFPGA
-from repro.core.serialize import dump_configuration, load_configuration, roundtrip_equal
-from repro.netlist.optimize import optimize
+from repro.netlist.netlist import Netlist
 from repro.netlist.synth import synthesize
 from repro.netlist.techmap import tech_map
 from repro.sim.context_switch import ContextSchedule, MultiContextExecutor
-from repro.workloads.datapaths import barrel_shifter, iscas_c17, priority_encoder
 from repro.workloads.generators import random_dag, ripple_adder
 from repro.workloads.multicontext import mutated_program, temporal_partition
 
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "core"))
+from serialize import dump_configuration, load_configuration, roundtrip_equal  # noqa: E402
 
-class TestSynthesisPipeline:
-    """synth -> optimize -> techmap preserves function."""
 
-    @pytest.mark.parametrize("circuit_fn", [
-        lambda: ripple_adder(3),
-        lambda: barrel_shifter(4),
-        lambda: priority_encoder(4),
-        lambda: iscas_c17(),
-    ])
-    def test_optimize_then_map_equivalent(self, circuit_fn):
-        original = circuit_fn()
-        work = original.copy("work")
-        optimize(work)
-        mapped = tech_map(work, k=4)
-        assert_equivalent(original, mapped)
+def iscas_c17() -> Netlist:
+    """The ISCAS-85 c17 benchmark: 6 NAND gates, 5 inputs, 2 outputs.
 
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(0, 10**6))
-    def test_random_pipeline_property(self, seed):
-        original = random_dag(n_inputs=5, n_gates=14, n_outputs=3, seed=seed)
-        work = original.copy("work")
-        optimize(work)
-        mapped = tech_map(work, k=4)
-        assert_equivalent(original, mapped)
+    Gate-for-gate transcription::
+
+        n10 = NAND(n1,  n3)      n16 = NAND(n2,  n11)
+        n11 = NAND(n3,  n6)      n19 = NAND(n11, n7)
+        n22 = NAND(n10, n16)     n23 = NAND(n16, n19)
+    """
+    n10 = "~(n1 & n3)"
+    n11 = "~(n3 & n6)"
+    n16 = f"~(n2 & ({n11}))"
+    n19 = f"~(({n11}) & n7)"
+    return synthesize(
+        ["n1", "n2", "n3", "n6", "n7"],
+        {
+            "n22": f"~(({n10}) & ({n16}))",
+            "n23": f"~(({n16}) & ({n19}))",
+        },
+        name="c17",
+    )
 
 
 class TestMappingPipeline:
